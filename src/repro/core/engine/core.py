@@ -61,6 +61,9 @@ class Engine(
             occupancy/speculation metrics land in ``stats.extended``.
             Instrumentation is strictly read-only: an instrumented run
             produces bit-identical :class:`SimStats` counters.
+        arch: Optional ``scope="arch"`` snapshot (a warmup checkpoint).
+            The engine restores it *instead of* running the warm start;
+            the result is identical to warming and then restoring.
     """
 
     def __init__(
@@ -74,6 +77,7 @@ class Engine(
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         traces: list[list[Instruction]] | None = None,
+        arch: dict | None = None,
     ) -> None:
         model = self.model = resolve_model(config.mode)
         if traces is None:
@@ -222,7 +226,17 @@ class Engine(
                 obs.register_thread(r.order, f"ctx{r.slot}")
             obs.context_count(0, len(roots))
 
-        if config.warm_caches:
+        if arch is not None:
+            # a warmup checkpoint overwrites every piece of state the warm
+            # start builds (caches, branch and value-predictor tables and
+            # counters, branch history), so it takes the warm start's place
+            if arch.get("scope") != "arch" or model.multi_program:
+                raise ValueError(
+                    "arch= takes a scope='arch' snapshot of a single-program "
+                    "engine"
+                )
+            self.restore(arch)
+        elif config.warm_caches:
             self._warm_state(warm_addresses, roots)
 
     # ------------------------------------------------------------------

@@ -4,7 +4,8 @@ Functional fast-forward (:meth:`Engine.fast_forward`) skips the warmup
 prefix of a trace, touching only *architectural* state — trace position,
 branch history, cache/prefetcher contents, branch- and value-predictor
 tables.  That state is a pure function of far fewer ingredients than a
-full simulation result: the workload and seed, the warmup length, the
+full simulation result: the workload and seed, the warmup and measured
+lengths (the warm start trains on the whole trace), the
 value-predictor recipe, and only the *architecturally relevant* machine
 axes (cache geometry and prefetcher parameters — not latencies, ports,
 window sizes, selectors or simulation mode, none of which functional
@@ -64,8 +65,9 @@ ARCH_CONFIG_FIELDS = (
     "warm_caches",
 )
 
-#: file format marker for single-file checkpoints (``repro run``)
-CHECKPOINT_FILE_VERSION = 1
+#: file format marker for single-file checkpoints (``repro run``); version
+#: 2 records the measured length, which version 1 files lack
+CHECKPOINT_FILE_VERSION = 2
 
 
 def default_checkpoint_dir() -> Path:
@@ -76,14 +78,18 @@ def default_checkpoint_dir() -> Path:
     return default_cache_dir() / "checkpoints"
 
 
-def arch_key(workload_name: str, seed: int, warmup: int, spec) -> str | None:
-    """Checkpoint key for one ``(workload, seed, warmup, RunSpec)``.
+def arch_key(
+    workload_name: str, seed: int, warmup: int, spec, measured: int
+) -> str | None:
+    """Checkpoint key for one ``(workload, seed, warmup, RunSpec, measured)``.
 
     Only architectural ingredients participate (see the module
     docstring); two specs that differ in selector, mode or any timing
-    axis map to the same key and share a checkpoint.  Returns ``None``
-    when an ingredient cannot be described stably (lambda factories),
-    mirroring :func:`~repro.harness.cache.task_key`.
+    axis map to the same key and share a checkpoint.  ``measured`` is the
+    timed interval's length: the warm start trains on the whole
+    ``warmup + measured`` trace, so the warmed state depends on it.
+    Returns ``None`` when an ingredient cannot be described stably
+    (lambda factories), mirroring :func:`~repro.harness.cache.task_key`.
     """
     if not warmup:
         return None
@@ -99,6 +105,7 @@ def arch_key(workload_name: str, seed: int, warmup: int, spec) -> str | None:
         "workload": workload_name,
         "seed": seed,
         "warmup": warmup,
+        "measured": measured,
         "predictor": predictor,
         "config": {name: _plain(fields[name]) for name in ARCH_CONFIG_FIELDS},
         "code": code_version(),
@@ -220,15 +227,20 @@ def resolve_checkpoints(checkpoints) -> CheckpointStore | None:
 # single-file checkpoints (the `repro run --checkpoint/--restore` format)
 # ----------------------------------------------------------------------
 def save_checkpoint(
-    path: str | Path, arch: dict, *, workload: str, seed: int
+    path: str | Path, arch: dict, *, workload: str, seed: int, length: int
 ) -> None:
-    """Write one arch snapshot plus its identity to an explicit file."""
+    """Write one arch snapshot plus its identity to an explicit file.
+
+    ``length`` is the measured length; with the warmup it fixes the trace
+    the warm start trained on (``warmup + length`` instructions).
+    """
     payload = {
         "format": "repro-checkpoint",
         "version": CHECKPOINT_FILE_VERSION,
         "workload": workload,
         "seed": seed,
         "warmup": arch["pos"],
+        "length": length,
         "code": code_version(),
         "arch": arch,
     }
@@ -237,12 +249,17 @@ def save_checkpoint(
 
 
 def load_checkpoint(
-    path: str | Path, *, workload: str | None = None, seed: int | None = None
+    path: str | Path,
+    *,
+    workload: str | None = None,
+    seed: int | None = None,
+    length: int | None = None,
 ) -> dict:
     """Read a :func:`save_checkpoint` file, validating its identity.
 
     A checkpoint is only meaningful on the trace that produced it, so a
-    ``workload``/``seed`` mismatch is an error, not a silent cold start.
+    ``workload``/``seed``/measured ``length`` mismatch is an error, not a
+    silent cold start (``None`` skips that check).
     A code-version mismatch is allowed (the snapshot schema is versioned
     separately) — the engine's own restore validation has the final say.
     """
@@ -266,5 +283,10 @@ def load_checkpoint(
         raise ValueError(
             f"checkpoint {path} was taken with seed {payload['seed']}, "
             f"not {seed}"
+        )
+    if length is not None and payload["length"] != length:
+        raise ValueError(
+            f"checkpoint {path} was taken with measured length "
+            f"{payload['length']}, not {length}"
         )
     return payload

@@ -27,3 +27,6 @@ class OraclePredictor(ValuePredictor):
 
     def train(self, inst: Instruction, actual: int) -> None:
         """The oracle has no state to train."""
+
+    def train_many(self, insts: list[Instruction], passes: int) -> None:
+        """The oracle has no state to train."""

@@ -49,37 +49,46 @@ def warmed_spec(**overrides) -> RunSpec:
 
 class TestArchKey:
     def test_no_warmup_means_no_key(self):
-        assert arch_key("mcf", 0, 0, warmed_spec()) is None
+        assert arch_key("mcf", 0, 0, warmed_spec(), 1500) is None
 
     def test_timing_axes_share_a_key(self):
-        a = arch_key("mcf", 0, 2000, warmed_spec())
-        b = arch_key("mcf", 0, 2000, warmed_spec(spawn_latency=64))
-        c = arch_key("mcf", 0, 2000, warmed_spec(l2_latency=40, mshrs=4))
+        a = arch_key("mcf", 0, 2000, warmed_spec(), 1500)
+        b = arch_key("mcf", 0, 2000, warmed_spec(spawn_latency=64), 1500)
+        c = arch_key(
+            "mcf", 0, 2000, warmed_spec(l2_latency=40, mshrs=4), 1500
+        )
         assert a == b == c
 
     def test_architectural_axes_split_keys(self):
-        base = arch_key("mcf", 0, 2000, warmed_spec())
-        assert base != arch_key("mcf", 0, 2000, warmed_spec(l1_size=32 * 1024))
+        base = arch_key("mcf", 0, 2000, warmed_spec(), 1500)
         assert base != arch_key(
-            "mcf", 0, 2000, warmed_spec(prefetch_fill_latency=100)
+            "mcf", 0, 2000, warmed_spec(l1_size=32 * 1024), 1500
+        )
+        assert base != arch_key(
+            "mcf", 0, 2000, warmed_spec(prefetch_fill_latency=100), 1500
         )
 
     def test_workload_seed_warmup_predictor_split_keys(self):
-        base = arch_key("mcf", 0, 2000, warmed_spec())
-        assert base != arch_key("art", 0, 2000, warmed_spec())
-        assert base != arch_key("mcf", 1, 2000, warmed_spec())
-        assert base != arch_key("mcf", 0, 2500, warmed_spec())
+        base = arch_key("mcf", 0, 2000, warmed_spec(), 1500)
+        assert base != arch_key("art", 0, 2000, warmed_spec(), 1500)
+        assert base != arch_key("mcf", 1, 2000, warmed_spec(), 1500)
+        assert base != arch_key("mcf", 0, 2500, warmed_spec(), 1500)
         dfcm = RunSpec(
             "d", MachineConfig.mtvp, predictor_factory="dfcm", warmup=2000
         )
-        assert base != arch_key("mcf", 0, 2000, dfcm)
+        assert base != arch_key("mcf", 0, 2000, dfcm, 1500)
+
+    def test_measured_length_splits_keys(self):
+        # the warm start trains on the whole warmup + measured trace
+        base = arch_key("mcf", 0, 2000, warmed_spec(), 1500)
+        assert base != arch_key("mcf", 0, 2000, warmed_spec(), 3000)
 
     def test_undescribable_factory_is_uncacheable(self):
         spec = RunSpec(
             "l", MachineConfig.mtvp,
             predictor_factory=lambda: None, warmup=2000,
         )
-        assert arch_key("mcf", 0, 2000, spec) is None
+        assert arch_key("mcf", 0, 2000, spec, 1500) is None
 
 
 class TestCheckpointStore:
@@ -128,6 +137,25 @@ class TestWarmedRuns:
         restored = other.run("mcf", 4000, seed=0, checkpoints=store)
         assert store.hits == 1 and store.stores == 1
         assert digest(restored) == reference
+
+    def test_specs_differing_only_in_sample_do_not_share(self, tmp_path):
+        # regression: the key once ignored the measured length, so the
+        # sample=3000 spec restored the sample=1000 spec's checkpoint and
+        # reported 7085 cycles instead of the fresh run's 5753
+        store = CheckpointStore(tmp_path)
+        factory = functools.partial(MachineConfig.mtvp, 8)
+        short, long = (
+            RunSpec("s", factory, predictor_factory="wang-franklin",
+                    warmup=2000, sample=sample)
+            for sample in (1000, 3000)
+        )
+        short.run("mcf", 4000, seed=0, checkpoints=store)
+        cold = long.run("mcf", 4000, seed=0, checkpoints=store)
+        assert (store.hits, store.stores) == (0, 2)
+        restored = long.run("mcf", 4000, seed=0, checkpoints=store)
+        assert store.hits == 1
+        fresh = long.run("mcf", 4000, seed=0)
+        assert digest(cold) == digest(restored) == digest(fresh)
 
     def test_sample_overrides_session_length(self):
         stats = warmed_spec().run("mcf", 999999, seed=0)
@@ -214,14 +242,17 @@ class TestCheckpointFiles:
                 "warmup_instructions": 1200, "hierarchy": {}, "branch": {},
                 "predictor": {}}
         path = tmp_path / "w.ckpt"
-        save_checkpoint(path, arch, workload="mcf", seed=3)
-        payload = load_checkpoint(path, workload="mcf", seed=3)
+        save_checkpoint(path, arch, workload="mcf", seed=3, length=800)
+        payload = load_checkpoint(path, workload="mcf", seed=3, length=800)
         assert payload["warmup"] == 1200
+        assert payload["length"] == 800
         assert payload["arch"] == arch
         with pytest.raises(ValueError, match="workload"):
             load_checkpoint(path, workload="art", seed=3)
         with pytest.raises(ValueError, match="seed"):
             load_checkpoint(path, workload="mcf", seed=0)
+        with pytest.raises(ValueError, match="measured length 800, not 900"):
+            load_checkpoint(path, workload="mcf", seed=3, length=900)
 
     def test_non_checkpoint_file_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -243,6 +274,24 @@ class TestCheckpointFiles:
                      "--restore", str(ckpt)]) == 0
         second = capsys.readouterr().out
         # identical simulated interval: cycle counts line up exactly
+        assert [l for l in first.splitlines() if l.startswith("cycles")] == \
+               [l for l in second.splitlines() if l.startswith("cycles")]
+
+    def test_cli_restore_rejects_a_different_length(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        ckpt = tmp_path / "mcf.ckpt"
+        assert main(["run", "mcf", "--length", "2000", "--warmup", "1500",
+                     "--checkpoint", str(ckpt)]) == 0
+        first = capsys.readouterr().out
+        for flag in ("--length", "--sample"):
+            assert main(["run", "mcf", flag, "3000",
+                         "--restore", str(ckpt)]) == 1
+            out = capsys.readouterr().out
+            assert "measured length 2000, not 3000" in out
+        # without a length the file's own applies
+        assert main(["run", "mcf", "--restore", str(ckpt)]) == 0
+        second = capsys.readouterr().out
         assert [l for l in first.splitlines() if l.startswith("cycles")] == \
                [l for l in second.splitlines() if l.startswith("cycles")]
 
