@@ -81,6 +81,28 @@ class Cache:
         self.hits += 1
         return True
 
+    def fill(self, addr: int) -> bool:
+        """:meth:`lookup`, then :meth:`insert` on a miss, in one step.
+
+        Returns True on a hit.  Contents, LRU order, hit/miss counters and
+        occupancy end up exactly as ``lookup(addr) or insert(addr)`` leaves
+        them — the write-allocate path of a store, which the warm start
+        runs once per line of the steady-state footprint.
+        """
+        line = addr >> self._line_shift
+        cset = self._sets[line & self._set_mask]
+        if cset.pop(line, _MISS) is _MISS:
+            self.misses += 1
+            if len(cset) >= self.assoc:
+                del cset[next(iter(cset))]
+            else:
+                self._lines += 1
+            cset[line] = None
+            return False
+        cset[line] = None
+        self.hits += 1
+        return True
+
     def probe(self, addr: int) -> bool:
         """Non-destructive presence check (no LRU update, no stats)."""
         line = self.line_of(addr)

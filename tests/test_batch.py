@@ -287,6 +287,29 @@ class TestHarnessLanes:
             _canonical(b) for b in scalar
         ]
 
+    def test_simulate_batch_footprint_is_lazy(self, tmp_path, monkeypatch):
+        # computed once for a batch that warms, never for one that restores
+        import repro
+        from repro.harness.checkpoint import CheckpointStore
+        from repro.harness.runner import RunSpec, simulate_batch
+
+        calls = []
+        footprint = repro._steady_state_footprint
+        monkeypatch.setattr(
+            repro, "_steady_state_footprint",
+            lambda *a: calls.append(a) or footprint(*a),
+        )
+        spec = RunSpec(
+            "mtvp", lambda: MachineConfig.mtvp(8), "wang-franklin", "always",
+            warmup=600,
+        )
+        store = CheckpointStore(tmp_path)
+        cold = simulate_batch("mcf", spec, 900, (0, 1, 2), checkpoints=store)
+        assert (len(calls), store.stores) == (1, 3)
+        restored = simulate_batch("mcf", spec, 900, (0, 1, 2), checkpoints=store)
+        assert (len(calls), store.hits) == (1, 3)
+        assert [_canonical(a) for a in restored] == [_canonical(b) for b in cold]
+
     def test_trace_group_memo_reuses_traces(self):
         workload = get_workload("mcf")
         first = workload.trace_many(900, (0, 1, 2))
