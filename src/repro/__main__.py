@@ -12,12 +12,9 @@ Subcommands:
   exploration campaign (a TOML/JSON spec under ``sweeps/``; results
   persist in SQLite, so interrupted campaigns resume where they stopped),
 * ``cache`` — maintain the on-disk result cache (``prune``),
-* ``trace`` — write a workload's instruction trace to a binary file,
-* ``serve`` — run the campaign server: an HTTP/JSON service that
-  executes submitted runs/sweeps through the shared result cache, so
-  identical submissions from any number of clients cost one simulation,
-* ``client`` — talk to a running campaign server (submit work, follow
-  the NDJSON event stream, fetch reports).
+* ``search`` — run/status/report/resume an adaptive successive-halving
+  search over a sweep grid,
+* ``trace`` — write a workload's instruction trace to a binary file.
 
 Predictor/selector choices come straight from the component registries
 (:data:`repro.vp.REGISTRY`, :data:`repro.select.REGISTRY`), so a predictor
@@ -605,108 +602,6 @@ def _parse_size(text: str) -> int:
         raise SystemExit(f"invalid size {text!r} (use e.g. 500K, 64M, 2G)")
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.serve import CampaignServer
-
-    from repro.harness import ExecutionPolicy
-
-    server = CampaignServer(
-        host=args.host,
-        port=args.port,
-        workers=args.job_threads,
-        queue_size=args.queue_size,
-        state_dir=args.state_dir,
-        cache=args.cache_dir,
-        checkpoints=args.checkpoint_dir,
-        policy=ExecutionPolicy(
-            jobs=args.jobs,
-            lanes=args.lanes,
-            dispatch=args.dispatch,
-            workers=args.workers,
-            retries=args.retries,
-            stale_after=args.stale_after,
-            heartbeat=args.heartbeat,
-        ),
-    )
-
-    async def serve() -> None:
-        await server.start()
-        print(f"campaign server listening on {server.url}")
-        print(f"  state: {server.runner.state_dir}")
-        print(f"  cache: {server.runner.cache.directory}")
-        print(f"  job threads: {args.job_threads}, queue: {args.queue_size}")
-        try:
-            await server.serve_forever()
-        finally:
-            await server.aclose()
-
-    try:
-        asyncio.run(serve())
-    except KeyboardInterrupt:
-        print("campaign server stopped")
-    return 0
-
-
-def _cmd_client(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.serve import CampaignClient, ClientError
-
-    client = CampaignClient(args.url, timeout=args.timeout)
-    try:
-        if args.client_command == "run":
-            payload = json.loads(args.payload)
-            ack = client.submit_run(payload)
-        elif args.client_command == "sweep":
-            from repro.sweep import load_spec
-
-            spec = load_spec(args.spec)
-            ack = client.submit_sweep({"spec": spec.to_dict()})
-        elif args.client_command == "search":
-            from repro.search import load_search_spec
-
-            spec = load_search_spec(args.spec)
-            ack = client.submit_search({"spec": spec.to_dict()})
-        elif args.client_command == "status":
-            print(json.dumps(client.job(args.job), indent=2, sort_keys=True))
-            return 0
-        elif args.client_command == "events":
-            for event in client.events(
-                args.job, from_seq=args.after, follow=args.follow
-            ):
-                print(json.dumps(event, sort_keys=True))
-            return 0
-        elif args.client_command == "report":
-            report = client.report(args.job, fmt=args.format)
-            if isinstance(report, str):
-                print(report, end="")
-            else:
-                print(json.dumps(report, indent=2, sort_keys=True))
-            return 0
-        else:  # stats
-            print(json.dumps(client.stats(), indent=2, sort_keys=True))
-            return 0
-        verb = "coalesced onto" if ack["deduped"] else "queued as"
-        print(f"{verb} job {ack['job']} "
-              f"({ack['submissions']} submission(s), status {ack['status']})")
-        if args.wait:
-            snapshot = client.wait(ack["job"], timeout=args.timeout)
-            print(f"job {ack['job']} finished: {snapshot['status']}")
-            if snapshot["status"] == "failed":
-                print(f"  {snapshot.get('error')}")
-                return 1
-            print(client.report(ack["job"]), end="")
-        return 0
-    except ClientError as exc:
-        print(f"server rejected the request: {exc}")
-        return 1
-    except OSError as exc:
-        print(f"cannot reach {args.url}: {exc}")
-        return 1
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.workloads.io import save_trace
 
@@ -899,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument(
             "--lanes", default=None, metavar="N|auto",
-            help="coalesce seed replicates of each design point into one "
+            help="batch seed replicates of each design point into one "
                  "lane-batched simulation (auto = whole replicate "
                  "groups; default: $REPRO_LANES or 1)",
         )
@@ -1000,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument(
             "--lanes", default=None, metavar="N|auto",
-            help="coalesce seed replicates of each design point into one "
+            help="batch seed replicates of each design point into one "
                  "lane-batched simulation (default: $REPRO_LANES or 1)",
         )
         sp.add_argument(
@@ -1070,93 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
              "~/.cache/repro)",
     )
     sp.set_defaults(func=_cmd_cache_prune)
-
-    p = sub.add_parser(
-        "serve",
-        help="run the campaign server (HTTP/JSON simulation-as-a-service)",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8712,
-                   help="bind port (0 = pick an ephemeral port)")
-    p.add_argument("--job-threads", type=int, default=2,
-                   help="concurrent job threads (default: 2); each job "
-                        "fans its simulations out per the execution "
-                        "flags below")
-    p.add_argument("--queue-size", type=int, default=64,
-                   help="pending-job bound; beyond it submissions get 503")
-    p.add_argument("--state-dir", default=None,
-                   help="service state directory (sweep DBs and, unless "
-                        "--cache-dir is given, the shared result cache); "
-                        "default: a private temporary directory")
-    p.add_argument("--cache-dir", default=None,
-                   help="shared result cache directory (default: "
-                        "$REPRO_CACHE_DIR, else <state-dir>/cache)")
-    p.add_argument("--checkpoint-dir", default=None,
-                   help="warmup checkpoint store (default: "
-                        "$REPRO_CHECKPOINT_DIR, else <state-dir>/checkpoints)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes per sweep chunk (0 = all cores; "
-                        "multiplies with --job-threads)")
-    p.add_argument("--lanes", default=None, metavar="N|auto",
-                   help="lane-batch seed replicates of each sweep point "
-                        "(default: $REPRO_LANES or 1)")
-    p.add_argument("--dispatch", default=None,
-                   choices=["auto", "local", "pool", "workers"],
-                   help="sweep execution backend (see 'sweep run "
-                        "--dispatch'; default: $REPRO_DISPATCH or auto)")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="worker processes for --dispatch workers "
-                        "(0 = all cores; default: $REPRO_WORKERS or 2)")
-    p.add_argument("--retries", type=int, default=None, metavar="N",
-                   help="default extra attempts per failed sweep row when "
-                        "a submission doesn't set its own")
-    p.add_argument("--stale-after", type=float, default=None,
-                   help="seconds without a heartbeat before a claimed sweep "
-                        "row may be reclaimed (default: 300)")
-    p.add_argument("--heartbeat", type=float, default=None,
-                   help="heartbeat period for claimed sweep rows "
-                        "(default: 10)")
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser("client", help="talk to a running campaign server")
-    p.add_argument("--url", default="http://127.0.0.1:8712",
-                   help="campaign server base URL")
-    p.add_argument("--timeout", type=float, default=600.0,
-                   help="request/wait timeout in seconds")
-    csub = p.add_subparsers(dest="client_command", required=True)
-    sp = csub.add_parser("run", help="submit a run payload (JSON)")
-    sp.add_argument("payload",
-                    help='run payload, e.g. \'{"workload": "mcf"}\'')
-    sp.add_argument("--wait", action="store_true",
-                    help="block until the job finishes and print its report")
-    sp.set_defaults(func=_cmd_client)
-    sp = csub.add_parser("sweep", help="submit a sweep spec file")
-    sp.add_argument("spec", help="sweep spec file (.toml or .json)")
-    sp.add_argument("--wait", action="store_true",
-                    help="block until the job finishes and print its report")
-    sp.set_defaults(func=_cmd_client)
-    sp = csub.add_parser("search", help="submit a search spec file")
-    sp.add_argument("spec", help="search spec file (.toml or .json)")
-    sp.add_argument("--wait", action="store_true",
-                    help="block until the job finishes and print its report")
-    sp.set_defaults(func=_cmd_client)
-    sp = csub.add_parser("status", help="print a job's status snapshot")
-    sp.add_argument("job")
-    sp.set_defaults(func=_cmd_client)
-    sp = csub.add_parser("events", help="print a job's NDJSON event stream")
-    sp.add_argument("job")
-    sp.add_argument("--after", type=int, default=0, metavar="SEQ",
-                    help="start from this sequence number")
-    sp.add_argument("--no-follow", dest="follow", action="store_false",
-                    help="print what exists and exit instead of streaming")
-    sp.set_defaults(func=_cmd_client)
-    sp = csub.add_parser("report", help="print a finished job's report")
-    sp.add_argument("job")
-    sp.add_argument("--format", choices=["markdown", "json"],
-                    default="markdown")
-    sp.set_defaults(func=_cmd_client)
-    sp = csub.add_parser("stats", help="server and shared-store counters")
-    sp.set_defaults(func=_cmd_client)
 
     p = sub.add_parser("trace", help="write a workload trace to a binary file")
     p.add_argument("workload")

@@ -26,8 +26,8 @@ timing* state (in-flight timestamps, port reservations, pending measures):
   them.
 
 ``from repro.core.engine import Engine, SpawnRecord`` works exactly as it
-did when this was a module, and the old module's private helpers remain
-importable from this path for back-compat (resolved lazily below).
+did when this was a module; the hot-loop tables live in
+:mod:`~repro.core.engine.records`.
 """
 
 from __future__ import annotations
@@ -38,30 +38,3 @@ from repro.core.engine.scheduler import NO_LIMIT
 from repro.core.engine.snapshot import SNAPSHOT_VERSION
 
 __all__ = ["Engine", "SpawnRecord", "NO_LIMIT", "SNAPSHOT_VERSION"]
-
-#: legacy private names from the pre-package engine module, mapped to the
-#: submodule that now owns them (PEP 562 module __getattr__ below)
-_LEGACY_HOMES = {
-    "_LOAD": "records",
-    "_STORE": "records",
-    "_BRANCH": "records",
-    "_QUEUE_OF": "records",
-    "_EXEC_LAT": "records",
-    "_OP_NAMES": "records",
-    "_KIND": "records",
-    "_KIND_NONE": "records",
-    "_ML_L1": "records",
-    "_ML_L2": "records",
-    "_NO_MEASURES": "records",
-}
-
-
-def __getattr__(name: str):
-    home = _LEGACY_HOMES.get(name)
-    if home is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    return getattr(importlib.import_module(f"{__name__}.{home}"), name)

@@ -165,11 +165,11 @@ def lane_group_key(workload_name: str, spec, length: int) -> str | None:
     """Identity of a task's *lane group*: its cache key minus the seed.
 
     Two tasks with equal lane-group keys are seed replicates of one
-    simulation recipe and may be coalesced into one batched lease through
+    simulation recipe and may be grouped into one batched lease through
     :func:`~repro.harness.runner.simulate_batch`.  Cached results stay
     keyed per seed via :func:`task_key`; this key only governs grouping.
     Returns ``None`` when the recipe cannot be described stably (such
-    tasks never coalesce across distinct spec objects).
+    tasks never group across distinct spec objects).
     """
     payload = _task_payload(workload_name, spec, length)
     if payload is None:
@@ -185,8 +185,8 @@ class ResultCache:
     traffic; tests use them to assert that repeated experiments trigger
     zero new simulations.
 
-    Safe to share between threads (the campaign server's workers all
-    front one cache) and between processes: entries land via atomic
+    Safe to share between threads (concurrent campaigns in one process
+    may front one cache) and between processes: entries land via atomic
     rename, a vanished or truncated entry is a miss — corrupt files are
     additionally deleted so the re-simulated result can take their place
     — and the counters are updated under a lock.

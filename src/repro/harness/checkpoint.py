@@ -191,6 +191,14 @@ class CheckpointStore:
         with self._counter_lock:
             self.stores += 1
 
+    def absorb(self, hits: int, misses: int, stores: int) -> None:
+        """Add traffic another handle on this directory saw (a pool
+        worker's) to this instance's counters."""
+        with self._counter_lock:
+            self.hits += hits
+            self.misses += misses
+            self.stores += stores
+
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.ckpt"))
 

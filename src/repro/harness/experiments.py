@@ -15,6 +15,7 @@ from repro import select, vp
 from repro.core import FetchPolicy, MachineConfig
 from repro.harness.metrics import geomean_speedup
 from repro.harness.parallel import run_simulations
+from repro.harness.policy import ExecutionPolicy
 from repro.harness.runner import ModeResult, RunSpec, compare_modes, default_length
 from repro.memory import MemLevel
 from repro.workloads import SPEC_FP, SPEC_INT, get_workload
@@ -289,7 +290,8 @@ def fig5_multivalue_potential(
     )
     n = length or default_length()
     all_stats = run_simulations(
-        [(name, spec, n, 0) for name in ALL], jobs=jobs, cache=cache
+        [(name, spec, n, 0) for name in ALL],
+        policy=ExecutionPolicy(jobs=jobs, cache=cache),
     )
     rows: list[dict] = []
     for name, stats in zip(ALL, all_stats):
@@ -336,7 +338,9 @@ def sec56_multivalue(
         ),
     ]
     tasks = [(name, spec, n, 0) for name in names for spec in specs]
-    all_stats = run_simulations(tasks, jobs=jobs, cache=cache)
+    all_stats = run_simulations(
+        tasks, policy=ExecutionPolicy(jobs=jobs, cache=cache)
+    )
     rows: list[dict] = []
     for i, name in enumerate(names):
         base, single, multi = all_stats[i * len(specs): (i + 1) * len(specs)]

@@ -14,7 +14,7 @@ pending tasks are deduplicated by key within a batch, and fresh results
 are written back as workers complete.
 
 Lane batching composes with both: tasks that are seed replicates of one
-recipe (equal :func:`~repro.harness.cache.lane_group_key`) coalesce into
+recipe (equal :func:`~repro.harness.cache.lane_group_key`) group into
 lane groups of up to ``lanes`` tasks, each dispatched as **one** pool task
 that runs the whole group through the vectorized lockstep kernel
 (:func:`~repro.harness.runner.simulate_batch`).  Results stay per-seed:
@@ -22,8 +22,7 @@ cache entries, progress events and the returned stats list are exactly
 those of the ungrouped run.
 
 Execution settings (jobs/lanes/cache/checkpoints) are one
-:class:`~repro.harness.policy.ExecutionPolicy` value; the historical
-per-keyword spellings survive as deprecation shims, and the resolvers
+:class:`~repro.harness.policy.ExecutionPolicy` value; the resolvers
 (:func:`resolve_jobs`, :func:`resolve_lanes`, :func:`resolve_cache`) are
 re-exported from :mod:`repro.harness.policy`, where the ``REPRO_*``
 environment defaults are documented in one place.
@@ -35,8 +34,8 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 from repro.core import SimStats
 from repro.harness.cache import ResultCache, lane_group_key, task_key
+from repro.harness.checkpoint import CheckpointStore
 from repro.harness.policy import (
-    UNSET,
     ExecutionPolicy,
     resolve_cache,
     resolve_jobs,
@@ -88,70 +87,59 @@ class SimulationError(RuntimeError):
 def _run_task(
     spec, workload_name: str, length: int, seed: int, checkpoints=None
 ) -> SimStats:
-    """Worker entry point: one spec on one workload (must stay picklable).
-
-    ``checkpoints`` is a directory path in pooled runs (each worker opens
-    its own :class:`~repro.harness.checkpoint.CheckpointStore` on it) or
-    the store object itself on the serial path, so in-process counters
-    survive for callers that report them.
-    """
-    if checkpoints is None:
-        return spec.run(workload_name, length, seed)
-    from repro.harness.checkpoint import resolve_checkpoints
-
-    return spec.run(
-        workload_name, length, seed, checkpoints=resolve_checkpoints(checkpoints)
-    )
+    """One spec on one workload; ``checkpoints`` is a store or ``None``."""
+    return spec.run(workload_name, length, seed, checkpoints=checkpoints)
 
 
 def _run_batch_task(
     spec, workload_name: str, length: int, seeds: list, checkpoints=None
 ) -> list[SimStats]:
-    """Worker entry point for one lane group (must stay picklable).
-
-    Returns one :class:`SimStats` per seed, in seed order — bit-identical
-    to running :func:`_run_task` once per seed.
-    """
+    """One lane group: one :class:`SimStats` per seed, in seed order —
+    bit-identical to running :func:`_run_task` once per seed."""
     from repro.harness.runner import simulate_batch
 
-    store = None
-    if checkpoints is not None:
-        from repro.harness.checkpoint import resolve_checkpoints
-
-        store = resolve_checkpoints(checkpoints)
     return simulate_batch(
-        workload_name, spec, length, seeds, checkpoints=store
+        workload_name, spec, length, seeds, checkpoints=checkpoints
     )
+
+
+def _run_pooled(spec, workload_name: str, length: int, seeds, ckpt_dir):
+    """Pool entry point for one dispatch unit (must stay picklable).
+
+    ``seeds`` is one seed (a scalar task) or a list (a lane group).  The
+    worker opens its own :class:`CheckpointStore` on ``ckpt_dir`` (paths
+    pickle, stores don't) and returns its ``(hits, misses, stores)``
+    traffic with the outcome, so the parent's store counts what its
+    workers restored and stored.
+    """
+    store = CheckpointStore(ckpt_dir) if ckpt_dir is not None else None
+    run = _run_batch_task if isinstance(seeds, list) else _run_task
+    outcome = run(spec, workload_name, length, seeds, store)
+    if store is None:
+        return outcome, None
+    return outcome, (store.hits, store.misses, store.stores)
 
 
 def run_simulations(
     tasks: list[Task],
-    jobs=UNSET,
-    cache=UNSET,
-    on_error: str = "raise",
-    checkpoints=UNSET,
-    progress=None,
-    lanes=UNSET,
     *,
     policy: ExecutionPolicy | None = None,
+    on_error: str = "raise",
+    progress=None,
 ) -> list[SimStats]:
     """Run every task, in parallel when ``jobs > 1``, consulting the cache.
 
     Args:
         tasks: ``(workload_name, spec, length, seed)`` tuples.
         policy: An :class:`~repro.harness.policy.ExecutionPolicy` bundling
-            jobs/lanes/cache/checkpoints; the preferred spelling.  Unset
-            fields defer to the environment (``REPRO_JOBS`` etc.).
-        jobs: Deprecated — worker processes (``policy.jobs``).
-        cache: Deprecated — result cache (``policy.cache``).
-        lanes: Deprecated — seed replicates coalesced per simulation lease
-            (``policy.lanes``; ``1`` = no coalescing, ``"auto"``/``0``
-            = whole replicate groups).  Tasks sharing a
-            :func:`~repro.harness.cache.lane_group_key` run together
-            through the lane-batched kernel; results are independent of
-            the grouping, exactly as they are of ``jobs``.
-        checkpoints: Deprecated — warmup-checkpoint store for warmed specs
-            (``policy.checkpoints``).
+            ``jobs`` (worker processes), ``cache`` (result cache),
+            ``checkpoints`` (warmup-checkpoint store for warmed specs) and
+            ``lanes`` (seed replicates grouped per simulation lease: ``1``
+            = no grouping, ``"auto"``/``0`` = whole replicate groups).
+            Unset fields defer to the environment (``REPRO_JOBS`` etc.).
+            Tasks sharing a :func:`~repro.harness.cache.lane_group_key`
+            run together through the lane-batched kernel; results are
+            independent of the grouping, exactly as they are of ``jobs``.
         on_error: ``"raise"`` (default) wraps the first task failure in a
             :class:`SimulationError` identifying the failing task and
             aborts the batch; ``"collect"`` instead places the
@@ -170,10 +158,7 @@ def run_simulations(
     """
     if on_error not in ("raise", "collect"):
         raise ValueError(f'on_error must be "raise" or "collect", not {on_error!r}')
-    policy = ExecutionPolicy.coalesce(
-        policy, "run_simulations",
-        jobs=jobs, cache=cache, checkpoints=checkpoints, lanes=lanes,
-    )
+    policy = policy if policy is not None else ExecutionPolicy()
 
     cache_obj = policy.resolved_cache()
     ckpt_store = policy.resolved_checkpoints()
@@ -285,24 +270,17 @@ def run_simulations(
 
     if n_jobs > 1 and len(batches) > 1:
         with ProcessPoolExecutor(max_workers=min(n_jobs, len(batches))) as pool:
-            # workers get the store's directory, not the store: paths
-            # pickle, and each worker reopens its own handle on it
             ckpt_dir = (
                 str(ckpt_store.directory) if ckpt_store is not None else None
             )
             futures = {}
             for batch in batches:
                 workload_name, spec, length, seed = tasks[batch[0][0]]
-                if len(batch) == 1:
-                    future = pool.submit(
-                        _run_task, spec, workload_name, length, seed, ckpt_dir
-                    )
-                else:
-                    seeds = [tasks[indices[0]][3] for indices in batch]
-                    future = pool.submit(
-                        _run_batch_task, spec, workload_name, length, seeds,
-                        ckpt_dir,
-                    )
+                if len(batch) > 1:
+                    seed = [tasks[indices[0]][3] for indices in batch]
+                future = pool.submit(
+                    _run_pooled, spec, workload_name, length, seed, ckpt_dir
+                )
                 futures[future] = batch
             remaining = set(futures)
             while remaining:
@@ -310,10 +288,12 @@ def run_simulations(
                 for future in done:
                     batch = futures[future]
                     try:
-                        outcome = future.result()
+                        outcome, traffic = future.result()
                     except Exception as exc:
                         fail([i for indices in batch for i in indices], exc)
                     else:
+                        if traffic is not None:
+                            ckpt_store.absorb(*traffic)
                         finish_batch(batch, outcome)
     else:
         for batch in batches:

@@ -10,7 +10,7 @@ again.  :class:`ExecutionPolicy` bundles the full answer to *how should
 this work execute* into one value:
 
 * ``jobs`` — worker processes per in-process fan-out,
-* ``lanes`` — seed replicates coalesced per lane-batched lease,
+* ``lanes`` — seed replicates grouped per lane-batched lease,
 * ``dispatch`` — ``"local"`` (serial in-process), ``"pool"``
   (ProcessPoolExecutor), ``"workers"`` (coordinator + standalone worker
   processes leasing rows from the sweep store), or ``"auto"``,
@@ -24,10 +24,8 @@ this work execute* into one value:
 
 Every field defaults to *unset* (``None``), which defers to the matching
 ``REPRO_*`` environment variable and then to the historical default, so
-``ExecutionPolicy()`` reproduces the old behaviour exactly.  The legacy
-keywords survive as deprecation shims (:meth:`ExecutionPolicy.coalesce`)
-that warn and fold into a policy — old and new spellings build identical
-task keys and identical results.
+``ExecutionPolicy()`` reproduces the old behaviour exactly.  ``policy=``
+is the only spelling every entry point accepts.
 
 Environment defaults (one table, also in README):
 
@@ -47,15 +45,9 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
 from pathlib import Path
 
 from repro.harness.cache import ResultCache
-
-#: sentinel distinguishing "keyword not passed" from an explicit ``None``
-#: (``None`` is meaningful almost everywhere: it means "consult the
-#: environment")
-UNSET = type("_Unset", (), {"__repr__": lambda self: "<unset>"})()
 
 #: the legal dispatch modes, in escalation order
 DISPATCH_MODES = ("auto", "local", "pool", "workers")
@@ -143,29 +135,24 @@ def resolve_workers(workers) -> int:
     return workers
 
 
-def resolve_dispatch(dispatch) -> object:
-    """Dispatch mode: explicit value, else ``$REPRO_DISPATCH``, else auto.
+def resolve_dispatch(dispatch) -> str:
+    """Dispatch mode: explicit name, else ``$REPRO_DISPATCH``, else auto.
 
-    Accepts a mode name (see :data:`DISPATCH_MODES`) or a ready-made
-    dispatcher object (anything with a ``run`` method — the seam tests
-    and the coordinator use).  ``"auto"`` is resolved by
-    :meth:`ExecutionPolicy.resolved_dispatch` into ``"pool"`` or
-    ``"local"`` depending on the resolved job count.
+    Accepts a mode name (see :data:`DISPATCH_MODES`).  ``"auto"`` is
+    resolved by :meth:`ExecutionPolicy.resolved_dispatch` into ``"pool"``
+    or ``"local"`` depending on the resolved job count.
     """
     if dispatch is None:
         env = _env_text("REPRO_DISPATCH")
         if env is None:
             return "auto"
         dispatch = env
-    if callable(getattr(dispatch, "run", None)):
-        return dispatch
     if isinstance(dispatch, str):
         mode = dispatch.strip().lower()
         if mode in DISPATCH_MODES:
             return mode
     raise ValueError(
-        f"dispatch must be one of {'|'.join(DISPATCH_MODES)} "
-        f"(or a Dispatcher instance), got {dispatch!r}"
+        f"dispatch must be one of {'|'.join(DISPATCH_MODES)}, got {dispatch!r}"
     )
 
 
@@ -207,7 +194,7 @@ class ExecutionPolicy:
 
     jobs: int | None = None
     lanes: int | str | None = None
-    dispatch: object | None = None
+    dispatch: str | None = None
     workers: int | None = None
     retries: int | None = None
     cache: object = None
@@ -228,7 +215,7 @@ class ExecutionPolicy:
     def resolved_workers(self) -> int:
         return resolve_workers(self.workers)
 
-    def resolved_dispatch(self) -> object:
+    def resolved_dispatch(self) -> str:
         """The concrete dispatch mode (``"auto"`` settled by job count)."""
         mode = resolve_dispatch(self.dispatch)
         if mode == "auto":
@@ -254,29 +241,3 @@ class ExecutionPolicy:
         """
         updates = {k: v for k, v in overrides.items() if v is not None}
         return dataclasses.replace(self, **updates) if updates else self
-
-    @classmethod
-    def coalesce(cls, policy, api: str, **legacy) -> "ExecutionPolicy":
-        """Fold deprecated per-keyword arguments into one policy.
-
-        ``legacy`` values still carrying :data:`UNSET` were not passed;
-        anything else was, earns one :class:`DeprecationWarning` naming
-        the API and the keywords, and overrides the matching policy
-        field (explicit wins — the caller typed it).
-        """
-        given = {k: v for k, v in legacy.items() if v is not UNSET}
-        if given:
-            warnings.warn(
-                f"{api}: the {sorted(given)} keyword(s) are deprecated; "
-                f"pass policy=ExecutionPolicy(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        base = policy if policy is not None else cls()
-        if not isinstance(base, ExecutionPolicy):
-            raise TypeError(
-                f"policy must be an ExecutionPolicy, not {type(base).__name__}"
-            )
-        if given:
-            base = dataclasses.replace(base, **given)
-        return base

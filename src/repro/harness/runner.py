@@ -37,14 +37,6 @@ def default_length() -> int:
         ) from None
 
 
-def __getattr__(name: str):
-    # keep the historical module constant importable without re-freezing
-    # the environment at import time
-    if name == "DEFAULT_LENGTH":
-        return default_length()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclasses.dataclass
 class RunSpec:
     """One named machine configuration plus its predictor/selector recipe.

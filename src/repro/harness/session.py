@@ -14,7 +14,8 @@ Quickstart::
     from repro.harness import Session
 
     s = Session(config=MachineConfig.mtvp(8), predictor="wang-franklin",
-                length=20000, cache="~/.cache/repro", observe=True)
+                length=20000, observe=True,
+                policy=ExecutionPolicy(cache="~/.cache/repro"))
     stats = s.run("mcf")                       # cached, with extended metrics
     all_stats = s.run_many(["mcf", "art"])     # same, fanned out
 """
@@ -27,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 from repro.core import MachineConfig, SimStats
 from repro.harness.bench import TABLE1_POINTS, BenchPoint, run_bench
 from repro.harness.parallel import run_simulations
-from repro.harness.policy import UNSET, ExecutionPolicy
+from repro.harness.policy import ExecutionPolicy
 from repro.harness.runner import ModeResult, RunSpec, compare_modes, default_length
 
 
@@ -78,31 +79,14 @@ class Session:
         length: Trace length; ``None`` uses the harness default.
         seed: Dynamic-stream seed.
         policy: An :class:`~repro.harness.policy.ExecutionPolicy`
-            bundling jobs/lanes/cache/checkpoints/warmup/sample — the
-            preferred spelling for every execution setting below.
+            bundling jobs/lanes/cache/checkpoints/warmup/sample (``None``
+            = every field from the environment).
         observe: Attach a metrics registry to every run, filling
             ``stats.extended`` (cached under a distinct key).
         tracer: Optional :class:`repro.obs.Tracer` shared by this
             session's direct runs.  Traced runs bypass the result cache —
             a cache hit would yield stats but no events.
         name: Label used for the underlying :class:`RunSpec`.
-        jobs: Deprecated — worker processes for batch methods
-            (``policy.jobs``; see
-            :func:`~repro.harness.policy.resolve_jobs`).
-        lanes: Deprecated — seed replicates coalesced per lane-batched
-            simulation in batch methods (``policy.lanes``; default 1 =
-            scalar, ``"auto"`` = whole replicate groups).
-        cache: Deprecated — result cache (``policy.cache``; see
-            :func:`~repro.harness.policy.resolve_cache`).
-        warmup: Deprecated — instructions functionally fast-forwarded
-            before timing starts on every run (``policy.warmup``; 0 =
-            the historical full-trace protocol).
-        sample: Deprecated — measured-interval length overriding
-            ``length`` when set (``policy.sample``; the warmup+sample
-            protocol, see :class:`RunSpec`).
-        checkpoints: Deprecated — warmup-checkpoint store
-            (``policy.checkpoints``); warmed runs restore their
-            architectural state from it instead of re-deriving it.
     """
 
     def __init__(
@@ -113,23 +97,12 @@ class Session:
         selector: str | Callable = "ilp-pred",
         length: int | None = None,
         seed: int = 0,
-        jobs=UNSET,
-        lanes=UNSET,
-        cache=UNSET,
         observe: bool = False,
         tracer=None,
-        warmup=UNSET,
-        sample=UNSET,
-        checkpoints=UNSET,
         name: str = "session",
         policy: ExecutionPolicy | None = None,
     ) -> None:
-        policy = ExecutionPolicy.coalesce(
-            policy, "Session",
-            jobs=jobs, lanes=lanes, cache=cache, warmup=warmup,
-            sample=sample, checkpoints=checkpoints,
-        )
-        self.policy = policy
+        self.policy = policy if policy is not None else ExecutionPolicy()
         self.config_factory = _as_config_factory(config)
         self.predictor = predictor
         self.selector = selector
@@ -138,32 +111,6 @@ class Session:
         self.observe = observe
         self.tracer = tracer
         self.name = name
-
-    # -- execution settings live on the policy; these views keep the
-    # -- historical attribute surface intact
-    @property
-    def jobs(self):
-        return self.policy.jobs
-
-    @property
-    def lanes(self):
-        return self.policy.lanes
-
-    @property
-    def cache(self):
-        return self.policy.cache
-
-    @property
-    def checkpoints(self):
-        return self.policy.checkpoints
-
-    @property
-    def warmup(self) -> int:
-        return self.policy.warmup if self.policy.warmup is not None else 0
-
-    @property
-    def sample(self) -> int | None:
-        return self.policy.sample
 
     # ------------------------------------------------------------------
     def spec(self, name: str | None = None) -> RunSpec:
@@ -174,8 +121,8 @@ class Session:
             predictor_factory=self.predictor,
             selector_factory=self.selector,
             observe=self.observe,
-            warmup=self.warmup,
-            sample=self.sample,
+            warmup=self.policy.warmup or 0,
+            sample=self.policy.sample,
         )
 
     def run(self, workload: str) -> SimStats:
@@ -196,8 +143,7 @@ class Session:
         """A batch of workloads, fanned out over ``jobs`` with caching.
 
         ``progress`` (optional) receives per-task completion dicts — see
-        :func:`~repro.harness.parallel.run_simulations`; the campaign
-        server streams these to clients as NDJSON events.
+        :func:`~repro.harness.parallel.run_simulations`.
         """
         spec = self.spec()
         tasks = [(w, spec, self.length, self.seed) for w in workloads]
@@ -208,8 +154,8 @@ class Session:
     ) -> list[SimStats]:
         """Seed replicates of one workload, lane-batched when enabled.
 
-        With ``lanes`` set (or ``$REPRO_LANES``), the replicates coalesce
-        into lane groups and run through the vectorized lockstep kernel;
+        With ``policy.lanes`` set (or ``$REPRO_LANES``), the replicates
+        group into lane groups and run through the vectorized lockstep kernel;
         results are bit-identical to ``[s.run(w) for each seed]`` and
         cached per seed either way.
         """

@@ -16,8 +16,8 @@ spends the expensive rungs only on them:
   promotion cut; CI-overlapping points are *ambiguous* and tie-break by
   bandit-style extra seed allocation instead of arbitrary truncation,
 * :mod:`~repro.search.controller` — the rung loop over the existing
-  :class:`~repro.sweep.ResultStore`/:func:`~repro.sweep.drain_store`/
-  Dispatcher machinery (inheriting resume, exactly-once commits,
+  :class:`~repro.sweep.ResultStore`/:func:`~repro.sweep.drain_campaign`
+  machinery (inheriting resume, exactly-once commits,
   ``--dispatch workers``, lanes and shared warmup checkpoints),
 * :mod:`~repro.search.report` — the explore/exploit report ("best point
   found with X% of exhaustive grid cost"),
@@ -25,7 +25,6 @@ spends the expensive rungs only on them:
   by CI and ``benchmarks/bench_search.py``.
 
 CLI: ``python -m repro search run|resume|status|report <spec>``.
-Server: ``POST /searches`` on the campaign server.
 """
 
 from repro.search.controller import (

@@ -6,8 +6,8 @@ by rung against a shared :class:`~repro.sweep.store.ResultStore`:
 1. expand the embedded sweep's grid once; rung 0 runs every point at the
    cheapest fidelity, each later rung runs only the promoted survivors;
 2. each rung is an ordinary store sweep named ``{search}:rung{i}`` —
-   rows are ``INSERT OR IGNORE``-ensured and drained through the
-   configured :class:`~repro.dispatch.Dispatcher`, so rungs inherit the
+   rows are ``INSERT OR IGNORE``-ensured and drained through
+   :func:`~repro.sweep.drain.drain_campaign`, so rungs inherit the
    whole sweep execution stack: resume, exactly-once owner-conditional
    commits, ``--dispatch workers``, seed-lane batching, the shared
    :class:`~repro.harness.cache.ResultCache` and warmup checkpoints;
@@ -44,6 +44,7 @@ from repro.search.promote import (
     rank_points,
 )
 from repro.search.spec import SearchSpec
+from repro.sweep.drain import drain_campaign
 from repro.sweep.spec import SweepPoint, SweepSpec
 from repro.sweep.stats import PointAggregate, aggregate
 from repro.sweep.store import ResultStore
@@ -259,8 +260,7 @@ def run_search(
         store: The shared results store; each rung lives in it as the
             sweep ``{spec.name}:rung{i}``, so a search and its
             exhaustive reference can share one database.
-        policy: Execution policy forwarded to the dispatcher for every
-            rung drain (``retries`` defaults to the embedded sweep's).
+        policy: Execution policy forwarded to every rung drain (``retries`` defaults to the embedded sweep's).
         max_points: Truncate the grid to its first N points.
         echo: Optional ``print``-like progress callback.
         progress: Per-task progress callback (see
@@ -270,13 +270,10 @@ def run_search(
             mode behind ``search status``/``search report``.  Replay
             stops at the first rung whose rows are missing or unsettled.
     """
-    from repro.dispatch import get_dispatcher
-
     policy = policy if policy is not None else ExecutionPolicy()
     if policy.retries is None:
         policy = policy.merged(retries=spec.sweep.retries)
     say = echo if echo is not None else (lambda *_: None)
-    dispatcher = get_dispatcher(policy) if execute else None
 
     grid = spec.sweep.expand()
     if max_points is not None:
@@ -296,7 +293,7 @@ def run_search(
         nonlocal simulated
         store.ensure(rung_sweep, rows)
         keys = {(r["point_id"], r["seed"]) for r in rows}
-        counters = dispatcher.run(
+        counters = drain_campaign(
             store, rung_sweep, policy,
             mine=keys, warmup=warmup, sample=sample,
             echo=say, progress=progress,

@@ -18,7 +18,7 @@ objects instead of hand-coded experiment functions:
 CLI: ``python -m repro sweep run|status|report|resume <spec>``.
 """
 
-from repro.sweep.drain import drain_store, worker_token
+from repro.sweep.drain import drain_campaign, drain_store, worker_token
 from repro.sweep.execute import (
     CampaignSummary,
     campaign_rows,
@@ -63,6 +63,7 @@ __all__ = [
     "bootstrap_ci",
     "campaign_rows",
     "default_db_path",
+    "drain_campaign",
     "drain_store",
     "export_jsonl",
     "format_markdown",

@@ -1,10 +1,14 @@
 """The claim → simulate → commit engine every dispatch mode shares.
 
+:func:`drain_campaign` is the one entry point campaigns (sweeps and
+search rungs) drain through: ``dispatch="local"``/``"pool"`` run
+:func:`drain_store` in the calling process, ``dispatch="workers"`` hands
+the store to :func:`~repro.sweep.worker.coordinate`, which runs
+:func:`drain_store` inside each ``repro.sweep.worker`` subprocess.
+
 :func:`drain_store` is the loop a sweep participant runs against a
 :class:`~repro.sweep.store.ResultStore`, whether it is the only worker
-(``dispatch="local"``/``"pool"`` drain in the coordinating process) or
-one of many (``dispatch="workers"`` runs it inside each
-``repro.sweep.worker`` subprocess):
+or one of many:
 
 1. snapshot the runnable rows, take a chunk, and lease it through
    :meth:`~repro.sweep.store.ResultStore.claim` under this worker's
@@ -145,7 +149,7 @@ def drain_store(
     chunk = policy.chunk if policy.chunk is not None else max(8, 4 * jobs)
     cache_obj = policy.resolved_cache()
     ckpt_store = policy.resolved_checkpoints() if warmup else None
-    #: how each chunk reaches run_simulations — resolved once, no shims
+    #: how each chunk reaches run_simulations, resolved once
     run_policy = ExecutionPolicy(
         jobs=jobs,
         lanes=policy.lanes,
@@ -232,7 +236,7 @@ def drain_store(
             candidates = []
             # one RunSpec object per design point within the chunk: seed
             # replicates of a point then share their spec identity, which
-            # is what lets the lane batcher coalesce them into one lease
+            # is what lets the lane batcher group them into one lease
             spec_memo: dict[str, object] = {}
             for row in batch:
                 key = (row["point_id"], row["seed"])
@@ -314,3 +318,50 @@ def drain_store(
         counters["ckpt_hits"] = ckpt_store.hits
         counters["ckpt_stores"] = ckpt_store.stores
     return counters
+
+
+def drain_campaign(
+    store: ResultStore,
+    sweep: str,
+    policy: ExecutionPolicy,
+    *,
+    mine: set | None = None,
+    warmup: int = 0,
+    sample: int | None = None,
+    echo=None,
+    progress=None,
+) -> dict:
+    """Drain a campaign's rows where ``policy.dispatch`` says.
+
+    ``local`` drains serially in this process (``jobs`` forced to 1:
+    direct tracebacks, exact in-process counters); ``pool`` fans each
+    chunk over a process pool in this process (a job count of 1 means
+    every core — serial callers want ``local``); ``auto`` is ``pool``
+    iff jobs resolve above 1.  ``workers`` spawns standalone worker
+    processes, the one mode that survives a SIGKILLed worker.  Returns
+    the :func:`drain_store` counters (summed over workers).
+    """
+    mode = policy.resolved_dispatch()
+    if mode == "workers":
+        from repro.sweep.worker import coordinate
+
+        return coordinate(
+            store, sweep, policy, mine=mine, warmup=warmup, sample=sample,
+            echo=echo, progress=progress,
+        )
+    jobs = 1
+    if mode == "pool":
+        jobs = policy.resolved_jobs()
+        if jobs <= 1:
+            jobs = os.cpu_count() or 1
+    return drain_store(
+        store,
+        sweep,
+        policy.merged(jobs=jobs),
+        mine=mine,
+        owner=worker_token(),
+        warmup=warmup,
+        sample=sample,
+        echo=echo,
+        progress=progress,
+    )

@@ -19,10 +19,10 @@ completion against a :class:`~repro.sweep.store.ResultStore`:
    a partial-results summary rather than an abort.
 
 Campaigns may also run *concurrently* against one store (several
-processes, or the campaign server's worker threads): rows are then taken
-through :meth:`~repro.sweep.store.ResultStore.claim` — a conditional
-update that names exactly one winner per row — a ``stale_after`` window
-keeps live claims from being stolen, and a heartbeat thread refreshes
+processes): rows are then taken through
+:meth:`~repro.sweep.store.ResultStore.claim` — a conditional update that
+names exactly one winner per row — a ``stale_after`` window keeps live
+claims from being stolen, and a heartbeat thread refreshes
 ``updated_at`` on claimed rows while their chunk simulates, so a slow
 point is distinguishable from a crashed worker.
 
@@ -31,9 +31,9 @@ point is distinguishable from a crashed worker.
 "local"`` drains serially in this process, ``"pool"`` fans chunks over a
 process pool (the historical ``jobs > 1`` path), and ``"workers"``
 spawns standalone ``repro.sweep.worker`` processes that lease rows
-directly from the store (see :mod:`repro.dispatch` and
-:mod:`repro.sweep.drain`, which owns the shared claim → simulate →
-commit loop).
+directly from the store (see :func:`~repro.sweep.drain.drain_campaign`;
+:mod:`repro.sweep.drain` owns the shared claim → simulate → commit
+loop).
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
-from repro.harness.policy import UNSET, ExecutionPolicy
-from repro.sweep.drain import _Heartbeat, drain_store  # noqa: F401  (re-export)
+from repro.harness.policy import ExecutionPolicy
+from repro.sweep.drain import drain_campaign
 from repro.sweep.spec import SweepSpec
 from repro.sweep.store import ResultStore
 
@@ -114,85 +114,54 @@ def campaign_rows(spec: SweepSpec, max_points: int | None = None) -> list[dict]:
 def run_sweep(
     spec: SweepSpec,
     store: ResultStore,
-    jobs=UNSET,
-    cache=UNSET,
-    retries=UNSET,
-    max_points: int | None = None,
-    chunk=UNSET,
-    checkpoints=UNSET,
-    echo=None,
-    stale_after=UNSET,
-    heartbeat=UNSET,
-    progress=None,
-    lanes=UNSET,
     *,
     policy: ExecutionPolicy | None = None,
-    dispatch=None,
-    workers: int | None = None,
+    max_points: int | None = None,
+    echo=None,
+    progress=None,
 ) -> CampaignSummary:
     """Run (or resume) a sweep campaign; see the module docstring.
 
     Args:
         spec: The campaign description.
         store: The persistent results store (rows keyed by ``spec.name``).
-        policy: An :class:`~repro.harness.policy.ExecutionPolicy` — the
-            preferred spelling for every execution setting below.
-            ``retries`` defaults to ``spec.retries`` when the policy
-            leaves it unset.
-        dispatch: Where simulations execute: ``"local"`` (serial, this
-            process), ``"pool"`` (process pool, this process),
-            ``"workers"`` (standalone worker subprocesses leasing rows
-            from the store), ``"auto"`` (pool iff jobs resolve > 1), or
-            a ready :class:`~repro.dispatch.Dispatcher` instance.
-            Overrides ``policy.dispatch``.
-        workers: Worker-process count for ``dispatch="workers"``
-            (overrides ``policy.workers``; then ``$REPRO_WORKERS``,
-            then 2).
+        policy: An :class:`~repro.harness.policy.ExecutionPolicy`; the
+            fields a campaign consumes:
+
+            * ``dispatch``/``workers``/``jobs`` — where simulations
+              execute (see :func:`~repro.sweep.drain.drain_campaign`);
+            * ``lanes`` — seed replicates grouped per batched simulation
+              lease (``"auto"`` batches each (point × seeds) replicate
+              group); grouping never changes results — rows are still
+              claimed, cached and committed per seed;
+            * ``cache`` — strongly recommended for campaigns: it
+              de-duplicates baselines across sweeps and makes
+              interrupted chunks free to recompute;
+            * ``retries`` — extra attempts per failed row (default
+              ``spec.retries``);
+            * ``chunk`` — tasks per commit batch (default scales with
+              ``jobs``); smaller chunks tighten the resume granularity;
+            * ``checkpoints`` — warmup-checkpoint store for campaigns
+              with ``spec.warmup`` set: the first point pays the
+              functional fast-forward, every later point sharing its
+              architectural axes restores it.  Hit/store counts are
+              echoed with the summary;
+            * ``stale_after`` — seconds after which a ``running`` claim
+              with no heartbeat counts as crashed and may be re-claimed.
+              ``None`` (the single-campaign default) presumes every
+              running row stale, which is correct for resuming after a
+              crash but unsafe when campaigns share a store; concurrent
+              callers must pass a window (and should run with
+              ``heartbeat`` well under it).  ``dispatch="workers"``
+              always applies a window (default 60 s);
+            * ``heartbeat`` — seconds between ``updated_at`` touches on
+              claimed rows while a chunk simulates (``None`` = none).
         max_points: Truncate the expansion to its first N points.
         echo: Optional ``print``-like progress callback.
         progress: Optional callback receiving per-task progress dicts
             (see :func:`~repro.harness.parallel.run_simulations`).
-        jobs: Deprecated — worker processes per chunk (``policy.jobs``).
-        lanes: Deprecated — seed replicates coalesced per batched
-            simulation lease (``policy.lanes``; ``"auto"`` batches each
-            (point × seeds) replicate group into one lane-batched run).
-            Grouping never changes results — rows are still claimed,
-            cached and committed per seed.
-        cache: Deprecated — result cache (``policy.cache``); strongly
-            recommended for campaigns — it de-duplicates baselines across
-            sweeps and makes interrupted chunks free to recompute.
-        retries: Deprecated — extra attempts per failed row
-            (``policy.retries``).
-        chunk: Deprecated — tasks per commit batch (``policy.chunk``;
-            default scales with ``jobs``); smaller chunks tighten the
-            resume granularity.
-        checkpoints: Deprecated — warmup-checkpoint store for campaigns
-            with ``spec.warmup`` set (``policy.checkpoints``): the first
-            point pays the functional fast-forward, every later point
-            sharing its architectural axes restores it.  Hit/store
-            counts are echoed with the summary.
-        stale_after: Deprecated — seconds after which a ``running``
-            claim with no heartbeat counts as crashed and may be
-            re-claimed (``policy.stale_after``).  ``None`` (the
-            single-campaign default) keeps the historical behaviour —
-            every running row is presumed stale — which is correct for
-            resuming after a crash but unsafe when campaigns share a
-            store; concurrent callers must pass a window (and should run
-            with ``heartbeat`` well under it).  The ``workers`` dispatch
-            mode always applies a window (default 60 s).
-        heartbeat: Deprecated — seconds between ``updated_at`` touches
-            on claimed rows while a chunk simulates
-            (``policy.heartbeat``; ``None`` = no heartbeat).
     """
-    from repro.dispatch import get_dispatcher
-
-    policy = ExecutionPolicy.coalesce(
-        policy, "run_sweep",
-        jobs=jobs, cache=cache, retries=retries, chunk=chunk,
-        checkpoints=checkpoints, stale_after=stale_after,
-        heartbeat=heartbeat, lanes=lanes,
-    )
-    policy = policy.merged(dispatch=dispatch, workers=workers)
+    policy = policy if policy is not None else ExecutionPolicy()
     if policy.retries is None:
         policy = policy.merged(retries=spec.retries)
 
@@ -208,8 +177,7 @@ def run_sweep(
         if (r["point_id"], r["seed"]) in mine and r["status"] == "done"
     )
 
-    dispatcher = get_dispatcher(policy)
-    counters = dispatcher.run(
+    counters = drain_campaign(
         store,
         spec.name,
         policy,
@@ -239,8 +207,7 @@ def run_sweep(
         retried=counters.get("retried", 0),
     )
     if counters.get("ckpt_enabled"):
-        # serial local campaigns report exact in-process traffic; pooled
-        # and distributed ones aggregate what their workers reported
+        # pooled and distributed campaigns sum what their workers report
         say(
             f"{spec.name}: warmup checkpoints: "
             f"{counters.get('ckpt_hits', 0)} restored, "

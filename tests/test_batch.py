@@ -15,7 +15,7 @@ missing entirely.  These tests pin that contract from five directions:
   process, identical results;
 * eligibility guards — oversized port caps, observed engines and
   singleton batches all take the scalar path;
-* the harness seam — ``run_simulations(lanes=...)`` groups seed
+* the harness seam — ``ExecutionPolicy(lanes=...)`` groups seed
   replicates without changing results, cache keys or progress counts.
 """
 
@@ -228,14 +228,17 @@ class TestHarnessLanes:
     def test_lane_grouping_identity_and_per_seed_cache(self, tmp_path):
         from repro.harness.cache import ResultCache
         from repro.harness.parallel import run_simulations
+        from repro.harness.policy import ExecutionPolicy
 
         spec = self._spec()
         tasks = [("mcf", spec, 1500, s) for s in range(4)]
-        plain = run_simulations(tasks, lanes=1)
+        plain = run_simulations(tasks, policy=ExecutionPolicy(lanes=1))
         cache = ResultCache(tmp_path)
         events = []
         grouped = run_simulations(
-            tasks, lanes="auto", cache=cache, progress=events.append
+            tasks,
+            policy=ExecutionPolicy(lanes="auto", cache=cache),
+            progress=events.append,
         )
         assert [_canonical(a) for a in grouped] == [
             _canonical(b) for b in plain
@@ -243,7 +246,9 @@ class TestHarnessLanes:
         # results cached per seed, one progress event per task
         assert cache.stores == 4
         assert len(events) == 4
-        repeat = run_simulations(tasks, lanes="auto", cache=cache)
+        repeat = run_simulations(
+            tasks, policy=ExecutionPolicy(lanes="auto", cache=cache)
+        )
         assert cache.hits == 4
         assert [_canonical(a) for a in repeat] == [
             _canonical(b) for b in plain
@@ -251,11 +256,12 @@ class TestHarnessLanes:
 
     def test_lane_cap_splits_groups(self):
         from repro.harness.parallel import run_simulations
+        from repro.harness.policy import ExecutionPolicy
 
         spec = self._spec()
         tasks = [("mcf", spec, 1500, s) for s in range(5)]
-        capped = run_simulations(tasks, lanes=2)
-        plain = run_simulations(tasks, lanes=1)
+        capped = run_simulations(tasks, policy=ExecutionPolicy(lanes=2))
+        plain = run_simulations(tasks, policy=ExecutionPolicy(lanes=1))
         assert [_canonical(a) for a in capped] == [
             _canonical(b) for b in plain
         ]

@@ -18,6 +18,7 @@ import pytest
 from repro.core import MachineConfig
 from repro.harness import (
     CheckpointStore,
+    ExecutionPolicy,
     ResultCache,
     RunSpec,
     arch_key,
@@ -176,7 +177,7 @@ class TestWarmedRuns:
         spec_b = warmed_spec(spawn_latency=64)
         run_simulations(
             [("mcf", spec_a, 4000, 0), ("mcf", spec_b, 4000, 0)],
-            jobs=1, cache=False, checkpoints=store,
+            policy=ExecutionPolicy(jobs=1, cache=False, checkpoints=store),
         )
         assert store.stores == 1 and store.hits == 1
 

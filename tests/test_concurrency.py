@@ -1,8 +1,8 @@
 """Concurrency regressions for the shared stores (DESIGN.md §5g).
 
 These tests pin the bugfix sweep that made the harness's persistent
-state safe to share — between threads of the campaign server, and
-between independent campaign processes pointed at the same files:
+state safe to share — between threads running concurrent campaigns,
+and between independent campaign processes pointed at the same files:
 
 * :class:`~repro.sweep.store.ResultStore` — concurrent leasing through
   separate connections must never raise ``database is locked`` and must
@@ -534,6 +534,7 @@ class TestConcurrentSweeps:
     """Two run_sweep campaigns over one store: every row exactly once."""
 
     def test_two_campaigns_share_one_store_without_double_runs(self, tmp_path):
+        from repro.harness.policy import ExecutionPolicy
         from repro.sweep.execute import run_sweep
         from repro.sweep.spec import SweepSpec
 
@@ -554,8 +555,10 @@ class TestConcurrentSweeps:
             try:
                 with ResultStore(path) as store:
                     summaries[name] = run_sweep(
-                        spec, store, cache=cache,
-                        stale_after=30.0, heartbeat=1.0,
+                        spec, store,
+                        policy=ExecutionPolicy(
+                            cache=cache, stale_after=30.0, heartbeat=1.0
+                        ),
                     )
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)

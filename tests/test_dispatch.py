@@ -1,11 +1,11 @@
-"""Distributed sweep execution: dispatchers, workers, and chaos.
+"""Distributed sweep execution: dispatch modes, workers, and chaos.
 
-Covers the Dispatcher seam end to end (DESIGN.md §5i):
+Covers the one drain entry point end to end (DESIGN.md §5i):
 
-* mode resolution — ``get_dispatcher`` maps policy modes to
-  implementations and passes ready instances through;
 * all three dispatch modes produce byte-identical ``sweep report``
-  output for the same spec;
+  output for the same spec, and a search picks the same winner under
+  ``local`` and ``workers``;
+* ``workers`` refuses an in-memory store before spawning anything;
 * the standalone worker entrypoint (``python -m repro.sweep.worker``)
   drains a store over its CLI and emits a final JSON counter line;
 * the kill-a-worker chaos drill: a 4-worker campaign survives a SIGKILL
@@ -19,25 +19,29 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.dispatch import (
-    Dispatcher,
-    LocalDispatcher,
-    PoolDispatcher,
-    WorkerDispatcher,
-    get_dispatcher,
-)
 from repro.harness.cache import ResultCache
 from repro.harness.policy import ExecutionPolicy
-from repro.sweep import ResultStore, aggregate, full_report, run_sweep
+from repro.sweep import (
+    ResultStore,
+    aggregate,
+    drain_campaign,
+    full_report,
+    run_sweep,
+)
 from repro.sweep.execute import campaign_rows
 from repro.sweep.spec import SweepSpec
+from repro.sweep.worker import _repro_pythonpath
+
+SWEEPS = Path(__file__).parent.parent / "sweeps"
 
 
 def _spec(name: str, *, axis=(1,), seeds=(0, 1), length=400) -> SweepSpec:
@@ -56,30 +60,14 @@ def _report(store: ResultStore, name: str) -> str:
     return full_report(name, aggregate(store.rows(name)))
 
 
-class TestDispatcherResolution:
-    def test_modes_map_to_implementations(self):
-        assert isinstance(
-            get_dispatcher(ExecutionPolicy(dispatch="local")), LocalDispatcher)
-        assert isinstance(
-            get_dispatcher(ExecutionPolicy(dispatch="pool")), PoolDispatcher)
-        assert isinstance(
-            get_dispatcher(ExecutionPolicy(dispatch="workers")),
-            WorkerDispatcher)
-
-    def test_auto_settles_on_job_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISPATCH", raising=False)
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert isinstance(get_dispatcher(ExecutionPolicy()), LocalDispatcher)
-        assert isinstance(
-            get_dispatcher(ExecutionPolicy(jobs=3)), PoolDispatcher)
-
-    def test_ready_instances_pass_through(self):
-        mine = WorkerDispatcher(workers=1)
-        assert get_dispatcher(ExecutionPolicy(dispatch=mine)) is mine
-
-    def test_implementations_satisfy_the_protocol(self):
-        for impl in (LocalDispatcher(), PoolDispatcher(), WorkerDispatcher()):
-            assert isinstance(impl, Dispatcher)
+def _worker_pids() -> list[int]:
+    """This process's live ``repro.sweep.worker`` children (the bracketed
+    pattern never matches pgrep's own command line)."""
+    proc = subprocess.run(
+        ["pgrep", "-P", str(os.getpid()), "-f", "repro[.]sweep[.]worker"],
+        capture_output=True, text=True,
+    )
+    return [int(pid) for pid in proc.stdout.split()]
 
 
 class TestModeAgreement:
@@ -101,13 +89,52 @@ class TestModeAgreement:
                 reports[mode] = _report(store, "agree")
         assert reports["local"] == reports["pool"] == reports["workers"]
 
+    def test_search_picks_the_same_winner_under_workers(self, tmp_path):
+        from repro.search import format_search_report, load_search_spec, run_search
+
+        spec = load_search_spec(SWEEPS / "search_smoke.toml")
+        outcomes = {}
+        for mode, policy in (
+            ("local", ExecutionPolicy(dispatch="local", cache=False)),
+            ("workers", ExecutionPolicy(
+                dispatch="workers", workers=2, cache=False,
+                stale_after=30.0, heartbeat=1.0)),
+        ):
+            with ResultStore(tmp_path / f"{mode}.db") as store:
+                summary = run_search(spec, store, policy=policy)
+                assert summary.complete, f"{mode} left the search short"
+                funnel = [
+                    (r.points_in, [a.point_id for a in r.decision.promoted],
+                     r.extra_rounds)
+                    for r in summary.rungs
+                ]
+                outcomes[mode] = (
+                    summary.winner, summary.simulated, funnel,
+                    format_search_report(spec, summary),
+                )
+        assert outcomes["local"] == outcomes["workers"]
+        winner, simulated = outcomes["local"][:2]
+        assert winner["point_id"] == "5827c84b10f0df7b"
+        assert simulated == 27
+
+
+class TestInMemoryStore:
+    def test_workers_refuse_an_in_memory_store(self):
+        spec = _spec("mem", seeds=(0,))
+        with ResultStore(":memory:") as store:
+            with pytest.raises(ValueError, match="in-memory"):
+                run_sweep(
+                    spec, store,
+                    policy=ExecutionPolicy(dispatch="workers", cache=False),
+                )
+            assert store.counts("mem").get("done", 0) == 0
+        assert not _worker_pids(), "a worker was spawned anyway"
+
 
 class TestWorkerEntrypoint:
     """The standalone ``python -m repro.sweep.worker`` CLI."""
 
     def test_single_worker_drains_a_prepared_store(self, tmp_path):
-        from repro.dispatch.workers import _repro_pythonpath
-
         spec = _spec("solo")
         path = tmp_path / "solo.db"
         with ResultStore(path) as store:
@@ -133,8 +160,6 @@ class TestWorkerEntrypoint:
             assert ledger["max_commits"] == 1
 
     def test_worker_on_a_drained_store_is_a_noop(self, tmp_path):
-        from repro.dispatch.workers import _repro_pythonpath
-
         spec = _spec("noop", seeds=(0,))
         path = tmp_path / "noop.db"
         with ResultStore(path) as store:
@@ -161,9 +186,8 @@ class TestWorkerChaos:
         spec = _spec("chaos", axis=(1, 8), seeds=(0, 1, 2), length=40000)
         path = tmp_path / "chaos.db"
         cache = ResultCache(tmp_path / "cache")
-        dispatcher = WorkerDispatcher(workers=4, poll=0.05)
         policy = ExecutionPolicy(
-            dispatch=dispatcher, retries=1, jobs=1, cache=cache,
+            dispatch="workers", workers=4, retries=1, jobs=1, cache=cache,
             stale_after=2.0, heartbeat=0.25,
         )
         outcome: dict = {}
@@ -179,14 +203,16 @@ class TestWorkerChaos:
         runner.start()
         try:
             # wait for real work to be in flight, then murder a worker
+            victims: list[int] = []
             with ResultStore(path) as watch:
                 deadline = time.time() + 60.0
                 while time.time() < deadline and runner.is_alive():
-                    counts = watch.counts("chaos")
-                    if dispatcher.procs and counts.get("running", 0):
+                    victims = _worker_pids()
+                    if victims and watch.counts("chaos").get("running", 0):
                         break
                     time.sleep(0.02)
-            dispatcher.procs[0].kill()  # SIGKILL, no cleanup
+            assert victims, "no worker process ever appeared"
+            os.kill(victims[0], signal.SIGKILL)  # no cleanup
         finally:
             runner.join(timeout=480)
         assert not runner.is_alive(), "campaign never finished after the kill"
@@ -228,14 +254,13 @@ class TestWorkerSupervision:
         with ResultStore(path) as store:
             run_sweep(spec, store,
                       policy=ExecutionPolicy(dispatch="local", cache=False))
-        dispatcher = WorkerDispatcher(workers=2, poll=0.05)
         with ResultStore(path) as store:
-            summary = run_sweep(
-                spec, store,
-                policy=ExecutionPolicy(
-                    dispatch=dispatcher, cache=False,
+            counters = drain_campaign(
+                store, "tail",
+                ExecutionPolicy(
+                    dispatch="workers", workers=2, cache=False,
                     stale_after=5.0, heartbeat=0.5),
             )
-        assert summary.complete
-        assert summary.simulated == 0
-        assert dispatcher.spawned <= 2 + 2 * 2  # initial + respawn budget
+            assert store.counts("tail")["done"] == len(store.rows("tail"))
+        assert counters["simulated"] == 0
+        assert counters["workers"] <= 2 + 2 * 2  # initial + respawn budget

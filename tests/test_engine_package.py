@@ -1,9 +1,9 @@
-"""The engine package: layout, and back-compat with the old module path.
+"""The engine package: layout, and its public names.
 
 ``repro.core.engine`` used to be a single 1000-line module; it is now a
-package of staged components.  Everything importable from the old path —
-the public classes and the private hot-loop tables other tests and
-profiling scripts reached for — must stay importable unchanged.
+package of staged components.  The public classes stay importable from
+the package path; the private hot-loop tables live in
+:mod:`repro.core.engine.records` only.
 """
 
 from __future__ import annotations
@@ -14,21 +14,8 @@ import pytest
 
 ENGINE_DIR = Path(__file__).parent.parent / "src" / "repro" / "core" / "engine"
 
-#: every name the old monolithic module exposed that external code used
+#: the public names the old monolithic module exposed
 LEGACY_PUBLIC = ["Engine", "SpawnRecord"]
-LEGACY_PRIVATE = [
-    "_LOAD",
-    "_STORE",
-    "_BRANCH",
-    "_QUEUE_OF",
-    "_EXEC_LAT",
-    "_OP_NAMES",
-    "_KIND",
-    "_KIND_NONE",
-    "_ML_L1",
-    "_ML_L2",
-    "_NO_MEASURES",
-]
 
 
 class TestBackCompatShim:
@@ -38,7 +25,7 @@ class TestBackCompatShim:
         assert Engine.__name__ == "Engine"
         assert SpawnRecord.__slots__  # still the slotted record
 
-    @pytest.mark.parametrize("name", LEGACY_PUBLIC + LEGACY_PRIVATE)
+    @pytest.mark.parametrize("name", LEGACY_PUBLIC)
     def test_every_legacy_name_resolves(self, name):
         import repro.core.engine as engine
 
@@ -49,13 +36,6 @@ class TestBackCompatShim:
         import repro.core.engine as engine
 
         assert core.Engine is engine.Engine
-
-    def test_legacy_privates_resolve_to_records_module(self):
-        import repro.core.engine as engine
-        from repro.core.engine import records
-
-        assert engine._EXEC_LAT is records._EXEC_LAT
-        assert engine._QUEUE_OF is records._QUEUE_OF
 
     def test_unknown_attribute_raises(self):
         import repro.core.engine as engine

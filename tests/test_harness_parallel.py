@@ -16,6 +16,7 @@ from repro.harness import (
 )
 from repro.harness.cache import describe_factory
 from repro.harness.parallel import resolve_cache, resolve_jobs
+from repro.harness.policy import ExecutionPolicy
 from repro.vp import OraclePredictor, WangFranklinPredictor
 
 LENGTH = 600
@@ -115,8 +116,12 @@ class TestResultCache:
 
 class TestRunSimulations:
     def test_parallel_matches_serial(self):
-        serial = run_simulations(tasks(), jobs=1, cache=False)
-        fanned = run_simulations(tasks(), jobs=2, cache=False)
+        serial = run_simulations(
+            tasks(), policy=ExecutionPolicy(jobs=1, cache=False)
+        )
+        fanned = run_simulations(
+            tasks(), policy=ExecutionPolicy(jobs=2, cache=False)
+        )
         assert [s.to_dict() for s in serial] == [s.to_dict() for s in fanned]
 
     def test_duplicate_tasks_simulate_once(self, tmp_path, monkeypatch):
@@ -128,7 +133,10 @@ class TestRunSimulations:
             par, "_run_task", lambda *a: calls.append(a) or real(*a)
         )
         batch = tasks()
-        results = run_simulations(batch + batch, jobs=1, cache=ResultCache(tmp_path))
+        results = run_simulations(
+            batch + batch,
+            policy=ExecutionPolicy(jobs=1, cache=ResultCache(tmp_path)),
+        )
         assert len(calls) == len(batch)
         assert [s.to_dict() for s in results[: len(batch)]] == [
             s.to_dict() for s in results[len(batch) :]
@@ -137,14 +145,18 @@ class TestRunSimulations:
     def test_second_invocation_runs_zero_simulations(self, tmp_path, monkeypatch):
         import repro.harness.parallel as par
 
-        first = run_simulations(tasks(), jobs=1, cache=ResultCache(tmp_path))
+        first = run_simulations(
+            tasks(), policy=ExecutionPolicy(jobs=1, cache=ResultCache(tmp_path))
+        )
 
         def boom(*a):
             raise AssertionError("cache should have served this task")
 
         monkeypatch.setattr(par, "_run_task", boom)
         cache = ResultCache(tmp_path)
-        second = run_simulations(tasks(), jobs=1, cache=cache)
+        second = run_simulations(
+            tasks(), policy=ExecutionPolicy(jobs=1, cache=cache)
+        )
         assert cache.hits == len(tasks()) and cache.misses == 0
         assert [s.to_dict() for s in first] == [s.to_dict() for s in second]
 
@@ -176,7 +188,7 @@ class TestErrorHandling:
     def test_raise_mode_wraps_with_task_identity(self):
         batch = [("crafty", bad_spec(), LENGTH, 7)]
         with pytest.raises(SimulationError) as excinfo:
-            run_simulations(batch, jobs=1, cache=False)
+            run_simulations(batch, policy=ExecutionPolicy(jobs=1, cache=False))
         err = excinfo.value
         assert (err.workload, err.spec_name, err.length, err.seed) == (
             "crafty", "bad", LENGTH, 7
@@ -185,16 +197,22 @@ class TestErrorHandling:
 
     def test_collect_mode_keeps_the_batch_alive(self):
         batch = tasks() + [("crafty", bad_spec(), LENGTH, 0)]
-        results = run_simulations(batch, jobs=1, cache=False, on_error="collect")
+        results = run_simulations(
+            batch, policy=ExecutionPolicy(jobs=1, cache=False), on_error="collect"
+        )
         assert all(isinstance(s, SimStats) for s in results[:-1])
         assert isinstance(results[-1], SimulationError)
         # good results are identical to an all-good batch's
-        clean = run_simulations(tasks(), jobs=1, cache=False)
+        clean = run_simulations(
+            tasks(), policy=ExecutionPolicy(jobs=1, cache=False)
+        )
         assert [s.to_dict() for s in results[:-1]] == [s.to_dict() for s in clean]
 
     def test_collect_mode_in_the_process_pool(self):
         batch = [("crafty", bad_spec(), LENGTH, 0)] + tasks()
-        results = run_simulations(batch, jobs=2, cache=False, on_error="collect")
+        results = run_simulations(
+            batch, policy=ExecutionPolicy(jobs=2, cache=False), on_error="collect"
+        )
         assert isinstance(results[0], SimulationError)
         assert all(isinstance(s, SimStats) for s in results[1:])
 
@@ -203,14 +221,18 @@ class TestErrorHandling:
         # that must be a per-task failure as well, not a crash
         batch = [("crafty", bad_spec(), LENGTH, 0)]
         results = run_simulations(
-            batch, jobs=1, cache=ResultCache(tmp_path), on_error="collect"
+            batch,
+            policy=ExecutionPolicy(jobs=1, cache=ResultCache(tmp_path)),
+            on_error="collect",
         )
         assert isinstance(results[0], SimulationError)
 
     def test_errors_are_never_cached(self, tmp_path):
         cache = ResultCache(tmp_path)
         batch = [("crafty", bad_spec(), LENGTH, 0)]
-        run_simulations(batch, jobs=1, cache=cache, on_error="collect")
+        run_simulations(
+            batch, policy=ExecutionPolicy(jobs=1, cache=cache), on_error="collect"
+        )
         assert len(cache) == 0
 
     def test_invalid_on_error_rejected(self):
@@ -262,15 +284,12 @@ class TestCachePrune:
 
 class TestLazyEnvResolution:
     def test_default_length_reads_env_at_call_time(self, monkeypatch):
-        from repro.harness import runner
         from repro.harness.runner import default_length
 
         monkeypatch.delenv("REPRO_TRACE_LEN", raising=False)
         assert default_length() == 16000
         monkeypatch.setenv("REPRO_TRACE_LEN", "1234")
         assert default_length() == 1234
-        # the historical module constant follows the environment too
-        assert runner.DEFAULT_LENGTH == 1234
 
     def test_default_length_rejects_garbage_clearly(self, monkeypatch):
         from repro.harness.runner import default_length

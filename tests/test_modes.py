@@ -332,6 +332,7 @@ class TestSweepAndServerSeams:
     def test_checked_in_sweep_specs_smoke(self, spec_file, tmp_path):
         import dataclasses
 
+        from repro.harness.policy import ExecutionPolicy
         from repro.sweep import ResultStore, load_spec, run_sweep
 
         spec = load_spec(
@@ -339,6 +340,9 @@ class TestSweepAndServerSeams:
         )
         spec = dataclasses.replace(spec, seeds=(0,), lengths=(1200,))
         with ResultStore(tmp_path / "s.db") as store:
-            summary = run_sweep(spec, store, cache=False, max_points=2)
+            summary = run_sweep(
+                spec, store,
+                policy=ExecutionPolicy(cache=False), max_points=2,
+            )
         assert summary.done == summary.total > 0
         assert summary.failed == 0

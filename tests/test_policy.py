@@ -1,13 +1,10 @@
-"""The ExecutionPolicy surface: resolvers, merging, deprecation shims.
+"""The ExecutionPolicy surface: resolvers, merging, one spelling.
 
-The API-redesign contract (DESIGN.md §5i): every entry point —
+The API contract (DESIGN.md §5i): every entry point —
 :class:`~repro.harness.Session`, :func:`~repro.harness.run_simulations`,
-:func:`~repro.sweep.run_sweep`, :class:`~repro.serve.api.CampaignRunner`
-— accepts ``policy=ExecutionPolicy(...)`` as the preferred spelling of
-its execution settings, the old per-keyword spellings keep working
-behind a :class:`DeprecationWarning`, and **old and new spellings are
-observationally identical**: same task keys (so caches warmed under one
-spelling serve the other) and same results.
+:func:`~repro.sweep.run_sweep`, :func:`~repro.search.run_search` —
+accepts ``policy=ExecutionPolicy(...)`` as the only spelling of its
+execution settings.
 """
 
 from __future__ import annotations
@@ -16,10 +13,8 @@ import warnings
 
 import pytest
 
-from repro.harness.cache import task_key
 from repro.harness.policy import (
     DISPATCH_MODES,
-    UNSET,
     ExecutionPolicy,
     resolve_dispatch,
     resolve_jobs,
@@ -103,13 +98,13 @@ class TestResolveDispatch:
         for mode in DISPATCH_MODES:
             assert resolve_dispatch(mode) == mode
 
-    def test_dispatcher_instances_pass_through(self):
+    def test_only_mode_names_are_accepted(self):
         class Fake:
             def run(self, *a, **k):
                 return {}
 
-        fake = Fake()
-        assert resolve_dispatch(fake) is fake
+        with pytest.raises(ValueError, match="local.*pool.*workers"):
+            resolve_dispatch(Fake())
 
     def test_garbage_lists_the_modes(self):
         with pytest.raises(ValueError, match="local.*pool.*workers"):
@@ -147,45 +142,9 @@ class TestExecutionPolicy:
         with pytest.raises(dataclasses.FrozenInstanceError):
             ExecutionPolicy().jobs = 9  # type: ignore[misc]
 
-    def test_coalesce_without_legacy_kwargs_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            policy = ExecutionPolicy.coalesce(
-                ExecutionPolicy(jobs=2), "api", jobs=UNSET, cache=UNSET
-            )
-        assert policy.jobs == 2
-
-    def test_coalesce_warns_naming_api_and_keywords(self):
-        with pytest.warns(DeprecationWarning, match=r"api:.*'cache'.*'jobs'"):
-            policy = ExecutionPolicy.coalesce(
-                None, "api", jobs=3, cache=False, lanes=UNSET
-            )
-        assert policy.jobs == 3
-        assert policy.cache is False
-        assert policy.lanes is None
-
-    def test_coalesce_explicit_keyword_beats_policy_field(self):
-        with pytest.warns(DeprecationWarning):
-            policy = ExecutionPolicy.coalesce(
-                ExecutionPolicy(jobs=8), "api", jobs=1
-            )
-        assert policy.jobs == 1
-
-    def test_coalesce_rejects_non_policy(self):
-        with pytest.raises(TypeError, match="ExecutionPolicy"):
-            ExecutionPolicy.coalesce({"jobs": 2}, "api")
-
 
 class TestDeprecationShims:
-    """Every entry point: legacy keywords warn, policy= does not."""
-
-    def test_session_legacy_keywords_warn(self):
-        from repro.harness import Session
-
-        with pytest.warns(DeprecationWarning, match=r"Session:.*'jobs'"):
-            session = Session(jobs=2, cache=False)
-        assert session.policy.jobs == 2
-        assert session.policy.cache is False
+    """``policy=`` is the one spelling, and it warns about nothing."""
 
     def test_session_policy_spelling_is_silent(self):
         from repro.harness import Session
@@ -195,103 +154,18 @@ class TestDeprecationShims:
             session = Session(policy=ExecutionPolicy(jobs=2, cache=False))
         assert session.policy.jobs == 2
 
-    def test_run_simulations_legacy_keywords_warn(self):
-        from repro.harness import run_simulations
+    def test_legacy_keywords_are_rejected(self, tmp_path):
+        from repro.harness import Session, run_simulations
+        from repro.sweep import ResultStore, SweepSpec, run_sweep
 
-        with pytest.warns(DeprecationWarning, match=r"run_simulations:"):
+        with pytest.raises(TypeError):
+            Session(jobs=2)
+        with pytest.raises(TypeError):
             run_simulations([], jobs=1)
-
-    def test_run_sweep_legacy_keywords_warn(self, tmp_path):
-        from repro.sweep import ResultStore, run_sweep
-        from repro.sweep.spec import SweepSpec
-
-        spec = _tiny_spec("shim")
+        spec = SweepSpec.from_dict({
+            "name": "gone", "axes": {"spawn_latency": [1]},
+            "workloads": ["mcf"], "seeds": [0], "lengths": [300],
+        })
         with ResultStore(tmp_path / "s.db") as store:
-            with pytest.warns(DeprecationWarning, match=r"run_sweep:.*'jobs'"):
-                summary = run_sweep(spec, store, jobs=1, cache=False)
-        assert summary.complete
-
-    def test_campaign_runner_legacy_keywords_warn(self, tmp_path):
-        from repro.serve.api import CampaignRunner
-
-        with pytest.warns(DeprecationWarning, match=r"CampaignRunner:"):
-            runner = CampaignRunner(state_dir=tmp_path, jobs=2)
-        assert runner.policy.jobs == 2
-        # the lease-liveness defaults survive the policy rewrite
-        assert runner.stale_after == 300.0
-        assert runner.heartbeat == 10.0
-
-
-def _tiny_spec(name: str):
-    from repro.sweep.spec import SweepSpec
-
-    return SweepSpec.from_dict({
-        "name": name,
-        "axes": {"spawn_latency": [1]},
-        "base": {"machine": "mtvp", "threads": 2,
-                 "predictor": "wang-franklin"},
-        "workloads": ["mcf"],
-        "seeds": [0],
-        "lengths": [300],
-    })
-
-
-class TestOldNewEquivalence:
-    """Old and new spellings: identical task keys, identical results."""
-
-    def test_task_keys_are_identical_across_spellings(self):
-        from repro.harness import Session
-
-        with pytest.warns(DeprecationWarning):
-            legacy = Session(
-                predictor="wang-franklin", length=400,
-                jobs=2, cache=False, warmup=100, sample=200,
-            )
-        modern = Session(
-            predictor="wang-franklin", length=400,
-            policy=ExecutionPolicy(jobs=2, cache=False,
-                                   warmup=100, sample=200),
-        )
-        key_legacy = task_key("mcf", legacy.spec(), legacy.length, 0)
-        key_modern = task_key("mcf", modern.spec(), modern.length, 0)
-        assert key_legacy == key_modern
-
-    def test_results_and_cache_are_shared_across_spellings(self, tmp_path):
-        """A cache warmed by the legacy spelling serves the policy
-        spelling without a single new simulation — the strongest form of
-        'same task keys'."""
-        from repro.harness import ResultCache, Session
-
-        cache = ResultCache(tmp_path / "cache")
-        with pytest.warns(DeprecationWarning):
-            legacy = Session(predictor="wang-franklin", length=400,
-                             cache=cache, jobs=1)
-        stats_legacy = legacy.run_many(["mcf", "crafty"])
-        misses_after_fill = cache.misses
-
-        modern = Session(predictor="wang-franklin", length=400,
-                         policy=ExecutionPolicy(cache=cache, jobs=1))
-        stats_modern = modern.run_many(["mcf", "crafty"])
-        assert cache.misses == misses_after_fill, (
-            "the policy spelling missed a cache entry the legacy "
-            "spelling wrote — task keys diverged")
-        for a, b in zip(stats_legacy, stats_modern):
-            assert a.cycles == b.cycles
-            assert a.useful_ipc == b.useful_ipc
-
-    def test_run_sweep_spellings_agree(self, tmp_path):
-        """One campaign per spelling, separate stores: byte-identical
-        reports."""
-        from repro.sweep import ResultStore, aggregate, full_report, run_sweep
-
-        spec = _tiny_spec("equiv")
-        with ResultStore(tmp_path / "old.db") as store:
-            with pytest.warns(DeprecationWarning):
-                run_sweep(spec, store, jobs=1, cache=False, retries=0)
-            rows_old = store.rows("equiv")
-        with ResultStore(tmp_path / "new.db") as store:
-            run_sweep(spec, store,
-                      policy=ExecutionPolicy(jobs=1, cache=False, retries=0))
-            rows_new = store.rows("equiv")
-        assert full_report("equiv", aggregate(rows_old)) == \
-            full_report("equiv", aggregate(rows_new))
+            with pytest.raises(TypeError):
+                run_sweep(spec, store, jobs=1)

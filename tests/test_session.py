@@ -22,7 +22,13 @@ import pytest
 
 from repro import MachineConfig, select, vp
 from repro.core import SimStats
-from repro.harness import ConfigFactory, ResultCache, Session, run_simulation
+from repro.harness import (
+    ConfigFactory,
+    ExecutionPolicy,
+    ResultCache,
+    Session,
+    run_simulation,
+)
 from repro.harness.cache import describe_factory, task_key
 from repro.memory import MemLevel
 
@@ -86,7 +92,9 @@ class TestConfigFactory:
 
 class TestSession:
     def test_defaults_run_baseline(self):
-        stats = Session(length=1200, cache=False).run("mcf")
+        stats = Session(
+            length=1200, policy=ExecutionPolicy(cache=False)
+        ).run("mcf")
         assert stats.cycles > 0
         assert not stats.extended
 
@@ -95,13 +103,14 @@ class TestSession:
             Session(MachineConfig.mtvp(4))
 
     def test_run_many_matches_run(self):
-        s = Session(length=1200, cache=False)
+        s = Session(length=1200, policy=ExecutionPolicy(cache=False))
         assert s.run_many(["mcf"])[0] == s.run("mcf")
 
     def test_observe_fills_extended(self):
         s = Session(
             config=MachineConfig.mtvp(8), predictor="wang-franklin",
-            selector="always", length=1500, cache=False, observe=True,
+            selector="always", length=1500, observe=True,
+            policy=ExecutionPolicy(cache=False),
         )
         stats = s.run("mcf")
         assert stats.extended["metrics"]["histograms"]["rob_occupancy"][
@@ -110,12 +119,13 @@ class TestSession:
 
     def test_observe_keys_cache_separately(self, tmp_path):
         cache = ResultCache(tmp_path)
-        plain = Session(length=1200, cache=cache).run("mcf")
-        observed = Session(length=1200, cache=cache, observe=True).run("mcf")
+        policy = ExecutionPolicy(cache=cache)
+        plain = Session(length=1200, policy=policy).run("mcf")
+        observed = Session(length=1200, observe=True, policy=policy).run("mcf")
         assert not plain.extended and observed.extended
         assert cache.stores == 2  # distinct keys, no aliasing
         # repeating either hits the cache and preserves its shape
-        again = Session(length=1200, cache=cache, observe=True).run("mcf")
+        again = Session(length=1200, observe=True, policy=policy).run("mcf")
         assert cache.hits >= 1
         assert again.extended == observed.extended
 
@@ -126,7 +136,8 @@ class TestSession:
         tracer = Tracer()
         s = Session(
             config=MachineConfig.mtvp(8), predictor="wang-franklin",
-            selector="always", length=1500, cache=cache, tracer=tracer,
+            selector="always", length=1500, tracer=tracer,
+            policy=ExecutionPolicy(cache=cache),
         )
         stats = s.run("mcf")
         assert len(tracer) > 0
@@ -147,7 +158,9 @@ class TestSession:
     def test_run_simulation_shim(self):
         spec = Session(length=1200).spec()
         stats = run_simulation("mcf", spec, 1200, 0)
-        assert stats == Session(length=1200, cache=False).run("mcf")
+        assert stats == Session(
+            length=1200, policy=ExecutionPolicy(cache=False)
+        ).run("mcf")
 
 
 class TestStatsSchema:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.harness.cache import ResultCache, task_key
+from repro.harness.policy import ExecutionPolicy
 from repro.sweep import (
     PointAggregate,
     ResultStore,
@@ -341,7 +342,7 @@ class TestRunSweep:
     def test_campaign_completes_and_resume_noops(self, tmp_path, monkeypatch):
         spec = mini_spec()
         store = ResultStore(tmp_path / "s.db")
-        summary = run_sweep(spec, store, cache=False)
+        summary = run_sweep(spec, store, policy=ExecutionPolicy(cache=False))
         # 2 points x 2 seeds + 1 baseline x 2 seeds
         assert summary.total == 6 and summary.complete
         assert summary.simulated == 6 and summary.skipped == 0
@@ -352,7 +353,7 @@ class TestRunSweep:
             raise AssertionError("resume must not re-simulate done rows")
 
         monkeypatch.setattr(par, "_run_task", boom)
-        resumed = run_sweep(spec, store, cache=False)
+        resumed = run_sweep(spec, store, policy=ExecutionPolicy(cache=False))
         assert resumed.complete and resumed.simulated == 0
         assert resumed.skipped == 6
 
@@ -362,7 +363,7 @@ class TestRunSweep:
             retries=1,
         )
         store = ResultStore(tmp_path / "s.db")
-        summary = run_sweep(spec, store, cache=False)
+        summary = run_sweep(spec, store, policy=ExecutionPolicy(cache=False))
         assert summary.failed == 2  # the bad point's two seeds
         assert summary.done == summary.total - 2
         failed = [r for r in store.rows(spec.name) if r["status"] == "failed"]
@@ -379,14 +380,14 @@ class TestRunSweep:
         spec = mini_spec(axes={}, base={"machine": "mtvp", "threads": 2,
                                         "predictor": "no-such-predictor"})
         store = ResultStore(tmp_path / "s.db")
-        summary = run_sweep(spec, store, cache=False, retries=0)
+        summary = run_sweep(spec, store, policy=ExecutionPolicy(cache=False, retries=0))
         assert summary.failed == 2  # both seeds of the single point
         assert summary.done == 2  # baselines still ran
 
     def test_max_points_truncates(self, tmp_path):
         spec = mini_spec()
         store = ResultStore(tmp_path / "s.db")
-        summary = run_sweep(spec, store, cache=False, max_points=1)
+        summary = run_sweep(spec, store, policy=ExecutionPolicy(cache=False), max_points=1)
         # 1 point x 2 seeds + baseline x 2 seeds
         assert summary.total == 4 and summary.complete
 
@@ -399,7 +400,7 @@ class TestRunSweep:
         """Sweep-stored stats must be byte-identical to a direct run."""
         spec = mini_spec(seeds=(0,))
         store = ResultStore(tmp_path / "s.db")
-        run_sweep(spec, store, cache=False)
+        run_sweep(spec, store, policy=ExecutionPolicy(cache=False))
         point = spec.expand()[0]
         direct = run_spec_for(point.params).run(point.workload, point.length, 0)
         stored = next(
@@ -433,7 +434,7 @@ class TestCrashResume:
 
         monkeypatch.setattr(ResultStore, "mark_done", dying_mark_done)
         with pytest.raises(KeyboardInterrupt):
-            run_sweep(spec, store, cache=cache, chunk=2)
+            run_sweep(spec, store, policy=ExecutionPolicy(cache=cache, chunk=2))
         monkeypatch.setattr(ResultStore, "mark_done", real_mark_done)
         return spec, store, committed
 
@@ -450,7 +451,7 @@ class TestCrashResume:
         calls = []
         real = par._run_task
         monkeypatch.setattr(par, "_run_task", lambda *a: calls.append(a) or real(*a))
-        resumed = run_sweep(spec, store, cache=False)
+        resumed = run_sweep(spec, store, policy=ExecutionPolicy(cache=False))
         assert resumed.complete
         assert resumed.skipped == kill_after
         # zero re-simulation of completed rows: only the remainder ran
@@ -473,7 +474,7 @@ class TestCrashResume:
         real = par._run_task
         monkeypatch.setattr(par, "_run_task", lambda *a: calls.append(a) or real(*a))
         resume_cache = ResultCache(tmp_path / "cache")
-        resumed = run_sweep(spec, store, cache=resume_cache)
+        resumed = run_sweep(spec, store, policy=ExecutionPolicy(cache=resume_cache))
         assert resumed.complete
         # fresh simulations = rows the killed run never reached at all
         assert len(calls) == resumed.total - already_cached
@@ -484,11 +485,11 @@ class TestCrashResume:
         self, tmp_path, monkeypatch
     ):
         spec, store, _ = self.run_interrupted(tmp_path, monkeypatch, kill_after=3)
-        run_sweep(spec, store, cache=False)
+        run_sweep(spec, store, policy=ExecutionPolicy(cache=False))
         interrupted_report = full_report(spec.name, aggregate(store.rows(spec.name)))
 
         clean_store = ResultStore(tmp_path / "clean.db")
-        run_sweep(mini_spec(), clean_store, cache=False)
+        run_sweep(mini_spec(), clean_store, policy=ExecutionPolicy(cache=False))
         clean_report = full_report(
             spec.name, aggregate(clean_store.rows(spec.name))
         )
@@ -608,7 +609,9 @@ class TestWarmupSweep:
         )
         store = ResultStore(tmp_path / "warm.db")
         ckpts = CheckpointStore(tmp_path / "ckpt")
-        summary = run_sweep(spec, store, cache=False, checkpoints=ckpts)
+        summary = run_sweep(
+            spec, store, policy=ExecutionPolicy(cache=False, checkpoints=ckpts)
+        )
         # 2 points + 1 baseline, all sharing one warmed arch state: the
         # store-buffer axis (and the baseline's machine knobs) are timing
         # state, invisible to functional warmup
@@ -621,8 +624,34 @@ class TestWarmupSweep:
 
         spec = mini_spec(seeds=(0,), warmup=1000, sample=300)
         store = ResultStore(tmp_path / "warm.db")
-        run_sweep(spec, store, cache=False)
+        run_sweep(spec, store, policy=ExecutionPolicy(cache=False))
         for row in store.rows(spec.name):
             stats = json.loads(row["stats"])
             assert stats["warmup_instructions"] == 1000
             assert stats["instructions_stepped"] >= 300
+
+    def test_pooled_campaign_reports_its_workers_checkpoint_traffic(
+        self, tmp_path, capsys
+    ):
+        """Pool workers open their own checkpoint store; the echoed
+        counts must still cover every row they warmed or restored."""
+        import re
+        from pathlib import Path
+
+        from repro.__main__ import main
+
+        spec = Path(__file__).parent.parent / "sweeps" / "warmup_smoke.toml"
+        ckpt = tmp_path / "ckpt"
+        assert main([
+            "sweep", "run", str(spec), "--jobs", "2", "--no-cache",
+            "--checkpoint-dir", str(ckpt), "--db", str(tmp_path / "w.db"),
+        ]) == 0
+        echoed = re.search(
+            r"warmup checkpoints: (\d+) restored, (\d+) stored",
+            capsys.readouterr().out,
+        )
+        assert echoed is not None
+        restored, stored = map(int, echoed.groups())
+        # 2 spawn-latency points + 1 baseline, one shared warmed state
+        assert restored + stored == 3 and stored >= 1
+        assert len(list(ckpt.glob("*.ckpt"))) == 1
