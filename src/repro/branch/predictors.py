@@ -18,6 +18,13 @@ from repro.obs import NULL_PROBE
 HISTORY_BITS = 16
 _HISTORY_MASK = (1 << HISTORY_BITS) - 1
 
+#: schema of :meth:`BranchPredictor.snapshot` payloads; version 2 packs
+#: each counter table into one ``bytes`` blob
+SNAPSHOT_VERSION = 2
+
+#: the valid 2-bit counter values, as ``bytes.translate`` deletes them
+_COUNTER_VALUES = bytes(range(4))
+
 
 def update_history(history: int, taken: bool) -> int:
     """Shift a branch outcome into a global-history register."""
@@ -54,14 +61,18 @@ class BranchPredictor:
     def snapshot(self) -> dict:
         """Serialize predictor tables to a versioned picklable dict."""
         return {
-            "version": 1,
+            "version": SNAPSHOT_VERSION,
             "kind": type(self).__name__,
             "state": self._snapshot_state(),
         }
 
     def restore(self, data: dict) -> None:
-        """Restore from a :meth:`snapshot` payload of the same kind."""
-        if data.get("version") != 1:
+        """Restore from a :meth:`snapshot` payload of the same kind.
+
+        A malformed payload raises :class:`ValueError` naming the
+        predictor, whatever part of it is wrong.
+        """
+        if data.get("version") != SNAPSHOT_VERSION:
             raise ValueError(
                 f"unsupported BranchPredictor snapshot version: "
                 f"{data.get('version')!r}"
@@ -71,7 +82,12 @@ class BranchPredictor:
                 f"branch-predictor snapshot is for {data.get('kind')!r}, "
                 f"not {type(self).__name__}"
             )
-        self._restore_state(data["state"])
+        try:
+            self._restore_state(data["state"])
+        except (KeyError, TypeError, AttributeError, IndexError) as exc:
+            raise ValueError(
+                f"malformed {type(self).__name__} snapshot: {exc!r}"
+            ) from None
 
     def _snapshot_state(self) -> dict:
         """Table contents for :meth:`snapshot`; the static stub has none."""
@@ -84,13 +100,14 @@ class BranchPredictor:
 class _CounterTable:
     """A table of 2-bit saturating counters packed in a flat list."""
 
-    __slots__ = ("entries", "mask", "counters")
+    __slots__ = ("entries", "mask", "counters", "init")
 
     def __init__(self, entries: int, init: int = 1) -> None:
         if entries & (entries - 1):
             raise ValueError("table size must be a power of two")
         self.entries = entries
         self.mask = entries - 1
+        self.init = init
         self.counters = [init] * entries
 
     def taken(self, index: int) -> bool:
@@ -105,13 +122,34 @@ class _CounterTable:
         elif c > 0:
             self.counters[i] = c - 1
 
-    def snapshot(self) -> list[int]:
-        return list(self.counters)
+    def snapshot(self) -> bytes:
+        """The counters as one byte each (they are 0-3)."""
+        return bytes(self.counters)
 
-    def restore(self, counters: list[int]) -> None:
-        if len(counters) != self.entries:
-            raise ValueError("counter-table snapshot size mismatch")
-        self.counters = list(counters)
+    def restore(self, blob: bytes, what: str) -> None:
+        """Restore a :meth:`snapshot` blob; ``what`` names the table in
+        the :class:`ValueError` a malformed blob raises.
+
+        A warmed table holds few counters that left ``init``, so only
+        those are written (found with ``bytes.find``), into this table's
+        own list while it is still all ``init``, as a freshly built one is.
+        """
+        if not isinstance(blob, bytes) or len(blob) != self.entries:
+            raise ValueError(
+                f"{what}: snapshot is not a {self.entries}-byte counter blob"
+            )
+        if blob.translate(None, _COUNTER_VALUES):
+            raise ValueError(f"{what}: snapshot counter outside 0-3")
+        init = self.init
+        if self.counters.count(init) != self.entries:
+            self.counters = [init] * self.entries
+        counters = self.counters
+        for value in _COUNTER_VALUES:
+            if value != init:
+                i = blob.find(value)
+                while i >= 0:
+                    counters[i] = value
+                    i = blob.find(value, i + 1)
 
 
 class BimodalPredictor(BranchPredictor):
@@ -130,7 +168,7 @@ class BimodalPredictor(BranchPredictor):
         return {"table": self._table.snapshot()}
 
     def _restore_state(self, state: dict) -> None:
-        self._table.restore(state["table"])
+        self._table.restore(state["table"], type(self).__name__)
 
 
 class GsharePredictor(BranchPredictor):
@@ -153,7 +191,7 @@ class GsharePredictor(BranchPredictor):
         return {"table": self._table.snapshot()}
 
     def _restore_state(self, state: dict) -> None:
-        self._table.restore(state["table"])
+        self._table.restore(state["table"], type(self).__name__)
 
 
 #: global-history bits used by each skewed bank (G0 short, G1 long), the
@@ -280,8 +318,9 @@ class TwoBcGskewPredictor(BranchPredictor):
         }
 
     def _restore_state(self, state: dict) -> None:
-        self._bim.restore(state["bim"])
-        self._g0.restore(state["g0"])
-        self._g1.restore(state["g1"])
-        self._meta.restore(state["meta"])
+        kind = type(self).__name__
+        self._bim.restore(state["bim"], f"{kind} bim table")
+        self._g0.restore(state["g0"], f"{kind} g0 table")
+        self._g1.restore(state["g1"], f"{kind} g1 table")
+        self._meta.restore(state["meta"], f"{kind} meta table")
         self.lookups = state["lookups"]

@@ -211,7 +211,8 @@ class SnapshotMixin:
 
         The engine must have been constructed with the same trace, config
         and component classes as the one that produced the snapshot, and
-        must not have run yet.
+        must not have run yet.  A malformed payload raises
+        :class:`ValueError`.
         """
         if self._started:
             raise RuntimeError("restore() requires a freshly built engine")
@@ -222,12 +223,17 @@ class SnapshotMixin:
                 f"unsupported engine snapshot version: {data.get('version')!r}"
             )
         scope = data.get("scope")
-        if scope == "arch":
-            self._restore_arch(data)
-        elif scope == "full":
-            self._restore_full(data)
-        else:
+        if scope not in ("arch", "full"):
             raise ValueError(f"unknown snapshot scope: {scope!r}")
+        try:
+            if scope == "arch":
+                self._restore_arch(data)
+            else:
+                self._restore_full(data)
+        except (KeyError, TypeError, AttributeError, IndexError) as exc:
+            # components name themselves; this catches the engine's own
+            # fields and the components without a validating restore
+            raise ValueError(f"malformed engine snapshot: {exc!r}") from None
 
     def _restore_arch(self, data: dict) -> None:
         if data["pos"] >= self._trace_len:

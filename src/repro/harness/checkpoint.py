@@ -17,7 +17,9 @@ varies only timing axes: the first run fast-forwards and stores an
 restore it and go straight to the timed region.  The store is a directory
 of pickle files, a sibling of the result cache
 (:func:`default_checkpoint_dir`), with the same hit/miss/store counters
-for tests and campaign summaries.
+for tests and campaign summaries.  Each file carries a digest of its
+pickle, so a damaged file is a miss rather than a crash or a silently
+different warmed state.
 
 The ``repro run --checkpoint/--restore`` CLI uses the single-file helpers
 :func:`save_checkpoint` / :func:`load_checkpoint` instead of keyed
@@ -66,8 +68,19 @@ ARCH_CONFIG_FIELDS = (
 )
 
 #: file format marker for single-file checkpoints (``repro run``); version
-#: 2 records the measured length, which version 1 files lack
-CHECKPOINT_FILE_VERSION = 2
+#: 2 records the measured length, which version 1 files lack; version 3
+#: holds the occupied-slot component encodings (snapshot version 2)
+CHECKPOINT_FILE_VERSION = 3
+
+#: bytes of the blake2b digest that opens each keyed ``<key>.ckpt`` file
+_DIGEST_SIZE = hashlib.blake2b().digest_size
+
+#: what ``pickle.loads`` raises on bytes that are not a loadable pickle:
+#: damaged opcodes or lengths, or classes this code version lacks
+_UNPICKLING_ERRORS = (
+    pickle.UnpicklingError, EOFError, AttributeError, ImportError,
+    IndexError, KeyError, TypeError, ValueError, MemoryError, OverflowError,
+)
 
 
 def default_checkpoint_dir() -> Path:
@@ -114,8 +127,28 @@ def arch_key(
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _frame(payload: dict) -> bytes:
+    """A ``<key>.ckpt`` file's bytes: the pickle's digest, then the pickle."""
+    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    return hashlib.blake2b(blob).digest() + blob
+
+
+def _unframe(framed: bytes) -> dict | None:
+    """The payload of a :func:`_frame` file, or None if it is damaged."""
+    digest, blob = framed[:_DIGEST_SIZE], framed[_DIGEST_SIZE:]
+    if len(digest) != _DIGEST_SIZE or hashlib.blake2b(blob).digest() != digest:
+        return None
+    try:
+        return pickle.loads(blob)
+    except _UNPICKLING_ERRORS:  # a verified blob from another code version
+        return None
+
+
 class CheckpointStore:
-    """Directory of ``<key>.ckpt`` pickles, one arch snapshot each.
+    """Directory of ``<key>.ckpt`` files, one arch snapshot each.
+
+    A file is a blake2b digest of the pickled snapshot followed by the
+    pickle; :meth:`get` verifies the digest before unpickling.
 
     Counters (``hits``/``misses``/``stores``) track this instance's
     traffic; the sweep runner reports them so a campaign shows how many
@@ -138,21 +171,22 @@ class CheckpointStore:
     def get(self, key: str) -> dict | None:
         """Cached arch snapshot for ``key``, or None (corrupt = miss).
 
-        A concurrently-removed file is an ordinary miss; a file that
-        exists but fails to unpickle (truncated by a killed writer) is a
-        miss *and* is deleted, so the slot re-warms cleanly instead of
-        poisoning every later run that keys to it.
+        A concurrently-removed file is an ordinary miss.  A file that
+        exists but is short, fails its digest or fails to unpickle
+        (truncated by a killed writer, or damaged on disk) is a miss
+        *and* is deleted, so the slot re-warms cleanly instead of
+        poisoning every later run that keys to it — and no damaged byte
+        ever reaches ``pickle.loads`` or a restore.
         """
         path = self._path(key)
         try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
+            framed = path.read_bytes()
         except OSError:
             with self._counter_lock:
                 self.misses += 1
             return None
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                IndexError, ValueError):
+        payload = _unframe(framed)
+        if payload is None:
             try:
                 path.unlink()
             except OSError:
@@ -169,6 +203,7 @@ class CheckpointStore:
 
         Recreates the store directory if a concurrent cleaner removed it.
         """
+        framed = _frame(payload)
         for attempt in (0, 1):
             try:
                 fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
@@ -180,7 +215,7 @@ class CheckpointStore:
             break
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(framed)
             os.replace(tmp, self._path(key))
         except BaseException:
             try:
@@ -271,8 +306,11 @@ def load_checkpoint(
     A code-version mismatch is allowed (the snapshot schema is versioned
     separately) — the engine's own restore validation has the final say.
     """
-    with Path(path).open("rb") as handle:
-        payload = pickle.load(handle)
+    data = Path(path).read_bytes()
+    try:
+        payload = pickle.loads(data)
+    except _UNPICKLING_ERRORS:  # truncated or not a pickle at all
+        payload = None
     if (
         not isinstance(payload, dict)
         or payload.get("format") != "repro-checkpoint"

@@ -8,6 +8,13 @@ advancing the context with the smallest local clock.
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain, compress, islice, repeat
+
+#: schema of :meth:`Cache.snapshot` payloads; version 2 stores only the
+#: occupied sets, as one per-set count blob plus one flat tag list
+SNAPSHOT_VERSION = 2
+
 #: distinguishes "absent" from the stored value (always ``None``) so the
 #: hot lookup path can do one ``dict.pop`` instead of test + delete + insert
 _MISS = object()
@@ -151,21 +158,59 @@ class Cache:
     def snapshot(self) -> dict:
         """Serialize contents and counters to a versioned picklable dict.
 
-        Dict insertion order *is* the LRU order, so each set serializes as
-        its list of tags oldest-first; restoring re-inserts in that order
-        and recovers the exact replacement state.
+        Dict insertion order *is* the LRU order, so the contents flatten
+        to every set's tags oldest-first, concatenated in set order, plus
+        one count per set (a byte each, wider past 255 ways); restoring
+        re-inserts in that order and recovers the exact replacement state.
         """
         return {
-            "version": 1,
+            "version": SNAPSHOT_VERSION,
             "geometry": [self.size_bytes, self.assoc, self.line_size],
-            "sets": [list(cset) for cset in self._sets],
+            "counts": array(self._count_code, map(len, self._sets)).tobytes(),
+            "tags": list(chain.from_iterable(self._sets)),
             "hits": self.hits,
             "misses": self.misses,
         }
 
+    @property
+    def _count_code(self) -> str:
+        """``array`` typecode of the per-set counts in a snapshot."""
+        return "B" if self.assoc <= 0xFF else "I"
+
     def restore(self, data: dict) -> None:
-        """Restore from a :meth:`snapshot` payload (geometry must match)."""
-        if data.get("version") != 1:
+        """Restore from a :meth:`snapshot` payload (geometry must match).
+
+        Only the occupied sets are rebuilt, each replacing the empty set
+        it lands on as soon as it is built, so the collector sees no net
+        allocations.  A malformed payload raises :class:`ValueError`
+        naming this cache.
+        """
+        try:
+            counts, tags = self._validate(data)
+            hits, misses = data["hits"], data["misses"]
+            if self._lines:
+                self._sets = [{} for _ in range(self.num_sets)]
+            sets = self._sets
+            # one set per nonzero count, each taking the next ``count`` tags
+            tag_stream = iter(tags)
+            occupied = zip(
+                compress(range(self.num_sets), counts),
+                map(dict.fromkeys, map(islice, repeat(tag_stream), compress(counts, counts))),
+            )
+            for index, cset in occupied:
+                sets[index] = cset
+        except (KeyError, TypeError, AttributeError, IndexError) as exc:
+            raise ValueError(
+                f"malformed Cache snapshot for {self.name}: {exc!r}"
+            ) from None
+        self._lines = len(tags)
+        self.hits = hits
+        self.misses = misses
+
+    def _validate(self, data: dict) -> tuple[array, list[int]]:
+        """A snapshot's per-set counts and flat tags, checked against
+        this cache's geometry and each other."""
+        if data.get("version") != SNAPSHOT_VERSION:
             raise ValueError(
                 f"unsupported Cache snapshot version: {data.get('version')!r}"
             )
@@ -175,10 +220,26 @@ class Cache:
                 f"{self.name} ({self.size_bytes}B {self.assoc}-way "
                 f"{self.line_size}B lines)"
             )
-        self._sets = [dict.fromkeys(lines) for lines in data["sets"]]
-        self._lines = sum(len(s) for s in self._sets)
-        self.hits = data["hits"]
-        self.misses = data["misses"]
+        blob, tags = data["counts"], data["tags"]
+        counts = array(self._count_code)
+        if not isinstance(blob, bytes) or len(blob) != self.num_sets * counts.itemsize:
+            raise ValueError(
+                f"{self.name}: snapshot set counts do not cover "
+                f"{self.num_sets} sets"
+            )
+        if not isinstance(tags, list):
+            raise ValueError(f"{self.name}: snapshot tags are not a list")
+        counts.frombytes(blob)
+        if max(counts) > self.assoc:
+            raise ValueError(
+                f"{self.name}: snapshot set holds more than {self.assoc} lines"
+            )
+        if sum(counts) != len(tags):
+            raise ValueError(
+                f"{self.name}: snapshot set counts sum to {sum(counts)}, "
+                f"not the {len(tags)} tags"
+            )
+        return counts, tags
 
     def __repr__(self) -> str:
         return (

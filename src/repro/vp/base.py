@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+from array import array
+from itertools import compress
+
 from repro.isa import Instruction
 from repro.obs import NULL_PROBE
+
+#: schema of :meth:`ValuePredictor.snapshot` payloads; version 2 stores
+#: only a table's occupied slots, as flat index and field columns
+SNAPSHOT_VERSION = 2
 
 
 class ValuePrediction:
@@ -95,7 +102,7 @@ class ValuePredictor:
         counter-only snapshots for free.
         """
         return {
-            "version": 1,
+            "version": SNAPSHOT_VERSION,
             "kind": type(self).__name__,
             "lookups": self.lookups,
             "predictions": self.predictions,
@@ -105,8 +112,12 @@ class ValuePredictor:
         }
 
     def restore(self, data: dict) -> None:
-        """Restore from a :meth:`snapshot` payload of the same predictor kind."""
-        if data.get("version") != 1:
+        """Restore from a :meth:`snapshot` payload of the same predictor kind.
+
+        A malformed payload raises :class:`ValueError` naming the
+        predictor, whatever part of it is wrong.
+        """
+        if data.get("version") != SNAPSHOT_VERSION:
             raise ValueError(
                 f"unsupported ValuePredictor snapshot version: "
                 f"{data.get('version')!r}"
@@ -116,11 +127,16 @@ class ValuePredictor:
                 f"predictor snapshot is for {data.get('kind')!r}, "
                 f"not {type(self).__name__}"
             )
-        self.lookups = data["lookups"]
-        self.predictions = data["predictions"]
-        self.correct = data["correct"]
-        self.incorrect = data["incorrect"]
-        self._restore_state(data["state"])
+        try:
+            self._restore_state(data["state"])
+            self.lookups = data["lookups"]
+            self.predictions = data["predictions"]
+            self.correct = data["correct"]
+            self.incorrect = data["incorrect"]
+        except (KeyError, TypeError, AttributeError, IndexError) as exc:
+            raise ValueError(
+                f"malformed {type(self).__name__} snapshot: {exc!r}"
+            ) from None
 
     def _snapshot_state(self) -> dict:
         """Table contents for :meth:`snapshot`; stateless predictors: {}."""
@@ -146,3 +162,58 @@ class ValuePredictor:
         if not self.predictions:
             return 0.0
         return self.correct / self.predictions
+
+
+# ----------------------------------------------------------------------
+# occupied-slot table encoding shared by the predictors' snapshots
+# ----------------------------------------------------------------------
+def occupied_slots(table: list) -> list[int]:
+    """Indices of ``table``'s non-``None`` slots, in order.
+
+    Table entries are objects or non-empty lists, so every one is truthy
+    and the scan runs at C speed.
+    """
+    return list(compress(range(len(table)), table))
+
+
+def slot_columns(
+    state: dict, names: tuple[str, ...], size: int, what: str
+) -> tuple[list[int], list[list]]:
+    """Validate one table of a snapshot: its ``slots`` and field columns.
+
+    Every occupied index must lie inside the ``size``-entry table and
+    every column must hold one field per occupied slot; ``what`` names
+    the table in the :class:`ValueError` raised otherwise.
+    """
+    slots = state["slots"]
+    if not isinstance(slots, list):
+        raise ValueError(f"{what}: snapshot slots are not a list")
+    if slots and (min(slots) < 0 or max(slots) >= size):
+        raise ValueError(f"{what}: occupied index outside the {size}-entry table")
+    columns = [state[name] for name in names]
+    for name, column in zip(names, columns):
+        if not isinstance(column, list) or len(column) != len(slots):
+            raise ValueError(
+                f"{what}: snapshot {name} column does not match its "
+                f"{len(slots)} occupied slots"
+            )
+    return slots, columns
+
+
+def _confidence_code(max_conf: int) -> str:
+    """``array`` typecode of a confidence blob: a byte when counters fit."""
+    return "B" if max_conf <= 0xFF else "q"
+
+
+def pack_confidences(values, max_conf: int) -> bytes:
+    """Confidence counters (0..``max_conf``) as one blob."""
+    return array(_confidence_code(max_conf), values).tobytes()
+
+
+def unpack_confidences(blob: bytes, count: int, max_conf: int, what: str) -> list[int]:
+    """The ``count`` counters of a :func:`pack_confidences` blob."""
+    counters = array(_confidence_code(max_conf))
+    if not isinstance(blob, bytes) or len(blob) != count * counters.itemsize:
+        raise ValueError(f"{what}: confidence blob does not hold {count} counters")
+    counters.frombytes(blob)
+    return counters.tolist()

@@ -20,7 +20,14 @@ from all history positions.
 from __future__ import annotations
 
 from repro.isa import Instruction, OpClass
-from repro.vp.base import ValuePrediction, ValuePredictor
+from repro.vp.base import (
+    ValuePrediction,
+    ValuePredictor,
+    occupied_slots,
+    pack_confidences,
+    slot_columns,
+    unpack_confidences,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -162,28 +169,51 @@ class DfcmPredictor(ValuePredictor):
         entry.last_value = actual
 
     def _snapshot_state(self) -> dict:
+        """Occupied slots only: level-1 fields as flat columns (``order``
+        strides per entry, concatenated), level-2 strides as a column and
+        their confidences as one blob."""
+        l1, l2 = self._l1, self._l2
+        l1_slots = occupied_slots(l1)
+        entries = [l1[i] for i in l1_slots]
+        l2_slots = occupied_slots(l2)
         return {
-            "l1": [
-                None
-                if e is None
-                else [e.pc, e.last_value, e.last_committed, list(e.strides)]
-                for e in self._l1
-            ],
-            "l2": [None if e is None else list(e) for e in self._l2],
+            "l1": {
+                "slots": l1_slots,
+                "pc": [e.pc for e in entries],
+                "last_value": [e.last_value for e in entries],
+                "last_committed": [e.last_committed for e in entries],
+                "strides": [s for e in entries for s in e.strides],
+            },
+            "l2": {
+                "slots": l2_slots,
+                "stride": [l2[i][0] for i in l2_slots],
+                "conf": pack_confidences(
+                    (l2[i][1] for i in l2_slots), self.max_conf
+                ),
+            },
         }
 
     def _restore_state(self, state: dict) -> None:
-        if len(state["l1"]) != len(self._l1) or len(state["l2"]) != len(self._l2):
-            raise ValueError("DfcmPredictor snapshot table size mismatch")
-        l1: list[_DfcmLevel1 | None] = []
-        for e in state["l1"]:
-            if e is None:
-                l1.append(None)
-                continue
-            entry = _DfcmLevel1(e[0], self.order)
-            entry.last_value = e[1]
-            entry.last_committed = e[2]
-            entry.strides = list(e[3])
-            l1.append(entry)
+        what = "DfcmPredictor level 1"
+        columns = ("pc", "last_value", "last_committed")
+        slots, fields = slot_columns(state["l1"], columns, len(self._l1), what)
+        strides, order = state["l1"]["strides"], self.order
+        if not isinstance(strides, list) or len(strides) != order * len(slots):
+            raise ValueError(f"{what}: stride history does not hold {order} per entry")
+        l1: list[_DfcmLevel1 | None] = [None] * len(self._l1)
+        for k, (slot, pc, last, committed) in enumerate(zip(slots, *fields)):
+            entry = l1[slot] = _DfcmLevel1(pc, order)
+            entry.last_value = last
+            entry.last_committed = committed
+            entry.strides = strides[order * k:order * (k + 1)]
+
+        what = "DfcmPredictor level 2"
+        slots, (l2_strides,) = slot_columns(state["l2"], ("stride",), len(self._l2), what)
+        conf = unpack_confidences(
+            state["l2"]["conf"], len(slots), self.max_conf, what
+        )
+        l2: list[list[int] | None] = [None] * len(self._l2)
+        for slot, stride, c in zip(slots, l2_strides, conf):
+            l2[slot] = [stride, c]
         self._l1 = l1
-        self._l2 = [None if e is None else list(e) for e in state["l2"]]
+        self._l2 = l2

@@ -9,9 +9,43 @@ the examples.
 from __future__ import annotations
 
 from repro.isa import Instruction, OpClass
-from repro.vp.base import ValuePrediction, ValuePredictor
+from repro.vp.base import (
+    ValuePrediction,
+    ValuePredictor,
+    occupied_slots,
+    pack_confidences,
+    slot_columns,
+    unpack_confidences,
+)
 
 _MASK64 = (1 << 64) - 1
+
+#: entry fields other than the confidence (at 2 and 3, respectively)
+_LAST_VALUE_FIELDS = ("pc", "value")
+_STRIDE_FIELDS = ("pc", "last_value", "stride", "last_committed")
+
+
+def _pack_table(table, fields, conf_at, max_conf) -> dict:
+    """Occupied entries of a list-per-entry table as flat columns: one per
+    name in ``fields`` (the entry's other positions, in order) plus the
+    confidences (position ``conf_at``) as one blob."""
+    slots = occupied_slots(table)
+    entries = [table[i] for i in slots]
+    positions = [i for i in range(len(fields) + 1) if i != conf_at]
+    state = {"slots": slots, "conf": pack_confidences((e[conf_at] for e in entries), max_conf)}
+    for name, i in zip(fields, positions):
+        state[name] = [e[i] for e in entries]
+    return state
+
+
+def _unpack_table(state, fields, conf_at, entries, max_conf, what) -> list:
+    """The ``entries``-slot table a :func:`_pack_table` state encodes."""
+    slots, columns = slot_columns(state, fields, entries, what)
+    columns.insert(conf_at, unpack_confidences(state["conf"], len(slots), max_conf, what))
+    table: list[list[int] | None] = [None] * entries
+    for slot, *entry in zip(slots, *columns):
+        table[slot] = entry
+    return table
 
 
 class LastValuePredictor(ValuePredictor):
@@ -61,15 +95,13 @@ class LastValuePredictor(ValuePredictor):
             entry[2] = 0
 
     def _snapshot_state(self) -> dict:
-        return {
-            "table": [None if e is None else list(e) for e in self._table],
-        }
+        return _pack_table(self._table, _LAST_VALUE_FIELDS, 2, self.max_conf)
 
     def _restore_state(self, state: dict) -> None:
-        table = state["table"]
-        if len(table) != self.entries:
-            raise ValueError("LastValuePredictor snapshot table size mismatch")
-        self._table = [None if e is None else list(e) for e in table]
+        self._table = _unpack_table(
+            state, _LAST_VALUE_FIELDS, 2, self.entries, self.max_conf,
+            "LastValuePredictor table",
+        )
 
 
 class StridePredictor(ValuePredictor):
@@ -128,12 +160,10 @@ class StridePredictor(ValuePredictor):
         entry[4] = actual
 
     def _snapshot_state(self) -> dict:
-        return {
-            "table": [None if e is None else list(e) for e in self._table],
-        }
+        return _pack_table(self._table, _STRIDE_FIELDS, 3, self.max_conf)
 
     def _restore_state(self, state: dict) -> None:
-        table = state["table"]
-        if len(table) != self.entries:
-            raise ValueError("StridePredictor snapshot table size mismatch")
-        self._table = [None if e is None else list(e) for e in table]
+        self._table = _unpack_table(
+            state, _STRIDE_FIELDS, 3, self.entries, self.max_conf,
+            "StridePredictor table",
+        )

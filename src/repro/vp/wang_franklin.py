@@ -23,8 +23,17 @@ at once — exactly the property Section 5.6 calls out when motivating a more
 
 from __future__ import annotations
 
+from itertools import chain
+
 from repro.isa import Instruction, OpClass
-from repro.vp.base import ValuePrediction, ValuePredictor
+from repro.vp.base import (
+    ValuePrediction,
+    ValuePredictor,
+    occupied_slots,
+    pack_confidences,
+    slot_columns,
+    unpack_confidences,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -256,40 +265,64 @@ class WangFranklinPredictor(ValuePredictor):
         entry.last_value = actual
 
     def _snapshot_state(self) -> dict:
+        """Occupied slots only: VHT fields as flat columns (learned values
+        concatenated, with a per-entry count byte), ValPHT confidence
+        vectors as one blob of ``NUM_SLOTS`` counters per slot."""
+        vht, valpht = self._vht, self._valpht
+        vht_slots = occupied_slots(vht)
+        entries = [vht[i] for i in vht_slots]
+        conf_slots = occupied_slots(valpht)
         return {
-            "vht": [
-                None
-                if e is None
-                else [
-                    e.pc,
-                    list(e.values),
-                    e.last_value,
-                    e.last_committed,
-                    e.stride,
-                    e.pattern,
-                ]
-                for e in self._vht
-            ],
-            "valpht": [None if v is None else list(v) for v in self._valpht],
+            "vht": {
+                "slots": vht_slots,
+                "pc": [e.pc for e in entries],
+                "last_value": [e.last_value for e in entries],
+                "last_committed": [e.last_committed for e in entries],
+                "stride": [e.stride for e in entries],
+                "pattern": [e.pattern for e in entries],
+                "counts": bytes(len(e.values) for e in entries),
+                "values": [v for e in entries for v in e.values],
+            },
+            "valpht": {
+                "slots": conf_slots,
+                "conf": pack_confidences(
+                    chain.from_iterable(valpht[i] for i in conf_slots),
+                    self.max_conf,
+                ),
+            },
         }
 
     def _restore_state(self, state: dict) -> None:
-        if (
-            len(state["vht"]) != len(self._vht)
-            or len(state["valpht"]) != len(self._valpht)
-        ):
-            raise ValueError("WangFranklinPredictor snapshot table size mismatch")
-        vht: list[_VhtEntry | None] = []
-        for e in state["vht"]:
-            if e is None:
-                vht.append(None)
-                continue
-            entry = _VhtEntry(e[0])
-            entry.values = list(e[1])
-            entry.last_value = e[2]
-            entry.last_committed = e[3]
-            entry.stride = e[4]
-            entry.pattern = e[5]
-            vht.append(entry)
+        what = "WangFranklinPredictor VHT"
+        columns = ("pc", "last_value", "last_committed", "stride", "pattern")
+        slots, fields = slot_columns(state["vht"], columns, len(self._vht), what)
+        counts, values = state["vht"]["counts"], state["vht"]["values"]
+        if not isinstance(counts, bytes) or len(counts) != len(slots):
+            raise ValueError(f"{what}: learned-value counts do not match the slots")
+        if counts and max(counts) > NUM_LEARNED:
+            raise ValueError(f"{what}: entry holds more than {NUM_LEARNED} values")
+        if not isinstance(values, list) or sum(counts) != len(values):
+            raise ValueError(f"{what}: learned-value counts do not sum to the values")
+        vht: list[_VhtEntry | None] = [None] * len(self._vht)
+        end = 0
+        for slot, pc, last, committed, stride, pattern, n in zip(slots, *fields, counts):
+            if (pc >> 2) & self._vht_mask != slot:
+                raise ValueError(f"{what}: entry pc {pc:#x} does not index slot {slot}")
+            entry = vht[slot] = _VhtEntry(pc)
+            start, end = end, end + n
+            entry.values = values[start:end]
+            entry.last_value = last
+            entry.last_committed = committed
+            entry.stride = stride
+            entry.pattern = pattern
+
+        what = "WangFranklinPredictor ValPHT"
+        slots, _ = slot_columns(state["valpht"], (), len(self._valpht), what)
+        conf = unpack_confidences(
+            state["valpht"]["conf"], NUM_SLOTS * len(slots), self.max_conf, what
+        )
+        valpht: list[list[int] | None] = [None] * len(self._valpht)
+        for k, slot in enumerate(slots):
+            valpht[slot] = conf[NUM_SLOTS * k:NUM_SLOTS * (k + 1)]
         self._vht = vht
-        self._valpht = [None if v is None else list(v) for v in state["valpht"]]
+        self._valpht = valpht
