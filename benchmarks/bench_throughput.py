@@ -35,14 +35,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.harness.bench import (  # noqa: E402  (path bootstrap above)
-    LANE_POINT,
-    LANE_POINT_LANES,
     TABLE1_POINTS,
     check_regression,
     format_bench,
     load_bench,
     run_bench,
-    run_lane_point,
     trace_point,
     write_bench,
 )
@@ -84,13 +81,6 @@ def main(argv: list[str] | None = None) -> int:
         help="also run one observed MTVP simulation and export a Chrome "
              "trace to FILE, cross-checking its stats digest",
     )
-    parser.add_argument(
-        "--lanes", type=int, default=None, metavar="N",
-        help="also measure the lane-batched point with N seed replicates "
-             f"(the committed record uses {LANE_POINT_LANES}); reports "
-             "aggregate and per-lane KIPS plus the batched-vs-scalar "
-             "speedup and digest identity",
-    )
     args = parser.parse_args(argv)
     if args.quick:
         args.repeats = 1
@@ -98,18 +88,6 @@ def main(argv: list[str] | None = None) -> int:
 
     previous = load_bench(args.output)
     results = run_bench(repeats=args.repeats, length=args.length)
-    if args.lanes:
-        lane_rec = run_lane_point(
-            LANE_POINT, lanes=args.lanes, repeats=args.repeats,
-            length=args.length,
-        )
-        results["points"].append(lane_rec)
-        print(
-            f"lane point {lane_rec['name']}: {lane_rec['kips']:.0f} kips "
-            f"aggregate ({lane_rec['kips_per_lane']:.1f}/lane), "
-            f"{lane_rec['speedup_vs_scalar']:.2f}x vs scalar, digests "
-            f"{'match' if lane_rec['digests_match'] else 'DIVERGED'}"
-        )
     print(format_bench(results, previous))
 
     exit_code = 0

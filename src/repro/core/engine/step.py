@@ -28,30 +28,6 @@ from repro.core.engine.records import (
 )
 
 
-def decode_static(trace, start: int = 0):
-    """Per-position static structure of ``trace`` from position ``start``.
-
-    This is the contract between the scalar step kernel and the
-    lane-batched kernel (:mod:`repro.core.engine.batch`): everything
-    ``_step`` reads from an instruction that does *not* depend on the
-    trace seed — op class, issue/queue class, destination register,
-    the nonzero source registers it waits on, execution latency.  Seed
-    replicates of one workload share this structure at every position,
-    which is what lets N lanes fetch through one set of vectorized
-    constraint checks.
-    """
-    return [
-        (
-            inst.op,
-            _QUEUE_OF[inst.op],
-            inst.dst,
-            tuple(src for src in inst.srcs if src),
-            _EXEC_LAT[inst.op],
-        )
-        for inst in trace[start:]
-    ]
-
-
 class StepMixin:
     """Fetch/queue/issue/complete/commit one instruction per call."""
 

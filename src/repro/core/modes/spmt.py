@@ -38,7 +38,6 @@ class SpmtModel(ExecutionModel):
     key = "spmt"
     spawn_capable = True
     spawn_on_branches = True
-    lockstep_safe = False
 
     def on_branch(self, engine, ctx, inst, t_queue, t_complete, predicted_ok):
         if ctx.pending_spawn:

@@ -41,7 +41,6 @@ from repro.harness.policy import (
     resolve_cache,
     resolve_dispatch,
     resolve_jobs,
-    resolve_lanes,
     resolve_workers,
 )
 from repro.harness.runner import (
@@ -50,7 +49,6 @@ from repro.harness.runner import (
     compare_modes,
     default_length,
     run_once,
-    run_simulation,
 )
 from repro.harness.session import ConfigFactory, Session
 from repro.harness.experiments import (
@@ -79,7 +77,6 @@ __all__ = [
     "resolve_cache",
     "resolve_dispatch",
     "resolve_jobs",
-    "resolve_lanes",
     "resolve_workers",
     "arch_key",
     "default_checkpoint_dir",
@@ -116,7 +113,6 @@ __all__ = [
     "run_bench",
     "run_once",
     "run_point",
-    "run_simulation",
     "run_simulations",
     "trace_point",
     "sec4_prefetcher_ablation",

@@ -24,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import time
 from pathlib import Path
 from typing import Callable
 
@@ -83,22 +82,6 @@ class BenchPoint:
 def _mtvp8() -> MachineConfig:
     return MachineConfig.mtvp(8)
 
-
-#: the lane-batched throughput point: seed replicates of the Table 1
-#: baseline machine on wupwise.  An FP workload with a small load
-#: fraction keeps the irreducible per-lane component work (hierarchy,
-#: prefetcher, predictor) low, so the point measures what the vectorized
-#: kernel actually amortizes — the per-position timestamp arithmetic;
-#: load-heavy codes like mcf batch nearer 2x and stay covered by the
-#: scalar points above
-LANE_POINT_LANES = 256
-LANE_POINT = BenchPoint(
-    name="table1_baseline_wupwise",
-    config_factory=MachineConfig.hpca05_baseline,
-    workload="wupwise",
-    length=12000,
-    seed=0,
-)
 
 #: the standard points: the Table 1 baseline machine (the pure
 #: single-context kernel) and the Table 1 MTVP machine (spawn/confirm
@@ -175,78 +158,11 @@ def run_point(point: BenchPoint, repeats: int = 3, length: int | None = None) ->
     return record
 
 
-def run_lane_point(
-    point: BenchPoint,
-    lanes: int = LANE_POINT_LANES,
-    repeats: int = 3,
-    length: int | None = None,
-) -> dict:
-    """Measure one point's lane-batched aggregate throughput vs scalar.
-
-    ``lanes`` seed replicates (seeds ``0..lanes-1``) are simulated twice:
-    through :func:`~repro.core.engine.batch.run_lockstep` and through the
-    sequential scalar loop.  Both paths keep their best-of-``repeats``
-    wall time independently; per-lane stats must digest identically
-    between the two (``digests_match`` — a failed identity is a
-    correctness regression regardless of the rates).
-
-    The record reports aggregate and per-lane KIPS separately: a batched
-    point's headline rate is a *multi-seed* throughput and must never be
-    compared against the single-config points.
-    """
-    from repro.core.engine.batch import run_lockstep
-
-    n = length or point.length
-    traces = get_workload(point.workload).trace_many(n, tuple(range(lanes)))
-    best_batched = best_scalar = float("inf")
-    batched_digests: list[str] = []
-    scalar_digests: list[str] = []
-    instructions = 0
-    for _ in range(max(1, repeats)):
-        engines = [point.build(trace=t) for t in traces]
-        t0 = time.perf_counter()
-        batched = run_lockstep(engines)
-        best_batched = min(best_batched, time.perf_counter() - t0)
-        engines = [point.build(trace=t) for t in traces]
-        t0 = time.perf_counter()
-        scalar = [e.run() for e in engines]
-        best_scalar = min(best_scalar, time.perf_counter() - t0)
-        # deterministic simulations: digests cannot vary across repeats
-        if not batched_digests:
-            batched_digests = [stats_digest(s) for s in batched]
-            scalar_digests = [stats_digest(s) for s in scalar]
-            instructions = sum(s.instructions_stepped for s in scalar)
-    aggregate_ips = instructions / best_batched
-    return {
-        "name": f"{point.name}_x{lanes}",
-        "workload": point.workload,
-        "length": n,
-        "seed": point.seed,
-        "lanes": lanes,
-        "instructions": instructions,
-        "wall_seconds": round(best_batched, 6),
-        "ips": round(aggregate_ips, 1),
-        "kips": round(aggregate_ips / 1e3, 2),
-        "kips_per_lane": round(aggregate_ips / lanes / 1e3, 2),
-        "scalar_ips": round(instructions / best_scalar, 1),
-        "speedup_vs_scalar": round(best_scalar / best_batched, 2),
-        "digests_match": batched_digests == scalar_digests,
-        "stats_digest": hashlib.sha256(
-            "".join(batched_digests).encode()
-        ).hexdigest(),
-    }
-
-
 def check_regression(results: dict, previous: dict | None, within_pct: float) -> int:
     """Exit code 1 if any point regressed more than ``within_pct`` percent.
 
-    Points are matched by name against the committed record; lengths and
-    lane counts must match too (rates at different lengths are not
-    comparable, and a batched point's aggregate rate is not comparable to
-    any scalar point's).  Lane-batched points are gated on *aggregate*
-    KIPS and echoed with their per-lane rate alongside, so a batched
-    point can never masquerade as a single-config throughput win; their
-    batched-vs-scalar digest identity is always gating, noise or not.
+    Points are matched by name against the committed record; lengths
+    must match too (rates at different lengths are not comparable).
     """
     if not previous:
         print("no previous record to gate against; skipping assertion")
@@ -254,30 +170,15 @@ def check_regression(results: dict, previous: dict | None, within_pct: float) ->
     prev_points = {p["name"]: p for p in previous.get("points", [])}
     failed = False
     for p in results["points"]:
-        if p.get("lanes") and not p.get("digests_match", True):
-            print(f"assert-within: {p['name']} FAIL "
-                  f"(batched stats diverged from scalar)")
-            failed = True
         prev = prev_points.get(p["name"])
-        if (
-            not prev
-            or prev.get("length") != p["length"]
-            or prev.get("lanes") != p.get("lanes")
-            or not prev.get("ips")
-        ):
+        if not prev or prev.get("length") != p["length"] or not prev.get("ips"):
             continue
         drop_pct = 100.0 * (1.0 - p["ips"] / prev["ips"])
         status = "FAIL" if drop_pct > within_pct else "ok"
-        lane_note = (
-            f" [aggregate over {p['lanes']} lanes, "
-            f"{p['kips_per_lane']:.1f} kips/lane]"
-            if p.get("lanes")
-            else ""
-        )
         print(
             f"assert-within {within_pct:.0f}%: {p['name']} "
             f"{p['ips']:.0f} vs {prev['ips']:.0f} ips "
-            f"({-drop_pct:+.1f}%){lane_note} {status}"
+            f"({-drop_pct:+.1f}%) {status}"
         )
         if drop_pct > within_pct:
             failed = True

@@ -13,17 +13,9 @@ Caching composes with parallelism: tasks whose
 pending tasks are deduplicated by key within a batch, and fresh results
 are written back as workers complete.
 
-Lane batching composes with both: tasks that are seed replicates of one
-recipe (equal :func:`~repro.harness.cache.lane_group_key`) group into
-lane groups of up to ``lanes`` tasks, each dispatched as **one** pool task
-that runs the whole group through the vectorized lockstep kernel
-(:func:`~repro.harness.runner.simulate_batch`).  Results stay per-seed:
-cache entries, progress events and the returned stats list are exactly
-those of the ungrouped run.
-
-Execution settings (jobs/lanes/cache/checkpoints) are one
+Execution settings (jobs/cache/checkpoints) are one
 :class:`~repro.harness.policy.ExecutionPolicy` value; the resolvers
-(:func:`resolve_jobs`, :func:`resolve_lanes`, :func:`resolve_cache`) are
+(:func:`resolve_jobs`, :func:`resolve_cache`) are
 re-exported from :mod:`repro.harness.policy`, where the ``REPRO_*``
 environment defaults are documented in one place.
 """
@@ -33,21 +25,15 @@ from __future__ import annotations
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 from repro.core import SimStats
-from repro.harness.cache import ResultCache, lane_group_key, task_key
+from repro.harness.cache import task_key
 from repro.harness.checkpoint import CheckpointStore
-from repro.harness.policy import (
-    ExecutionPolicy,
-    resolve_cache,
-    resolve_jobs,
-    resolve_lanes,
-)
+from repro.harness.policy import ExecutionPolicy, resolve_cache, resolve_jobs
 
 __all__ = [
     "ExecutionPolicy",
     "SimulationError",
     "resolve_cache",
     "resolve_jobs",
-    "resolve_lanes",
     "run_simulations",
 ]
 
@@ -91,30 +77,16 @@ def _run_task(
     return spec.run(workload_name, length, seed, checkpoints=checkpoints)
 
 
-def _run_batch_task(
-    spec, workload_name: str, length: int, seeds: list, checkpoints=None
-) -> list[SimStats]:
-    """One lane group: one :class:`SimStats` per seed, in seed order —
-    bit-identical to running :func:`_run_task` once per seed."""
-    from repro.harness.runner import simulate_batch
+def _run_pooled(spec, workload_name: str, length: int, seed: int, ckpt_dir):
+    """Pool entry point for one task (must stay picklable).
 
-    return simulate_batch(
-        workload_name, spec, length, seeds, checkpoints=checkpoints
-    )
-
-
-def _run_pooled(spec, workload_name: str, length: int, seeds, ckpt_dir):
-    """Pool entry point for one dispatch unit (must stay picklable).
-
-    ``seeds`` is one seed (a scalar task) or a list (a lane group).  The
-    worker opens its own :class:`CheckpointStore` on ``ckpt_dir`` (paths
-    pickle, stores don't) and returns its ``(hits, misses, stores)``
-    traffic with the outcome, so the parent's store counts what its
-    workers restored and stored.
+    The worker opens its own :class:`CheckpointStore` on ``ckpt_dir``
+    (paths pickle, stores don't) and returns its ``(hits, misses,
+    stores)`` traffic with the outcome, so the parent's store counts what
+    its workers restored and stored.
     """
     store = CheckpointStore(ckpt_dir) if ckpt_dir is not None else None
-    run = _run_batch_task if isinstance(seeds, list) else _run_task
-    outcome = run(spec, workload_name, length, seeds, store)
+    outcome = _run_task(spec, workload_name, length, seed, store)
     if store is None:
         return outcome, None
     return outcome, (store.hits, store.misses, store.stores)
@@ -133,13 +105,9 @@ def run_simulations(
         tasks: ``(workload_name, spec, length, seed)`` tuples.
         policy: An :class:`~repro.harness.policy.ExecutionPolicy` bundling
             ``jobs`` (worker processes), ``cache`` (result cache),
-            ``checkpoints`` (warmup-checkpoint store for warmed specs) and
-            ``lanes`` (seed replicates grouped per simulation lease: ``1``
-            = no grouping, ``"auto"``/``0`` = whole replicate groups).
-            Unset fields defer to the environment (``REPRO_JOBS`` etc.).
-            Tasks sharing a :func:`~repro.harness.cache.lane_group_key`
-            run together through the lane-batched kernel; results are
-            independent of the grouping, exactly as they are of ``jobs``.
+            and ``checkpoints`` (warmup-checkpoint store for warmed
+            specs).  Unset fields defer to the environment
+            (``REPRO_JOBS`` etc.).
         on_error: ``"raise"`` (default) wraps the first task failure in a
             :class:`SimulationError` identifying the failing task and
             aborts the batch; ``"collect"`` instead places the
@@ -233,84 +201,39 @@ def run_simulations(
         report(indices, "sim")
 
     pending = list(groups.values())
-    lane_cap = policy.resolved_lanes()
-
-    #: dispatch units: each batch is a list of key-groups; singleton
-    #: batches run the ordinary scalar task, longer ones one lane-batched
-    #: simulation covering every key-group's seed
-    batches: list[list[list[int]]] = []
-    if lane_cap != 1 and len(pending) > 1:
-        open_buckets: dict[object, list[list[int]]] = {}
-        for indices in pending:
-            workload_name, spec, length, seed = tasks[indices[0]]
-            try:
-                group = lane_group_key(workload_name, spec, length)
-            except Exception:
-                group = None
-            # an indescribable recipe still groups with itself: replicate
-            # fan-out reuses one spec object across seeds
-            bucket_id = (
-                group if group is not None else (id(spec), workload_name, length)
-            )
-            bucket = open_buckets.get(bucket_id)
-            if bucket is None or (lane_cap > 0 and len(bucket) >= lane_cap):
-                bucket = []
-                open_buckets[bucket_id] = bucket
-                batches.append(bucket)
-            bucket.append(indices)
-    else:
-        batches = [[indices] for indices in pending]
-
-    def finish_batch(batch: list[list[int]], outcome) -> None:
-        if len(batch) == 1:
-            finish(batch[0], outcome)
-        else:
-            for indices, stats in zip(batch, outcome):
-                finish(indices, stats)
-
-    if n_jobs > 1 and len(batches) > 1:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(batches))) as pool:
+    if n_jobs > 1 and len(pending) > 1:
+        with ProcessPoolExecutor(max_workers=min(n_jobs, len(pending))) as pool:
             ckpt_dir = (
                 str(ckpt_store.directory) if ckpt_store is not None else None
             )
             futures = {}
-            for batch in batches:
-                workload_name, spec, length, seed = tasks[batch[0][0]]
-                if len(batch) > 1:
-                    seed = [tasks[indices[0]][3] for indices in batch]
+            for indices in pending:
+                workload_name, spec, length, seed = tasks[indices[0]]
                 future = pool.submit(
                     _run_pooled, spec, workload_name, length, seed, ckpt_dir
                 )
-                futures[future] = batch
+                futures[future] = indices
             remaining = set(futures)
             while remaining:
                 done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
                 for future in done:
-                    batch = futures[future]
+                    indices = futures[future]
                     try:
                         outcome, traffic = future.result()
                     except Exception as exc:
-                        fail([i for indices in batch for i in indices], exc)
+                        fail(indices, exc)
                     else:
                         if traffic is not None:
                             ckpt_store.absorb(*traffic)
-                        finish_batch(batch, outcome)
+                        finish(indices, outcome)
     else:
-        for batch in batches:
-            workload_name, spec, length, seed = tasks[batch[0][0]]
+        for indices in pending:
+            workload_name, spec, length, seed = tasks[indices[0]]
             try:
-                if len(batch) == 1:
-                    outcome = _run_task(
-                        spec, workload_name, length, seed, ckpt_store
-                    )
-                else:
-                    seeds = [tasks[indices[0]][3] for indices in batch]
-                    outcome = _run_batch_task(
-                        spec, workload_name, length, seeds, ckpt_store
-                    )
+                outcome = _run_task(spec, workload_name, length, seed, ckpt_store)
             except Exception as exc:
-                fail([i for indices in batch for i in indices], exc)
+                fail(indices, exc)
             else:
-                finish_batch(batch, outcome)
+                finish(indices, outcome)
 
     return results  # type: ignore[return-value]

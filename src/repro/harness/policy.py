@@ -2,15 +2,15 @@
 
 Before this module, execution concerns were threaded ad hoc as keyword
 arguments — ``jobs=`` through :func:`~repro.harness.parallel.
-run_simulations`, ``lanes=`` through :class:`~repro.harness.Session`,
-``retries=``/``stale_after=``/``heartbeat=`` through
+run_simulations`, ``retries=``/``stale_after=``/``heartbeat=`` through
 :func:`~repro.sweep.run_sweep`, ``cache=``/``checkpoints=`` through all
 of them — and adding a new dispatch mode meant touching every signature
 again.  :class:`ExecutionPolicy` bundles the full answer to *how should
 this work execute* into one value:
 
 * ``jobs`` — worker processes per in-process fan-out,
-* ``lanes`` — seed replicates grouped per lane-batched lease,
+* ``lanes`` — accepted only as ``None`` or ``1`` (lane batching was
+  removed; the field stays for callers that still pin it),
 * ``dispatch`` — ``"local"`` (serial in-process), ``"pool"``
   (ProcessPoolExecutor), ``"workers"`` (coordinator + standalone worker
   processes leasing rows from the sweep store), or ``"auto"``,
@@ -20,7 +20,8 @@ this work execute* into one value:
   checkpoint store,
 * ``warmup`` / ``sample`` — the interval protocol,
 * ``chunk`` / ``stale_after`` / ``heartbeat`` — commit granularity and
-  the lease-liveness protocol.
+  the lease-liveness protocol (a ``chunk`` below 1 or a ``heartbeat``
+  of 0 or less would hang or spin a drain, so construction rejects them).
 
 Every field defaults to *unset* (``None``), which defers to the matching
 ``REPRO_*`` environment variable and then to the historical default, so
@@ -31,8 +32,6 @@ Environment defaults (one table, also in README):
 
 =======================  ====================================================
 ``REPRO_JOBS``           worker processes (unset/1 = serial, 0 = all cores)
-``REPRO_LANES``          lane-batched seed replicates (unset/1 = scalar,
-                         ``auto``/0 = whole replicate groups)
 ``REPRO_DISPATCH``       sweep dispatch mode (``local``/``pool``/``workers``)
 ``REPRO_WORKERS``        worker-process count for ``dispatch=workers``
 ``REPRO_CACHE_DIR``      result cache directory (unset = no caching)
@@ -59,23 +58,18 @@ def _env_text(name: str) -> str | None:
     return raw or None
 
 
-def _parse_count(value, *, what: str, auto: str | None = None) -> int:
-    """The one integer parser behind jobs/lanes/workers resolution.
+def _parse_count(value, *, what: str) -> int:
+    """The one integer parser behind jobs/workers resolution.
 
     ``value`` may be an int or a string (CLI flags and environment
-    variables arrive as text).  ``auto`` names an accepted magic word
-    (parsed as ``0``); errors always name the offending setting and the
-    rejected text.
+    variables arrive as text); errors always name the offending setting
+    and the rejected text.
     """
     if isinstance(value, str):
-        text = value.strip().lower()
-        if auto is not None and text == auto:
-            return 0
         try:
-            return int(text)
+            return int(value.strip())
         except ValueError:
-            accepted = f"an integer or \"{auto}\"" if auto else "an integer"
-            raise ValueError(f"{what} must be {accepted}, got {value!r}") from None
+            raise ValueError(f"{what} must be an integer, got {value!r}") from None
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
@@ -96,25 +90,6 @@ def resolve_jobs(jobs) -> int:
     if jobs <= 0:
         return os.cpu_count() or 1
     return jobs
-
-
-def resolve_lanes(lanes, group_size: int | None = None) -> int:
-    """Lane count: explicit ``lanes``, else ``$REPRO_LANES``, else 1.
-
-    ``"auto"`` (or ``0``, or any non-positive count) means "as many lanes
-    as the replicate group has seeds": with ``group_size`` given that
-    bound is returned, otherwise ``0`` — callers treat it as unbounded.
-    """
-    if lanes is None:
-        env = _env_text("REPRO_LANES")
-        if env is None:
-            return 1
-        lanes = _parse_count(env, what="REPRO_LANES (lane count)", auto="auto")
-    else:
-        lanes = _parse_count(lanes, what="lanes", auto="auto")
-    if lanes <= 0:
-        return group_size if group_size is not None else 0
-    return lanes
 
 
 def resolve_workers(workers) -> int:
@@ -193,7 +168,7 @@ class ExecutionPolicy:
     """
 
     jobs: int | None = None
-    lanes: int | str | None = None
+    lanes: int | None = None
     dispatch: str | None = None
     workers: int | None = None
     retries: int | None = None
@@ -205,12 +180,22 @@ class ExecutionPolicy:
     stale_after: float | None = None
     heartbeat: float | None = None
 
+    def __post_init__(self) -> None:
+        # lane batching was removed; the field stays for callers that pin lanes=1
+        if self.lanes is not None and not (type(self.lanes) is int and self.lanes == 1):
+            raise ValueError(
+                f"lanes must be None or 1 (lane batching was removed), got {self.lanes!r}"
+            )
+        if self.chunk is not None and not (type(self.chunk) is int and self.chunk >= 1):
+            raise ValueError(f"chunk must be an integer >= 1, got {self.chunk!r}")
+        if self.heartbeat is not None and not (
+            type(self.heartbeat) in (int, float) and self.heartbeat > 0
+        ):
+            raise ValueError(f"heartbeat must be a number > 0, got {self.heartbeat!r}")
+
     # ------------------------------------------------------------------
     def resolved_jobs(self) -> int:
         return resolve_jobs(self.jobs)
-
-    def resolved_lanes(self, group_size: int | None = None) -> int:
-        return resolve_lanes(self.lanes, group_size)
 
     def resolved_workers(self) -> int:
         return resolve_workers(self.workers)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 import os
 from typing import Callable
 
@@ -168,88 +167,6 @@ def run_once(
         metrics=metrics,
         checkpoints=checkpoints,
     )
-
-
-def simulate_batch(
-    workload_name: str,
-    spec: RunSpec,
-    length: int | None = None,
-    seeds: tuple[int, ...] | list[int] = (0,),
-    checkpoints=None,
-) -> list[SimStats]:
-    """Run one spec on one workload for every seed, lane-batched.
-
-    The seed replicates are simulated together through the vectorized
-    lockstep kernel (:func:`repro.core.engine.batch.run_lockstep`) when
-    they qualify — same machine, single-context fast path, numpy
-    importable — and sequentially through the scalar engine otherwise.
-    Results are bit-identical either way and identical to ``[spec.run(w,
-    n, s) for s in seeds]``.
-
-    Observed specs (``observe=True``) always take the scalar path: probes
-    are per-step side effects the batched replay does not reproduce, and
-    the engine correctly refuses to batch them.  So do specs whose
-    execution model is not lockstep-safe (SMT co-schedules are multi-root
-    and need their per-context trace fan-out; SPMT spawns on branches,
-    which the lockstep kernel cannot replay) — routing them through
-    :meth:`RunSpec.run` keeps the multi-program trace construction in one
-    place.
-    """
-    from repro.core.engine.batch import run_lockstep
-    from repro.core.modes import resolve_model
-
-    n = length or default_length()
-    if (
-        len(seeds) < 2
-        or spec.observe
-        or not resolve_model(spec.config_factory().mode).lockstep_safe
-    ):
-        return [
-            spec.run(workload_name, n, s, checkpoints=checkpoints)
-            for s in seeds
-        ]
-    from repro import _steady_state_footprint, _warmed_engine
-    from repro.harness.checkpoint import arch_key
-
-    measured = spec.sample if spec.sample is not None else n
-    workload = get_workload(workload_name)
-    traces = workload.trace_many(spec.warmup + measured, seeds)
-    configs = [spec.config_factory() for _ in seeds]
-    # computed on the first seed that warms (none, when all restore),
-    # then shared by the rest
-    footprint = functools.cache(
-        functools.partial(_steady_state_footprint, workload, configs[0])
-    )
-    engines = []
-    for seed, trace, config in zip(seeds, traces, configs):
-        key = None
-        if spec.warmup and checkpoints is not None:
-            key = arch_key(workload_name, seed, spec.warmup, spec, measured)
-        engines.append(_warmed_engine(
-            trace,
-            config,
-            footprint=footprint,
-            warmup=spec.warmup,
-            checkpoints=checkpoints,
-            key=key,
-            predictor=spec.predictor_factory(),
-            selector=spec.selector_factory(),
-        ))
-    return run_lockstep(engines)
-
-
-def run_simulation(
-    workload_name: str,
-    spec: RunSpec,
-    length: int | None = None,
-    seed: int = 0,
-) -> SimStats:
-    """Deprecated alias for :func:`run_once`.
-
-    Kept so older scripts keep importing; new code should go through
-    :class:`repro.harness.Session`.
-    """
-    return run_once(workload_name, spec, length=length, seed=seed)
 
 
 def compare_modes(

@@ -79,7 +79,7 @@ class Session:
         length: Trace length; ``None`` uses the harness default.
         seed: Dynamic-stream seed.
         policy: An :class:`~repro.harness.policy.ExecutionPolicy`
-            bundling jobs/lanes/cache/checkpoints/warmup/sample (``None``
+            bundling jobs/cache/checkpoints/warmup/sample (``None``
             = every field from the environment).
         observe: Attach a metrics registry to every run, filling
             ``stats.extended`` (cached under a distinct key).
@@ -152,12 +152,10 @@ class Session:
     def run_replicates(
         self, workload: str, seeds: Iterable[int], progress=None
     ) -> list[SimStats]:
-        """Seed replicates of one workload, lane-batched when enabled.
+        """Seed replicates of one workload, one simulation per seed.
 
-        With ``policy.lanes`` set (or ``$REPRO_LANES``), the replicates
-        group into lane groups and run through the vectorized lockstep kernel;
-        results are bit-identical to ``[s.run(w) for each seed]`` and
-        cached per seed either way.
+        Results are bit-identical to ``[s.run(w) for each seed]`` and
+        cached per seed.
         """
         spec = self.spec()
         tasks = [(workload, spec, self.length, s) for s in seeds]

@@ -54,7 +54,7 @@ class NullProbe:
 
     def __getattr__(self, name: str):
         # any hook resolves to a shared no-op; keeps the null object in
-        # lockstep with the Probe surface without listing every method
+        # step with the Probe surface without listing every method
         if name.startswith("_"):
             raise AttributeError(name)
         return _noop

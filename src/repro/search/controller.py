@@ -9,7 +9,7 @@ by rung against a shared :class:`~repro.sweep.store.ResultStore`:
    rows are ``INSERT OR IGNORE``-ensured and drained through
    :func:`~repro.sweep.drain.drain_campaign`, so rungs inherit the
    whole sweep execution stack: resume, exactly-once owner-conditional
-   commits, ``--dispatch workers``, seed-lane batching, the shared
+   commits, ``--dispatch workers``, the shared
    :class:`~repro.harness.cache.ResultCache` and warmup checkpoints;
 3. after a rung drains, its rows are folded by
    :func:`~repro.sweep.stats.aggregate` at the spec's confidence level

@@ -118,9 +118,9 @@ def drain_store(
     Args:
         store: The shared results store.
         sweep: Sweep name (rows are keyed by it).
-        policy: Execution policy; ``jobs``/``lanes``/``cache``/
-            ``checkpoints``/``retries``/``chunk``/``stale_after``/
-            ``heartbeat`` are consumed here.
+        policy: Execution policy; ``jobs``/``cache``/``checkpoints``/
+            ``retries``/``chunk``/``stale_after``/``heartbeat`` are
+            consumed here.
         mine: Restrict to these ``(point_id, seed)`` keys (``None`` =
             every row of the sweep).  The coordinator passes its
             expansion so a truncated campaign ignores foreign rows.
@@ -152,7 +152,6 @@ def drain_store(
     #: how each chunk reaches run_simulations, resolved once
     run_policy = ExecutionPolicy(
         jobs=jobs,
-        lanes=policy.lanes,
         cache=cache_obj if cache_obj is not None else False,
         checkpoints=ckpt_store if ckpt_store is not None else False,
     )
@@ -235,8 +234,7 @@ def drain_store(
             batch = todo[start : start + take]
             candidates = []
             # one RunSpec object per design point within the chunk: seed
-            # replicates of a point then share their spec identity, which
-            # is what lets the lane batcher group them into one lease
+            # replicates of a point reuse it instead of re-parsing the recipe
             spec_memo: dict[str, object] = {}
             for row in batch:
                 key = (row["point_id"], row["seed"])

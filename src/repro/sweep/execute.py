@@ -130,10 +130,6 @@ def run_sweep(
 
             * ``dispatch``/``workers``/``jobs`` — where simulations
               execute (see :func:`~repro.sweep.drain.drain_campaign`);
-            * ``lanes`` — seed replicates grouped per batched simulation
-              lease (``"auto"`` batches each (point × seeds) replicate
-              group); grouping never changes results — rows are still
-              claimed, cached and committed per seed;
             * ``cache`` — strongly recommended for campaigns: it
               de-duplicates baselines across sweeps and makes
               interrupted chunks free to recompute;

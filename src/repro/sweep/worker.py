@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="total workers sharing the store (enables tail work-stealing)",
     )
     parser.add_argument("--jobs", default=None, help="processes per chunk")
-    parser.add_argument("--lanes", default=None, help="seed lanes per lease")
     parser.add_argument(
         "--retries", type=int, default=None,
         help="extra attempts per failed row",
@@ -116,17 +115,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    policy = ExecutionPolicy(
-        jobs=args.jobs if args.jobs is not None else 1,
-        lanes=args.lanes,
-        retries=args.retries,
-        chunk=args.chunk,
-        stale_after=args.stale_after,
-        heartbeat=args.heartbeat,
-        cache=False if args.no_cache else args.cache_dir,
-        checkpoints=args.checkpoint_dir,
-    )
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        policy = ExecutionPolicy(
+            jobs=args.jobs if args.jobs is not None else 1,
+            retries=args.retries,
+            chunk=args.chunk,
+            stale_after=args.stale_after,
+            heartbeat=args.heartbeat,
+            cache=False if args.no_cache else args.cache_dir,
+            checkpoints=args.checkpoint_dir,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     owner = worker_token(args.worker_id)
     echo = None if args.quiet else (
         lambda *parts: print(
@@ -248,8 +250,6 @@ def coordinate(
     ]
     if policy.jobs is not None:
         argv += ["--jobs", str(policy.jobs)]
-    if policy.lanes is not None:
-        argv += ["--lanes", str(policy.lanes)]
     if policy.chunk is not None:
         argv += ["--chunk", str(policy.chunk)]
     if cache_obj is not None:

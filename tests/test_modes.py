@@ -84,11 +84,6 @@ class TestRegistry:
         assert not resolve_model("smt").uses_value_prediction
         assert resolve_model("smt").multi_program
         assert resolve_model("spmt").spawn_on_branches
-        # the lane-batched lockstep kernel cannot replay either new model
-        assert not resolve_model("smt").lockstep_safe
-        assert not resolve_model("spmt").lockstep_safe
-        for key in ("baseline", "stvp", "spawn_only", "mtvp"):
-            assert resolve_model(key).lockstep_safe, key
 
     def test_single_context_models_clamp_config(self):
         cfg = MachineConfig(mode=SimMode.BASELINE, num_contexts=8)
@@ -282,34 +277,6 @@ class TestSpmt:
         d = stats.to_dict()
         assert "spmt_spawns" not in d
         assert "per_context" not in d
-
-
-class TestBatchingGuards:
-    def test_new_modes_refuse_the_lockstep_kernel(self):
-        from repro.core.engine.batch import batchable
-
-        trace = get_workload("mcf").trace(length=400)
-        spmt_engine = Engine(trace, MachineConfig.spmt(threads=4))
-        assert not batchable(spmt_engine)
-        smt_engine = Engine(
-            trace, MachineConfig.smt(programs=2), traces=[trace, trace]
-        )
-        assert not batchable(smt_engine)
-
-    def test_simulate_batch_falls_back_scalar_for_spmt(self):
-        from repro.harness.runner import RunSpec, simulate_batch
-
-        spec = RunSpec(
-            "spmt",
-            lambda: MachineConfig.spmt(threads=4),
-            predictor_factory="oracle",
-            selector_factory="always",
-        )
-        batched = simulate_batch("mcf", spec, length=800, seeds=(0, 1))
-        scalar = [spec.run("mcf", 800, s) for s in (0, 1)]
-        assert [_canonical_stats(b) for b in batched] == [
-            _canonical_stats(s) for s in scalar
-        ]
 
 
 class TestSweepAndServerSeams:

@@ -31,13 +31,12 @@ from repro.vp import OraclePredictor, WangFranklinPredictor
 from repro.workloads import get_workload
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_stats.json"
-#: scalar fixtures only — entries carrying a "lanes" field describe
-#: lane-batched replicate groups and are exercised by tests/test_batch.py
-GOLDEN = {
-    name: fx
-    for name, fx in json.loads(GOLDEN_PATH.read_text()).items()
-    if "lanes" not in fx
-}
+_FIXTURES = json.loads(GOLDEN_PATH.read_text())
+#: one full stats dict per fixture
+GOLDEN = {name: fx for name, fx in _FIXTURES.items() if "lanes" not in fx}
+#: seed-replicate fixtures: one digest per seed ``seed .. seed+lanes-1``
+#: (the ``batched_*`` entries, recorded when lane batching existed)
+REPLICATES = {name: fx for name, fx in _FIXTURES.items() if "lanes" in fx}
 
 PREDICTORS = {"wang_franklin": WangFranklinPredictor, "oracle": OraclePredictor}
 SELECTORS = {"ilp_pred": IlpPredSelector, "always": AlwaysSelector}
@@ -90,6 +89,23 @@ class TestGoldenDigests:
         # one fixture per simulated mode family, so a regression in any
         # mode-specific path cannot slip through unexercised
         families = {fx["config"][0] for fx in GOLDEN.values()}
+        assert {"hpca05_baseline", "stvp", "mtvp", "spawn_only"} <= families
+
+
+class TestGoldenReplicates:
+    """Every seed of a replicate fixture reproduces its recorded digest."""
+
+    @pytest.mark.parametrize("name", sorted(REPLICATES))
+    def test_replicates_match_golden(self, name):
+        fx = REPLICATES[name]
+        digests = [
+            _digest(_canonical_stats(_run_fixture(dict(fx, seed=seed))[1]))
+            for seed in range(fx["seed"], fx["seed"] + fx["lanes"])
+        ]
+        assert digests == fx["digests"]
+
+    def test_replicate_goldens_cover_every_mode(self):
+        families = {fx["config"][0] for fx in REPLICATES.values()}
         assert {"hpca05_baseline", "stvp", "mtvp", "spawn_only"} <= families
 
 
@@ -200,21 +216,27 @@ class TestThroughputLayer:
         assert "+0.0%" in table  # identical previous run -> zero delta
         assert load_bench(tmp_path / "missing.json") is None
 
+    def test_check_regression_gates_on_throughput_drop(self, capsys):
+        from repro.harness.bench import check_regression
+
+        point = {"name": "p", "length": 1000, "ips": 50_000.0, "kips": 50.0}
+        prev = {"points": [dict(point, ips=100_000.0)]}
+        assert check_regression({"points": [point]}, prev, 10.0) == 1
+        assert "-50.0%" in capsys.readouterr().out
+        assert check_regression({"points": [point]}, {"points": [point]}, 10.0) == 0
+        # a record at another length is not comparable: never gates
+        other = {"points": [dict(point, length=2000, ips=100_000.0)]}
+        assert check_regression({"points": [point]}, other, 10.0) == 0
+        assert check_regression({"points": [point]}, None, 10.0) == 0
+
     def test_committed_bench_record_is_current_schema(self):
         from repro.harness.bench import PRE_OPT_REFERENCE_IPS, load_bench
 
         committed = load_bench(Path(__file__).parent.parent / "BENCH_engine.json")
         assert committed is not None, "BENCH_engine.json missing at repo root"
         assert committed["schema"] == 1
-        scalar = {p["name"] for p in committed["points"] if "lanes" not in p}
-        assert scalar == set(PRE_OPT_REFERENCE_IPS)
-        # lane-batched points carry the aggregate/per-lane split and must
-        # never have shipped with a failed batched-vs-scalar identity
-        for p in committed["points"]:
-            if "lanes" in p:
-                assert p["lanes"] > 1
-                assert p["kips_per_lane"] <= p["kips"]
-                assert p["digests_match"] is True
+        names = {p["name"] for p in committed["points"]}
+        assert names == set(PRE_OPT_REFERENCE_IPS)
 
     def test_cli_profile_writes_loadable_profile(self, tmp_path, capsys):
         from repro.__main__ import main

@@ -18,7 +18,6 @@ from repro.harness.policy import (
     ExecutionPolicy,
     resolve_dispatch,
     resolve_jobs,
-    resolve_lanes,
     resolve_workers,
 )
 
@@ -50,25 +49,6 @@ class TestResolveJobs:
     def test_bool_is_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             resolve_jobs(True)
-
-
-class TestResolveLanes:
-    def test_unset_without_env_is_scalar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LANES", raising=False)
-        assert resolve_lanes(None) == 1
-
-    def test_auto_means_whole_group(self):
-        assert resolve_lanes("auto", group_size=5) == 5
-        assert resolve_lanes("auto") == 0  # unbounded without a group
-
-    def test_env_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LANES", "auto")
-        assert resolve_lanes(None, group_size=3) == 3
-
-    def test_garbage_names_the_setting(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LANES", "wide")
-        with pytest.raises(ValueError, match=r"REPRO_LANES.*'wide'"):
-            resolve_lanes(None)
 
 
 class TestResolveWorkers:
@@ -113,12 +93,11 @@ class TestResolveDispatch:
 
 class TestExecutionPolicy:
     def test_blank_policy_reproduces_historical_defaults(self, monkeypatch):
-        for var in ("REPRO_JOBS", "REPRO_LANES", "REPRO_DISPATCH",
+        for var in ("REPRO_JOBS", "REPRO_DISPATCH",
                     "REPRO_WORKERS", "REPRO_CACHE_DIR"):
             monkeypatch.delenv(var, raising=False)
         policy = ExecutionPolicy()
         assert policy.resolved_jobs() == 1
-        assert policy.resolved_lanes() == 1
         assert policy.resolved_workers() == 2
         assert policy.resolved_dispatch() == "local"
         assert policy.resolved_cache() is None
@@ -141,6 +120,29 @@ class TestExecutionPolicy:
 
         with pytest.raises(dataclasses.FrozenInstanceError):
             ExecutionPolicy().jobs = 9  # type: ignore[misc]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("chunk", 0),  # range() step of zero
+            ("chunk", -3),  # empty range: the drain loop never ends
+            ("chunk", 2.5),
+            ("heartbeat", 0),  # Event.wait(0) returns at once: a busy loop
+            ("heartbeat", -1.0),
+            ("heartbeat", float("nan")),
+            ("lanes", 4),  # lane batching was removed
+            ("lanes", "auto"),
+        ],
+    )
+    def test_rejects_values_that_break_a_sweep(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} .*{value!r}"):
+            ExecutionPolicy(**{field: value})
+        # merged() goes through the same check
+        with pytest.raises(ValueError, match=rf"^{field} "):
+            ExecutionPolicy().merged(**{field: value})
+        # the boundary values stay legal
+        policy = ExecutionPolicy(chunk=1, heartbeat=0.25, lanes=1)
+        assert (policy.chunk, policy.heartbeat, policy.lanes) == (1, 0.25, 1)
 
 
 class TestDeprecationShims:

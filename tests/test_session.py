@@ -27,7 +27,7 @@ from repro.harness import (
     ExecutionPolicy,
     ResultCache,
     Session,
-    run_simulation,
+    run_once,
 )
 from repro.harness.cache import describe_factory, task_key
 from repro.memory import MemLevel
@@ -155,9 +155,9 @@ class TestSession:
         spec = Session(predictor="wang-franklin", selector="ilp-pred").spec()
         assert task_key("mcf", spec, 1000, 0) is not None
 
-    def test_run_simulation_shim(self):
+    def test_run_once_matches_session(self):
         spec = Session(length=1200).spec()
-        stats = run_simulation("mcf", spec, 1200, 0)
+        stats = run_once("mcf", spec, 1200, 0)
         assert stats == Session(
             length=1200, policy=ExecutionPolicy(cache=False)
         ).run("mcf")
@@ -184,8 +184,8 @@ class TestStatsSchema:
         golden = json.loads(GOLDEN_PATH.read_text())
         for name, fx in golden.items():
             if "lanes" in fx:
-                # lane-batched fixtures record per-lane digests, not a
-                # stats dict; tests/test_batch.py exercises them
+                # seed-replicate fixtures record per-seed digests, not a
+                # stats dict; tests/test_perf_kernel.py exercises them
                 continue
             stats = SimStats.from_dict(fx["stats"])
             assert not stats.extended
