@@ -108,14 +108,16 @@ def simulate(
             cycles accumulate).  Reported as
             ``stats.warmup_instructions``.
         checkpoints: Optional
-            :class:`~repro.harness.checkpoint.CheckpointStore`; with a
-            ``checkpoint_key`` the warmed architectural state is restored
-            from (or stored into) it, so repeated warmups are paid once.
+            :class:`~repro.harness.checkpoint.CheckpointStore`; the warmed
+            architectural state (warm start plus fast-forward) is
+            restored from (or stored into) it under ``checkpoint_key``,
+            so repeated warmups are paid once.  Instrumented runs
+            (``tracer``/``metrics``) and multi-program co-schedules never
+            touch the store — snapshots exclude probe state, and a
+            co-schedule has no single warmup stream — but still warm.
         checkpoint_key: Store key identifying the warmed state (see
-            :func:`~repro.harness.checkpoint.arch_key`); ignored without
-            a store.  Instrumented runs (``tracer``/``metrics``) never
-            touch the store — snapshots exclude probe state — but still
-            fast-forward.
+            :func:`~repro.harness.checkpoint.arch_key`); required with a
+            store (a :class:`ValueError` otherwise), ignored without one.
 
     Returns:
         The populated :class:`SimStats` for the run.
@@ -132,6 +134,11 @@ def simulate(
     from repro.core.modes import resolve_model
     from repro.workloads import TraceSet
 
+    if checkpoints is not None and checkpoint_key is None:
+        raise ValueError(
+            "checkpoints= needs a checkpoint_key naming the warmed state "
+            "(see repro.harness.arch_key)"
+        )
     if isinstance(workload_or_trace, str):
         workload_or_trace = get_workload(workload_or_trace)
     traces = None
@@ -178,7 +185,8 @@ def simulate(
         footprint = functools.partial(_steady_state_footprint, workload_or_trace, config)
     return _warmed_engine(
         trace, config, warmup=warmup, footprint=footprint,
-        checkpoints=None if instrumented else checkpoints, key=checkpoint_key,
+        checkpoints=None if instrumented or traces is not None else checkpoints,
+        key=checkpoint_key,
         predictor=predictor, selector=selector,
         tracer=tracer, metrics=metrics, traces=traces,
     ).run()
@@ -191,13 +199,13 @@ def _warmed_engine(
     """An engine at the start of its timed region (build, warm, restore).
 
     The arch payload is found *before* construction — given as ``arch``,
-    or, with ``warmup``, as ``checkpoints.get(key)`` — so that on a hit the
-    restore takes the warm start's place and ``footprint`` is never
-    called.  On a miss the engine warms (caches from ``footprint()``, the
-    steady-state addresses, when ``config.warm_caches``), fast-forwards
-    ``warmup`` instructions and puts its arch snapshot under ``key``.
+    or as ``checkpoints.get(key)`` — so that on a hit the restore takes
+    the warm start's place and ``footprint`` is never called.  On a miss
+    the engine warms (caches from ``footprint()``, the steady-state
+    addresses, when ``config.warm_caches``), fast-forwards ``warmup``
+    instructions and puts its arch snapshot under ``key``.
     """
-    store = checkpoints if warmup and key is not None else None
+    store = checkpoints if key is not None else None
     if arch is None and store is not None:
         arch = store.get(key)
     warm_addresses = None
@@ -206,8 +214,9 @@ def _warmed_engine(
     engine = Engine(
         trace, config, arch=arch, warm_addresses=warm_addresses, **engine_kwargs
     )
-    if warmup and arch is None:
-        engine.fast_forward(warmup)
+    if arch is None:
+        if warmup:
+            engine.fast_forward(warmup)
         if store is not None:
             store.put(key, engine.snapshot(scope="arch"))
     return engine

@@ -747,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--checkpoint-dir", default=None,
             help="warmup checkpoint store for warmed campaigns (default: "
-                 "$REPRO_CHECKPOINT_DIR, else no checkpoint reuse)",
+                 "$REPRO_CHECKPOINT_DIR, else in-process reuse only)",
         )
         sp.add_argument(
             "--dispatch", default=None,
@@ -842,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--checkpoint-dir", default=None,
             help="warmup checkpoint store shared across rungs (default: "
-                 "$REPRO_CHECKPOINT_DIR, else no checkpoint reuse)",
+                 "$REPRO_CHECKPOINT_DIR, else in-process reuse only)",
         )
         sp.add_argument(
             "--dispatch", default=None,

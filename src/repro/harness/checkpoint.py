@@ -21,6 +21,14 @@ for tests and campaign summaries.  Each file carries a digest of its
 pickle, so a damaged file is a miss rather than a crash or a silently
 different warmed state.
 
+The same holds for ``warmup=0`` runs, whose warm start (steady-state
+cache footprint plus predictor training passes) builds architectural
+state too.  When no store is given, :meth:`~repro.harness.runner.RunSpec.run`
+uses :data:`MEMORY_CHECKPOINTS`, a store whose digest-framed entries
+live in a small in-process LRU, so a process warms each architecture
+once: baseline, STVP and MTVP runs of one workload restore instead of
+re-training.
+
 The ``repro run --checkpoint/--restore`` CLI uses the single-file helpers
 :func:`save_checkpoint` / :func:`load_checkpoint` instead of keyed
 storage: an explicit file names its state, so the key ingredients are
@@ -36,6 +44,7 @@ import os
 import pickle
 import tempfile
 import threading
+from collections import OrderedDict
 from pathlib import Path
 
 from repro.harness.cache import (
@@ -101,17 +110,22 @@ def arch_key(
     axis map to the same key and share a checkpoint.  ``measured`` is the
     timed interval's length: the warm start trains on the whole
     ``warmup + measured`` trace, so the warmed state depends on it.
-    Returns ``None`` when an ingredient cannot be described stably
+    ``warmup=0`` still keys the warm start (``config.warm_caches``).
+    Returns ``None`` when there is no warmed state to share — no warmup
+    and no warm start, or a multi-program mode, which has no single
+    warmup stream — or when an ingredient cannot be described stably
     (lambda factories), mirroring :func:`~repro.harness.cache.task_key`.
     """
-    if not warmup:
-        return None
+    from repro.core.modes import resolve_model
+
     predictor = describe_factory(spec.predictor_factory)
     if predictor is None:
         return None
     try:
         config = spec.config_factory()
     except TypeError:
+        return None
+    if not (warmup or config.warm_caches) or resolve_model(config.mode).multi_program:
         return None
     fields = dataclasses.asdict(config)
     payload = {
@@ -135,7 +149,8 @@ def _frame(payload: dict) -> bytes:
 
 def _unframe(framed: bytes) -> dict | None:
     """The payload of a :func:`_frame` file, or None if it is damaged."""
-    digest, blob = framed[:_DIGEST_SIZE], framed[_DIGEST_SIZE:]
+    view = memoryview(framed)  # slices without copying the pickle
+    digest, blob = view[:_DIGEST_SIZE], view[_DIGEST_SIZE:]
     if len(digest) != _DIGEST_SIZE or hashlib.blake2b(blob).digest() != digest:
         return None
     try:
@@ -160,7 +175,10 @@ class CheckpointStore:
             Path(directory) if directory is not None else default_checkpoint_dir()
         )
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._counter_lock = threading.Lock()
+        self._init_counters()
+
+    def _init_counters(self) -> None:
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -168,42 +186,16 @@ class CheckpointStore:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.ckpt"
 
-    def get(self, key: str) -> dict | None:
-        """Cached arch snapshot for ``key``, or None (corrupt = miss).
-
-        A concurrently-removed file is an ordinary miss.  A file that
-        exists but is short, fails its digest or fails to unpickle
-        (truncated by a killed writer, or damaged on disk) is a miss
-        *and* is deleted, so the slot re-warms cleanly instead of
-        poisoning every later run that keys to it — and no damaged byte
-        ever reaches ``pickle.loads`` or a restore.
-        """
-        path = self._path(key)
+    # the three storage primitives; _MemoryCheckpoints keeps frames in an
+    # LRU instead of files
+    def _read(self, key: str) -> bytes | None:
         try:
-            framed = path.read_bytes()
+            return self._path(key).read_bytes()
         except OSError:
-            with self._counter_lock:
-                self.misses += 1
             return None
-        payload = _unframe(framed)
-        if payload is None:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            with self._counter_lock:
-                self.misses += 1
-            return None
-        with self._counter_lock:
-            self.hits += 1
-        return payload
 
-    def put(self, key: str, payload: dict) -> None:
-        """Store an arch snapshot under ``key`` (atomic rename).
-
-        Recreates the store directory if a concurrent cleaner removed it.
-        """
-        framed = _frame(payload)
+    def _write(self, key: str, framed: bytes) -> None:
+        """Atomic rename; recreates the directory if a cleaner removed it."""
         for attempt in (0, 1):
             try:
                 fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
@@ -223,13 +215,45 @@ class CheckpointStore:
             except OSError:
                 pass
             raise
-        with self._counter_lock:
+
+    def _discard(self, key: str) -> None:
+        try:
+            self._path(key).unlink()
+        except OSError:
+            pass
+
+    def get(self, key: str) -> dict | None:
+        """Cached arch snapshot for ``key``, or None (corrupt = miss).
+
+        A concurrently-removed file is an ordinary miss.  A file that
+        exists but is short, fails its digest or fails to unpickle
+        (truncated by a killed writer, or damaged on disk) is a miss
+        *and* is deleted, so the slot re-warms cleanly instead of
+        poisoning every later run that keys to it — and no damaged byte
+        ever reaches ``pickle.loads`` or a restore.  Every hit unpickles
+        a fresh payload, so no two restores share a mutable object.
+        """
+        framed = self._read(key)
+        payload = None if framed is None else _unframe(framed)
+        if framed is not None and payload is None:
+            self._discard(key)
+        with self._lock:
+            if payload is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return payload
+
+    def put(self, key: str, payload: dict) -> None:
+        """Store an arch snapshot under ``key``."""
+        self._write(key, _frame(payload))
+        with self._lock:
             self.stores += 1
 
     def absorb(self, hits: int, misses: int, stores: int) -> None:
         """Add traffic another handle on this directory saw (a pool
         worker's) to this instance's counters."""
-        with self._counter_lock:
+        with self._lock:
             self.hits += hits
             self.misses += misses
             self.stores += stores
@@ -244,11 +268,61 @@ class CheckpointStore:
         )
 
 
+class _MemoryCheckpoints(CheckpointStore):
+    """A :class:`CheckpointStore` whose frames live in an in-process LRU.
+
+    The frames are the same digest-plus-pickle bytes a file holds, so a
+    hit is verified and unpickled exactly like a file hit, and a damaged
+    frame is a discarded miss.  Keeping bytes rather than payload dicts
+    keeps an entry at its pickled size (0.2-0.6 MB on the suite, several
+    times smaller than the unpickled dict) and makes sharing a mutable
+    object between two restores impossible.  Only ``capacity``
+    frames are kept; the least recently used one is dropped first.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.directory = None
+        self.capacity = capacity
+        self._frames: OrderedDict[str, bytes] = OrderedDict()
+        self._init_counters()
+
+    def _read(self, key: str) -> bytes | None:
+        with self._lock:
+            framed = self._frames.get(key)
+            if framed is not None:
+                self._frames.move_to_end(key)
+            return framed
+
+    def _write(self, key: str, framed: bytes) -> None:
+        with self._lock:
+            self._frames[key] = framed
+            self._frames.move_to_end(key)
+            while len(self._frames) > self.capacity:
+                self._frames.popitem(last=False)
+
+    def _discard(self, key: str) -> None:
+        with self._lock:
+            self._frames.pop(key, None)
+
+    def __len__(self) -> int:
+        return len(self._frames)
+
+
+#: the store :meth:`~repro.harness.runner.RunSpec.run` uses when its caller
+#: gives none: each process warms an architecture once and restores it for
+#: every later run with the same :func:`arch_key`.  Two entries hold one
+#: workload's baseline recipe and its value-predicting recipes (which
+#: share one entry) while :func:`~repro.harness.parallel.run_simulations`
+#: runs that workload's tasks back to back.
+MEMORY_CHECKPOINTS = _MemoryCheckpoints(capacity=2)
+
+
 def resolve_checkpoints(checkpoints) -> CheckpointStore | None:
     """Normalize the ``checkpoints`` argument harness entry points accept.
 
-    ``None`` consults ``$REPRO_CHECKPOINT_DIR`` (unset means no store);
-    ``False`` disables checkpointing outright; a string/path opens a
+    ``None`` consults ``$REPRO_CHECKPOINT_DIR`` (unset means no store,
+    so each run falls back to :data:`MEMORY_CHECKPOINTS`); ``False``
+    disables the on-disk store; a string/path opens a
     :class:`CheckpointStore` there; a store passes through.
     """
     if checkpoints is None:

@@ -13,6 +13,11 @@ Caching composes with parallelism: tasks whose
 pending tasks are deduplicated by key within a batch, and fresh results
 are written back as workers complete.
 
+Pending tasks run grouped by their ``(workload, seed, length)`` family,
+one family after another serially and one family per pool task, so a
+family's runs warm each architecture once and restore it for the rest
+(see :mod:`repro.harness.checkpoint`).
+
 Execution settings (jobs/cache/checkpoints) are one
 :class:`~repro.harness.policy.ExecutionPolicy` value; the resolvers
 (:func:`resolve_jobs`, :func:`resolve_cache`) are
@@ -77,19 +82,46 @@ def _run_task(
     return spec.run(workload_name, length, seed, checkpoints=checkpoints)
 
 
-def _run_pooled(spec, workload_name: str, length: int, seed: int, ckpt_dir):
-    """Pool entry point for one task (must stay picklable).
+def _run_family(members: list, ckpt_dir) -> tuple[list, tuple | None]:
+    """Pool entry point: several tasks in order, in one worker (picklable).
 
-    The worker opens its own :class:`CheckpointStore` on ``ckpt_dir``
-    (paths pickle, stores don't) and returns its ``(hits, misses,
-    stores)`` traffic with the outcome, so the parent's store counts what
-    its workers restored and stored.
+    ``members`` are ``(workload, spec, length, seed)`` tasks that share a
+    workload, seed and length, so the first run of each architecture
+    warms and stores it and the rest restore it from the worker's store:
+    the one on ``ckpt_dir`` (paths pickle, stores don't), else the
+    worker's in-process :data:`~repro.harness.checkpoint.MEMORY_CHECKPOINTS`.
+    Returns one outcome per member — its stats, or the exception it
+    raised — and the ``(hits, misses, stores)`` traffic of the directory
+    store, so the parent's store counts what its workers restored and
+    stored.
     """
     store = CheckpointStore(ckpt_dir) if ckpt_dir is not None else None
-    outcome = _run_task(spec, workload_name, length, seed, store)
+    outcomes = []
+    for workload_name, spec, length, seed in members:
+        try:
+            outcomes.append(_run_task(spec, workload_name, length, seed, store))
+        except Exception as exc:
+            outcomes.append(exc)
     if store is None:
-        return outcome, None
-    return outcome, (store.hits, store.misses, store.stores)
+        return outcomes, None
+    return outcomes, (store.hits, store.misses, store.stores)
+
+
+def _pool_batches(families: list[list], n_jobs: int) -> list[list]:
+    """One pool task per family, halving the largest while workers idle.
+
+    A family is warmed once per batch it lands in, so families stay whole
+    unless there are fewer of them than workers (a one-workload sweep).
+    """
+    batches = list(families)
+    while 0 < len(batches) < n_jobs:
+        i = max(range(len(batches)), key=lambda j: len(batches[j]))
+        largest = batches[i]
+        if len(largest) < 2:
+            break
+        half = len(largest) // 2
+        batches[i : i + 1] = [largest[:half], largest[half:]]
+    return batches
 
 
 def run_simulations(
@@ -200,40 +232,54 @@ def run_simulations(
             results[i] = stats
         report(indices, "sim")
 
-    pending = list(groups.values())
-    if n_jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(pending))) as pool:
+    #: pending groups by (workload, seed, length), in first-seen order:
+    #: a family's runs share a trace and, per architecture, a warmed
+    #: state, so running them back to back lets each restore the
+    #: previous one's checkpoint from a small LRU
+    families: dict[tuple, list[list[int]]] = {}
+    for indices in groups.values():
+        workload_name, _spec, length, seed = tasks[indices[0]]
+        families.setdefault((workload_name, seed, length), []).append(indices)
+
+    batches = _pool_batches(list(families.values()), n_jobs) if n_jobs > 1 else []
+    if len(batches) > 1:
+        with ProcessPoolExecutor(max_workers=min(n_jobs, len(batches))) as pool:
             ckpt_dir = (
-                str(ckpt_store.directory) if ckpt_store is not None else None
+                str(ckpt_store.directory)
+                if ckpt_store is not None and ckpt_store.directory is not None
+                else None
             )
             futures = {}
-            for indices in pending:
-                workload_name, spec, length, seed = tasks[indices[0]]
-                future = pool.submit(
-                    _run_pooled, spec, workload_name, length, seed, ckpt_dir
-                )
-                futures[future] = indices
+            for batch in batches:
+                members = [tasks[indices[0]] for indices in batch]
+                futures[pool.submit(_run_family, members, ckpt_dir)] = batch
             remaining = set(futures)
             while remaining:
                 done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
                 for future in done:
-                    indices = futures[future]
+                    batch = futures[future]
                     try:
-                        outcome, traffic = future.result()
+                        outcomes, traffic = future.result()
                     except Exception as exc:
-                        fail(indices, exc)
-                    else:
-                        if traffic is not None:
-                            ckpt_store.absorb(*traffic)
-                        finish(indices, outcome)
+                        outcomes, traffic = [exc] * len(batch), None
+                    if traffic is not None:
+                        ckpt_store.absorb(*traffic)
+                    for indices, outcome in zip(batch, outcomes):
+                        if isinstance(outcome, BaseException):
+                            fail(indices, outcome)
+                        else:
+                            finish(indices, outcome)
     else:
-        for indices in pending:
-            workload_name, spec, length, seed = tasks[indices[0]]
-            try:
-                outcome = _run_task(spec, workload_name, length, seed, ckpt_store)
-            except Exception as exc:
-                fail(indices, exc)
-            else:
-                finish(indices, outcome)
+        for family in families.values():
+            for indices in family:
+                workload_name, spec, length, seed = tasks[indices[0]]
+                try:
+                    outcome = _run_task(
+                        spec, workload_name, length, seed, ckpt_store
+                    )
+                except Exception as exc:
+                    fail(indices, exc)
+                else:
+                    finish(indices, outcome)
 
     return results  # type: ignore[return-value]

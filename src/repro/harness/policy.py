@@ -35,7 +35,7 @@ Environment defaults (one table, also in README):
 ``REPRO_DISPATCH``       sweep dispatch mode (``local``/``pool``/``workers``)
 ``REPRO_WORKERS``        worker-process count for ``dispatch=workers``
 ``REPRO_CACHE_DIR``      result cache directory (unset = no caching)
-``REPRO_CHECKPOINT_DIR`` warmup checkpoint directory (unset = no reuse)
+``REPRO_CHECKPOINT_DIR`` warmup checkpoint directory (unset = in-process)
 ``REPRO_TRACE_LEN``      default dynamic trace length
 =======================  ====================================================
 """

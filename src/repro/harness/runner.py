@@ -8,6 +8,7 @@ from typing import Callable
 
 from repro import select, simulate, vp
 from repro.core import MachineConfig, SimStats
+from repro.harness.checkpoint import MEMORY_CHECKPOINTS, arch_key
 from repro.harness.metrics import percent_speedup
 from repro.select import LoadSelector
 from repro.vp import ValuePredictor
@@ -87,10 +88,13 @@ class RunSpec:
         """Simulate this configuration on one workload.
 
         ``checkpoints`` (a
-        :class:`~repro.harness.checkpoint.CheckpointStore`) lets a warmed
-        spec restore its architectural warmup state instead of
-        re-deriving it; the key covers only architectural ingredients,
-        so specs differing in timing axes share checkpoints.
+        :class:`~repro.harness.checkpoint.CheckpointStore`) lets the run
+        restore its warmed architectural state — the warm start, plus the
+        fast-forward when ``warmup`` is set — instead of re-deriving it;
+        the key covers only architectural ingredients, so specs differing
+        in timing axes share checkpoints.  ``None`` means the in-process
+        :data:`~repro.harness.checkpoint.MEMORY_CHECKPOINTS`; ``False``
+        re-derives the state.  Instrumented runs never use a store.
         """
         if metrics is None and self.observe:
             from repro.obs import MetricsRegistry
@@ -98,12 +102,14 @@ class RunSpec:
             metrics = MetricsRegistry()
         measured = self.sample if self.sample is not None else length
         checkpoint_key = None
-        if self.warmup and checkpoints is not None:
-            from repro.harness.checkpoint import arch_key
-
+        if checkpoints is not False and tracer is None and metrics is None:
             checkpoint_key = arch_key(
                 workload_name, seed, self.warmup, self, measured
             )
+        if checkpoint_key is None:
+            checkpoints = None
+        elif checkpoints is None:
+            checkpoints = MEMORY_CHECKPOINTS
         return simulate(
             get_workload(workload_name),
             self.config_factory(),

@@ -49,8 +49,16 @@ def warmed_spec(**overrides) -> RunSpec:
 
 
 class TestArchKey:
-    def test_no_warmup_means_no_key(self):
-        assert arch_key("mcf", 0, 0, warmed_spec(), 1500) is None
+    def test_no_warmup_keys_the_warm_start(self):
+        # warmup=0 runs still warm (config.warm_caches): their state is
+        # keyed too, apart from any fast-forwarded state
+        cold = arch_key("mcf", 0, 0, warmed_spec(), 1500)
+        assert cold is not None
+        assert cold != arch_key("mcf", 0, 2000, warmed_spec(), 1500)
+        unwarmed = RunSpec(
+            "u", functools.partial(MachineConfig.mtvp, 4, warm_caches=False)
+        )
+        assert arch_key("mcf", 0, 0, unwarmed, 1500) is None
 
     def test_timing_axes_share_a_key(self):
         a = arch_key("mcf", 0, 2000, warmed_spec(), 1500)
