@@ -98,17 +98,21 @@ class BranchPredictor:
 
 
 class _CounterTable:
-    """A table of 2-bit saturating counters packed in a flat list."""
+    """A table of 2-bit saturating counters, one byte each.
 
-    __slots__ = ("entries", "mask", "counters", "init")
+    A ``bytearray`` rather than a list: indexing costs the same, but the
+    table is an eighth of the size, and its snapshot and restore are
+    byte copies instead of a pass over every counter.
+    """
+
+    __slots__ = ("entries", "mask", "counters")
 
     def __init__(self, entries: int, init: int = 1) -> None:
         if entries & (entries - 1):
             raise ValueError("table size must be a power of two")
         self.entries = entries
         self.mask = entries - 1
-        self.init = init
-        self.counters = [init] * entries
+        self.counters = bytearray((init,)) * entries
 
     def taken(self, index: int) -> bool:
         return self.counters[index & self.mask] >= 2
@@ -128,28 +132,14 @@ class _CounterTable:
 
     def restore(self, blob: bytes, what: str) -> None:
         """Restore a :meth:`snapshot` blob; ``what`` names the table in
-        the :class:`ValueError` a malformed blob raises.
-
-        A warmed table holds few counters that left ``init``, so only
-        those are written (found with ``bytes.find``), into this table's
-        own list while it is still all ``init``, as a freshly built one is.
-        """
+        the :class:`ValueError` a malformed blob raises."""
         if not isinstance(blob, bytes) or len(blob) != self.entries:
             raise ValueError(
                 f"{what}: snapshot is not a {self.entries}-byte counter blob"
             )
         if blob.translate(None, _COUNTER_VALUES):
             raise ValueError(f"{what}: snapshot counter outside 0-3")
-        init = self.init
-        if self.counters.count(init) != self.entries:
-            self.counters = [init] * self.entries
-        counters = self.counters
-        for value in _COUNTER_VALUES:
-            if value != init:
-                i = blob.find(value)
-                while i >= 0:
-                    counters[i] = value
-                    i = blob.find(value, i + 1)
+        self.counters = bytearray(blob)
 
 
 class BimodalPredictor(BranchPredictor):
