@@ -52,18 +52,18 @@ def _policy_from_args(args: argparse.Namespace, **extra):
     """An :class:`~repro.harness.ExecutionPolicy` from the execution flags.
 
     Every subcommand spells execution the same way (``--jobs``,
-    ``--dispatch``, ``--workers``, ``--retries``, plus the
+    ``--dispatch``, ``--retries``, plus the
     cache/checkpoint/interval flags where they apply); a flag the
     subcommand doesn't define simply stays unset on the policy, so the
     usual environment-variable defaults (``REPRO_JOBS``,
-    ``REPRO_DISPATCH``, ``REPRO_WORKERS``, ``REPRO_CACHE_DIR``, ...) take
+    ``REPRO_DISPATCH``, ``REPRO_CACHE_DIR``, ...) take
     over.  ``extra`` entries win over flag-derived fields; ``None`` extras
     are dropped (``False`` — cache off — is preserved).
     """
     from repro.harness import ExecutionPolicy
 
     fields = {}
-    for name in ("jobs", "dispatch", "workers", "retries",
+    for name in ("jobs", "dispatch", "retries",
                  "warmup", "sample", "stale_after", "heartbeat"):
         value = getattr(args, name, None)
         if value is not None:
@@ -751,27 +751,23 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument(
             "--dispatch", default=None,
-            choices=["auto", "local", "pool", "workers"],
+            choices=["auto", "local", "pool"],
             help="execution backend: local (in-process serial), pool "
-                 "(process pool), workers (standalone worker processes "
-                 "leasing rows from the store); auto picks pool when "
-                 "--jobs > 1 (default: $REPRO_DISPATCH or auto)",
-        )
-        sp.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help="worker processes for --dispatch workers "
-                 "(0 = all cores; default: $REPRO_WORKERS or 2)",
+                 "(process pool); auto picks pool when --jobs > 1 "
+                 "(default: $REPRO_DISPATCH or auto)",
         )
         sp.add_argument(
             "--stale-after", type=float, default=None, metavar="SECONDS",
             help="seconds without a heartbeat before a running row may "
-                 "be reclaimed from a dead worker (default: 60 under "
-                 "--dispatch workers, else no reclaim)",
+                 "be reclaimed from another process; set it when several "
+                 "processes share --db (default: every running row is "
+                 "reclaimed)",
         )
         sp.add_argument(
             "--heartbeat", type=float, default=None, metavar="SECONDS",
-            help="lease-refresh period for claimed rows "
-                 "(default: stale-after / 6)",
+            help="lease-refresh period for claimed rows (default: "
+                 "stale-after / 6, clamped to 0.5-10; none without "
+                 "--stale-after)",
         )
         sp.set_defaults(func=_cmd_sweep_run)
 
@@ -846,23 +842,20 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument(
             "--dispatch", default=None,
-            choices=["auto", "local", "pool", "workers"],
+            choices=["auto", "local", "pool"],
             help="execution backend per rung drain (see 'sweep run "
                  "--dispatch'; default: $REPRO_DISPATCH or auto)",
         )
         sp.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help="worker processes for --dispatch workers "
-                 "(0 = all cores; default: $REPRO_WORKERS or 2)",
-        )
-        sp.add_argument(
             "--stale-after", type=float, default=None, metavar="SECONDS",
             help="seconds without a heartbeat before a running row may "
-                 "be reclaimed from a dead worker",
+                 "be reclaimed from another process (see 'sweep run "
+                 "--stale-after')",
         )
         sp.add_argument(
             "--heartbeat", type=float, default=None, metavar="SECONDS",
-            help="lease-refresh period for claimed rows",
+            help="lease-refresh period for claimed rows (default: "
+                 "stale-after / 6, clamped to 0.5-10)",
         )
         sp.set_defaults(func=_cmd_search_run)
 

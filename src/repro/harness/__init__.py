@@ -41,7 +41,6 @@ from repro.harness.policy import (
     resolve_cache,
     resolve_dispatch,
     resolve_jobs,
-    resolve_workers,
 )
 from repro.harness.runner import (
     ModeResult,
@@ -77,7 +76,6 @@ __all__ = [
     "resolve_cache",
     "resolve_dispatch",
     "resolve_jobs",
-    "resolve_workers",
     "arch_key",
     "default_checkpoint_dir",
     "load_checkpoint",

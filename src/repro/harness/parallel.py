@@ -27,6 +27,9 @@ environment defaults are documented in one place.
 
 from __future__ import annotations
 
+import os
+import threading
+import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 from repro.core import SimStats
@@ -105,6 +108,22 @@ def _run_family(members: list, ckpt_dir) -> tuple[list, tuple | None]:
     if store is None:
         return outcomes, None
     return outcomes, (store.hits, store.misses, store.stores)
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end this child once process ``parent`` is gone.
+
+    A SIGKILLed parent never shuts its pool down, and every forked child
+    holds the call queue's write end, so it would wait on that queue
+    forever; a daemon thread polling the parent pid ends it instead.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def _pool_batches(families: list[list], n_jobs: int) -> list[list]:
@@ -243,7 +262,11 @@ def run_simulations(
 
     batches = _pool_batches(list(families.values()), n_jobs) if n_jobs > 1 else []
     if len(batches) > 1:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(batches))) as pool:
+        with ProcessPoolExecutor(
+            max_workers=min(n_jobs, len(batches)),
+            initializer=_exit_with_parent,
+            initargs=(os.getpid(),),
+        ) as pool:
             ckpt_dir = (
                 str(ckpt_store.directory)
                 if ckpt_store is not None and ckpt_store.directory is not None

@@ -12,9 +12,7 @@ this work execute* into one value:
 * ``lanes`` — accepted only as ``None`` or ``1`` (lane batching was
   removed; the field stays for callers that still pin it),
 * ``dispatch`` — ``"local"`` (serial in-process), ``"pool"``
-  (ProcessPoolExecutor), ``"workers"`` (coordinator + standalone worker
-  processes leasing rows from the sweep store), or ``"auto"``,
-* ``workers`` — worker-process count for ``dispatch="workers"``,
+  (ProcessPoolExecutor), or ``"auto"`` (``pool`` iff ``jobs`` > 1),
 * ``retries`` — extra attempts per failed sweep row,
 * ``cache`` / ``checkpoints`` — the shared result cache and warmup
   checkpoint store,
@@ -32,8 +30,7 @@ Environment defaults (one table, also in README):
 
 =======================  ====================================================
 ``REPRO_JOBS``           worker processes (unset/1 = serial, 0 = all cores)
-``REPRO_DISPATCH``       sweep dispatch mode (``local``/``pool``/``workers``)
-``REPRO_WORKERS``        worker-process count for ``dispatch=workers``
+``REPRO_DISPATCH``       sweep dispatch mode (``auto``/``local``/``pool``)
 ``REPRO_CACHE_DIR``      result cache directory (unset = no caching)
 ``REPRO_CHECKPOINT_DIR`` warmup checkpoint directory (unset = in-process)
 ``REPRO_TRACE_LEN``      default dynamic trace length
@@ -49,7 +46,7 @@ from pathlib import Path
 from repro.harness.cache import ResultCache
 
 #: the legal dispatch modes, in escalation order
-DISPATCH_MODES = ("auto", "local", "pool", "workers")
+DISPATCH_MODES = ("auto", "local", "pool")
 
 
 def _env_text(name: str) -> str | None:
@@ -59,7 +56,7 @@ def _env_text(name: str) -> str | None:
 
 
 def _parse_count(value, *, what: str) -> int:
-    """The one integer parser behind jobs/workers resolution.
+    """The integer parser behind jobs resolution.
 
     ``value`` may be an int or a string (CLI flags and environment
     variables arrive as text); errors always name the offending setting
@@ -90,24 +87,6 @@ def resolve_jobs(jobs) -> int:
     if jobs <= 0:
         return os.cpu_count() or 1
     return jobs
-
-
-def resolve_workers(workers) -> int:
-    """Worker-process count for ``dispatch="workers"``.
-
-    Explicit ``workers``, else ``$REPRO_WORKERS``, else 2; ``0`` (or any
-    non-positive value) means "all cores".
-    """
-    if workers is None:
-        env = _env_text("REPRO_WORKERS")
-        if env is None:
-            return 2
-        workers = _parse_count(env, what="REPRO_WORKERS (worker process count)")
-    else:
-        workers = _parse_count(workers, what="workers")
-    if workers <= 0:
-        return os.cpu_count() or 1
-    return workers
 
 
 def resolve_dispatch(dispatch) -> str:
@@ -170,7 +149,6 @@ class ExecutionPolicy:
     jobs: int | None = None
     lanes: int | None = None
     dispatch: str | None = None
-    workers: int | None = None
     retries: int | None = None
     cache: object = None
     checkpoints: object = None
@@ -181,6 +159,8 @@ class ExecutionPolicy:
     heartbeat: float | None = None
 
     def __post_init__(self) -> None:
+        if self.dispatch is not None:
+            resolve_dispatch(self.dispatch)
         # lane batching was removed; the field stays for callers that pin lanes=1
         if self.lanes is not None and not (type(self.lanes) is int and self.lanes == 1):
             raise ValueError(
@@ -196,9 +176,6 @@ class ExecutionPolicy:
     # ------------------------------------------------------------------
     def resolved_jobs(self) -> int:
         return resolve_jobs(self.jobs)
-
-    def resolved_workers(self) -> int:
-        return resolve_workers(self.workers)
 
     def resolved_dispatch(self) -> str:
         """The concrete dispatch mode (``"auto"`` settled by job count)."""

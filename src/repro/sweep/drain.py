@@ -1,17 +1,17 @@
-"""The claim → simulate → commit engine every dispatch mode shares.
+"""The claim → simulate → commit loop every campaign drains through.
 
 :func:`drain_campaign` is the one entry point campaigns (sweeps and
-search rungs) drain through: ``dispatch="local"``/``"pool"`` run
-:func:`drain_store` in the calling process, ``dispatch="workers"`` hands
-the store to :func:`~repro.sweep.worker.coordinate`, which runs
-:func:`drain_store` inside each ``repro.sweep.worker`` subprocess.
+search rungs) drain through: ``dispatch="local"`` runs :func:`drain_store`
+serially in the calling process, ``dispatch="pool"`` runs it with each
+chunk fanned over a process pool.
 
 :func:`drain_store` is the loop a sweep participant runs against a
-:class:`~repro.sweep.store.ResultStore`, whether it is the only worker
-or one of many:
+:class:`~repro.sweep.store.ResultStore`, whether it is the only process
+draining that store or one of several ``sweep run --stale-after S``
+processes sharing it:
 
 1. snapshot the runnable rows, take a chunk, and lease it through
-   :meth:`~repro.sweep.store.ResultStore.claim` under this worker's
+   :meth:`~repro.sweep.store.ResultStore.claim` under this process's
    owner token;
 2. keep the lease warm with a :class:`_Heartbeat` thread while the chunk
    simulates through :func:`~repro.harness.parallel.run_simulations`
@@ -24,20 +24,10 @@ or one of many:
 4. loop until nothing is runnable and no live peer holds rows we are
    waiting on.
 
-Multi-worker refinements (``peers > 1``):
-
-* **Fair tail chunks.**  When fewer than ``peers × chunk`` rows remain,
-  each snapshot takes only ``ceil(remaining / peers)`` rows, so the last
-  chunks spread across workers instead of one worker hoarding the tail.
-* **Work shedding.**  A claimed chunk is simulated in per-point groups;
-  between groups the worker checks whether the pool of claimable rows
-  has run dry, and if so releases its own unstarted rows
-  (:meth:`~repro.sweep.store.ResultStore.release`) back to ``pending``
-  so idle peers steal them
-  instead of waiting for the straggler.  Results committed per group
-  keep the loss bound of a SIGKILL at one group, and the
-  :class:`~repro.harness.cache.ResultCache` (shared by every worker)
-  remembers even those simulations.
+A process killed mid-chunk leaves its rows ``running``; ``sweep resume``
+(or a live peer, once the lease is ``stale_after`` old) reclaims them,
+and the :class:`~repro.harness.cache.ResultCache` usually remembers the
+lost chunk's simulations, so the retry is a cache hit.
 """
 
 from __future__ import annotations
@@ -55,10 +45,9 @@ from repro.sweep.spec import run_spec_for
 from repro.sweep.store import ResultStore
 
 
-def worker_token(worker_id: str | None = None) -> str:
-    """A process-unique lease owner token (stable for the process)."""
-    base = worker_id if worker_id else f"pid{os.getpid()}"
-    return f"{base}.{os.urandom(3).hex()}"
+def worker_token() -> str:
+    """A process-unique lease owner token."""
+    return f"pid{os.getpid()}.{os.urandom(3).hex()}"
 
 
 class _Heartbeat:
@@ -107,26 +96,27 @@ def drain_store(
     *,
     mine: set | None = None,
     owner: str | None = None,
-    peers: int = 1,
     warmup: int = 0,
     sample: int | None = None,
     echo=None,
     progress=None,
 ) -> dict:
-    """Drain a sweep's runnable rows; returns this worker's counters.
+    """Drain a sweep's runnable rows; returns this process's counters.
 
     Args:
         store: The shared results store.
         sweep: Sweep name (rows are keyed by it).
         policy: Execution policy; ``jobs``/``cache``/``checkpoints``/
             ``retries``/``chunk``/``stale_after``/``heartbeat`` are
-            consumed here.
+            consumed here.  With ``stale_after`` set and ``heartbeat``
+            unset, leases are touched every ``stale_after / 6`` seconds
+            (clamped to 0.5–10 s), so a chunk that outlives the window
+            is never mistaken for a crashed claim.
         mine: Restrict to these ``(point_id, seed)`` keys (``None`` =
-            every row of the sweep).  The coordinator passes its
-            expansion so a truncated campaign ignores foreign rows.
+            every row of the sweep).  :func:`~repro.sweep.run_sweep`
+            passes its expansion so a truncated campaign ignores
+            foreign rows.
         owner: Lease owner token (``None`` = owner-less legacy leases).
-        peers: How many workers share the store; ``> 1`` enables fair
-            tail chunks and work shedding.
         warmup/sample: The campaign's interval protocol, forwarded into
             every reconstructed :class:`~repro.harness.runner.RunSpec`.
         echo: Optional ``print``-like progress callback.
@@ -136,15 +126,17 @@ def drain_store(
     Returns:
         Counter dict: ``simulated`` (tasks dispatched), ``retried``
         (dispatches of previously-failed rows), ``lost`` (results whose
-        lease was reclaimed before the commit landed), ``shed`` (rows
-        released for peers to steal), ``ckpt_enabled``/``ckpt_hits``/
-        ``ckpt_stores`` (warmup checkpoint traffic).
+        lease was reclaimed before the commit landed),
+        ``ckpt_enabled``/``ckpt_hits``/``ckpt_stores`` (warmup checkpoint
+        traffic).
     """
     policy = policy if policy is not None else ExecutionPolicy()
     say = echo if echo is not None else (lambda *_: None)
     retries = policy.retries if policy.retries is not None else 0
     stale_after = policy.stale_after
     heartbeat = policy.heartbeat
+    if heartbeat is None and stale_after is not None:
+        heartbeat = max(0.5, min(10.0, stale_after / 6.0))
     jobs = policy.resolved_jobs()
     chunk = policy.chunk if policy.chunk is not None else max(8, 4 * jobs)
     cache_obj = policy.resolved_cache()
@@ -156,7 +148,7 @@ def drain_store(
         checkpoints=ckpt_store if ckpt_store is not None else False,
     )
     counters = {
-        "simulated": 0, "retried": 0, "lost": 0, "shed": 0,
+        "simulated": 0, "retried": 0, "lost": 0,
         "ckpt_enabled": int(ckpt_store is not None),
         "ckpt_hits": 0, "ckpt_stores": 0,
     }
@@ -166,14 +158,9 @@ def drain_store(
             return list(rows)
         return [r for r in rows if (r["point_id"], r["seed"]) in mine]
 
-    def pool_is_dry() -> bool:
-        return not claimable(
-            store.runnable(sweep, retries, stale_after=stale_after)
-        )
-
-    def commit(group, outcomes) -> None:
+    def commit(held, outcomes) -> None:
         version = code_version()
-        for (key, row, run_spec), outcome in zip(group, outcomes):
+        for (key, row, run_spec), outcome in zip(held, outcomes):
             if isinstance(outcome, SimulationError):
                 if store.mark_failed(sweep, key, str(outcome), owner=owner):
                     say(f"{sweep}: FAILED {key[0]} seed {key[1]}: {outcome}")
@@ -196,20 +183,6 @@ def drain_store(
             if not landed:
                 counters["lost"] += 1
 
-    def simulate(group) -> None:
-        tasks = [
-            (row["workload"], run_spec, row["length"], row["seed"])
-            for _, row, run_spec in group
-        ]
-        counters["simulated"] += len(tasks)
-        counters["retried"] += sum(
-            1 for _, row, _ in group if row["attempts"] > 0
-        )
-        outcomes = run_simulations(
-            tasks, on_error="collect", progress=progress, policy=run_policy
-        )
-        commit(group, outcomes)
-
     while True:
         todo = claimable(
             store.runnable(sweep, retries, stale_after=stale_after)
@@ -225,13 +198,8 @@ def drain_store(
                 continue
             break
         say(f"{sweep}: {len(todo)} rows to simulate")
-        take = chunk
-        if peers > 1 and len(todo) <= peers * chunk:
-            # tail of the grid: split what's left fairly instead of one
-            # worker walking off with everything
-            take = max(1, -(-len(todo) // peers))
-        for start in range(0, len(todo), take):
-            batch = todo[start : start + take]
+        for start in range(0, len(todo), chunk):
+            batch = todo[start : start + chunk]
             candidates = []
             # one RunSpec object per design point within the chunk: seed
             # replicates of a point reuse it instead of re-parsing the recipe
@@ -281,33 +249,19 @@ def drain_store(
                 if heartbeat is not None
                 else None
             )
+            tasks = [
+                (row["workload"], run_spec, row["length"], row["seed"])
+                for _, row, run_spec in held
+            ]
+            counters["simulated"] += len(tasks)
+            counters["retried"] += sum(
+                1 for _, row, _ in held if row["attempts"] > 0
+            )
             try:
-                if peers <= 1:
-                    simulate(held)
-                else:
-                    # per-point groups: commit as each finishes, and shed
-                    # unstarted groups once idle peers have nothing left
-                    # to claim
-                    groups: list[list] = []
-                    by_point: dict[str, list] = {}
-                    for cand in held:
-                        group = by_point.get(cand[1]["point_id"])
-                        if group is None:
-                            group = by_point[cand[1]["point_id"]] = []
-                            groups.append(group)
-                        group.append(cand)
-                    for gi, group in enumerate(groups):
-                        if gi and pool_is_dry():
-                            rest = [
-                                key
-                                for g in groups[gi:]
-                                for (key, _, _) in g
-                            ]
-                            counters["shed"] += store.release(
-                                sweep, rest, owner=owner
-                            )
-                            break
-                        simulate(group)
+                commit(held, run_simulations(
+                    tasks, on_error="collect", progress=progress,
+                    policy=run_policy,
+                ))
             finally:
                 if beat is not None:
                     beat.stop()
@@ -335,18 +289,9 @@ def drain_campaign(
     direct tracebacks, exact in-process counters); ``pool`` fans each
     chunk over a process pool in this process (a job count of 1 means
     every core — serial callers want ``local``); ``auto`` is ``pool``
-    iff jobs resolve above 1.  ``workers`` spawns standalone worker
-    processes, the one mode that survives a SIGKILLed worker.  Returns
-    the :func:`drain_store` counters (summed over workers).
+    iff jobs resolve above 1.  Returns the :func:`drain_store` counters.
     """
     mode = policy.resolved_dispatch()
-    if mode == "workers":
-        from repro.sweep.worker import coordinate
-
-        return coordinate(
-            store, sweep, policy, mine=mine, warmup=warmup, sample=sample,
-            echo=echo, progress=progress,
-        )
     jobs = 1
     if mode == "pool":
         jobs = policy.resolved_jobs()

@@ -24,16 +24,16 @@ processes): rows are then taken through
 names exactly one winner per row — a ``stale_after`` window keeps live
 claims from being stolen, and a heartbeat thread refreshes
 ``updated_at`` on claimed rows while their chunk simulates, so a slow
-point is distinguishable from a crashed worker.
+point is distinguishable from a crashed process.  That is the one
+route for several processes sharing a store: each runs ``sweep run
+--stale-after S`` on the same ``--db``.
 
 *Where* the simulations execute is an
 :class:`~repro.harness.policy.ExecutionPolicy` decision: ``dispatch=
-"local"`` drains serially in this process, ``"pool"`` fans chunks over a
-process pool (the historical ``jobs > 1`` path), and ``"workers"``
-spawns standalone ``repro.sweep.worker`` processes that lease rows
-directly from the store (see :func:`~repro.sweep.drain.drain_campaign`;
-:mod:`repro.sweep.drain` owns the shared claim → simulate → commit
-loop).
+"local"`` drains serially in this process and ``"pool"`` fans chunks
+over a process pool (the historical ``jobs > 1`` path); see
+:func:`~repro.sweep.drain.drain_campaign`.  :mod:`repro.sweep.drain`
+owns the claim → simulate → commit loop.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def run_sweep(
         policy: An :class:`~repro.harness.policy.ExecutionPolicy`; the
             fields a campaign consumes:
 
-            * ``dispatch``/``workers``/``jobs`` — where simulations
+            * ``dispatch``/``jobs`` — where simulations
               execute (see :func:`~repro.sweep.drain.drain_campaign`);
             * ``cache`` — strongly recommended for campaigns: it
               de-duplicates baselines across sweeps and makes
@@ -147,11 +147,11 @@ def run_sweep(
               ``None`` (the single-campaign default) presumes every
               running row stale, which is correct for resuming after a
               crash but unsafe when campaigns share a store; concurrent
-              callers must pass a window (and should run with
-              ``heartbeat`` well under it).  ``dispatch="workers"``
-              always applies a window (default 60 s);
+              callers must pass a window;
             * ``heartbeat`` — seconds between ``updated_at`` touches on
-              claimed rows while a chunk simulates (``None`` = none).
+              claimed rows while a chunk simulates (``None`` =
+              ``stale_after / 6`` clamped to 0.5–10 s when
+              ``stale_after`` is set, else none).
         max_points: Truncate the expansion to its first N points.
         echo: Optional ``print``-like progress callback.
         progress: Optional callback receiving per-task progress dicts
@@ -203,7 +203,7 @@ def run_sweep(
         retried=counters.get("retried", 0),
     )
     if counters.get("ckpt_enabled"):
-        # pooled and distributed campaigns sum what their workers report
+        # a pooled campaign's counts include what its pool children did
         say(
             f"{spec.name}: warmup checkpoints: "
             f"{counters.get('ckpt_hits', 0)} restored, "

@@ -26,8 +26,8 @@ same ``(point, seed)``.  Live claims advertise themselves through
 again once its heartbeat is older than the caller's ``stale_after``
 window.
 
-Two refinements make the model hold up under distributed workers
-(DESIGN.md §5i):
+Two refinements make the model hold up when several processes drain one
+store (DESIGN.md §5i):
 
 * **Database-side clock.**  Staleness cutoffs and heartbeat stamps are
   computed by SQLite *at statement execution time* (:data:`_NOW`), never
@@ -40,7 +40,7 @@ Two refinements make the model hold up under distributed workers
 
 * **Owner tokens.**  :meth:`claim` records who holds the lease; the
   commit-side methods (:meth:`touch`, :meth:`mark_done`,
-  :meth:`mark_failed`, :meth:`release`) are owner-conditional and report
+  :meth:`mark_failed`) are owner-conditional and report
   whether they fired.  A worker whose lease was reclaimed mid-run
   cannot double-commit: its ``mark_done`` misses (wrong owner) and the
   reclaiming worker's commit is the only one.  The ``commits`` column
@@ -361,32 +361,6 @@ class ResultStore:
             )
             return bool(cursor.rowcount)
 
-    def release(
-        self,
-        sweep: str,
-        keys: list[tuple[str, int]],
-        owner: str | None = None,
-    ) -> int:
-        """Hand still-held, not-yet-started leases back to the pool.
-
-        The work-stealing primitive: a worker that claimed a chunk but
-        sees the grid draining returns its unstarted rows to ``pending``
-        so idle peers can claim them.  The claim's attempt increment is
-        undone — a released row was never actually attempted.  Only rows
-        this owner still holds are touched; returns how many came back.
-        """
-        with self._lock, self._db:
-            before = self._db.total_changes
-            self._db.executemany(
-                "UPDATE results SET status = 'pending', "
-                "attempts = attempts - 1, owner = NULL, "
-                f"updated_at = {_NOW} "
-                "WHERE sweep = ? AND point_id = ? AND seed = ? "
-                f"AND status = 'running' AND {_OWNED}",
-                [(sweep, pid, seed, owner, owner) for pid, seed in keys],
-            )
-            return self._db.total_changes - before
-
     # ------------------------------------------------------------------
     def rows(self, sweep: str, role: str | None = None) -> list[sqlite3.Row]:
         """Every row of a sweep (optionally one role), in campaign order."""
@@ -420,7 +394,7 @@ class ResultStore:
 
         ``done`` rows each received exactly one :meth:`mark_done` iff
         ``done == commits`` and ``max_commits <= 1`` — the invariant the
-        distributed CI job greps for after killing and resuming workers.
+        crash-resume CI job greps for after killing and resuming a sweep.
         """
         with self._lock:
             done, commits, max_commits = self._db.execute(

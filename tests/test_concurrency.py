@@ -236,6 +236,66 @@ class TestStaleReclaim:
         assert store.claim("s", [key], stale_after=0.05) == [key]
         store.close()
 
+    def test_drain_with_only_stale_after_heartbeats_its_rows(
+        self, tmp_path, monkeypatch
+    ):
+        """drain_store derives a heartbeat from ``stale_after`` when none
+        is set, so a chunk that runs for three windows keeps its rows:
+        a concurrent claim() with the same window never steals them."""
+        from repro.harness.policy import ExecutionPolicy
+        from repro.sweep import drain
+        from repro.sweep.execute import campaign_rows
+        from repro.sweep.spec import SweepSpec
+
+        spec = SweepSpec.from_dict({
+            "name": "hb", "axes": {"spawn_latency": [1]},
+            "base": {"machine": "mtvp"}, "workloads": ["mcf"],
+            "seeds": [0], "lengths": [300],
+        })
+        path = tmp_path / "hb.db"
+        store = ResultStore(path)
+        store.ensure("hb", campaign_rows(spec))
+        keys = [(r["point_id"], r["seed"]) for r in store.rows("hb")]
+        simulating = threading.Event()
+        slept = threading.Event()
+        real = drain.run_simulations
+
+        def slow(tasks, **kwargs):
+            if not slept.is_set():
+                simulating.set()  # the chunk's rows are claimed by now
+                time.sleep(3.0)
+                slept.set()
+            return real(tasks, **kwargs)
+
+        monkeypatch.setattr(drain, "run_simulations", slow)
+        stolen: list = []
+
+        def rival() -> None:
+            simulating.wait(30)
+            with ResultStore(path) as mine:
+                while not slept.is_set():
+                    stolen.extend(
+                        mine.claim("hb", keys, stale_after=1.0, owner="rival"))
+                    time.sleep(0.05)
+
+        thread = threading.Thread(target=rival)
+        thread.start()
+        try:
+            counters = drain.drain_store(
+                store, "hb", ExecutionPolicy(cache=False, stale_after=1.0),
+                owner="slow",
+            )
+        finally:
+            slept.set()
+            thread.join()
+        assert stolen == [], "a row was stolen from a live drain"
+        assert counters["lost"] == 0
+        assert store.commit_stats("hb") == {
+            "done": len(keys), "commits": len(keys), "max_commits": 1,
+        }
+        assert all(r["attempts"] == 1 for r in store.rows("hb"))
+        store.close()
+
     def test_touch_does_not_revive_committed_rows(self, tmp_path):
         store = ResultStore(tmp_path / "s.db")
         store.ensure("s", seed_rows(1, 1))
@@ -347,29 +407,6 @@ class TestOwnerConditionalCommits:
 
         (stats_text,) = [r["stats"] for r in store.rows("s")]
         assert _json.loads(stats_text)["cycles"] == 9
-        store.close()
-
-    def test_release_returns_rows_to_the_pool_without_an_attempt(
-        self, tmp_path
-    ):
-        """Work shedding: releasing an unstarted lease puts the row back
-        to pending and refunds the attempt, so a stolen row doesn't burn
-        the retry budget."""
-        store = ResultStore(tmp_path / "r.db")
-        store.ensure("s", seed_rows(1, 2))
-        keys = [("p0", 0), ("p0", 1)]
-        assert sorted(store.claim("s", keys, owner="w1")) == sorted(keys)
-        assert store.release("s", [("p0", 1)], owner="w1") == 1
-        # a wrong-owner release is refused
-        assert store.release("s", [("p0", 0)], owner="rival") == 0
-        counts = store.counts("s")
-        assert counts["pending"] == 1 and counts["running"] == 1
-        # the released row is claimable immediately, at attempt 1 again
-        assert store.claim("s", [("p0", 1)], owner="w2") == [("p0", 1)]
-        attempts = {
-            (r["point_id"], r["seed"]): r["attempts"] for r in store.rows("s")
-        }
-        assert attempts == {("p0", 0): 1, ("p0", 1): 1}
         store.close()
 
 

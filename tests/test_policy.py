@@ -18,7 +18,6 @@ from repro.harness.policy import (
     ExecutionPolicy,
     resolve_dispatch,
     resolve_jobs,
-    resolve_workers,
 )
 
 
@@ -51,27 +50,14 @@ class TestResolveJobs:
             resolve_jobs(True)
 
 
-class TestResolveWorkers:
-    def test_unset_without_env_defaults_to_two(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers(None) == 2
-
-    def test_env_and_all_cores(self, monkeypatch):
-        import os
-
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        assert resolve_workers(0) == (os.cpu_count() or 1)
-
-
 class TestResolveDispatch:
     def test_unset_without_env_is_auto(self, monkeypatch):
         monkeypatch.delenv("REPRO_DISPATCH", raising=False)
         assert resolve_dispatch(None) == "auto"
 
     def test_env_supplies_the_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH", "workers")
-        assert resolve_dispatch(None) == "workers"
+        monkeypatch.setenv("REPRO_DISPATCH", "pool")
+        assert resolve_dispatch(None) == "pool"
 
     def test_names_are_normalized(self):
         assert resolve_dispatch(" POOL ") == "pool"
@@ -83,22 +69,37 @@ class TestResolveDispatch:
             def run(self, *a, **k):
                 return {}
 
-        with pytest.raises(ValueError, match="local.*pool.*workers"):
+        with pytest.raises(ValueError, match=r"auto\|local\|pool"):
             resolve_dispatch(Fake())
 
     def test_garbage_lists_the_modes(self):
-        with pytest.raises(ValueError, match="local.*pool.*workers"):
+        with pytest.raises(ValueError, match=r"auto\|local\|pool, got 'cloud'"):
             resolve_dispatch("cloud")
+
+    def test_workers_mode_is_gone(self, monkeypatch, capsys):
+        """The removed standalone-worker mode is an unknown name on every
+        surface: the policy field, the environment and the CLI flag."""
+        from repro.__main__ import main
+
+        with pytest.raises(ValueError, match=r"auto\|local\|pool, got 'workers'"):
+            ExecutionPolicy(dispatch="workers")
+        monkeypatch.setenv("REPRO_DISPATCH", "workers")
+        with pytest.raises(ValueError, match=r"auto\|local\|pool, got 'workers'"):
+            ExecutionPolicy().resolved_dispatch()
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "run", "sweeps/store_buffer.toml",
+                  "--dispatch", "workers"])
+        assert exc.value.code == 2
+        assert "choose from 'auto', 'local', 'pool'" in capsys.readouterr().err
+        assert not hasattr(ExecutionPolicy(), "workers")
 
 
 class TestExecutionPolicy:
     def test_blank_policy_reproduces_historical_defaults(self, monkeypatch):
-        for var in ("REPRO_JOBS", "REPRO_DISPATCH",
-                    "REPRO_WORKERS", "REPRO_CACHE_DIR"):
+        for var in ("REPRO_JOBS", "REPRO_DISPATCH", "REPRO_CACHE_DIR"):
             monkeypatch.delenv(var, raising=False)
         policy = ExecutionPolicy()
         assert policy.resolved_jobs() == 1
-        assert policy.resolved_workers() == 2
         assert policy.resolved_dispatch() == "local"
         assert policy.resolved_cache() is None
 
@@ -109,10 +110,10 @@ class TestExecutionPolicy:
 
     def test_merged_ignores_none_and_overrides_rest(self):
         base = ExecutionPolicy(jobs=2, retries=1)
-        merged = base.merged(jobs=None, retries=3, workers=5)
+        merged = base.merged(jobs=None, retries=3, chunk=5)
         assert merged.jobs == 2
         assert merged.retries == 3
-        assert merged.workers == 5
+        assert merged.chunk == 5
         assert base.merged() is base  # no-op merge allocates nothing
 
     def test_policy_is_immutable(self):
