@@ -110,16 +110,30 @@ def _run_family(members: list, ckpt_dir) -> tuple[list, tuple | None]:
     return outcomes, (store.hits, store.misses, store.stores)
 
 
-def _exit_with_parent(parent: int) -> None:
-    """Pool initializer: end this child once process ``parent`` is gone.
+def _exit_with_parent(origin: int) -> None:
+    """Pool initializer: end this child once process ``origin`` is gone.
 
     A SIGKILLed parent never shuts its pool down, and every forked child
     holds the call queue's write end, so it would wait on that queue
-    forever; a daemon thread polling the parent pid ends it instead.
+    forever; a daemon thread polling the parent ends it instead.  Under
+    ``fork`` and ``spawn`` the child's parent is ``origin`` and is
+    re-parented when it dies.  Under ``forkserver`` the parent is the
+    fork server, which outlives ``origin`` for as long as its children
+    do, so the thread also checks that ``origin`` itself still exists.
     """
+    parent = os.getppid()
+
+    def origin_alive() -> bool:
+        try:
+            os.kill(origin, 0)
+        except ProcessLookupError:
+            return False
+        except PermissionError:
+            pass
+        return True
 
     def watch() -> None:
-        while os.getppid() == parent:
+        while os.getppid() == parent and origin_alive():
             time.sleep(0.5)
         os._exit(1)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.core import MachineConfig, SimMode
@@ -103,3 +105,12 @@ def run_engine(trace, config, predictor=None, selector=None):
     engine = Engine(trace, config, predictor=predictor, selector=selector)
     stats = engine.run()
     return engine, stats
+
+
+def process_alive(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"

@@ -27,6 +27,7 @@ from repro.harness.cache import ResultCache
 from repro.harness.policy import ExecutionPolicy
 from repro.sweep import ResultStore, aggregate, full_report, run_sweep
 from repro.sweep.spec import SweepSpec
+from tests.conftest import process_alive
 
 SWEEPS = Path(__file__).parent.parent / "sweeps"
 SRC = Path(__file__).parent.parent / "src"
@@ -53,15 +54,6 @@ def _children(pid: int) -> set[int]:
         ["pgrep", "-P", str(pid)], capture_output=True, text=True
     )
     return {int(child) for child in proc.stdout.split()}
-
-
-def _alive(pid: int) -> bool:
-    """Whether ``pid`` exists and is not a zombie awaiting its reaper."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except OSError:
-        return False
-    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def _assert_exactly_once(path: Path, name: str) -> str:
@@ -177,7 +169,7 @@ class TestWorkerChaos:
                 run.wait()
 
         time.sleep(5.0)
-        survivors = sorted(pid for pid in children if _alive(pid))
+        survivors = sorted(pid for pid in children if process_alive(pid))
         for pid in survivors:
             os.kill(pid, signal.SIGKILL)
         assert not survivors, "pool children outlived the killed campaign"

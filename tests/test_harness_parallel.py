@@ -1,7 +1,14 @@
 """Tests for the parallel fan-out and the on-disk result cache."""
 
 import functools
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -15,11 +22,13 @@ from repro.harness import (
     task_key,
 )
 from repro.harness.cache import describe_factory
-from repro.harness.parallel import resolve_cache, resolve_jobs
+from repro.harness.parallel import _exit_with_parent, resolve_cache, resolve_jobs
 from repro.harness.policy import ExecutionPolicy
 from repro.vp import OraclePredictor, WangFranklinPredictor
+from tests.conftest import process_alive
 
 LENGTH = 600
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def specs():
@@ -182,6 +191,66 @@ def bad_spec():
     return RunSpec(
         "bad", functools.partial(MachineConfig.mtvp, 2, spawn_latency=-1)
     )
+
+
+START_METHODS = [
+    m for m in ("fork", "forkserver", "spawn")
+    if m in multiprocessing.get_all_start_methods()
+]
+
+#: builds a pool the way run_simulations does, writes its children's pids
+#: to argv[2] and SIGKILLs itself, leaving the pool unshut
+_ORPHAN_POOL = """
+import multiprocessing, os, signal, sys
+from concurrent.futures import ProcessPoolExecutor
+from repro.harness.parallel import _exit_with_parent
+if __name__ == "__main__":
+    pool = ProcessPoolExecutor(
+        max_workers=2, mp_context=multiprocessing.get_context(sys.argv[1]),
+        initializer=_exit_with_parent, initargs=(os.getpid(),),
+    )
+    pids = {pool.submit(os.getpid).result() for _ in range(4)}
+    with open(sys.argv[2], "w") as out:
+        out.write(" ".join(map(str, pids)))
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+class TestPoolChildWatchdog:
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_children_of_a_live_parent_keep_working(self, method):
+        ctx = multiprocessing.get_context(method)
+        with ProcessPoolExecutor(
+            max_workers=1, mp_context=ctx,
+            initializer=_exit_with_parent, initargs=(os.getpid(),),
+        ) as pool:
+            pool.submit(os.getpid).result(timeout=60)
+            time.sleep(1.2)  # > two watchdog polls
+            assert pool.submit(os.getpid).result(timeout=60) > 0
+
+    @pytest.mark.skipif(not Path("/proc").is_dir(), reason="needs /proc")
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_children_exit_after_the_parent_is_sigkilled(self, method, tmp_path):
+        pids_file = tmp_path / "pids"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _ORPHAN_POOL, method, str(pids_file)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=120,
+        )
+        assert proc.returncode == -signal.SIGKILL
+        children = [int(pid) for pid in pids_file.read_text().split()]
+        assert children
+        deadline = time.time() + 5.0
+        while time.time() < deadline and any(map(process_alive, children)):
+            time.sleep(0.1)
+        survivors = [pid for pid in children if process_alive(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, f"pool children outlived their parent: {survivors}"
 
 
 class TestErrorHandling:
