@@ -51,7 +51,7 @@ DEFAULT_SPEC = REPO_ROOT / "sweeps" / "search_smoke.toml"
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_search.json"
 
 
-def run_bench(spec_path: Path, db: Path | None, quick: bool) -> dict:
+def run_fidelity_bench(spec_path: Path, db: Path | None, quick: bool) -> dict:
     from repro.search.fidelity import fidelity_check
 
     spec = load_search_spec(spec_path)
@@ -170,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="cost-fraction budget for --check")
     args = parser.parse_args(argv)
 
-    record = run_bench(args.spec, args.db, quick=args.quick)
+    record = run_fidelity_bench(args.spec, args.db, quick=args.quick)
     print(format_bench(record))
     if not args.no_write:
         args.output.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -41,6 +41,32 @@ MACHINES = {
 }
 
 
+def _int_at_least(text: str, minimum: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type`` of every count and length flag."""
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse ``type`` of ``--warmup`` (0 = no warmup)."""
+    return _int_at_least(text, 0)
+
+
+def _on_machine(args: argparse.Namespace, config: MachineConfig) -> str:
+    """``on <machine> (<n> contexts)``, counted on the built config."""
+    n = config.num_contexts
+    return f"on {args.machine} ({n} context{'' if n == 1 else 's'})"
+
+
 def _cmd_workloads(args: argparse.Namespace) -> int:
     for name in workload_names(args.suite):
         wl = get_workload(name)
@@ -154,7 +180,7 @@ def _cmd_run_checkpoint(args: argparse.Namespace) -> int:
         print(f"wrote warmup checkpoint ({warmup} instructions) "
               f"to {args.checkpoint}")
     stats = engine.run()
-    print(f"{args.workload} on {args.machine} ({args.threads} threads), "
+    print(f"{args.workload} {_on_machine(args, config)}, "
           f"warmup {warmup} + measured {length}")
     print(stats.summary())
     return 0
@@ -198,7 +224,7 @@ def _cmd_run_traces(args: argparse.Namespace) -> int:
         print(f"cannot run ingested traces: {exc}")
         return 1
     programs = ", ".join(trace_set.labels)
-    print(f"{programs} on {args.machine} ({args.threads} threads)")
+    print(f"{programs} {_on_machine(args, config)}")
     print(stats.summary())
     for row in stats.per_context:
         print(f"  ctx {row['stream']} [{trace_set.labels[row['stream']]}]: "
@@ -235,7 +261,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         profiler.dump_stats(args.profile)
     else:
         stats = run()
-    print(f"{args.workload} on {args.machine} ({args.threads} threads)")
+    print(f"{args.workload} {_on_machine(args, session.config_factory())}")
     print(stats.summary())
     if tracer is not None:
         if args.trace_format == "jsonl":
@@ -268,7 +294,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             return 1
     session = _session_for(args, observe=True, cache=cache)
     stats = session.run(args.workload)
-    print(f"{args.workload} on {args.machine} ({args.threads} threads), "
+    print(f"{args.workload} {_on_machine(args, session.config_factory())}, "
           f"{session.length} instructions")
     print()
     print(format_metrics(stats.extended))
@@ -311,12 +337,16 @@ def _resolve_cli_cache(args: argparse.Namespace):
 
 
 def _sweep_spec_and_store(args: argparse.Namespace):
-    from repro.sweep import ResultStore, default_db_path, load_spec
+    from repro.sweep import ResultStore, SweepSpecError, default_db_path, load_spec
 
-    spec = load_spec(args.spec)
-    if getattr(args, "seeds", None):
+    try:
+        spec = load_spec(args.spec)
+    except SweepSpecError as exc:  # the message names the file
+        print(f"repro: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    if args.seeds is not None:
         spec.seeds = tuple(range(args.seeds))
-    if getattr(args, "length", None):
+    if args.length is not None:
         spec.lengths = (args.length,)
     store = ResultStore(args.db or default_db_path(args.spec))
     return spec, store
@@ -441,10 +471,14 @@ def _cmd_sweep_report(args: argparse.Namespace) -> int:
 
 
 def _search_spec_and_store(args: argparse.Namespace):
-    from repro.search import load_search_spec
+    from repro.search import SearchSpecError, load_search_spec
     from repro.sweep import ResultStore, default_db_path
 
-    spec = load_search_spec(args.spec)
+    try:
+        spec = load_search_spec(args.spec)
+    except SearchSpecError as exc:  # the message names the file
+        print(f"repro: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     store = ResultStore(args.db or default_db_path(args.spec))
     return spec, store
 
@@ -593,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(MACHINES), default="mtvp",
         help="machine preset / execution mode (--mode is an alias)",
     )
-    p.add_argument("--threads", type=int, default=8)
+    p.add_argument("--threads", type=_positive_int, default=8)
     p.add_argument(
         "--traces", nargs="+", default=None, metavar="FILE",
         help="ingest external binary trace file(s) instead of a generated "
@@ -602,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--predictor", choices=sorted(vp.names()), default="wang-franklin")
     p.add_argument("--selector", choices=sorted(select.names()), default="ilp-pred")
-    p.add_argument("--length", type=int, default=None)
+    p.add_argument("--length", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--trace", default=None, metavar="FILE",
@@ -618,12 +652,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile the simulation with cProfile and dump stats to FILE",
     )
     p.add_argument(
-        "--warmup", type=int, default=0, metavar="N",
+        "--warmup", type=_non_negative_int, default=0, metavar="N",
         help="fast-forward N instructions functionally (caches and "
              "predictor tables warm, no cycles) before the timed region",
     )
     p.add_argument(
-        "--sample", type=int, default=None, metavar="N",
+        "--sample", type=_positive_int, default=None, metavar="N",
         help="measured-interval length after warmup (default: --length)",
     )
     p.add_argument(
@@ -651,10 +685,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("workload")
     p.add_argument("--machine", choices=sorted(MACHINES), default="mtvp")
-    p.add_argument("--threads", type=int, default=8)
+    p.add_argument("--threads", type=_positive_int, default=8)
     p.add_argument("--predictor", choices=sorted(vp.names()), default="wang-franklin")
     p.add_argument("--selector", choices=sorted(select.names()), default="ilp-pred")
-    p.add_argument("--length", type=int, default=None)
+    p.add_argument("--length", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--no-cache", action="store_true",
@@ -669,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="regenerate a paper table/figure")
     p.add_argument("id")
-    p.add_argument("--length", type=int, default=None)
+    p.add_argument("--length", type=_positive_int, default=None)
     p.add_argument("--json", default=None, help="also write JSON to this path")
     p.add_argument("--csv", default=None, help="also write CSV to this path")
     p.add_argument(
@@ -702,11 +736,11 @@ def build_parser() -> argparse.ArgumentParser:
                 help="results database (default: <spec>.db next to the spec)",
             )
         sp.add_argument(
-            "--seeds", type=int, default=None, metavar="N",
+            "--seeds", type=_positive_int, default=None, metavar="N",
             help="override the spec's seed replicates with seeds 0..N-1",
         )
         sp.add_argument(
-            "--length", type=int, default=None,
+            "--length", type=_positive_int, default=None,
             help="override the spec's trace lengths",
         )
 
@@ -718,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = ssub.add_parser(verb, help=extra_help)
         _sweep_common(sp)
         sp.add_argument(
-            "--points", type=int, default=None, metavar="N",
+            "--points", type=_positive_int, default=None, metavar="N",
             help="limit the campaign to the first N design points",
         )
         sp.add_argument(
@@ -737,11 +771,11 @@ def build_parser() -> argparse.ArgumentParser:
                  "~/.cache/repro)",
         )
         sp.add_argument(
-            "--warmup", type=int, default=None, metavar="N",
+            "--warmup", type=_non_negative_int, default=None, metavar="N",
             help="override the spec's functional warmup length",
         )
         sp.add_argument(
-            "--sample", type=int, default=None, metavar="N",
+            "--sample", type=_positive_int, default=None, metavar="N",
             help="override the spec's measured-interval length",
         )
         sp.add_argument(
@@ -808,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "rungs live in it as {search}:rung{i} sweeps",
         )
         sp.add_argument(
-            "--points", type=int, default=None, metavar="N",
+            "--points", type=_positive_int, default=None, metavar="N",
             help="limit the search to the grid's first N design points",
         )
 
@@ -908,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="write a workload trace to a binary file")
     p.add_argument("workload")
     p.add_argument("output")
-    p.add_argument("--length", type=int, default=None)
+    p.add_argument("--length", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_trace)
 

@@ -4,19 +4,11 @@ Each experiment in :mod:`repro.harness.experiments` regenerates one
 artifact from the evaluation section (see DESIGN.md §4 for the index).
 Results come back as structured objects with ``format_table()`` for
 human-readable output; the benchmark suite under ``benchmarks/`` drives
-them through pytest-benchmark.
+them through pytest-benchmark.  Host time is measured by the suite
+benchmark under ``bench/``, which shares :func:`repro.harness.bench.stats_digest`
+with the golden tests.
 """
 
-from repro.harness.bench import (
-    TABLE1_POINTS,
-    BenchPoint,
-    format_bench,
-    load_bench,
-    run_bench,
-    run_point,
-    trace_point,
-    write_bench,
-)
 from repro.harness.export import (
     load_result_json,
     result_to_csv,
@@ -68,7 +60,6 @@ from repro.harness.experiments import (
 )
 
 __all__ = [
-    "BenchPoint",
     "CheckpointStore",
     "ConfigFactory",
     "DISPATCH_MODES",
@@ -85,7 +76,6 @@ __all__ = [
     "ExperimentResult",
     "Session",
     "SimulationError",
-    "TABLE1_POINTS",
     "ablation_memory_latency",
     "ModeResult",
     "ResultCache",
@@ -99,25 +89,19 @@ __all__ = [
     "fig4_fetch_policy",
     "fig5_multivalue_potential",
     "fig6_wide_window",
-    "format_bench",
     "geomean_speedup",
-    "load_bench",
     "load_result_json",
     "percent_speedup",
     "result_to_csv",
     "result_to_dict",
     "result_to_json",
     "stats_to_dict",
-    "run_bench",
     "run_once",
-    "run_point",
     "run_simulations",
-    "trace_point",
     "sec4_prefetcher_ablation",
     "task_key",
     "sec51_selectors",
     "sec53_store_buffer",
     "sec54_dfcm_vs_wf",
     "sec56_multivalue",
-    "write_bench",
 ]

@@ -30,11 +30,14 @@ def default_length() -> int:
     if not env:
         return _FALLBACK_LENGTH
     try:
-        return int(env)
+        length = int(env)
     except ValueError:
+        length = 0
+    if length < 1:
         raise ValueError(
-            f"REPRO_TRACE_LEN must be an integer trace length, got {env!r}"
-        ) from None
+            f"REPRO_TRACE_LEN must be a positive integer trace length, got {env!r}"
+        )
+    return length
 
 
 @dataclasses.dataclass

@@ -1,9 +1,9 @@
 """The unified run facade: one keyword-only front door for simulations.
 
-Before this module the harness had three separate entry points —
-``runner.run_once`` (one spec, one workload), ``parallel.run_simulations``
-(a task batch with jobs/caching) and ``bench.run_bench`` (throughput
-points) — each with its own argument spelling for the same ingredients.
+Before this module the harness had separate entry points —
+``runner.run_once`` (one spec, one workload) and
+``parallel.run_simulations`` (a task batch with jobs/caching) — each with
+its own argument spelling for the same ingredients.
 A :class:`Session` binds those ingredients once (machine config, predictor
 and selector recipes, trace length, seed, jobs, cache, observability) and
 exposes every run style as a method, so call sites never thread eight
@@ -26,7 +26,6 @@ import dataclasses
 from typing import Callable, Iterable, Sequence
 
 from repro.core import MachineConfig, SimStats
-from repro.harness.bench import TABLE1_POINTS, BenchPoint, run_bench
 from repro.harness.parallel import run_simulations
 from repro.harness.policy import ExecutionPolicy
 from repro.harness.runner import ModeResult, RunSpec, compare_modes, default_length
@@ -181,19 +180,6 @@ class Session:
             baseline=baseline,
             policy=self.policy,
         )
-
-    def bench(
-        self,
-        points: tuple[BenchPoint, ...] = TABLE1_POINTS,
-        repeats: int = 3,
-    ) -> dict:
-        """Throughput-measure fixed points (see :mod:`repro.harness.bench`).
-
-        Bench points pin their own workload/length/seed — a benchmark's
-        identity is the point, not the session — so only the repeat count
-        is taken from the caller.
-        """
-        return run_bench(points, repeats=repeats)
 
     def __repr__(self) -> str:
         return (

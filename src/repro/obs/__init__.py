@@ -21,7 +21,7 @@ show.  This package is the measurement substrate for those questions:
   attribute is ``False`` and whose hooks are no-ops, so every
   instrumentation site costs one attribute test when observability is
   off (the overhead contract in DESIGN.md §5d, guarded by the
-  throughput benchmark).
+  golden-identity tests and the suite benchmark under ``bench/``).
 """
 
 from repro.obs.events import EVENT_NAMES, EventKind

@@ -8,8 +8,7 @@ predictor, value predictors) hold an ``obs`` attribute that defaults to
 :data:`NULL_PROBE` — the null object whose ``enabled`` is ``False`` —
 so every hook site compiles down to a single attribute test when
 observability is off.  That test is the entire disabled-path cost; the
-throughput benchmark (``benchmarks/bench_throughput.py --assert-within``)
-holds it to the noise floor.
+untraced suite benchmark under ``bench/`` measures it.
 
 Timestamps: most hooks receive an explicit cycle because the caller has
 one in hand.  Sites buried inside predictors (which are deliberately

@@ -51,7 +51,7 @@ import dataclasses
 import json
 from pathlib import Path
 
-from repro.sweep.spec import SweepSpec, SweepSpecError
+from repro.sweep.spec import SweepSpec, SweepSpecError, load_spec_file
 
 
 class SearchSpecError(ValueError):
@@ -231,11 +231,4 @@ class SearchSpec:
 
 def load_search_spec(path: str | Path) -> SearchSpec:
     """Load a :class:`SearchSpec` from a ``.toml`` or ``.json`` file."""
-    path = Path(path)
-    if path.suffix == ".toml":
-        import tomllib
-
-        data = tomllib.loads(path.read_text())
-    else:
-        data = json.loads(path.read_text())
-    return SearchSpec.from_dict(data)
+    return load_spec_file(path, SearchSpec.from_dict, SearchSpecError)

@@ -40,6 +40,7 @@ import hashlib
 import itertools
 import json
 import random
+import tomllib
 from pathlib import Path
 from typing import Callable
 
@@ -376,13 +377,23 @@ class SweepSpec:
         return cls(**merged)
 
 
+def load_spec_file(path: str | Path, build: Callable, error: type[ValueError]):
+    """``build`` applied to the top-level table of a ``.toml``/``.json`` file.
+
+    A malformed file (unreadable, bad syntax, a top level that is not a
+    table, or a field ``build`` rejects) raises ``error`` naming the path.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text()
+        data = tomllib.loads(text) if path.suffix == ".toml" else json.loads(text)
+        if not isinstance(data, dict):
+            raise TypeError(f"the top level must be a table, not {type(data).__name__}")
+        return build(data)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise error(f"{path}: {exc}") from None
+
+
 def load_spec(path: str | Path) -> SweepSpec:
     """Load a :class:`SweepSpec` from a ``.toml`` or ``.json`` file."""
-    path = Path(path)
-    if path.suffix == ".toml":
-        import tomllib
-
-        data = tomllib.loads(path.read_text())
-    else:
-        data = json.loads(path.read_text())
-    return SweepSpec.from_dict(data)
+    return load_spec_file(path, SweepSpec.from_dict, SweepSpecError)

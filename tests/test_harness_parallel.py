@@ -367,6 +367,14 @@ class TestLazyEnvResolution:
         with pytest.raises(ValueError, match="REPRO_TRACE_LEN.*'lots'"):
             default_length()
 
+    @pytest.mark.parametrize("value", ["0", "-7"])
+    def test_default_length_rejects_non_positive(self, monkeypatch, value):
+        from repro.harness.runner import default_length
+
+        monkeypatch.setenv("REPRO_TRACE_LEN", value)
+        with pytest.raises(ValueError, match=f"REPRO_TRACE_LEN.*positive.*'{value}'"):
+            default_length()
+
     def test_session_honours_late_env(self, monkeypatch):
         from repro.harness import Session
 

@@ -261,6 +261,8 @@ class TestCli:
         )
         assert code == 0
         assert "useful IPC" in out
+        # the header counts the built config's contexts, not --threads
+        assert out.startswith("crafty on baseline (1 context)\n")
 
     def test_run_mtvp_with_options(self, capsys):
         code, out = self.run_cli(
@@ -342,3 +344,69 @@ class TestCli:
         code, out = self.run_cli(["run"], capsys)
         assert code == 1
         assert "workload name is required" in out
+
+
+_SPEC = "sweeps/store_buffer.toml"
+_SEARCH = "sweeps/search_smoke.toml"
+
+#: every count/length flag on every subcommand that has it: (argv, bad value)
+_COUNT_FLAGS = [
+    *[(["run", "mcf", flag], bad)
+      for flag in ("--length", "--threads", "--sample") for bad in ("0", "-1")],
+    *[(["report", "mcf", flag], "0") for flag in ("--length", "--threads")],
+    (["experiment", "fig5", "--length"], "0"),
+    (["trace", "mcf", "out.trace", "--length"], "0"),
+    *[(["sweep", verb, _SPEC, flag], bad)
+      for verb in ("run", "resume")
+      for flag in ("--seeds", "--length", "--points", "--sample")
+      for bad in ("0", "-1")],
+    *[(["sweep", verb, _SPEC, flag], "0")
+      for verb in ("status", "report") for flag in ("--seeds", "--length")],
+    *[(["search", verb, _SEARCH, "--points"], bad)
+      for verb in ("run", "resume", "status", "report") for bad in ("0", "-1")],
+    (["run", "mcf", "--warmup"], "-1"),
+    *[(["sweep", verb, _SPEC, "--warmup"], "-1") for verb in ("run", "resume")],
+]
+
+
+class TestCliCountValidation:
+    """Counts and lengths are validated by the parser: exit 2, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,bad", _COUNT_FLAGS, ids=lambda v: " ".join(v) if isinstance(v, list) else v
+    )
+    def test_non_positive_count_is_a_usage_error(self, argv, bad, capsys):
+        from repro.__main__ import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-1]}: must be at least" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,dest,value", [
+        (["run", "mcf", "--length", "1"], "length", 1),
+        (["run", "mcf", "--warmup", "0"], "warmup", 0),
+        (["sweep", "run", _SPEC, "--warmup", "0"], "warmup", 0),
+        (["sweep", "run", _SPEC, "--points", "1"], "points", 1),
+    ])
+    def test_smallest_valid_value_parses(self, argv, dest, value):
+        from repro.__main__ import build_parser
+
+        assert getattr(build_parser().parse_args(argv), dest) == value
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "mcf", "--length", "0"],
+        ["sweep", "run", _SPEC, "--points", "-1"],
+        ["sweep", "run", _SPEC, "--seeds", "0"],
+    ])
+    def test_main_exits_2_before_simulating(self, argv, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage: repro" in captured.err
+        assert captured.out == ""

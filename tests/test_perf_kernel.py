@@ -10,7 +10,7 @@ that contract down from three directions:
 * a scheduler A/B test — the incremental scheduler against the reference
   ``min()``-over-runnable scheduler on a spawn-heavy multi-context run;
 * unit guards for the O(1)/amortized bookkeeping (cache occupancy,
-  in-flight pruning) and the throughput layer (bench module, --profile).
+  in-flight pruning) and the throughput layer (--profile, wall time).
 """
 
 from __future__ import annotations
@@ -183,61 +183,6 @@ class TestBookkeeping:
 
 
 class TestThroughputLayer:
-    def test_bench_run_point_records_speedup_and_digest(self):
-        from repro.harness.bench import TABLE1_POINTS, run_point
-
-        point = TABLE1_POINTS[0]
-        rec = run_point(point, repeats=1)
-        assert rec["name"] == "table1_baseline_mcf"
-        assert rec["instructions"] > 0
-        assert rec["ips"] > 0
-        assert len(rec["stats_digest"]) == 64
-        assert rec["speedup_vs_pre_opt"] > 0
-
-        # a shortened run loses the pre-opt comparison (length-specific)
-        short = run_point(point, repeats=1, length=1000)
-        assert "speedup_vs_pre_opt" not in short
-        assert short["length"] == 1000
-
-    def test_bench_results_roundtrip_and_format(self, tmp_path):
-        from repro.harness.bench import (
-            TABLE1_POINTS,
-            format_bench,
-            load_bench,
-            run_bench,
-            write_bench,
-        )
-
-        results = run_bench(points=TABLE1_POINTS[:1], repeats=1, length=800)
-        path = write_bench(results, tmp_path / "bench.json")
-        assert load_bench(path) == results
-        table = format_bench(results, previous=results)
-        assert "table1_baseline_mcf" in table
-        assert "+0.0%" in table  # identical previous run -> zero delta
-        assert load_bench(tmp_path / "missing.json") is None
-
-    def test_check_regression_gates_on_throughput_drop(self, capsys):
-        from repro.harness.bench import check_regression
-
-        point = {"name": "p", "length": 1000, "ips": 50_000.0, "kips": 50.0}
-        prev = {"points": [dict(point, ips=100_000.0)]}
-        assert check_regression({"points": [point]}, prev, 10.0) == 1
-        assert "-50.0%" in capsys.readouterr().out
-        assert check_regression({"points": [point]}, {"points": [point]}, 10.0) == 0
-        # a record at another length is not comparable: never gates
-        other = {"points": [dict(point, length=2000, ips=100_000.0)]}
-        assert check_regression({"points": [point]}, other, 10.0) == 0
-        assert check_regression({"points": [point]}, None, 10.0) == 0
-
-    def test_committed_bench_record_is_current_schema(self):
-        from repro.harness.bench import PRE_OPT_REFERENCE_IPS, load_bench
-
-        committed = load_bench(Path(__file__).parent.parent / "BENCH_engine.json")
-        assert committed is not None, "BENCH_engine.json missing at repo root"
-        assert committed["schema"] == 1
-        names = {p["name"] for p in committed["points"]}
-        assert names == set(PRE_OPT_REFERENCE_IPS)
-
     def test_cli_profile_writes_loadable_profile(self, tmp_path, capsys):
         from repro.__main__ import main
 

@@ -2,6 +2,7 @@
 campaign execution, retries and crash-resume."""
 
 import json
+import re
 
 import pytest
 
@@ -655,3 +656,51 @@ class TestWarmupSweep:
         # 2 spawn-latency points + 1 baseline, one shared warmed state
         assert restored + stored == 3 and stored >= 1
         assert len(list(ckpt.glob("*.ckpt"))) == 1
+
+
+#: malformed spec files, per loader: TOML syntax, a non-table top level, a bad field
+_MALFORMED = {
+    "bad.toml": '[sweep\nname = "x"\n',
+    "list.json": "[1, 2]",
+    "field.toml": '[sweep]\nname = "x"\nthreads = "eight"\n',
+    "search-field.toml": '[search]\nname = "s"\nfraction = "half"\n\n[sweep]\nname = "x"\n',
+}
+
+
+class TestMalformedSpec:
+    """A malformed spec fails with one message naming the file."""
+
+    @pytest.mark.parametrize("name", ["bad.toml", "list.json", "field.toml"])
+    def test_load_spec_names_the_file(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text(_MALFORMED[name])
+        with pytest.raises(SweepSpecError, match=f"^{re.escape(str(path))}: "):
+            load_spec(path)
+
+    @pytest.mark.parametrize("name", ["bad.toml", "list.json", "search-field.toml"])
+    def test_load_search_spec_names_the_file(self, tmp_path, name):
+        from repro.search import SearchSpecError, load_search_spec
+
+        path = tmp_path / name
+        path.write_text(_MALFORMED[name])
+        with pytest.raises(SearchSpecError, match=f"^{re.escape(str(path))}: "):
+            load_search_spec(path)
+
+    @pytest.mark.parametrize("name", ["bad.toml", "list.json", "field.toml"])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "run"], ["sweep", "resume"], ["sweep", "status"],
+        ["sweep", "report"], ["search", "run"], ["search", "status"],
+        ["search", "report"],
+    ], ids=" ".join)
+    def test_cli_exits_2_with_one_line(self, tmp_path, capsys, argv, name):
+        from repro.__main__ import main
+
+        path = tmp_path / name
+        path.write_text(_MALFORMED[name])
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(path), "--db", str(tmp_path / "x.db")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: {path}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.db").exists()
