@@ -9,6 +9,10 @@ so bookings arrive nearly monotonically and the search loop is short.
 
 from __future__ import annotations
 
+#: a booking dict holding more cycles than this is pruned on the next
+#: booking (the step kernel inlines the same rule)
+PRUNE_AT = 1 << 16
+
 
 class SlotAllocator:
     """Books up to ``capacity`` events per cycle.
@@ -24,7 +28,6 @@ class SlotAllocator:
         self.capacity = capacity
         self.name = name
         self._booked: dict[int, int] = {}
-        self._min_interesting = 0
         self.acquired = 0
 
     def acquire(self, t: int) -> int:
@@ -35,7 +38,7 @@ class SlotAllocator:
             cycle += 1
         booked[cycle] = booked.get(cycle, 0) + 1
         self.acquired += 1
-        if len(booked) > 1 << 16:
+        if len(booked) > PRUNE_AT:
             self._prune(cycle)
         return cycle
 
@@ -58,24 +61,26 @@ class SlotAllocator:
     def snapshot(self) -> dict:
         """Serialize bookings and counters to a versioned picklable dict."""
         return {
-            "version": 1,
+            "version": 2,
             "capacity": self.capacity,
             "booked": [[c, n] for c, n in self._booked.items()],
-            "min_interesting": self._min_interesting,
             "acquired": self.acquired,
         }
 
     def restore(self, data: dict) -> None:
-        """Restore from a :meth:`snapshot` payload (same capacity)."""
-        if data.get("version") != 1:
+        """Restore from a :meth:`snapshot` payload (same capacity).
+
+        Only version 2 payloads load; older ones raise ``ValueError``.
+        """
+        version = data.get("version")
+        if version != 2:
             raise ValueError(
-                f"unsupported SlotAllocator snapshot version: "
-                f"{data.get('version')!r}"
+                f"unsupported SlotAllocator snapshot version: {version!r} "
+                f"(this code reads version 2; re-take the snapshot)"
             )
         if data["capacity"] != self.capacity:
             raise ValueError("SlotAllocator snapshot capacity mismatch")
         self._booked = {c: n for c, n in data["booked"]}
-        self._min_interesting = data["min_interesting"]
         self.acquired = data["acquired"]
 
 
@@ -120,11 +125,11 @@ class PortedIssue:
             if total_cycle == cycle:
                 class_booked[cycle] = class_booked.get(cycle, 0) + 1
                 class_alloc.acquired += 1
-                if len(class_booked) > 1 << 16:
+                if len(class_booked) > PRUNE_AT:
                     class_alloc._prune(cycle)
                 total_booked[cycle] = total_booked.get(cycle, 0) + 1
                 total.acquired += 1
-                if len(total_booked) > 1 << 16:
+                if len(total_booked) > PRUNE_AT:
                     total._prune(cycle)
                 return cycle
             cycle = total_cycle

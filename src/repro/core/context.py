@@ -215,26 +215,6 @@ class ThreadContext:
         """Approximate time of the next instruction (scheduler ordering key)."""
         return self.last_fetch if self.last_fetch > self.resume_at else self.resume_at
 
-    def commit_slot(self, t: int, width: int) -> int:
-        """In-order commit with per-thread commit bandwidth.
-
-        Returns the cycle this instruction commits: at or after ``t``, not
-        before the previous commit, at most ``width`` per cycle.
-        """
-        cycle = t if t > self.last_commit else self.last_commit
-        if cycle == self.commit_cycle:
-            if self.commits_in_cycle >= width:
-                cycle += 1
-                self.commit_cycle = cycle
-                self.commits_in_cycle = 1
-            else:
-                self.commits_in_cycle += 1
-        else:
-            self.commit_cycle = cycle
-            self.commits_in_cycle = 1
-        self.last_commit = cycle
-        return cycle
-
     def __repr__(self) -> str:
         flags = "".join(
             f

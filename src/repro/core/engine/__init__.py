@@ -13,7 +13,8 @@ timing* state (in-flight timestamps, port reservations, pending measures):
 * :mod:`~repro.core.engine.records` — shared hot-loop tables and
   :class:`SpawnRecord`;
 * :mod:`~repro.core.engine.scheduler` — which context steps next;
-* :mod:`~repro.core.engine.step` — the per-instruction timing kernel;
+* :mod:`~repro.core.engine.step` — the timing kernel, which steps one
+  context until the scheduler would switch;
 * :mod:`~repro.core.engine.predict` — the load value-prediction path;
 * :mod:`~repro.core.engine.lifecycle` — spawn / confirm / kill;
 * :mod:`~repro.core.engine.measures` — deferred ILP-pred episode

@@ -174,9 +174,9 @@ class Engine(
         #: measured in total forward progress, as in the paper
         self._global_fetched = 0
 
-        # hot-loop bindings: config fields read once per *instruction* are
-        # hoisted onto the engine so _step touches plain attributes instead
-        # of chasing self.config.<field> every time
+        # hot-loop bindings: config fields the step kernel reads are hoisted
+        # onto the engine, so each burst loads them from plain attributes
+        # instead of chasing self.config.<field>
         self._trace_len = len(trace)
         self._rob_size = config.rob_size
         self._iq_size = config.iq_size

@@ -1,9 +1,11 @@
 """Context scheduling: microarchitectural *timing* control flow.
 
-Both schedulers hold only timing state (local clocks, the pending spawn
+The schedulers hold only timing state (local clocks, the pending spawn
 heap); all architectural effects happen inside the step kernel and the
-spawn lifecycle.  The optimized and reference schedulers must make
-bit-identical decisions — tests compare the two.
+spawn lifecycle.  All three drive the one burst kernel
+(:meth:`~repro.core.engine.step.StepMixin._steps`).  The optimized and
+reference schedulers must make bit-identical decisions — tests compare
+the two.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class SchedulerMixin:
           build, no ``min(key=lambda)``, no property calls — and with at
           most ``num_contexts`` (8) entries a first-minimum scan is already
           the "small ordered structure" the ≥2-runnable case needs;
-        * once a context wins the scan, an inner loop keeps stepping it
+        * once a context wins the scan, the burst kernel keeps stepping it
           without rescanning for as long as a rescan would provably pick
           it again.  The other contexts' hints and runnable flags can only
           change inside ``_resolve_next`` or when a spawn allocates a new
@@ -46,7 +48,6 @@ class SchedulerMixin:
         """
         contexts = self._contexts
         pending = self._pending
-        step = self._step
         while self._global_fetched < stop_at:
             best = None
             best_hint = 0
@@ -93,27 +94,7 @@ class SchedulerMixin:
                 if second_hint < 0 or hint < second_hint:
                     second_hint = hint
                     second_slot = c.slot
-            order_snap = self._next_order
-            best_slot = best.slot
-            c = best
-            step(c)
-            while (
-                c.alive
-                and not (c.blocked or c.sb_paused or c.done)
-                and self._next_order == order_snap
-                and self._global_fetched < stop_at
-            ):
-                hint = c.last_fetch
-                if c.resume_at > hint:
-                    hint = c.resume_at
-                if second_hint >= 0 and (
-                    hint > second_hint
-                    or (hint == second_hint and best_slot > second_slot)
-                ):
-                    break
-                if pending and pending[0][0] <= hint:
-                    break
-                step(c)
+            self._steps(best, second_hint, second_slot, stop_at)
 
     def _run_scheduler_priority(self, stop_at: int = NO_LIMIT) -> None:
         """Time-ordered scheduling with a model-supplied fairness tie-break.
@@ -156,15 +137,25 @@ class SchedulerMixin:
             if pending and pending[0][0] <= best_key[0]:
                 self._resolve_next()
                 continue
-            self._step(best)
+            # one instruction: the priority can change with every step
+            self._steps(best, -1, 0, self._global_fetched + 1)
 
     def _run_scheduler_reference(self, stop_at: int = NO_LIMIT) -> None:
         """The original rebuild-everything scheduler, kept for A/B tests.
 
-        Bit-for-bit the pre-optimization loop; also tracks the peak number
+        Bit-for-bit the pre-optimization loop, stepping one instruction
+        per scan; when the execution model defines ``context_priority`` it
+        breaks hint ties by that priority before slot order, as
+        :meth:`_run_scheduler_priority` does.  Also tracks the peak number
         of simultaneously runnable contexts so tests can prove a trace
         exercised true multi-context scheduling.
         """
+        prio = self._priority_fn
+
+        def key(c):
+            hint = c.next_time_hint
+            return hint if prio is None else (hint, prio(c), c.slot)
+
         while self._global_fetched < stop_at:
             runnable = [
                 c for c in self._contexts if c is not None and c.alive and c.runnable
@@ -172,11 +163,11 @@ class SchedulerMixin:
             if len(runnable) > self.max_runnable_observed:
                 self.max_runnable_observed = len(runnable)
             if runnable:
-                ctx = min(runnable, key=lambda c: c.next_time_hint)
+                ctx = min(runnable, key=key)
                 if self._pending and self._pending[0][0] <= ctx.next_time_hint:
                     self._resolve_next()
                     continue
-                self._step(ctx)
+                self._steps(ctx, -1, 0, self._global_fetched + 1)
                 continue
             if self._pending:
                 self._resolve_next()

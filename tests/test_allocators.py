@@ -82,3 +82,27 @@ class TestPortedIssue:
         for _ in range(12):
             p.acquire("int", 0)
         assert p.acquire("fp", 0) in (0, 1, 2)
+
+
+class TestAllocatorSnapshots:
+    def test_slot_allocator_roundtrip(self):
+        a = SlotAllocator(2)
+        for t in (3, 3, 3, 9):
+            a.acquire(t)
+        b = SlotAllocator(2)
+        b.restore(a.snapshot())
+        assert b.snapshot() == a.snapshot()
+        assert b.acquire(3) == 4
+
+    def test_version_1_payload_is_refused(self):
+        payload = SlotAllocator(2).snapshot()
+        payload["version"] = 1
+        payload["min_interesting"] = 0
+        with pytest.raises(ValueError, match="version: 1 .*version 2"):
+            SlotAllocator(2).restore(payload)
+
+    def test_ported_issue_refuses_a_stale_class_payload(self):
+        payload = PortedIssue().snapshot()
+        payload["classes"]["fp"]["version"] = 1
+        with pytest.raises(ValueError, match="SlotAllocator snapshot version"):
+            PortedIssue().restore(payload)

@@ -1,14 +1,17 @@
 """Regression guards for the optimized simulation kernel.
 
-The kernel-optimization PR rewrote the scheduler, ``_step`` and the memory
-path for throughput under a bit-identity contract: every timing decision
-must match the straightforward pre-optimization engine.  These tests pin
-that contract down from three directions:
+The kernel optimizations rewrote the scheduler, the step kernel and the
+memory path for throughput under a bit-identity contract: every timing
+decision must match the straightforward pre-optimization engine.  These
+tests pin that contract down from four directions:
 
 * golden digests — full SimStats dicts captured from the pre-optimization
   engine on fixed (workload, config, seed) points, one per SimMode;
 * a scheduler A/B test — the incremental scheduler against the reference
-  ``min()``-over-runnable scheduler on a spawn-heavy multi-context run;
+  ``min()``-over-runnable scheduler on a spawn-heavy multi-context run,
+  the SMT co-schedule and the modes no golden fixture covers;
+* segmented runs — ``run(max_steps=k)`` to completion equals the one-shot
+  run in every registered mode;
 * unit guards for the O(1)/amortized bookkeeping (cache occupancy,
   in-flight pruning) and the throughput layer (--profile, wall time).
 """
@@ -25,6 +28,8 @@ import pytest
 from repro import _steady_state_footprint
 from repro.core import FetchPolicy, MachineConfig
 from repro.core.engine import Engine
+from repro.core.modes import names, resolve_model
+from repro.harness.bench import stats_digest
 from repro.memory import Cache, MemoryHierarchy
 from repro.select import AlwaysSelector, IlpPredSelector
 from repro.vp import OraclePredictor, WangFranklinPredictor
@@ -138,6 +143,100 @@ class TestSchedulerEquivalence:
         _eng_ref, ref_stats = _run_fixture(fx, reference_scheduler=True)
         _eng_fast, fast_stats = _run_fixture(fx, reference_scheduler=False)
         assert _canonical_stats(fast_stats) == _canonical_stats(ref_stats)
+
+    # modes no golden fixture runs: SPMT's position-triggered resolution
+    # fires inside a burst, CMP keeps per-core allocator groups, and the
+    # wide window never hits a ROB/IQ/rename limit
+    UNCOVERED_CONFIGS = {
+        "spmt8": ["spmt", {"threads": 8}],
+        "spmt4_skip16": ["spmt", {"threads": 4, "spmt_skip": 16}],
+        "cmp8": ["cmp", {"cores": 8}],
+        "wide_window": ["wide_window", {}],
+    }
+
+    @pytest.mark.parametrize("workload", ["mcf", "gcc 1", "twolf", "art 1"])
+    @pytest.mark.parametrize("config", sorted(UNCOVERED_CONFIGS))
+    def test_uncovered_modes_match_reference(self, config, workload):
+        fx = {
+            "workload": workload,
+            "length": 3000,
+            "seed": 0,
+            "config": self.UNCOVERED_CONFIGS[config],
+            "predictor": "wang_franklin",
+            "selector": "always",
+        }
+        _eng_ref, ref_stats = _run_fixture(fx, reference_scheduler=True)
+        _eng_fast, fast_stats = _run_fixture(fx, reference_scheduler=False)
+        assert _canonical_stats(fast_stats) == _canonical_stats(ref_stats)
+
+    @pytest.mark.parametrize(
+        "pair", [("mcf", "gzip g"), ("gcc 1", "art 1"), ("twolf", "vpr r")]
+    )
+    def test_smt_co_schedule_matches_reference(self, pair):
+        # the SMT model breaks hint ties by its ICOUNT priority; the
+        # reference scheduler must apply the same tie-break
+        traces = [get_workload(w).trace(length=3000, seed=0) for w in pair]
+        runs = [
+            Engine(
+                traces[0], MachineConfig.smt(2), traces=traces,
+                reference_scheduler=reference,
+            ).run()
+            for reference in (True, False)
+        ]
+        assert _canonical_stats(runs[1]) == _canonical_stats(runs[0])
+
+
+#: one config per registered execution model; spawning modes use an
+#: always-select Wang-Franklin predictor so spawns, kills and
+#: store-buffer stalls all happen inside the segmented run
+MODE_CONFIGS = {
+    "baseline": MachineConfig.hpca05_baseline,
+    "stvp": MachineConfig.stvp,
+    "spawn_only": lambda: MachineConfig.spawn_only(4),
+    "mtvp": lambda: MachineConfig.mtvp(4, store_buffer_entries=4, multi_value=2),
+    "smt": lambda: MachineConfig.smt(2),
+    "spmt": lambda: MachineConfig.spmt(4),
+}
+
+
+def _mode_engine(mode: str) -> Engine:
+    config = MODE_CONFIGS[mode]()
+    multi_program = resolve_model(mode).multi_program
+    traces = [
+        get_workload("mcf").trace(length=1500, seed=seed)
+        for seed in range(config.num_contexts if multi_program else 1)
+    ]
+    return Engine(
+        traces[0],
+        config,
+        predictor=WangFranklinPredictor(),
+        selector=AlwaysSelector(),
+        traces=traces if multi_program else None,
+    )
+
+
+class TestSegmentedRuns:
+    """``run(max_steps=k)`` pauses a burst exactly at its budget, and the
+    resumed segments add up to the one-shot run, in every mode."""
+
+    def test_every_registered_mode_has_a_config(self):
+        assert set(names()) == set(MODE_CONFIGS)
+
+    @pytest.mark.parametrize("k", [1, 7, 97])
+    @pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
+    def test_segmented_run_equals_one_shot(self, mode, k):
+        one_shot = _mode_engine(mode).run()
+        engine = _mode_engine(mode)
+        segments = 0
+        stats = None
+        while stats is None:
+            stats = engine.run(max_steps=k)
+            segments += 1
+            if stats is None:
+                # paused: the last burst stopped exactly at the budget
+                assert engine._global_fetched == segments * k
+        assert stats_digest(stats) == stats_digest(one_shot)
+        assert stats.instructions_stepped == one_shot.instructions_stepped
 
 
 class TestBookkeeping:
