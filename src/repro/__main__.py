@@ -24,6 +24,7 @@ registered there is immediately drivable from the command line.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro import MachineConfig, select, vp
@@ -57,8 +58,21 @@ def _positive_int(text: str) -> int:
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse ``type`` of ``--warmup`` (0 = no warmup)."""
+    """argparse ``type`` of ``--warmup`` (0 = no warmup) and ``--retries``."""
     return _int_at_least(text, 0)
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse ``type`` of ``--stale-after`` and ``--heartbeat``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds > 0, got {text}"
+        )
+    return value
 
 
 def _on_machine(args: argparse.Namespace, config: MachineConfig) -> str:
@@ -756,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="limit the campaign to the first N design points",
         )
         sp.add_argument(
-            "--retries", type=int, default=None, metavar="N",
+            "--retries", type=_non_negative_int, default=None, metavar="N",
             help="extra attempts per failed row (default: the spec's)",
         )
         sp.add_argument(
@@ -791,14 +805,14 @@ def build_parser() -> argparse.ArgumentParser:
                  "(default: $REPRO_DISPATCH or auto)",
         )
         sp.add_argument(
-            "--stale-after", type=float, default=None, metavar="SECONDS",
+            "--stale-after", type=_positive_seconds, default=None, metavar="SECONDS",
             help="seconds without a heartbeat before a running row may "
                  "be reclaimed from another process; set it when several "
                  "processes share --db (default: every running row is "
                  "reclaimed)",
         )
         sp.add_argument(
-            "--heartbeat", type=float, default=None, metavar="SECONDS",
+            "--heartbeat", type=_positive_seconds, default=None, metavar="SECONDS",
             help="lease-refresh period for claimed rows (default: "
                  "stale-after / 6, clamped to 0.5-10; none without "
                  "--stale-after)",
@@ -854,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = hsub.add_parser(verb, help=extra_help)
         _search_common(sp)
         sp.add_argument(
-            "--retries", type=int, default=None, metavar="N",
+            "--retries", type=_non_negative_int, default=None, metavar="N",
             help="extra attempts per failed row (default: the embedded "
                  "sweep's)",
         )
@@ -881,13 +895,13 @@ def build_parser() -> argparse.ArgumentParser:
                  "--dispatch'; default: $REPRO_DISPATCH or auto)",
         )
         sp.add_argument(
-            "--stale-after", type=float, default=None, metavar="SECONDS",
+            "--stale-after", type=_positive_seconds, default=None, metavar="SECONDS",
             help="seconds without a heartbeat before a running row may "
                  "be reclaimed from another process (see 'sweep run "
                  "--stale-after')",
         )
         sp.add_argument(
-            "--heartbeat", type=float, default=None, metavar="SECONDS",
+            "--heartbeat", type=_positive_seconds, default=None, metavar="SECONDS",
             help="lease-refresh period for claimed rows (default: "
                  "stale-after / 6, clamped to 0.5-10)",
         )

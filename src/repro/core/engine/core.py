@@ -287,8 +287,6 @@ class Engine(
         )
         if self.reference_scheduler:
             self._run_scheduler_reference(stop_at)
-        elif self._priority_fn is not None:
-            self._run_scheduler_priority(stop_at)
         else:
             self._run_scheduler(stop_at)
         if self._has_work():

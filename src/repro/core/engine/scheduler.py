@@ -23,8 +23,10 @@ class SchedulerMixin:
 
         Scheduling policy (identical to :meth:`_run_scheduler_reference`):
         among runnable contexts, step the one with the smallest
-        ``next_time_hint`` (ties break toward the lowest slot), unless a
-        pending spawn record resolves at or before that hint.
+        ``next_time_hint``; ties break by the execution model's
+        ``context_priority`` when it defines one (the SMT co-schedule's
+        ICOUNT fairness), then toward the lowest slot.  A pending spawn
+        record that resolves at or before the winner's hint goes first.
 
         ``stop_at`` bounds the processor-wide fetched count: the loop
         suspends (between steps, never mid-step) once it is reached, which
@@ -38,14 +40,16 @@ class SchedulerMixin:
           the "small ordered structure" the ≥2-runnable case needs;
         * once a context wins the scan, the burst kernel keeps stepping it
           without rescanning for as long as a rescan would provably pick
-          it again.  The other contexts' hints and runnable flags can only
-          change inside ``_resolve_next`` or when a spawn allocates a new
-          context, so between those events the winner keeps winning until
-          its own hint passes the runner-up's (ties break by slot, exactly
-          as in the scan).  This covers both the single-context modes and
-          the dominant MTVP state (parent blocked on its spawn, one child
-          running).
+          it again.  The other contexts' hints, priorities and runnable
+          flags can only change inside ``_resolve_next`` or when a spawn
+          allocates a new context, so between those events the winner
+          keeps winning while its hint stays strictly below the
+          runner-up's; a tie goes back to this scan, which applies the
+          full (hint, priority, slot) order.  This covers both the
+          single-context modes and the dominant MTVP state (parent blocked
+          on its spawn, one child running).
         """
+        prio = self._priority_fn
         contexts = self._contexts
         pending = self._pending
         while self._global_fetched < stop_at:
@@ -63,7 +67,15 @@ class SchedulerMixin:
                 hint = c.last_fetch
                 if c.resume_at > hint:
                     hint = c.resume_at
-                if best is None or hint < best_hint:
+                if (
+                    best is None
+                    or hint < best_hint
+                    or (
+                        hint == best_hint
+                        and prio is not None
+                        and prio(c) < prio(best)
+                    )
+                ):
                     best = c
                     best_hint = hint
             if best is None:
@@ -74,10 +86,9 @@ class SchedulerMixin:
             if pending and pending[0][0] <= best_hint:
                 self._resolve_next()
                 continue
-            # runner-up hint and the first slot achieving it: the winner
-            # stays the scheduling choice while it beats this bound
+            # runner-up hint: the winner stays the scheduling choice while
+            # its own hint stays below this bound
             second_hint = -1
-            second_slot = 0
             for c in contexts:
                 if (
                     c is None
@@ -93,52 +104,7 @@ class SchedulerMixin:
                     hint = c.resume_at
                 if second_hint < 0 or hint < second_hint:
                     second_hint = hint
-                    second_slot = c.slot
-            self._steps(best, second_hint, second_slot, stop_at)
-
-    def _run_scheduler_priority(self, stop_at: int = NO_LIMIT) -> None:
-        """Time-ordered scheduling with a model-supplied fairness tie-break.
-
-        Used when the bound execution model defines ``context_priority``
-        (the SMT co-schedule): among runnable contexts the earliest time
-        hint still wins — stepping out of time order would change shared
-        allocator bookings — but ties resolve by the model's priority
-        (ICOUNT-style: fewest fetched instructions first) before slot
-        order, so independent programs share fetch bandwidth fairly when
-        their clocks synchronize on a shared structural stall.
-        """
-        prio = self._priority_fn
-        contexts = self._contexts
-        pending = self._pending
-        while self._global_fetched < stop_at:
-            best = None
-            best_key = None
-            for c in contexts:
-                if (
-                    c is None
-                    or not c.alive
-                    or c.blocked
-                    or c.sb_paused
-                    or c.done
-                ):
-                    continue
-                hint = c.last_fetch
-                if c.resume_at > hint:
-                    hint = c.resume_at
-                key = (hint, prio(c), c.slot)
-                if best is None or key < best_key:
-                    best = c
-                    best_key = key
-            if best is None:
-                if pending:
-                    self._resolve_next()
-                    continue
-                return
-            if pending and pending[0][0] <= best_key[0]:
-                self._resolve_next()
-                continue
-            # one instruction: the priority can change with every step
-            self._steps(best, -1, 0, self._global_fetched + 1)
+            self._steps(best, second_hint, stop_at)
 
     def _run_scheduler_reference(self, stop_at: int = NO_LIMIT) -> None:
         """The original rebuild-everything scheduler, kept for A/B tests.
@@ -146,7 +112,7 @@ class SchedulerMixin:
         Bit-for-bit the pre-optimization loop, stepping one instruction
         per scan; when the execution model defines ``context_priority`` it
         breaks hint ties by that priority before slot order, as
-        :meth:`_run_scheduler_priority` does.  Also tracks the peak number
+        :meth:`_run_scheduler` does.  Also tracks the peak number
         of simultaneously runnable contexts so tests can prove a trace
         exercised true multi-context scheduling.
         """
@@ -167,7 +133,7 @@ class SchedulerMixin:
                 if self._pending and self._pending[0][0] <= ctx.next_time_hint:
                     self._resolve_next()
                     continue
-                self._steps(ctx, -1, 0, self._global_fetched + 1)
+                self._steps(ctx, -1, self._global_fetched + 1)
                 continue
             if self._pending:
                 self._resolve_next()

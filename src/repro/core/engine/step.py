@@ -36,7 +36,6 @@ class StepMixin:
         self,
         ctx: ThreadContext,
         second_hint: int,
-        second_slot: int,
         stop_at: int,
     ) -> None:
         """Step ``ctx`` until a rescan of the contexts could pick another.
@@ -44,21 +43,22 @@ class StepMixin:
         Always attempts one instruction.  After each one it stops when
         ``ctx`` is dead, blocked, sb-paused or done; a spawn allocated a
         context (``_next_order`` moved); the processor-wide fetched count
-        reached ``stop_at``; ``ctx``'s time hint passed the runner-up's
-        ``second_hint`` (ties break toward the lower slot; a negative
-        ``second_hint`` means no runner-up); or the head of the pending
-        spawn heap is due.  Those are exactly the events after which the
-        scheduler's scan could choose differently, so a burst makes the
-        same decisions as one scan per instruction.
+        reached ``stop_at``; ``ctx``'s time hint reached the runner-up's
+        ``second_hint`` (a tie goes back to the scheduler's full
+        hint/priority/slot order; a negative ``second_hint`` means no
+        runner-up); or the head of the pending spawn heap is due.  Those
+        are exactly the events after which the scheduler's scan could
+        choose differently, so a burst makes the same decisions as one
+        scan per instruction.
 
         This is the simulator's innermost loop, so it trades repetition
         for speed: everything fixed for the burst (the context's trace,
         ROB and register map, its group's heaps and booking dicts, engine
-        components and config fields) is a local, the fetch, issue and
-        commit bookings are inlined over the allocators' own dicts, and
-        the commit-bandwidth fields live in locals until the burst ends.
-        Per-op decisions come from flat tuples indexed by the op class
-        (see DESIGN.md §5c).
+        components and config fields) is a local, the fetch and issue
+        bookings work on the allocators' dicts directly (this is the only
+        code that books them), and the commit-bandwidth fields live in
+        locals until the burst ends.  Per-op decisions come from flat
+        tuples indexed by the op class (see DESIGN.md §5c).
         """
         trace = ctx.trace
         trace_len = ctx.trace_len
@@ -66,8 +66,7 @@ class StepMixin:
         rob_len = len(rob)
         reg_ready = ctx.reg_ready
         visible = ctx.visible
-        slot = ctx.slot
-        group = 0 if self._smt_shared else slot
+        group = 0 if self._smt_shared else ctx.slot
         rename_heap = self._rename_groups[group]
         rename_len = len(rename_heap)
         iq_heaps = self._iq_groups[group]
@@ -136,7 +135,7 @@ class StepMixin:
                 iq_free = heappop(iq_heap)
                 if iq_free > t:
                     t = iq_free
-            # fetch booking (SlotAllocator.acquire)
+            # fetch booking: the earliest cycle >= t with a free slot
             n = fetch_booked.get(t, 0)
             while n >= fetch_cap:
                 t += 1
@@ -161,7 +160,6 @@ class StepMixin:
 
             # --- issue (issue-port class == queue class, Table 1): book a
             # common cycle free in both the class and the total allocator
-            # (PortedIssue.acquire)
             port_alloc = port_allocs[queue]
             port_booked = port_alloc._booked
             port_cap = port_alloc.capacity
@@ -324,10 +322,7 @@ class StepMixin:
             hint = ctx.resume_at
             if t_fetch > hint:
                 hint = t_fetch
-            if second_hint >= 0 and (
-                hint > second_hint
-                or (hint == second_hint and slot > second_slot)
-            ):
+            if 0 <= second_hint <= hint:
                 break
             if pending and pending[0][0] <= hint:
                 break

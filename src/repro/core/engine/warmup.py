@@ -87,7 +87,7 @@ class WarmupMixin:
         vp.incorrect = 0
 
     # ------------------------------------------------------------------
-    def fast_forward(self, n: int, warm_components: bool = True) -> int:
+    def fast_forward(self, n: int) -> int:
         """Functionally advance the root context by ``n`` instructions.
 
         Architectural state only: the trace position and branch history
@@ -105,9 +105,6 @@ class WarmupMixin:
         Args:
             n: Instructions to fast-forward past.  Must leave at least one
                 instruction for the timed region.
-            warm_components: When False, only the trace position and
-                branch history advance — caches and predictors stay cold
-                (useful for pure region selection).
         """
         if self._started:
             raise RuntimeError("fast_forward() must run before Engine.run()")
@@ -134,26 +131,22 @@ class WarmupMixin:
         for inst in self.trace[start : start + n]:
             op = inst.op
             if op is OpClass.LOAD:
-                if warm_components:
-                    hierarchy.warm_access(inst.addr, inst.pc)
-                    if inst.value is not None:
-                        vp.train(inst, inst.value)
+                hierarchy.warm_access(inst.addr, inst.pc)
+                if inst.value is not None:
+                    vp.train(inst, inst.value)
             elif op is OpClass.STORE:
-                if warm_components:
-                    hierarchy.store(inst.addr, 0)
+                hierarchy.store(inst.addr, 0)
             elif op is OpClass.BRANCH:
-                if warm_components:
-                    bp.update(inst.pc, hist, inst.taken)
+                bp.update(inst.pc, hist, inst.taken)
                 hist = update_history(hist, inst.taken)
         root.bhist = hist
         root.pos = start + n
         root.start_pos = root.pos
         # the pass is warmup, not measurement: drop the component counters
         # it inflated so the timed interval reports only itself
-        if warm_components:
-            hierarchy.reset_stats()
-            pf = hierarchy.prefetcher
-            if pf is not None:
-                pf.reset_stats()
+        hierarchy.reset_stats()
+        pf = hierarchy.prefetcher
+        if pf is not None:
+            pf.reset_stats()
         self.stats.warmup_instructions += n
         return n

@@ -52,7 +52,7 @@ class ExecutionModel:
     ``context_priority``
         ``None``, or a method ``(ctx) -> int`` used as the scheduler's
         tie-break between contexts with equal time hints (smaller wins).
-        Leaving it ``None`` keeps the optimized slot-order scheduler.
+        Leaving it ``None`` breaks such ties by slot alone.
     """
 
     #: registry key; equals the ``SimMode`` value it implements

@@ -148,6 +148,36 @@ def task_key(workload_name: str, spec, length: int, seed: int) -> str | None:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` by an atomic rename.
+
+    A reader sees the old file or the new one, never a partial write.
+    The temporary file is removed if the write fails.  If the directory
+    has disappeared (a concurrent pruner or cleaner removed it), it is
+    recreated and the write retried once.
+    """
+    directory = path.parent
+    for attempt in (0, 1):
+        try:
+            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        except FileNotFoundError:
+            if attempt:
+                raise
+            directory.mkdir(parents=True, exist_ok=True)
+            continue
+        break
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ResultCache:
     """Directory of ``<key>.json`` files, one cached :class:`SimStats` each.
 
@@ -218,25 +248,7 @@ class ResultCache:
         retried once.
         """
         payload = {"key": key, "stats": stats.to_dict()}
-        for attempt in (0, 1):
-            try:
-                fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            except FileNotFoundError:
-                if attempt:
-                    raise
-                self.directory.mkdir(parents=True, exist_ok=True)
-                continue
-            break
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self._path(key), json.dumps(payload).encode())
         with self._counter_lock:
             self.stores += 1
 

@@ -42,13 +42,13 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 import threading
 from collections import OrderedDict
 from pathlib import Path
 
 from repro.harness.cache import (
     _plain,
+    atomic_write,
     code_version,
     default_cache_dir,
     describe_factory,
@@ -195,26 +195,7 @@ class CheckpointStore:
             return None
 
     def _write(self, key: str, framed: bytes) -> None:
-        """Atomic rename; recreates the directory if a cleaner removed it."""
-        for attempt in (0, 1):
-            try:
-                fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            except FileNotFoundError:
-                if attempt:
-                    raise
-                self.directory.mkdir(parents=True, exist_ok=True)
-                continue
-            break
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(framed)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self._path(key), framed)
 
     def _discard(self, key: str) -> None:
         try:

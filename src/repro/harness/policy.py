@@ -18,8 +18,10 @@ this work execute* into one value:
   checkpoint store,
 * ``warmup`` / ``sample`` — the interval protocol,
 * ``chunk`` / ``stale_after`` / ``heartbeat`` — commit granularity and
-  the lease-liveness protocol (a ``chunk`` below 1 or a ``heartbeat``
-  of 0 or less would hang or spin a drain, so construction rejects them).
+  the lease-liveness protocol (a ``chunk`` below 1, a ``heartbeat`` or
+  ``stale_after`` that is not a finite number > 0, or a negative
+  ``retries`` would hang, spin or silently misconfigure a drain, so
+  construction rejects them).
 
 Every field defaults to *unset* (``None``), which defers to the matching
 ``REPRO_*`` environment variable and then to the historical default, so
@@ -40,6 +42,7 @@ Environment defaults (one table, also in README):
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from pathlib import Path
 
@@ -168,10 +171,16 @@ class ExecutionPolicy:
             )
         if self.chunk is not None and not (type(self.chunk) is int and self.chunk >= 1):
             raise ValueError(f"chunk must be an integer >= 1, got {self.chunk!r}")
-        if self.heartbeat is not None and not (
-            type(self.heartbeat) in (int, float) and self.heartbeat > 0
+        if self.retries is not None and not (
+            type(self.retries) is int and self.retries >= 0
         ):
-            raise ValueError(f"heartbeat must be a number > 0, got {self.heartbeat!r}")
+            raise ValueError(f"retries must be an integer >= 0, got {self.retries!r}")
+        for name in ("stale_after", "heartbeat"):
+            value = getattr(self, name)
+            if value is not None and not (
+                type(value) in (int, float) and 0 < value < math.inf
+            ):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
     # ------------------------------------------------------------------
     def resolved_jobs(self) -> int:

@@ -148,18 +148,6 @@ class Session:
         tasks = [(w, spec, self.length, self.seed) for w in workloads]
         return run_simulations(tasks, progress=progress, policy=self.policy)
 
-    def run_replicates(
-        self, workload: str, seeds: Iterable[int], progress=None
-    ) -> list[SimStats]:
-        """Seed replicates of one workload, one simulation per seed.
-
-        Results are bit-identical to ``[s.run(w) for each seed]`` and
-        cached per seed.
-        """
-        spec = self.spec()
-        tasks = [(workload, spec, self.length, s) for s in seeds]
-        return run_simulations(tasks, progress=progress, policy=self.policy)
-
     def compare(
         self,
         workloads: Sequence[str],

@@ -71,13 +71,6 @@ class StoreBuffer:
         return addr >> self._shift
 
     @property
-    def free_slots(self) -> int | None:
-        """Free entries, or None when the buffer is unlimited."""
-        if self.capacity is None:
-            return None
-        return self.capacity - self.total
-
-    @property
     def is_full(self) -> bool:
         """True when no further store can be buffered."""
         return self.capacity is not None and self.total >= self.capacity
@@ -132,16 +125,6 @@ class StoreBuffer:
         self.total -= len(entries)
         return entries
 
-    def confirm_thread(self, owner: int) -> list[StoreEntry]:
-        """Release a confirmed thread's stores for architectural write-back.
-
-        Returns the released entries (oldest first) so the engine can
-        retire them into the cache hierarchy.
-        """
-        entries = self._remove_owner(owner)
-        entries.sort(key=lambda e: e.trace_pos)
-        return entries
-
     def drain_upto(self, max_order: int) -> list[StoreEntry]:
         """Release every store owned by threads with order <= ``max_order``.
 
@@ -159,10 +142,6 @@ class StoreBuffer:
     def squash_thread(self, owner: int) -> int:
         """Discard a killed thread's stores; returns how many were dropped."""
         return len(self._remove_owner(owner))
-
-    def occupancy_of(self, owner: int) -> int:
-        """Number of entries currently held by ``owner``."""
-        return len(self._by_owner.get(owner, ()))
 
     def snapshot(self) -> dict:
         """Serialize buffered stores and counters to a versioned dict.

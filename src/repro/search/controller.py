@@ -45,45 +45,10 @@ from repro.search.promote import (
 )
 from repro.search.spec import SearchSpec
 from repro.sweep.drain import drain_campaign
-from repro.sweep.spec import SweepPoint, SweepSpec
+from repro.sweep.execute import store_rows
+from repro.sweep.spec import SweepSpec
 from repro.sweep.stats import PointAggregate, aggregate
 from repro.sweep.store import ResultStore
-
-
-def rung_rows(
-    sweep: SweepSpec,
-    points: list[SweepPoint],
-    seeds,
-    index_of: dict[str, int],
-) -> list[dict]:
-    """Store rows for one rung: each point × seeds, plus the paired
-    baselines.  ``idx`` is the point's *original grid* index so every
-    rung (and the exhaustive reference) aggregates in the same order."""
-    rows: list[dict] = []
-    for point in points:
-        for seed in seeds:
-            rows.append({
-                "point_id": point.point_id,
-                "seed": seed,
-                "role": "point",
-                "idx": index_of[point.point_id],
-                "workload": point.workload,
-                "length": point.length,
-                "params": point.params,
-            })
-    for workload, length in dict.fromkeys((p.workload, p.length) for p in points):
-        base = sweep.baseline_point(workload, length)
-        for seed in seeds:
-            rows.append({
-                "point_id": base.point_id,
-                "seed": seed,
-                "role": "baseline",
-                "idx": -1,
-                "workload": workload,
-                "length": length,
-                "params": base.params,
-            })
-    return rows
 
 
 def _row_units(row: dict, sample: int | None, warmup: int) -> int:
@@ -309,7 +274,7 @@ def run_search(
         rung_sweep = spec.rung_sweep(ri)
         warmup = spec.rung_warmup(ri)
         sim_before = simulated
-        base_rows = rung_rows(
+        base_rows = store_rows(
             spec.sweep, points, range(rung.seeds), index_of
         )
         base_keys = {(r["point_id"], r["seed"]) for r in base_rows}
@@ -378,7 +343,7 @@ def run_search(
                     f"point(s); allocating seed {extra_seed} to "
                     f"{len(contenders)} contender(s)"
                 )
-                extra = rung_rows(
+                extra = store_rows(
                     spec.sweep, contenders, (extra_seed,), index_of
                 )
                 drain(rung_sweep, extra, warmup, rung.sample)

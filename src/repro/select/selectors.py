@@ -224,14 +224,6 @@ class IlpPredSelector(LoadSelector):
             self._table[key] = entry
         return entry
 
-    @staticmethod
-    def _rate(instructions: int, cycles: int) -> int:
-        """Shift-approximated instructions-per-cycle, scaled by 2**16."""
-        if cycles <= 0:
-            return 0
-        shift = cycles.bit_length() - 1  # largest power of two in cycles
-        return (instructions << 16) >> shift
-
     def choose(
         self,
         inst: Instruction,

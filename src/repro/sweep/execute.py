@@ -43,7 +43,7 @@ from pathlib import Path
 
 from repro.harness.policy import ExecutionPolicy
 from repro.sweep.drain import drain_campaign
-from repro.sweep.spec import SweepSpec
+from repro.sweep.spec import SweepPoint, SweepSpec
 from repro.sweep.store import ResultStore
 
 
@@ -79,14 +79,22 @@ class CampaignSummary:
         )
 
 
-def campaign_rows(spec: SweepSpec, max_points: int | None = None) -> list[dict]:
-    """The store rows a spec expands to (points × seeds, plus baselines)."""
-    points = spec.expand()
-    if max_points is not None:
-        points = points[:max_points]
+def store_rows(
+    spec: SweepSpec,
+    points: list[SweepPoint],
+    seeds,
+    index_of: dict[str, int] | None = None,
+) -> list[dict]:
+    """Store rows for ``points`` × ``seeds``, plus the paired baselines.
+
+    A point row's ``idx`` is ``index_of[point_id]`` when given (a search
+    rung keeps each point's original grid index), else the point's
+    position in ``points``.
+    """
     rows: list[dict] = []
-    for idx, point in enumerate(points):
-        for seed in spec.seeds:
+    for pos, point in enumerate(points):
+        idx = pos if index_of is None else index_of[point.point_id]
+        for seed in seeds:
             rows.append({
                 "point_id": point.point_id,
                 "seed": seed,
@@ -98,7 +106,7 @@ def campaign_rows(spec: SweepSpec, max_points: int | None = None) -> list[dict]:
             })
     for workload, length in dict.fromkeys((p.workload, p.length) for p in points):
         base = spec.baseline_point(workload, length)
-        for seed in spec.seeds:
+        for seed in seeds:
             rows.append({
                 "point_id": base.point_id,
                 "seed": seed,
@@ -109,6 +117,14 @@ def campaign_rows(spec: SweepSpec, max_points: int | None = None) -> list[dict]:
                 "params": base.params,
             })
     return rows
+
+
+def campaign_rows(spec: SweepSpec, max_points: int | None = None) -> list[dict]:
+    """The store rows a spec expands to (points × seeds, plus baselines)."""
+    points = spec.expand()
+    if max_points is not None:
+        points = points[:max_points]
+    return store_rows(spec, points, spec.seeds)
 
 
 def run_sweep(

@@ -274,6 +274,8 @@ class SweepSpec:
             raise SweepSpecError("random mode needs samples >= 1")
         if self.warmup < 0:
             raise SweepSpecError("warmup must be non-negative")
+        if type(self.retries) is not int or self.retries < 0:
+            raise SweepSpecError("retries must be a non-negative integer")
         if self.sample is not None and self.sample < 1:
             raise SweepSpecError("sample must be a positive length (or unset)")
         _check_keys(self.base, "base")

@@ -283,21 +283,6 @@ class ResultStore:
                 (sweep, stale_after, stale_after or 0.0),
             ).fetchall()
 
-    def mark_running(self, sweep: str, keys: list[tuple[str, int]]) -> None:
-        """Claim rows for this attempt (increments their attempt count).
-
-        Unconditional — single-campaign callers that already hold the
-        rows via :meth:`runnable` use this; anything that might race
-        another worker must use :meth:`claim` instead.
-        """
-        with self._lock, self._db:
-            self._db.executemany(
-                "UPDATE results SET status = 'running', "
-                f"attempts = attempts + 1, updated_at = {_NOW} "
-                "WHERE sweep = ? AND point_id = ? AND seed = ?",
-                [(sweep, pid, seed) for pid, seed in keys],
-            )
-
     def mark_done(
         self,
         sweep: str,

@@ -230,11 +230,6 @@ class Workload:
             for i, s in enumerate(self.spec.streams)
         ]
 
-    @property
-    def static_loads(self) -> int:
-        """Number of static load slots in the body."""
-        return sum(1 for s in self._body if s.op is OpClass.LOAD)
-
     def trace(self, length: int | None = None, seed: int = 0) -> list[Instruction]:
         """Unroll the body into ``length`` dynamic instructions.
 

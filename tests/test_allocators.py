@@ -1,98 +1,178 @@
-"""Unit tests for the cycle-slot bandwidth allocators."""
+"""The step kernel's fetch and issue bookings.
+
+The burst kernel (``StepMixin._steps``) is the only code that books the
+cycle-slot allocators, so these tests inspect the allocators a real run
+leaves behind: every booking within its capacity, the per-class issue
+counts summing to the total in every cycle, the ``acquired`` counters
+matching the instructions stepped, pruning that never changes a result,
+and the allocator snapshot format.
+"""
+
+from functools import lru_cache
 
 import pytest
 
-from repro.core import PortedIssue, SlotAllocator
+import repro.core.engine.step as step_module
+from repro import simulate
+from repro.core import FetchPolicy, MachineConfig, PortedIssue, SlotAllocator
+from repro.core.engine import Engine
+from repro.obs import Tracer
+from repro.obs.events import EventKind
+from repro.workloads import get_workload
+
+#: one run per allocator layout: the single-context baseline, no-stall
+#: MTVP and SpMT (many contexts over one shared group), a two-program SMT
+#: co-schedule, and CMP's private per-core groups
+RUNS = {
+    "baseline": (MachineConfig.hpca05_baseline, ("mcf",)),
+    "mtvp8_no_stall": (
+        lambda: MachineConfig.mtvp(8, fetch_policy=FetchPolicy.NO_STALL),
+        ("gcc 1",),
+    ),
+    "spmt8": (lambda: MachineConfig.spmt(8), ("gcc 1",)),
+    "smt2": (lambda: MachineConfig.smt(2), ("mcf", "art 1")),
+    "cmp4": (lambda: MachineConfig.cmp(4), ("gcc 1",)),
+}
+
+
+def _engine(config, workloads, length=3000):
+    traces = [get_workload(w).trace(length=length, seed=0) for w in workloads]
+    return Engine(
+        traces[0], config, traces=traces if len(traces) > 1 else None
+    )
+
+
+@lru_cache(maxsize=None)
+def _ran(name):
+    """The engine of one :data:`RUNS` entry after running to completion."""
+    make_config, workloads = RUNS[name]
+    engine = _engine(make_config(), workloads)
+    return engine, engine.run()
+
+
+def _all_runs():
+    return [_ran(name) for name in RUNS]
 
 
 class TestSlotAllocator:
+    """Fetch bookings, one allocator per fetch group."""
+
     def test_capacity_per_cycle(self):
-        a = SlotAllocator(2)
-        assert a.acquire(10) == 10
-        assert a.acquire(10) == 10
-        assert a.acquire(10) == 11
+        for engine, _stats in _all_runs():
+            for fetch in engine._fetch_groups:
+                assert fetch._booked
+                assert max(fetch._booked.values()) <= fetch.capacity
 
     def test_past_cycles_keep_capacity(self):
-        a = SlotAllocator(1)
-        a.acquire(100)
-        assert a.acquire(50) == 50
-
-    def test_peek_does_not_book(self):
-        a = SlotAllocator(1)
-        assert a.peek(5) == 5
-        assert a.peek(5) == 5
-        a.acquire(5)
-        assert a.peek(5) == 6
+        # co-scheduled programs step in approximate time order, so a
+        # context that lags books cycles behind the newest booking; the
+        # kernel must give it those cycles, not push it past the newest
+        traces = [get_workload(w).trace(length=3000, seed=0) for w in RUNS["smt2"][1]]
+        tracer = Tracer()
+        Engine(traces[0], MachineConfig.smt(2), traces=traces, tracer=tracer).run()
+        newest = -1
+        behind = 0
+        for _cycle, kind, _tid, args in tracer.events:
+            if kind == EventKind.INSTRUCTION:
+                behind += args["fetch"] < newest
+                newest = max(newest, args["fetch"])
+        assert behind > 0
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             SlotAllocator(0)
 
-    def test_booked_at(self):
-        a = SlotAllocator(4)
-        a.acquire(7)
-        a.acquire(7)
-        assert a.booked_at(7) == 2
-        assert a.booked_at(8) == 0
-
     def test_counter(self):
-        a = SlotAllocator(4)
-        for _ in range(5):
-            a.acquire(0)
-        assert a.acquired == 5
+        for engine, stats in _all_runs():
+            fetched = sum(f.acquired for f in engine._fetch_groups)
+            assert fetched == stats.instructions_stepped
+            booked = sum(sum(f._booked.values()) for f in engine._fetch_groups)
+            assert booked == fetched
 
-    def test_pruning_keeps_recent_state(self):
-        a = SlotAllocator(1)
-        for t in range(0, 70000):
-            a.acquire(t)
-        # old cycles may be pruned, but recent bookings must hold
-        assert a.acquire(69999) == 70000
+    def test_pruning_keeps_recent_state(self, monkeypatch):
+        # no tier-1 run books PRUNE_AT cycles, so shrink the bound until
+        # the kernel prunes constantly, and demand identical results
+        points = [
+            ("mcf", MachineConfig.hpca05_baseline),
+            ("mcf", lambda: MachineConfig.mtvp(8)),
+            ("art 1", lambda: MachineConfig.mtvp(8)),
+        ]
+
+        def run(workload, config):
+            return simulate(workload, config(), length=6000).to_dict()
+
+        defaults = [run(*point) for point in points]
+        prunes = []
+        prune = SlotAllocator._prune
+
+        def counting_prune(self, now):
+            prunes.append(now)
+            prune(self, now)
+
+        monkeypatch.setattr(step_module, "PRUNE_AT", 512)
+        monkeypatch.setattr(SlotAllocator, "_prune", counting_prune)
+        for point, default in zip(points, defaults):
+            del prunes[:]
+            assert run(*point) == default, point
+            assert prunes, point
 
 
 class TestPortedIssue:
+    """Issue bookings: per-class ports under the global issue width."""
+
     def test_class_limit(self):
-        p = PortedIssue(total=8, int_ports=2, fp_ports=2, mem_ports=2)
-        assert p.acquire("int", 5) == 5
-        assert p.acquire("int", 5) == 5
-        assert p.acquire("int", 5) == 6
+        for engine, _stats in _all_runs():
+            for issue in engine._issue_groups:
+                for alloc in issue._classes.values():
+                    assert max(alloc._booked.values(), default=0) <= alloc.capacity
 
     def test_global_limit_binds_across_classes(self):
-        p = PortedIssue(total=3, int_ports=2, fp_ports=2, mem_ports=2)
-        times = [p.acquire(c, 0) for c in ("int", "int", "fp", "fp")]
-        # only three issues fit in cycle 0
-        assert sorted(times) == [0, 0, 0, 1]
+        for engine, _stats in _all_runs():
+            for issue in engine._issue_groups:
+                total = issue._total
+                assert max(total._booked.values()) <= total.capacity
+                per_cycle: dict[int, int] = {}
+                for alloc in issue._classes.values():
+                    for cycle, n in alloc._booked.items():
+                        per_cycle[cycle] = per_cycle.get(cycle, 0) + n
+                assert per_cycle == total._booked
 
     def test_paper_configuration(self):
-        p = PortedIssue(total=8, int_ports=6, fp_ports=2, mem_ports=4)
-        cycle0 = [p.acquire("int", 0) for _ in range(6)]
-        assert cycle0 == [0] * 6
-        assert p.acquire("mem", 0) == 0
-        assert p.acquire("mem", 0) == 0
-        # total of 8 used: anything else moves to cycle 1
-        assert p.acquire("fp", 0) == 1
+        # Table 1: 8 issues per cycle, up to 6 int, 2 FP, 4 load/store;
+        # between them, mcf and art reach every one of those limits
+        peaks = {"total": 0, "int": 0, "fp": 0, "mem": 0}
+        for workload in ("mcf", "art 1"):
+            engine = _engine(MachineConfig.hpca05_baseline(), (workload,))
+            engine.run()
+            (issue,) = engine._issue_groups
+            allocs = dict(issue._classes, total=issue._total)
+            for name, alloc in allocs.items():
+                peak = max(alloc._booked.values(), default=0)
+                peaks[name] = max(peaks[name], peak)
+        assert peaks == {"total": 8, "int": 6, "fp": 2, "mem": 4}
 
     def test_issued_counter(self):
-        p = PortedIssue()
-        p.acquire("int", 0)
-        p.acquire("mem", 0)
-        assert p.issued == 2
-
-    def test_classes_do_not_starve_each_other_across_cycles(self):
-        p = PortedIssue(total=8, int_ports=6, fp_ports=2, mem_ports=4)
-        for _ in range(12):
-            p.acquire("int", 0)
-        assert p.acquire("fp", 0) in (0, 1, 2)
+        for engine, stats in _all_runs():
+            issued = 0
+            for issue in engine._issue_groups:
+                assert issue._total.acquired == sum(
+                    a.acquired for a in issue._classes.values()
+                )
+                issued += issue._total.acquired
+            assert issued == stats.instructions_stepped
 
 
 class TestAllocatorSnapshots:
     def test_slot_allocator_roundtrip(self):
-        a = SlotAllocator(2)
-        for t in (3, 3, 3, 9):
-            a.acquire(t)
-        b = SlotAllocator(2)
-        b.restore(a.snapshot())
-        assert b.snapshot() == a.snapshot()
-        assert b.acquire(3) == 4
+        engine = _engine(MachineConfig.hpca05_baseline(), ("mcf",), length=500)
+        engine.run()
+        (fetch,) = engine._fetch_groups
+        payload = fetch.snapshot()
+        b = SlotAllocator(fetch.capacity)
+        b.restore(payload)
+        assert b.snapshot() == payload
+        assert b._booked == fetch._booked
+        assert b.acquired == fetch.acquired == 500
 
     def test_version_1_payload_is_refused(self):
         payload = SlotAllocator(2).snapshot()

@@ -366,6 +366,18 @@ _COUNT_FLAGS = [
       for verb in ("run", "resume", "status", "report") for bad in ("0", "-1")],
     (["run", "mcf", "--warmup"], "-1"),
     *[(["sweep", verb, _SPEC, "--warmup"], "-1") for verb in ("run", "resume")],
+    *[([cmd, verb, spec, "--retries"], "-1")
+      for cmd, spec in (("sweep", _SPEC), ("search", _SEARCH))
+      for verb in ("run", "resume")],
+]
+
+#: lease periods: a positive, finite number of seconds
+_SECONDS_FLAGS = [
+    ([cmd, verb, spec, flag], bad)
+    for cmd, spec in (("sweep", _SPEC), ("search", _SEARCH))
+    for verb in ("run", "resume")
+    for flag in ("--heartbeat", "--stale-after")
+    for bad in ("0", "-1", "-5", "nan", "inf")
 ]
 
 
@@ -385,11 +397,28 @@ class TestCliCountValidation:
         assert f"argument {argv[-1]}: must be at least" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,bad", _SECONDS_FLAGS,
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_non_positive_seconds_is_a_usage_error(self, argv, bad, capsys):
+        from repro.__main__ import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-1]}: must be a finite number of seconds > 0" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv,dest,value", [
         (["run", "mcf", "--length", "1"], "length", 1),
         (["run", "mcf", "--warmup", "0"], "warmup", 0),
         (["sweep", "run", _SPEC, "--warmup", "0"], "warmup", 0),
         (["sweep", "run", _SPEC, "--points", "1"], "points", 1),
+        (["sweep", "run", _SPEC, "--retries", "0"], "retries", 0),
+        (["search", "run", _SEARCH, "--heartbeat", "0.25"], "heartbeat", 0.25),
+        (["sweep", "resume", _SPEC, "--stale-after", "1e-3"], "stale_after", 0.001),
     ])
     def test_smallest_valid_value_parses(self, argv, dest, value):
         from repro.__main__ import build_parser
@@ -400,6 +429,9 @@ class TestCliCountValidation:
         ["run", "mcf", "--length", "0"],
         ["sweep", "run", _SPEC, "--points", "-1"],
         ["sweep", "run", _SPEC, "--seeds", "0"],
+        ["sweep", "run", _SPEC, "--heartbeat", "0"],
+        ["search", "resume", _SEARCH, "--stale-after", "nan"],
+        ["search", "run", _SEARCH, "--retries", "-1"],
     ])
     def test_main_exits_2_before_simulating(self, argv, capsys):
         from repro.__main__ import main

@@ -170,15 +170,22 @@ class TestSchedulerEquivalence:
         assert _canonical_stats(fast_stats) == _canonical_stats(ref_stats)
 
     @pytest.mark.parametrize(
-        "pair", [("mcf", "gzip g"), ("gcc 1", "art 1"), ("twolf", "vpr r")]
+        "pair",
+        [
+            ("mcf", "gzip g"),
+            ("gcc 1", "art 1"),
+            ("twolf", "vpr r"),
+            ("mcf", "gzip g", "gcc 1", "art 1"),
+        ],
     )
     def test_smt_co_schedule_matches_reference(self, pair):
         # the SMT model breaks hint ties by its ICOUNT priority; the
-        # reference scheduler must apply the same tie-break
+        # optimized scan and the reference scheduler must apply the same
+        # tie-break, with two programs and with four
         traces = [get_workload(w).trace(length=3000, seed=0) for w in pair]
         runs = [
             Engine(
-                traces[0], MachineConfig.smt(2), traces=traces,
+                traces[0], MachineConfig.smt(len(pair)), traces=traces,
                 reference_scheduler=reference,
             ).run()
             for reference in (True, False)

@@ -131,6 +131,13 @@ class TestExecutionPolicy:
             ("heartbeat", 0),  # Event.wait(0) returns at once: a busy loop
             ("heartbeat", -1.0),
             ("heartbeat", float("nan")),
+            ("heartbeat", float("inf")),
+            ("stale_after", 0),
+            ("stale_after", -5.0),  # every lease reads as stale at once
+            ("stale_after", float("nan")),
+            ("stale_after", float("inf")),
+            ("retries", -1),
+            ("retries", 1.5),
             ("lanes", 4),  # lane batching was removed
             ("lanes", "auto"),
         ],
@@ -142,8 +149,13 @@ class TestExecutionPolicy:
         with pytest.raises(ValueError, match=rf"^{field} "):
             ExecutionPolicy().merged(**{field: value})
         # the boundary values stay legal
-        policy = ExecutionPolicy(chunk=1, heartbeat=0.25, lanes=1)
-        assert (policy.chunk, policy.heartbeat, policy.lanes) == (1, 0.25, 1)
+        policy = ExecutionPolicy(
+            chunk=1, heartbeat=0.25, lanes=1, stale_after=0.5, retries=0
+        )
+        assert (
+            policy.chunk, policy.heartbeat, policy.lanes, policy.stale_after,
+            policy.retries,
+        ) == (1, 0.25, 1, 0.5, 0)
 
 
 class TestDeprecationShims:

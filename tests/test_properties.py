@@ -4,11 +4,15 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.branch import TwoBcGskewPredictor, update_history
-from repro.core import MachineConfig, SlotAllocator
+from repro.core import FetchPolicy, MachineConfig
+from repro.core.engine import Engine
 from repro.isa import Instruction, InstructionBuilder, OpClass
 from repro.memory import Cache, MemoryHierarchy, StoreBuffer
+from repro.obs import Tracer
+from repro.obs.events import EventKind
 from repro.select import AlwaysSelector
 from repro.vp import StridePredictor, WangFranklinPredictor
+from repro.workloads import get_workload
 
 from tests.conftest import FixedPredictor, run_engine
 
@@ -79,7 +83,8 @@ class TestStoreBufferProperties:
             if sb.allocate(owner, pos, addr, value, 0):
                 accepted += 1
         assert len(sb) == accepted <= 32
-        drained = sum(len(sb.confirm_thread(o)) for o in range(1, 5))
+        drained = len(sb.drain_upto(2))
+        drained += len(sb.drain_upto(4))
         assert drained == accepted
         assert len(sb) == 0
 
@@ -104,17 +109,54 @@ class TestStoreBufferProperties:
 
 
 class TestAllocatorProperties:
-    @given(st.lists(st.integers(0, 1000), min_size=1, max_size=200),
-           st.integers(1, 8))
-    @settings(max_examples=50, deadline=None)
-    def test_capacity_respected_and_result_ge_request(self, requests, capacity):
-        alloc = SlotAllocator(capacity)
-        booked: dict[int, int] = {}
-        for t in requests:
-            got = alloc.acquire(t)
-            assert got >= t
-            booked[got] = booked.get(got, 0) + 1
-        assert all(count <= capacity for count in booked.values())
+    """The step kernel's fetch and issue bookings on random short runs."""
+
+    CONFIGS = [
+        MachineConfig.hpca05_baseline,
+        lambda: MachineConfig.mtvp(8, fetch_policy=FetchPolicy.NO_STALL),
+        lambda: MachineConfig.spmt(8),
+        lambda: MachineConfig.cmp(4),
+    ]
+
+    @given(
+        st.sampled_from(["mcf", "gcc 1", "art 1", "twolf", "gzip g"]),
+        st.integers(0, len(CONFIGS) - 1),
+        st.integers(0, 3),
+        st.integers(100, 1200),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_capacity_respected_and_result_ge_request(
+        self, workload, config_idx, seed, length
+    ):
+        config = self.CONFIGS[config_idx]()
+        tracer = Tracer()
+        engine = Engine(
+            get_workload(workload).trace(length=length, seed=seed),
+            config,
+            tracer=tracer,
+        )
+        stats = engine.run()
+        allocs = list(engine._fetch_groups)
+        for issue in engine._issue_groups:
+            allocs += [issue._total, *issue._classes.values()]
+        for alloc in allocs:
+            assert max(alloc._booked.values(), default=0) <= alloc.capacity
+        # every instruction's fetch is booked at or after the previous
+        # fetch of its context, and its issue at or after its operands
+        # could first be queued
+        steps = [
+            (tid, args)
+            for _cycle, kind, tid, args in tracer.events
+            if kind == EventKind.INSTRUCTION
+        ]
+        assert tracer.dropped == 0
+        assert len(steps) == stats.instructions_stepped
+        last_fetch: dict[int, int] = {}
+        for tid, args in steps:
+            assert args["fetch"] >= last_fetch.get(tid, 0)
+            last_fetch[tid] = args["fetch"]
+            assert args["issue"] >= args["fetch"] + config.front_latency
+            assert args["commit"] > args["issue"]
 
 
 class TestPredictorProperties:

@@ -17,7 +17,7 @@ class TestCapacity:
         sb = StoreBuffer(capacity=None)
         for i in range(1000):
             assert sb.allocate(1, i, 0x1000 + 8 * i, i, time=i)
-        assert sb.free_slots is None
+        assert not sb.is_full
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -31,10 +31,10 @@ class TestCapacity:
         with pytest.raises(ValueError, match="power of two"):
             StoreBuffer(capacity=8, granularity=0)
 
-    def test_free_slots(self):
+    def test_not_full_below_capacity(self):
         sb = StoreBuffer(capacity=4)
         sb.allocate(1, 0, 0x100, 1, 0)
-        assert sb.free_slots == 3
+        assert len(sb) == 1
         assert not sb.is_full
 
 
@@ -80,10 +80,11 @@ class TestVisibilitySearch:
 class TestRelease:
     def test_confirm_returns_entries_in_program_order(self):
         sb = StoreBuffer(capacity=8)
-        sb.allocate(1, 9, 0x300, 3, 0)
+        sb.allocate(2, 9, 0x300, 3, 0)
         sb.allocate(1, 5, 0x100, 1, 0)
-        released = sb.confirm_thread(1)
-        assert [e.trace_pos for e in released] == [5, 9]
+        sb.allocate(1, 12, 0x200, 2, 0)
+        released = sb.drain_upto(2)
+        assert [e.trace_pos for e in released] == [5, 9, 12]
         assert len(sb) == 0
 
     def test_squash_discards(self):
@@ -101,19 +102,20 @@ class TestRelease:
         sb.allocate(5, 9, 0x300, 3, 0)
         released = sb.drain_upto(2)
         assert {e.owner for e in released} == {1, 2}
-        assert sb.occupancy_of(5) == 1
+        assert len(sb) == 1
+        assert sb.search(0x300, visible=(5,), trace_pos=10) is not None
 
     def test_capacity_recovered_after_release(self):
         sb = StoreBuffer(capacity=2)
         sb.allocate(1, 5, 0x100, 1, 0)
         sb.allocate(2, 6, 0x108, 2, 0)
         assert sb.is_full
-        sb.confirm_thread(1)
+        sb.drain_upto(1)
         assert sb.allocate(3, 7, 0x110, 3, 0)
 
     def test_confirm_missing_thread_is_noop(self):
         sb = StoreBuffer(capacity=2)
-        assert sb.confirm_thread(9) == []
+        assert sb.drain_upto(9) == []
         assert sb.squash_thread(9) == 0
 
 

@@ -188,10 +188,10 @@ class TestResultStore:
         store = ResultStore(tmp_path / "s.db")
         store.ensure("s", self.rows())
         assert len(store.runnable("s")) == 2
-        store.mark_running("s", [("p1", 0)])
+        assert store.claim("s", [("p1", 0)]) == [("p1", 0)]
         store.mark_done("s", ("p1", 0), {"cycles": 10}, wall_seconds=0.1)
         assert [r["seed"] for r in store.runnable("s")] == [1]
-        store.mark_running("s", [("p1", 1)])
+        assert store.claim("s", [("p1", 1)]) == [("p1", 1)]
         store.mark_failed("s", ("p1", 1), "boom")
         # no retry budget: the failed row is out of attempts
         assert store.runnable("s", retries=0) == []
@@ -204,7 +204,7 @@ class TestResultStore:
     def test_stale_running_rows_are_runnable(self, tmp_path):
         store = ResultStore(tmp_path / "s.db")
         store.ensure("s", self.rows())
-        store.mark_running("s", [("p1", 0)])
+        store.claim("s", [("p1", 0)])
         assert len(store.runnable("s")) == 2  # crashed claim is re-claimable
 
     def test_persistence_across_reopen(self, tmp_path):
@@ -675,6 +675,12 @@ class TestMalformedSpec:
         path = tmp_path / name
         path.write_text(_MALFORMED[name])
         with pytest.raises(SweepSpecError, match=f"^{re.escape(str(path))}: "):
+            load_spec(path)
+
+    def test_negative_retries_is_refused(self, tmp_path):
+        path = tmp_path / "retries.toml"
+        path.write_text('[sweep]\nname = "x"\nretries = -1\n')
+        with pytest.raises(SweepSpecError, match="retries must be a non-negative"):
             load_spec(path)
 
     @pytest.mark.parametrize("name", ["bad.toml", "list.json", "search-field.toml"])
