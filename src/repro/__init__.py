@@ -218,7 +218,7 @@ def _warmed_engine(
         if warmup:
             engine.fast_forward(warmup)
         if store is not None:
-            store.put(key, engine.snapshot(scope="arch"))
+            store.put(key, engine.snapshot())
     return engine
 
 

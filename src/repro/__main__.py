@@ -186,7 +186,7 @@ def _cmd_run_checkpoint(args: argparse.Namespace) -> int:
     if args.checkpoint:
         save_checkpoint(
             args.checkpoint,
-            engine.snapshot(scope="arch"),
+            engine.snapshot(),
             workload=args.workload,
             seed=args.seed,
             length=length,

@@ -8,7 +8,7 @@ books: it takes the earliest cycle at or after the requested one with a
 free slot (for issue, a cycle free in both the class and the total
 allocator).  Contexts are stepped in approximate time order, so bookings
 arrive nearly monotonically and the search loop is short.  These classes
-own the booking state, its pruning and its snapshot format.
+own the booking state and its pruning.
 """
 
 from __future__ import annotations
@@ -39,31 +39,6 @@ class SlotAllocator:
         for cycle in [c for c in self._booked if c < horizon]:
             del self._booked[cycle]
 
-    def snapshot(self) -> dict:
-        """Serialize bookings and counters to a versioned picklable dict."""
-        return {
-            "version": 2,
-            "capacity": self.capacity,
-            "booked": [[c, n] for c, n in self._booked.items()],
-            "acquired": self.acquired,
-        }
-
-    def restore(self, data: dict) -> None:
-        """Restore from a :meth:`snapshot` payload (same capacity).
-
-        Only version 2 payloads load; older ones raise ``ValueError``.
-        """
-        version = data.get("version")
-        if version != 2:
-            raise ValueError(
-                f"unsupported SlotAllocator snapshot version: {version!r} "
-                f"(this code reads version 2; re-take the snapshot)"
-            )
-        if data["capacity"] != self.capacity:
-            raise ValueError("SlotAllocator snapshot capacity mismatch")
-        self._booked = {c: n for c, n in data["booked"]}
-        self.acquired = data["acquired"]
-
 
 class PortedIssue:
     """Issue bandwidth: per-class port limits under a global width cap.
@@ -81,26 +56,3 @@ class PortedIssue:
             "fp": SlotAllocator(fp_ports, "issue-fp"),
             "mem": SlotAllocator(mem_ports, "issue-mem"),
         }
-
-    def snapshot(self) -> dict:
-        """Serialize the total and per-class allocators (versioned)."""
-        return {
-            "version": 1,
-            "total": self._total.snapshot(),
-            "classes": {
-                name: alloc.snapshot() for name, alloc in self._classes.items()
-            },
-        }
-
-    def restore(self, data: dict) -> None:
-        """Restore from a :meth:`snapshot` payload (same port structure)."""
-        if data.get("version") != 1:
-            raise ValueError(
-                f"unsupported PortedIssue snapshot version: "
-                f"{data.get('version')!r}"
-            )
-        if set(data["classes"]) != set(self._classes):
-            raise ValueError("PortedIssue snapshot port classes mismatch")
-        self._total.restore(data["total"])
-        for name, alloc in self._classes.items():
-            alloc.restore(data["classes"][name])

@@ -90,8 +90,7 @@ class ThreadContext:
             self.trace: list | None = None
             self.trace_len = 0
             #: index of ``trace`` in the engine's trace list (0 except for
-            #: multi-program roots); what snapshots persist instead of the
-            #: trace itself
+            #: multi-program roots)
             self.stream = 0
         else:
             # flash register-map copy (Section 3.2): ready times carry over
@@ -130,79 +129,6 @@ class ThreadContext:
         #: when none are pending — lets the engine's per-instruction hot
         #: path skip the finalize scan without touching the deque
         self.measures_min_end = 1 << 62
-
-    #: scalar fields copied verbatim by snapshot/restore; link fields
-    #: (parent, children, spawn records) serialize as ids at the engine
-    #: level, which alone knows the whole context graph
-    _SNAP_FIELDS = (
-        "slot",
-        "order",
-        "pos",
-        "start_pos",
-        "stream",
-        "speculative",
-        "last_fetch",
-        "last_commit",
-        "commit_cycle",
-        "commits_in_cycle",
-        "bhist",
-        "fetched_count",
-        "within_commits",
-        "beyond_commits",
-        "last_within_commit",
-        "arch_limit",
-        "pending_spawn",
-        "alive",
-        "blocked",
-        "sb_paused",
-        "done",
-        "resume_at",
-        "measures_min_end",
-    )
-
-    def snapshot(self) -> dict:
-        """Serialize this context's own state to a versioned dict.
-
-        Links to other contexts and spawn records are *not* included —
-        the engine serializes those as ids and re-wires them on restore.
-        """
-        data: dict = {"version": 1}
-        for field in self._SNAP_FIELDS:
-            data[field] = getattr(self, field)
-        data["reg_ready"] = list(self.reg_ready)
-        data["visible"] = list(self.visible)
-        data["rob"] = list(self.rob)
-        data["pending_measures"] = [list(m) for m in self.pending_measures]
-        return data
-
-    def restore(self, data: dict) -> None:
-        """Restore own state from a :meth:`snapshot` payload (links untouched)."""
-        if data.get("version") != 1:
-            raise ValueError(
-                f"unsupported ThreadContext snapshot version: "
-                f"{data.get('version')!r}"
-            )
-        for field in self._SNAP_FIELDS:
-            setattr(self, field, data[field])
-        self.reg_ready = list(data["reg_ready"])
-        self.visible = tuple(data["visible"])
-        self.rob = deque(data["rob"])
-        self.pending_measures = deque(tuple(m) for m in data["pending_measures"])
-
-    @classmethod
-    def from_snapshot(cls, data: dict) -> "ThreadContext":
-        """Build an unlinked context shell from a snapshot payload."""
-        ctx = cls.__new__(cls)
-        ctx.parent = None
-        ctx.children = []
-        ctx.spawn_record_as_child = None
-        ctx.spawn_record_as_parent = None
-        # the engine re-binds the trace from the restored stream index; the
-        # shell starts unbound so a missed re-bind fails loudly
-        ctx.trace = None
-        ctx.trace_len = 0
-        ctx.restore(data)
-        return ctx
 
     # ------------------------------------------------------------------
     @property

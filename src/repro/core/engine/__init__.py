@@ -21,8 +21,8 @@ timing* state (in-flight timestamps, port reservations, pending measures):
   retirement;
 * :mod:`~repro.core.engine.warmup` — warm start and functional
   fast-forward (architectural state only);
-* :mod:`~repro.core.engine.snapshot` — full and architectural-scope
-  checkpointing;
+* :mod:`~repro.core.engine.snapshot` — the architectural warmup
+  checkpoint;
 * :mod:`~repro.core.engine.core` — the :class:`Engine` facade composing
   them.
 

@@ -5,7 +5,8 @@ in :mod:`repro.core.engine`); this module owns the state they share —
 construction wires every component, :meth:`Engine.run` drives the scheduler
 and closes the books.  The facade is also where the run's *lifecycle*
 flags live: a run can be paused (``run(max_steps=...)`` returns ``None``)
-and resumed, or checkpointed between segments via the snapshot mixin.
+and resumed, and the snapshot mixin checkpoints the architectural state
+before the timed run starts.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class Engine(
             occupancy/speculation metrics land in ``stats.extended``.
             Instrumentation is strictly read-only: an instrumented run
             produces bit-identical :class:`SimStats` counters.
-        arch: Optional ``scope="arch"`` snapshot (a warmup checkpoint).
+        arch: Optional :meth:`snapshot` payload (a warmup checkpoint).
             The engine restores it *instead of* running the warm start;
             the result is identical to warming and then restoring.
     """
@@ -273,7 +274,7 @@ class Engine(
         Without ``max_steps`` the whole remaining trace runs, exactly as
         before.  With ``max_steps`` the engine steps at most that many
         instructions and then *pauses*, returning ``None``; the caller may
-        resume with another ``run()`` call (or snapshot the paused state).
+        resume with another ``run()`` call.
         Segmenting a run never changes its results — the scheduler stops
         between instructions, at a point every decision has already been
         made for.

@@ -30,7 +30,7 @@ class SchedulerMixin:
 
         ``stop_at`` bounds the processor-wide fetched count: the loop
         suspends (between steps, never mid-step) once it is reached, which
-        is what makes a run pausable for :meth:`Engine.snapshot`.
+        is what makes ``run(max_steps=...)`` pausable and resumable.
 
         Two things make this loop fast without changing any decision:
 

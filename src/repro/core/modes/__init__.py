@@ -4,7 +4,7 @@ One :class:`~repro.core.modes.base.ExecutionModel` per simulation mode,
 registered in the same string-keyed :class:`~repro.registry.Registry` the
 value predictors and load selectors use.  The registry keys equal the
 ``SimMode`` enum values, so every spelling that already travels through
-configs, caches, snapshots and sweep specs resolves directly::
+configs, caches and sweep specs resolves directly::
 
     >>> from repro.core.modes import names, resolve_model
     >>> names()

@@ -11,9 +11,8 @@ decision points — the per-instruction hot path still reads plain engine
 attributes that the model populated once.
 
 Models hold **no per-run state**; every method receives the engine.  That
-keeps one module-level instance per mode shareable across engines,
-processes and snapshots (a snapshot stores the mode string; restore
-re-resolves the model from the registry).
+keeps one module-level instance per mode shareable across engines and
+processes.
 """
 
 from __future__ import annotations

@@ -143,45 +143,5 @@ class StoreBuffer:
         """Discard a killed thread's stores; returns how many were dropped."""
         return len(self._remove_owner(owner))
 
-    def snapshot(self) -> dict:
-        """Serialize buffered stores and counters to a versioned dict.
-
-        Entries serialize grouped by owner in insertion order; search
-        results depend only on (owner visibility, trace position), both of
-        which survive the round trip exactly.
-        """
-        entries = []
-        for lst in self._by_owner.values():
-            for e in lst:
-                entries.append([e.owner, e.trace_pos, e.addr, e.value, e.time])
-        return {
-            "version": 1,
-            "capacity": self.capacity,
-            "granularity": self.granularity,
-            "entries": entries,
-            "allocations": self.allocations,
-            "rejections": self.rejections,
-            "forward_hits": self.forward_hits,
-        }
-
-    def restore(self, data: dict) -> None:
-        """Restore from a :meth:`snapshot` payload (same capacity/granularity)."""
-        if data.get("version") != 1:
-            raise ValueError(
-                f"unsupported StoreBuffer snapshot version: {data.get('version')!r}"
-            )
-        if data["capacity"] != self.capacity or data["granularity"] != self.granularity:
-            raise ValueError("StoreBuffer snapshot capacity/granularity mismatch")
-        self._by_addr = {}
-        self._by_owner = {}
-        for owner, trace_pos, addr, value, time in data["entries"]:
-            entry = StoreEntry(owner, trace_pos, addr, value, time)
-            self._by_addr.setdefault(self._key(addr), []).append(entry)
-            self._by_owner.setdefault(owner, []).append(entry)
-        self.total = len(data["entries"])
-        self.allocations = data["allocations"]
-        self.rejections = data["rejections"]
-        self.forward_hits = data["forward_hits"]
-
     def __len__(self) -> int:
         return self.total

@@ -66,35 +66,6 @@ class LoadSelector:
                 (Section 5.1's third predictor) use this instead.
         """
 
-    def snapshot(self) -> dict:
-        """Serialize selector state to a versioned picklable dict."""
-        return {
-            "version": 1,
-            "kind": type(self).__name__,
-            "state": self._snapshot_state(),
-        }
-
-    def restore(self, data: dict) -> None:
-        """Restore from a :meth:`snapshot` payload of the same kind."""
-        if data.get("version") != 1:
-            raise ValueError(
-                f"unsupported LoadSelector snapshot version: "
-                f"{data.get('version')!r}"
-            )
-        if data.get("kind") != type(self).__name__:
-            raise ValueError(
-                f"selector snapshot is for {data.get('kind')!r}, "
-                f"not {type(self).__name__}"
-            )
-        self._restore_state(data["state"])
-
-    def _snapshot_state(self) -> dict:
-        """State contents for :meth:`snapshot`; stateless selectors: {}."""
-        return {}
-
-    def _restore_state(self, state: dict) -> None:
-        """Restore contents captured by :meth:`_snapshot_state`."""
-
 
 class AlwaysSelector(LoadSelector):
     """Predict every confident load; prefer MTVP whenever a context is free."""
@@ -332,41 +303,6 @@ class IlpPredSelector(LoadSelector):
     def _progress(instructions: int, committed: int | None) -> int:
         """Which progress metric an episode contributes (fetched here)."""
         return instructions
-
-    def _snapshot_state(self) -> dict:
-        return {
-            "table": [
-                [
-                    key,
-                    list(e.instructions),
-                    list(e.cycles),
-                    list(e.samples),
-                    e.episodes,
-                    e.latency,
-                    list(e.optimistic),
-                ]
-                for key, e in self._table.items()
-            ],
-            "decisions": {int(k): v for k, v in self.decisions.items()},
-        }
-
-    def _restore_state(self, state: dict) -> None:
-        table: dict[int, _IlpEntry] = {}
-        for key, instructions, cycles, samples, episodes, latency, optimistic in state[
-            "table"
-        ]:
-            entry = _IlpEntry()
-            entry.instructions = list(instructions)
-            entry.cycles = list(cycles)
-            entry.samples = list(samples)
-            entry.episodes = episodes
-            entry.latency = latency
-            entry.optimistic = list(optimistic)
-            table[key] = entry
-        self._table = table
-        self.decisions = {
-            PredictionKind(int(k)): v for k, v in state["decisions"].items()
-        }
 
 
 class IlpCommitSelector(IlpPredSelector):

@@ -176,12 +176,12 @@ def iter_trace(path: str | Path) -> Iterator[Instruction]:
                     f"{path}: truncated at record {index} "
                     f"(header promised {count} records)"
                 )
-            usable = len(chunk) - (len(chunk) % record_size)
+            # whole records, but none past the header's count: bytes
+            # beyond it stay pending and fail the trailing-bytes check
+            usable = min(len(chunk) // record_size, count - index) * record_size
             for fields in _RECORD.iter_unpack(chunk[:usable]):
                 yield _decode_record(path, index, fields)
                 index += 1
-                if index == count:
-                    break
             pending = chunk[usable:]
         if pending or f.read(1):
             raise TraceFormatError(

@@ -4,8 +4,8 @@ The burst kernel (``StepMixin._steps``) is the only code that books the
 cycle-slot allocators, so these tests inspect the allocators a real run
 leaves behind: every booking within its capacity, the per-class issue
 counts summing to the total in every cycle, the ``acquired`` counters
-matching the instructions stepped, pruning that never changes a result,
-and the allocator snapshot format.
+matching the instructions stepped, and pruning that never changes a
+result.
 """
 
 from functools import lru_cache
@@ -14,7 +14,7 @@ import pytest
 
 import repro.core.engine.step as step_module
 from repro import simulate
-from repro.core import FetchPolicy, MachineConfig, PortedIssue, SlotAllocator
+from repro.core import FetchPolicy, MachineConfig, SlotAllocator
 from repro.core.engine import Engine
 from repro.obs import Tracer
 from repro.obs.events import EventKind
@@ -160,29 +160,3 @@ class TestPortedIssue:
                 )
                 issued += issue._total.acquired
             assert issued == stats.instructions_stepped
-
-
-class TestAllocatorSnapshots:
-    def test_slot_allocator_roundtrip(self):
-        engine = _engine(MachineConfig.hpca05_baseline(), ("mcf",), length=500)
-        engine.run()
-        (fetch,) = engine._fetch_groups
-        payload = fetch.snapshot()
-        b = SlotAllocator(fetch.capacity)
-        b.restore(payload)
-        assert b.snapshot() == payload
-        assert b._booked == fetch._booked
-        assert b.acquired == fetch.acquired == 500
-
-    def test_version_1_payload_is_refused(self):
-        payload = SlotAllocator(2).snapshot()
-        payload["version"] = 1
-        payload["min_interesting"] = 0
-        with pytest.raises(ValueError, match="version: 1 .*version 2"):
-            SlotAllocator(2).restore(payload)
-
-    def test_ported_issue_refuses_a_stale_class_payload(self):
-        payload = PortedIssue().snapshot()
-        payload["classes"]["fp"]["version"] = 1
-        with pytest.raises(ValueError, match="SlotAllocator snapshot version"):
-            PortedIssue().restore(payload)

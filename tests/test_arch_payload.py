@@ -217,7 +217,7 @@ def warmed_engine(arch=None) -> Engine:
 def mcf_arch() -> dict:
     engine = warmed_engine()
     engine.fast_forward(WARMUP)
-    return engine.snapshot(scope="arch")
+    return engine.snapshot()
 
 
 def containers(obj) -> int:
@@ -254,7 +254,7 @@ class TestPayloadShape:
         fresh = warmed_engine()
         fresh.fast_forward(WARMUP)
         restored = warmed_engine(arch=pickle.loads(pickle.dumps(mcf_arch)))
-        assert restored.snapshot(scope="arch") == mcf_arch
+        assert restored.snapshot() == mcf_arch
         assert restored.run().to_dict() == fresh.run().to_dict()
 
 

@@ -2,7 +2,9 @@
 
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.harness.experiments import ExperimentResult
 from repro.harness.export import (
@@ -180,6 +182,12 @@ class TestTraceIngestion:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(TraceFormatError, match="trailing bytes"):
             load_trace(path)
+        # whole records beyond the header's count are trailing bytes too
+        save_trace([builder.int_alu(dst=1) for _ in range(3)], path)
+        data = path.read_bytes()
+        path.write_bytes(_HEADER.pack(_MAGIC, _VERSION, 2) + data[_HEADER.size:])
+        with pytest.raises(TraceFormatError, match="trailing bytes after 2 records"):
+            load_trace(path)
 
     def test_error_is_still_a_value_error(self, tmp_path):
         path = tmp_path / "j.trace"
@@ -209,6 +217,64 @@ class TestTraceIngestion:
     def test_load_trace_set_needs_paths(self):
         with pytest.raises(ValueError, match="at least one path"):
             load_trace_set([])
+
+
+#: a byte offset, half the time inside the 16-byte header; offsets wrap
+#: to the file's current length
+_OFFSET = st.one_of(st.sampled_from(range(16)), st.integers(0, 7000))
+
+#: one edit to a trace file's bytes: overwrite or insert bytes at an
+#: offset, truncate there, or rewrite the header's record count
+_EDIT = st.one_of(
+    st.tuples(st.just("overwrite"), _OFFSET, st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("insert"), _OFFSET, st.binary(min_size=1, max_size=40)),
+    st.tuples(st.just("truncate"), _OFFSET, st.just(b"")),
+    st.tuples(st.just("count"), st.integers(0, 400), st.just(b"")),
+)
+
+
+def _apply(data: bytes, edits) -> bytes:
+    buf = bytearray(data)
+    for kind, n, blob in edits:
+        if kind == "count":  # n is the new record count
+            buf[8:16] = n.to_bytes(8, "little")
+            continue
+        at = n % (len(buf) + 1)
+        if kind == "overwrite":
+            buf[at:at + len(blob)] = blob
+        elif kind == "insert":
+            buf[at:at] = blob
+        else:
+            del buf[at:]
+    return bytes(buf)
+
+
+@pytest.fixture(scope="module")
+def mcf_trace_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "mcf.trace"
+    save_trace(get_workload("mcf").trace(length=200, seed=0), path)
+    return path.read_bytes()
+
+
+class TestTraceFuzz:
+    """Randomly damaged trace files: the reader either loads exactly
+    what the header promises or raises TraceFormatError, nothing else."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(edits=st.lists(_EDIT, min_size=1, max_size=3))
+    def test_damaged_file_loads_cleanly_or_raises_trace_format_error(
+        self, tmp_path_factory, mcf_trace_bytes, edits
+    ):
+        data = _apply(mcf_trace_bytes, edits)
+        path = tmp_path_factory.getbasetemp() / "damaged.trace"
+        path.write_bytes(data)
+        try:
+            loaded = load_trace(path)
+        except TraceFormatError:
+            return
+        count = _HEADER.unpack(data[:_HEADER.size])[2]
+        assert len(loaded) == count
+        assert len(data) == _HEADER.size + count * _RECORD.size
 
 
 class TestExport:

@@ -253,25 +253,6 @@ class TestSpmt:
         # run must not be slower than serial execution
         assert spmt.cycles <= base.cycles
 
-    def test_snapshot_roundtrip_mid_spawn(self):
-        # full-scope checkpointing must carry the position-triggered
-        # resolution state (resolve_pos) through serialization
-        config = MachineConfig.spmt(threads=4)
-        trace = get_workload("mcf").trace(length=2000, seed=3)
-
-        def fresh():
-            return Engine(trace, config)
-
-        straight = fresh().run()
-
-        paused = fresh()
-        assert paused.run(max_steps=700) is None
-        payload = paused.snapshot(scope="full")
-        resumed_engine = fresh()
-        resumed_engine.restore(payload)
-        resumed = resumed_engine.run()
-        assert _canonical_stats(resumed) == _canonical_stats(straight)
-
     def test_stats_fields_absent_for_paper_modes(self):
         stats = simulate("mcf", MachineConfig.mtvp(threads=4), length=1000)
         d = stats.to_dict()

@@ -208,15 +208,3 @@ class TestBoundedOptimism:
 
         with pytest.raises(ValueError):
             IlpPredSelector(max_optimistic_grants=0)
-
-    def test_optimism_counters_survive_snapshot(self):
-        s = IlpPredSelector(max_optimistic_grants=1, explore_period=1000)
-        pc = 0x4000
-        s.choose(a_load(pc), spawn_available=False)  # consume the allowance
-        clone = IlpPredSelector(max_optimistic_grants=1, explore_period=1000)
-        clone.restore(s.snapshot())
-        clone._entry(pc).episodes = s._entry(pc).episodes
-        assert (
-            clone.choose(a_load(pc), spawn_available=False)
-            is not PredictionKind.STVP
-        )

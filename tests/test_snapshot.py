@@ -1,12 +1,11 @@
-"""Engine checkpointing: snapshot/restore determinism and functional warmup.
+"""Engine checkpointing: the warmup-checkpoint contract.
 
-The hard contract under test: pausing a run (``run(max_steps=...)``),
-serializing the engine (``snapshot()``), restoring the payload into a
-freshly built engine and finishing must produce *byte-identical* stats to
-the uninterrupted run — for every simulation mode, including MTVP paused
-mid-spawn with live speculative contexts on the pending heap.  The
-architectural scope has the same property for the warmup protocol:
-``fast_forward`` then run equals restore-from-arch-snapshot then run.
+``fast_forward`` then run must equal restore-the-snapshot then run, and
+one snapshot must serve every machine that differs only in timing axes.
+Restores refuse a payload with a bad position, version or scope, and an
+engine whose run has started; ``snapshot()`` refuses an engine whose
+timed run has started (paused or finished), since the payload would
+silently skip the instructions already stepped.
 """
 
 from __future__ import annotations
@@ -75,72 +74,6 @@ class TestPausableRun:
             engine.run()
 
 
-class TestFullSnapshotDeterminism:
-    @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_snapshot_restore_is_byte_identical(self, mode):
-        config = MODES[mode]()
-        ref = build(config).run()
-
-        paused = build(MODES[mode]())
-        assert paused.run(max_steps=1200) is None
-        payload = paused.snapshot()
-        # the payload must survive serialization (it is what a process
-        # boundary or an on-disk checkpoint would carry)
-        payload = pickle.loads(pickle.dumps(payload))
-
-        fresh = build(MODES[mode]())
-        fresh.restore(payload)
-        assert digest(fresh.run()) == digest(ref)
-
-    def test_mtvp_mid_spawn_with_live_speculative_contexts(self):
-        def make():
-            return Engine(
-                TRACE,
-                MachineConfig.mtvp(8),
-                predictor=WangFranklinPredictor(),
-                selector=AlwaysSelector(),  # spawn at every opportunity
-            )
-
-        ref = make().run()
-        paused = make()
-        caught = False
-        while not caught:
-            if paused.run(max_steps=40) is not None:
-                break
-            speculative = [
-                c
-                for c in paused._contexts
-                if c is not None and c.speculative and c.alive
-            ]
-            if speculative and paused._pending:
-                caught = True
-        assert caught, "never paused mid-spawn; shrink max_steps"
-
-        payload = pickle.loads(pickle.dumps(paused.snapshot()))
-        fresh = make()
-        fresh.restore(payload)
-        assert digest(fresh.run()) == digest(ref)
-
-    def test_restore_validates_mode(self):
-        payload = build(MODES["mtvp"]()).snapshot()
-        other = build(MODES["baseline"]())
-        with pytest.raises(ValueError, match="mode|context"):
-            other.restore(payload)
-
-    def test_restore_requires_fresh_engine(self):
-        payload = build(MODES["baseline"]()).snapshot()
-        used = build(MODES["baseline"]())
-        used.run(max_steps=10)
-        with pytest.raises(RuntimeError, match="fresh"):
-            used.restore(payload)
-
-    def test_restore_validates_version(self):
-        payload = build(MODES["baseline"]()).snapshot()
-        payload["version"] = 999
-        with pytest.raises(ValueError, match="version"):
-            build(MODES["baseline"]()).restore(payload)
-
-
 class TestFastForward:
     def test_fast_forward_advances_position_without_cycles(self):
         engine = build(MODES["mtvp"](), trace=TRACE)
@@ -176,7 +109,7 @@ class TestArchSnapshot:
     def test_arch_restore_equals_fast_forward(self):
         warm = build(MODES["mtvp"]())
         warm.fast_forward(1500)
-        payload = pickle.loads(pickle.dumps(warm.snapshot(scope="arch")))
+        payload = pickle.loads(pickle.dumps(warm.snapshot()))
         ref = warm.run()
 
         restored = build(MODES["mtvp"]())
@@ -188,7 +121,7 @@ class TestArchSnapshot:
         # state is identical, so one checkpoint must serve both machines
         warm = build(MachineConfig.mtvp(4))
         warm.fast_forward(1500)
-        payload = warm.snapshot(scope="arch")
+        payload = warm.snapshot()
 
         direct = build(MachineConfig.mtvp(4, spawn_latency=32))
         direct.fast_forward(1500)
@@ -210,17 +143,41 @@ class TestArchSnapshot:
                 break
         assert engine._pending, "no spawn in flight; adjust the trace"
         with pytest.raises(RuntimeError):
-            engine.snapshot(scope="arch")
+            engine.snapshot()
+
+    @pytest.mark.parametrize("max_steps", [100, None], ids=["paused", "finished"])
+    def test_snapshot_refuses_a_started_engine(self, max_steps):
+        engine = build(MODES["baseline"]())
+        engine.run(max_steps=max_steps)
+        with pytest.raises(RuntimeError, match="started"):
+            engine.snapshot()
 
     def test_arch_restore_rejects_position_beyond_trace(self):
         warm = build(MODES["baseline"]())
         warm.fast_forward(2500)
-        payload = warm.snapshot(scope="arch")
+        payload = warm.snapshot()
         short = build(MODES["baseline"](), trace=TRACE[:2000])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="position"):
             short.restore(payload)
+        for pos in (-1, 1000.0, "1000", True):
+            with pytest.raises(ValueError, match="position"):
+                build(MODES["baseline"]()).restore(dict(payload, pos=pos))
 
     def test_unknown_scope_rejected(self):
-        engine = build(MODES["baseline"]())
-        with pytest.raises(ValueError, match="scope"):
-            engine.snapshot(scope="partial")
+        payload = build(MODES["baseline"]()).snapshot()
+        for scope in ("full", "partial", None):
+            with pytest.raises(ValueError, match="scope"):
+                build(MODES["baseline"]()).restore(dict(payload, scope=scope))
+
+    def test_restore_requires_fresh_engine(self):
+        payload = build(MODES["baseline"]()).snapshot()
+        used = build(MODES["baseline"]())
+        used.run(max_steps=10)
+        with pytest.raises(RuntimeError, match="fresh"):
+            used.restore(payload)
+
+    def test_restore_validates_version(self):
+        payload = build(MODES["baseline"]()).snapshot()
+        payload["version"] = 999
+        with pytest.raises(ValueError, match="version"):
+            build(MODES["baseline"]()).restore(payload)

@@ -30,6 +30,7 @@ from repro import _steady_state_footprint
 from repro import vp as vp_registry
 from repro.branch import update_history
 from repro.core import Engine, MachineConfig
+from repro.harness.bench import stats_digest
 from repro.isa import Instruction, OpClass
 from repro.memory import Cache, MemoryHierarchy
 from repro.select import IlpPredSelector
@@ -333,7 +334,8 @@ def test_warm_start_matches_the_original_loops(name):
         predictor=vp_registry.create(name),
     )
     reference_warm_state(reference, warm)
-    assert current.snapshot(scope="full") == reference.snapshot(scope="full")
+    assert current.snapshot() == reference.snapshot()
+    assert stats_digest(current.run()) == stats_digest(reference.run())
 
 
 MODES = {
@@ -364,14 +366,17 @@ class TestRestoreSkipsWarmStart:
     def test_identical_to_warming_then_restoring(self, mode):
         donor = self._build(mode)
         donor.fast_forward(self.WARMUP)
-        arch = donor.snapshot(scope="arch")
+        arch = donor.snapshot()
         warmed = self._build(mode)
         warmed.restore(arch)
         skipped = self._build(mode, arch=arch)
-        assert skipped.snapshot(scope="full") == warmed.snapshot(scope="full")
-        assert skipped.run().to_dict() == warmed.run().to_dict()
+        assert skipped.snapshot() == warmed.snapshot() == arch
+        assert stats_digest(skipped.run()) == stats_digest(warmed.run())
 
     def test_rejects_a_full_snapshot(self):
-        full = self._build("baseline").snapshot(scope="full")
-        with pytest.raises(ValueError, match="scope='arch'"):
-            self._build("baseline", arch=full)
+        # payloads of the retired full scope (and any other non-arch
+        # scope) are refused, never half-restored
+        arch = self._build("baseline").snapshot()
+        for scope in ("full", None):
+            with pytest.raises(ValueError, match="scope='arch'"):
+                self._build("baseline", arch=dict(arch, scope=scope))
