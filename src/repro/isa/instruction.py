@@ -8,9 +8,12 @@ from repro.isa.opclass import NUM_LOGICAL_REGS, OpClass, REG_ZERO
 class Instruction:
     """One dynamic instruction in a trace.
 
-    Instances are created in bulk by the workload generators, so the class
-    uses ``__slots__`` and plain attributes rather than a dataclass to keep
-    per-object cost low.
+    Read-only once built.  The workload generator shares one instance per
+    static ALU/FP slot across every iteration of a trace (and memoized
+    traces are shared across simulations), so never assign to a field:
+    a write would change every dynamic instance of that slot.  The class
+    uses ``__slots__`` and plain attributes rather than a dataclass to
+    keep per-object cost low.
 
     Attributes:
         pc: Static program counter (byte address of the instruction).
@@ -43,7 +46,7 @@ class Instruction:
         for s in srcs:
             if not 0 <= s < NUM_LOGICAL_REGS:
                 raise ValueError(f"source register {s} out of range")
-        if op.is_memory and addr is None:
+        if addr is None and op.is_memory:
             raise ValueError(f"{op.name} instruction requires an address")
         if op is OpClass.BRANCH and taken is None:
             raise ValueError("BRANCH instruction requires a taken outcome")

@@ -6,6 +6,14 @@ wiring and per-slot stream assignments — and then unrolls that body into a
 dynamic instruction trace.  Static PCs repeat across iterations, which is
 what lets the PC-indexed structures under test (value predictors, branch
 predictor, stride prefetcher, ILP-pred) actually learn.
+
+The body is compiled once more, into a *plan*: every ALU/FP slot is fully
+static, so it becomes one :class:`~repro.isa.Instruction` that each
+iteration of every trace of the workload shares, and consecutive ones form
+a tuple that unrolling appends with one ``extend``.  Only loads, stores
+and branches get a fresh instruction per dynamic instance, carrying the
+address, value or outcome drawn for it.  Traces and their instructions are
+therefore read-only.
 """
 
 from __future__ import annotations
@@ -37,8 +45,10 @@ _VALUE_RANGE = 1 << 40
 _STREAM_SPACING = 1 << 32
 
 #: traces memoized per workload; experiments re-run the same
-#: (length, seed) dozens of times per figure, so regeneration dominates
-#: harness time without this
+#: (length, seed) dozens of times per figure.  Unrolling the plan costs
+#: ~15 ms per 32k instructions, so the memo saves that per repeat and
+#: keeps one copy of the per-instance loads, stores and branches; the
+#: static instructions are shared by every trace of the workload anyway
 _TRACE_MEMO_MAX = 8
 
 
@@ -87,6 +97,7 @@ class Workload:
         self.name = spec.name
         self.suite = spec.suite
         self._body = self._build_body()
+        self._plan = self._compile_plan()
         #: generated traces memoized per (resolved length, seed); bounded
         #: so length sweeps cannot pin every trace ever generated
         self._trace_memo: dict[tuple[int, int], list[Instruction]] = {}
@@ -207,6 +218,29 @@ class Workload:
                 self._vclass_of.append(choice)
         return slots
 
+    def _compile_plan(self) -> list[tuple[Instruction, ...] | _Slot]:
+        """The body as :meth:`trace` unrolls it, static parts prebuilt.
+
+        Every field of an ALU/FP slot is static, so each becomes one
+        validated :class:`Instruction` that every iteration shares; runs
+        of consecutive ones form one tuple, appended with one ``extend``.
+        Loads, stores and branches stay as slots: their address, value or
+        outcome is drawn per dynamic instance.
+        """
+        plan: list[tuple[Instruction, ...] | _Slot] = []
+        run: list[Instruction] = []
+        for slot in self._body:
+            if slot.op.is_memory or slot.op is OpClass.BRANCH:
+                if run:
+                    plan.append(tuple(run))
+                    run = []
+                plan.append(slot)
+            else:
+                run.append(Instruction(slot.pc, slot.op, slot.srcs, slot.dst))
+        if run:
+            plan.append(tuple(run))
+        return plan
+
     def _alu_op(self, rng: random.Random) -> OpClass:
         spec = self.spec
         if spec.fp_fraction and rng.random() < spec.fp_fraction:
@@ -241,6 +275,9 @@ class Workload:
         """
         spec = self.spec
         n = spec.default_length if length is None else length
+        for arg, v in (("length", n), ("seed", seed)):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise TypeError(f"trace {arg} must be an int, got {v!r}")
         if n <= 0:
             raise ValueError("trace length must be positive")
         memo_key = (n, seed)
@@ -252,48 +289,38 @@ class Workload:
             AddressStream(s, base=(i + 1) * _STREAM_SPACING, rng=rng)
             for i, s in enumerate(spec.streams)
         ]
-        load_slots = [s for s in self._body if s.op is OpClass.LOAD]
-        vstreams = [
-            ValueStream(spec.value_mix[self._vclass_of[i]], rng)
-            for i in range(len(load_slots))
-        ]
+        vstreams = [ValueStream(spec.value_mix[v], rng) for v in self._vclass_of]
         branches = [
             BranchOutcomes(spec.branch, rng)
             for s in self._body
             if s.op is OpClass.BRANCH
         ]
         out: list[Instruction] = []
-        while len(out) < n:
+        extend = out.extend
+        append = out.append
+        for _ in range(-(-n // len(self._body))):
             for stream in streams:
                 stream.advance()
-            for slot in self._body:
-                if len(out) >= n:
-                    break
-                if slot.op is OpClass.LOAD:
-                    addr = streams[slot.stream].addr(slot.offset)
-                    value = vstreams[slot.vstream].next_value()
-                    out.append(
-                        Instruction(slot.pc, slot.op, slot.srcs, slot.dst, addr, value)
+            for entry in self._plan:
+                if entry.__class__ is tuple:
+                    extend(entry)
+                elif entry.op is OpClass.LOAD:
+                    addr = streams[entry.stream].addr(entry.offset)
+                    value = vstreams[entry.vstream].next_value()
+                    append(
+                        Instruction(entry.pc, entry.op, entry.srcs, entry.dst, addr, value)
                     )
-                elif slot.op is OpClass.STORE:
-                    addr = streams[slot.stream].addr(slot.offset)
-                    out.append(
-                        Instruction(
-                            slot.pc,
-                            slot.op,
-                            slot.srcs,
-                            None,
-                            addr,
-                            rng.randrange(_VALUE_RANGE),
-                        )
-                    )
-                elif slot.op is OpClass.BRANCH:
-                    taken = branches[slot.branch].next_outcome()
-                    out.append(
-                        Instruction(slot.pc, slot.op, slot.srcs, taken=taken)
-                    )
+                elif entry.op is OpClass.STORE:
+                    addr = streams[entry.stream].addr(entry.offset)
+                    value = rng.randrange(_VALUE_RANGE)
+                    append(Instruction(entry.pc, entry.op, entry.srcs, None, addr, value))
                 else:
-                    out.append(Instruction(slot.pc, slot.op, slot.srcs, slot.dst))
+                    taken = branches[entry.branch].next_outcome()
+                    append(Instruction(entry.pc, entry.op, entry.srcs, taken=taken))
+        # whole iterations were unrolled; what lies past n drew its
+        # dynamic fields after every kept instruction, so cutting it
+        # leaves the first n exactly as a per-slot stop would
+        del out[n:]
         # the engine treats traces as read-only, so the memoized list can
         # be shared between repeated simulations within this process
         if len(self._trace_memo) >= _TRACE_MEMO_MAX:

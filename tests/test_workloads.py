@@ -1,8 +1,14 @@
 """Tests for workload specs, the trace generator, and the modeled suite."""
 
+import hashlib
+
 import pytest
 
+import repro
+from repro.core import FetchPolicy, MachineConfig
 from repro.isa import OpClass
+from repro.select import AlwaysSelector
+from repro.vp import WangFranklinPredictor
 from repro.workloads import (
     ALL_WORKLOADS,
     AddressPattern,
@@ -90,6 +96,15 @@ class TestGenerator:
         wl = Workload(WorkloadSpec(**MINIMAL))
         with pytest.raises(ValueError):
             wl.trace(length=0)
+        for bad in (100.5, True, "100"):
+            with pytest.raises(TypeError, match=f"length must be an int, got {bad!r}"):
+                wl.trace(length=bad)
+        for bad in (1.0, False, "0"):
+            with pytest.raises(TypeError, match=f"seed must be an int, got {bad!r}"):
+                wl.trace(length=10, seed=bad)
+        assert not wl._trace_memo
+        with pytest.raises(TypeError, match="length must be an int, got 100.5"):
+            repro.simulate(wl, MachineConfig.hpca05_baseline(), length=100.5)
 
     def test_static_pcs_repeat_across_iterations(self):
         wl = Workload(WorkloadSpec(**MINIMAL))
@@ -139,6 +154,85 @@ class TestGenerator:
         trace = wl.trace(length=300)
         self_dep = [i for i in trace if i.op is OpClass.LOAD and i.dst in i.srcs]
         assert self_dep, "expected at least one loop-carried pointer load"
+
+
+_DYNAMIC_OPS = (OpClass.LOAD, OpClass.STORE, OpClass.BRANCH)
+
+
+def _record(trace):
+    return [(i.pc, i.op, i.srcs, i.dst, i.addr, i.value, i.taken) for i in trace]
+
+
+class TestSharedStaticInstructions:
+    """Each ALU/FP slot is one Instruction shared by every iteration; the
+    generator's output is pinned byte for byte, and no simulation writes
+    to an instruction."""
+
+    #: SHA-256 over every instruction of all 32 workloads at lengths
+    #: {1, 7, 333, 5000} and seeds {0, 3}, computed with the per-slot
+    #: generator that built a fresh Instruction for every dynamic instance
+    TRACE_DIGEST = "d670a25a188a23b320a3c5ff171a04eceb37fe688ab232e408e683176b966f1d"
+
+    def test_trace_digest_is_pinned(self):
+        h = hashlib.sha256()
+        for name in ALL_WORKLOADS:
+            wl = Workload(get_workload(name).spec)
+            for length in (1, 7, 333, 5000):
+                for seed in (0, 3):
+                    for i in wl.trace(length, seed):
+                        h.update(repr(
+                            (i.pc, int(i.op), i.srcs, i.dst, i.addr, i.value, i.taken)
+                        ).encode())
+        assert h.hexdigest() == self.TRACE_DIGEST
+
+    @pytest.mark.parametrize("name", ALL_WORKLOADS)
+    def test_static_slots_are_shared(self, name):
+        wl = Workload(get_workload(name).spec)
+        trace = wl.trace(length=16000, seed=0)
+        body = wl.body_length
+        for i in range(len(trace) - body):
+            if trace[i].op not in _DYNAMIC_OPS:
+                assert trace[i] is trace[i + body]
+        dynamic = [i for i in trace if i.op in _DYNAMIC_OPS]
+        assert len({id(i) for i in dynamic}) == len(dynamic)
+        static_pcs = {i.pc for i in trace if i.op not in _DYNAMIC_OPS}
+        assert len({id(i) for i in trace}) == len(dynamic) + len(static_pcs)
+
+    RUNS = {
+        "baseline": MachineConfig.hpca05_baseline,
+        "stvp": MachineConfig.stvp,
+        "mtvp8": lambda: MachineConfig.mtvp(8),
+        "mtvp8_no_stall": lambda: MachineConfig.mtvp(
+            8, fetch_policy=FetchPolicy.NO_STALL
+        ),
+        "spawn_only": lambda: MachineConfig.spawn_only(8),
+        "smt2": lambda: MachineConfig.smt(2),
+        "spmt": lambda: MachineConfig.spmt(8),
+        "cmp": lambda: MachineConfig.cmp(8),
+        "wide_window": MachineConfig.wide_window,
+    }
+
+    @pytest.mark.parametrize("name", ["mcf", "swim"])
+    def test_no_simulation_mutates_an_instruction(self, name):
+        wl = get_workload(name)
+        length, warmup = 1500, 500
+        # the memoized traces every run below reads: fast-forward plus
+        # measured length for one program, seeds 0 and 1 for SMT
+        traces = [wl.trace(length=warmup + length, seed=0)] + [
+            wl.trace(length=length, seed=seed) for seed in (0, 1)
+        ]
+        before = [_record(t) for t in traces]
+        for mode, config in self.RUNS.items():
+            config = config()
+            assert config.warm_caches
+            programs = 2 if mode == "smt2" else 1
+            stats = repro.simulate(
+                wl, config, predictor=WangFranklinPredictor(),
+                selector=AlwaysSelector(), length=length, seed=0,
+                warmup=0 if programs > 1 else warmup,
+            )
+            assert stats.useful_instructions == programs * length, mode
+        assert [_record(t) for t in traces] == before
 
 
 class TestSuite:
