@@ -13,6 +13,7 @@ own history while sharing the prediction tables.
 from __future__ import annotations
 
 from repro.obs import NULL_PROBE
+from repro.tables import power_of_two
 
 #: Number of global-history bits threaded through the predictors.
 HISTORY_BITS = 16
@@ -107,9 +108,8 @@ class _CounterTable:
 
     __slots__ = ("entries", "mask", "counters")
 
-    def __init__(self, entries: int, init: int = 1) -> None:
-        if entries & (entries - 1):
-            raise ValueError("table size must be a power of two")
+    def __init__(self, entries: int, init: int = 1, name: str = "entries") -> None:
+        power_of_two(name, entries)
         self.entries = entries
         self.mask = entries - 1
         self.counters = bytearray((init,)) * entries
@@ -222,10 +222,11 @@ class TwoBcGskewPredictor(BranchPredictor):
         skew_entries: int = 64 * 1024,
         meta_entries: int = 64 * 1024,
     ) -> None:
-        self._bim = _CounterTable(bimodal_entries)
-        self._g0 = _CounterTable(skew_entries)
-        self._g1 = _CounterTable(skew_entries)
-        self._meta = _CounterTable(meta_entries, init=2)  # slight bias toward eskew
+        self._bim = _CounterTable(bimodal_entries, name="bimodal_entries")
+        self._g0 = _CounterTable(skew_entries, name="skew_entries")
+        self._g1 = _CounterTable(skew_entries, name="skew_entries")
+        # slight bias toward eskew
+        self._meta = _CounterTable(meta_entries, init=2, name="meta_entries")
         self.lookups = 0
 
     def _votes(self, pc: int, history: int) -> tuple[bool, bool, bool]:

@@ -286,7 +286,10 @@ class _MemoryCheckpoints(CheckpointStore):
             self._frames.pop(key, None)
 
     def __len__(self) -> int:
-        return len(self._frames)
+        # under the lock: _write inserts before it evicts, so an unlocked
+        # read could see capacity + 1 frames
+        with self._lock:
+            return len(self._frames)
 
 
 #: the store :meth:`~repro.harness.runner.RunSpec.run` uses when its caller

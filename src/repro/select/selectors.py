@@ -6,6 +6,7 @@ import enum
 
 from repro.isa import Instruction
 from repro.memory import MemLevel
+from repro.tables import power_of_two
 
 
 class PredictionKind(enum.IntEnum):
@@ -166,8 +167,7 @@ class IlpPredSelector(LoadSelector):
         mtvp_min_latency: int = 300,
         max_optimistic_grants: int = 16,
     ) -> None:
-        if entries & (entries - 1):
-            raise ValueError("entries must be a power of two")
+        power_of_two("entries", entries)
         if explore_period < 2:
             raise ValueError("explore_period must be at least 2")
         if max_optimistic_grants < 1:

@@ -77,8 +77,10 @@ class ValuePredictor:
         """Replay ``insts`` through :meth:`train` ``passes`` times, in order.
 
         Each instruction trains with its own ``value``.  The warm start
-        uses this for its replay passes; a predictor without state (the
-        oracle) overrides it with a no-op.
+        uses this for its replay passes.  An override must leave exactly
+        the tables of this loop: Wang–Franklin replays recorded events once
+        its value history settles, and a predictor without state (the
+        oracle) does nothing.
         """
         train = self.train
         for _ in range(passes):

@@ -20,6 +20,7 @@ from all history positions.
 from __future__ import annotations
 
 from repro.isa import Instruction, OpClass
+from repro.tables import power_of_two
 from repro.vp.base import (
     ValuePrediction,
     ValuePredictor,
@@ -89,8 +90,11 @@ class DfcmPredictor(ValuePredictor):
         max_conf: int = 15,
     ) -> None:
         super().__init__()
-        if l1_entries & (l1_entries - 1) or l2_entries & (l2_entries - 1):
-            raise ValueError("table sizes must be powers of two")
+        power_of_two("l1_entries", l1_entries)
+        power_of_two("l2_entries", l2_entries)
+        if l2_entries < 2:
+            # the index folds each stride into log2(l2_entries) bits
+            raise ValueError(f"l2_entries must be at least 2, got {l2_entries!r}")
         self.order = order
         self.threshold = threshold
         self.bonus = bonus

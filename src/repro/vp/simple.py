@@ -9,6 +9,7 @@ the examples.
 from __future__ import annotations
 
 from repro.isa import Instruction, OpClass
+from repro.tables import power_of_two
 from repro.vp.base import (
     ValuePrediction,
     ValuePredictor,
@@ -58,8 +59,7 @@ class LastValuePredictor(ValuePredictor):
 
     def __init__(self, entries: int = 4096, threshold: int = 2, max_conf: int = 8) -> None:
         super().__init__()
-        if entries & (entries - 1):
-            raise ValueError("entries must be a power of two")
+        power_of_two("entries", entries)
         self.entries = entries
         self.threshold = threshold
         self.max_conf = max_conf
@@ -116,8 +116,7 @@ class StridePredictor(ValuePredictor):
 
     def __init__(self, entries: int = 4096, threshold: int = 2, max_conf: int = 8) -> None:
         super().__init__()
-        if entries & (entries - 1):
-            raise ValueError("entries must be a power of two")
+        power_of_two("entries", entries)
         self.entries = entries
         self.threshold = threshold
         self.max_conf = max_conf

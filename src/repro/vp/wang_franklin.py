@@ -26,6 +26,7 @@ from __future__ import annotations
 from itertools import chain
 
 from repro.isa import Instruction, OpClass
+from repro.tables import power_of_two
 from repro.vp.base import (
     ValuePrediction,
     ValuePredictor,
@@ -47,6 +48,17 @@ NUM_SLOTS = 8
 _LIVE_SLOTS = tuple(
     tuple(range(n)) + (SLOT_ZERO, SLOT_ONE, SLOT_STRIDE)
     for n in range(NUM_LEARNED + 1)
+)
+#: one training's confidence event, ``_EVENTS[n][mask]``: the live slots of
+#: an entry with ``n`` learned values and the slots set in ``mask`` (those
+#: whose candidate equals the committed value), shared so a replay
+#: records a load without building a tuple
+_EVENTS = tuple(
+    tuple(
+        (live, tuple(slot for slot in range(NUM_SLOTS) if mask >> slot & 1))
+        for mask in range(1 << NUM_SLOTS)
+    )
+    for live in _LIVE_SLOTS
 )
 
 
@@ -97,8 +109,10 @@ class WangFranklinPredictor(ValuePredictor):
         pattern_depth: int = 2,
     ) -> None:
         super().__init__()
-        if vht_entries & (vht_entries - 1) or valpht_entries & (valpht_entries - 1):
-            raise ValueError("table sizes must be powers of two")
+        power_of_two("vht_entries", vht_entries)
+        power_of_two("valpht_entries", valpht_entries)
+        if pattern_depth < 0:
+            raise ValueError(f"pattern_depth must be >= 0, got {pattern_depth!r}")
         self.threshold = threshold
         self.bonus = bonus
         self.penalty = penalty
@@ -201,11 +215,12 @@ class WangFranklinPredictor(ValuePredictor):
         a minority value accumulate confidence in a bimodal stream, the
         effect Figure 5 measures.
 
-        The warm start calls this up to 40 times per load, so the VHT and
+        The engine calls this once per committed load, so the VHT and
         ValPHT lookups are inlined and the candidate list is never built:
         learned values are distinct (the LRU update removes a repeat
         before appending it), so at most one learned slot matches, and the
-        hardwired slots match by value.
+        hardwired slots match by value.  The warm start's replay passes go
+        through :meth:`train_many` instead.
         """
         actual &= _MASK64
         pc = inst.pc
@@ -263,6 +278,120 @@ class WangFranklinPredictor(ValuePredictor):
         entry.stride = (actual - entry.last_committed) & _MASK64
         entry.last_committed = actual
         entry.last_value = actual
+
+    def train_many(self, insts: list[Instruction], passes: int) -> None:
+        """``passes`` looped :meth:`train` calls per load, replayed once the
+        value history settles.
+
+        The VHT half of the rule never reads a confidence, so each pass
+        first runs that half alone and records one event per load: its
+        ValPHT vector, live slots and matching slots.  The confidence half
+        then applies the events.  A pass that leaves the VHT exactly as it
+        found it presents the same events to every later pass, so its
+        events stand for all the passes left and the loop stops; a VHT that
+        never settles runs every pass this way.  Events on different
+        vectors commute, so each vector replays its own events pass after
+        pass, skipping whole periods once its counters repeat.
+        """
+        touched = sorted({(inst.pc >> 2) & self._vht_mask for inst in insts})
+        done = 0
+        while done < passes:
+            before = self._vht_state(touched)
+            events = self._vht_pass(insts)
+            done += 1
+            settled = self._vht_state(touched) == before
+            self._replay(events, passes - done + 1 if settled else 1)
+            if settled:
+                return
+
+    def _vht_state(self, slots: list[int]) -> list:
+        """Everything :meth:`_vht_pass` reads, at the given VHT slots."""
+        vht = self._vht
+        return [
+            None if e is None else
+            (e.pc, tuple(e.values), e.last_value, e.last_committed, e.stride, e.pattern)
+            for e in (vht[i] for i in slots)
+        ]
+
+    def _vht_pass(self, insts: list[Instruction]) -> dict[int, list]:
+        """One pass of :meth:`train`'s VHT half; returns each touched ValPHT
+        vector's confidence events, in order (see :data:`_EVENTS`)."""
+        vht, vht_mask = self._vht, self._vht_mask
+        valpht_mask, pattern_mask = self._valpht_mask, self._pattern_mask
+        events: dict[int, list] = {}
+        for inst in insts:
+            actual = inst.value & _MASK64
+            pc = inst.pc
+            idx = (pc >> 2) & vht_mask
+            entry = vht[idx]
+            if entry is None or entry.pc != pc:
+                entry = vht[idx] = _VhtEntry(pc)
+            cidx = ((pc >> 2) ^ (entry.pattern * 0x65D)) & valpht_mask
+            values = entry.values
+            live = _EVENTS[len(values)]
+            matched = NUM_SLOTS
+            mask = 0
+            if actual in values:
+                matched = values.index(actual)
+                mask = 1 << matched
+                del values[matched]
+            if actual == 0 or actual == 1:
+                slot = SLOT_ZERO + actual
+                mask |= 1 << slot
+                if matched == NUM_SLOTS:
+                    matched = slot
+            if actual == (entry.last_value + entry.stride) & _MASK64:
+                mask |= 1 << SLOT_STRIDE
+                if matched == NUM_SLOTS:
+                    matched = SLOT_STRIDE
+            group = events.get(cidx)
+            if group is None:
+                events[cidx] = [live[mask]]
+            else:
+                group.append(live[mask])
+            entry.pattern = ((entry.pattern << 4) | matched) & pattern_mask
+            values.append(actual)
+            if len(values) > NUM_LEARNED:
+                del values[0]
+            entry.stride = (actual - entry.last_committed) & _MASK64
+            entry.last_committed = actual
+            entry.last_value = actual
+        return events
+
+    def _replay(self, events: dict[int, list], passes: int) -> None:
+        """Apply each vector's events ``passes`` times: :meth:`train`'s
+        confidence half.  A vector whose counters repeat at a pass boundary
+        skips the whole periods left."""
+        valpht = self._valpht
+        floor = self.threshold - 1
+        bonus, penalty, max_conf = self.bonus, self.penalty, self.max_conf
+        for cidx, group in events.items():
+            conf = valpht[cidx]
+            if conf is None:
+                conf = valpht[cidx] = [0] * NUM_SLOTS
+            # counters at each pass boundary -> that pass; None once skipped
+            seen: dict[tuple, int] | None = {} if passes > 1 else None
+            done = 0
+            while done < passes:
+                if seen is not None:
+                    first = seen.setdefault(tuple(conf), done)
+                    if first != done:
+                        done = passes - (passes - done) % (done - first)
+                        seen = None
+                        continue
+                for live, hits in group:
+                    if max(conf) > floor:
+                        best = floor
+                        predicted = -1
+                        for slot in live:
+                            if conf[slot] > best:
+                                best = conf[slot]
+                                predicted = slot
+                        if predicted >= 0 and predicted not in hits:
+                            conf[predicted] = max(conf[predicted] - penalty, 0)
+                    for slot in hits:
+                        conf[slot] = min(conf[slot] + bonus, max_conf)
+                done += 1
 
     def _snapshot_state(self) -> dict:
         """Occupied slots only: VHT fields as flat columns (learned values

@@ -4,7 +4,10 @@ Bit-identity contracts (DESIGN.md §5c, §5f):
 
 * ``ValuePredictor.train_many(insts, k)`` leaves exactly the state of k
   looped ``train(inst, inst.value)`` calls, for every registered predictor
-  (the oracle's is a no-op);
+  (the oracle's is a no-op).  Wang–Franklin's replays recorded events once
+  the value history settles, so it is pinned on every workload at the warm
+  start's own pass count, on aliasing tables and liberal parameters, and
+  on random streams, with passes that settle and passes that do not;
 * ``WangFranklinPredictor.train`` — inlined lookups, no candidate list —
   leaves exactly the state of the training rule as first written, kept
   here as :class:`ReferenceWangFranklin`;
@@ -36,7 +39,7 @@ from repro.memory import Cache, MemoryHierarchy
 from repro.select import IlpPredSelector
 from repro.vp import WangFranklinPredictor
 from repro.vp.wang_franklin import NUM_LEARNED, NUM_SLOTS
-from repro.workloads import get_workload
+from repro.workloads import get_workload, workload_names
 
 MASK64 = (1 << 64) - 1
 
@@ -140,13 +143,20 @@ class ReferenceWangFranklin(WangFranklinPredictor):
         entry.last_value = actual
 
 
+def warm_passes(loads: list[Instruction]) -> int:
+    """The pass count the warm start hands ``train_many`` for ``loads``."""
+    per_pc = len(loads) / max(1, len({i.pc for i in loads}))
+    return min(40, max(1, round(800 / per_pc) - 1)) + 1
+
+
 class TestTrainMany:
     @pytest.mark.parametrize("stream", sorted(STREAMS))
     @pytest.mark.parametrize("name", vp_registry.names())
     def test_matches_looped_train(self, name, stream):
+        # each call starts from the tables the calls before it left
         insts = STREAMS[stream]()
         batched, reference = vp_registry.create(name), vp_registry.create(name)
-        for passes in (1, 3):
+        for passes in (1, 2, 3, 41):
             batched.train_many(insts, passes)
             looped(reference, insts, passes)
             assert batched.snapshot() == reference.snapshot()
@@ -156,6 +166,97 @@ class TestTrainMany:
         before = oracle.snapshot()
         oracle.train_many(synthetic_loads(3, 200), 40)
         assert oracle.snapshot() == before
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(vht_entries=16, valpht_entries=64),
+            dict(vht_entries=4, valpht_entries=8),
+            dict(threshold=4, penalty=2),
+            dict(pattern_depth=1),
+            dict(pattern_depth=3),
+            dict(bonus=2, max_conf=15),
+        ],
+        ids=["tables-16-64", "tables-4-8", "liberal", "depth-1", "depth-3", "bonus-2"],
+    )
+    def test_wang_franklin_variants(self, params):
+        for insts in (synthetic_loads(2), workload_loads("mcf")):
+            replayed = WangFranklinPredictor(**params)
+            reference = WangFranklinPredictor(**params)
+            replayed.train_many(insts, 41)
+            looped(reference, insts, 41)
+            assert replayed.snapshot() == reference.snapshot()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.one_of(
+                    st.sampled_from([0, 1, MASK64]),
+                    st.integers(0, 12).map(lambda k: 4 * k),
+                ),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 48)), max_size=4),
+        st.integers(1, 41),
+    )
+    def test_property(self, steps, speculated, passes):
+        # six PCs over a four-entry VHT and an eight-vector ValPHT; values
+        # 0/1 and multiples of 4, so the hardwired and stride slots match.
+        # queue-stage updates on a VHT that has settled leave last_value as
+        # the only field that differs from the end of a pass
+        insts = [load(0x100 + 4 * pc, value) for pc, value in steps]
+        replayed = WangFranklinPredictor(vht_entries=4, valpht_entries=8)
+        reference = WangFranklinPredictor(vht_entries=4, valpht_entries=8)
+        for predictor in (replayed, reference):
+            looped(predictor, insts, 3)
+            for pc, value in speculated:
+                predictor.speculative_update(load(0x100 + 4 * pc, 0), value)
+        replayed.train_many(insts, passes)
+        looped(reference, insts, passes)
+        assert replayed.snapshot() == reference.snapshot()
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_every_workload_at_the_warm_start_pass_count(self, name):
+        insts = workload_loads(name, length=2000)
+        passes = warm_passes(insts)
+        replayed, reference = WangFranklinPredictor(), WangFranklinPredictor()
+        replayed.train_many(insts, passes)
+        looped(reference, insts, passes)
+        assert replayed.snapshot() == reference.snapshot()
+
+    def test_settled_passes_replay_and_unsettled_ones_run_in_full(self, monkeypatch):
+        full_passes = []
+        vht_pass = WangFranklinPredictor._vht_pass
+
+        def counted(predictor, insts):
+            full_passes.append(len(insts))
+            return vht_pass(predictor, insts)
+
+        monkeypatch.setattr(WangFranklinPredictor, "_vht_pass", counted)
+        # a workload's value history settles within a few passes; the
+        # passes after that are replayed
+        insts = workload_loads("mcf")
+        replayed, reference = WangFranklinPredictor(), WangFranklinPredictor()
+        replayed.train_many(insts, 41)
+        looped(reference, insts, 41)
+        assert replayed.snapshot() == reference.snapshot()
+        assert 1 < len(full_passes) < 41
+        # one load per pass shifts one outcome into a three-deep pattern:
+        # the VHT changes on each of the first four passes, so four passes
+        # run in full and the fifth is the first to settle
+        insts = [load(0x100, 7)]
+        for passes, expected in ((4, 4), (41, 5)):
+            full_passes.clear()
+            replayed = WangFranklinPredictor(pattern_depth=3)
+            reference = WangFranklinPredictor(pattern_depth=3)
+            replayed.train_many(insts, passes)
+            looped(reference, insts, passes)
+            assert replayed.snapshot() == reference.snapshot()
+            assert len(full_passes) == expected
 
 
 class TestWangFranklinTrain:
