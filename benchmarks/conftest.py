@@ -24,7 +24,8 @@ import os
 BENCH_LENGTH = int(os.environ.get("REPRO_TRACE_LEN", "8000"))
 
 #: worker processes the harness fans out over for these benchmarks
-#: (informational — the harness resolves REPRO_JOBS itself when jobs=None)
+#: (informational — the harness resolves REPRO_JOBS itself when the policy
+#: leaves jobs unset)
 BENCH_JOBS = int(os.environ.get("REPRO_JOBS", "1") or 1)
 
 

@@ -24,6 +24,8 @@ registered there is immediately drivable from the command line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import math
 import sys
 
@@ -93,7 +95,7 @@ def _policy_from_args(args: argparse.Namespace, **extra):
 
     Every subcommand spells execution the same way (``--jobs``,
     ``--dispatch``, ``--retries``, plus the
-    cache/checkpoint/interval flags where they apply); a flag the
+    cache/checkpoint flags where they apply); a flag the
     subcommand doesn't define simply stays unset on the policy, so the
     usual environment-variable defaults (``REPRO_JOBS``,
     ``REPRO_DISPATCH``, ``REPRO_CACHE_DIR``, ...) take
@@ -103,47 +105,60 @@ def _policy_from_args(args: argparse.Namespace, **extra):
     from repro.harness import ExecutionPolicy
 
     fields = {}
-    for name in ("jobs", "dispatch", "retries",
-                 "warmup", "sample", "stale_after", "heartbeat"):
+    for name in ("jobs", "dispatch", "retries", "stale_after", "heartbeat"):
         value = getattr(args, name, None)
         if value is not None:
             fields[name] = value
     if getattr(args, "checkpoint_dir", None) is not None:
         fields["checkpoints"] = args.checkpoint_dir
-    if getattr(args, "no_cache", False):
-        fields["cache"] = False
-    elif getattr(args, "cache_dir", None) is not None:
-        fields["cache"] = args.cache_dir
     fields.update({k: v for k, v in extra.items() if v is not None})
     return ExecutionPolicy(**fields)
 
 
-def _session_for(args: argparse.Namespace, cache=False, **overrides):
-    """A :class:`~repro.harness.Session` bound to the common run flags."""
-    from repro.harness import Session
+def _cli_cache(args: argparse.Namespace):
+    """The ``--no-cache``/``--cache-dir`` rule every caching subcommand shares.
 
-    length = args.length or get_workload(args.workload).spec.default_length
-    return Session(
-        config=MACHINES[args.machine](args.threads),
-        predictor=args.predictor,
-        selector=args.selector,
-        length=length,
-        seed=args.seed,
-        name=args.machine,
-        policy=_policy_from_args(args, cache=cache),
-        **overrides,
+    ``False`` under ``--no-cache``, else a
+    :class:`~repro.harness.ResultCache` on ``--cache-dir`` (default:
+    ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``).  A directory that cannot
+    be used prints ``cannot use cache directory: ...`` and exits 1.
+    """
+    from repro.harness import ResultCache, default_cache_dir
+
+    if args.no_cache:
+        return False
+    try:
+        return ResultCache(args.cache_dir or default_cache_dir())
+    except OSError as exc:
+        print(f"cannot use cache directory: {exc}")
+        raise SystemExit(1) from None
+
+
+def _run_recipe(args: argparse.Namespace, *, observe: bool):
+    """The ``run``/``report`` recipe: its machine config, spec and length."""
+    from repro.harness import RunSpec
+
+    config = MACHINES[args.machine](args.threads)
+    spec = RunSpec(
+        args.machine,
+        functools.partial(dataclasses.replace, config),
+        predictor_factory=args.predictor,
+        selector_factory=args.selector,
+        observe=observe,
+        warmup=getattr(args, "warmup", 0),
+        sample=getattr(args, "sample", None),
     )
+    length = args.length or get_workload(args.workload).spec.default_length
+    return config, spec, length
 
 
 def _cmd_run_checkpoint(args: argparse.Namespace) -> int:
     """The ``run --checkpoint/--restore`` path: explicit warmup state files.
 
     Drives the engine directly — checkpoint files name a specific warmed
-    state, which the cached :class:`~repro.harness.Session` pipeline
+    state, which the cached :func:`~repro.harness.run_simulations` path
     (whose keyed store is the better fit for campaigns) doesn't expose.
     """
-    import functools
-
     from repro import _steady_state_footprint, _warmed_engine
     from repro.harness.checkpoint import load_checkpoint, save_checkpoint
 
@@ -203,7 +218,7 @@ def _cmd_run_checkpoint(args: argparse.Namespace) -> int:
 def _cmd_run_traces(args: argparse.Namespace) -> int:
     """The ``run --traces`` path: simulate ingested external trace files.
 
-    Bypasses the cached :class:`~repro.harness.Session` pipeline — cache
+    Bypasses the cached :func:`~repro.harness.run_simulations` path — cache
     keys identify generated workloads by (name, length, seed), which says
     nothing about the contents of arbitrary external files — and drives
     :func:`repro.simulate` directly.  Multiple files form a
@@ -255,17 +270,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 1
     if args.checkpoint or args.restore:
         return _cmd_run_checkpoint(args)
+    from repro.harness import ExecutionPolicy, run_simulations
+
     tracer = None
     if args.trace:
         from repro.obs import Tracer
 
         tracer = Tracer()
-    session = _session_for(
-        args, tracer=tracer, observe=tracer is not None, cache=False
-    )
+    config, spec, length = _run_recipe(args, observe=tracer is not None)
 
     def run():
-        return session.run(args.workload)
+        if tracer is not None:  # events are not cacheable: straight to the engine
+            return spec.run(args.workload, length, args.seed, tracer=tracer)
+        task = (args.workload, spec, length, args.seed)
+        return run_simulations([task], policy=ExecutionPolicy(cache=False))[0]
 
     if args.profile:
         import cProfile
@@ -275,7 +293,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         profiler.dump_stats(args.profile)
     else:
         stats = run()
-    print(f"{args.workload} {_on_machine(args, session.config_factory())}")
+    print(f"{args.workload} {_on_machine(args, config)}")
     print(stats.summary())
     if tracer is not None:
         if args.trace_format == "jsonl":
@@ -295,42 +313,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.harness import ResultCache, default_cache_dir
+    from repro.harness import run_simulations
     from repro.obs import format_metrics
 
-    if args.no_cache:
-        cache = False
-    else:
-        try:
-            cache = ResultCache(args.cache_dir or default_cache_dir())
-        except OSError as exc:
-            print(f"cannot use cache directory: {exc}")
-            return 1
-    session = _session_for(args, observe=True, cache=cache)
-    stats = session.run(args.workload)
-    print(f"{args.workload} {_on_machine(args, session.config_factory())}, "
-          f"{session.length} instructions")
+    policy = _policy_from_args(args, cache=_cli_cache(args))
+    config, spec, length = _run_recipe(args, observe=True)
+    stats = run_simulations([(args.workload, spec, length, args.seed)], policy=policy)[0]
+    print(f"{args.workload} {_on_machine(args, config)}, "
+          f"{length} instructions")
     print()
     print(format_metrics(stats.extended))
     return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.harness import EXPERIMENTS, ResultCache, default_cache_dir
+    from repro.harness import EXPERIMENTS
     from repro.harness.export import result_to_csv, result_to_json
 
     if args.id not in EXPERIMENTS:
         print(f"unknown experiment {args.id!r}; known: {', '.join(EXPERIMENTS)}")
         return 1
-    if args.no_cache:
-        cache = False
-    else:
-        try:
-            cache = ResultCache(args.cache_dir or default_cache_dir())
-        except OSError as exc:
-            print(f"cannot use cache directory: {exc}")
-            return 1
-    result = EXPERIMENTS[args.id](length=args.length, jobs=args.jobs, cache=cache)
+    policy = _policy_from_args(args, cache=_cli_cache(args))
+    result = EXPERIMENTS[args.id](length=args.length, policy=policy)
     print(result.format_table())
     if args.json:
         result_to_json(result, args.json)
@@ -339,15 +343,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         result_to_csv(result, args.csv)
         print(f"wrote {args.csv}")
     return 0
-
-
-def _resolve_cli_cache(args: argparse.Namespace):
-    """The ``--no-cache``/``--cache-dir`` convention shared by subcommands."""
-    from repro.harness import ResultCache, default_cache_dir
-
-    if getattr(args, "no_cache", False):
-        return False
-    return ResultCache(args.cache_dir or default_cache_dir())
 
 
 def _sweep_spec_and_store(args: argparse.Namespace):
@@ -369,12 +364,13 @@ def _sweep_spec_and_store(args: argparse.Namespace):
 def _cmd_sweep_run(args: argparse.Namespace) -> int:
     from repro.sweep import run_sweep
 
+    cache = _cli_cache(args)
     spec, store = _sweep_spec_and_store(args)
     if getattr(args, "warmup", None) is not None:
         spec.warmup = args.warmup
     if getattr(args, "sample", None) is not None:
         spec.sample = args.sample
-    policy = _policy_from_args(args, cache=_resolve_cli_cache(args))
+    policy = _policy_from_args(args, cache=cache)
     with store:
         summary = run_sweep(
             spec,
@@ -500,8 +496,9 @@ def _search_spec_and_store(args: argparse.Namespace):
 def _cmd_search_run(args: argparse.Namespace) -> int:
     from repro.search import run_search
 
+    cache = _cli_cache(args)
     spec, store = _search_spec_and_store(args)
-    policy = _policy_from_args(args, cache=_resolve_cli_cache(args))
+    policy = _policy_from_args(args, cache=cache)
     with store:
         summary = run_search(
             spec,
@@ -684,11 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restore warmed architectural state from FILE instead of "
              "fast-forwarding (must match the workload, seed and measured "
              "length; without --length/--sample, FILE's length is used)",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for batch fan-out "
-             "(0 = all cores; default: $REPRO_JOBS or serial)",
     )
     p.set_defaults(func=_cmd_run)
 

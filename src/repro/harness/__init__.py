@@ -39,9 +39,7 @@ from repro.harness.runner import (
     RunSpec,
     compare_modes,
     default_length,
-    run_once,
 )
-from repro.harness.session import ConfigFactory, Session
 from repro.harness.experiments import (
     EXPERIMENTS,
     ExperimentResult,
@@ -61,7 +59,6 @@ from repro.harness.experiments import (
 
 __all__ = [
     "CheckpointStore",
-    "ConfigFactory",
     "DISPATCH_MODES",
     "ExecutionPolicy",
     "resolve_cache",
@@ -74,7 +71,6 @@ __all__ = [
     "save_checkpoint",
     "EXPERIMENTS",
     "ExperimentResult",
-    "Session",
     "SimulationError",
     "ablation_memory_latency",
     "ModeResult",
@@ -96,7 +92,6 @@ __all__ = [
     "result_to_dict",
     "result_to_json",
     "stats_to_dict",
-    "run_once",
     "run_simulations",
     "sec4_prefetcher_ablation",
     "task_key",

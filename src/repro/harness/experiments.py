@@ -2,7 +2,9 @@
 
 Every public function regenerates one table/figure from the paper (the
 experiment index lives in DESIGN.md §4) and returns an
-:class:`ExperimentResult` whose rows mirror the artifact's series.
+:class:`ExperimentResult` whose rows mirror the artifact's series.  Each
+takes a trace ``length`` and, as ``policy=``, the
+:class:`~repro.harness.policy.ExecutionPolicy` its simulations run under.
 """
 
 from __future__ import annotations
@@ -100,8 +102,8 @@ _liberal_wf = vp.factory("wang-franklin", threshold=8, penalty=4)
 # ----------------------------------------------------------------------
 def fig1_oracle_potential(
     length: int | None = None,
-    jobs: int | None = None,
-    cache=None,
+    *,
+    policy: ExecutionPolicy | None = None,
 ) -> ExperimentResult:
     """Figure 1: % change in useful IPC with an oracle value predictor.
 
@@ -116,7 +118,7 @@ def fig1_oracle_potential(
         RunSpec("mtvp4", functools.partial(MachineConfig.mtvp, 4, **idealized)),
         RunSpec("mtvp8", functools.partial(MachineConfig.mtvp, 8, **idealized)),
     ]
-    results = compare_modes(ALL, specs, length=length, jobs=jobs, cache=cache)
+    results = compare_modes(ALL, specs, length=length, policy=policy)
     mode_names = [s.name for s in specs]
     return ExperimentResult(
         experiment_id="fig1",
@@ -132,8 +134,8 @@ def fig1_oracle_potential(
 # ----------------------------------------------------------------------
 def fig2_spawn_latency(
     length: int | None = None,
-    jobs: int | None = None,
-    cache=None,
+    *,
+    policy: ExecutionPolicy | None = None,
 ) -> ExperimentResult:
     """Figure 2: average speedups with 1/8/16-cycle spawn latencies."""
     rows: list[dict] = []
@@ -151,7 +153,7 @@ def fig2_spawn_latency(
                 "mtvp8", functools.partial(MachineConfig.mtvp, 8, spawn_latency=latency)
             ),
         ]
-        results = compare_modes(ALL, specs, length=length, jobs=jobs, cache=cache)
+        results = compare_modes(ALL, specs, length=length, policy=policy)
         for suite in ("int", "fp"):
             row = {"spawn latency": f"{latency} cyc", "suite": suite}
             for mode, mode_rows in results.items():
@@ -172,8 +174,8 @@ def fig2_spawn_latency(
 # ----------------------------------------------------------------------
 def sec53_store_buffer(
     length: int | None = None,
-    jobs: int | None = None,
-    cache=None,
+    *,
+    policy: ExecutionPolicy | None = None,
 ) -> ExperimentResult:
     """Section 5.3: speculation distance vs store-buffer capacity.
 
@@ -188,7 +190,7 @@ def sec53_store_buffer(
             f"sb{size or 'inf'}",
             functools.partial(MachineConfig.mtvp, 8, store_buffer_entries=size),
         )
-        results = compare_modes(ALL, [spec], length=length, jobs=jobs, cache=cache)
+        results = compare_modes(ALL, [spec], length=length, policy=policy)
         mode_rows = results[spec.name]
         row = {"store buffer": str(size) if size else "unlimited"}
         for suite in ("int", "fp"):
@@ -211,8 +213,8 @@ def sec53_store_buffer(
 # ----------------------------------------------------------------------
 def fig3_realistic_wf(
     length: int | None = None,
-    jobs: int | None = None,
-    cache=None,
+    *,
+    policy: ExecutionPolicy | None = None,
 ) -> ExperimentResult:
     """Figure 3: useful-IPC change with the hybrid Wang-Franklin predictor.
 
@@ -228,7 +230,7 @@ def fig3_realistic_wf(
         RunSpec("mtvp8", functools.partial(MachineConfig.mtvp, 8),
                 predictor_factory="wang-franklin"),
     ]
-    results = compare_modes(ALL, specs, length=length, jobs=jobs, cache=cache)
+    results = compare_modes(ALL, specs, length=length, policy=policy)
     mode_names = [s.name for s in specs]
     return ExperimentResult(
         experiment_id="fig3",
@@ -244,8 +246,8 @@ def fig3_realistic_wf(
 # ----------------------------------------------------------------------
 def fig4_fetch_policy(
     length: int | None = None,
-    jobs: int | None = None,
-    cache=None,
+    *,
+    policy: ExecutionPolicy | None = None,
 ) -> ExperimentResult:
     """Figure 4: letting the parent keep fetching is counterproductive."""
     specs = [
@@ -261,7 +263,7 @@ def fig4_fetch_policy(
             predictor_factory="wang-franklin",
         ),
     ]
-    results = compare_modes(ALL, specs, length=length, jobs=jobs, cache=cache)
+    results = compare_modes(ALL, specs, length=length, policy=policy)
     mode_names = [s.name for s in specs]
     return ExperimentResult(
         experiment_id="fig4",
@@ -277,8 +279,8 @@ def fig4_fetch_policy(
 # ----------------------------------------------------------------------
 def fig5_multivalue_potential(
     length: int | None = None,
-    jobs: int | None = None,
-    cache=None,
+    *,
+    policy: ExecutionPolicy | None = None,
 ) -> ExperimentResult:
     """Figure 5: fraction of followed predictions whose primary value was
     wrong while the correct value sat in the predictor over threshold."""
@@ -289,10 +291,7 @@ def fig5_multivalue_potential(
         selector_factory="ilp-pred",
     )
     n = length or default_length()
-    all_stats = run_simulations(
-        [(name, spec, n, 0) for name in ALL],
-        policy=ExecutionPolicy(jobs=jobs, cache=cache),
-    )
+    all_stats = run_simulations([(name, spec, n, 0) for name in ALL], policy=policy)
     rows: list[dict] = []
     for name, stats in zip(ALL, all_stats):
         rows.append(
@@ -318,8 +317,8 @@ def fig5_multivalue_potential(
 # ----------------------------------------------------------------------
 def sec56_multivalue(
     length: int | None = None,
-    jobs: int | None = None,
-    cache=None,
+    *,
+    policy: ExecutionPolicy | None = None,
 ) -> ExperimentResult:
     """Section 5.6: a liberal predictor + L3-miss oracle selector make
     multiple-value MTVP profitable on swim and parser."""
@@ -338,9 +337,7 @@ def sec56_multivalue(
         ),
     ]
     tasks = [(name, spec, n, 0) for name in names for spec in specs]
-    all_stats = run_simulations(
-        tasks, policy=ExecutionPolicy(jobs=jobs, cache=cache)
-    )
+    all_stats = run_simulations(tasks, policy=policy)
     rows: list[dict] = []
     for i, name in enumerate(names):
         base, single, multi = all_stats[i * len(specs): (i + 1) * len(specs)]
@@ -366,8 +363,8 @@ def sec56_multivalue(
 # ----------------------------------------------------------------------
 def fig6_wide_window(
     length: int | None = None,
-    jobs: int | None = None,
-    cache=None,
+    *,
+    policy: ExecutionPolicy | None = None,
 ) -> ExperimentResult:
     """Figure 6: idealized 8K-entry-window machine vs best MTVP vs
     spawn-only (threads without value prediction)."""
@@ -377,7 +374,7 @@ def fig6_wide_window(
                 predictor_factory="wang-franklin"),
         RunSpec("spawn only", functools.partial(MachineConfig.spawn_only, 8)),
     ]
-    results = compare_modes(ALL, specs, length=length, jobs=jobs, cache=cache)
+    results = compare_modes(ALL, specs, length=length, policy=policy)
     rows: list[dict] = []
     for suite in ("int", "fp"):
         row = {"suite": f"AVG {suite.upper()}"}
@@ -399,8 +396,8 @@ def fig6_wide_window(
 # ----------------------------------------------------------------------
 def sec54_dfcm_vs_wf(
     length: int | None = None,
-    jobs: int | None = None,
-    cache=None,
+    *,
+    policy: ExecutionPolicy | None = None,
 ) -> ExperimentResult:
     """Section 5.4: the more aggressive DFCM makes more predictions, both
     correct and incorrect, and ends up behind the W-F hybrid under MTVP."""
@@ -410,7 +407,7 @@ def sec54_dfcm_vs_wf(
         RunSpec("mtvp8 dfcm", functools.partial(MachineConfig.mtvp, 8),
                 predictor_factory="dfcm"),
     ]
-    results = compare_modes(ALL, specs, length=length, jobs=jobs, cache=cache)
+    results = compare_modes(ALL, specs, length=length, policy=policy)
     mode_names = [s.name for s in specs]
     rows = _speedup_rows(results, mode_names)
     for i, row in enumerate(rows):
@@ -435,8 +432,8 @@ def sec54_dfcm_vs_wf(
 # ----------------------------------------------------------------------
 def sec51_selectors(
     length: int | None = None,
-    jobs: int | None = None,
-    cache=None,
+    *,
+    policy: ExecutionPolicy | None = None,
 ) -> ExperimentResult:
     """Section 5.1: the implementable ILP-pred selector is competitive
     with (on average better than) the unimplementable cache-miss oracle."""
@@ -448,7 +445,7 @@ def sec51_selectors(
         RunSpec("mtvp8 always", functools.partial(MachineConfig.mtvp, 8),
                 selector_factory="always"),
     ]
-    results = compare_modes(ALL, specs, length=length, jobs=jobs, cache=cache)
+    results = compare_modes(ALL, specs, length=length, policy=policy)
     rows: list[dict] = []
     for suite in ("int", "fp"):
         row = {"suite": f"AVG {suite.upper()}"}
@@ -470,8 +467,8 @@ def sec51_selectors(
 # ----------------------------------------------------------------------
 def sec4_prefetcher_ablation(
     length: int | None = None,
-    jobs: int | None = None,
-    cache=None,
+    *,
+    policy: ExecutionPolicy | None = None,
 ) -> ExperimentResult:
     """Section 4: MTVP with and without the stride prefetcher.
 
@@ -496,7 +493,7 @@ def sec4_prefetcher_ablation(
                 MachineConfig.hpca05_baseline, prefetch_enabled=prefetch
             ),
         )
-        results = compare_modes(ALL, specs, length=length, baseline=baseline, jobs=jobs, cache=cache)
+        results = compare_modes(ALL, specs, length=length, baseline=baseline, policy=policy)
         for suite in ("int", "fp"):
             pts = [r.speedup_percent for r in results["mtvp8"] if r.suite == suite]
             rows.append(
@@ -521,8 +518,8 @@ def sec4_prefetcher_ablation(
 # ----------------------------------------------------------------------
 def ablation_memory_latency(
     length: int | None = None,
-    jobs: int | None = None,
-    cache=None,
+    *,
+    policy: ExecutionPolicy | None = None,
 ) -> ExperimentResult:
     """Motivation check: MTVP's value grows with memory latency.
 
@@ -545,7 +542,7 @@ def ablation_memory_latency(
             "base",
             functools.partial(MachineConfig.hpca05_baseline, mem_latency=latency),
         )
-        results = compare_modes(ALL, specs, length=length, baseline=baseline, jobs=jobs, cache=cache)
+        results = compare_modes(ALL, specs, length=length, baseline=baseline, policy=policy)
         row = {"memory latency": f"{latency} cyc"}
         for mode, mode_rows in results.items():
             row[mode] = geomean_speedup([r.speedup_percent for r in mode_rows])

@@ -16,12 +16,15 @@ this work execute* into one value:
 * ``retries`` — extra attempts per failed sweep row,
 * ``cache`` / ``checkpoints`` — the shared result cache and warmup
   checkpoint store,
-* ``warmup`` / ``sample`` — the interval protocol,
 * ``chunk`` / ``stale_after`` / ``heartbeat`` — commit granularity and
   the lease-liveness protocol (a ``chunk`` below 1, a ``heartbeat`` or
   ``stale_after`` that is not a finite number > 0, or a negative
   ``retries`` would hang, spin or silently misconfigure a drain, so
   construction rejects them).
+
+The interval protocol (warmup and sample lengths) is part of the recipe,
+not of the policy: :class:`~repro.harness.runner.RunSpec` and the sweep
+spec carry it.
 
 Every field defaults to *unset* (``None``), which defers to the matching
 ``REPRO_*`` environment variable and then to the historical default, so
@@ -155,8 +158,6 @@ class ExecutionPolicy:
     retries: int | None = None
     cache: object = None
     checkpoints: object = None
-    warmup: int | None = None
-    sample: int | None = None
     chunk: int | None = None
     stale_after: float | None = None
     heartbeat: float | None = None

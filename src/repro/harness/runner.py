@@ -59,7 +59,7 @@ class RunSpec:
     instructions are fast-forwarded functionally before timing starts,
     and ``sample`` (when set) overrides the caller's trace length as the
     measured-interval length — so one spec pins "warm 50k, measure 10k"
-    regardless of the session default.  Both are part of the cache
+    regardless of the length it is run with.  Both are part of the cache
     identity; both default to the historical full-trace behaviour.
     """
 
@@ -145,47 +145,12 @@ class ModeResult:
         return percent_speedup(self.ipc, self.base_ipc)
 
 
-def run_once(
-    workload_name: str,
-    spec: RunSpec,
-    length: int | None = None,
-    seed: int = 0,
-    tracer=None,
-    metrics=None,
-    warmup: int | None = None,
-    sample: int | None = None,
-    checkpoints=None,
-) -> SimStats:
-    """Convenience wrapper: one workload through one run spec.
-
-    ``warmup``/``sample`` override the spec's interval protocol for this
-    call only; ``checkpoints`` passes a warmup-checkpoint store through
-    (see :meth:`RunSpec.run`).
-    """
-    if warmup is not None or sample is not None:
-        spec = dataclasses.replace(
-            spec,
-            warmup=spec.warmup if warmup is None else warmup,
-            sample=spec.sample if sample is None else sample,
-        )
-    return spec.run(
-        workload_name,
-        length or default_length(),
-        seed,
-        tracer=tracer,
-        metrics=metrics,
-        checkpoints=checkpoints,
-    )
-
-
 def compare_modes(
     workload_names: tuple[str, ...],
     specs: list[RunSpec],
     length: int | None = None,
     seed: int = 0,
     baseline: RunSpec | None = None,
-    jobs=None,
-    cache=None,
     *,
     policy=None,
 ) -> dict[str, list[ModeResult]]:
@@ -202,17 +167,11 @@ def compare_modes(
         policy: An :class:`~repro.harness.policy.ExecutionPolicy`; unset
             fields defer to the environment (``$REPRO_JOBS`` default
             serial, ``0`` every core; ``$REPRO_CACHE_DIR`` default off).
-        jobs/cache: Convenience spellings folded into ``policy`` (they
-            win over it when both are given).
 
     Returns a mapping from spec name to its per-workload results, in the
     order of ``workload_names``.
     """
     from repro.harness.parallel import run_simulations
-    from repro.harness.policy import ExecutionPolicy
-
-    base = policy if policy is not None else ExecutionPolicy()
-    base = base.merged(jobs=jobs, cache=cache)
 
     n = length or default_length()
     base_spec = baseline if baseline is not None else RunSpec(
@@ -221,7 +180,7 @@ def compare_modes(
     tasks = [(name, base_spec, n, seed) for name in workload_names]
     for spec in specs:
         tasks.extend((name, spec, n, seed) for name in workload_names)
-    all_stats = run_simulations(tasks, policy=base)
+    all_stats = run_simulations(tasks, policy=policy)
 
     base_ipc = {
         name: stats.useful_ipc

@@ -24,7 +24,6 @@ from repro.harness import (
     arch_key,
     load_checkpoint,
     resolve_checkpoints,
-    run_once,
     run_simulations,
     save_checkpoint,
     task_key,
@@ -170,14 +169,6 @@ class TestWarmedRuns:
         stats = warmed_spec().run("mcf", 999999, seed=0)
         assert stats.instructions_stepped == 1500
         assert stats.warmup_instructions == 2000
-
-    def test_run_once_overrides(self, tmp_path):
-        spec = RunSpec("s", MachineConfig.stvp)
-        stats = run_once("mcf", spec, length=3000, warmup=1000, sample=800)
-        assert stats.warmup_instructions == 1000
-        assert stats.instructions_stepped == 800
-        # the original spec is untouched
-        assert spec.warmup == 0 and spec.sample is None
 
     def test_run_simulations_threads_store_serially(self, tmp_path):
         store = CheckpointStore(tmp_path)

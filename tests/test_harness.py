@@ -1,18 +1,29 @@
-"""Tests for the experiment harness: metrics, runner, result formatting."""
+"""Tests for the experiment harness: metrics, runner, result formatting.
 
+``RunSpec.run`` (one simulation), ``run_simulations`` (a batch, with the
+result cache) and ``compare_modes`` (baseline-paired) are the only ways
+to run a recipe; ``TestRunner`` checks how they compose with the cache.
+"""
+
+import dataclasses
 import functools
 
 import pytest
 
+from repro import vp
 from repro.core import MachineConfig
 from repro.harness import (
+    CheckpointStore,
+    ExecutionPolicy,
     ExperimentResult,
     ModeResult,
+    ResultCache,
     RunSpec,
     compare_modes,
     geomean_speedup,
     percent_speedup,
-    run_once,
+    run_simulations,
+    task_key,
 )
 from repro.vp import OraclePredictor
 
@@ -51,10 +62,50 @@ class TestMetrics:
 
 
 class TestRunner:
-    def test_run_once(self):
-        spec = RunSpec("baseline", MachineConfig.hpca05_baseline)
-        stats = run_once("crafty", spec, length=600)
-        assert stats.useful_instructions == 600
+    def test_observe_keys_cache_separately(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        policy = ExecutionPolicy(cache=cache)
+        plain_spec = RunSpec("baseline", MachineConfig.hpca05_baseline)
+        observed_spec = dataclasses.replace(plain_spec, observe=True)
+        [plain] = run_simulations([("mcf", plain_spec, 1200, 0)], policy=policy)
+        [observed] = run_simulations([("mcf", observed_spec, 1200, 0)], policy=policy)
+        assert not plain.extended
+        histograms = observed.extended["metrics"]["histograms"]
+        assert histograms["rob_occupancy"]["total_weight"] > 0
+        assert cache.stores == 2  # distinct keys, no aliasing
+        # repeating either hits the cache and preserves its shape
+        [again] = run_simulations([("mcf", observed_spec, 1200, 0)], policy=policy)
+        assert cache.hits == 1
+        assert again.extended == observed.extended
+
+    def test_tracer_runs_bypass_cache(self, tmp_path):
+        from repro.obs import Tracer
+
+        spec = RunSpec(
+            "mtvp8", functools.partial(MachineConfig.mtvp, 8),
+            predictor_factory="wang-franklin", selector_factory="always",
+        )
+        store = CheckpointStore(tmp_path)
+        tracer = Tracer()
+        stats = spec.run("mcf", 1500, 0, tracer=tracer, checkpoints=store)
+        assert len(tracer) > 0
+        # instrumented runs never read or write a checkpoint store
+        assert store.stores == 0 and store.hits == 0
+        assert stats == spec.run("mcf", 1500, 0, checkpoints=False)
+
+    def test_string_recipes_are_cacheable(self):
+        spec = RunSpec(
+            "s", MachineConfig.hpca05_baseline,
+            predictor_factory="wang-franklin", selector_factory="ilp-pred",
+        )
+        assert spec.predictor_factory is vp.get("wang-franklin")
+        assert task_key("mcf", spec, 1000, 0) is not None
+
+    def test_config_factories_key_by_value(self):
+        # the CLI wraps a built config; it must share the preset's cache key
+        built = RunSpec("a", functools.partial(dataclasses.replace, MachineConfig.mtvp(8)))
+        preset = RunSpec("b", functools.partial(MachineConfig.mtvp, 8))
+        assert task_key("mcf", built, 1000, 0) == task_key("mcf", preset, 1000, 0)
 
     def test_compare_modes_structure(self):
         specs = [

@@ -170,14 +170,17 @@ class TestRunSimulations:
         assert [s.to_dict() for s in first] == [s.to_dict() for s in second]
 
     def test_cached_parallel_compare_matches_serial(self, tmp_path):
-        serial = compare_modes(("crafty", "swim"), specs(), length=LENGTH, cache=False)
+        serial = compare_modes(
+            ("crafty", "swim"), specs(), length=LENGTH,
+            policy=ExecutionPolicy(cache=False),
+        )
         fanned = compare_modes(
-            ("crafty", "swim"), specs(), length=LENGTH, jobs=2,
-            cache=ResultCache(tmp_path),
+            ("crafty", "swim"), specs(), length=LENGTH,
+            policy=ExecutionPolicy(jobs=2, cache=ResultCache(tmp_path)),
         )
         warm = compare_modes(
-            ("crafty", "swim"), specs(), length=LENGTH, jobs=2,
-            cache=ResultCache(tmp_path),
+            ("crafty", "swim"), specs(), length=LENGTH,
+            policy=ExecutionPolicy(jobs=2, cache=ResultCache(tmp_path)),
         )
         for results in (fanned, warm):
             for mode, rows in serial.items():
@@ -375,11 +378,14 @@ class TestLazyEnvResolution:
         with pytest.raises(ValueError, match=f"REPRO_TRACE_LEN.*positive.*'{value}'"):
             default_length()
 
-    def test_session_honours_late_env(self, monkeypatch):
-        from repro.harness import Session
-
-        monkeypatch.setenv("REPRO_TRACE_LEN", "2345")
-        assert Session().length == 2345
+    def test_compare_modes_honours_late_env(self, monkeypatch):
+        # an entry point without a length resolves default_length() per call
+        monkeypatch.setenv("REPRO_TRACE_LEN", "345")
+        spec = RunSpec("stvp", MachineConfig.stvp)
+        [row] = compare_modes(
+            ("crafty",), [spec], policy=ExecutionPolicy(cache=False)
+        )["stvp"]
+        assert row.stats.useful_instructions == 345
 
     def test_resolve_jobs_rejects_garbage_clearly(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "many")

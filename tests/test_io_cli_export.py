@@ -508,3 +508,56 @@ class TestCliCountValidation:
         captured = capsys.readouterr()
         assert "usage: repro" in captured.err
         assert captured.out == ""
+
+
+class TestCliRunPaths:
+    """``run``/``report`` build one RunSpec; caching subcommands share one rule."""
+
+    def test_sampled_run_prints_the_run_spec_cycles(self, capsys):
+        import functools
+
+        from repro import MachineConfig
+        from repro.__main__ import main
+        from repro.harness import RunSpec
+
+        assert main(["run", "mcf", "--length", "2000",
+                     "--warmup", "1000", "--sample", "1500"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        spec = RunSpec(
+            "mtvp", functools.partial(MachineConfig.mtvp, 8),
+            predictor_factory="wang-franklin", selector_factory="ilp-pred",
+            warmup=1000, sample=1500,
+        )
+        cycles = spec.run("mcf", 2000, 0).summary().splitlines()[0]
+        assert cycles.startswith("cycles ")
+        assert cycles in out
+
+    def test_run_has_no_jobs_flag(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "mcf", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "mcf", "--length", "300"],
+        ["experiment", "fig5", "--length", "300"],
+        *[[cmd, verb, spec] for cmd, spec in (("sweep", "sweeps/warmup_smoke.toml"),
+                                               ("search", _SEARCH))
+          for verb in ("run", "resume")],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_unusable_cache_dir_exits_1(self, argv, tmp_path, capsys):
+        from repro.__main__ import main
+
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        db = tmp_path / "campaign.db"
+        extra = ["--db", str(db)] if argv[0] in ("sweep", "search") else []
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *extra, "--cache-dir", str(blocker / "sub")])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("cannot use cache directory: ")
+        assert "Traceback" not in captured.err
+        assert not db.exists()  # rejected before any store is opened

@@ -66,12 +66,6 @@ class TestRegistry:
             assert type(by_enum) is get(mode.value)
             assert by_enum.key == mode.value
 
-    def test_top_level_alias_package(self):
-        import repro.modes as alias
-
-        assert set(alias.names()) == ALL_MODE_KEYS
-        assert alias.resolve_model("mtvp") is resolve_model(SimMode.MTVP)
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(KeyError):
             get("prophet-2")

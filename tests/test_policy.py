@@ -1,7 +1,8 @@
 """The ExecutionPolicy surface: resolvers, merging, one spelling.
 
 The API contract (DESIGN.md §5i): every entry point —
-:class:`~repro.harness.Session`, :func:`~repro.harness.run_simulations`,
+:func:`~repro.harness.run_simulations`,
+:func:`~repro.harness.compare_modes`, the experiments,
 :func:`~repro.sweep.run_sweep`, :func:`~repro.search.run_search` —
 accepts ``policy=ExecutionPolicy(...)`` as the only spelling of its
 execution settings.
@@ -161,22 +162,29 @@ class TestExecutionPolicy:
 class TestDeprecationShims:
     """``policy=`` is the one spelling, and it warns about nothing."""
 
-    def test_session_policy_spelling_is_silent(self):
-        from repro.harness import Session
+    def test_policy_spelling_is_silent(self):
+        from repro.harness import compare_modes, run_simulations
 
+        policy = ExecutionPolicy(jobs=2, cache=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            session = Session(policy=ExecutionPolicy(jobs=2, cache=False))
-        assert session.policy.jobs == 2
+            assert run_simulations([], policy=policy) == []
+            assert compare_modes((), [], policy=policy) == {}
 
     def test_legacy_keywords_are_rejected(self, tmp_path):
-        from repro.harness import Session, run_simulations
+        from repro.harness import EXPERIMENTS, compare_modes, run_simulations
         from repro.sweep import ResultStore, SweepSpec, run_sweep
 
-        with pytest.raises(TypeError):
-            Session(jobs=2)
+        for keyword in ("jobs", "cache"):
+            with pytest.raises(TypeError):
+                compare_modes((), [], **{keyword: 1})
+            for experiment in EXPERIMENTS.values():
+                with pytest.raises(TypeError):
+                    experiment(**{keyword: 1})
         with pytest.raises(TypeError):
             run_simulations([], jobs=1)
+        with pytest.raises(TypeError):
+            ExecutionPolicy(warmup=1000)
         spec = SweepSpec.from_dict({
             "name": "gone", "axes": {"spawn_latency": [1]},
             "workloads": ["mcf"], "seeds": [0], "lengths": [300],

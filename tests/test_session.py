@@ -1,14 +1,15 @@
-"""Tests for the unified run API: registries, Session facade, CLI report.
+"""Tests for the run API's ingredients: registries, stats schema, CLI report.
 
-Covers the api_redesign contracts:
+Covers these contracts:
 
 * ``repro.vp`` / ``repro.select`` expose string-keyed registries whose
   factories pickle and cache-describe;
-* ``repro.harness.Session`` is the one keyword-only front door, and its
-  ``observe``/``tracer`` modes compose with the result cache correctly;
 * ``SimStats.to_dict``/``from_dict`` round-trip ``extended`` behind a
   schema-version field while old fixtures load byte-identically;
 * the ``run --trace`` and ``report`` CLI subcommands work end to end.
+
+How ``RunSpec``/``run_simulations`` compose with the result cache is
+checked in ``tests/test_harness.py``.
 """
 
 from __future__ import annotations
@@ -20,16 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from repro import MachineConfig, select, vp
+from repro import select, vp
 from repro.core import SimStats
-from repro.harness import (
-    ConfigFactory,
-    ExecutionPolicy,
-    ResultCache,
-    Session,
-    run_once,
-)
-from repro.harness.cache import describe_factory, task_key
+from repro.harness import ResultCache
+from repro.harness.cache import describe_factory
 from repro.memory import MemLevel
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_stats.json"
@@ -76,91 +71,6 @@ class TestRegistries:
             select.resolve(cls, mtvp_level=MemLevel.L3)
         with pytest.raises(TypeError):
             select.resolve(42)
-
-
-class TestConfigFactory:
-    def test_returns_fresh_copies(self):
-        base = MachineConfig.mtvp(4)
-        fac = ConfigFactory(base)
-        a, b = fac(), fac()
-        assert a == base and a is not base and a is not b
-
-    def test_picklable(self):
-        fac = ConfigFactory(MachineConfig.hpca05_baseline())
-        assert pickle.loads(pickle.dumps(fac))() == fac()
-
-
-class TestSession:
-    def test_defaults_run_baseline(self):
-        stats = Session(
-            length=1200, policy=ExecutionPolicy(cache=False)
-        ).run("mcf")
-        assert stats.cycles > 0
-        assert not stats.extended
-
-    def test_rejects_positional_arguments(self):
-        with pytest.raises(TypeError):
-            Session(MachineConfig.mtvp(4))
-
-    def test_run_many_matches_run(self):
-        s = Session(length=1200, policy=ExecutionPolicy(cache=False))
-        assert s.run_many(["mcf"])[0] == s.run("mcf")
-
-    def test_observe_fills_extended(self):
-        s = Session(
-            config=MachineConfig.mtvp(8), predictor="wang-franklin",
-            selector="always", length=1500, observe=True,
-            policy=ExecutionPolicy(cache=False),
-        )
-        stats = s.run("mcf")
-        assert stats.extended["metrics"]["histograms"]["rob_occupancy"][
-            "total_weight"
-        ] > 0
-
-    def test_observe_keys_cache_separately(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        policy = ExecutionPolicy(cache=cache)
-        plain = Session(length=1200, policy=policy).run("mcf")
-        observed = Session(length=1200, observe=True, policy=policy).run("mcf")
-        assert not plain.extended and observed.extended
-        assert cache.stores == 2  # distinct keys, no aliasing
-        # repeating either hits the cache and preserves its shape
-        again = Session(length=1200, observe=True, policy=policy).run("mcf")
-        assert cache.hits >= 1
-        assert again.extended == observed.extended
-
-    def test_tracer_runs_bypass_cache(self, tmp_path):
-        from repro.obs import Tracer
-
-        cache = ResultCache(tmp_path)
-        tracer = Tracer()
-        s = Session(
-            config=MachineConfig.mtvp(8), predictor="wang-franklin",
-            selector="always", length=1500, tracer=tracer,
-            policy=ExecutionPolicy(cache=cache),
-        )
-        stats = s.run("mcf")
-        assert len(tracer) > 0
-        assert cache.stores == 0 and cache.hits == 0
-        assert stats.cycles > 0
-
-    def test_spec_carries_the_recipe(self):
-        s = Session(predictor="dfcm", selector="always", observe=True)
-        spec = s.spec("probe")
-        assert spec.name == "probe"
-        assert spec.observe is True
-        assert spec.predictor_factory is vp.get("dfcm")
-
-    def test_string_recipes_are_cacheable(self):
-        spec = Session(predictor="wang-franklin", selector="ilp-pred").spec()
-        assert task_key("mcf", spec, 1000, 0) is not None
-
-    def test_run_once_matches_session(self):
-        spec = Session(length=1200).spec()
-        stats = run_once("mcf", spec, 1200, 0)
-        assert stats == Session(
-            length=1200, policy=ExecutionPolicy(cache=False)
-        ).run("mcf")
 
 
 class TestStatsSchema:

@@ -222,7 +222,7 @@ class TestFamilies:
                 for mode, rows in results.items()
             }
 
-        serial = digests(cache=False)
+        serial = digests(policy=ExecutionPolicy(cache=False))
         assert digests(policy=ExecutionPolicy(jobs=2, cache=False)) == serial
         cache = ResultCache(tmp_path)
         assert digests(policy=ExecutionPolicy(jobs=2, cache=cache)) == serial
