@@ -222,17 +222,16 @@ def _warmed_engine(
     return engine
 
 
-def _steady_state_footprint(workload: Workload, config: MachineConfig) -> list[int]:
-    """Addresses a long-running execution would keep resident.
+def _steady_state_footprint(workload: Workload, config: MachineConfig) -> list[range]:
+    """The line addresses a long-running execution would keep resident,
+    one ``range`` per stream region, in stream order.
 
     Streams whose region fits in the L3 are fully warm in steady state;
     larger regions walked without revisits are as cold at the SimPoint as
     at startup, so they are left untouched.
     """
-    addresses: list[int] = []
-    for base, region_bytes in workload.stream_regions():
-        if region_bytes <= config.l3_size:
-            addresses.extend(
-                base + off for off in range(0, region_bytes, config.line_size)
-            )
-    return addresses
+    return [
+        range(base, base + region_bytes, config.line_size)
+        for base, region_bytes in workload.stream_regions()
+        if region_bytes <= config.l3_size
+    ]

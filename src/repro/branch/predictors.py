@@ -189,6 +189,8 @@ class GsharePredictor(BranchPredictor):
 #: quickly on weakly-correlated branches while long-history banks capture
 #: patterns
 _BANK_HISTORY_BITS = (0, 6, 12)
+#: per-bank odd multipliers of :func:`_skew_index`
+_SKEW_MULTIPLIERS = (0x9E3779B1, 0x85EBCA77, 0xC2B2AE3D)
 
 
 def _skew_index(pc: int, history: int, bank: int) -> int:
@@ -201,8 +203,7 @@ def _skew_index(pc: int, history: int, bank: int) -> int:
     """
     hist = history & ((1 << _BANK_HISTORY_BITS[bank % 3]) - 1)
     key = ((pc >> 2) << HISTORY_BITS) | hist
-    mult = (0x9E3779B1, 0x85EBCA77, 0xC2B2AE3D)[bank % 3]
-    return (key * mult) >> 13
+    return (key * _SKEW_MULTIPLIERS[bank % 3]) >> 13
 
 
 class TwoBcGskewPredictor(BranchPredictor):
@@ -243,27 +244,66 @@ class TwoBcGskewPredictor(BranchPredictor):
         return majority if use_eskew else bim
 
     def update(self, pc: int, history: int, taken: bool) -> None:
-        bim, g0, g1 = self._votes(pc, history)
-        majority = (bim + g0 + g1) >= 2
-        meta_index = _skew_index(pc, history, 0)
-        use_eskew = self._meta.taken(meta_index)
-        prediction = majority if use_eskew else bim
-        if majority != bim:
-            # the components disagree: train the chooser toward the winner
-            self._meta.train(meta_index, majority == taken)
-        if prediction != taken:
-            # total misprediction: retrain every bank
-            self._bim.train(pc >> 2, taken)
-            self._g0.train(_skew_index(pc, history, 1), taken)
-            self._g1.train(_skew_index(pc, history, 2), taken)
-        else:
-            # partial update: only reinforce the banks that agreed
-            if bim == taken:
-                self._bim.train(pc >> 2, taken)
-            if g0 == taken:
-                self._g0.train(_skew_index(pc, history, 1), taken)
-            if g1 == taken:
-                self._g1.train(_skew_index(pc, history, 2), taken)
+        self.train_many(((pc, taken),), history)
+
+    def train_many(self, branches, history: int) -> int:
+        """Train on each ``(pc, taken)`` of ``branches`` in order, shifting
+        each outcome into ``history``; return the final history.
+
+        The update rule, with the tables, masks and hash constants held
+        in locals so the warm start trains a whole trace in one call.  A
+        counter trains toward ``taken`` on a total misprediction, and
+        otherwise only when its bank voted for the outcome; each bank's
+        vote and training read the same counter, since no two banks share
+        a table.
+        """
+        bim, bim_mask = self._bim.counters, self._bim.mask
+        g0, g0_mask = self._g0.counters, self._g0.mask
+        g1, g1_mask = self._g1.counters, self._g1.mask
+        meta, meta_mask = self._meta.counters, self._meta.mask
+        h0, h1, h2 = ((1 << bits) - 1 for bits in _BANK_HISTORY_BITS)
+        m0, m1, m2 = _SKEW_MULTIPLIERS
+        for pc, taken in branches:
+            pc2 = pc >> 2
+            key = pc2 << HISTORY_BITS
+            ib = pc2 & bim_mask
+            i0 = ((key | history & h0) * m0 >> 13) & meta_mask
+            i1 = ((key | history & h1) * m1 >> 13) & g0_mask
+            i2 = ((key | history & h2) * m2 >> 13) & g1_mask
+            b, x, y = bim[ib], g0[i1], g1[i2]
+            bim_vote = b >= 2
+            majority = (bim_vote + (x >= 2) + (y >= 2)) >= 2
+            prediction = bim_vote
+            if majority != bim_vote:
+                # the components disagree: train the chooser toward the winner
+                c = meta[i0]
+                if c >= 2:
+                    prediction = majority
+                if majority == taken:
+                    if c < 3:
+                        meta[i0] = c + 1
+                elif c:
+                    meta[i0] = c - 1
+            # total misprediction: retrain every bank; otherwise (partial
+            # update) only reinforce the banks that agreed
+            miss = prediction != taken
+            if taken:
+                if b < 3 and (miss or b >= 2):
+                    bim[ib] = b + 1
+                if x < 3 and (miss or x >= 2):
+                    g0[i1] = x + 1
+                if y < 3 and (miss or y >= 2):
+                    g1[i2] = y + 1
+                history = ((history << 1) | 1) & _HISTORY_MASK
+            else:
+                if b and (miss or b < 2):
+                    bim[ib] = b - 1
+                if x and (miss or x < 2):
+                    g0[i1] = x - 1
+                if y and (miss or y < 2):
+                    g1[i2] = y - 1
+                history = (history << 1) & _HISTORY_MASK
+        return history
 
     def predict_and_update(self, pc: int, history: int, taken: bool) -> bool:
         """Fused predict+train: one lookup count, each skew index hashed

@@ -51,6 +51,10 @@ class Engine(
         config: Machine parameters and simulation mode.
         predictor: Load value predictor; defaults to the oracle.
         selector: Load selector; defaults to :class:`AlwaysSelector`.
+        warm_addresses: The steady-state cache footprint the warm start
+            installs (``config.warm_caches``), as line-stepped address
+            ranges (see :meth:`~repro.memory.MemoryHierarchy.install`);
+            ``None`` leaves the caches cold.
         reference_scheduler: Debug flag — run the straightforward
             rebuild-and-``min()`` scheduler instead of the optimized
             incremental one.  Results must be identical; tests compare the

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.branch import update_history
 from repro.core.context import ThreadContext
-from repro.isa import OpClass
+from repro.core.engine.records import _BRANCH, _LOAD, _STORE
 
 
 class WarmupMixin:
@@ -35,9 +35,11 @@ class WarmupMixin:
         charge all of that warm-up to the timed region:
 
         * cache contents: the caller supplies the footprints that are
-          resident in steady state (regions that fit in the L3; giant
-          non-revisiting walks stay cold, as they would be at any point of
-          a real long run);
+          resident in steady state, as address ranges (regions that fit in
+          the L3; giant non-revisiting walks stay cold, as they would be at
+          any point of a real long run), and
+          :meth:`~repro.memory.MemoryHierarchy.install` builds exactly the
+          caches storing each address in turn would;
         * branch predictor and value predictor: one functional pass over
           the trace trains the tables exactly as the previous loop
           iterations of the real program would have.
@@ -49,25 +51,25 @@ class WarmupMixin:
         """
         hierarchy = self.hierarchy
         if addresses is not None:
-            for addr in addresses:
-                hierarchy.store(addr, 0)
+            hierarchy.install(addresses)
             hierarchy.reset_stats()
         bp = self.branch_predictor
         vp = self.predictor
+        load, branch = _LOAD, _BRANCH
         # one functional pass per program: single-program engines have one
         # root over self.trace (the historical behaviour, bit for bit),
         # multi-program co-schedules train the shared tables from every
         # stream — itself a realistic interference channel
         for root in roots:
-            hist = 0
+            branches = []
             load_insts = []
             for inst in root.trace:
-                if inst.op is OpClass.BRANCH:
-                    bp.update(inst.pc, hist, inst.taken)
-                    hist = update_history(hist, inst.taken)
-                elif inst.op is OpClass.LOAD and inst.value is not None:
+                op = inst.op
+                if op is branch:
+                    branches.append((inst.pc, inst.taken))
+                elif op is load and inst.value is not None:
                     load_insts.append(inst)
-            root.bhist = hist
+            root.bhist = bp.train_many(branches, 0)
             # the branch and value-predictor tables are independent, so the
             # functional pass's load trainings join the replay passes below
             # without changing either table.  extra value-predictor passes:
@@ -128,15 +130,16 @@ class WarmupMixin:
         hierarchy = self.hierarchy
         hist = root.bhist
         start = root.pos
+        load, store, branch = _LOAD, _STORE, _BRANCH
         for inst in self.trace[start : start + n]:
             op = inst.op
-            if op is OpClass.LOAD:
+            if op is load:
                 hierarchy.warm_access(inst.addr, inst.pc)
                 if inst.value is not None:
                     vp.train(inst, inst.value)
-            elif op is OpClass.STORE:
+            elif op is store:
                 hierarchy.store(inst.addr, 0)
-            elif op is OpClass.BRANCH:
+            elif op is branch:
                 bp.update(inst.pc, hist, inst.taken)
                 hist = update_history(hist, inst.taken)
         root.bhist = hist

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from repro.isa.opclass import NUM_LOGICAL_REGS, OpClass, REG_ZERO
 
+#: the members the constructor checks, bound once: an enum attribute read
+#: costs more than the rest of a typical instruction's validation
+_LOAD, _STORE, _BRANCH = OpClass.LOAD, OpClass.STORE, OpClass.BRANCH
+
 
 class Instruction:
     """One dynamic instruction in a trace.
@@ -46,9 +50,9 @@ class Instruction:
         for s in srcs:
             if not 0 <= s < NUM_LOGICAL_REGS:
                 raise ValueError(f"source register {s} out of range")
-        if addr is None and op.is_memory:
+        if addr is None and (op is _LOAD or op is _STORE):
             raise ValueError(f"{op.name} instruction requires an address")
-        if op is OpClass.BRANCH and taken is None:
+        if taken is None and op is _BRANCH:
             raise ValueError("BRANCH instruction requires a taken outcome")
         self.pc = pc
         self.op = op

@@ -11,6 +11,8 @@ from __future__ import annotations
 from array import array
 from itertools import chain, compress, islice, repeat
 
+from repro.tables import power_of_two
+
 #: schema of :meth:`Cache.snapshot` payloads; version 2 stores only the
 #: occupied sets, as one per-set count blob plus one flat tag list
 SNAPSHOT_VERSION = 2
@@ -43,18 +45,21 @@ class Cache:
         latency: int = 1,
         name: str = "cache",
     ) -> None:
-        if line_size & (line_size - 1):
-            raise ValueError("line_size must be a power of two")
+        for field, value in (("size_bytes", size_bytes), ("assoc", assoc)):
+            if value <= 0:
+                raise ValueError(f"{name}: {field} must be positive, got {value!r}")
+        power_of_two(f"{name}: line_size", line_size)
         if size_bytes % (assoc * line_size):
-            raise ValueError("size must be a multiple of assoc * line_size")
+            raise ValueError(
+                f"{name}: size_bytes must be a multiple of assoc * line_size"
+            )
         self.size_bytes = size_bytes
         self.assoc = assoc
         self.line_size = line_size
         self.latency = latency
         self.name = name
         self.num_sets = size_bytes // (assoc * line_size)
-        if self.num_sets & (self.num_sets - 1):
-            raise ValueError("number of sets must be a power of two")
+        power_of_two(f"{name}: number of sets", self.num_sets)
         self._set_mask = self.num_sets - 1
         self._line_shift = line_size.bit_length() - 1
         self._sets: list[dict[int, None]] = [{} for _ in range(self.num_sets)]
@@ -93,8 +98,8 @@ class Cache:
 
         Returns True on a hit.  Contents, LRU order, hit/miss counters and
         occupancy end up exactly as ``lookup(addr) or insert(addr)`` leaves
-        them — the write-allocate path of a store, which the warm start
-        runs once per line of the steady-state footprint.
+        them — the write-allocate path of :meth:`MemoryHierarchy.store
+        <repro.memory.MemoryHierarchy.store>`.
         """
         line = addr >> self._line_shift
         cset = self._sets[line & self._set_mask]
@@ -109,6 +114,51 @@ class Cache:
         cset[line] = None
         self.hits += 1
         return True
+
+    def install(self, lines: range) -> None:
+        """:meth:`fill` every line number of ``lines`` in order, set by set.
+
+        ``lines`` is a run of consecutive line numbers (step 1), none of
+        which the cache holds — the caller guarantees it, as
+        :meth:`MemoryHierarchy.install
+        <repro.memory.MemoryHierarchy.install>` does.  Every fill is then
+        a miss, and a true-LRU set ends up holding the ``assoc`` most
+        recently filled lines in fill order: set ``s`` keeps its old lines
+        followed by the run's lines that map to it, cut to the last
+        ``assoc``.  Only the last ``num_sets * assoc`` lines of a longer
+        run can survive, so the rest are never touched.  Contents, LRU
+        order, miss counter and occupancy end up exactly as the per-line
+        :meth:`fill` loop leaves them.
+        """
+        if lines.step != 1:
+            raise ValueError(f"{self.name}: install takes consecutive line numbers")
+        self.misses += len(lines)
+        num_sets, assoc = self.num_sets, self.assoc
+        lines = lines[-num_sets * assoc:]
+        sets = self._sets
+        mask = self._set_mask
+        first = lines.start
+        added = 0
+        for j in range(min(num_sets, len(lines))):
+            # the run's lines in this set: at most assoc, now that the run
+            # fits the cache
+            new = lines[j::num_sets]
+            index = (first + j) & mask
+            cset = sets[index]
+            held = len(cset)
+            if not held or len(new) == assoc:
+                sets[index] = dict.fromkeys(new)
+                added += len(new) - held
+                continue
+            overflow = held + len(new) - assoc
+            if overflow > 0:
+                # the oldest lines go first, as one fill at a time evicts them
+                for victim in list(islice(cset, overflow)):
+                    del cset[victim]
+                added -= overflow
+            cset.update(dict.fromkeys(new))
+            added += len(new)
+        self._lines += added
 
     def probe(self, addr: int) -> bool:
         """Non-destructive presence check (no LRU update, no stats)."""

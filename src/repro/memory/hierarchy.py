@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+from collections.abc import Iterable
 
 from repro.memory.cache import Cache
 from repro.memory.prefetcher import StridePrefetcher
@@ -189,6 +190,54 @@ class MemoryHierarchy:
         """
         if not self.l1.fill(addr) and not self.l2.fill(addr):
             self.l3.fill(addr)
+
+    def install(self, ranges: Iterable[range]) -> None:
+        """Write-allocate every address of ``ranges`` into empty caches.
+
+        The warm start's steady-state footprint: one
+        ``range(base, end, line_size)`` per resident region.  Every level
+        ends up exactly as calling :meth:`store` once per address, range
+        after range, leaves it (contents, LRU order, counters), but each
+        level is built set by set with :meth:`Cache.install`.  That is
+        exact because the addresses are distinct lines and the caches
+        start empty: every store misses every level, so each level sees
+        the whole sequence.  A :class:`ValueError` names the broken
+        precondition: a level that already holds lines, a range whose
+        step is not a level's line size or whose start is not
+        line-aligned, or two ranges that overlap.
+        """
+        levels = (self.l1, self.l2, self.l3)
+        for cache in levels:
+            if cache.occupancy:
+                raise ValueError(
+                    f"install needs empty caches; {cache.name} holds "
+                    f"{cache.occupancy} lines"
+                )
+        checked = []
+        for r in ranges:
+            if not isinstance(r, range):
+                raise TypeError(f"install takes address ranges, got {r!r}")
+            if not r:
+                continue
+            checked.append(r)
+            for cache in levels:
+                if r.step != cache.line_size:
+                    raise ValueError(
+                        f"{r} does not step by {cache.name}'s "
+                        f"{cache.line_size}-byte lines"
+                    )
+                if r.start % cache.line_size:
+                    raise ValueError(f"{r} does not start on a {cache.name} line")
+        end = None
+        for r in sorted(checked, key=lambda r: r.start):
+            if end is not None and r.start < end:
+                raise ValueError(f"{r} overlaps an earlier range")
+            end = r[-1] + r.step
+        shift = self.l1._line_shift
+        runs = [range(r.start >> shift, (r.start >> shift) + len(r)) for r in checked]
+        for cache in levels:
+            for lines in runs:
+                cache.install(lines)
 
     def warm_access(self, addr: int, pc: int) -> None:
         """Functional (timing-free) load used by warmup fast-forward.

@@ -30,6 +30,9 @@ from repro.vp.base import (
     unpack_confidences,
 )
 
+#: bound once: the per-load guards would otherwise read the enum member
+_LOAD = OpClass.LOAD
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -130,7 +133,7 @@ class DfcmPredictor(ValuePredictor):
 
     # ------------------------------------------------------------------
     def predict(self, inst: Instruction) -> ValuePrediction | None:
-        if inst.op is not OpClass.LOAD:
+        if inst.op is not _LOAD:
             return None
         self.lookups += 1
         entry = self._l1_entry(inst.pc, allocate=False)

@@ -12,6 +12,9 @@ from __future__ import annotations
 from repro.isa import Instruction, OpClass
 from repro.vp.base import ValuePrediction, ValuePredictor
 
+#: bound once: the per-load guards would otherwise read the enum member
+_LOAD = OpClass.LOAD
+
 
 class OraclePredictor(ValuePredictor):
     """Always-correct predictor used for the potential study (Figure 1)."""
@@ -20,7 +23,7 @@ class OraclePredictor(ValuePredictor):
     MAX_CONFIDENCE = 32
 
     def predict(self, inst: Instruction) -> ValuePrediction | None:
-        if inst.op is not OpClass.LOAD or inst.value is None:
+        if inst.op is not _LOAD or inst.value is None:
             return None
         self.lookups += 1
         return ValuePrediction(inst.value, self.MAX_CONFIDENCE)

@@ -19,6 +19,9 @@ from repro.vp.base import (
     unpack_confidences,
 )
 
+#: bound once: the per-load guards would otherwise read the enum member
+_LOAD = OpClass.LOAD
+
 _MASK64 = (1 << 64) - 1
 
 #: entry fields other than the confidence (at 2 and 3, respectively)
@@ -74,7 +77,7 @@ class LastValuePredictor(ValuePredictor):
         return entry
 
     def predict(self, inst: Instruction) -> ValuePrediction | None:
-        if inst.op is not OpClass.LOAD:
+        if inst.op is not _LOAD:
             return None
         self.lookups += 1
         entry = self._entry(inst.pc)
@@ -127,7 +130,7 @@ class StridePredictor(ValuePredictor):
         self._mask = entries - 1
 
     def predict(self, inst: Instruction) -> ValuePrediction | None:
-        if inst.op is not OpClass.LOAD:
+        if inst.op is not _LOAD:
             return None
         self.lookups += 1
         idx = (inst.pc >> 2) & self._mask

@@ -36,6 +36,9 @@ from repro.vp.base import (
     unpack_confidences,
 )
 
+#: bound once: the per-load guards would otherwise read the enum member
+_LOAD = OpClass.LOAD
+
 _MASK64 = (1 << 64) - 1
 
 #: Slot layout within a ValPHT confidence vector.
@@ -157,7 +160,7 @@ class WangFranklinPredictor(ValuePredictor):
 
     # ------------------------------------------------------------------
     def predict(self, inst: Instruction) -> ValuePrediction | None:
-        if inst.op is not OpClass.LOAD:
+        if inst.op is not _LOAD:
             return None
         self.lookups += 1
         entry = self._vht_entry(inst.pc, allocate=False)
@@ -179,7 +182,7 @@ class WangFranklinPredictor(ValuePredictor):
 
     def predict_all(self, inst: Instruction) -> list[ValuePrediction]:
         """All distinct over-threshold candidates, highest confidence first."""
-        if inst.op is not OpClass.LOAD:
+        if inst.op is not _LOAD:
             return []
         entry = self._vht_entry(inst.pc, allocate=False)
         if entry is None:

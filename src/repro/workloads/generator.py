@@ -298,19 +298,20 @@ class Workload:
         out: list[Instruction] = []
         extend = out.extend
         append = out.append
+        load, store = OpClass.LOAD, OpClass.STORE
         for _ in range(-(-n // len(self._body))):
             for stream in streams:
                 stream.advance()
             for entry in self._plan:
                 if entry.__class__ is tuple:
                     extend(entry)
-                elif entry.op is OpClass.LOAD:
+                elif entry.op is load:
                     addr = streams[entry.stream].addr(entry.offset)
                     value = vstreams[entry.vstream].next_value()
                     append(
                         Instruction(entry.pc, entry.op, entry.srcs, entry.dst, addr, value)
                     )
-                elif entry.op is OpClass.STORE:
+                elif entry.op is store:
                     addr = streams[entry.stream].addr(entry.offset)
                     value = rng.randrange(_VALUE_RANGE)
                     append(Instruction(entry.pc, entry.op, entry.srcs, None, addr, value))

@@ -26,6 +26,26 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Cache(3 * 64 * 2, 2, line_size=64)
 
+    @pytest.mark.parametrize(
+        "size, assoc, line, field",
+        [
+            (0, 2, 64, "size_bytes must be positive"),
+            (-4096, 2, 64, "size_bytes must be positive"),
+            (4096, 0, 64, "assoc must be positive"),
+            (4096, -2, 64, "assoc must be positive"),
+            (4096, 2, 0, "line_size must be a positive power of two"),
+            (4096, 2, -64, "line_size must be a positive power of two"),
+            (4096, 2, 48, "line_size must be a positive power of two"),
+            (4096 + 64, 2, 64, "size_bytes must be a multiple of assoc"),
+            (3 * 64 * 2, 2, 64, "number of sets must be a positive power of two"),
+        ],
+    )
+    def test_unrunnable_geometry_names_the_cache_and_field(self, size, assoc, line, field):
+        # zero sets used to build and fail on the first lookup; a zero
+        # associativity or line size used to divide by zero
+        with pytest.raises(ValueError, match=f"^L2: {field}"):
+            Cache(size, assoc, line_size=line, name="L2")
+
 
 class TestLookupInsert:
     def test_cold_miss_then_hit(self):

@@ -13,6 +13,12 @@ Bit-identity contracts (DESIGN.md §5c, §5f):
   here as :class:`ReferenceWangFranklin`;
 * ``MemoryHierarchy.store`` over ``Cache.fill`` leaves every cache exactly
   as the original lookup-then-insert sequence does;
+* ``MemoryHierarchy.install`` (the steady-state footprint, set by set)
+  leaves every cache exactly as one original store per address does, and
+  refuses the inputs for which that would not hold;
+* ``TwoBcGskewPredictor.train_many`` leaves exactly the tables and history
+  of the original ``_votes``-based ``update`` loop, kept here as
+  :func:`reference_update`;
 * an engine built with ``arch=`` (the restore in the warm start's place)
   is identical to one that warmed and then restored the same payload.
 
@@ -31,7 +37,8 @@ from hypothesis import given, settings
 
 from repro import _steady_state_footprint
 from repro import vp as vp_registry
-from repro.branch import update_history
+from repro.branch import TwoBcGskewPredictor, update_history
+from repro.branch.predictors import _skew_index
 from repro.core import Engine, MachineConfig
 from repro.harness.bench import stats_digest
 from repro.isa import Instruction, OpClass
@@ -353,14 +360,26 @@ def eviction_heavy(seed: int, n: int = 4000) -> list[int]:
     return [rng.randrange(0, 16 * 1024, 8) for _ in range(n)]
 
 
+def footprint_addresses(name: str) -> list[int]:
+    """A workload's Table 1 footprint as the flat address list it was."""
+    ranges = _steady_state_footprint(get_workload(name), MachineConfig.hpca05_baseline())
+    return [addr for r in ranges for addr in r]
+
+
+def same_caches(fast: MemoryHierarchy, reference: MemoryHierarchy) -> None:
+    for level in ("l1", "l2", "l3"):
+        a, b = getattr(fast, level), getattr(reference, level)
+        assert a.snapshot() == b.snapshot(), level  # contents + counters
+        assert a.occupancy == b.occupancy, level
+    assert fast.snapshot() == reference.snapshot()
+
+
 class TestStore:
     @pytest.mark.parametrize(
         "build, addresses",
         [
-            (table1_hierarchy, lambda: _steady_state_footprint(
-                get_workload("mcf"), MachineConfig.hpca05_baseline())),
-            (table1_hierarchy, lambda: _steady_state_footprint(
-                get_workload("gcc 1"), MachineConfig.hpca05_baseline()) * 2),
+            (table1_hierarchy, lambda: footprint_addresses("mcf")),
+            (table1_hierarchy, lambda: footprint_addresses("gcc 1") * 2),
             (tiny_hierarchy, lambda: eviction_heavy(0)),
             (tiny_hierarchy, lambda: eviction_heavy(1)),
         ],
@@ -376,11 +395,7 @@ class TestStore:
         for addr in addrs:
             fast.store(addr, 0)
             reference_store(reference, addr)
-        for level in ("l1", "l2", "l3"):
-            a, b = getattr(fast, level), getattr(reference, level)
-            assert a.snapshot() == b.snapshot(), level  # contents + counters
-            assert a.occupancy == b.occupancy, level
-        assert fast.snapshot() == reference.snapshot()
+        same_caches(fast, reference)
 
     def test_fill_is_lookup_then_insert_on_a_miss(self):
         fast, reference = Cache(512, 2, 64), Cache(512, 2, 64)
@@ -393,23 +408,209 @@ class TestStore:
         assert fast.occupancy == reference.occupancy
 
 
+def stored(build, ranges) -> MemoryHierarchy:
+    """A fresh hierarchy after one reference store per address of ``ranges``."""
+    hierarchy = build()
+    for r in ranges:
+        for addr in r:
+            reference_store(hierarchy, addr)
+    return hierarchy
+
+
+def small_hierarchy() -> MemoryHierarchy:
+    # 2 sets x 2 ways over 4 sets x 2 ways over 8 sets x 4 ways (32 lines),
+    # one line size
+    return MemoryHierarchy(
+        l1=Cache(256, 2, 64, name="L1D"),
+        l2=Cache(512, 2, 64, name="L2"),
+        l3=Cache(2048, 4, 64, name="L3"),
+    )
+
+
+class TestInstall:
+    @pytest.mark.parametrize("name", workload_names())
+    def test_every_workload_footprint_on_table1(self, name):
+        ranges = _steady_state_footprint(
+            get_workload(name), MachineConfig.hpca05_baseline()
+        )
+        fast = table1_hierarchy()
+        fast.install(ranges)
+        same_caches(fast, stored(table1_hierarchy, ranges))
+
+    def test_shared_sets_and_a_range_longer_than_the_cache(self):
+        # not in address order; the second range is 100 lines against the
+        # L3's 32, the fourth ends mid-line, and all of them share sets
+        ranges = [
+            range(0x1000, 0x1000 + 3 * 64, 64),
+            range(0x2040, 0x2040 + 100 * 64, 64),
+            range(0x0, 0x0, 64),
+            range(0x8000, 0x8000 + 100, 64),
+            range(0x0c0, 0x0c0 + 64, 64),
+            range(0x9000, 0x9000 + 5 * 64, 64),
+        ]
+        fast = small_hierarchy()
+        fast.install(ranges)
+        same_caches(fast, stored(small_hierarchy, ranges))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([1, 2, 3, 4]),
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 40)), max_size=6),
+        st.randoms(use_true_random=False),
+    )
+    def test_property(self, sets, ways, runs, rng):
+        # disjoint runs of lines separated by random gaps, installed in a
+        # shuffled order, over one cache geometry at every level
+        def build():
+            return MemoryHierarchy(
+                l1=Cache(64 * sets * ways, ways, 64, name="L1D"),
+                l2=Cache(64 * 2 * sets * ways, ways, 64, name="L2"),
+                l3=Cache(64 * 4 * sets * (ways + 1), ways + 1, 64, name="L3"),
+            )
+
+        ranges, line = [], 0
+        for gap, length in runs:
+            line += gap
+            ranges.append(range(64 * line, 64 * (line + length), 64))
+            line += length
+        rng.shuffle(ranges)
+        fast = build()
+        fast.install(ranges)
+        same_caches(fast, stored(build, ranges))
+
+    @pytest.mark.parametrize(
+        "build, ranges, message",
+        [
+            (small_hierarchy, [range(0, 640, 128)], "does not step by"),
+            (small_hierarchy, [range(8, 648, 64)], "does not start on"),
+            (small_hierarchy, [range(0, 640, 64), range(576, 700, 64)], "overlaps"),
+            (small_hierarchy, [range(576, 700, 64), range(0, 640, 64)], "overlaps"),
+            # the warm start's own caches share a line size; these do not
+            (tiny_hierarchy, [range(0, 640, 64)], "does not step by"),
+        ],
+        ids=["step", "unaligned", "overlap", "overlap-reversed", "mixed-lines"],
+    )
+    def test_rejects_inputs_the_set_by_set_fill_cannot_reproduce(
+        self, build, ranges, message
+    ):
+        hierarchy = build()
+        before = hierarchy.snapshot()
+        with pytest.raises(ValueError, match=message):
+            hierarchy.install(ranges)
+        assert hierarchy.snapshot() == before  # nothing installed
+
+    def test_rejects_a_level_that_already_holds_lines(self):
+        for level in ("l1", "l2", "l3"):
+            hierarchy = small_hierarchy()
+            getattr(hierarchy, level).insert(0x40000)
+            with pytest.raises(ValueError, match="empty caches"):
+                hierarchy.install([range(0, 640, 64)])
+            assert hierarchy.l1.occupancy + hierarchy.l2.occupancy + hierarchy.l3.occupancy == 1
+
+    def test_rejects_plain_addresses(self):
+        with pytest.raises(TypeError, match="address ranges"):
+            small_hierarchy().install([0, 64, 128])
+
+    def test_rejects_a_run_that_is_not_consecutive_lines(self):
+        with pytest.raises(ValueError, match="consecutive line numbers"):
+            Cache(512, 2, 64).install(range(0, 10, 2))
+
+
+# ----------------------------------------------------------------------
+# 2bcgskew: train_many against the original update rule
+# ----------------------------------------------------------------------
+def reference_update(bp: TwoBcGskewPredictor, pc: int, history: int, taken: bool) -> None:
+    """``TwoBcGskewPredictor.update`` as first written, over ``_votes``."""
+    bim, g0, g1 = bp._votes(pc, history)
+    majority = (bim + g0 + g1) >= 2
+    meta_index = _skew_index(pc, history, 0)
+    use_eskew = bp._meta.taken(meta_index)
+    prediction = majority if use_eskew else bim
+    if majority != bim:
+        bp._meta.train(meta_index, majority == taken)
+    if prediction != taken:
+        bp._bim.train(pc >> 2, taken)
+        bp._g0.train(_skew_index(pc, history, 1), taken)
+        bp._g1.train(_skew_index(pc, history, 2), taken)
+    else:
+        if bim == taken:
+            bp._bim.train(pc >> 2, taken)
+        if g0 == taken:
+            bp._g0.train(_skew_index(pc, history, 1), taken)
+        if g1 == taken:
+            bp._g1.train(_skew_index(pc, history, 2), taken)
+
+
+def reference_train(bp: TwoBcGskewPredictor, branches, history: int) -> int:
+    for pc, taken in branches:
+        reference_update(bp, pc, history, taken)
+        history = update_history(history, taken)
+    return history
+
+
+def random_branches(seed: int, n: int = 5000) -> list[tuple[int, bool]]:
+    """Biased, patterned and random branches over PCs that alias in
+    small tables."""
+    rng = random.Random(seed)
+    pcs = [0x400 + 4 * rng.randrange(64) for _ in range(12)]
+    bias = {pc: rng.random() for pc in pcs}
+    return [(pc, rng.random() < bias[pc]) for pc in (rng.choice(pcs) for _ in range(n))]
+
+
+class TestBranchTrainMany:
+    @pytest.mark.parametrize("name", workload_names())
+    def test_every_workload(self, name):
+        branches = [
+            (inst.pc, inst.taken)
+            for inst in get_workload(name).trace(length=16000, seed=3)
+            if inst.op is OpClass.BRANCH
+        ]
+        fast, reference = TwoBcGskewPredictor(), TwoBcGskewPredictor()
+        assert fast.train_many(branches, 0) == reference_train(reference, branches, 0)
+        assert fast.snapshot() == reference.snapshot()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_stream_over_small_aliasing_tables(self, seed):
+        sizes = dict(bimodal_entries=8, skew_entries=16, meta_entries=8)
+        fast, reference = TwoBcGskewPredictor(**sizes), TwoBcGskewPredictor(**sizes)
+        branches = random_branches(seed)
+        history = random.Random(seed).randrange(1 << 16)
+        for chunk in (branches[:1], branches[1:700], branches[700:]):
+            history_fast = fast.train_many(chunk, history)
+            history = reference_train(reference, chunk, history)
+            assert history_fast == history
+            assert fast.snapshot() == reference.snapshot()
+
+    def test_update_is_one_branch_of_train_many(self):
+        fast, reference = TwoBcGskewPredictor(64, 64, 64), TwoBcGskewPredictor(64, 64, 64)
+        history = 0
+        for pc, taken in random_branches(9, 2000):
+            fast.update(pc, history, taken)
+            reference_update(reference, pc, history, taken)
+            history = update_history(history, taken)
+        assert fast.snapshot() == reference.snapshot()
+
+
 # ----------------------------------------------------------------------
 # the warm start as a whole
 # ----------------------------------------------------------------------
 def reference_warm_state(engine: Engine, addresses) -> None:
-    """The warm start's original loops: stores, a functional pass, then
-    the value-predictor replay passes one ``train`` at a time."""
+    """The warm start's original loops: a store per footprint address, a
+    functional pass, then the value-predictor replay passes one ``train``
+    at a time."""
     hierarchy = engine.hierarchy
     if addresses is not None:
-        for addr in addresses:
-            reference_store(hierarchy, addr)
+        for r in addresses:
+            for addr in r:
+                reference_store(hierarchy, addr)
         hierarchy.reset_stats()
     bp, vp = engine.branch_predictor, engine.predictor
     root = engine._contexts[0]
     hist = 0
     for inst in root.trace:
         if inst.op is OpClass.BRANCH:
-            bp.update(inst.pc, hist, inst.taken)
+            reference_update(bp, inst.pc, hist, inst.taken)
             hist = update_history(hist, inst.taken)
         elif inst.op is OpClass.LOAD and inst.value is not None:
             vp.train(inst, inst.value)
@@ -424,19 +625,21 @@ def reference_warm_state(engine: Engine, addresses) -> None:
 
 @pytest.mark.parametrize("name", vp_registry.names())
 def test_warm_start_matches_the_original_loops(name):
-    workload = get_workload("mcf")
-    config = MachineConfig.mtvp(8)
-    trace = workload.trace(length=3000, seed=4)
-    warm = _steady_state_footprint(workload, config)
-    current = Engine(trace, config, predictor=vp_registry.create(name),
-                     warm_addresses=warm)
-    reference = Engine(
-        trace, dataclasses.replace(config, warm_caches=False),
-        predictor=vp_registry.create(name),
-    )
-    reference_warm_state(reference, warm)
-    assert current.snapshot() == reference.snapshot()
-    assert stats_digest(current.run()) == stats_digest(reference.run())
+    # mcf has one resident region, bzip p three
+    for workload_name in ("mcf", "bzip p"):
+        workload = get_workload(workload_name)
+        config = MachineConfig.mtvp(8)
+        trace = workload.trace(length=3000, seed=4)
+        warm = _steady_state_footprint(workload, config)
+        current = Engine(trace, config, predictor=vp_registry.create(name),
+                         warm_addresses=warm)
+        reference = Engine(
+            trace, dataclasses.replace(config, warm_caches=False),
+            predictor=vp_registry.create(name),
+        )
+        reference_warm_state(reference, warm)
+        assert current.snapshot() == reference.snapshot()
+        assert stats_digest(current.run()) == stats_digest(reference.run())
 
 
 MODES = {
