@@ -2,9 +2,9 @@
 
 Each benchmark module regenerates one table or figure from the paper
 (DESIGN.md §4 maps them).  ``REPRO_TRACE_LEN`` scales the dynamic trace
-length per simulation; the default keeps the full suite in the
-tens-of-minutes range on a laptop while preserving every figure shape.
-Raise it (e.g. 30000) for smoother numbers.
+length per simulation; at the default (8000) the 14 claim tests take
+about a minute with ``REPRO_JOBS=2`` on a 2-core machine, and every
+figure shape holds.  Raise it (e.g. 30000) for smoother numbers.
 
 The experiment harness underneath honours two more environment knobs
 (resolved in :mod:`repro.harness.parallel`, no per-test plumbing needed):

@@ -94,12 +94,11 @@ def _policy_from_args(args: argparse.Namespace, **extra):
     """An :class:`~repro.harness.ExecutionPolicy` from the execution flags.
 
     Every subcommand spells execution the same way (``--jobs``,
-    ``--dispatch``, ``--retries``, plus the
-    cache/checkpoint flags where they apply); a flag the
-    subcommand doesn't define simply stays unset on the policy, so the
-    usual environment-variable defaults (``REPRO_JOBS``,
-    ``REPRO_DISPATCH``, ``REPRO_CACHE_DIR``, ...) take
-    over.  ``extra`` entries win over flag-derived fields; ``None`` extras
+    ``--dispatch``, ``--retries``, ...); a flag the subcommand doesn't
+    define simply stays unset on the policy, so the usual
+    environment-variable defaults (``REPRO_JOBS``, ``REPRO_DISPATCH``,
+    ``REPRO_CACHE_DIR``, ...) take over.  The stores come in ``extra``
+    (see :func:`_cli_cache`/:func:`_cli_checkpoints`); ``None`` extras
     are dropped (``False`` — cache off — is preserved).
     """
     from repro.harness import ExecutionPolicy
@@ -109,10 +108,18 @@ def _policy_from_args(args: argparse.Namespace, **extra):
         value = getattr(args, name, None)
         if value is not None:
             fields[name] = value
-    if getattr(args, "checkpoint_dir", None) is not None:
-        fields["checkpoints"] = args.checkpoint_dir
     fields.update({k: v for k, v in extra.items() if v is not None})
     return ExecutionPolicy(**fields)
+
+
+def _cli_store(store_cls, directory, what: str):
+    """A store opened on ``directory``, or ``cannot use <what> directory:
+    ...`` and exit 1 when the directory cannot be used."""
+    try:
+        return store_cls(directory)
+    except OSError as exc:
+        print(f"cannot use {what} directory: {exc}")
+        raise SystemExit(1) from None
 
 
 def _cli_cache(args: argparse.Namespace):
@@ -120,18 +127,23 @@ def _cli_cache(args: argparse.Namespace):
 
     ``False`` under ``--no-cache``, else a
     :class:`~repro.harness.ResultCache` on ``--cache-dir`` (default:
-    ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``).  A directory that cannot
-    be used prints ``cannot use cache directory: ...`` and exits 1.
+    ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``).
     """
     from repro.harness import ResultCache, default_cache_dir
 
     if args.no_cache:
         return False
-    try:
-        return ResultCache(args.cache_dir or default_cache_dir())
-    except OSError as exc:
-        print(f"cannot use cache directory: {exc}")
-        raise SystemExit(1) from None
+    return _cli_store(ResultCache, args.cache_dir or default_cache_dir(), "cache")
+
+
+def _cli_checkpoints(args: argparse.Namespace):
+    """A :class:`~repro.harness.CheckpointStore` on ``--checkpoint-dir``,
+    or ``None`` (the policy's ``$REPRO_CHECKPOINT_DIR`` default) without it."""
+    from repro.harness import CheckpointStore
+
+    if args.checkpoint_dir is None:
+        return None
+    return _cli_store(CheckpointStore, args.checkpoint_dir, "checkpoint")
 
 
 def _run_recipe(args: argparse.Namespace, *, observe: bool):
@@ -364,13 +376,13 @@ def _sweep_spec_and_store(args: argparse.Namespace):
 def _cmd_sweep_run(args: argparse.Namespace) -> int:
     from repro.sweep import run_sweep
 
-    cache = _cli_cache(args)
+    cache, checkpoints = _cli_cache(args), _cli_checkpoints(args)
     spec, store = _sweep_spec_and_store(args)
     if getattr(args, "warmup", None) is not None:
         spec.warmup = args.warmup
     if getattr(args, "sample", None) is not None:
         spec.sample = args.sample
-    policy = _policy_from_args(args, cache=cache)
+    policy = _policy_from_args(args, cache=cache, checkpoints=checkpoints)
     with store:
         summary = run_sweep(
             spec,
@@ -496,9 +508,9 @@ def _search_spec_and_store(args: argparse.Namespace):
 def _cmd_search_run(args: argparse.Namespace) -> int:
     from repro.search import run_search
 
-    cache = _cli_cache(args)
+    cache, checkpoints = _cli_cache(args), _cli_checkpoints(args)
     spec, store = _search_spec_and_store(args)
-    policy = _policy_from_args(args, cache=cache)
+    policy = _policy_from_args(args, cache=cache, checkpoints=checkpoints)
     with store:
         summary = run_search(
             spec,
@@ -578,24 +590,30 @@ def _cmd_search_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_prune(args: argparse.Namespace) -> int:
-    from repro.harness import ResultCache, default_cache_dir
+    from repro.harness import CheckpointStore, ResultCache, default_cache_dir
 
-    cache = ResultCache(args.cache_dir or default_cache_dir())
     if args.max_bytes is None and args.max_age_days is None:
         print("nothing to do: pass --max-bytes and/or --max-age-days")
         return 1
+    cache = ResultCache(args.cache_dir or default_cache_dir())
+    # warmup checkpoints share the budget: their default home is inside
+    # the cache directory, and they outweigh results by orders of magnitude
+    checkpoints = cache.directory / "checkpoints"
+    others = [CheckpointStore(checkpoints)] if checkpoints.is_dir() else []
     removed = cache.prune(
+        *others,
         max_bytes=_parse_size(args.max_bytes) if args.max_bytes else None,
         max_age_days=args.max_age_days,
         dry_run=args.dry_run,
     )
+    remaining = len(cache) + sum(len(store) for store in others)
     if args.dry_run:
         print(f"would prune {removed} entries ({cache.last_prune_bytes} "
               f"bytes) from {cache.directory} "
-              f"({len(cache) - removed} would remain)")
+              f"({remaining - removed} would remain)")
     else:
         print(f"pruned {removed} entries ({cache.last_prune_bytes} bytes) "
-              f"from {cache.directory} ({len(cache)} remaining)")
+              f"from {cache.directory} ({remaining} remaining)")
     return 0
 
 

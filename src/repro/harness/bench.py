@@ -7,10 +7,8 @@ benchmark (``bench/run.py``, which checks it against ``bench/golden.json``).
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 from repro.core import SimStats
+from repro.harness.cache import canonical_hash
 
 
 def stats_digest(stats: SimStats) -> str:
@@ -24,5 +22,4 @@ def stats_digest(stats: SimStats) -> str:
     data.pop("instructions_stepped", None)
     data.pop("extended", None)
     data.pop("schema_version", None)
-    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return canonical_hash(data)

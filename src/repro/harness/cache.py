@@ -22,6 +22,9 @@ rendering of
 Factories that cannot be described stably (lambdas, closures, instances
 with hidden state) make the run uncacheable; :func:`task_key` returns
 ``None`` and the harness simply recomputes.
+
+:class:`KeyedStore` is the entry format and bookkeeping this cache shares
+with the warmup :class:`~repro.harness.checkpoint.CheckpointStore`.
 """
 
 from __future__ import annotations
@@ -110,6 +113,16 @@ def describe_factory(factory) -> object | None:
     return f"{module}.{qualname}"
 
 
+def canonical_hash(payload: dict) -> str:
+    """SHA-256 hex digest of ``payload`` rendered as canonical JSON.
+
+    The one hashing rule behind every store key (:func:`task_key`,
+    :func:`~repro.harness.checkpoint.arch_key`).
+    """
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def task_key(workload_name: str, spec, length: int, seed: int) -> str | None:
     """Cache key for one ``(workload, RunSpec, length, seed)`` simulation.
 
@@ -144,8 +157,7 @@ def task_key(workload_name: str, spec, length: int, seed: int) -> str | None:
     if sample is not None:
         payload["sample"] = sample
     payload["seed"] = seed
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return canonical_hash(payload)
 
 
 def atomic_write(path: Path, data: bytes) -> None:
@@ -178,24 +190,40 @@ def atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-class ResultCache:
-    """Directory of ``<key>.json`` files, one cached :class:`SimStats` each.
+class KeyedStore:
+    """Directory of ``<key><suffix>`` entries, one stored value each.
+
+    The one entry format every keyed store shares: a blake2b digest of
+    the encoded body, then the body.  A subclass supplies only the file
+    suffix, its default directory and a codec (``_encode`` to bytes,
+    ``_decode`` back, returning ``None`` for a body it cannot decode).  :meth:`get` verifies the
+    digest before decoding, so a damaged entry — truncated by a killed
+    writer, edited, or damaged on disk — is a miss, never a wrong value,
+    and it is discarded so the key re-fills cleanly.
 
     Counters (``hits``/``misses``/``stores``) track this instance's
-    traffic; tests use them to assert that repeated experiments trigger
-    zero new simulations.
-
-    Safe to share between threads (concurrent campaigns in one process
-    may front one cache) and between processes: entries land via atomic
-    rename, a vanished or truncated entry is a miss — corrupt files are
-    additionally deleted so the re-simulated result can take their place
-    — and the counters are updated under a lock.
+    traffic; tests and campaign summaries read them.  Safe to share
+    between threads and between processes: entries land via atomic
+    rename, a vanished entry is an ordinary miss, and the counters are
+    updated under a lock.  ``_read``/``_write``/``_discard`` are the only
+    storage primitives :meth:`get` and :meth:`put` use, so a store can
+    keep its entries somewhere other than files.
     """
 
+    #: file-name suffix of this store's entries
+    suffix = ""
+    #: bytes of the blake2b digest that opens each entry
+    _DIGEST_SIZE = hashlib.blake2b().digest_size
+
     def __init__(self, directory: str | Path | None = None) -> None:
-        self.directory = Path(directory) if directory is not None else default_cache_dir()
+        self.directory = (
+            Path(directory) if directory is not None else self.default_directory()
+        )
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._counter_lock = threading.Lock()
+        self._init_counters()
+
+    def _init_counters(self) -> None:
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -203,70 +231,108 @@ class ResultCache:
         #: ``dry_run`` — merely reported as evictable)
         self.last_prune_bytes = 0
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+    @classmethod
+    def resolve(cls, value, env: str):
+        """Normalize the store argument harness entry points accept.
 
-    def contains(self, key: str) -> bool:
-        """Whether ``key`` currently has an entry (no counter traffic)."""
-        return self._path(key).exists()
-
-    def get(self, key: str) -> SimStats | None:
-        """Cached stats for ``key``, or None (corrupt entries count as misses).
-
-        A concurrent pruner may unlink the entry between any two steps
-        here — that is an ordinary miss.  An entry that *exists* but does
-        not parse (truncated write from a killed process, disk
-        corruption) is also a miss, and is deleted so the key re-fills
-        cleanly instead of failing every future lookup.
+        ``None`` consults ``$env`` (unset means no store); ``False`` means
+        no store; a string/path opens one there; a store passes through.
         """
-        path = self._path(key)
+        if value is None:
+            value = os.environ.get(env, "").strip() or False
+        if value is False:
+            return None
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, (str, Path)):
+            return cls(value)
+        raise TypeError(
+            f"expected None, False, a path or a {cls.__name__}, not {value!r}"
+        )
+
+    def _path(self, key: str) -> Path:
+        return self.directory / f"{key}{self.suffix}"
+
+    def _read(self, key: str) -> bytes | None:
         try:
-            text = path.read_text()
+            return self._path(key).read_bytes()
         except OSError:
-            with self._counter_lock:
-                self.misses += 1
             return None
+
+    def _write(self, key: str, framed: bytes) -> None:
+        atomic_write(self._path(key), framed)
+
+    def _discard(self, key: str) -> None:
         try:
-            stats = SimStats.from_dict(json.loads(text)["stats"])
-        except (ValueError, KeyError, TypeError):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            with self._counter_lock:
+            self._path(key).unlink()
+        except OSError:
+            pass
+
+    def get(self, key: str):
+        """The value stored under ``key``, or None (a damaged entry is a miss).
+
+        A concurrent pruner may remove the entry at any point here — that
+        is an ordinary miss.  An entry that exists but is short, fails its
+        digest or does not decode is a miss *and* is discarded; no damaged
+        byte ever reaches the decoder.  Every hit decodes a fresh value,
+        so no two callers share a mutable object.
+        """
+        framed = self._read(key)
+        value = None
+        if framed is not None:
+            view = memoryview(framed)  # slices without copying the body
+            body = view[self._DIGEST_SIZE:]
+            if hashlib.blake2b(body).digest() == view[: self._DIGEST_SIZE]:
+                value = self._decode(body)
+            if value is None:
+                self._discard(key)
+        with self._lock:
+            if value is None:
                 self.misses += 1
-            return None
-        with self._counter_lock:
-            self.hits += 1
-        return stats
+            else:
+                self.hits += 1
+        return value
 
-    def put(self, key: str, stats: SimStats) -> None:
-        """Store ``stats`` under ``key`` (atomic rename, last writer wins).
+    def put(self, key: str, value) -> None:
+        """Store ``value`` under ``key`` (atomic rename, last writer wins).
 
-        Tolerates the cache directory itself disappearing underneath us
+        Tolerates the store directory itself disappearing underneath us
         (an aggressive concurrent pruner): it is recreated and the write
         retried once.
         """
-        payload = {"key": key, "stats": stats.to_dict()}
-        atomic_write(self._path(key), json.dumps(payload).encode())
-        with self._counter_lock:
+        body = self._encode(value)
+        self._write(key, hashlib.blake2b(body).digest() + body)
+        with self._lock:
             self.stores += 1
+
+    def absorb(self, hits: int, misses: int, stores: int) -> None:
+        """Add traffic another handle on this directory saw (a pool
+        worker's) to this instance's counters."""
+        with self._lock:
+            self.hits += hits
+            self.misses += misses
+            self.stores += stores
+
+    def _files(self):
+        return self.directory.glob(f"*{self.suffix}")
 
     def prune(
         self,
+        *others: "KeyedStore",
         max_bytes: int | None = None,
         max_age_days: float | None = None,
         now: float | None = None,
         dry_run: bool = False,
     ) -> int:
-        """Evict old entries; returns how many files were removed.
+        """Evict old entries of this store and ``others``; returns how many.
 
-        Entries older than ``max_age_days`` (by mtime) go first; then, if
-        the directory still exceeds ``max_bytes``, the least recently
-        touched survivors are evicted until it fits (LRU by mtime —
-        :meth:`get` does not bump mtimes, so recency here means recency of
-        *storage*, which is the right order for campaign-style usage where
-        whole sweeps age out together).  ``now`` is a test hook.
+        All the stores' entries share one budget.  Entries older than
+        ``max_age_days`` (by mtime) go first; then, if the entries still
+        total more than ``max_bytes``, the least recently stored
+        survivors are evicted until they fit (LRU by mtime — :meth:`get`
+        does not bump mtimes, so recency here means recency of *storage*,
+        which is the right order for campaign-style usage where whole
+        sweeps age out together).  ``now`` is a test hook.
 
         ``dry_run=True`` deletes nothing: the return value counts the
         entries that *would* go, and :attr:`last_prune_bytes` (set by
@@ -278,12 +344,13 @@ class ResultCache:
         if now is None:
             now = time.time()
         entries = []
-        for path in self.directory.glob("*.json"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
+        for store in (self, *others):
+            for path in store._files():
+                try:
+                    stat = path.stat()
+                except OSError:
+                    continue
+                entries.append((stat.st_mtime, stat.st_size, path))
         entries.sort()  # oldest first
         removed = 0
 
@@ -321,9 +388,9 @@ class ResultCache:
         return removed
 
     def clear(self) -> int:
-        """Delete every cached entry; returns how many were removed."""
+        """Delete every entry; returns how many were removed."""
         removed = 0
-        for path in self.directory.glob("*.json"):
+        for path in self._files():
             try:
                 path.unlink()
                 removed += 1
@@ -332,10 +399,33 @@ class ResultCache:
         return removed
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.json"))
+        return sum(1 for _ in self._files())
 
     def __repr__(self) -> str:
         return (
-            f"ResultCache({str(self.directory)!r}, hits={self.hits}, "
+            f"{type(self).__name__}({str(self.directory)!r}, hits={self.hits}, "
             f"misses={self.misses}, stores={self.stores})"
         )
+
+
+class ResultCache(KeyedStore):
+    """Directory of ``<key>.json`` entries, one :class:`SimStats` each.
+
+    The body is the JSON of :meth:`SimStats.to_dict`; the
+    ``hits``/``misses``/``stores`` counters let tests assert that
+    repeated experiments trigger zero new simulations.
+    """
+
+    suffix = ".json"
+    default_directory = staticmethod(default_cache_dir)
+
+    @staticmethod
+    def _encode(stats: SimStats) -> bytes:
+        return json.dumps(stats.to_dict()).encode()
+
+    @staticmethod
+    def _decode(body: memoryview) -> SimStats | None:
+        try:
+            return SimStats.from_dict(json.loads(bytes(body)))
+        except (ValueError, KeyError, TypeError, AttributeError):
+            return None

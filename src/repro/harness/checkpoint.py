@@ -14,12 +14,10 @@ warmup can observe).
 So one warmup checkpoint serves every configuration in a sweep that
 varies only timing axes: the first run fast-forwards and stores an
 ``scope="arch"`` engine snapshot under :func:`arch_key`; later runs
-restore it and go straight to the timed region.  The store is a directory
-of pickle files, a sibling of the result cache
-(:func:`default_checkpoint_dir`), with the same hit/miss/store counters
-for tests and campaign summaries.  Each file carries a digest of its
-pickle, so a damaged file is a miss rather than a crash or a silently
-different warmed state.
+restore it and go straight to the timed region.  The store is a
+:class:`~repro.harness.cache.KeyedStore` of pickles, inside the result
+cache by default (:func:`default_checkpoint_dir`): the same
+digest-framed entries, counters and damaged-entry-is-a-miss rule.
 
 The same holds for ``warmup=0`` runs, whose warm start (steady-state
 cache footprint plus predictor training passes) builds architectural
@@ -38,17 +36,15 @@ recorded inside the file and validated on load.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import os
 import pickle
-import threading
 from collections import OrderedDict
 from pathlib import Path
 
 from repro.harness.cache import (
+    KeyedStore,
     _plain,
-    atomic_write,
+    canonical_hash,
     code_version,
     default_cache_dir,
     describe_factory,
@@ -80,9 +76,6 @@ ARCH_CONFIG_FIELDS = (
 #: 2 records the measured length, which version 1 files lack; version 3
 #: holds the occupied-slot component encodings (snapshot version 2)
 CHECKPOINT_FILE_VERSION = 3
-
-#: bytes of the blake2b digest that opens each keyed ``<key>.ckpt`` file
-_DIGEST_SIZE = hashlib.blake2b().digest_size
 
 #: what ``pickle.loads`` raises on bytes that are not a loadable pickle:
 #: damaged opcodes or lengths, or classes this code version lacks
@@ -137,116 +130,30 @@ def arch_key(
         "config": {name: _plain(fields[name]) for name in ARCH_CONFIG_FIELDS},
         "code": code_version(),
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return canonical_hash(payload)
 
 
-def _frame(payload: dict) -> bytes:
-    """A ``<key>.ckpt`` file's bytes: the pickle's digest, then the pickle."""
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    return hashlib.blake2b(blob).digest() + blob
+class CheckpointStore(KeyedStore):
+    """Directory of ``<key>.ckpt`` entries, one pickled arch snapshot each.
 
-
-def _unframe(framed: bytes) -> dict | None:
-    """The payload of a :func:`_frame` file, or None if it is damaged."""
-    view = memoryview(framed)  # slices without copying the pickle
-    digest, blob = view[:_DIGEST_SIZE], view[_DIGEST_SIZE:]
-    if len(digest) != _DIGEST_SIZE or hashlib.blake2b(blob).digest() != digest:
-        return None
-    try:
-        return pickle.loads(blob)
-    except _UNPICKLING_ERRORS:  # a verified blob from another code version
-        return None
-
-
-class CheckpointStore:
-    """Directory of ``<key>.ckpt`` files, one arch snapshot each.
-
-    A file is a blake2b digest of the pickled snapshot followed by the
-    pickle; :meth:`get` verifies the digest before unpickling.
-
-    Counters (``hits``/``misses``/``stores``) track this instance's
-    traffic; the sweep runner reports them so a campaign shows how many
-    points reused a warmup instead of re-running it.
+    The sweep runner reports the ``hits``/``misses``/``stores`` counters,
+    so a campaign shows how many points reused a warmup instead of
+    re-running it.
     """
 
-    def __init__(self, directory: str | Path | None = None) -> None:
-        self.directory = (
-            Path(directory) if directory is not None else default_checkpoint_dir()
-        )
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._init_counters()
+    suffix = ".ckpt"
+    default_directory = staticmethod(default_checkpoint_dir)
 
-    def _init_counters(self) -> None:
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
+    @staticmethod
+    def _encode(payload: dict) -> bytes:
+        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.ckpt"
-
-    # the three storage primitives; _MemoryCheckpoints keeps frames in an
-    # LRU instead of files
-    def _read(self, key: str) -> bytes | None:
+    @staticmethod
+    def _decode(body: memoryview) -> dict | None:
         try:
-            return self._path(key).read_bytes()
-        except OSError:
+            return pickle.loads(body)
+        except _UNPICKLING_ERRORS:  # a verified blob from another code version
             return None
-
-    def _write(self, key: str, framed: bytes) -> None:
-        atomic_write(self._path(key), framed)
-
-    def _discard(self, key: str) -> None:
-        try:
-            self._path(key).unlink()
-        except OSError:
-            pass
-
-    def get(self, key: str) -> dict | None:
-        """Cached arch snapshot for ``key``, or None (corrupt = miss).
-
-        A concurrently-removed file is an ordinary miss.  A file that
-        exists but is short, fails its digest or fails to unpickle
-        (truncated by a killed writer, or damaged on disk) is a miss
-        *and* is deleted, so the slot re-warms cleanly instead of
-        poisoning every later run that keys to it — and no damaged byte
-        ever reaches ``pickle.loads`` or a restore.  Every hit unpickles
-        a fresh payload, so no two restores share a mutable object.
-        """
-        framed = self._read(key)
-        payload = None if framed is None else _unframe(framed)
-        if framed is not None and payload is None:
-            self._discard(key)
-        with self._lock:
-            if payload is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        return payload
-
-    def put(self, key: str, payload: dict) -> None:
-        """Store an arch snapshot under ``key``."""
-        self._write(key, _frame(payload))
-        with self._lock:
-            self.stores += 1
-
-    def absorb(self, hits: int, misses: int, stores: int) -> None:
-        """Add traffic another handle on this directory saw (a pool
-        worker's) to this instance's counters."""
-        with self._lock:
-            self.hits += hits
-            self.misses += misses
-            self.stores += stores
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.ckpt"))
-
-    def __repr__(self) -> str:
-        return (
-            f"CheckpointStore({str(self.directory)!r}, hits={self.hits}, "
-            f"misses={self.misses}, stores={self.stores})"
-        )
 
 
 class _MemoryCheckpoints(CheckpointStore):
@@ -302,26 +209,13 @@ MEMORY_CHECKPOINTS = _MemoryCheckpoints(capacity=2)
 
 
 def resolve_checkpoints(checkpoints) -> CheckpointStore | None:
-    """Normalize the ``checkpoints`` argument harness entry points accept.
+    """The ``checkpoints`` argument harness entry points accept.
 
-    ``None`` consults ``$REPRO_CHECKPOINT_DIR`` (unset means no store,
-    so each run falls back to :data:`MEMORY_CHECKPOINTS`); ``False``
-    disables the on-disk store; a string/path opens a
-    :class:`CheckpointStore` there; a store passes through.
+    :meth:`~repro.harness.cache.KeyedStore.resolve` on
+    ``$REPRO_CHECKPOINT_DIR``: unset means no store, so each run falls
+    back to :data:`MEMORY_CHECKPOINTS`.
     """
-    if checkpoints is None:
-        env = os.environ.get("REPRO_CHECKPOINT_DIR", "").strip()
-        return CheckpointStore(env) if env else None
-    if checkpoints is False:
-        return None
-    if isinstance(checkpoints, CheckpointStore):
-        return checkpoints
-    if isinstance(checkpoints, (str, Path)):
-        return CheckpointStore(checkpoints)
-    raise TypeError(
-        f"checkpoints must be None, False, a path or a CheckpointStore, "
-        f"not {checkpoints!r}"
-    )
+    return CheckpointStore.resolve(checkpoints, "REPRO_CHECKPOINT_DIR")
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from pathlib import Path
 
 from repro.harness.cache import ResultCache
 
@@ -117,24 +116,12 @@ def resolve_dispatch(dispatch) -> str:
 
 
 def resolve_cache(cache) -> ResultCache | None:
-    """Normalize the ``cache`` ingredient every entry point accepts.
+    """The ``cache`` ingredient every entry point accepts.
 
-    ``None`` consults ``$REPRO_CACHE_DIR`` (unset means no caching);
-    ``False`` disables caching outright; a string/path opens a
-    :class:`ResultCache` there; a :class:`ResultCache` passes through.
+    :meth:`~repro.harness.cache.KeyedStore.resolve` on
+    ``$REPRO_CACHE_DIR``: unset means no caching.
     """
-    if cache is None:
-        env = _env_text("REPRO_CACHE_DIR")
-        return ResultCache(env) if env else None
-    if cache is False:
-        return None
-    if isinstance(cache, ResultCache):
-        return cache
-    if isinstance(cache, (str, Path)):
-        return ResultCache(cache)
-    raise TypeError(
-        f"cache must be None, False, a path or a ResultCache, not {cache!r}"
-    )
+    return ResultCache.resolve(cache, "REPRO_CACHE_DIR")
 
 
 @dataclasses.dataclass(frozen=True)

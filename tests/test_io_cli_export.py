@@ -561,3 +561,22 @@ class TestCliRunPaths:
         assert captured.out.startswith("cannot use cache directory: ")
         assert "Traceback" not in captured.err
         assert not db.exists()  # rejected before any store is opened
+
+    @pytest.mark.parametrize("argv", [
+        [cmd, verb, spec] for cmd, spec in (("sweep", "sweeps/warmup_smoke.toml"),
+                                             ("search", _SEARCH))
+        for verb in ("run", "resume")
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_unusable_checkpoint_dir_exits_1(self, argv, tmp_path, capsys):
+        from repro.__main__ import main
+
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        db = tmp_path / "campaign.db"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--db", str(db), "--no-cache", "--checkpoint-dir", str(blocker)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("cannot use checkpoint directory: ")
+        assert "Traceback" not in captured.err
+        assert not db.exists()  # rejected before any store is opened

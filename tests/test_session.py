@@ -15,6 +15,7 @@ checked in ``tests/test_harness.py``.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import pickle
 from pathlib import Path
@@ -108,13 +109,13 @@ class TestStatsSchema:
 
     def test_old_cache_entries_still_load(self, tmp_path):
         # a schema-1 payload (no extended/schema_version), as written by
-        # any pre-observability build of the cache
+        # any pre-observability build of the cache, in today's entry
+        # frame (a blake2b digest of the body, then the body)
         cache = ResultCache(tmp_path)
         old = SimStats(cycles=77, loads=5).to_dict()
         key = "f" * 64
-        (tmp_path / f"{key}.json").write_text(
-            json.dumps({"key": key, "stats": old})
-        )
+        body = json.dumps(old).encode()
+        (tmp_path / f"{key}.json").write_bytes(hashlib.blake2b(body).digest() + body)
         stats = cache.get(key)
         assert stats is not None and stats.cycles == 77
         assert not stats.extended
