@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import operator
 
 
 class SimMode(enum.Enum):
@@ -37,6 +38,33 @@ class FetchPolicy(enum.Enum):
     #: the aggressive policy: the parent keeps fetching and executing,
     #: competing with the speculative thread (shown to be counterproductive)
     NO_STALL = "no_stall"
+
+
+#: numeric MachineConfig fields that are sizes, widths or counts: >= 1
+_COUNTS = (
+    "pipeline_depth", "fetch_width", "rob_size", "rename_regs", "iq_size",
+    "issue_width", "int_issue", "fp_issue", "mem_issue", "commit_width",
+    "l1_size", "l1_assoc", "l2_size", "l2_assoc", "l3_size", "l3_assoc",
+    "line_size", "mshrs", "prefetch_entries", "prefetch_streams",
+    "prefetch_depth", "num_contexts", "multi_value", "spmt_skip",
+)
+#: numeric MachineConfig fields that are latencies or penalties: >= 0
+_LATENCIES = (
+    "front_latency", "redirect_penalty", "l1_latency", "l2_latency",
+    "l3_latency", "mem_latency", "prefetch_fill_latency", "spawn_latency",
+    "reissue_penalty",
+)
+#: the domain table: every numeric MachineConfig field with its least
+#: valid value.  ``store_buffer_entries`` is a count that may also be
+#: None (an unbounded store buffer).
+DOMAIN = {
+    **{name: 1 for name in _COUNTS},
+    "store_buffer_entries": 1,
+    **{name: 0 for name in _LATENCIES},
+}
+# one C call each, so the check costs little on configs built per run
+_count_values = operator.attrgetter(*_COUNTS)
+_latency_values = operator.attrgetter(*_LATENCIES)
 
 
 @dataclasses.dataclass
@@ -115,10 +143,16 @@ class MachineConfig:
     warm_caches: bool = True
 
     def __post_init__(self) -> None:
-        if self.num_contexts < 1:
-            raise ValueError("need at least one hardware context")
-        if self.multi_value < 1:
-            raise ValueError("multi_value must be at least 1")
+        entries = self.store_buffer_entries
+        if (
+            min(_count_values(self)) < 1
+            or min(_latency_values(self)) < 0
+            or (entries is not None and entries < 1)
+        ):
+            for name, least in DOMAIN.items():
+                value = getattr(self, name)
+                if value is not None and value < least:
+                    raise ValueError(f"{name} must be >= {least}, got {value!r}")
         # the execution model owns per-mode normalization (single-threaded
         # modes use exactly one context, so experiment code can vary only
         # `mode`); the import is local because modes imports this module
@@ -126,10 +160,6 @@ class MachineConfig:
 
         if resolve_model(self.mode).single_context and self.num_contexts != 1:
             self.num_contexts = 1
-        if self.spawn_latency < 0:
-            raise ValueError("spawn_latency must be non-negative")
-        if self.spmt_skip < 1:
-            raise ValueError("spmt_skip must be at least 1")
 
     # ------------------------------------------------------------------
     @classmethod

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 from repro.memory import MemLevel
@@ -139,11 +140,13 @@ class SimStats:
         ``wall_seconds`` is deliberately dropped: it is host-dependent, and
         everything downstream of this dict (result cache entries, exports,
         golden digests, determinism checks) must stay bit-identical across
-        machines and runs.
+        machines and runs.  The dict is a fresh rendering in field order:
+        it shares no mutable object (``per_context`` rows, ``extended``)
+        with these stats.
         """
-        out = dataclasses.asdict(self)
-        del out["wall_seconds"]
+        out = {name: getattr(self, name) for name in _RENDERED}
         if out["extended"]:
+            out["extended"] = copy.deepcopy(out["extended"])
             out["schema_version"] = SCHEMA_VERSION
         else:
             # ordinary runs serialize exactly as schema 1 did, keeping old
@@ -158,7 +161,9 @@ class SimStats:
             # them, keeping every pre-existing golden digest byte-identical
             del out["spmt_spawns"]
             del out["spmt_squashes"]
-        if not out["per_context"]:
+        if out["per_context"]:
+            out["per_context"] = [dict(row) for row in out["per_context"]]
+        else:
             del out["per_context"]
         out["level_counts"] = {
             level.name.lower(): count for level, count in self.level_counts.items()
@@ -172,8 +177,7 @@ class SimStats:
         Unknown keys (e.g. derived metrics added by exporters) are ignored
         so exported JSON round-trips too.
         """
-        names = {f.name for f in dataclasses.fields(cls)}
-        kwargs = {k: v for k, v in data.items() if k in names}
+        kwargs = {k: v for k, v in data.items() if k in _FIELDS}
         kwargs["level_counts"] = {
             MemLevel[name.upper()]: count
             for name, count in data.get("level_counts", {}).items()
@@ -200,3 +204,12 @@ class SimStats:
                 f"({self.instructions_stepped} steps in {self.wall_seconds:.3f}s)"
             )
         return "\n".join(lines)
+
+
+#: every SimStats field name (what :meth:`SimStats.from_dict` accepts)
+_FIELDS = frozenset(field.name for field in dataclasses.fields(SimStats))
+#: the fields :meth:`SimStats.to_dict` starts from, in declaration order
+#: (``wall_seconds`` is host-dependent and never serialized)
+_RENDERED = tuple(
+    field.name for field in dataclasses.fields(SimStats) if field.name != "wall_seconds"
+)

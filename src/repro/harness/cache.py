@@ -82,10 +82,36 @@ def _plain(value):
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _plain(dataclasses.asdict(value))
+        return render_config(value)
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     return None
+
+
+#: types :func:`render_config` passes through without a :func:`_plain` call
+_SCALARS = frozenset((int, float, str, bool, type(None)))
+
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def render_config(config) -> dict:
+    """Canonical JSON-compatible form of a dataclass instance (a config).
+
+    One entry per field, in field order, each value rendered by
+    :func:`_plain` (scalars pass through as they are).  This is the
+    single config rendering behind :func:`task_key`,
+    :func:`~repro.harness.checkpoint.arch_key` and the sweep store's
+    ``config`` column.  It equals ``_plain(dataclasses.asdict(config))``
+    without the deep copy ``asdict`` makes of every field.
+    """
+    out = {}
+    for name in _field_names(type(config)):
+        value = getattr(config, name)
+        out[name] = value if type(value) in _SCALARS else _plain(value)
+    return out
 
 
 def describe_factory(factory) -> object | None:
@@ -138,7 +164,7 @@ def task_key(workload_name: str, spec, length: int, seed: int) -> str | None:
         return None
     payload = {
         "workload": workload_name,
-        "config": _plain(dataclasses.asdict(config)),
+        "config": render_config(config),
         "predictor": predictor,
         "selector": selector,
         "length": length,

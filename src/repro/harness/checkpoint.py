@@ -35,7 +35,6 @@ recorded inside the file and validated on load.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import pickle
 from collections import OrderedDict
@@ -43,11 +42,11 @@ from pathlib import Path
 
 from repro.harness.cache import (
     KeyedStore,
-    _plain,
     canonical_hash,
     code_version,
     default_cache_dir,
     describe_factory,
+    render_config,
 )
 
 #: MachineConfig fields that shape the architectural state a functional
@@ -120,14 +119,14 @@ def arch_key(
         return None
     if not (warmup or config.warm_caches) or resolve_model(config.mode).multi_program:
         return None
-    fields = dataclasses.asdict(config)
+    fields = render_config(config)
     payload = {
         "workload": workload_name,
         "seed": seed,
         "warmup": warmup,
         "measured": measured,
         "predictor": predictor,
-        "config": {name: _plain(fields[name]) for name in ARCH_CONFIG_FIELDS},
+        "config": {name: fields[name] for name in ARCH_CONFIG_FIELDS},
         "code": code_version(),
     }
     return canonical_hash(payload)

@@ -32,13 +32,12 @@ lost chunk's simulations, so the retry is a cache hit.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import threading
 import time
 
-from repro.harness.cache import code_version
+from repro.harness.cache import code_version, render_config
 from repro.harness.parallel import SimulationError, run_simulations
 from repro.harness.policy import ExecutionPolicy
 from repro.sweep.spec import run_spec_for
@@ -158,24 +157,20 @@ def drain_store(
             return list(rows)
         return [r for r in rows if (r["point_id"], r["seed"]) in mine]
 
-    def commit(held, outcomes) -> None:
+    def commit(held, configs, outcomes) -> None:
         version = code_version()
-        for (key, row, run_spec), outcome in zip(held, outcomes):
+        for (key, row, _), outcome in zip(held, outcomes):
             if isinstance(outcome, SimulationError):
                 if store.mark_failed(sweep, key, str(outcome), owner=owner):
                     say(f"{sweep}: FAILED {key[0]} seed {key[1]}: {outcome}")
                 else:
                     counters["lost"] += 1
                 continue
-            try:
-                config = dataclasses.asdict(run_spec.config_factory())
-            except Exception:
-                config = None
             landed = store.mark_done(
                 sweep,
                 key,
                 outcome.to_dict(),
-                config=config,
+                config=configs[row["point_id"]],
                 wall_seconds=outcome.wall_seconds,
                 code_version=version,
                 owner=owner,
@@ -201,9 +196,11 @@ def drain_store(
         for start in range(0, len(todo), chunk):
             batch = todo[start : start + chunk]
             candidates = []
-            # one RunSpec object per design point within the chunk: seed
-            # replicates of a point reuse it instead of re-parsing the recipe
+            # one RunSpec object and one rendered config per design point
+            # within the chunk: seed replicates of a point reuse them
+            # instead of re-parsing the recipe and re-rendering the config
             spec_memo: dict[str, object] = {}
+            config_memo: dict[str, dict | None] = {}
             for row in batch:
                 key = (row["point_id"], row["seed"])
                 params = json.loads(row["params"])
@@ -217,6 +214,11 @@ def drain_store(
                             sample=sample,
                         )
                         spec_memo[row["point_id"]] = run_spec
+                        try:
+                            config = render_config(run_spec.config_factory())
+                        except Exception:
+                            config = None
+                        config_memo[row["point_id"]] = config
                 except Exception as exc:  # bad recipe (unknown predictor, ...)
                     if store.claim(
                         sweep, [key], retries,
@@ -258,7 +260,7 @@ def drain_store(
                 1 for _, row, _ in held if row["attempts"] > 0
             )
             try:
-                commit(held, run_simulations(
+                commit(held, config_memo, run_simulations(
                     tasks, on_error="collect", progress=progress,
                     policy=run_policy,
                 ))

@@ -1,0 +1,238 @@
+"""The shallow config and stats renderings equal the ``dataclasses.asdict`` ones.
+
+Cache keys, checkpoint keys, ``ResultCache`` entries and the sweep store's
+``stats``/``config`` columns are built from :func:`render_config` and
+:meth:`SimStats.to_dict`.  Every test here rebuilds the old rendering from
+``dataclasses.asdict`` and requires the same bytes, so no key or entry
+written before the renderers existed is orphaned.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import FetchPolicy, MachineConfig, SimStats
+from repro.core.config import DOMAIN
+from repro.core.modes import resolve_model
+from repro.harness import RunSpec
+from repro.harness.bench import stats_digest
+from repro.harness.cache import (
+    ResultCache,
+    _plain,
+    code_version,
+    describe_factory,
+    render_config,
+    task_key,
+)
+from repro.harness.checkpoint import ARCH_CONFIG_FIELDS, arch_key
+from repro.harness.policy import ExecutionPolicy
+from repro.obs import MetricsRegistry
+from repro.select import names as selector_names
+from repro.sweep import ResultStore, SweepSpec, run_spec_for, run_sweep
+from repro.sweep.spec import PRESETS, _THREADED_PRESETS
+from repro.vp import names as predictor_names
+
+LENGTH = 1500
+
+
+def old_hash(payload: dict) -> str:
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def old_task_key(workload, spec, length, seed):
+    payload = {
+        "workload": workload,
+        "config": _plain(dataclasses.asdict(spec.config_factory())),
+        "predictor": describe_factory(spec.predictor_factory),
+        "selector": describe_factory(spec.selector_factory),
+        "length": length,
+        "code": code_version(),
+    }
+    if spec.observe:
+        payload["observe"] = True
+    if spec.warmup:
+        payload["warmup"] = spec.warmup
+    if spec.sample is not None:
+        payload["sample"] = spec.sample
+    payload["seed"] = seed
+    return old_hash(payload)
+
+
+def old_arch_key(workload, seed, warmup, spec, measured):
+    config = spec.config_factory()
+    if not (warmup or config.warm_caches) or resolve_model(config.mode).multi_program:
+        return None
+    fields = dataclasses.asdict(config)
+    return old_hash({
+        "workload": workload,
+        "seed": seed,
+        "warmup": warmup,
+        "measured": measured,
+        "predictor": describe_factory(spec.predictor_factory),
+        "config": {name: _plain(fields[name]) for name in ARCH_CONFIG_FIELDS},
+        "code": code_version(),
+    })
+
+
+def old_to_dict(stats: SimStats) -> dict:
+    """``SimStats.to_dict`` as it was written over ``dataclasses.asdict``."""
+    out = dataclasses.asdict(stats)
+    del out["wall_seconds"]
+    if out["extended"]:
+        out["schema_version"] = 2
+    else:
+        del out["extended"]
+    if not out["warmup_instructions"]:
+        del out["warmup_instructions"]
+    if not out["spmt_spawns"] and not out["spmt_squashes"]:
+        del out["spmt_spawns"]
+        del out["spmt_squashes"]
+    if not out["per_context"]:
+        del out["per_context"]
+    out["level_counts"] = {
+        level.name.lower(): count for level, count in stats.level_counts.items()
+    }
+    return out
+
+
+_BOOLS = ("prefetch_enabled", "smt_shared", "collect_multivalue", "warm_caches")
+
+
+def _value(name):
+    if name in _BOOLS:
+        return st.booleans()
+    if name == "fetch_policy":
+        return st.sampled_from(FetchPolicy)
+    least = DOMAIN[name]
+    values = st.integers(least, least + 4096)
+    if name == "store_buffer_entries":
+        values = st.none() | values
+    return values
+
+
+#: fields a drawn config overrides: the preset fixes ``mode`` and the
+#: context count (a threaded preset takes it as its first argument)
+_OVERRIDABLE = sorted(
+    (set(DOMAIN) | set(_BOOLS) | {"fetch_policy"}) - {"num_contexts"}
+)
+
+
+@st.composite
+def configs(draw):
+    preset = draw(st.sampled_from(sorted(PRESETS)))
+    names = draw(st.lists(st.sampled_from(_OVERRIDABLE), unique=True, max_size=8))
+    overrides = {name: draw(_value(name)) for name in names}
+    args = (draw(st.integers(1, 8)),) if preset in _THREADED_PRESETS else ()
+    return PRESETS[preset](*args, **overrides)
+
+
+@st.composite
+def run_specs(draw):
+    config = draw(configs())
+    return RunSpec(
+        "p",
+        lambda: config,
+        predictor_factory=draw(st.sampled_from(sorted(predictor_names()))),
+        selector_factory=draw(st.sampled_from(sorted(selector_names()))),
+        observe=draw(st.booleans()),
+        warmup=draw(st.sampled_from((0, 1000))),
+        sample=draw(st.sampled_from((None, 500))),
+    )
+
+
+class TestConfigKeys:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=run_specs(), seed=st.integers(0, 3))
+    def test_keys_equal_the_asdict_payload_hashes(self, spec, seed):
+        assert task_key("mcf", spec, 2000, seed) == old_task_key("mcf", spec, 2000, seed)
+        assert arch_key("mcf", seed, spec.warmup, spec, 2000) == old_arch_key(
+            "mcf", seed, spec.warmup, spec, 2000
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(config=configs())
+    def test_render_equals_plain_asdict(self, config):
+        rendered = render_config(config)
+        assert list(rendered) == [f.name for f in dataclasses.fields(config)]
+        assert rendered == _plain(dataclasses.asdict(config))
+        # the store's config column
+        assert json.dumps(rendered, sort_keys=True, default=str) == json.dumps(
+            dataclasses.asdict(config), sort_keys=True, default=str
+        )
+
+
+def _runs():
+    """One stats object per serialization branch of ``to_dict``."""
+    yield "baseline", RunSpec("b", MachineConfig.hpca05_baseline).run("mcf", LENGTH)
+    yield "stvp", RunSpec("s", MachineConfig.stvp, "wang-franklin").run("mcf", LENGTH)
+    yield "mtvp", RunSpec("m", MachineConfig.mtvp, "wang-franklin").run("mcf", LENGTH)
+    yield "spmt", RunSpec("p", MachineConfig.spmt).run("gcc 1", LENGTH)
+    yield "smt-2", RunSpec("t", lambda: MachineConfig.smt(programs=2)).run("mcf", LENGTH)
+    yield "observed", RunSpec("s", MachineConfig.stvp).run(
+        "mcf", LENGTH, metrics=MetricsRegistry()
+    )
+    yield "warmup+sample", RunSpec(
+        "w", MachineConfig.mtvp, warmup=1000, sample=LENGTH
+    ).run("mcf", LENGTH)
+
+
+class TestStatsToDict:
+    def test_matches_the_asdict_rendering_and_shares_nothing(self):
+        seen = set()
+        for label, stats in _runs():
+            reference = old_to_dict(stats)
+            out = stats.to_dict()
+            assert out == reference, label
+            assert list(out) == list(reference), label
+            assert json.dumps(out) == json.dumps(reference), label
+            seen.update(key for key in ("per_context", "extended", "spmt_spawns",
+                                        "warmup_instructions") if key in out)
+            digest = stats_digest(stats)
+            out["cycles"] += 1
+            out["level_counts"]["memory"] = -1
+            for row in out.get("per_context", ()):
+                row["cycles"] = -1
+            if "extended" in out:
+                for value in out["extended"].values():
+                    if isinstance(value, dict):
+                        value["mutated"] = True
+                out["extended"]["mutated"] = True
+            out.clear()
+            assert stats.to_dict() == reference, label
+            assert stats_digest(stats) == digest, label
+        # every optional section was exercised by some run
+        assert seen == {"per_context", "extended", "spmt_spawns", "warmup_instructions"}
+
+    def test_round_trips_through_from_dict(self):
+        for label, stats in _runs():
+            clone = SimStats.from_dict(json.loads(json.dumps(stats.to_dict())))
+            assert clone.to_dict() == stats.to_dict(), label
+
+
+def test_store_columns_equal_the_asdict_rendering(tmp_path):
+    spec = SweepSpec(
+        name="render",
+        base={"machine": "mtvp", "threads": 2, "predictor": "oracle"},
+        axes={"store_buffer_entries": [16, 64]},
+        workloads=("mcf",),
+        lengths=(LENGTH,),
+        seeds=(0,),
+        warmup=500,
+    )
+    store = ResultStore(tmp_path / "s.db")
+    cache = ResultCache(tmp_path / "cache")
+    summary = run_sweep(spec, store, policy=ExecutionPolicy(cache=cache, dispatch="local"))
+    assert summary.complete
+    rows = [row for row in store.rows("render") if row["status"] == "done"]
+    assert len(rows) == summary.total >= 2
+    for row in rows:
+        run_spec = run_spec_for(json.loads(row["params"]), warmup=500)
+        stats = run_spec.run(row["workload"], row["length"], row["seed"])
+        assert row["stats"] == json.dumps(old_to_dict(stats), sort_keys=True)
+        assert row["config"] == json.dumps(
+            dataclasses.asdict(run_spec.config_factory()), sort_keys=True, default=str
+        )
