@@ -21,7 +21,6 @@ Quickstart::
 """
 
 import dataclasses
-import functools
 
 from repro.core import Engine, FetchPolicy, MachineConfig, SimMode, SimStats
 from repro.isa import Instruction, InstructionBuilder, OpClass
@@ -179,47 +178,26 @@ def simulate(
         trace = workload_or_trace.trace(length=length, seed=seed)
     else:
         trace = list(workload_or_trace)
+    # the warmed state is looked up before the engine is built, so that on
+    # a hit the restore takes the warm start's place: the footprint is
+    # never computed and the warm start never runs
     instrumented = tracer is not None or metrics is not None
-    footprint = None
-    if isinstance(workload_or_trace, Workload):
-        footprint = functools.partial(_steady_state_footprint, workload_or_trace, config)
-    return _warmed_engine(
-        trace, config, warmup=warmup, footprint=footprint,
-        checkpoints=None if instrumented or traces is not None else checkpoints,
-        key=checkpoint_key,
+    store = None if instrumented or traces is not None else checkpoints
+    arch = store.get(checkpoint_key) if store is not None else None
+    warm_addresses = None
+    if arch is None and config.warm_caches and isinstance(workload_or_trace, Workload):
+        warm_addresses = _steady_state_footprint(workload_or_trace, config)
+    engine = Engine(
+        trace, config, arch=arch, warm_addresses=warm_addresses,
         predictor=predictor, selector=selector,
         tracer=tracer, metrics=metrics, traces=traces,
-    ).run()
-
-
-def _warmed_engine(
-    trace, config, *, footprint=None, warmup=0, arch=None,
-    checkpoints=None, key=None, **engine_kwargs,
-) -> Engine:
-    """An engine at the start of its timed region (build, warm, restore).
-
-    The arch payload is found *before* construction — given as ``arch``,
-    or as ``checkpoints.get(key)`` — so that on a hit the restore takes
-    the warm start's place and ``footprint`` is never called.  On a miss
-    the engine warms (caches from ``footprint()``, the steady-state
-    addresses, when ``config.warm_caches``), fast-forwards ``warmup``
-    instructions and puts its arch snapshot under ``key``.
-    """
-    store = checkpoints if key is not None else None
-    if arch is None and store is not None:
-        arch = store.get(key)
-    warm_addresses = None
-    if arch is None and footprint is not None and config.warm_caches:
-        warm_addresses = footprint()
-    engine = Engine(
-        trace, config, arch=arch, warm_addresses=warm_addresses, **engine_kwargs
     )
     if arch is None:
         if warmup:
             engine.fast_forward(warmup)
         if store is not None:
-            store.put(key, engine.snapshot())
-    return engine
+            store.put(checkpoint_key, engine.snapshot())
+    return engine.run()
 
 
 def _steady_state_footprint(workload: Workload, config: MachineConfig) -> list[range]:

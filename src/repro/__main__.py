@@ -24,24 +24,12 @@ registered there is immediately drivable from the command line.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import functools
 import math
 import sys
 
-from repro import MachineConfig, select, vp
+from repro import select, vp
+from repro.sweep.spec import _THREADED_PRESETS, PRESETS, run_spec_for
 from repro.workloads import get_workload, workload_names
-
-MACHINES = {
-    "baseline": lambda threads: MachineConfig.hpca05_baseline(),
-    "stvp": lambda threads: MachineConfig.stvp(),
-    "mtvp": lambda threads: MachineConfig.mtvp(threads),
-    "cmp": lambda threads: MachineConfig.cmp(threads),
-    "spawn-only": lambda threads: MachineConfig.spawn_only(threads),
-    "wide-window": lambda threads: MachineConfig.wide_window(),
-    "smt": lambda threads: MachineConfig.smt(programs=threads),
-    "spmt": lambda threads: MachineConfig.spmt(threads),
-}
 
 
 def _int_at_least(text: str, minimum: int) -> int:
@@ -146,85 +134,28 @@ def _cli_checkpoints(args: argparse.Namespace):
     return _cli_store(CheckpointStore, args.checkpoint_dir, "checkpoint")
 
 
-def _run_recipe(args: argparse.Namespace, *, observe: bool):
-    """The ``run``/``report`` recipe: its machine config, spec and length."""
-    from repro.harness import RunSpec
-
-    config = MACHINES[args.machine](args.threads)
-    spec = RunSpec(
-        args.machine,
-        functools.partial(dataclasses.replace, config),
-        predictor_factory=args.predictor,
-        selector_factory=args.selector,
-        observe=observe,
-        warmup=getattr(args, "warmup", 0),
+def _run_recipe(args: argparse.Namespace, *, observe: bool = False):
+    """The ``run``/``report`` recipe: its :class:`~repro.harness.RunSpec`
+    and built machine config, from the preset table campaigns use."""
+    params = {
+        "machine": args.machine,
+        "predictor": args.predictor,
+        "selector": args.selector,
+    }
+    if args.machine in _THREADED_PRESETS:
+        params["threads"] = args.threads
+    spec = run_spec_for(
+        params,
+        name=args.machine,
+        warmup=getattr(args, "warmup", None) or 0,
         sample=getattr(args, "sample", None),
     )
-    length = args.length or get_workload(args.workload).spec.default_length
-    return config, spec, length
+    spec.observe = observe
+    return spec, spec.config_factory()
 
 
-def _cmd_run_checkpoint(args: argparse.Namespace) -> int:
-    """The ``run --checkpoint/--restore`` path: explicit warmup state files.
-
-    Drives the engine directly — checkpoint files name a specific warmed
-    state, which the cached :func:`~repro.harness.run_simulations` path
-    (whose keyed store is the better fit for campaigns) doesn't expose.
-    """
-    from repro import _steady_state_footprint, _warmed_engine
-    from repro.harness.checkpoint import load_checkpoint, save_checkpoint
-
-    if args.trace or args.profile:
-        print("--checkpoint/--restore cannot be combined with "
-              "--trace/--profile")
-        return 1
-    workload = get_workload(args.workload)
-    length = args.sample or args.length
-    config = MACHINES[args.machine](args.threads)
-    warmup = args.warmup
-    arch = None
-    if args.restore:
-        try:
-            restored = load_checkpoint(
-                args.restore, workload=args.workload, seed=args.seed,
-                length=length,
-            )
-        except (OSError, ValueError) as exc:
-            print(f"cannot restore checkpoint: {exc}")
-            return 1
-        warmup, length, arch = (
-            restored["warmup"], restored["length"], restored["arch"]
-        )
-        print(f"restored {args.restore}: warmed {warmup} instructions")
-    if not warmup:
-        print("--checkpoint needs --warmup N (or --restore FILE) to define "
-              "the warmed state")
-        return 1
-    length = length or workload.spec.default_length
-    engine = _warmed_engine(
-        workload.trace(length=warmup + length, seed=args.seed),
-        config,
-        footprint=functools.partial(_steady_state_footprint, workload, config),
-        warmup=warmup,
-        arch=arch,
-        predictor=vp.resolve(args.predictor)(),
-        selector=select.resolve(args.selector)(),
-    )
-    if args.checkpoint:
-        save_checkpoint(
-            args.checkpoint,
-            engine.snapshot(),
-            workload=args.workload,
-            seed=args.seed,
-            length=length,
-        )
-        print(f"wrote warmup checkpoint ({warmup} instructions) "
-              f"to {args.checkpoint}")
-    stats = engine.run()
-    print(f"{args.workload} {_on_machine(args, config)}, "
-          f"warmup {warmup} + measured {length}")
-    print(stats.summary())
-    return 0
+def _length(args: argparse.Namespace) -> int:
+    return args.length or get_workload(args.workload).spec.default_length
 
 
 def _cmd_run_traces(args: argparse.Namespace) -> int:
@@ -240,9 +171,8 @@ def _cmd_run_traces(args: argparse.Namespace) -> int:
     from repro import simulate
     from repro.workloads import TraceFormatError, load_trace_set
 
-    if args.trace or args.profile or args.checkpoint or args.restore:
-        print("--traces cannot be combined with "
-              "--trace/--profile/--checkpoint/--restore")
+    if args.trace or args.profile:
+        print("--traces cannot be combined with --trace/--profile")
         return 1
     if args.workload is not None:
         print("--traces replaces the workload argument; give one or the other")
@@ -252,14 +182,14 @@ def _cmd_run_traces(args: argparse.Namespace) -> int:
     except (OSError, TraceFormatError) as exc:
         print(f"cannot ingest traces: {exc}")
         return 1
-    config = MACHINES[args.machine](args.threads)
+    spec, config = _run_recipe(args)
     try:
         stats = simulate(
             trace_set,
             config,
-            predictor=vp.resolve(args.predictor)(),
-            selector=select.resolve(args.selector)(),
-            warmup=args.warmup,
+            predictor=spec.predictor_factory(),
+            selector=spec.selector_factory(),
+            warmup=spec.warmup,
         )
     except (TypeError, ValueError) as exc:
         print(f"cannot run ingested traces: {exc}")
@@ -280,8 +210,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.workload is None:
         print("a workload name is required (or pass --traces FILE...)")
         return 1
-    if args.checkpoint or args.restore:
-        return _cmd_run_checkpoint(args)
     from repro.harness import ExecutionPolicy, run_simulations
 
     tracer = None
@@ -289,7 +217,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.obs import Tracer
 
         tracer = Tracer()
-    config, spec, length = _run_recipe(args, observe=tracer is not None)
+    spec, config = _run_recipe(args, observe=tracer is not None)
+    length = _length(args)
 
     def run():
         if tracer is not None:  # events are not cacheable: straight to the engine
@@ -329,7 +258,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs import format_metrics
 
     policy = _policy_from_args(args, cache=_cli_cache(args))
-    config, spec, length = _run_recipe(args, observe=True)
+    spec, config = _run_recipe(args, observe=True)
+    length = _length(args)
     stats = run_simulations([(args.workload, spec, length, args.seed)], policy=policy)[0]
     print(f"{args.workload} {_on_machine(args, config)}, "
           f"{length} instructions")
@@ -357,41 +287,63 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_spec_and_store(args: argparse.Namespace):
-    from repro.sweep import ResultStore, SweepSpecError, default_db_path, load_spec
+def _open_spec(args: argparse.Namespace, load, error: type[ValueError]):
+    """``load(args.spec)`` and its results store (``--db``, default
+    ``<spec>.db``); a malformed spec prints one line and exits 2."""
+    from repro.sweep import ResultStore, default_db_path
 
     try:
-        spec = load_spec(args.spec)
-    except SweepSpecError as exc:  # the message names the file
+        spec = load(args.spec)
+    except error as exc:  # the message names the file
         print(f"repro: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
+    return spec, ResultStore(args.db or default_db_path(args.spec))
+
+
+def _sweep_spec_and_store(args: argparse.Namespace):
+    from repro.sweep import SweepSpecError, load_spec
+
+    spec, store = _open_spec(args, load_spec, SweepSpecError)
     if args.seeds is not None:
         spec.seeds = tuple(range(args.seeds))
     if args.length is not None:
         spec.lengths = (args.length,)
-    store = ResultStore(args.db or default_db_path(args.spec))
+    if getattr(args, "warmup", None) is not None:
+        spec.warmup = args.warmup
+    if getattr(args, "sample", None) is not None:
+        spec.sample = args.sample
     return spec, store
+
+
+def _search_spec_and_store(args: argparse.Namespace):
+    from repro.search import SearchSpecError, load_search_spec
+
+    return _open_spec(args, load_search_spec, SearchSpecError)
+
+
+def _run_campaign(args: argparse.Namespace, open_spec, run) -> int:
+    """The ``sweep run|resume`` and ``search run|resume`` body: open the
+    stores, drain with ``run``, and exit 1 unless every row ended done."""
+    cache, checkpoints = _cli_cache(args), _cli_checkpoints(args)
+    spec, store = open_spec(args)
+    policy = _policy_from_args(args, cache=cache, checkpoints=checkpoints)
+    with store:
+        summary = run(spec, store, policy=policy, max_points=args.points, echo=print)
+    return 0 if summary.complete else 1
 
 
 def _cmd_sweep_run(args: argparse.Namespace) -> int:
     from repro.sweep import run_sweep
 
-    cache, checkpoints = _cli_cache(args), _cli_checkpoints(args)
-    spec, store = _sweep_spec_and_store(args)
-    if getattr(args, "warmup", None) is not None:
-        spec.warmup = args.warmup
-    if getattr(args, "sample", None) is not None:
-        spec.sample = args.sample
-    policy = _policy_from_args(args, cache=cache, checkpoints=checkpoints)
-    with store:
-        summary = run_sweep(
-            spec,
-            store,
-            max_points=args.points,
-            echo=print,
-            policy=policy,
-        )
-    return 0 if summary.done else 1
+    return _run_campaign(args, _sweep_spec_and_store, run_sweep)
+
+
+def _print_ledger(ledger: dict, indent: str) -> None:
+    """The exactly-once commit ledger line of a ``status`` command."""
+    if ledger["done"]:
+        print(f"{indent}commits: {ledger['commits']} across "
+              f"{ledger['done']} done rows "
+              f"(max {ledger['max_commits']} per row)")
 
 
 def _cmd_sweep_status(args: argparse.Namespace) -> int:
@@ -421,7 +373,7 @@ def _cmd_sweep_status(args: argparse.Namespace) -> int:
             for row in rows
             if row["status"] == "failed"
         ]
-        if getattr(args, "json", False):
+        if args.json:
             print(json.dumps({
                 "sweep": spec.name,
                 "db": str(store.path),
@@ -442,10 +394,7 @@ def _cmd_sweep_status(args: argparse.Namespace) -> int:
         for status, n in counts.items():
             if n:
                 print(f"  {status:8s} {n}")
-        if ledger["done"]:
-            print(f"  commits: {ledger['commits']} across "
-                  f"{ledger['done']} done rows "
-                  f"(max {ledger['max_commits']} per row)")
+        _print_ledger(ledger, "  ")
         for axis, per in axes.items():
             parts = " ".join(
                 f"{value}: {done}/{n}" for value, (done, n) in per.items()
@@ -492,34 +441,10 @@ def _cmd_sweep_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _search_spec_and_store(args: argparse.Namespace):
-    from repro.search import SearchSpecError, load_search_spec
-    from repro.sweep import ResultStore, default_db_path
-
-    try:
-        spec = load_search_spec(args.spec)
-    except SearchSpecError as exc:  # the message names the file
-        print(f"repro: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
-    store = ResultStore(args.db or default_db_path(args.spec))
-    return spec, store
-
-
 def _cmd_search_run(args: argparse.Namespace) -> int:
     from repro.search import run_search
 
-    cache, checkpoints = _cli_cache(args), _cli_checkpoints(args)
-    spec, store = _search_spec_and_store(args)
-    policy = _policy_from_args(args, cache=cache, checkpoints=checkpoints)
-    with store:
-        summary = run_search(
-            spec,
-            store,
-            policy=policy,
-            max_points=args.points,
-            echo=print,
-        )
-    return 0 if summary.complete else 1
+    return _run_campaign(args, _search_spec_and_store, run_search)
 
 
 def _cmd_search_status(args: argparse.Namespace) -> int:
@@ -534,7 +459,7 @@ def _cmd_search_status(args: argparse.Namespace) -> int:
             print(f"search {spec.name}: no rows recorded yet "
                   f"(run: python -m repro search run {args.spec})")
             return 1
-        if getattr(args, "json", False):
+        if args.json:
             print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
             return 0
         print(f"search {spec.name} ({store.path}): "
@@ -555,11 +480,7 @@ def _cmd_search_status(args: argparse.Namespace) -> int:
             print(f"  rung {outcome.index}: "
                   f"{outcome.rows_done}/{outcome.rows_total} rows done, "
                   f"{verdict}{with_extras}")
-            ledger = store.commit_stats(outcome.sweep)
-            if ledger["done"]:
-                print(f"    commits: {ledger['commits']} across "
-                      f"{ledger['done']} done rows "
-                      f"(max {ledger['max_commits']} per row)")
+            _print_ledger(store.commit_stats(outcome.sweep), "    ")
         if summary.winner is not None:
             print(f"  winner: {summary.winner['point_id']} "
                   f"({summary.objective} {summary.winner['value']:+.2f}%) "
@@ -580,7 +501,7 @@ def _cmd_search_report(args: argparse.Namespace) -> int:
         if not summary.total:
             print(f"search {spec.name}: no results to report")
             return 1
-        if getattr(args, "json", None):
+        if args.json:
             with open(args.json, "w") as fh:
                 json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
                 fh.write("\n")
@@ -637,6 +558,98 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_recipe_flags(p: argparse.ArgumentParser, *, run: bool) -> None:
+    """The recipe flags of ``run`` and ``report``.
+
+    ``run`` also spells ``--machine`` as ``--mode`` and takes ``--traces``.
+    """
+    names = ("--machine", "--mode") if run else ("--machine",)
+    p.add_argument(
+        *names, dest="machine", choices=sorted(PRESETS), default="mtvp",
+        help="machine preset / execution mode (--mode is an alias)" if run else None,
+    )
+    p.add_argument("--threads", type=_positive_int, default=8)
+    if run:
+        p.add_argument(
+            "--traces", nargs="+", default=None, metavar="FILE",
+            help="ingest external binary trace file(s) instead of a generated "
+                 "workload; several files co-schedule as one program per "
+                 "context (--machine smt)",
+        )
+    p.add_argument("--predictor", choices=sorted(vp.names()), default="wang-franklin")
+    p.add_argument("--selector", choices=sorted(select.names()), default="ilp-pred")
+    p.add_argument("--length", type=_positive_int, default=None)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_store_flags(
+    p: argparse.ArgumentParser, *, recompute: str | None = None,
+    jobs: str | None = None,
+) -> None:
+    """``--jobs`` and ``--no-cache`` (each when given its help line), then
+    ``--cache-dir``: the result-store flags of every caching subcommand."""
+    if jobs is not None:
+        p.add_argument("--jobs", type=int, default=None, help=jobs)
+    if recompute is not None:
+        p.add_argument("--no-cache", action="store_true", help=recompute)
+    p.add_argument(
+        "--cache-dir", default=None,
+        help="result cache directory (default: $REPRO_CACHE_DIR or "
+             "~/.cache/repro)",
+    )
+
+
+def _add_campaign_flags(p: argparse.ArgumentParser, *, interval: bool) -> None:
+    """The flags ``sweep run|resume`` and ``search run|resume`` share.
+
+    With ``interval``, the sweep's ``--warmup``/``--sample`` overrides
+    sit between the store flags and the drain flags.
+    """
+    p.add_argument(
+        "--retries", type=_non_negative_int, default=None, metavar="N",
+        help="extra attempts per failed row (default: the spec's)",
+    )
+    _add_store_flags(
+        p,
+        recompute="recompute instead of using the result cache",
+        jobs="worker processes (0 = all cores; default: $REPRO_JOBS)",
+    )
+    if interval:
+        p.add_argument(
+            "--warmup", type=_non_negative_int, default=None, metavar="N",
+            help="override the spec's functional warmup length",
+        )
+        p.add_argument(
+            "--sample", type=_positive_int, default=None, metavar="N",
+            help="override the spec's measured-interval length",
+        )
+    p.add_argument(
+        "--checkpoint-dir", default=None,
+        help="warmup checkpoint store for warmed campaigns (default: "
+             "$REPRO_CHECKPOINT_DIR, else in-process reuse only)",
+    )
+    p.add_argument(
+        "--dispatch", default=None,
+        choices=["auto", "local", "pool"],
+        help="execution backend: local (in-process serial), pool "
+             "(process pool); auto picks pool when --jobs > 1 "
+             "(default: $REPRO_DISPATCH or auto)",
+    )
+    p.add_argument(
+        "--stale-after", type=_positive_seconds, default=None, metavar="SECONDS",
+        help="seconds without a heartbeat before a running row may "
+             "be reclaimed from another process; set it when several "
+             "processes share --db (default: every running row is "
+             "reclaimed)",
+    )
+    p.add_argument(
+        "--heartbeat", type=_positive_seconds, default=None, metavar="SECONDS",
+        help="lease-refresh period for claimed rows (default: "
+             "stale-after / 6, clamped to 0.5-10; none without "
+             "--stale-after)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -651,22 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="simulate one workload on one machine")
     p.add_argument("workload", nargs="?", default=None)
-    p.add_argument(
-        "--machine", "--mode", dest="machine",
-        choices=sorted(MACHINES), default="mtvp",
-        help="machine preset / execution mode (--mode is an alias)",
-    )
-    p.add_argument("--threads", type=_positive_int, default=8)
-    p.add_argument(
-        "--traces", nargs="+", default=None, metavar="FILE",
-        help="ingest external binary trace file(s) instead of a generated "
-             "workload; several files co-schedule as one program per "
-             "context (--machine smt)",
-    )
-    p.add_argument("--predictor", choices=sorted(vp.names()), default="wang-franklin")
-    p.add_argument("--selector", choices=sorted(select.names()), default="ilp-pred")
-    p.add_argument("--length", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    _add_recipe_flags(p, run=True)
     p.add_argument(
         "--trace", default=None, metavar="FILE",
         help="record cycle-stamped events and export them to FILE "
@@ -681,24 +679,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile the simulation with cProfile and dump stats to FILE",
     )
     p.add_argument(
-        "--warmup", type=_non_negative_int, default=0, metavar="N",
+        "--warmup", type=_non_negative_int, default=None, metavar="N",
         help="fast-forward N instructions functionally (caches and "
              "predictor tables warm, no cycles) before the timed region",
     )
     p.add_argument(
         "--sample", type=_positive_int, default=None, metavar="N",
         help="measured-interval length after warmup (default: --length)",
-    )
-    p.add_argument(
-        "--checkpoint", default=None, metavar="FILE",
-        help="after warming up, save the architectural state to FILE "
-             "(reusable via --restore; requires --warmup or --restore)",
-    )
-    p.add_argument(
-        "--restore", default=None, metavar="FILE",
-        help="restore warmed architectural state from FILE instead of "
-             "fast-forwarding (must match the workload, seed and measured "
-             "length; without --length/--sample, FILE's length is used)",
     )
     p.set_defaults(func=_cmd_run)
 
@@ -708,21 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(cached: repeating the command reuses the stored result)",
     )
     p.add_argument("workload")
-    p.add_argument("--machine", choices=sorted(MACHINES), default="mtvp")
-    p.add_argument("--threads", type=_positive_int, default=8)
-    p.add_argument("--predictor", choices=sorted(vp.names()), default="wang-franklin")
-    p.add_argument("--selector", choices=sorted(select.names()), default="ilp-pred")
-    p.add_argument("--length", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute instead of consulting the result cache",
-    )
-    p.add_argument(
-        "--cache-dir", default=None,
-        help="result cache directory (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro)",
-    )
+    _add_recipe_flags(p, run=False)
+    _add_store_flags(p, recompute="recompute instead of consulting the result cache")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("experiment", help="regenerate a paper table/figure")
@@ -730,19 +704,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=_positive_int, default=None)
     p.add_argument("--json", default=None, help="also write JSON to this path")
     p.add_argument("--csv", default=None, help="also write CSV to this path")
-    p.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the simulation fan-out "
+    _add_store_flags(
+        p,
+        recompute="recompute every simulation instead of using the result cache",
+        jobs="worker processes for the simulation fan-out "
              "(0 = all cores; default: $REPRO_JOBS or serial)",
-    )
-    p.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute every simulation instead of using the result cache",
-    )
-    p.add_argument(
-        "--cache-dir", default=None,
-        help="result cache directory (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro)",
     )
     p.set_defaults(func=_cmd_experiment)
 
@@ -752,13 +718,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ssub = p.add_subparsers(dest="sweep_command", required=True)
 
-    def _sweep_common(sp, with_db=True):
+    def _sweep_common(sp):
         sp.add_argument("spec", help="sweep spec file (.toml or .json)")
-        if with_db:
-            sp.add_argument(
-                "--db", default=None,
-                help="results database (default: <spec>.db next to the spec)",
-            )
+        sp.add_argument(
+            "--db", default=None,
+            help="results database (default: <spec>.db next to the spec)",
+        )
         sp.add_argument(
             "--seeds", type=_positive_int, default=None, metavar="N",
             help="override the spec's seed replicates with seeds 0..N-1",
@@ -779,54 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--points", type=_positive_int, default=None, metavar="N",
             help="limit the campaign to the first N design points",
         )
-        sp.add_argument(
-            "--retries", type=_non_negative_int, default=None, metavar="N",
-            help="extra attempts per failed row (default: the spec's)",
-        )
-        sp.add_argument(
-            "--jobs", type=int, default=None,
-            help="worker processes (0 = all cores; default: $REPRO_JOBS)",
-        )
-        sp.add_argument("--no-cache", action="store_true",
-                        help="recompute instead of using the result cache")
-        sp.add_argument(
-            "--cache-dir", default=None,
-            help="result cache directory (default: $REPRO_CACHE_DIR or "
-                 "~/.cache/repro)",
-        )
-        sp.add_argument(
-            "--warmup", type=_non_negative_int, default=None, metavar="N",
-            help="override the spec's functional warmup length",
-        )
-        sp.add_argument(
-            "--sample", type=_positive_int, default=None, metavar="N",
-            help="override the spec's measured-interval length",
-        )
-        sp.add_argument(
-            "--checkpoint-dir", default=None,
-            help="warmup checkpoint store for warmed campaigns (default: "
-                 "$REPRO_CHECKPOINT_DIR, else in-process reuse only)",
-        )
-        sp.add_argument(
-            "--dispatch", default=None,
-            choices=["auto", "local", "pool"],
-            help="execution backend: local (in-process serial), pool "
-                 "(process pool); auto picks pool when --jobs > 1 "
-                 "(default: $REPRO_DISPATCH or auto)",
-        )
-        sp.add_argument(
-            "--stale-after", type=_positive_seconds, default=None, metavar="SECONDS",
-            help="seconds without a heartbeat before a running row may "
-                 "be reclaimed from another process; set it when several "
-                 "processes share --db (default: every running row is "
-                 "reclaimed)",
-        )
-        sp.add_argument(
-            "--heartbeat", type=_positive_seconds, default=None, metavar="SECONDS",
-            help="lease-refresh period for claimed rows (default: "
-                 "stale-after / 6, clamped to 0.5-10; none without "
-                 "--stale-after)",
-        )
+        _add_campaign_flags(sp, interval=True)
         sp.set_defaults(func=_cmd_sweep_run)
 
     sp = ssub.add_parser("status", help="row counts and failures of a campaign")
@@ -877,44 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = hsub.add_parser(verb, help=extra_help)
         _search_common(sp)
-        sp.add_argument(
-            "--retries", type=_non_negative_int, default=None, metavar="N",
-            help="extra attempts per failed row (default: the embedded "
-                 "sweep's)",
-        )
-        sp.add_argument(
-            "--jobs", type=int, default=None,
-            help="worker processes (0 = all cores; default: $REPRO_JOBS)",
-        )
-        sp.add_argument("--no-cache", action="store_true",
-                        help="recompute instead of using the result cache")
-        sp.add_argument(
-            "--cache-dir", default=None,
-            help="result cache directory (default: $REPRO_CACHE_DIR or "
-                 "~/.cache/repro)",
-        )
-        sp.add_argument(
-            "--checkpoint-dir", default=None,
-            help="warmup checkpoint store shared across rungs (default: "
-                 "$REPRO_CHECKPOINT_DIR, else in-process reuse only)",
-        )
-        sp.add_argument(
-            "--dispatch", default=None,
-            choices=["auto", "local", "pool"],
-            help="execution backend per rung drain (see 'sweep run "
-                 "--dispatch'; default: $REPRO_DISPATCH or auto)",
-        )
-        sp.add_argument(
-            "--stale-after", type=_positive_seconds, default=None, metavar="SECONDS",
-            help="seconds without a heartbeat before a running row may "
-                 "be reclaimed from another process (see 'sweep run "
-                 "--stale-after')",
-        )
-        sp.add_argument(
-            "--heartbeat", type=_positive_seconds, default=None, metavar="SECONDS",
-            help="lease-refresh period for claimed rows (default: "
-                 "stale-after / 6, clamped to 0.5-10)",
-        )
+        _add_campaign_flags(sp, interval=False)
         sp.set_defaults(func=_cmd_search_run)
 
     sp = hsub.add_parser(
@@ -956,11 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="report what would be evicted (count and bytes) without "
              "deleting anything",
     )
-    sp.add_argument(
-        "--cache-dir", default=None,
-        help="result cache directory (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro)",
-    )
+    _add_store_flags(sp)
     sp.set_defaults(func=_cmd_cache_prune)
 
     p = sub.add_parser("trace", help="write a workload trace to a binary file")

@@ -21,9 +21,7 @@ from repro.harness.checkpoint import (
     CheckpointStore,
     arch_key,
     default_checkpoint_dir,
-    load_checkpoint,
     resolve_checkpoints,
-    save_checkpoint,
 )
 from repro.harness.metrics import geomean_speedup, percent_speedup
 from repro.harness.parallel import SimulationError, run_simulations
@@ -66,9 +64,7 @@ __all__ = [
     "resolve_jobs",
     "arch_key",
     "default_checkpoint_dir",
-    "load_checkpoint",
     "resolve_checkpoints",
-    "save_checkpoint",
     "EXPERIMENTS",
     "ExperimentResult",
     "SimulationError",

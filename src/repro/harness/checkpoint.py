@@ -27,10 +27,10 @@ live in a small in-process LRU, so a process warms each architecture
 once: baseline, STVP and MTVP runs of one workload restore instead of
 re-training.
 
-The ``repro run --checkpoint/--restore`` CLI uses the single-file helpers
-:func:`save_checkpoint` / :func:`load_checkpoint` instead of keyed
-storage: an explicit file names its state, so the key ingredients are
-recorded inside the file and validated on load.
+This is the one on-disk format for warmed state: ``repro run`` keeps
+it across invocations under ``$REPRO_CHECKPOINT_DIR`` exactly as
+campaigns do under ``--checkpoint-dir``, so a damaged checkpoint is a
+miss that re-warms, never a crash.
 """
 
 from __future__ import annotations
@@ -70,11 +70,6 @@ ARCH_CONFIG_FIELDS = (
     "prefetch_fill_latency",
     "warm_caches",
 )
-
-#: file format marker for single-file checkpoints (``repro run``); version
-#: 2 records the measured length, which version 1 files lack; version 3
-#: holds the occupied-slot component encodings (snapshot version 2)
-CHECKPOINT_FILE_VERSION = 3
 
 #: what ``pickle.loads`` raises on bytes that are not a loadable pickle:
 #: damaged opcodes or lengths, or classes this code version lacks
@@ -216,74 +211,3 @@ def resolve_checkpoints(checkpoints) -> CheckpointStore | None:
     """
     return CheckpointStore.resolve(checkpoints, "REPRO_CHECKPOINT_DIR")
 
-
-# ----------------------------------------------------------------------
-# single-file checkpoints (the `repro run --checkpoint/--restore` format)
-# ----------------------------------------------------------------------
-def save_checkpoint(
-    path: str | Path, arch: dict, *, workload: str, seed: int, length: int
-) -> None:
-    """Write one arch snapshot plus its identity to an explicit file.
-
-    ``length`` is the measured length; with the warmup it fixes the trace
-    the warm start trained on (``warmup + length`` instructions).
-    """
-    payload = {
-        "format": "repro-checkpoint",
-        "version": CHECKPOINT_FILE_VERSION,
-        "workload": workload,
-        "seed": seed,
-        "warmup": arch["pos"],
-        "length": length,
-        "code": code_version(),
-        "arch": arch,
-    }
-    with Path(path).open("wb") as handle:
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def load_checkpoint(
-    path: str | Path,
-    *,
-    workload: str | None = None,
-    seed: int | None = None,
-    length: int | None = None,
-) -> dict:
-    """Read a :func:`save_checkpoint` file, validating its identity.
-
-    A checkpoint is only meaningful on the trace that produced it, so a
-    ``workload``/``seed``/measured ``length`` mismatch is an error, not a
-    silent cold start (``None`` skips that check).
-    A code-version mismatch is allowed (the snapshot schema is versioned
-    separately) — the engine's own restore validation has the final say.
-    """
-    data = Path(path).read_bytes()
-    try:
-        payload = pickle.loads(data)
-    except _UNPICKLING_ERRORS:  # truncated or not a pickle at all
-        payload = None
-    if (
-        not isinstance(payload, dict)
-        or payload.get("format") != "repro-checkpoint"
-    ):
-        raise ValueError(f"{path} is not a repro warmup checkpoint")
-    if payload.get("version") != CHECKPOINT_FILE_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint file version: {payload.get('version')!r}"
-        )
-    if workload is not None and payload["workload"] != workload:
-        raise ValueError(
-            f"checkpoint {path} was taken on workload "
-            f"{payload['workload']!r}, not {workload!r}"
-        )
-    if seed is not None and payload["seed"] != seed:
-        raise ValueError(
-            f"checkpoint {path} was taken with seed {payload['seed']}, "
-            f"not {seed}"
-        )
-    if length is not None and payload["length"] != length:
-        raise ValueError(
-            f"checkpoint {path} was taken with measured length "
-            f"{payload['length']}, not {length}"
-        )
-    return payload

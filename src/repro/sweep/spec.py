@@ -53,7 +53,8 @@ class SweepSpecError(ValueError):
     """A sweep specification is malformed."""
 
 
-#: machine presets a spec can name; mirrors the CLI's ``--machine`` choices
+#: the machine presets: the names a spec's ``machine`` key and the CLI's
+#: ``--machine`` flag accept, and the one table either builds configs from
 PRESETS: dict[str, Callable[..., MachineConfig]] = {
     "baseline": MachineConfig.hpca05_baseline,
     "stvp": MachineConfig.stvp,
@@ -152,20 +153,12 @@ class SweepPoint:
         return f"{self.workload}@{self.length} " + " ".join(parts)
 
 
-def run_spec_for(
-    params: dict,
-    name: str = "sweep",
-    warmup: int = 0,
-    sample: int | None = None,
-) -> RunSpec:
-    """Build the :class:`RunSpec` a recipe dict describes.
+def _config_factory(params: dict) -> Callable[[], MachineConfig]:
+    """The :class:`MachineConfig` factory a recipe dict describes.
 
-    The returned spec's factories are picklable (process pool) and
-    registry-describable (result cache): the config factory is a
-    ``functools.partial`` over a :class:`MachineConfig` preset
-    classmethod, predictor/selector stay registry names.
-    ``warmup``/``sample`` are campaign-level interval-protocol settings
-    (see :class:`SweepSpec`), applied uniformly to every point.
+    A preset classmethod, or a ``functools.partial`` over one binding
+    ``threads`` and the field overrides: picklable (process pool) and
+    registry-describable (result cache).
     """
     machine = params.get("machine", "mtvp")
     if machine not in PRESETS:
@@ -185,16 +178,30 @@ def run_spec_for(
     threads = params.get("threads")
     if machine in _THREADED_PRESETS:
         args = (threads,) if threads is not None else ()
-        factory = functools.partial(preset, *args, **overrides)
-    else:
-        if threads is not None:
-            raise SweepSpecError(
-                f"preset {machine!r} is single-context; it takes no 'threads'"
-            )
-        factory = functools.partial(preset, **overrides) if overrides else preset
+        return functools.partial(preset, *args, **overrides)
+    if threads is not None:
+        raise SweepSpecError(
+            f"preset {machine!r} is single-context; it takes no 'threads'"
+        )
+    return functools.partial(preset, **overrides) if overrides else preset
+
+
+def run_spec_for(
+    params: dict,
+    name: str = "sweep",
+    warmup: int = 0,
+    sample: int | None = None,
+) -> RunSpec:
+    """Build the :class:`RunSpec` a recipe dict describes.
+
+    The config factory is :func:`_config_factory`'s; predictor and
+    selector stay registry names.  ``warmup``/``sample`` are
+    campaign-level interval-protocol settings (see :class:`SweepSpec`),
+    applied uniformly to every point.
+    """
     return RunSpec(
         name,
-        factory,
+        _config_factory(params),
         predictor_factory=params.get("predictor", "wang-franklin"),
         selector_factory=params.get("selector", "ilp-pred"),
         warmup=warmup,
@@ -278,6 +285,9 @@ class SweepSpec:
             raise SweepSpecError("retries must be a non-negative integer")
         if self.sample is not None and self.sample < 1:
             raise SweepSpecError("sample must be a positive length (or unset)")
+        for where in ("axes", "base", "baseline"):
+            if not isinstance(getattr(self, where), dict):
+                raise SweepSpecError(f"{where} must be a table of recipe keys")
         _check_keys(self.base, "base")
         _check_keys(self.baseline, "baseline")
         _check_keys(self.axes, "axis")
@@ -291,6 +301,15 @@ class SweepSpec:
         self.seeds = _resolve_seeds(self.seeds)
         self.lengths = tuple(int(n) for n in self.lengths)
         self.constraints = tuple(self.constraints)
+        # build every recipe's machine once, so a bad axis value fails the
+        # load instead of each row it reaches
+        recipes = [("baseline", self.baseline)]
+        recipes += [("point", point.params) for point in self.expand()]
+        for role, params in recipes:
+            try:
+                _config_factory(params)()
+            except (TypeError, ValueError) as exc:
+                raise SweepSpecError(f"{role} {params}: {exc}") from None
 
     # ------------------------------------------------------------------
     def resolved_lengths(self) -> tuple[int, ...]:

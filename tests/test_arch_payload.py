@@ -8,8 +8,7 @@ digest framing (DESIGN.md §5f).
   :class:`ValueError` naming the component, through ``Engine(arch=)``.
 * Shape: a warmed MTVP-8 mcf arch payload stays small and its container
   count follows the occupied state, not the table sizes.
-* Framing: a damaged ``<key>.ckpt`` file is a miss and is deleted; a
-  single-file checkpoint of the previous format version is refused.
+* Framing: a damaged ``<key>.ckpt`` file is a miss and is deleted.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from hypothesis import given, seed, settings
 from repro import _steady_state_footprint
 from repro.branch import TwoBcGskewPredictor
 from repro.core import Engine, MachineConfig
-from repro.harness.checkpoint import CheckpointStore, load_checkpoint, save_checkpoint
+from repro.harness.checkpoint import CheckpointStore
 from repro.isa import Instruction, OpClass
 from repro.memory import Cache
 from repro.select import IlpPredSelector
@@ -400,25 +399,3 @@ class TestCorruptCheckpointFiles:
         assert store.get("k") is None
         assert not path.exists()
 
-
-# ----------------------------------------------------------------------
-# single-file checkpoints: format version 3
-# ----------------------------------------------------------------------
-class TestCheckpointFileVersion:
-    def test_cli_restore_refuses_a_version_2_file(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        path = tmp_path / "old.ckpt"
-        save_checkpoint(path, {"pos": 1500}, workload="mcf", seed=0, length=2000)
-        payload = pickle.loads(path.read_bytes())
-        payload["version"] = 2
-        path.write_bytes(pickle.dumps(payload))
-        assert main(["run", "mcf", "--length", "2000", "--restore", str(path)]) == 1
-        assert "unsupported checkpoint file version: 2" in capsys.readouterr().out
-
-    def test_unreadable_file_is_not_a_checkpoint(self, tmp_path):
-        path = tmp_path / "torn.ckpt"
-        save_checkpoint(path, {"pos": 1500}, workload="mcf", seed=0, length=2000)
-        path.write_bytes(path.read_bytes()[:20])
-        with pytest.raises(ValueError, match="not a repro warmup checkpoint"):
-            load_checkpoint(path)

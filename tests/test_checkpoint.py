@@ -1,7 +1,6 @@
 """The warmup-checkpoint store and its wiring through the harness.
 
-Covers :mod:`repro.harness.checkpoint` (keys, the store, single-file
-helpers), the cache-key extensions for the warmup/sample protocol, the
+Covers :mod:`repro.harness.checkpoint` (keys, the store), the cache-key extensions for the warmup/sample protocol, the
 prune ``dry_run`` mode, and the end-to-end property the whole layer
 exists for: a warmed run restored from a checkpoint is byte-identical to
 one that fast-forwarded itself.
@@ -22,10 +21,8 @@ from repro.harness import (
     ResultCache,
     RunSpec,
     arch_key,
-    load_checkpoint,
     resolve_checkpoints,
     run_simulations,
-    save_checkpoint,
     task_key,
 )
 
@@ -235,69 +232,3 @@ class TestPruneDryRun:
         assert "would prune 3 entries" in out
         assert len(list(tmp_path.glob("*.json"))) == 3
 
-
-class TestCheckpointFiles:
-    def test_save_load_roundtrip_validates_identity(self, tmp_path):
-        arch = {"version": 1, "scope": "arch", "pos": 1200, "bhist": 7,
-                "warmup_instructions": 1200, "hierarchy": {}, "branch": {},
-                "predictor": {}}
-        path = tmp_path / "w.ckpt"
-        save_checkpoint(path, arch, workload="mcf", seed=3, length=800)
-        payload = load_checkpoint(path, workload="mcf", seed=3, length=800)
-        assert payload["warmup"] == 1200
-        assert payload["length"] == 800
-        assert payload["arch"] == arch
-        with pytest.raises(ValueError, match="workload"):
-            load_checkpoint(path, workload="art", seed=3)
-        with pytest.raises(ValueError, match="seed"):
-            load_checkpoint(path, workload="mcf", seed=0)
-        with pytest.raises(ValueError, match="measured length 800, not 900"):
-            load_checkpoint(path, workload="mcf", seed=3, length=900)
-
-    def test_non_checkpoint_file_rejected(self, tmp_path):
-        path = tmp_path / "junk.ckpt"
-        import pickle
-
-        path.write_bytes(pickle.dumps({"something": "else"}))
-        with pytest.raises(ValueError, match="not a repro"):
-            load_checkpoint(path)
-
-    def test_cli_checkpoint_restore_roundtrip(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        ckpt = tmp_path / "mcf.ckpt"
-        assert main(["run", "mcf", "--length", "2000", "--warmup", "1500",
-                     "--checkpoint", str(ckpt)]) == 0
-        first = capsys.readouterr().out
-        assert "wrote warmup checkpoint (1500 instructions)" in first
-        assert main(["run", "mcf", "--length", "2000",
-                     "--restore", str(ckpt)]) == 0
-        second = capsys.readouterr().out
-        # identical simulated interval: cycle counts line up exactly
-        assert [l for l in first.splitlines() if l.startswith("cycles")] == \
-               [l for l in second.splitlines() if l.startswith("cycles")]
-
-    def test_cli_restore_rejects_a_different_length(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        ckpt = tmp_path / "mcf.ckpt"
-        assert main(["run", "mcf", "--length", "2000", "--warmup", "1500",
-                     "--checkpoint", str(ckpt)]) == 0
-        first = capsys.readouterr().out
-        for flag in ("--length", "--sample"):
-            assert main(["run", "mcf", flag, "3000",
-                         "--restore", str(ckpt)]) == 1
-            out = capsys.readouterr().out
-            assert "measured length 2000, not 3000" in out
-        # without a length the file's own applies
-        assert main(["run", "mcf", "--restore", str(ckpt)]) == 0
-        second = capsys.readouterr().out
-        assert [l for l in first.splitlines() if l.startswith("cycles")] == \
-               [l for l in second.splitlines() if l.startswith("cycles")]
-
-    def test_cli_checkpoint_requires_warmup(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        assert main(["run", "mcf", "--checkpoint",
-                     str(tmp_path / "x.ckpt")]) == 1
-        assert "--warmup" in capsys.readouterr().out

@@ -580,3 +580,159 @@ class TestCliRunPaths:
         assert captured.out.startswith("cannot use checkpoint directory: ")
         assert "Traceback" not in captured.err
         assert not db.exists()  # rejected before any store is opened
+
+
+class TestCliCheckpointDir:
+    """``run`` keeps warmed state in the keyed checkpoint store."""
+
+    def test_second_run_restores_the_stored_warmup(self, tmp_path, monkeypatch, capsys):
+        from repro.__main__ import main
+
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
+        argv = ["run", "mcf", "--machine", "baseline",
+                "--warmup", "4000", "--length", "2000"]
+
+        def stats_lines():
+            out = capsys.readouterr().out.splitlines()
+            return [line for line in out if not line.startswith("sim throughput")]
+
+        assert main(argv) == 0
+        first = stats_lines()
+        (entry,) = tmp_path.glob("*.ckpt")
+        written = entry.stat()
+        assert main(argv) == 0
+        second = stats_lines()
+        assert "cycles               15636" in first
+        assert second == first
+        assert list(tmp_path.glob("*.ckpt")) == [entry]
+        now = entry.stat()
+        assert (now.st_ino, now.st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
+
+    def test_run_has_no_checkpoint_file_flags(self, capsys):
+        from repro.__main__ import main
+
+        for flag in ("--checkpoint", "--restore"):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "mcf", flag, "x.ckpt"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def _subparsers(parser, path=()):
+    """``(command path, parser)`` for every (sub-)subcommand parser."""
+    import argparse
+
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield (*path, name), sub
+                yield from _subparsers(sub, (*path, name))
+
+
+#: flags whose meaning differs by subcommand on purpose: ``--json`` is a
+#: switch on ``status`` (print JSON) and a path on ``experiment``/``report``
+_DISTINCT_FLAGS = {"--json"}
+
+#: execution and store flags every campaign-style subcommand shares
+_SHARED_FLAGS = ("--retries", "--jobs", "--no-cache", "--cache-dir",
+                 "--checkpoint-dir", "--dispatch", "--stale-after", "--heartbeat")
+
+
+class TestCliFlagSurface:
+    def test_a_flag_means_the_same_on_every_subcommand(self):
+        from repro.__main__ import build_parser
+
+        seen = {}
+        for path, parser in _subparsers(build_parser()):
+            for action in parser._actions:
+                for flag in action.option_strings:
+                    if flag in ("-h", "--help") or flag in _DISTINCT_FLAGS:
+                        continue
+                    shape = (action.dest, action.type, action.default,
+                             action.choices, action.metavar, action.nargs)
+                    first = seen.setdefault(flag, (path, shape))
+                    assert shape == first[1], (
+                        f"{flag}: {' '.join(path)} {shape} != "
+                        f"{' '.join(first[0])} {first[1]}"
+                    )
+        assert set(_SHARED_FLAGS) <= set(seen)
+
+    def test_each_shared_flag_is_declared_once(self):
+        import inspect
+
+        import repro.__main__ as cli
+
+        source = inspect.getsource(cli)
+        for flag in _SHARED_FLAGS:
+            assert source.count(f'"{flag}"') == 1, flag
+
+    def test_machine_choices_are_the_preset_table(self):
+        from repro.__main__ import build_parser
+        from repro.sweep import PRESETS
+
+        for path, parser in _subparsers(build_parser()):
+            for action in parser._actions:
+                if "--machine" in action.option_strings:
+                    assert sorted(action.choices) == sorted(PRESETS), path
+
+
+_BAD_AXIS = """
+[sweep]
+name = "bad_axis"
+workloads = ["crafty"]
+lengths = [300]
+seeds = 1
+
+[base]
+machine = "mtvp"
+threads = 2
+predictor = "oracle"
+
+[axes]
+{axes}
+"""
+
+
+class TestCliSweepSpecs:
+    """A spec's recipes are checked at load; a failed row fails the run."""
+
+    def write(self, tmp_path, axes):
+        path = tmp_path / "spec.toml"
+        path.write_text(_BAD_AXIS.format(axes=axes))
+        return path
+
+    def test_bad_axis_value_exits_2_before_opening_the_db(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        spec = self.write(tmp_path, "rob_size = [0, 256]")
+        db = tmp_path / "s.db"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "run", str(spec), "--db", str(db), "--no-cache"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: {spec}: ")
+        assert "rob_size must be >= 1, got 0" in err
+        assert not db.exists()
+
+    @pytest.mark.parametrize("verb", ["run", "resume"])
+    def test_failed_row_exits_1(self, verb, tmp_path, capsys):
+        from repro.__main__ import main
+
+        spec = self.write(tmp_path, 'predictor = ["oracle", "no-such-predictor"]')
+        code = main(["sweep", verb, str(spec), "--db", str(tmp_path / "s.db"),
+                     "--no-cache", "--retries", "0"])
+        out = capsys.readouterr().out
+        assert "partial (1 failed)" in out
+        assert code == 1
+
+    @pytest.mark.parametrize("table", ["axes", "base", "baseline"])
+    def test_a_table_that_is_not_a_table_exits_2(self, table, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "spec.toml"
+        path.write_text(f'[sweep]\nname = "x"\n{table} = ["rob_size"]\n')
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "status", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"repro: error: {path}: {table} must be a table of recipe keys\n"

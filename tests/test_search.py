@@ -303,13 +303,15 @@ class TestController:
 
     def test_failing_point_degrades_gracefully(self, tmp_path):
         spec = mini_search(
-            sweep=mini_sweep(axes={"spawn_latency": [1, -1]}, retries=0),
+            sweep=mini_sweep(
+                axes={"predictor": ["oracle", "no-such-predictor"]}, retries=0,
+            ),
         )
         store = ResultStore(tmp_path / "s.db")
         summary = run_search(spec, store, policy=NO_CACHE)
         assert summary.failed > 0
         assert summary.winner is not None  # the healthy point still wins
-        assert summary.winner["params"]["spawn_latency"] == 1
+        assert summary.winner["params"]["predictor"] == "oracle"
 
     def test_replay_of_empty_store_reports_incomplete(self, tmp_path):
         spec = mini_search()
