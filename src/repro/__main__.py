@@ -65,6 +65,16 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _workload(name: str) -> str:
+    """argparse ``type`` of the ``run``/``report``/``trace`` workload
+    argument: an unknown name is a usage error, not a traceback."""
+    try:
+        get_workload(name)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return name
+
+
 def _on_machine(args: argparse.Namespace, config: MachineConfig) -> str:
     """``on <machine> (<n> contexts)``, counted on the built config."""
     n = config.num_contexts
@@ -83,11 +93,10 @@ def _policy_from_args(args: argparse.Namespace, **extra):
 
     Every subcommand spells execution the same way (``--jobs``,
     ``--dispatch``, ``--retries``, ...); a flag the subcommand doesn't
-    define simply stays unset on the policy, so the usual
-    environment-variable defaults (``REPRO_JOBS``, ``REPRO_DISPATCH``,
-    ``REPRO_CACHE_DIR``, ...) take over.  The stores come in ``extra``
-    (see :func:`_cli_cache`/:func:`_cli_checkpoints`); ``None`` extras
-    are dropped (``False`` — cache off — is preserved).
+    define simply stays unset on the policy, so the usual defaults
+    (``REPRO_JOBS``, ``REPRO_CACHE_DIR``, ...) take over.  The stores
+    come in ``extra`` (see :func:`_cli_cache`/:func:`_cli_checkpoints`);
+    ``None`` extras are dropped (``False`` — cache off — is preserved).
     """
     from repro.harness import ExecutionPolicy
 
@@ -633,7 +642,7 @@ def _add_campaign_flags(p: argparse.ArgumentParser, *, interval: bool) -> None:
         choices=["auto", "local", "pool"],
         help="execution backend: local (in-process serial), pool "
              "(process pool); auto picks pool when --jobs > 1 "
-             "(default: $REPRO_DISPATCH or auto)",
+             "(default: auto)",
     )
     p.add_argument(
         "--stale-after", type=_positive_seconds, default=None, metavar="SECONDS",
@@ -663,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_workloads)
 
     p = sub.add_parser("run", help="simulate one workload on one machine")
-    p.add_argument("workload", nargs="?", default=None)
+    p.add_argument("workload", nargs="?", default=None, type=_workload)
     _add_recipe_flags(p, run=True)
     p.add_argument(
         "--trace", default=None, metavar="FILE",
@@ -694,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print occupancy/speculation metrics for a run "
              "(cached: repeating the command reuses the stored result)",
     )
-    p.add_argument("workload")
+    p.add_argument("workload", type=_workload)
     _add_recipe_flags(p, run=False)
     _add_store_flags(p, recompute="recompute instead of consulting the result cache")
     p.set_defaults(func=_cmd_report)
@@ -841,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_cache_prune)
 
     p = sub.add_parser("trace", help="write a workload trace to a binary file")
-    p.add_argument("workload")
+    p.add_argument("workload", type=_workload)
     p.add_argument("output")
     p.add_argument("--length", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)

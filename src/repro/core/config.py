@@ -42,7 +42,7 @@ class FetchPolicy(enum.Enum):
 
 #: numeric MachineConfig fields that are sizes, widths or counts: >= 1
 _COUNTS = (
-    "pipeline_depth", "fetch_width", "rob_size", "rename_regs", "iq_size",
+    "fetch_width", "rob_size", "rename_regs", "iq_size",
     "issue_width", "int_issue", "fp_issue", "mem_issue", "commit_width",
     "l1_size", "l1_assoc", "l2_size", "l2_assoc", "l3_size", "l3_assoc",
     "line_size", "mshrs", "prefetch_entries", "prefetch_streams",
@@ -50,7 +50,7 @@ _COUNTS = (
 )
 #: numeric MachineConfig fields that are latencies or penalties: >= 0
 _LATENCIES = (
-    "front_latency", "redirect_penalty", "l1_latency", "l2_latency",
+    "front_latency", "l1_latency", "l2_latency",
     "l3_latency", "mem_latency", "prefetch_fill_latency", "spawn_latency",
     "reissue_penalty",
 )
@@ -71,17 +71,16 @@ _latency_values = operator.attrgetter(*_LATENCIES)
 class MachineConfig:
     """All architectural parameters of the simulated machine.
 
-    Defaults reproduce Table 1 of the paper.  The front end is a 30-stage
-    pipe fetching 16 instructions per cycle; ``front_latency`` is the
-    fetch-to-queue depth and ``redirect_penalty`` the full refill charged
-    on a branch misprediction.
+    Defaults reproduce Table 1 of the paper.
     """
 
     # pipeline
-    pipeline_depth: int = 30
     fetch_width: int = 16
+    #: Table 1's 30-stage pipe, as the model uses it: an instruction enters
+    #: the queues ``front_latency`` cycles after fetch, and a mispredicted
+    #: branch refetches at its completion + 1, so a redirect costs the
+    #: branch's resolution time plus this front-end refill
     front_latency: int = 15
-    redirect_penalty: int = 30
     # windows
     rob_size: int = 256
     rename_regs: int = 224

@@ -27,7 +27,8 @@ not of the policy: :class:`~repro.harness.runner.RunSpec` and the sweep
 spec carry it.
 
 Every field defaults to *unset* (``None``), which defers to the matching
-``REPRO_*`` environment variable and then to the historical default, so
+``REPRO_*`` environment variable where there is one (``jobs``, ``cache``,
+``checkpoints``) and then to the historical default, so
 ``ExecutionPolicy()`` reproduces the old behaviour exactly.  ``policy=``
 is the only spelling every entry point accepts.
 
@@ -35,7 +36,6 @@ Environment defaults (one table, also in README):
 
 =======================  ====================================================
 ``REPRO_JOBS``           worker processes (unset/1 = serial, 0 = all cores)
-``REPRO_DISPATCH``       sweep dispatch mode (``auto``/``local``/``pool``)
 ``REPRO_CACHE_DIR``      result cache directory (unset = no caching)
 ``REPRO_CHECKPOINT_DIR`` warmup checkpoint directory (unset = in-process)
 ``REPRO_TRACE_LEN``      default dynamic trace length
@@ -52,12 +52,6 @@ from repro.harness.cache import ResultCache
 
 #: the legal dispatch modes, in escalation order
 DISPATCH_MODES = ("auto", "local", "pool")
-
-
-def _env_text(name: str) -> str | None:
-    """A ``REPRO_*`` variable's stripped value, or ``None`` when unset."""
-    raw = os.environ.get(name, "").strip()
-    return raw or None
 
 
 def _parse_count(value, *, what: str) -> int:
@@ -83,8 +77,8 @@ def resolve_jobs(jobs) -> int:
     ``0`` (or any non-positive value) means "all cores".
     """
     if jobs is None:
-        env = _env_text("REPRO_JOBS")
-        if env is None:
+        env = os.environ.get("REPRO_JOBS", "").strip()
+        if not env:
             return 1
         jobs = _parse_count(env, what="REPRO_JOBS (worker process count)")
     else:
@@ -95,17 +89,14 @@ def resolve_jobs(jobs) -> int:
 
 
 def resolve_dispatch(dispatch) -> str:
-    """Dispatch mode: explicit name, else ``$REPRO_DISPATCH``, else auto.
+    """Dispatch mode: explicit name, else auto.
 
     Accepts a mode name (see :data:`DISPATCH_MODES`).  ``"auto"`` is
     resolved by :meth:`ExecutionPolicy.resolved_dispatch` into ``"pool"``
     or ``"local"`` depending on the resolved job count.
     """
     if dispatch is None:
-        env = _env_text("REPRO_DISPATCH")
-        if env is None:
-            return "auto"
-        dispatch = env
+        return "auto"
     if isinstance(dispatch, str):
         mode = dispatch.strip().lower()
         if mode in DISPATCH_MODES:
@@ -129,7 +120,7 @@ class ExecutionPolicy:
     """How simulation work should execute, as one immutable value.
 
     Every field is optional; ``None`` means "unset" and defers to the
-    corresponding environment variable, then the historical default —
+    corresponding environment variable, if any, then the historical default —
     see the ``resolved_*`` accessors.  ``cache``/``checkpoints`` follow
     the established resolution convention (``None`` = environment,
     ``False`` = off, path or store object = use that).

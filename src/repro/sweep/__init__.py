@@ -6,7 +6,7 @@ store-buffer size (§5.3), fetch policy (Fig. 4), predictor choice (§5.4)
 objects instead of hand-coded experiment functions:
 
 * :mod:`~repro.sweep.spec` — declarative :class:`SweepSpec` files (TOML/
-  JSON under ``sweeps/``) with grid/random expansion and constraints,
+  JSON under ``sweeps/``) expanded as a de-duplicated grid,
 * :mod:`~repro.sweep.store` — a persistent SQLite :class:`ResultStore`
   with one row per (point, seed), giving campaigns crash resumability,
 * :mod:`~repro.sweep.execute` — the retrying, chunk-committing runner,
@@ -18,7 +18,7 @@ objects instead of hand-coded experiment functions:
 CLI: ``python -m repro sweep run|status|report|resume <spec>``.
 """
 
-from repro.sweep.drain import drain_campaign, drain_store, worker_token
+from repro.sweep.drain import drain_campaign, worker_token
 from repro.sweep.execute import (
     CampaignSummary,
     campaign_rows,
@@ -64,7 +64,6 @@ __all__ = [
     "campaign_rows",
     "default_db_path",
     "drain_campaign",
-    "drain_store",
     "export_jsonl",
     "format_markdown",
     "full_report",

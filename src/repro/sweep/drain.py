@@ -1,18 +1,16 @@
 """The claim → simulate → commit loop every campaign drains through.
 
-:func:`drain_campaign` is the one entry point campaigns (sweeps and
-search rungs) drain through: ``dispatch="local"`` runs :func:`drain_store`
-serially in the calling process, ``dispatch="pool"`` runs it with each
-chunk fanned over a process pool.
-
-:func:`drain_store` is the loop a sweep participant runs against a
+:func:`drain_campaign` is the one function campaigns (sweeps and search
+rungs) drain through: ``dispatch="local"`` runs the loop serially in the
+calling process, ``dispatch="pool"`` fans each chunk over a process
+pool.  It is the loop a sweep participant runs against a
 :class:`~repro.sweep.store.ResultStore`, whether it is the only process
 draining that store or one of several ``sweep run --stale-after S``
 processes sharing it:
 
-1. snapshot the runnable rows, take a chunk, and lease it through
-   :meth:`~repro.sweep.store.ResultStore.claim` under this process's
-   owner token;
+1. mint this process's lease owner token (:func:`worker_token`), then
+   snapshot the runnable rows, take a chunk, and lease it through
+   :meth:`~repro.sweep.store.ResultStore.claim` under that token;
 2. keep the lease warm with a :class:`_Heartbeat` thread while the chunk
    simulates through :func:`~repro.harness.parallel.run_simulations`
    (``on_error="collect"``: a crashing point marks its row failed
@@ -55,11 +53,10 @@ class _Heartbeat:
     Runs while a chunk simulates (which can dwarf any fixed staleness
     window on big points), so concurrent campaigns using a ``stale_after``
     window see the claim as live.  ``stop()`` is idempotent and joins the
-    thread; the final touch races the chunk's own commit harmlessly —
+    thread; the final touch races the chunk's own commit harmlessly, as
     :meth:`~repro.sweep.store.ResultStore.touch` only refreshes rows
-    still ``running`` (and, with an owner token, only rows this worker
-    still holds — a stolen row's new lease is never kept warm by the
-    loser).
+    still ``running`` and still held by this worker (a stolen row's new
+    lease is never kept warm by the loser).
     """
 
     def __init__(
@@ -68,7 +65,7 @@ class _Heartbeat:
         sweep: str,
         keys: list[tuple[str, int]],
         interval: float,
-        owner: str | None = None,
+        owner: str,
     ) -> None:
         self._store = store
         self._sweep = sweep
@@ -88,34 +85,38 @@ class _Heartbeat:
         self._thread.join()
 
 
-def drain_store(
+def drain_campaign(
     store: ResultStore,
     sweep: str,
-    policy: ExecutionPolicy | None = None,
+    policy: ExecutionPolicy,
     *,
     mine: set | None = None,
-    owner: str | None = None,
     warmup: int = 0,
     sample: int | None = None,
     echo=None,
     progress=None,
 ) -> dict:
-    """Drain a sweep's runnable rows; returns this process's counters.
+    """Drain a campaign's runnable rows; returns this process's counters.
 
     Args:
         store: The shared results store.
         sweep: Sweep name (rows are keyed by it).
-        policy: Execution policy; ``jobs``/``cache``/``checkpoints``/
-            ``retries``/``chunk``/``stale_after``/``heartbeat`` are
-            consumed here.  With ``stale_after`` set and ``heartbeat``
-            unset, leases are touched every ``stale_after / 6`` seconds
-            (clamped to 0.5–10 s), so a chunk that outlives the window
-            is never mistaken for a crashed claim.
+        policy: Execution policy; ``dispatch``/``jobs``/``cache``/
+            ``checkpoints``/``retries``/``chunk``/``stale_after``/
+            ``heartbeat`` are consumed here.  ``local`` dispatch drains
+            serially in this process (``jobs`` forced to 1: direct
+            tracebacks, exact in-process counters); ``pool`` fans each
+            chunk over a process pool (a job count of 1 means every
+            core — serial callers want ``local``); ``auto`` is ``pool``
+            iff jobs resolve above 1.  With ``stale_after`` set and
+            ``heartbeat`` unset, leases are touched every
+            ``stale_after / 6`` seconds (clamped to 0.5–10 s), so a chunk
+            that outlives the window is never mistaken for a crashed
+            claim.
         mine: Restrict to these ``(point_id, seed)`` keys (``None`` =
             every row of the sweep).  :func:`~repro.sweep.run_sweep`
             passes its expansion so a truncated campaign ignores
             foreign rows.
-        owner: Lease owner token (``None`` = owner-less legacy leases).
         warmup/sample: The campaign's interval protocol, forwarded into
             every reconstructed :class:`~repro.harness.runner.RunSpec`.
         echo: Optional ``print``-like progress callback.
@@ -129,14 +130,18 @@ def drain_store(
         ``ckpt_enabled``/``ckpt_hits``/``ckpt_stores`` (warmup checkpoint
         traffic).
     """
-    policy = policy if policy is not None else ExecutionPolicy()
+    owner = worker_token()
     say = echo if echo is not None else (lambda *_: None)
     retries = policy.retries if policy.retries is not None else 0
     stale_after = policy.stale_after
     heartbeat = policy.heartbeat
     if heartbeat is None and stale_after is not None:
         heartbeat = max(0.5, min(10.0, stale_after / 6.0))
-    jobs = policy.resolved_jobs()
+    jobs = 1
+    if policy.resolved_dispatch() == "pool":
+        jobs = policy.resolved_jobs()
+        if jobs <= 1:
+            jobs = os.cpu_count() or 1
     chunk = policy.chunk if policy.chunk is not None else max(8, 4 * jobs)
     cache_obj = policy.resolved_cache()
     ckpt_store = policy.resolved_checkpoints() if warmup else None
@@ -272,41 +277,3 @@ def drain_store(
         counters["ckpt_hits"] = ckpt_store.hits
         counters["ckpt_stores"] = ckpt_store.stores
     return counters
-
-
-def drain_campaign(
-    store: ResultStore,
-    sweep: str,
-    policy: ExecutionPolicy,
-    *,
-    mine: set | None = None,
-    warmup: int = 0,
-    sample: int | None = None,
-    echo=None,
-    progress=None,
-) -> dict:
-    """Drain a campaign's rows where ``policy.dispatch`` says.
-
-    ``local`` drains serially in this process (``jobs`` forced to 1:
-    direct tracebacks, exact in-process counters); ``pool`` fans each
-    chunk over a process pool in this process (a job count of 1 means
-    every core — serial callers want ``local``); ``auto`` is ``pool``
-    iff jobs resolve above 1.  Returns the :func:`drain_store` counters.
-    """
-    mode = policy.resolved_dispatch()
-    jobs = 1
-    if mode == "pool":
-        jobs = policy.resolved_jobs()
-        if jobs <= 1:
-            jobs = os.cpu_count() or 1
-    return drain_store(
-        store,
-        sweep,
-        policy.merged(jobs=jobs),
-        mine=mine,
-        owner=worker_token(),
-        warmup=warmup,
-        sample=sample,
-        echo=echo,
-        progress=progress,
-    )

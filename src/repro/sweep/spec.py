@@ -3,11 +3,11 @@
 A :class:`SweepSpec` names a design space instead of a single run: axes
 over :class:`~repro.core.MachineConfig` fields, predictor/selector
 registry names, machine presets, workloads, trace lengths — crossed into
-concrete :class:`SweepPoint`\\ s by grid or random expansion, filtered by
-constraint predicates, and replicated over seeds.  Specs are plain data:
-they load from TOML or JSON files (the checked-in campaigns live under
-``sweeps/``) and serialize back to JSON, so a campaign is reviewable,
-diffable and re-runnable long after the session that launched it.
+concrete :class:`SweepPoint`\\ s by grid expansion and replicated over
+seeds.  Specs are plain data, never evaluated: they load from TOML or
+JSON files (the checked-in campaigns live under ``sweeps/``) and
+serialize back to JSON, so a campaign is reviewable, diffable and
+re-runnable long after the session that launched it.
 
 TOML layout (see ``sweeps/store_buffer.toml`` for a real one)::
 
@@ -39,7 +39,6 @@ import functools
 import hashlib
 import itertools
 import json
-import random
 import tomllib
 from pathlib import Path
 from typing import Callable
@@ -111,15 +110,36 @@ def _resolve_workloads(workloads) -> tuple[str, ...]:
     return tuple(dict.fromkeys(names))
 
 
+def _is_int(value) -> bool:
+    return type(value) is int  # not a bool, nor a float int() would floor
+
+
+def _require_int(what: str, value, minimum: int) -> None:
+    if not (_is_int(value) and value >= minimum):
+        kind = "non-negative" if minimum == 0 else "positive"
+        raise SweepSpecError(f"{what} must be a {kind} integer, got {value!r}")
+
+
 def _resolve_seeds(seeds) -> tuple[int, ...]:
-    if isinstance(seeds, int):
+    if _is_int(seeds):
         if seeds < 1:
             raise SweepSpecError("seeds must be a positive count or a list")
         return tuple(range(seeds))
-    out = tuple(int(s) for s in seeds)
-    if not out:
+    if not isinstance(seeds, (list, tuple)) or not all(map(_is_int, seeds)):
+        raise SweepSpecError(
+            f"seeds must be a positive count or a list of integers, got {seeds!r}"
+        )
+    if not seeds:
         raise SweepSpecError("a sweep needs at least one seed")
-    return out
+    return tuple(seeds)
+
+
+def _resolve_lengths(lengths) -> tuple[int, ...]:
+    if not isinstance(lengths, (list, tuple)):
+        raise SweepSpecError(f"lengths must be a list, got {lengths!r}")
+    for length in lengths:
+        _require_int("each of lengths", length, 1)
+    return tuple(lengths)
 
 
 def point_id(params: dict, workload: str, length: int) -> str:
@@ -209,22 +229,6 @@ def run_spec_for(
     )
 
 
-def _passes(constraints, context: dict) -> bool:
-    for constraint in constraints:
-        if callable(constraint):
-            ok = constraint(context)
-        else:
-            try:
-                ok = eval(constraint, {"__builtins__": {}}, dict(context))
-            except Exception as exc:
-                raise SweepSpecError(
-                    f"constraint {constraint!r} failed to evaluate: {exc}"
-                ) from None
-        if not ok:
-            return False
-    return True
-
-
 @dataclasses.dataclass
 class SweepSpec:
     """A declarative design-space exploration campaign.
@@ -236,14 +240,6 @@ class SweepSpec:
         workloads: Workload names and/or suite keywords ``int``/``fp``/``all``.
         lengths: Trace lengths to cross in; empty uses the harness default.
         seeds: Replicate count (int) or explicit seed list.
-        mode: ``"grid"`` (full cross product) or ``"random"`` (sampled).
-        samples: Number of points drawn in random mode.
-        sample_seed: RNG seed for random mode (sampling is deterministic).
-        constraints: Predicates over ``params + workload + length``; each
-            is a restricted-eval expression string (the TOML form, e.g.
-            ``"spawn_latency <= 16 or threads == 8"``) or a callable
-            taking the context dict.  Points failing any predicate are
-            dropped before sampling.
         baseline: Recipe of the speedup denominator machine.
         retries: Default retry budget for failed points.
         warmup: Instructions functionally fast-forwarded before every
@@ -261,10 +257,6 @@ class SweepSpec:
     workloads: tuple = ("int",)
     lengths: tuple = ()
     seeds: tuple = (0, 1, 2)
-    mode: str = "grid"
-    samples: int = 0
-    sample_seed: int = 0
-    constraints: tuple = ()
     baseline: dict = dataclasses.field(
         default_factory=lambda: {"machine": "baseline"}
     )
@@ -275,16 +267,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise SweepSpecError("a sweep needs a name")
-        if self.mode not in ("grid", "random"):
-            raise SweepSpecError(f'mode must be "grid" or "random", not {self.mode!r}')
-        if self.mode == "random" and self.samples < 1:
-            raise SweepSpecError("random mode needs samples >= 1")
-        if self.warmup < 0:
-            raise SweepSpecError("warmup must be non-negative")
-        if type(self.retries) is not int or self.retries < 0:
-            raise SweepSpecError("retries must be a non-negative integer")
-        if self.sample is not None and self.sample < 1:
-            raise SweepSpecError("sample must be a positive length (or unset)")
+        _require_int("warmup", self.warmup, 0)
+        _require_int("retries", self.retries, 0)
+        if self.sample is not None:
+            _require_int("sample", self.sample, 1)
         for where in ("axes", "base", "baseline"):
             if not isinstance(getattr(self, where), dict):
                 raise SweepSpecError(f"{where} must be a table of recipe keys")
@@ -299,8 +285,7 @@ class SweepSpec:
         self.axes = {k: list(v) for k, v in self.axes.items()}
         self.workloads = _resolve_workloads(self.workloads)
         self.seeds = _resolve_seeds(self.seeds)
-        self.lengths = tuple(int(n) for n in self.lengths)
-        self.constraints = tuple(self.constraints)
+        self.lengths = _resolve_lengths(self.lengths)
         # build every recipe's machine once, so a bad axis value fails the
         # load instead of each row it reaches
         recipes = [("baseline", self.baseline)]
@@ -323,11 +308,7 @@ class SweepSpec:
         points (``--points N``) yields N distinct recipes on the first
         workload.  Points are de-duplicated by ``point_id`` (repeated
         axis values, or axes shadowed by ``base``, would otherwise emit
-        the same recipe twice and collide in the results store).  Random
-        mode draws ``samples`` points without replacement from the
-        de-duplicated, constraint-filtered grid with ``sample_seed`` —
-        so the draw is always topped up to ``samples`` distinct points
-        while the grid has that many.
+        the same recipe twice and collide in the results store).
         """
         axis_names = list(self.axes)
         combos = list(itertools.product(*self.axes.values())) or [()]
@@ -338,17 +319,11 @@ class SweepSpec:
                 for combo in combos:
                     params = dict(self.base)
                     params.update(zip(axis_names, combo))
-                    context = dict(params, workload=workload, length=length)
-                    if not _passes(self.constraints, context):
-                        continue
                     pid = point_id(params, workload, length)
                     if pid in seen:
                         continue
                     seen.add(pid)
                     points.append(SweepPoint(pid, workload, length, params))
-        if self.mode == "random" and self.samples < len(points):
-            rng = random.Random(self.sample_seed)
-            points = rng.sample(points, self.samples)
         return points
 
     def baseline_point(self, workload: str, length: int) -> SweepPoint:
@@ -364,9 +339,6 @@ class SweepSpec:
         out["workloads"] = list(self.workloads)
         out["lengths"] = list(self.lengths)
         out["seeds"] = list(self.seeds)
-        out["constraints"] = [
-            c for c in self.constraints if isinstance(c, str)
-        ]
         return out
 
     def to_json(self, path: str | Path | None = None) -> str:

@@ -38,12 +38,13 @@ store (DESIGN.md §5i):
   With the SQL clock, a ``touch()`` that committed before the claim
   executes is always visible to the claim's staleness predicate.
 
-* **Owner tokens.**  :meth:`claim` records who holds the lease; the
-  commit-side methods (:meth:`touch`, :meth:`mark_done`,
-  :meth:`mark_failed`) are owner-conditional and report
-  whether they fired.  A worker whose lease was reclaimed mid-run
-  cannot double-commit: its ``mark_done`` misses (wrong owner) and the
-  reclaiming worker's commit is the only one.  The ``commits`` column
+* **Owner tokens.**  Every lease has an owner: :meth:`claim` records
+  who holds it, and the commit-side methods (:meth:`touch`,
+  :meth:`mark_done`, :meth:`mark_failed`) take the same token, fire only
+  for the lease's owner, and report whether they fired.  A worker whose
+  lease was reclaimed mid-run cannot double-commit: its ``mark_done``
+  misses (wrong owner) and the reclaiming worker's commit is the only
+  one.  The ``commits`` column
   counts landed commits per row, so *every done row has exactly one
   commit* is a checkable invariant, not an article of faith.
 """
@@ -107,10 +108,9 @@ _RUNNABLE = (
     f" OR (status = 'running' AND (? IS NULL OR updated_at < {_NOW} - ?)))"
 )
 
-#: SQL fragment gating commit-side updates on lease ownership; parameters
-#: are (owner, owner) — ``None`` (the single-campaign legacy path) keeps
-#: the update unconditional
-_OWNED = "(? IS NULL OR owner = ?)"
+#: SQL fragment gating commit-side updates on lease ownership; its one
+#: parameter is the caller's owner token
+_OWNED = "owner = ?"
 
 
 class ResultStore:
@@ -214,7 +214,8 @@ class ResultStore:
         keys: list[tuple[str, int]],
         retries: int = 0,
         stale_after: float | None = None,
-        owner: str | None = None,
+        *,
+        owner: str,
     ) -> list[tuple[str, int]]:
         """Atomically take ownership of rows; returns the keys actually won.
 
@@ -247,7 +248,8 @@ class ResultStore:
         self,
         sweep: str,
         keys: list[tuple[str, int]],
-        owner: str | None = None,
+        *,
+        owner: str,
     ) -> int:
         """Heartbeat: refresh ``updated_at`` on still-running claims.
 
@@ -255,9 +257,9 @@ class ResultStore:
         periodically so a concurrent resume (using a ``stale_after``
         window) cannot mistake them for a crashed claim and steal them.
         Rows that left ``running`` (the worker committed, or someone did
-        steal them) are deliberately not revived, and with ``owner``
-        given only this worker's own leases are refreshed — a worker
-        whose row was reclaimed must not keep the thief's lease warm.
+        steal them) are deliberately not revived, and only ``owner``'s
+        own leases are refreshed — a worker whose row was reclaimed must
+        not keep the thief's lease warm.
         Returns how many leases were actually refreshed (a shortfall
         tells the worker it lost rows).
         """
@@ -267,7 +269,7 @@ class ResultStore:
                 f"UPDATE results SET updated_at = {_NOW} WHERE sweep = ? "
                 "AND point_id = ? AND seed = ? AND status = 'running' "
                 f"AND {_OWNED}",
-                [(sweep, pid, seed, owner, owner) for pid, seed in keys],
+                [(sweep, pid, seed, owner) for pid, seed in keys],
             )
             return self._db.total_changes - before
 
@@ -291,14 +293,15 @@ class ResultStore:
         config: dict | None = None,
         wall_seconds: float = 0.0,
         code_version: str | None = None,
-        owner: str | None = None,
+        *,
+        owner: str,
     ) -> bool:
         """Record a completed simulation's stats digest.
 
-        With ``owner`` given the commit only lands while this worker
-        still holds the lease; a worker whose row was reclaimed gets
-        ``False`` back and must treat the result as lost (the reclaimer
-        re-simulates and commits instead — exactly once either way).
+        The commit only lands while ``owner`` still holds the lease; a
+        worker whose row was reclaimed gets ``False`` back and must treat
+        the result as lost (the reclaimer re-simulates and commits
+        instead — exactly once either way).
         Each landed commit increments the row's ``commits`` counter.
         """
         with self._lock, self._db:
@@ -318,7 +321,6 @@ class ResultStore:
                     key[0],
                     key[1],
                     owner,
-                    owner,
                 ),
             )
             return bool(cursor.rowcount)
@@ -328,7 +330,8 @@ class ResultStore:
         sweep: str,
         key: tuple[str, int],
         error: str,
-        owner: str | None = None,
+        *,
+        owner: str,
     ) -> bool:
         """Record a failed attempt (the exception text, truncated sanely).
 
@@ -342,7 +345,7 @@ class ResultStore:
                 f"owner = NULL, updated_at = {_NOW} "
                 "WHERE sweep = ? AND point_id = ? AND seed = ? "
                 f"AND {_OWNED}",
-                (error[:2000], sweep, key[0], key[1], owner, owner),
+                (error[:2000], sweep, key[0], key[1], owner),
             )
             return bool(cursor.rowcount)
 

@@ -66,7 +66,8 @@ class TestConcurrentLeasing:
             try:
                 with ResultStore(path) as store:
                     barrier.wait()
-                    won[wid] = store.claim("s", keys, stale_after=60.0)
+                    won[wid] = store.claim(
+                        "s", keys, stale_after=60.0, owner=f"w{wid}")
             except Exception as exc:  # noqa: BLE001 — recorded for assert
                 errors.append(exc)
 
@@ -90,7 +91,7 @@ class TestConcurrentLeasing:
             setup.ensure("s", rows)
         errors: list[Exception] = []
 
-        def worker() -> None:
+        def worker(owner: str) -> None:
             try:
                 with ResultStore(path, busy_timeout=30.0) as store:
                     while True:
@@ -98,12 +99,17 @@ class TestConcurrentLeasing:
                         if not todo:
                             return
                         keys = [(r["point_id"], r["seed"]) for r in todo[:3]]
-                        for key in store.claim("s", keys, stale_after=60.0):
-                            store.mark_done("s", key, {"cycles": 1})
+                        for key in store.claim(
+                            "s", keys, stale_after=60.0, owner=owner
+                        ):
+                            assert store.mark_done(
+                                "s", key, {"cycles": 1}, owner=owner)
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker) for _ in range(6)]
+        threads = [
+            threading.Thread(target=worker, args=(f"w{i}",)) for i in range(6)
+        ]
         for t in threads:
             t.start()
         for t in threads:
@@ -142,7 +148,7 @@ class TestConcurrentLeasing:
         def writer() -> None:
             try:
                 for i in range(50):
-                    store.touch("s", [("p0", 0)])
+                    store.touch("s", [("p0", 0)], owner="w")
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -161,18 +167,19 @@ class TestStaleReclaim:
     def test_live_claim_is_not_stealable_within_window(self, tmp_path):
         store = ResultStore(tmp_path / "s.db")
         store.ensure("s", seed_rows(1, 1))
-        assert store.claim("s", [("p0", 0)], stale_after=60.0) == [("p0", 0)]
+        key = ("p0", 0)
+        assert store.claim("s", [key], stale_after=60.0, owner="w1") == [key]
         # a concurrent resume with a window sees nothing to do...
         assert store.runnable("s", stale_after=60.0) == []
-        assert store.claim("s", [("p0", 0)], stale_after=60.0) == []
-        # ...but the legacy no-window caller (crash resume) still reclaims
+        assert store.claim("s", [key], stale_after=60.0, owner="w2") == []
+        # ...but a caller without a window (crash resume) still reclaims
         assert len(store.runnable("s")) == 1
         store.close()
 
     def test_stale_claim_ages_out_and_is_reclaimed(self, tmp_path):
         store = ResultStore(tmp_path / "s.db")
         store.ensure("s", seed_rows(1, 1))
-        store.claim("s", [("p0", 0)], stale_after=60.0)
+        store.claim("s", [("p0", 0)], stale_after=60.0, owner="w1")
         # backdate the heartbeat past the window: the claim is dead
         with store._db:
             store._db.execute(
@@ -181,7 +188,8 @@ class TestStaleReclaim:
         assert [
             (r["point_id"], r["seed"]) for r in store.runnable("s", stale_after=60.0)
         ] == [("p0", 0)]
-        assert store.claim("s", [("p0", 0)], stale_after=60.0) == [("p0", 0)]
+        assert store.claim(
+            "s", [("p0", 0)], stale_after=60.0, owner="w2") == [("p0", 0)]
         (attempts,) = store._db.execute(
             "SELECT attempts FROM results"
         ).fetchone()
@@ -199,12 +207,12 @@ class TestStaleReclaim:
         store = ResultStore(path)
         store.ensure("s", seed_rows(1, 1))
         key = ("p0", 0)
-        assert store.claim("s", [key], stale_after=0.2) == [key]
+        assert store.claim("s", [key], stale_after=0.2, owner="slow") == [key]
         stop = threading.Event()
 
         def heartbeat() -> None:  # the slow worker's sidecar
             while not stop.wait(0.05):
-                store.touch("s", [key])
+                store.touch("s", [key], owner="slow")
 
         beat = threading.Thread(target=heartbeat)
         beat.start()
@@ -213,14 +221,15 @@ class TestStaleReclaim:
             with ResultStore(path) as rival:
                 deadline = time.time() + 1.0  # five windows
                 while time.time() < deadline:
-                    stolen.extend(rival.claim("s", [key], stale_after=0.2))
+                    stolen.extend(
+                        rival.claim("s", [key], stale_after=0.2, owner="rival"))
                     time.sleep(0.02)
             assert stolen == [], "a live heartbeating claim was stolen"
         finally:
             stop.set()
             beat.join()
         # the slow worker eventually commits — its result stands
-        store.mark_done("s", key, {"cycles": 9})
+        assert store.mark_done("s", key, {"cycles": 9}, owner="slow")
         assert store.counts("s")["done"] == 1
         (attempts,) = store._db.execute("SELECT attempts FROM results").fetchone()
         assert attempts == 1
@@ -231,15 +240,15 @@ class TestStaleReclaim:
         store = ResultStore(tmp_path / "s.db")
         store.ensure("s", seed_rows(1, 1))
         key = ("p0", 0)
-        store.claim("s", [key], stale_after=0.05)
+        store.claim("s", [key], stale_after=0.05, owner="slow")
         time.sleep(0.1)
-        assert store.claim("s", [key], stale_after=0.05) == [key]
+        assert store.claim("s", [key], stale_after=0.05, owner="rival") == [key]
         store.close()
 
     def test_drain_with_only_stale_after_heartbeats_its_rows(
         self, tmp_path, monkeypatch
     ):
-        """drain_store derives a heartbeat from ``stale_after`` when none
+        """drain_campaign derives a heartbeat from ``stale_after`` when none
         is set, so a chunk that runs for three windows keeps its rows:
         a concurrent claim() with the same window never steals them."""
         from repro.harness.policy import ExecutionPolicy
@@ -281,9 +290,9 @@ class TestStaleReclaim:
         thread = threading.Thread(target=rival)
         thread.start()
         try:
-            counters = drain.drain_store(
-                store, "hb", ExecutionPolicy(cache=False, stale_after=1.0),
-                owner="slow",
+            counters = drain.drain_campaign(
+                store, "hb",
+                ExecutionPolicy(dispatch="local", cache=False, stale_after=1.0),
             )
         finally:
             slept.set()
@@ -300,9 +309,9 @@ class TestStaleReclaim:
         store = ResultStore(tmp_path / "s.db")
         store.ensure("s", seed_rows(1, 1))
         key = ("p0", 0)
-        store.claim("s", [key])
-        store.mark_done("s", key, {"cycles": 3})
-        store.touch("s", [key])  # late heartbeat from the old owner
+        store.claim("s", [key], owner="w")
+        store.mark_done("s", key, {"cycles": 3}, owner="w")
+        assert store.touch("s", [key], owner="w") == 0  # late heartbeat
         assert store.counts("s")["done"] == 1
         store.close()
 
@@ -398,6 +407,15 @@ class TestOwnerConditionalCommits:
         assert store.touch("s", [key], owner="w1") == 0
         assert not store.mark_done("s", key, {"cycles": 7}, owner="w1")
         assert not store.mark_failed("s", key, "late", owner="w1")
+        # nor can anyone lease or commit without naming an owner
+        for verb, args in (
+            (store.claim, ("s", [key])),
+            (store.touch, ("s", [key])),
+            (store.mark_done, ("s", key, {"cycles": 7})),
+            (store.mark_failed, ("s", key, "late")),
+        ):
+            with pytest.raises(TypeError, match="owner"):
+                verb(*args)
         # w2's commit is the one that lands — exactly once
         assert store.mark_done("s", key, {"cycles": 9}, owner="w2")
         assert store.commit_stats("s") == {

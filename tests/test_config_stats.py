@@ -11,7 +11,7 @@ class TestTable1Defaults:
 
     def test_pipeline(self):
         cfg = MachineConfig()
-        assert cfg.pipeline_depth == 30
+        assert cfg.front_latency == 15  # the part of the 30-stage pipe modelled
         assert cfg.fetch_width == 16
 
     def test_windows(self):

@@ -14,7 +14,7 @@ from repro.harness.export import (
     result_to_json,
     stats_to_dict,
 )
-from repro.workloads import get_workload
+from repro.workloads import get_workload, workload_names
 from repro.workloads.io import (
     _HEADER,
     _MAGIC,
@@ -508,6 +508,30 @@ class TestCliCountValidation:
         captured = capsys.readouterr()
         assert "usage: repro" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "nosuch", "--length", "100"],
+        ["run", "nosuch"],
+        ["report", "nosuch"],
+        ["trace", "nosuch", "out.rvpt"],
+    ], ids=" ".join)
+    def test_unknown_workload_is_one_line(self, argv, capsys, tmp_path,
+                                          monkeypatch):
+        from repro.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        (line,) = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert line.endswith(
+            "argument workload: unknown workload 'nosuch'; known: "
+            + ", ".join(workload_names())
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCliRunPaths:

@@ -52,13 +52,8 @@ class TestResolveJobs:
 
 
 class TestResolveDispatch:
-    def test_unset_without_env_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISPATCH", raising=False)
+    def test_unset_without_env_is_auto(self):
         assert resolve_dispatch(None) == "auto"
-
-    def test_env_supplies_the_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH", "pool")
-        assert resolve_dispatch(None) == "pool"
 
     def test_names_are_normalized(self):
         assert resolve_dispatch(" POOL ") == "pool"
@@ -78,15 +73,17 @@ class TestResolveDispatch:
             resolve_dispatch("cloud")
 
     def test_workers_mode_is_gone(self, monkeypatch, capsys):
-        """The removed standalone-worker mode is an unknown name on every
-        surface: the policy field, the environment and the CLI flag."""
+        """The removed standalone-worker mode is an unknown name on both
+        surfaces, the policy field and the CLI flag; the environment
+        names no dispatch mode at all (``REPRO_DISPATCH`` is not read)."""
         from repro.__main__ import main
 
         with pytest.raises(ValueError, match=r"auto\|local\|pool, got 'workers'"):
             ExecutionPolicy(dispatch="workers")
-        monkeypatch.setenv("REPRO_DISPATCH", "workers")
-        with pytest.raises(ValueError, match=r"auto\|local\|pool, got 'workers'"):
-            ExecutionPolicy().resolved_dispatch()
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        for mode in ("workers", "pool"):
+            monkeypatch.setenv("REPRO_DISPATCH", mode)
+            assert ExecutionPolicy().resolved_dispatch() == "local"
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "run", "sweeps/store_buffer.toml",
                   "--dispatch", "workers"])
@@ -97,15 +94,14 @@ class TestResolveDispatch:
 
 class TestExecutionPolicy:
     def test_blank_policy_reproduces_historical_defaults(self, monkeypatch):
-        for var in ("REPRO_JOBS", "REPRO_DISPATCH", "REPRO_CACHE_DIR"):
+        for var in ("REPRO_JOBS", "REPRO_CACHE_DIR"):
             monkeypatch.delenv(var, raising=False)
         policy = ExecutionPolicy()
         assert policy.resolved_jobs() == 1
         assert policy.resolved_dispatch() == "local"
         assert policy.resolved_cache() is None
 
-    def test_auto_dispatch_follows_job_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISPATCH", raising=False)
+    def test_auto_dispatch_follows_job_count(self):
         assert ExecutionPolicy(jobs=1).resolved_dispatch() == "local"
         assert ExecutionPolicy(jobs=4).resolved_dispatch() == "pool"
 

@@ -67,3 +67,20 @@ def test_damaged_spec_loads_or_raises_its_spec_error(
         load(path)
     except error as exc:
         assert str(exc).startswith(f"{path}: ")
+
+
+def test_no_source_module_calls_eval_or_exec():
+    """Specs are data: nothing under ``src/repro`` evaluates a string."""
+    import ast
+
+    import repro
+
+    calls = [
+        f"{path.name}:{node.lineno} {node.func.id}()"
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("eval", "exec")
+    ]
+    assert calls == []

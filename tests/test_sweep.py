@@ -84,8 +84,11 @@ class TestSweepSpec:
         assert mini_spec(seeds=3).seeds == (0, 1, 2)
 
     def test_unknown_axis_key_rejected(self):
-        with pytest.raises(SweepSpecError, match="unknown axis key"):
-            mini_spec(axes={"not_a_field": [1]})
+        # pipeline_depth and redirect_penalty were MachineConfig fields
+        # that nothing read; a sweep over them printed identical rows
+        for key in ("not_a_field", "pipeline_depth", "redirect_penalty"):
+            with pytest.raises(SweepSpecError, match=f"unknown axis key '{key}'"):
+                mini_spec(axes={key: [1]})
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(KeyError):
@@ -97,34 +100,6 @@ class TestSweepSpec:
         assert [p.workload for p in points] == ["crafty", "crafty", "swim", "swim"]
         assert [p.params["store_buffer_entries"] for p in points] == [16, 64, 16, 64]
 
-    def test_constraints_filter_points(self):
-        spec = mini_spec(
-            axes={"store_buffer_entries": [16, 64], "spawn_latency": [1, 8]},
-            constraints=("store_buffer_entries >= 64 or spawn_latency == 1",),
-        )
-        combos = [
-            (p.params["store_buffer_entries"], p.params["spawn_latency"])
-            for p in spec.expand()
-        ]
-        assert combos == [(16, 1), (64, 1), (64, 8)]
-
-    def test_callable_constraint(self):
-        spec = mini_spec(constraints=(lambda ctx: ctx["store_buffer_entries"] > 16,))
-        assert [p.params["store_buffer_entries"] for p in spec.expand()] == [64]
-
-    def test_random_mode_samples_deterministically(self):
-        big = {"store_buffer_entries": [16, 32, 64, 128], "spawn_latency": [1, 8]}
-        a = mini_spec(axes=big, mode="random", samples=3, sample_seed=7)
-        b = mini_spec(axes=big, mode="random", samples=3, sample_seed=7)
-        assert [p.point_id for p in a.expand()] == [p.point_id for p in b.expand()]
-        assert len(a.expand()) == 3
-        grid_ids = {p.point_id for p in mini_spec(axes=big).expand()}
-        assert {p.point_id for p in a.expand()} <= grid_ids
-
-    def test_random_mode_needs_samples(self):
-        with pytest.raises(SweepSpecError, match="samples"):
-            mini_spec(mode="random")
-
     def test_duplicate_axis_values_collapse_to_one_point(self):
         # a careless spec like [16, 16, 64] used to mint two identical
         # points (same point_id) that then collided in the result store
@@ -132,14 +107,6 @@ class TestSweepSpec:
         points = spec.expand()
         assert [p.params["store_buffer_entries"] for p in points] == [16, 64]
         assert len({p.point_id for p in points}) == len(points)
-
-    def test_random_mode_samples_from_deduped_grid(self):
-        axes = {"store_buffer_entries": [16, 16, 32, 64],
-                "spawn_latency": [1, 1, 8]}
-        spec = mini_spec(axes=axes, mode="random", samples=6, sample_seed=3)
-        points = spec.expand()
-        assert len(points) == 6  # the deduped grid has 3 x 2 = 6 combos
-        assert len({p.point_id for p in points}) == 6
 
     def test_point_id_stable_and_seedless(self):
         a, b = mini_spec().expand(), mini_spec().expand()
@@ -188,11 +155,12 @@ class TestResultStore:
         store = ResultStore(tmp_path / "s.db")
         store.ensure("s", self.rows())
         assert len(store.runnable("s")) == 2
-        assert store.claim("s", [("p1", 0)]) == [("p1", 0)]
-        store.mark_done("s", ("p1", 0), {"cycles": 10}, wall_seconds=0.1)
+        assert store.claim("s", [("p1", 0)], owner="w") == [("p1", 0)]
+        assert store.mark_done(
+            "s", ("p1", 0), {"cycles": 10}, wall_seconds=0.1, owner="w")
         assert [r["seed"] for r in store.runnable("s")] == [1]
-        assert store.claim("s", [("p1", 1)]) == [("p1", 1)]
-        store.mark_failed("s", ("p1", 1), "boom")
+        assert store.claim("s", [("p1", 1)], owner="w") == [("p1", 1)]
+        assert store.mark_failed("s", ("p1", 1), "boom", owner="w")
         # no retry budget: the failed row is out of attempts
         assert store.runnable("s", retries=0) == []
         # one retry: attempts(1) <= retries(1) makes it runnable again
@@ -204,14 +172,15 @@ class TestResultStore:
     def test_stale_running_rows_are_runnable(self, tmp_path):
         store = ResultStore(tmp_path / "s.db")
         store.ensure("s", self.rows())
-        store.claim("s", [("p1", 0)])
+        store.claim("s", [("p1", 0)], owner="w")
         assert len(store.runnable("s")) == 2  # crashed claim is re-claimable
 
     def test_persistence_across_reopen(self, tmp_path):
         path = tmp_path / "s.db"
         store = ResultStore(path)
         store.ensure("s", self.rows())
-        store.mark_done("s", ("p1", 0), {"cycles": 10})
+        store.claim("s", [("p1", 0)], owner="w")
+        store.mark_done("s", ("p1", 0), {"cycles": 10}, owner="w")
         store.close()
         reopened = ResultStore(path)
         assert reopened.counts("s")["done"] == 1
@@ -278,12 +247,16 @@ class TestStats:
             for s in (0, 1)
         ]
         store.ensure("s", rows)
+        keys = [(r["point_id"], r["seed"]) for r in rows]
+        assert store.claim("s", keys, owner="w") == keys
         # baseline IPC 1.0; point IPC 1.2 (seed 0) and 0.8 (seed 1)
-        store.mark_done("s", ("base", 0), {"cycles": 100, "useful_instructions": 100})
-        store.mark_done("s", ("base", 1), {"cycles": 100, "useful_instructions": 100})
-        store.mark_done("s", ("pt", 0), {"cycles": 100, "useful_instructions": 120},
-                        config={"num_contexts": 2})
-        store.mark_done("s", ("pt", 1), {"cycles": 100, "useful_instructions": 80})
+        for key, useful, config in [
+            (("base", 0), 100, None), (("base", 1), 100, None),
+            (("pt", 0), 120, {"num_contexts": 2}), (("pt", 1), 80, None),
+        ]:
+            assert store.mark_done(
+                "s", key, {"cycles": 100, "useful_instructions": useful},
+                config=config, owner="w")
         (agg,) = aggregate(store.rows("s"))
         assert agg.speedups == pytest.approx([20.0, -20.0])
         assert agg.mean == pytest.approx(0.0)
@@ -667,6 +640,24 @@ _MALFORMED = {
 }
 
 
+#: integer spec fields with a bad value, and the one-line error each gives
+_BAD_INTS = [
+    ("lengths", (2.7,), "each of lengths must be a positive integer, got 2.7"),
+    ("lengths", (0,), "each of lengths must be a positive integer, got 0"),
+    ("lengths", (-5,), "each of lengths must be a positive integer, got -5"),
+    ("lengths", (True,), "each of lengths must be a positive integer, got True"),
+    ("lengths", 500, "lengths must be a list, got 500"),
+    ("seeds", (1.5,),
+     "seeds must be a positive count or a list of integers, got (1.5,)"),
+    ("seeds", True, "seeds must be a positive count or a list of integers, got True"),
+    ("warmup", 1.5, "warmup must be a non-negative integer, got 1.5"),
+    ("warmup", -1, "warmup must be a non-negative integer, got -1"),
+    ("sample", 2.5, "sample must be a positive integer, got 2.5"),
+    ("sample", 0, "sample must be a positive integer, got 0"),
+    ("sample", True, "sample must be a positive integer, got True"),
+]
+
+
 class TestMalformedSpec:
     """A malformed spec fails with one message naming the file."""
 
@@ -682,6 +673,31 @@ class TestMalformedSpec:
         path.write_text('[sweep]\nname = "x"\nretries = -1\n')
         with pytest.raises(SweepSpecError, match="retries must be a non-negative"):
             load_spec(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("constraints", '["store_buffer_entries >= 64"]'),
+        ("mode", '"random"'),
+        ("samples", "3"),
+        ("sample_seed", "7"),
+    ], ids=["constraints", "mode", "samples", "sample_seed"])
+    def test_removed_sweep_key_is_unknown(self, tmp_path, key, value):
+        """Random expansion and eval'd constraints are gone: a spec that
+        still sets one of their keys fails to load, naming the key."""
+        path = tmp_path / "old.toml"
+        path.write_text(TOML.replace("[base]", f"{key} = {value}\n\n[base]", 1))
+        with pytest.raises(
+            SweepSpecError,
+            match=rf"^{re.escape(str(path))}: unknown sweep field\(s\) \['{key}'\]",
+        ):
+            load_spec(path)
+
+    @pytest.mark.parametrize("field, value, shown", _BAD_INTS,
+                             ids=[f"{f}={v!r}" for f, v, _ in _BAD_INTS])
+    def test_integer_fields_are_checked_when_the_spec_loads(
+        self, field, value, shown
+    ):
+        with pytest.raises(SweepSpecError, match=f"^{re.escape(shown)}$"):
+            mini_spec(**{field: value})
 
     @pytest.mark.parametrize("name", ["bad.toml", "list.json", "search-field.toml"])
     def test_load_search_spec_names_the_file(self, tmp_path, name):
