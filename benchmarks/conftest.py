@@ -13,9 +13,13 @@ The experiment harness underneath honours two more environment knobs
   (``0`` = all cores; unset = serial, so benchmark timings stay
   comparable by default);
 * ``REPRO_CACHE_DIR`` — serve repeated simulations from an on-disk
-  result cache.  Leave unset when timing: a warm cache turns the run
-  into a measurement of JSON parsing.  Cache keys include the trace
-  length, so changing ``REPRO_TRACE_LEN`` never serves stale numbers.
+  result cache.  The experiments share the Table 1 baseline and the
+  MTVP-8 recipes, so with a fresh cache directory the 12 experiments
+  behind the claims run 1,346 distinct simulations instead of 1,958
+  (CI's paper-claims job uses one).  Point it at a fresh directory
+  when timing: a warm cache turns the run into a measurement of JSON
+  parsing.  Cache keys include the trace length and the source hash, so
+  changing ``REPRO_TRACE_LEN`` or the code never serves stale numbers.
 """
 
 import os

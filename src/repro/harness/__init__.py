@@ -9,13 +9,7 @@ benchmark under ``bench/``, which shares :func:`repro.harness.bench.stats_digest
 with the golden tests.
 """
 
-from repro.harness.export import (
-    load_result_json,
-    result_to_csv,
-    result_to_dict,
-    result_to_json,
-    stats_to_dict,
-)
+from repro.harness.export import result_to_csv, result_to_dict, result_to_json
 from repro.harness.cache import ResultCache, default_cache_dir, task_key
 from repro.harness.checkpoint import (
     CheckpointStore,
@@ -82,12 +76,10 @@ __all__ = [
     "fig5_multivalue_potential",
     "fig6_wide_window",
     "geomean_speedup",
-    "load_result_json",
     "percent_speedup",
     "result_to_csv",
     "result_to_dict",
     "result_to_json",
-    "stats_to_dict",
     "run_simulations",
     "sec4_prefetcher_ablation",
     "task_key",

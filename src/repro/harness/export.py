@@ -1,4 +1,4 @@
-"""Export experiment results and run statistics to JSON/CSV.
+"""Export experiment results to JSON/CSV.
 
 Downstream users typically want machine-readable outputs next to the
 pretty tables; these helpers keep that path dependency-free.
@@ -11,18 +11,7 @@ import io
 import json
 from pathlib import Path
 
-from repro.core import SimStats
 from repro.harness.experiments import ExperimentResult
-
-
-def stats_to_dict(stats: SimStats) -> dict:
-    """Flatten a :class:`SimStats` into plain JSON-serializable types."""
-    out = stats.to_dict()
-    out["useful_ipc"] = stats.useful_ipc
-    out["prediction_accuracy"] = stats.prediction_accuracy
-    out["branch_accuracy"] = stats.branch_accuracy
-    out["memory_miss_fraction"] = stats.memory_miss_fraction
-    return out
 
 
 def result_to_dict(result: ExperimentResult) -> dict:
@@ -62,14 +51,3 @@ def result_to_csv(result: ExperimentResult, path: str | Path | None = None) -> s
         Path(path).write_text(text)
     return text
 
-
-def load_result_json(path: str | Path) -> ExperimentResult:
-    """Re-hydrate a result written by :func:`result_to_json`."""
-    data = json.loads(Path(path).read_text())
-    return ExperimentResult(
-        experiment_id=data["experiment_id"],
-        title=data["title"],
-        columns=data["columns"],
-        rows=data["rows"],
-        summary=data["summary"],
-    )

@@ -169,10 +169,14 @@ def compare_modes(
             serial, ``0`` every core; ``$REPRO_CACHE_DIR`` default off).
 
     Returns a mapping from spec name to its per-workload results, in the
-    order of ``workload_names``.
+    order of ``workload_names``; a repeated spec name raises ``ValueError``.
     """
     from repro.harness.parallel import run_simulations
 
+    names = [spec.name for spec in specs]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"spec name {name!r} is repeated; each spec needs its own name")
     n = length or default_length()
     base_spec = baseline if baseline is not None else RunSpec(
         "baseline", MachineConfig.hpca05_baseline

@@ -51,7 +51,7 @@ import dataclasses
 import json
 from pathlib import Path
 
-from repro.sweep.spec import SweepSpec, SweepSpecError, load_spec_file
+from repro.sweep.spec import SweepSpec, SweepSpecError, _require_int, load_spec_file
 
 
 class SearchSpecError(ValueError):
@@ -80,12 +80,11 @@ class Rung:
     warmup: int | None = None
 
     def __post_init__(self) -> None:
-        if self.seeds < 1:
-            raise SearchSpecError("a rung needs seeds >= 1")
-        if self.sample is not None and self.sample < 1:
-            raise SearchSpecError("rung sample must be positive (or unset)")
-        if self.warmup is not None and self.warmup < 0:
-            raise SearchSpecError("rung warmup must be non-negative")
+        _require_int("rung seeds", self.seeds, 1, SearchSpecError)
+        if self.sample is not None:
+            _require_int("rung sample", self.sample, 1, SearchSpecError)
+        if self.warmup is not None:
+            _require_int("rung warmup", self.warmup, 0, SearchSpecError)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -159,10 +158,8 @@ class SearchSpec:
             raise SearchSpecError(
                 f"confidence must be in (0, 1), not {self.confidence!r}"
             )
-        if self.max_extra_seeds < 0:
-            raise SearchSpecError("max_extra_seeds must be non-negative")
-        if self.min_survivors < 1:
-            raise SearchSpecError("min_survivors must be >= 1")
+        _require_int("max_extra_seeds", self.max_extra_seeds, 0, SearchSpecError)
+        _require_int("min_survivors", self.min_survivors, 1, SearchSpecError)
 
     # ------------------------------------------------------------------
     def rung_sweep(self, index: int) -> str:

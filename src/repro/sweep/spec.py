@@ -114,10 +114,10 @@ def _is_int(value) -> bool:
     return type(value) is int  # not a bool, nor a float int() would floor
 
 
-def _require_int(what: str, value, minimum: int) -> None:
+def _require_int(what: str, value, minimum: int, error=SweepSpecError) -> None:
     if not (_is_int(value) and value >= minimum):
         kind = "non-negative" if minimum == 0 else "positive"
-        raise SweepSpecError(f"{what} must be a {kind} integer, got {value!r}")
+        raise error(f"{what} must be a {kind} integer, got {value!r}")
 
 
 def _resolve_seeds(seeds) -> tuple[int, ...]:

@@ -124,6 +124,20 @@ class TestRunner:
             for r in rows:
                 assert r.base_ipc > 0
 
+    def test_compare_modes_rejects_a_repeated_spec_name(self, monkeypatch):
+        import repro.harness.parallel as parallel
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking the names")
+
+        monkeypatch.setattr(parallel, "run_simulations", no_simulation)
+        specs = [
+            RunSpec("x", MachineConfig.stvp),
+            RunSpec("x", functools.partial(MachineConfig.mtvp, 8)),
+        ]
+        with pytest.raises(ValueError, match="'x' is repeated"):
+            compare_modes(("mcf",), specs, length=1000)
+
     def test_mode_result_speedup(self):
         from repro.core import SimStats
 

@@ -3,6 +3,8 @@ rule, the successive-halving controller (run/resume/replay/crash), the
 explore-exploit report, the fidelity harness and the CLI."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -147,10 +149,29 @@ class TestSearchSpec:
             mini_search(max_extra_seeds=-1)
         with pytest.raises(SearchSpecError, match="min_survivors"):
             mini_search(min_survivors=0)
-        with pytest.raises(SearchSpecError, match="seeds >= 1"):
+        with pytest.raises(SearchSpecError, match="rung seeds must be a positive integer"):
             Rung(seeds=0)
         with pytest.raises(SearchSpecError, match="sample"):
             Rung(seeds=1, sample=0)
+
+    @pytest.mark.parametrize(
+        "line, bad",
+        [("sample = 1000", "sample = 1000.5"),
+         ("seeds = 2\n", "seeds = 2.5\n"),
+         ("seeds = 2\n", "seeds = true\n"),
+         ("max_extra_seeds = 2", "max_extra_seeds = 1.5"),
+         ("max_extra_seeds = 2", "min_survivors = true")],
+        ids=["sample-float", "seeds-float", "seeds-bool", "max_extra_seeds-float",
+             "min_survivors-bool"],
+    )
+    def test_non_int_counts_name_the_file(self, tmp_path, line, bad):
+        smoke = Path(__file__).parents[1] / "sweeps" / "search_smoke.toml"
+        text = smoke.read_text()
+        assert line in text
+        path = tmp_path / "search_smoke.toml"
+        path.write_text(text.replace(line, bad, 1))
+        with pytest.raises(SearchSpecError, match=f"^{re.escape(str(path))}: .*integer, got"):
+            load_search_spec(path)
 
     def test_unknown_search_field_rejected(self, tmp_path):
         data = {"search": {"bogus": 1, "rungs": [{"seeds": 1}]},
