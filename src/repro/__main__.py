@@ -24,6 +24,7 @@ registered there is immediately drivable from the command line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -72,6 +73,18 @@ def _workload(name: str) -> str:
         get_workload(name)
     except KeyError as exc:
         raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return name
+
+
+def _experiment(name: str) -> str:
+    """argparse ``type`` of the ``experiment`` id: an unknown id is a
+    usage error naming the known ones."""
+    from repro.harness import EXPERIMENTS
+
+    if name not in EXPERIMENTS:
+        raise argparse.ArgumentTypeError(
+            f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}"
+        )
     return name
 
 
@@ -281,9 +294,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.harness import EXPERIMENTS
     from repro.harness.export import result_to_csv, result_to_json
 
-    if args.id not in EXPERIMENTS:
-        print(f"unknown experiment {args.id!r}; known: {', '.join(EXPERIMENTS)}")
-        return 1
     policy = _policy_from_args(args, cache=_cli_cache(args))
     result = EXPERIMENTS[args.id](length=args.length, policy=policy)
     print(result.format_table())
@@ -313,14 +323,18 @@ def _sweep_spec_and_store(args: argparse.Namespace):
     from repro.sweep import SweepSpecError, load_spec
 
     spec, store = _open_spec(args, load_spec, SweepSpecError)
+    overrides = {}
     if args.seeds is not None:
-        spec.seeds = tuple(range(args.seeds))
+        overrides["seeds"] = tuple(range(args.seeds))
     if args.length is not None:
-        spec.lengths = (args.length,)
+        overrides["lengths"] = (args.length,)
     if getattr(args, "warmup", None) is not None:
-        spec.warmup = args.warmup
+        overrides["warmup"] = args.warmup
     if getattr(args, "sample", None) is not None:
-        spec.sample = args.sample
+        overrides["sample"] = args.sample
+    if overrides:
+        # a new spec, so the grid is expanded at the overridden lengths
+        spec = dataclasses.replace(spec, **overrides)
     return spec, store
 
 
@@ -709,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("experiment", help="regenerate a paper table/figure")
-    p.add_argument("id")
+    p.add_argument("id", type=_experiment)
     p.add_argument("--length", type=_positive_int, default=None)
     p.add_argument("--json", default=None, help="also write JSON to this path")
     p.add_argument("--csv", default=None, help="also write CSV to this path")

@@ -4,9 +4,10 @@ from repro.core.allocators import PortedIssue, SlotAllocator
 from repro.core.config import FetchPolicy, MachineConfig, SimMode
 from repro.core.context import ThreadContext
 from repro.core.engine import Engine, SpawnRecord
-from repro.core.stats import SimStats
+from repro.core.stats import ConservationError, SimStats, check_conservation
 
 __all__ = [
+    "ConservationError",
     "Engine",
     "FetchPolicy",
     "MachineConfig",
@@ -16,4 +17,5 @@ __all__ = [
     "SlotAllocator",
     "SpawnRecord",
     "ThreadContext",
+    "check_conservation",
 ]

@@ -213,3 +213,36 @@ _FIELDS = frozenset(field.name for field in dataclasses.fields(SimStats))
 _RENDERED = tuple(
     field.name for field in dataclasses.fields(SimStats) if field.name != "wall_seconds"
 )
+
+
+class ConservationError(ValueError):
+    """A run's instruction counts do not add up (:func:`check_conservation`)."""
+
+
+def check_conservation(stats: SimStats, length: int) -> None:
+    """Raise :class:`ConservationError` unless ``stats`` conserve instructions.
+
+    Every run of every mode satisfies two equalities:
+
+    * useful instructions equal the measured ``length`` — once per
+      program when the run reports ``per_context`` rows (an SMT
+      co-schedule of two length-1000 streams commits 2000);
+    * useful plus wasted instructions equal ``instructions_stepped``:
+      every stepped instruction either became architectural or was
+      squashed.
+
+    Two integer comparisons; the harness runs them on every fresh result
+    before it is cached or committed, so no stored number breaks them.
+    """
+    expected = length * len(stats.per_context) if stats.per_context else length
+    useful = stats.useful_instructions
+    if useful != expected:
+        raise ConservationError(
+            f"useful_instructions {useful} != measured length {expected}"
+        )
+    wasted = stats.wasted_instructions
+    if useful + wasted != stats.instructions_stepped:
+        raise ConservationError(
+            f"useful {useful} + wasted {wasted} = {useful + wasted} "
+            f"!= instructions_stepped {stats.instructions_stepped}"
+        )

@@ -152,6 +152,8 @@ def canonical_hash(payload: dict) -> str:
 def task_key(workload_name: str, spec, length: int, seed: int) -> str | None:
     """Cache key for one ``(workload, RunSpec, length, seed)`` simulation.
 
+    The config enters as the spec's :attr:`~repro.harness.runner.RunSpec.rendered_config`,
+    built and rendered once per spec however many tasks share it.
     Returns ``None`` when any ingredient cannot be described stably.
     """
     predictor = describe_factory(spec.predictor_factory)
@@ -159,12 +161,12 @@ def task_key(workload_name: str, spec, length: int, seed: int) -> str | None:
     if predictor is None or selector is None:
         return None
     try:
-        config = spec.config_factory()
+        config = spec.rendered_config
     except TypeError:
         return None
     payload = {
         "workload": workload_name,
-        "config": render_config(config),
+        "config": config,
         "predictor": predictor,
         "selector": selector,
         "length": length,
@@ -303,13 +305,17 @@ class KeyedStore:
         byte ever reaches the decoder.  Every hit decodes a fresh value,
         so no two callers share a mutable object.
         """
+        return self._lookup(key, self._decode)
+
+    def _lookup(self, key: str, decode):
+        """:meth:`get` with ``decode`` in place of :meth:`_decode`."""
         framed = self._read(key)
         value = None
         if framed is not None:
             view = memoryview(framed)  # slices without copying the body
             body = view[self._DIGEST_SIZE:]
             if hashlib.blake2b(body).digest() == view[: self._DIGEST_SIZE]:
-                value = self._decode(body)
+                value = decode(body)
             if value is None:
                 self._discard(key)
         with self._lock:
@@ -434,20 +440,45 @@ class KeyedStore:
         )
 
 
+def stats_text(stats: SimStats) -> str:
+    """The one JSON text of a :class:`SimStats`: sorted :meth:`~SimStats.to_dict`.
+
+    A :class:`ResultCache` entry's body and the sweep store's ``stats``
+    column are this text, so a cache hit reaches the store as it is.
+    """
+    return json.dumps(stats.to_dict(), sort_keys=True)
+
+
+def _utf8(body: memoryview) -> str | None:
+    try:
+        return str(body, "utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
 class ResultCache(KeyedStore):
     """Directory of ``<key>.json`` entries, one :class:`SimStats` each.
 
-    The body is the JSON of :meth:`SimStats.to_dict`; the
-    ``hits``/``misses``/``stores`` counters let tests assert that
-    repeated experiments trigger zero new simulations.
+    The body is :func:`stats_text`; the ``hits``/``misses``/``stores``
+    counters let tests assert that repeated experiments trigger zero new
+    simulations.
     """
 
     suffix = ".json"
     default_directory = staticmethod(default_cache_dir)
 
+    def get(self, key: str, *, text: bool = False):
+        """The :class:`SimStats` under ``key``, or None (see :meth:`KeyedStore.get`).
+
+        With ``text=True`` a hit is the entry's body as a string — its
+        :func:`stats_text`, digest-verified but never parsed — which the
+        sweep drain commits to the store as it is.
+        """
+        return self._lookup(key, _utf8 if text else self._decode)
+
     @staticmethod
     def _encode(stats: SimStats) -> bytes:
-        return json.dumps(stats.to_dict()).encode()
+        return stats_text(stats).encode()
 
     @staticmethod
     def _decode(body: memoryview) -> SimStats | None:

@@ -11,7 +11,9 @@ Caching composes with parallelism: tasks whose
 :func:`~repro.harness.cache.task_key` hits the on-disk
 :class:`~repro.harness.cache.ResultCache` never reach the pool, identical
 pending tasks are deduplicated by key within a batch, and fresh results
-are written back as workers complete.
+are written back as workers complete — each only after it passes
+:func:`~repro.core.stats.check_conservation`, so no cached entry breaks
+conservation.
 
 Pending tasks run grouped by their ``(workload, seed, length)`` family,
 one family after another serially and one family per pool task, so a
@@ -32,7 +34,7 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-from repro.core import SimStats
+from repro.core import ConservationError, SimStats, check_conservation
 from repro.harness.cache import task_key
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.policy import ExecutionPolicy, resolve_cache, resolve_jobs
@@ -163,6 +165,7 @@ def run_simulations(
     policy: ExecutionPolicy | None = None,
     on_error: str = "raise",
     progress=None,
+    text_hits: bool = False,
 ) -> list[SimStats]:
     """Run every task, in parallel when ``jobs > 1``, consulting the cache.
 
@@ -183,10 +186,20 @@ def run_simulations(
             (``"cache"``, ``"sim"`` or ``"error"``) and the running
             ``completed``/``total`` counts.  Exceptions it raises are
             swallowed — progress reporting must never kill a batch.
+        text_hits: Return each cache hit as its entry's
+            :func:`~repro.harness.cache.stats_text` (a ``str``, never
+            parsed) instead of a :class:`SimStats` — the sweep drain
+            commits that text to its store as it is.
+
+    Every fresh result must pass
+    :func:`~repro.core.stats.check_conservation` against the task's
+    measured length (its spec's ``sample``, else ``length``) before it is
+    cached or returned; one that does not is that task's failure.
 
     Returns:
         One :class:`SimStats` per task, in task order (or a
-        :class:`SimulationError` per failed task under ``"collect"``).
+        :class:`SimulationError` per failed task under ``"collect"``;
+        the text of each cache hit under ``text_hits``).
         Results are independent of ``jobs`` and of cache hits/misses.
     """
     if on_error not in ("raise", "collect"):
@@ -249,7 +262,7 @@ def run_simulations(
             continue
         keys[i] = key
         if key is not None:
-            hit = cache_obj.get(key)
+            hit = cache_obj.get(key, text=text_hits)
             if hit is not None:
                 results[i] = hit
                 report([i], "cache")
@@ -258,6 +271,12 @@ def run_simulations(
         groups.setdefault(key if key is not None else ("#", i), []).append(i)
 
     def finish(indices: list[int], stats: SimStats) -> None:
+        _workload, spec, length, _seed = tasks[indices[0]]
+        try:
+            check_conservation(stats, spec.sample if spec.sample is not None else length)
+        except ConservationError as exc:
+            fail(indices, exc)
+            return
         key = keys[indices[0]]
         if cache_obj is not None and key is not None:
             cache_obj.put(key, stats)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 from typing import Callable
 
 from repro import select, simulate, vp
 from repro.core import MachineConfig, SimStats
+from repro.harness.cache import render_config
 from repro.harness.checkpoint import MEMORY_CHECKPOINTS, arch_key
 from repro.harness.metrics import percent_speedup
 from repro.select import LoadSelector
@@ -78,6 +80,15 @@ class RunSpec:
             raise ValueError("warmup must be non-negative")
         if self.sample is not None and self.sample < 1:
             raise ValueError("sample must be positive (or None)")
+
+    @functools.cached_property
+    def rendered_config(self) -> dict:
+        """:func:`~repro.harness.cache.render_config` of this spec's config.
+
+        Built once per spec: every task key the spec takes part in, and
+        the sweep store's ``config`` column, share this one rendering.
+        """
+        return render_config(self.config_factory())
 
     def run(
         self,

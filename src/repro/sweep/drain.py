@@ -13,9 +13,14 @@ processes sharing it:
    :meth:`~repro.sweep.store.ResultStore.claim` under that token;
 2. keep the lease warm with a :class:`_Heartbeat` thread while the chunk
    simulates through :func:`~repro.harness.parallel.run_simulations`
-   (``on_error="collect"``: a crashing point marks its row failed
-   instead of killing the chunk);
-3. commit each outcome owner-conditionally — a commit that misses
+   (``on_error="collect"``: a crashing point, or a result that breaks
+   :func:`~repro.core.stats.check_conservation`, marks its row failed
+   instead of killing the chunk; ``text_hits``: a cache hit comes back
+   as the entry's stats text);
+3. commit each outcome owner-conditionally, as column text — a cache
+   hit's text as it is, a fresh result through
+   :func:`~repro.harness.cache.stats_text`, the point's config text
+   rendered once per drain — a commit that misses
    (``mark_done`` returns ``False``) means the lease was reclaimed and
    somebody else owns the row now, so the result is dropped, not
    double-committed;
@@ -35,7 +40,7 @@ import os
 import threading
 import time
 
-from repro.harness.cache import code_version, render_config
+from repro.harness.cache import code_version, stats_text
 from repro.harness.parallel import SimulationError, run_simulations
 from repro.harness.policy import ExecutionPolicy
 from repro.sweep.spec import run_spec_for
@@ -162,21 +167,30 @@ def drain_campaign(
             return list(rows)
         return [r for r in rows if (r["point_id"], r["seed"]) in mine]
 
-    def commit(held, configs, outcomes) -> None:
+    #: one RunSpec and config-column text per design point for the whole
+    #: drain: seed replicates and later chunks reuse them instead of
+    #: re-parsing the recipe and re-rendering the config
+    points: dict[str, tuple] = {}
+
+    def commit(held, outcomes) -> None:
         version = code_version()
-        for (key, row, _), outcome in zip(held, outcomes):
+        for (key, _, _), outcome in zip(held, outcomes):
             if isinstance(outcome, SimulationError):
                 if store.mark_failed(sweep, key, str(outcome), owner=owner):
                     say(f"{sweep}: FAILED {key[0]} seed {key[1]}: {outcome}")
                 else:
                     counters["lost"] += 1
                 continue
+            if isinstance(outcome, str):  # a cache hit's stats text
+                stats, wall_seconds = outcome, 0.0
+            else:
+                stats, wall_seconds = stats_text(outcome), outcome.wall_seconds
             landed = store.mark_done(
                 sweep,
                 key,
-                outcome.to_dict(),
-                config=configs[row["point_id"]],
-                wall_seconds=outcome.wall_seconds,
+                stats,
+                config=points[key[0]][1],
+                wall_seconds=wall_seconds,
                 code_version=version,
                 owner=owner,
             )
@@ -201,29 +215,24 @@ def drain_campaign(
         for start in range(0, len(todo), chunk):
             batch = todo[start : start + chunk]
             candidates = []
-            # one RunSpec object and one rendered config per design point
-            # within the chunk: seed replicates of a point reuse them
-            # instead of re-parsing the recipe and re-rendering the config
-            spec_memo: dict[str, object] = {}
-            config_memo: dict[str, dict | None] = {}
             for row in batch:
                 key = (row["point_id"], row["seed"])
-                params = json.loads(row["params"])
                 try:
-                    run_spec = spec_memo.get(row["point_id"])
-                    if run_spec is None:
+                    point = points.get(row["point_id"])
+                    if point is None:
                         run_spec = run_spec_for(
-                            params,
+                            json.loads(row["params"]),
                             name=row["point_id"][:8],
                             warmup=warmup,
                             sample=sample,
                         )
-                        spec_memo[row["point_id"]] = run_spec
                         try:
-                            config = render_config(run_spec.config_factory())
+                            config = json.dumps(
+                                run_spec.rendered_config, sort_keys=True, default=str
+                            )
                         except Exception:
                             config = None
-                        config_memo[row["point_id"]] = config
+                        point = points[row["point_id"]] = (run_spec, config)
                 except Exception as exc:  # bad recipe (unknown predictor, ...)
                     if store.claim(
                         sweep, [key], retries,
@@ -234,7 +243,7 @@ def drain_campaign(
                             owner=owner,
                         )
                     continue
-                candidates.append((key, row, run_spec))
+                candidates.append((key, row, point[0]))
             if not candidates:
                 continue
             claimed = set(
@@ -265,9 +274,9 @@ def drain_campaign(
                 1 for _, row, _ in held if row["attempts"] > 0
             )
             try:
-                commit(held, config_memo, run_simulations(
+                commit(held, run_simulations(
                     tasks, on_error="collect", progress=progress,
-                    policy=run_policy,
+                    policy=run_policy, text_hits=True,
                 ))
             finally:
                 if beat is not None:

@@ -286,10 +286,14 @@ class SweepSpec:
         self.workloads = _resolve_workloads(self.workloads)
         self.seeds = _resolve_seeds(self.seeds)
         self.lengths = _resolve_lengths(self.lengths)
+        # the grid is expanded once: every campaign pass reuses these
+        # points (and their hashed ids) through expand()
+        self._points = self._grid()
+        self._baselines: dict[tuple[str, int], SweepPoint] = {}
         # build every recipe's machine once, so a bad axis value fails the
         # load instead of each row it reaches
         recipes = [("baseline", self.baseline)]
-        recipes += [("point", point.params) for point in self.expand()]
+        recipes += [("point", point.params) for point in self._points]
         for role, params in recipes:
             try:
                 _config_factory(params)()
@@ -309,7 +313,13 @@ class SweepSpec:
         workload.  Points are de-duplicated by ``point_id`` (repeated
         axis values, or axes shadowed by ``base``, would otherwise emit
         the same recipe twice and collide in the results store).
+
+        The grid is expanded once, at construction; change a spec's
+        fields through :func:`dataclasses.replace`, which expands anew.
         """
+        return list(self._points)
+
+    def _grid(self) -> list[SweepPoint]:
         axis_names = list(self.axes)
         combos = list(itertools.product(*self.axes.values())) or [()]
         points: list[SweepPoint] = []
@@ -328,10 +338,14 @@ class SweepSpec:
 
     def baseline_point(self, workload: str, length: int) -> SweepPoint:
         """The denominator run paired with every point on ``workload``."""
-        params = dict(self.baseline)
-        return SweepPoint(
-            "base-" + point_id(params, workload, length), workload, length, params
-        )
+        point = self._baselines.get((workload, length))
+        if point is None:
+            params = dict(self.baseline)
+            point = SweepPoint(
+                "base-" + point_id(params, workload, length), workload, length, params
+            )
+            self._baselines[(workload, length)] = point
+        return point
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

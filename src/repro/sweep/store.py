@@ -289,15 +289,19 @@ class ResultStore:
         self,
         sweep: str,
         key: tuple[str, int],
-        stats: dict,
-        config: dict | None = None,
+        stats: str,
+        config: str | None = None,
         wall_seconds: float = 0.0,
         code_version: str | None = None,
         *,
         owner: str,
     ) -> bool:
-        """Record a completed simulation's stats digest.
+        """Record a completed simulation's stats.
 
+        ``stats`` and ``config`` are the columns' JSON text, stored as
+        given: :func:`~repro.harness.cache.stats_text` of the result (a
+        cache hit's entry body is that text already) and the sorted JSON
+        of the point's rendered config.
         The commit only lands while ``owner`` still holds the lease; a
         worker whose row was reclaimed gets ``False`` back and must treat
         the result as lost (the reclaimer re-simulates and commits
@@ -312,9 +316,8 @@ class ResultStore:
                 "WHERE sweep = ? AND point_id = ? AND seed = ? "
                 f"AND {_OWNED}",
                 (
-                    json.dumps(stats, sort_keys=True),
-                    json.dumps(config, sort_keys=True, default=str)
-                    if config else None,
+                    stats,
+                    config,
                     wall_seconds,
                     code_version,
                     sweep,

@@ -103,7 +103,7 @@ class TestConcurrentLeasing:
                             "s", keys, stale_after=60.0, owner=owner
                         ):
                             assert store.mark_done(
-                                "s", key, {"cycles": 1}, owner=owner)
+                                "s", key, '{"cycles": 1}', owner=owner)
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -229,7 +229,7 @@ class TestStaleReclaim:
             stop.set()
             beat.join()
         # the slow worker eventually commits — its result stands
-        assert store.mark_done("s", key, {"cycles": 9}, owner="slow")
+        assert store.mark_done("s", key, '{"cycles": 9}', owner="slow")
         assert store.counts("s")["done"] == 1
         (attempts,) = store._db.execute("SELECT attempts FROM results").fetchone()
         assert attempts == 1
@@ -310,7 +310,7 @@ class TestStaleReclaim:
         store.ensure("s", seed_rows(1, 1))
         key = ("p0", 0)
         store.claim("s", [key], owner="w")
-        store.mark_done("s", key, {"cycles": 3}, owner="w")
+        store.mark_done("s", key, '{"cycles": 3}', owner="w")
         assert store.touch("s", [key], owner="w") == 0  # late heartbeat
         assert store.counts("s")["done"] == 1
         store.close()
@@ -334,7 +334,7 @@ class TestStaleReclaim:
         assert store.claim("s", [key], stale_after=5.0, owner="rival") == []
         assert store.runnable("s", stale_after=5.0) == []
         # the live owner's commit still lands, exactly once
-        assert store.mark_done("s", key, {"cycles": 1}, owner="live")
+        assert store.mark_done("s", key, '{"cycles": 1}', owner="live")
         assert store.commit_stats("s") == {
             "done": 1, "commits": 1, "max_commits": 1,
         }
@@ -382,7 +382,7 @@ class TestStaleReclaim:
         assert not errors, f"rival claims raised: {errors}"
         assert stolen == [], "an actively heartbeating lease was stolen"
         for key in keys:
-            assert store.mark_done("s", key, {"cycles": 1}, owner="slow")
+            assert store.mark_done("s", key, '{"cycles": 1}', owner="slow")
         ledger = store.commit_stats("s")
         assert ledger == {"done": 4, "commits": 4, "max_commits": 1}
         final = store.rows("s")
@@ -405,19 +405,19 @@ class TestOwnerConditionalCommits:
         assert store.claim("s", [key], stale_after=60.0, owner="w2") == [key]
         # w1 wakes up and tries to win the race: every verb is refused
         assert store.touch("s", [key], owner="w1") == 0
-        assert not store.mark_done("s", key, {"cycles": 7}, owner="w1")
+        assert not store.mark_done("s", key, '{"cycles": 7}', owner="w1")
         assert not store.mark_failed("s", key, "late", owner="w1")
         # nor can anyone lease or commit without naming an owner
         for verb, args in (
             (store.claim, ("s", [key])),
             (store.touch, ("s", [key])),
-            (store.mark_done, ("s", key, {"cycles": 7})),
+            (store.mark_done, ("s", key, '{"cycles": 7}')),
             (store.mark_failed, ("s", key, "late")),
         ):
             with pytest.raises(TypeError, match="owner"):
                 verb(*args)
         # w2's commit is the one that lands — exactly once
-        assert store.mark_done("s", key, {"cycles": 9}, owner="w2")
+        assert store.mark_done("s", key, '{"cycles": 9}', owner="w2")
         assert store.commit_stats("s") == {
             "done": 1, "commits": 1, "max_commits": 1,
         }

@@ -327,9 +327,14 @@ class TestCli:
         assert "spawns" in out
 
     def test_experiment_unknown_id(self, capsys):
-        code, out = self.run_cli(["experiment", "fig99"], capsys)
-        assert code == 1
-        assert "unknown experiment" in out
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "fig99"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument id: unknown experiment 'fig99'; known: fig1," in captured.err
 
     def test_trace_command(self, tmp_path, capsys):
         out_path = tmp_path / "x.trace"
@@ -482,6 +487,7 @@ class TestCliCountValidation:
         ["sweep", "run", _SPEC, "--heartbeat", "0"],
         ["search", "resume", _SEARCH, "--stale-after", "nan"],
         ["search", "run", _SEARCH, "--retries", "-1"],
+        ["experiment", "nosuch"],
     ])
     def test_main_exits_2_before_simulating(self, argv, capsys):
         from repro.__main__ import main

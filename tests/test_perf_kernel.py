@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro import _steady_state_footprint
-from repro.core import FetchPolicy, MachineConfig
+from repro.core import FetchPolicy, MachineConfig, check_conservation
 from repro.core.engine import Engine
 from repro.core.modes import names, resolve_model
 from repro.harness.bench import stats_digest
@@ -89,6 +89,7 @@ class TestGoldenDigests:
         got = _canonical_stats(stats)
         assert got == fx["stats"], f"stats diverged from golden {name!r}"
         assert _digest(got) == fx["digest"]
+        check_conservation(stats, fx["length"])
 
     def test_goldens_cover_every_mode(self):
         # one fixture per simulated mode family, so a regression in any
@@ -103,11 +104,13 @@ class TestGoldenReplicates:
     @pytest.mark.parametrize("name", sorted(REPLICATES))
     def test_replicates_match_golden(self, name):
         fx = REPLICATES[name]
-        digests = [
-            _digest(_canonical_stats(_run_fixture(dict(fx, seed=seed))[1]))
+        runs = [
+            _run_fixture(dict(fx, seed=seed))[1]
             for seed in range(fx["seed"], fx["seed"] + fx["lanes"])
         ]
-        assert digests == fx["digests"]
+        assert [_digest(_canonical_stats(stats)) for stats in runs] == fx["digests"]
+        for stats in runs:
+            check_conservation(stats, fx["length"])
 
     def test_replicate_goldens_cover_every_mode(self):
         families = {fx["config"][0] for fx in REPLICATES.values()}

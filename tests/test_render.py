@@ -2,15 +2,18 @@
 
 Cache keys, checkpoint keys, ``ResultCache`` entries and the sweep store's
 ``stats``/``config`` columns are built from :func:`render_config` and
-:meth:`SimStats.to_dict`.  Every test here rebuilds the old rendering from
-``dataclasses.asdict`` and requires the same bytes, so no key or entry
-written before the renderers existed is orphaned.
+:meth:`SimStats.to_dict`.  The tests rebuild the old rendering from
+``dataclasses.asdict`` and require the same bytes, so no key or entry
+written before the renderers existed is orphaned.  The last class checks
+that a cached sweep row commits its cache entry's text unchanged.
 """
 
 import dataclasses
 import hashlib
 import json
+import shutil
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +28,7 @@ from repro.harness.cache import (
     code_version,
     describe_factory,
     render_config,
+    stats_text,
     task_key,
 )
 from repro.harness.checkpoint import ARCH_CONFIG_FIELDS, arch_key
@@ -236,3 +240,115 @@ def test_store_columns_equal_the_asdict_rendering(tmp_path):
         assert row["config"] == json.dumps(
             dataclasses.asdict(run_spec.config_factory()), sort_keys=True, default=str
         )
+
+
+class TestCachedRowsMoveText:
+    """A cached sweep row commits its cache entry's text as it is.
+
+    A ``ResultCache`` entry's body is the store's ``stats`` column text,
+    so a hit is neither decoded into a ``SimStats`` nor re-encoded, and
+    each design point's config is built and rendered once per pass.
+    """
+
+    SPEC = dict(
+        name="bytes",
+        base={"machine": "mtvp", "threads": 2, "predictor": "wang-franklin"},
+        axes={"store_buffer_entries": [16, 64]},
+        workloads=("mcf",),
+        lengths=(LENGTH,),
+        seeds=(0, 1),
+        warmup=500,
+    )
+
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        """One cold pass: its cache directory and its rows by key."""
+        root = tmp_path_factory.mktemp("cold")
+        spec = SweepSpec(**self.SPEC)
+        store = ResultStore(root / "cold.db")
+        summary = run_sweep(
+            spec, store, policy=ExecutionPolicy(cache=root / "cache", dispatch="local")
+        )
+        assert summary.complete
+        rows = {(r["point_id"], r["seed"]): dict(r) for r in store.rows("bytes")}
+        store.close()
+        return root / "cache", rows
+
+    def cached_pass(self, cache_dir, tmp_path):
+        cache = ResultCache(cache_dir)
+        store = ResultStore(tmp_path / "cached.db")
+        summary = run_sweep(
+            SweepSpec(**self.SPEC), store,
+            policy=ExecutionPolicy(cache=cache, dispatch="local"),
+        )
+        rows = {(r["point_id"], r["seed"]): dict(r) for r in store.rows("bytes")}
+        store.close()
+        return summary, cache, rows
+
+    @staticmethod
+    def entry_path(cache: ResultCache, row: dict):
+        run_spec = run_spec_for(json.loads(row["params"]), warmup=500)
+        return cache._path(task_key(row["workload"], run_spec, row["length"], row["seed"]))
+
+    def test_cached_columns_equal_the_cold_pass_byte_for_byte(self, cold, tmp_path):
+        cache_dir, cold_rows = cold
+        summary, cache, rows = self.cached_pass(cache_dir, tmp_path)
+        assert summary.complete and summary.simulated == len(rows) == 6
+        assert (cache.hits, cache.misses, cache.stores) == (6, 0, 0)
+        assert rows.keys() == cold_rows.keys()
+        for key, row in rows.items():
+            for column in ("params", "config", "stats"):
+                assert row[column] == cold_rows[key][column], (key, column)
+            assert row["wall_seconds"] == 0.0
+            assert cold_rows[key]["wall_seconds"] > 0.0
+
+    def test_a_hit_is_never_decoded_and_each_point_renders_once(
+        self, cold, tmp_path, monkeypatch
+    ):
+        import repro.harness.runner as runner
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a cached row decoded or re-encoded its stats")
+
+        monkeypatch.setattr(SimStats, "from_dict", refuse)
+        monkeypatch.setattr(SimStats, "to_dict", refuse)
+        rendered = []
+
+        def counting(config):
+            rendered.append(config)
+            return render_config(config)
+
+        monkeypatch.setattr(runner, "render_config", counting)
+        summary, cache, rows = self.cached_pass(cold[0], tmp_path)
+        assert summary.complete and cache.hits == len(rows) == 6
+        # two timing points and the baseline, each with two seed rows
+        assert len(rendered) == len({pid for pid, _ in rows}) == 3
+
+    def test_a_cache_entry_body_is_the_stats_column_text(self, cold):
+        cache_dir, cold_rows = cold
+        cache = ResultCache(cache_dir)
+        for row in cold_rows.values():
+            body = self.entry_path(cache, row).read_bytes()[64:]
+            assert body.decode() == row["stats"]
+        stats = RunSpec("m", MachineConfig.mtvp, "wang-franklin").run("mcf", LENGTH)
+        assert ResultCache._encode(stats).decode() == stats_text(stats) == json.dumps(
+            old_to_dict(stats), sort_keys=True
+        )
+
+    def test_a_damaged_entry_met_by_a_sweep_is_resimulated(self, cold, tmp_path):
+        cache_dir, cold_rows = cold
+        copy = tmp_path / "cache"
+        shutil.copytree(cache_dir, copy)
+        key, row = sorted(cold_rows.items())[0]
+        path = self.entry_path(ResultCache(copy), row)
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        path.write_bytes(bytes(blob))
+        summary, cache, rows = self.cached_pass(copy, tmp_path)
+        assert summary.complete
+        assert (cache.hits, cache.misses, cache.stores) == (5, 1, 1)
+        assert path.read_bytes()[64:].decode() == row["stats"]
+        assert rows[key]["wall_seconds"] > 0.0
+        for key, row in rows.items():
+            for column in ("params", "config", "stats"):
+                assert row[column] == cold_rows[key][column], (key, column)

@@ -113,6 +113,26 @@ class TestSweepSpec:
         assert [p.point_id for p in a] == [p.point_id for p in b]
         assert a[0].point_id != a[1].point_id
 
+    def test_the_grid_is_expanded_and_hashed_once(self, monkeypatch):
+        import repro.sweep.spec as spec_module
+
+        spec = mini_spec(workloads=("crafty", "swim"))
+        first = campaign_rows(spec)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("point ids are hashed again")
+
+        monkeypatch.setattr(spec_module, "point_id", refuse)
+        assert campaign_rows(spec) == first
+        assert spec.expand() == spec.expand() and spec.expand() is not spec.expand()
+
+    def test_replace_expands_at_the_new_lengths(self):
+        import dataclasses
+
+        spec = dataclasses.replace(mini_spec(), lengths=(LENGTH + 1,))
+        assert {p.length for p in spec.expand()} == {LENGTH + 1}
+        assert spec.baseline_point("crafty", LENGTH + 1).length == LENGTH + 1
+
     def test_run_spec_is_cacheable_and_resolves(self):
         point = mini_spec().expand()[0]
         spec = run_spec_for(point.params)
@@ -157,7 +177,7 @@ class TestResultStore:
         assert len(store.runnable("s")) == 2
         assert store.claim("s", [("p1", 0)], owner="w") == [("p1", 0)]
         assert store.mark_done(
-            "s", ("p1", 0), {"cycles": 10}, wall_seconds=0.1, owner="w")
+            "s", ("p1", 0), '{"cycles": 10}', wall_seconds=0.1, owner="w")
         assert [r["seed"] for r in store.runnable("s")] == [1]
         assert store.claim("s", [("p1", 1)], owner="w") == [("p1", 1)]
         assert store.mark_failed("s", ("p1", 1), "boom", owner="w")
@@ -180,7 +200,7 @@ class TestResultStore:
         store = ResultStore(path)
         store.ensure("s", self.rows())
         store.claim("s", [("p1", 0)], owner="w")
-        store.mark_done("s", ("p1", 0), {"cycles": 10}, owner="w")
+        store.mark_done("s", ("p1", 0), '{"cycles": 10}', owner="w")
         store.close()
         reopened = ResultStore(path)
         assert reopened.counts("s")["done"] == 1
@@ -252,10 +272,10 @@ class TestStats:
         # baseline IPC 1.0; point IPC 1.2 (seed 0) and 0.8 (seed 1)
         for key, useful, config in [
             (("base", 0), 100, None), (("base", 1), 100, None),
-            (("pt", 0), 120, {"num_contexts": 2}), (("pt", 1), 80, None),
+            (("pt", 0), 120, '{"num_contexts": 2}'), (("pt", 1), 80, None),
         ]:
             assert store.mark_done(
-                "s", key, {"cycles": 100, "useful_instructions": useful},
+                "s", key, f'{{"cycles": 100, "useful_instructions": {useful}}}',
                 config=config, owner="w")
         (agg,) = aggregate(store.rows("s"))
         assert agg.speedups == pytest.approx([20.0, -20.0])
@@ -528,6 +548,21 @@ class TestSweepCLI:
         assert payload["commits"]["commits"] == payload["commits"]["done"]
         assert payload["commits"]["max_commits"] == 1
         assert payload["failed"] == []
+
+    def test_overrides_re_expand_the_grid(self, tmp_path):
+        from repro.__main__ import _sweep_spec_and_store, build_parser
+
+        spec_path = tmp_path / "mini.toml"
+        spec_path.write_text(TOML)
+        args = build_parser().parse_args([
+            "sweep", "run", str(spec_path), "--db", str(tmp_path / "mini.db"),
+            "--length", "600", "--seeds", "1",
+        ])
+        spec, store = _sweep_spec_and_store(args)
+        store.close()
+        assert spec.seeds == (0,)
+        assert {p.length for p in spec.expand()} == {600}
+        assert {r["length"] for r in campaign_rows(spec)} == {600}
 
     def test_report_without_results_fails_cleanly(self, tmp_path, capsys):
         from repro.__main__ import main
