@@ -105,7 +105,7 @@ def _policy_from_args(args: argparse.Namespace, **extra):
     """An :class:`~repro.harness.ExecutionPolicy` from the execution flags.
 
     Every subcommand spells execution the same way (``--jobs``,
-    ``--dispatch``, ``--retries``, ...); a flag the subcommand doesn't
+    ``--retries``, ...); a flag the subcommand doesn't
     define simply stays unset on the policy, so the usual defaults
     (``REPRO_JOBS``, ``REPRO_CACHE_DIR``, ...) take over.  The stores
     come in ``extra`` (see :func:`_cli_cache`/:func:`_cli_checkpoints`);
@@ -114,7 +114,7 @@ def _policy_from_args(args: argparse.Namespace, **extra):
     from repro.harness import ExecutionPolicy
 
     fields = {}
-    for name in ("jobs", "dispatch", "retries", "stale_after", "heartbeat"):
+    for name in ("jobs", "retries", "stale_after", "heartbeat"):
         value = getattr(args, name, None)
         if value is not None:
             fields[name] = value
@@ -194,11 +194,9 @@ def _cmd_run_traces(args: argparse.Namespace) -> int:
     from repro.workloads import TraceFormatError, load_trace_set
 
     if args.trace or args.profile:
-        print("--traces cannot be combined with --trace/--profile")
-        return 1
+        args.parser.error("--traces cannot be combined with --trace/--profile")
     if args.workload is not None:
-        print("--traces replaces the workload argument; give one or the other")
-        return 1
+        args.parser.error("--traces replaces the workload argument; give one or the other")
     try:
         trace_set = load_trace_set(args.traces)
     except (OSError, TraceFormatError) as exc:
@@ -230,8 +228,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.traces:
         return _cmd_run_traces(args)
     if args.workload is None:
-        print("a workload name is required (or pass --traces FILE...)")
-        return 1
+        args.parser.error("a workload name is required (or pass --traces FILE...)")
     from repro.harness import ExecutionPolicy, run_simulations
 
     tracer = None
@@ -537,8 +534,7 @@ def _cmd_cache_prune(args: argparse.Namespace) -> int:
     from repro.harness import CheckpointStore, ResultCache, default_cache_dir
 
     if args.max_bytes is None and args.max_age_days is None:
-        print("nothing to do: pass --max-bytes and/or --max-age-days")
-        return 1
+        args.parser.error("nothing to do: pass --max-bytes and/or --max-age-days")
     cache = ResultCache(args.cache_dir or default_cache_dir())
     # warmup checkpoints share the budget: their default home is inside
     # the cache directory, and they outweigh results by orders of magnitude
@@ -652,13 +648,6 @@ def _add_campaign_flags(p: argparse.ArgumentParser, *, interval: bool) -> None:
              "$REPRO_CHECKPOINT_DIR, else in-process reuse only)",
     )
     p.add_argument(
-        "--dispatch", default=None,
-        choices=["auto", "local", "pool"],
-        help="execution backend: local (in-process serial), pool "
-             "(process pool); auto picks pool when --jobs > 1 "
-             "(default: auto)",
-    )
-    p.add_argument(
         "--stale-after", type=_positive_seconds, default=None, metavar="SECONDS",
         help="seconds without a heartbeat before a running row may "
              "be reclaimed from another process; set it when several "
@@ -710,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sample", type=_positive_int, default=None, metavar="N",
         help="measured-interval length after warmup (default: --length)",
     )
-    p.set_defaults(func=_cmd_run)
+    p.set_defaults(func=_cmd_run, parser=p)
 
     p = sub.add_parser(
         "report",
@@ -861,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
              "deleting anything",
     )
     _add_store_flags(sp)
-    sp.set_defaults(func=_cmd_cache_prune)
+    sp.set_defaults(func=_cmd_cache_prune, parser=sp)
 
     p = sub.add_parser("trace", help="write a workload trace to a binary file")
     p.add_argument("workload", type=_workload)

@@ -19,7 +19,6 @@ from repro.core.config import FetchPolicy, MachineConfig
 from repro.core.context import ThreadContext
 from repro.core.engine.lifecycle import LifecycleMixin
 from repro.core.engine.measures import MeasureMixin
-from repro.core.engine.predict import PredictMixin
 from repro.core.engine.records import SpawnRecord
 from repro.core.engine.scheduler import NO_LIMIT, SchedulerMixin
 from repro.core.engine.snapshot import SnapshotMixin
@@ -38,7 +37,6 @@ from repro.vp.oracle import OraclePredictor
 class Engine(
     SchedulerMixin,
     StepMixin,
-    PredictMixin,
     LifecycleMixin,
     MeasureMixin,
     WarmupMixin,

@@ -91,6 +91,7 @@ class StepMixin:
         commit_width = self._commit_width
         l1_latency = self._l1_latency
         vp_on = self._vp_on
+        predict_load = self.model.handle_load_prediction
         branch_spawn = self._branch_spawn
         block_on_spawn = self._fetch_single
         order_snap = self._next_order
@@ -199,8 +200,8 @@ class StepMixin:
                     expected_level = hierarchy.probe_level(addr)
                     t_complete, _level = hierarchy.load(addr, inst.pc, t_issue)
                 if vp_on:
-                    dst_ready, spawn_record = self._handle_load_prediction(
-                        ctx, inst, t_queue, t_complete, expected_level
+                    dst_ready, spawn_record = predict_load(
+                        self, ctx, inst, t_queue, t_complete, expected_level
                     )
                 else:
                     dst_ready = t_complete

@@ -19,13 +19,7 @@ from repro.harness.checkpoint import (
 )
 from repro.harness.metrics import geomean_speedup, percent_speedup
 from repro.harness.parallel import SimulationError, run_simulations
-from repro.harness.policy import (
-    DISPATCH_MODES,
-    ExecutionPolicy,
-    resolve_cache,
-    resolve_dispatch,
-    resolve_jobs,
-)
+from repro.harness.policy import ExecutionPolicy, resolve_cache, resolve_jobs
 from repro.harness.runner import (
     ModeResult,
     RunSpec,
@@ -51,10 +45,8 @@ from repro.harness.experiments import (
 
 __all__ = [
     "CheckpointStore",
-    "DISPATCH_MODES",
     "ExecutionPolicy",
     "resolve_cache",
-    "resolve_dispatch",
     "resolve_jobs",
     "arch_key",
     "default_checkpoint_dir",

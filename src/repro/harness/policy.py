@@ -8,11 +8,13 @@ of them — and adding a new dispatch mode meant touching every signature
 again.  :class:`ExecutionPolicy` bundles the full answer to *how should
 this work execute* into one value:
 
-* ``jobs`` — worker processes per in-process fan-out,
-* ``lanes`` — accepted only as ``None`` or ``1`` (lane batching was
-  removed; the field stays for callers that still pin it),
-* ``dispatch`` — ``"local"`` (serial in-process), ``"pool"``
-  (ProcessPoolExecutor), or ``"auto"`` (``pool`` iff ``jobs`` > 1),
+* ``jobs`` — worker processes per in-process fan-out; the one setting
+  that picks the executor (1 = serial in this process, more = a process
+  pool),
+* ``lanes`` and ``dispatch`` — accepted only as ``None`` or ``1`` and
+  ``None`` or ``"local"``, and read by nothing (lane batching and the
+  dispatch modes were removed; the fields stay for callers that still
+  pin them),
 * ``retries`` — extra attempts per failed sweep row,
 * ``cache`` / ``checkpoints`` — the shared result cache and warmup
   checkpoint store,
@@ -50,10 +52,6 @@ import os
 
 from repro.harness.cache import ResultCache
 
-#: the legal dispatch modes, in escalation order
-DISPATCH_MODES = ("auto", "local", "pool")
-
-
 def _parse_count(value, *, what: str) -> int:
     """The integer parser behind jobs resolution.
 
@@ -86,24 +84,6 @@ def resolve_jobs(jobs) -> int:
     if jobs <= 0:
         return os.cpu_count() or 1
     return jobs
-
-
-def resolve_dispatch(dispatch) -> str:
-    """Dispatch mode: explicit name, else auto.
-
-    Accepts a mode name (see :data:`DISPATCH_MODES`).  ``"auto"`` is
-    resolved by :meth:`ExecutionPolicy.resolved_dispatch` into ``"pool"``
-    or ``"local"`` depending on the resolved job count.
-    """
-    if dispatch is None:
-        return "auto"
-    if isinstance(dispatch, str):
-        mode = dispatch.strip().lower()
-        if mode in DISPATCH_MODES:
-            return mode
-    raise ValueError(
-        f"dispatch must be one of {'|'.join(DISPATCH_MODES)}, got {dispatch!r}"
-    )
 
 
 def resolve_cache(cache) -> ResultCache | None:
@@ -141,12 +121,16 @@ class ExecutionPolicy:
     heartbeat: float | None = None
 
     def __post_init__(self) -> None:
-        if self.dispatch is not None:
-            resolve_dispatch(self.dispatch)
-        # lane batching was removed; the field stays for callers that pin lanes=1
+        # lane batching and the dispatch modes were removed; the fields
+        # stay for callers that pin lanes=1, dispatch="local"
         if self.lanes is not None and not (type(self.lanes) is int and self.lanes == 1):
             raise ValueError(
                 f"lanes must be None or 1 (lane batching was removed), got {self.lanes!r}"
+            )
+        if self.dispatch is not None and self.dispatch != "local":
+            raise ValueError(
+                f"dispatch must be None or 'local' (jobs picks the executor), "
+                f"got {self.dispatch!r}"
             )
         if self.chunk is not None and not (type(self.chunk) is int and self.chunk >= 1):
             raise ValueError(f"chunk must be an integer >= 1, got {self.chunk!r}")
@@ -164,13 +148,6 @@ class ExecutionPolicy:
     # ------------------------------------------------------------------
     def resolved_jobs(self) -> int:
         return resolve_jobs(self.jobs)
-
-    def resolved_dispatch(self) -> str:
-        """The concrete dispatch mode (``"auto"`` settled by job count)."""
-        mode = resolve_dispatch(self.dispatch)
-        if mode == "auto":
-            return "pool" if self.resolved_jobs() > 1 else "local"
-        return mode
 
     def resolved_cache(self) -> ResultCache | None:
         return resolve_cache(self.cache)

@@ -17,8 +17,8 @@ spends the expensive rungs only on them:
   bandit-style extra seed allocation instead of arbitrary truncation,
 * :mod:`~repro.search.controller` — the rung loop over the existing
   :class:`~repro.sweep.ResultStore`/:func:`~repro.sweep.drain_campaign`
-  machinery (inheriting resume, exactly-once commits, the
-  ``local``/``pool`` dispatch modes and shared warmup checkpoints),
+  machinery (inheriting resume, exactly-once commits, serial or pooled
+  execution by job count and shared warmup checkpoints),
 * :mod:`~repro.search.report` — the explore/exploit report ("best point
   found with X% of exhaustive grid cost"),
 * :mod:`~repro.search.fidelity` — the search-vs-exhaustive judge used

@@ -9,7 +9,7 @@ by rung against a shared :class:`~repro.sweep.store.ResultStore`:
    rows are ``INSERT OR IGNORE``-ensured and drained through
    :func:`~repro.sweep.drain.drain_campaign`, so rungs inherit the
    whole sweep execution stack: resume, exactly-once owner-conditional
-   commits, ``--dispatch local|pool``, the shared
+   commits, serial or pooled execution by ``--jobs``, the shared
    :class:`~repro.harness.cache.ResultCache` and warmup checkpoints;
 3. after a rung drains, its rows are folded by
    :func:`~repro.sweep.stats.aggregate` at the spec's confidence level
@@ -260,7 +260,7 @@ def run_search(
         keys = {(r["point_id"], r["seed"]) for r in rows}
         counters = drain_campaign(
             store, rung_sweep, policy,
-            mine=keys, warmup=warmup, sample=sample,
+            spec.sweep.run_specs(warmup, sample), keys,
             echo=say, progress=progress,
         )
         count = counters.get("simulated", 0)

@@ -1,9 +1,11 @@
 """The claim → simulate → commit loop every campaign drains through.
 
 :func:`drain_campaign` is the one function campaigns (sweeps and search
-rungs) drain through: ``dispatch="local"`` runs the loop serially in the
-calling process, ``dispatch="pool"`` fans each chunk over a process
-pool.  It is the loop a sweep participant runs against a
+rungs) drain through.  It runs the :class:`~repro.harness.runner.RunSpec`
+objects the campaign's :class:`~repro.sweep.spec.SweepSpec` built at load, and
+the policy's job count alone picks where they execute: one job runs the
+loop serially in the calling process, more fan each chunk over a
+process pool.  It is the loop a sweep participant runs against a
 :class:`~repro.sweep.store.ResultStore`, whether it is the only process
 draining that store or one of several ``sweep run --stale-after S``
 processes sharing it:
@@ -37,13 +39,14 @@ from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import threading
 import time
 
 from repro.harness.cache import code_version, stats_text
 from repro.harness.parallel import SimulationError, run_simulations
 from repro.harness.policy import ExecutionPolicy
-from repro.sweep.spec import run_spec_for
+from repro.harness.runner import RunSpec
 from repro.sweep.store import ResultStore
 
 
@@ -57,8 +60,10 @@ class _Heartbeat:
 
     Runs while a chunk simulates (which can dwarf any fixed staleness
     window on big points), so concurrent campaigns using a ``stale_after``
-    window see the claim as live.  ``stop()`` is idempotent and joins the
-    thread; the final touch races the chunk's own commit harmlessly, as
+    window see the claim as live.  A touch that raises
+    ``sqlite3.OperationalError`` is one missed beat, not the end of the
+    heartbeat.  ``stop()`` is idempotent and joins the thread; the final
+    touch races the chunk's own commit harmlessly, as
     :meth:`~repro.sweep.store.ResultStore.touch` only refreshes rows
     still ``running`` and still held by this worker (a stolen row's new
     lease is never kept warm by the loser).
@@ -83,7 +88,10 @@ class _Heartbeat:
 
     def _run(self) -> None:
         while not self._done.wait(self._interval):
-            self._store.touch(self._sweep, self._keys, owner=self._owner)
+            try:
+                self._store.touch(self._sweep, self._keys, owner=self._owner)
+            except sqlite3.OperationalError:
+                pass  # one missed beat (a locked database): the next retries
 
     def stop(self) -> None:
         self._done.set()
@@ -94,10 +102,9 @@ def drain_campaign(
     store: ResultStore,
     sweep: str,
     policy: ExecutionPolicy,
+    specs: dict[str, RunSpec],
+    keys: set[tuple[str, int]],
     *,
-    mine: set | None = None,
-    warmup: int = 0,
-    sample: int | None = None,
     echo=None,
     progress=None,
 ) -> dict:
@@ -106,24 +113,19 @@ def drain_campaign(
     Args:
         store: The shared results store.
         sweep: Sweep name (rows are keyed by it).
-        policy: Execution policy; ``dispatch``/``jobs``/``cache``/
-            ``checkpoints``/``retries``/``chunk``/``stale_after``/
-            ``heartbeat`` are consumed here.  ``local`` dispatch drains
-            serially in this process (``jobs`` forced to 1: direct
-            tracebacks, exact in-process counters); ``pool`` fans each
-            chunk over a process pool (a job count of 1 means every
-            core — serial callers want ``local``); ``auto`` is ``pool``
-            iff jobs resolve above 1.  With ``stale_after`` set and
-            ``heartbeat`` unset, leases are touched every
-            ``stale_after / 6`` seconds (clamped to 0.5–10 s), so a chunk
-            that outlives the window is never mistaken for a crashed
-            claim.
-        mine: Restrict to these ``(point_id, seed)`` keys (``None`` =
-            every row of the sweep).  :func:`~repro.sweep.run_sweep`
-            passes its expansion so a truncated campaign ignores
-            foreign rows.
-        warmup/sample: The campaign's interval protocol, forwarded into
-            every reconstructed :class:`~repro.harness.runner.RunSpec`.
+        policy: Execution policy; ``jobs``/``cache``/``checkpoints``/
+            ``retries``/``chunk``/``stale_after``/``heartbeat`` are
+            consumed here.  The job count alone picks the executor: one
+            job drains serially in this process, more fan each chunk over
+            a process pool.  With ``stale_after`` set and ``heartbeat``
+            unset, leases are touched every ``stale_after / 6`` seconds
+            (clamped to 0.5–10 s), so a chunk that outlives the window is
+            never mistaken for a crashed claim.
+        specs: The :class:`~repro.harness.runner.RunSpec` of every point
+            id in ``keys`` (see :meth:`~repro.sweep.spec.SweepSpec.run_specs`).
+        keys: The ``(point_id, seed)`` rows to drain; the sweep's other
+            rows are left alone, so a truncated campaign ignores foreign
+            rows.
         echo: Optional ``print``-like progress callback.
         progress: Per-task progress callback (see
             :func:`~repro.harness.parallel.run_simulations`).
@@ -142,14 +144,11 @@ def drain_campaign(
     heartbeat = policy.heartbeat
     if heartbeat is None and stale_after is not None:
         heartbeat = max(0.5, min(10.0, stale_after / 6.0))
-    jobs = 1
-    if policy.resolved_dispatch() == "pool":
-        jobs = policy.resolved_jobs()
-        if jobs <= 1:
-            jobs = os.cpu_count() or 1
+    jobs = policy.resolved_jobs()
     chunk = policy.chunk if policy.chunk is not None else max(8, 4 * jobs)
     cache_obj = policy.resolved_cache()
-    ckpt_store = policy.resolved_checkpoints() if warmup else None
+    warmed = any(specs[pid].warmup for pid, _ in keys)
+    ckpt_store = policy.resolved_checkpoints() if warmed else None
     #: how each chunk reaches run_simulations, resolved once
     run_policy = ExecutionPolicy(
         jobs=jobs,
@@ -163,18 +162,22 @@ def drain_campaign(
     }
 
     def claimable(rows) -> list:
-        if mine is None:
-            return list(rows)
-        return [r for r in rows if (r["point_id"], r["seed"]) in mine]
+        return [r for r in rows if (r["point_id"], r["seed"]) in keys]
 
-    #: one RunSpec and config-column text per design point for the whole
-    #: drain: seed replicates and later chunks reuse them instead of
-    #: re-parsing the recipe and re-rendering the config
-    points: dict[str, tuple] = {}
+    #: the config-column text of each point, rendered once per drain
+    configs: dict[str, str] = {}
+
+    def config_text(pid: str) -> str:
+        text = configs.get(pid)
+        if text is None:
+            text = configs[pid] = json.dumps(
+                specs[pid].rendered_config, sort_keys=True, default=str
+            )
+        return text
 
     def commit(held, outcomes) -> None:
         version = code_version()
-        for (key, _, _), outcome in zip(held, outcomes):
+        for (key, _), outcome in zip(held, outcomes):
             if isinstance(outcome, SimulationError):
                 if store.mark_failed(sweep, key, str(outcome), owner=owner):
                     say(f"{sweep}: FAILED {key[0]} seed {key[1]}: {outcome}")
@@ -189,7 +192,7 @@ def drain_campaign(
                 sweep,
                 key,
                 stats,
-                config=points[key[0]][1],
+                config=config_text(key[0]),
                 wall_seconds=wall_seconds,
                 code_version=version,
                 owner=owner,
@@ -213,49 +216,20 @@ def drain_campaign(
             break
         say(f"{sweep}: {len(todo)} rows to simulate")
         for start in range(0, len(todo), chunk):
-            batch = todo[start : start + chunk]
-            candidates = []
-            for row in batch:
-                key = (row["point_id"], row["seed"])
-                try:
-                    point = points.get(row["point_id"])
-                    if point is None:
-                        run_spec = run_spec_for(
-                            json.loads(row["params"]),
-                            name=row["point_id"][:8],
-                            warmup=warmup,
-                            sample=sample,
-                        )
-                        try:
-                            config = json.dumps(
-                                run_spec.rendered_config, sort_keys=True, default=str
-                            )
-                        except Exception:
-                            config = None
-                        point = points[row["point_id"]] = (run_spec, config)
-                except Exception as exc:  # bad recipe (unknown predictor, ...)
-                    if store.claim(
-                        sweep, [key], retries,
-                        stale_after=stale_after, owner=owner,
-                    ):
-                        store.mark_failed(
-                            sweep, key, f"{type(exc).__name__}: {exc}",
-                            owner=owner,
-                        )
-                    continue
-                candidates.append((key, row, point[0]))
-            if not candidates:
-                continue
+            batch = [
+                ((row["point_id"], row["seed"]), row)
+                for row in todo[start : start + chunk]
+            ]
             claimed = set(
                 store.claim(
                     sweep,
-                    [key for key, _, _ in candidates],
+                    [key for key, _ in batch],
                     retries,
                     stale_after=stale_after,
                     owner=owner,
                 )
             )
-            held = [c for c in candidates if c[0] in claimed]
+            held = [(key, row) for key, row in batch if key in claimed]
             if not held:
                 continue  # every row lost to a concurrent worker
             beat = (
@@ -266,13 +240,11 @@ def drain_campaign(
                 else None
             )
             tasks = [
-                (row["workload"], run_spec, row["length"], row["seed"])
-                for _, row, run_spec in held
+                (row["workload"], specs[key[0]], row["length"], key[1])
+                for key, row in held
             ]
             counters["simulated"] += len(tasks)
-            counters["retried"] += sum(
-                1 for _, row, _ in held if row["attempts"] > 0
-            )
+            counters["retried"] += sum(1 for _, row in held if row["attempts"] > 0)
             try:
                 commit(held, run_simulations(
                     tasks, on_error="collect", progress=progress,

@@ -28,12 +28,12 @@ point is distinguishable from a crashed process.  That is the one
 route for several processes sharing a store: each runs ``sweep run
 --stale-after S`` on the same ``--db``.
 
-*Where* the simulations execute is an
-:class:`~repro.harness.policy.ExecutionPolicy` decision: ``dispatch=
-"local"`` drains serially in this process and ``"pool"`` fans chunks
-over a process pool (the historical ``jobs > 1`` path); see
-:func:`~repro.sweep.drain.drain_campaign`.  :mod:`repro.sweep.drain`
-owns the claim → simulate → commit loop.
+*Where* the simulations execute is the
+:class:`~repro.harness.policy.ExecutionPolicy`'s job count alone: one
+job drains serially in this process, more fan chunks over a process
+pool; see :func:`~repro.sweep.drain.drain_campaign`, which owns the
+claim → simulate → commit loop and runs the
+:class:`~repro.harness.runner.RunSpec` objects the spec built at load.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ def run_sweep(
         policy: An :class:`~repro.harness.policy.ExecutionPolicy`; the
             fields a campaign consumes:
 
-            * ``dispatch``/``jobs`` — where simulations
-              execute (see :func:`~repro.sweep.drain.drain_campaign`);
+            * ``jobs`` — where simulations execute (see
+              :func:`~repro.sweep.drain.drain_campaign`);
             * ``cache`` — strongly recommended for campaigns: it
               de-duplicates baselines across sweeps and makes
               interrupted chunks free to recompute;
@@ -193,9 +193,8 @@ def run_sweep(
         store,
         spec.name,
         policy,
-        mine=mine,
-        warmup=spec.warmup,
-        sample=spec.sample,
+        spec.run_specs(spec.warmup, spec.sample),
+        mine,
         echo=say,
         progress=progress,
     )

@@ -229,6 +229,22 @@ def run_spec_for(
     )
 
 
+def _built_run_spec(
+    role: str, point: SweepPoint, warmup: int, sample: int | None
+) -> RunSpec:
+    """``point``'s :class:`RunSpec`, its config built and rendered; a
+    recipe that cannot be built is a :class:`SweepSpecError`."""
+    try:
+        spec = run_spec_for(
+            point.params, name=point.point_id[:8], warmup=warmup, sample=sample
+        )
+        spec.rendered_config  # builds the machine config
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = exc.args[0] if isinstance(exc, KeyError) else exc
+        raise SweepSpecError(f"{role} {point.params}: {detail}") from None
+    return spec
+
+
 @dataclasses.dataclass
 class SweepSpec:
     """A declarative design-space exploration campaign.
@@ -290,15 +306,10 @@ class SweepSpec:
         # points (and their hashed ids) through expand()
         self._points = self._grid()
         self._baselines: dict[tuple[str, int], SweepPoint] = {}
-        # build every recipe's machine once, so a bad axis value fails the
-        # load instead of each row it reaches
-        recipes = [("baseline", self.baseline)]
-        recipes += [("point", point.params) for point in self._points]
-        for role, params in recipes:
-            try:
-                _config_factory(params)()
-            except (TypeError, ValueError) as exc:
-                raise SweepSpecError(f"{role} {params}: {exc}") from None
+        self._run_specs: dict[tuple, dict[str, RunSpec]] = {}
+        # every recipe is built at load, so a bad axis value or an unknown
+        # predictor fails the load instead of each row it reaches
+        self.run_specs(self.warmup, self.sample)
 
     # ------------------------------------------------------------------
     def resolved_lengths(self) -> tuple[int, ...]:
@@ -346,6 +357,26 @@ class SweepSpec:
             )
             self._baselines[(workload, length)] = point
         return point
+
+    def run_specs(self, warmup: int, sample: int | None) -> dict[str, RunSpec]:
+        """The :class:`RunSpec` of every design point and paired baseline,
+        keyed by point id, under one ``warmup``/``sample`` protocol.
+
+        Each spec is named ``point_id[:8]`` and has its config built and
+        rendered.  The spec's own protocol is built at construction (a
+        recipe that cannot be built is a :class:`SweepSpecError` there);
+        another pair, a search rung's, is built on its first request.
+        """
+        specs = self._run_specs.get((warmup, sample))
+        if specs is None:
+            pairs = dict.fromkeys((p.workload, p.length) for p in self._points)
+            roles = [("baseline", self.baseline_point(*pair)) for pair in pairs]
+            roles += [("point", point) for point in self._points]
+            specs = self._run_specs[(warmup, sample)] = {
+                point.point_id: _built_run_spec(role, point, warmup, sample)
+                for role, point in roles
+            }
+        return specs
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

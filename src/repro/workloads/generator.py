@@ -23,7 +23,12 @@ import zlib
 
 from repro.isa import Instruction, OpClass
 from repro.workloads.spec import AddressPattern, WorkloadSpec
-from repro.workloads.streams import AddressStream, BranchOutcomes, ValueStream
+from repro.workloads.streams import (
+    AddressStream,
+    BranchOutcomes,
+    ValueStream,
+    slot_offset,
+)
 
 #: register used as the loop induction variable (kept serial but cheap)
 _COUNTER_REG = 30
@@ -164,13 +169,12 @@ class Workload:
                 else:
                     dst = alloc_reg()
                     srcs = (_COUNTER_REG,)
-                span = max(stream_spec.stride, 64)
                 emit(
                     OpClass.LOAD,
                     dst=dst,
                     srcs=srcs,
                     stream=stream_idx,
-                    offset=rng.randrange(0, span, 8),
+                    offset=slot_offset(stream_spec, rng),
                     vstream=vstream,
                     serial=serial,
                 )
@@ -190,12 +194,11 @@ class Workload:
                     emit(op, dst=filler_dst, srcs=(_COUNTER_REG,))
             for _s in range(spec.stores_per_block):
                 stream_idx = rng.choices(stream_ids, weights=stream_weights)[0]
-                span = max(spec.streams[stream_idx].stride, 64)
                 emit(
                     OpClass.STORE,
                     srcs=(recent[-1],),
                     stream=stream_idx,
-                    offset=rng.randrange(0, span, 8),
+                    offset=slot_offset(spec.streams[stream_idx], rng),
                 )
             # induction-variable bump keeps a cheap serial spine
             emit(OpClass.INT_ALU, dst=_COUNTER_REG, srcs=(_COUNTER_REG,))

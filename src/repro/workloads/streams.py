@@ -59,15 +59,15 @@ class AddressStream:
             )
         return self.base + (self._pos + offset) % spec.region_bytes
 
-    def slot_offset(self, rng: random.Random) -> int:
-        """Pick a field offset for a static slot bound to this stream.
 
-        Offsets spread across one stride span so that, over successive
-        iterations, the body touches the span densely — the layout a
-        compiler produces for struct walks and unrolled array loops.
-        """
-        span = max(self.spec.stride, _LINE)
-        return rng.randrange(0, span, 8)
+def slot_offset(spec: StreamSpec, rng: random.Random) -> int:
+    """Pick a field offset for a static slot bound to a ``spec`` stream.
+
+    Offsets spread across one stride span so that, over successive
+    iterations, the body touches the span densely — the layout a
+    compiler produces for struct walks and unrolled array loops.
+    """
+    return rng.randrange(0, max(spec.stride, _LINE), 8)
 
 
 class ValueStream:

@@ -107,6 +107,24 @@ def run_engine(trace, config, predictor=None, selector=None):
     return engine, stats
 
 
+def fail_runs_of(monkeypatch, spec_name: str) -> None:
+    """Make every serial run of the RunSpec named ``spec_name`` raise.
+
+    Campaign points are named ``point_id[:8]``, so this injects a
+    run-time failure into one design point of a ``jobs=1`` drain.
+    """
+    import repro.harness.parallel as parallel
+
+    run_task = parallel._run_task
+
+    def failing(spec, *args, **kwargs):
+        if spec.name == spec_name:
+            raise RuntimeError(f"injected failure in {spec_name}")
+        return run_task(spec, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "_run_task", failing)
+
+
 def process_alive(pid: int) -> bool:
     """Whether ``pid`` exists and is not a zombie awaiting its reaper."""
     try:

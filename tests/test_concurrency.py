@@ -292,7 +292,8 @@ class TestStaleReclaim:
         try:
             counters = drain.drain_campaign(
                 store, "hb",
-                ExecutionPolicy(dispatch="local", cache=False, stale_after=1.0),
+                ExecutionPolicy(jobs=1, cache=False, stale_after=1.0),
+                spec.run_specs(spec.warmup, spec.sample), set(keys),
             )
         finally:
             slept.set()

@@ -131,7 +131,7 @@ class TestViolationsAreFailures:
         )
         store = ResultStore(tmp_path / "s.db")
         cache = ResultCache(tmp_path / "cache")
-        summary = run_sweep(spec, store, policy=ExecutionPolicy(cache=cache, dispatch="local"))
+        summary = run_sweep(spec, store, policy=ExecutionPolicy(jobs=1, cache=cache))
         rows = store.rows("conserve")
         assert summary.failed == summary.total == len(rows) == 2
         for row in rows:

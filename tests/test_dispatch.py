@@ -1,31 +1,39 @@
-"""Sweep dispatch modes and the crash drills (DESIGN.md §5i).
+"""Serial and pooled drains, the crash drills and the store-fault drill
+(DESIGN.md §5i).
 
 Covers the one drain entry point end to end:
 
-* ``local`` and ``pool`` produce byte-identical ``sweep report`` output
-  for the same spec, and a search picks the same winner under both;
-* the SIGKILL drill: a ``sweep run --dispatch pool`` process killed
-  while rows are ``running`` leaves no pool child behind, ``sweep
-  resume`` finishes the campaign, every row commits exactly once (the
-  ``commits`` ledger proves it), attempts stay within one retry, and the
-  report matches the ``local`` reference byte for byte;
+* ``jobs=1`` (serial, in process) and ``jobs=2`` (a process pool)
+  produce byte-identical ``sweep report`` output for the same spec, and
+  a search picks the same winner under both;
+* the SIGKILL drill: a ``sweep run --jobs 2`` process killed while rows
+  are ``running`` leaves no pool child behind, ``sweep resume`` finishes
+  the campaign, every row commits exactly once (the ``commits`` ledger
+  proves it), attempts stay within one retry, and the report matches
+  the serial reference byte for byte;
 * a SIGKILLed pool child breaks the pool; its chunk's rows are marked
-  failed and the same invocation retries them, again exactly once.
+  failed and the same invocation retries them, again exactly once;
+* a ``sqlite3.OperationalError`` at one ``claim``, ``touch`` or
+  ``mark_done`` (before or after its statement lands), then a resume:
+  every row done, committed once, and the report byte-identical.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.harness.cache import ResultCache
 from repro.harness.policy import ExecutionPolicy
-from repro.sweep import ResultStore, aggregate, full_report, run_sweep
+from repro.sweep import ResultStore, aggregate, drain, full_report, run_sweep
 from repro.sweep.spec import SweepSpec
 from tests.conftest import process_alive
 
@@ -71,23 +79,23 @@ def _assert_exactly_once(path: Path, name: str) -> str:
 
 
 def _reference_report(spec: SweepSpec, tmp_path: Path, cache) -> str:
-    """The ``local`` report; sharing ``cache``, it simulates nothing new."""
+    """The serial report; sharing ``cache``, it simulates nothing new."""
     with ResultStore(tmp_path / "ref.db") as store:
         assert run_sweep(
-            spec, store, policy=ExecutionPolicy(dispatch="local", cache=cache)
+            spec, store, policy=ExecutionPolicy(jobs=1, cache=cache)
         ).complete
         return _report(store, spec.name)
 
 
 class TestModeAgreement:
-    """local and pool: one spec, two stores, one report."""
+    """Serial and pooled drains: one spec, two stores, one report."""
 
     def test_all_dispatch_modes_produce_identical_reports(self, tmp_path):
         spec = _spec("agree")
         reports = {}
         for mode, policy in (
-            ("local", ExecutionPolicy(dispatch="local", cache=False)),
-            ("pool", ExecutionPolicy(dispatch="pool", jobs=2, cache=False)),
+            ("local", ExecutionPolicy(jobs=1, cache=False)),
+            ("pool", ExecutionPolicy(jobs=2, cache=False)),
         ):
             with ResultStore(tmp_path / f"{mode}.db") as store:
                 summary = run_sweep(spec, store, policy=policy)
@@ -101,8 +109,8 @@ class TestModeAgreement:
         spec = load_search_spec(SWEEPS / "search_smoke.toml")
         outcomes = {}
         for mode, policy in (
-            ("local", ExecutionPolicy(dispatch="local", cache=False)),
-            ("pool", ExecutionPolicy(dispatch="pool", jobs=2, cache=False)),
+            ("local", ExecutionPolicy(jobs=1, cache=False)),
+            ("pool", ExecutionPolicy(jobs=2, cache=False)),
         ):
             with ResultStore(tmp_path / f"{mode}.db") as store:
                 summary = run_search(spec, store, policy=policy)
@@ -140,7 +148,7 @@ class TestWorkerChaos:
             return [sys.executable, "-m", "repro", "sweep", verb,
                     str(spec_path), "--db", str(path),
                     "--cache-dir", str(cache_dir), "--retries", "1",
-                    "--dispatch", "pool", "--jobs", "2"]
+                    "--jobs", "2"]
 
         run = subprocess.Popen(sweep("run"), env=env,
                                stdout=subprocess.DEVNULL,
@@ -190,8 +198,7 @@ class TestWorkerChaos:
         spec = _spec("child", axis=(1, 8), seeds=(0, 1, 2), length=40000)
         path = tmp_path / "child.db"
         cache = ResultCache(tmp_path / "cache")
-        policy = ExecutionPolicy(dispatch="pool", jobs=2, retries=1,
-                                 cache=cache)
+        policy = ExecutionPolicy(jobs=2, retries=1, cache=cache)
         before = _children(os.getpid())
         outcome: dict = {}
 
@@ -224,3 +231,67 @@ class TestWorkerChaos:
 
         report = _assert_exactly_once(path, "child")
         assert report == _reference_report(spec, tmp_path, cache)
+
+
+class TestStoreFaults:
+    """One ``sqlite3.OperationalError`` at a store write, then a resume.
+
+    ``before`` raises instead of running the statement (a rolled-back
+    write); ``after`` raises once it has landed (a lost acknowledgement).
+    A ``claim`` or ``mark_done`` fault aborts the run and leaves rows
+    ``running``; the resume reclaims them.  A ``touch`` fault costs one
+    heartbeat: the next one still runs and the run completes.  Either way
+    every row ends done with one commit and the report is byte-identical
+    to an unfaulted run's.
+    """
+
+    @pytest.mark.parametrize("when", ["before", "after"])
+    @pytest.mark.parametrize("method", ["claim", "touch", "mark_done"])
+    def test_a_store_fault_then_resume_commits_every_row_once(
+        self, tmp_path, monkeypatch, method, when
+    ):
+        spec = _spec("fault", axis=(1, 8))
+        with ResultStore(tmp_path / "ref.db") as store:
+            assert run_sweep(
+                spec, store, policy=ExecutionPolicy(jobs=1, cache=False)
+            ).complete
+            reference = _report(store, "fault")
+
+        real = getattr(ResultStore, method)
+        calls = []
+        beat_again = threading.Event()
+
+        def faulty(self, *args, **kwargs):
+            calls.append(method)
+            if len(calls) == 1 and when == "before":
+                raise sqlite3.OperationalError(f"injected {method} fault")
+            result = real(self, *args, **kwargs)
+            if len(calls) == 1:
+                raise sqlite3.OperationalError(f"injected {method} fault")
+            beat_again.set()
+            return result
+
+        monkeypatch.setattr(ResultStore, method, faulty)
+        if method == "touch":
+            simulate = drain.run_simulations
+
+            def after_two_beats(tasks, **kwargs):
+                assert beat_again.wait(30), "the heartbeat died with its fault"
+                return simulate(tasks, **kwargs)
+
+            monkeypatch.setattr(drain, "run_simulations", after_two_beats)
+
+        path = tmp_path / "fault.db"
+        policy = ExecutionPolicy(jobs=1, cache=False, heartbeat=0.01)
+        with ResultStore(path) as store:
+            if method == "touch":
+                assert run_sweep(spec, store, policy=policy).complete
+            else:
+                with pytest.raises(sqlite3.OperationalError, match="injected"):
+                    run_sweep(spec, store, policy=policy)
+                if (method, when) != ("claim", "before"):  # that claim rolled back
+                    assert store.counts("fault")["running"] > 0
+            monkeypatch.undo()
+            assert run_sweep(spec, store, policy=policy).complete
+        assert calls[0] == method
+        assert _assert_exactly_once(path, "fault") == reference

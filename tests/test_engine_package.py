@@ -68,7 +68,6 @@ class TestPackageLayout:
             "records",
             "scheduler",
             "step",
-            "predict",
             "lifecycle",
             "measures",
             "warmup",

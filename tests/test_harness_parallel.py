@@ -351,7 +351,10 @@ class TestCachePrune:
         assert main(["cache", "prune", "--max-age-days", "365000",
                      "--cache-dir", str(tmp_path)]) == 0
         assert "pruned 0 entries" in capsys.readouterr().out
-        assert main(["cache", "prune", "--cache-dir", str(tmp_path)]) == 1
+        with pytest.raises(SystemExit) as exc:  # neither bound: a usage error
+            main(["cache", "prune", "--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "nothing to do" in capsys.readouterr().err
 
 
 class TestLazyEnvResolution:

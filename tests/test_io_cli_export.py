@@ -389,16 +389,16 @@ class TestCli:
         assert "cannot ingest traces" in out
 
     def test_run_traces_and_workload_conflict(self, tmp_path, capsys):
-        code, out = self.run_cli(
-            ["run", "mcf", "--traces", "x.trace"], capsys
-        )
-        assert code == 1
-        assert "give one or the other" in out
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(["run", "mcf", "--traces", "x.trace"], capsys)
+        assert exc.value.code == 2
+        assert "give one or the other" in capsys.readouterr().err
 
     def test_run_without_workload_or_traces(self, capsys):
-        code, out = self.run_cli(["run"], capsys)
-        assert code == 1
-        assert "workload name is required" in out
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(["run"], capsys)
+        assert exc.value.code == 2
+        assert "workload name is required" in capsys.readouterr().err
 
 
 _SPEC = "sweeps/store_buffer.toml"
@@ -488,6 +488,11 @@ class TestCliCountValidation:
         ["search", "resume", _SEARCH, "--stale-after", "nan"],
         ["search", "run", _SEARCH, "--retries", "-1"],
         ["experiment", "nosuch"],
+        ["run"],
+        ["run", "mcf", "--traces", "x.rvpt"],
+        ["run", "--traces", "x.rvpt", "--trace", "t.json"],
+        ["run", "--traces", "x.rvpt", "--profile", "p.prof"],
+        ["cache", "prune"],
     ])
     def test_main_exits_2_before_simulating(self, argv, capsys):
         from repro.__main__ import main
@@ -497,6 +502,7 @@ class TestCliCountValidation:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "usage: repro" in captured.err
+        assert len([ln for ln in captured.err.splitlines() if "error:" in ln]) == 1
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
@@ -649,7 +655,7 @@ _DISTINCT_FLAGS = {"--json"}
 
 #: execution and store flags every campaign-style subcommand shares
 _SHARED_FLAGS = ("--retries", "--jobs", "--no-cache", "--cache-dir",
-                 "--checkpoint-dir", "--dispatch", "--stale-after", "--heartbeat")
+                 "--checkpoint-dir", "--stale-after", "--heartbeat")
 
 
 class TestCliFlagSurface:
@@ -729,12 +735,15 @@ class TestCliSweepSpecs:
         assert not db.exists()
 
     @pytest.mark.parametrize("verb", ["run", "resume"])
-    def test_failed_row_exits_1(self, verb, tmp_path, capsys):
+    def test_failed_row_exits_1(self, verb, tmp_path, capsys, monkeypatch):
         from repro.__main__ import main
+        from repro.sweep import load_spec
+        from tests.conftest import fail_runs_of
 
-        spec = self.write(tmp_path, 'predictor = ["oracle", "no-such-predictor"]')
+        spec = self.write(tmp_path, 'predictor = ["oracle", "wang-franklin"]')
+        fail_runs_of(monkeypatch, load_spec(spec).expand()[1].point_id[:8])
         code = main(["sweep", verb, str(spec), "--db", str(tmp_path / "s.db"),
-                     "--no-cache", "--retries", "0"])
+                     "--no-cache", "--retries", "0", "--jobs", "1"])
         out = capsys.readouterr().out
         assert "partial (1 failed)" in out
         assert code == 1

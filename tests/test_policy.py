@@ -14,12 +14,7 @@ import warnings
 
 import pytest
 
-from repro.harness.policy import (
-    DISPATCH_MODES,
-    ExecutionPolicy,
-    resolve_dispatch,
-    resolve_jobs,
-)
+from repro.harness.policy import ExecutionPolicy, resolve_jobs
 
 
 class TestResolveJobs:
@@ -51,44 +46,77 @@ class TestResolveJobs:
             resolve_jobs(True)
 
 
-class TestResolveDispatch:
-    def test_unset_without_env_is_auto(self):
-        assert resolve_dispatch(None) == "auto"
+def _drain_jobs(monkeypatch, policy: ExecutionPolicy) -> int:
+    """The job count a campaign drain under ``policy`` runs its chunk with."""
+    from repro.harness.parallel import SimulationError
+    from repro.sweep import ResultStore, SweepSpec, campaign_rows, drain
 
-    def test_names_are_normalized(self):
-        assert resolve_dispatch(" POOL ") == "pool"
-        for mode in DISPATCH_MODES:
-            assert resolve_dispatch(mode) == mode
+    spec = SweepSpec(name="j", base={"machine": "baseline"},
+                     workloads=("mcf",), lengths=(300,), seeds=(0,))
+    seen = []
+
+    def record(tasks, *, policy, **_):
+        seen.append(policy.resolved_jobs())
+        return [SimulationError(w, s.name, n, seed, "not run") for w, s, n, seed in tasks]
+
+    monkeypatch.setattr(drain, "run_simulations", record)
+    rows = campaign_rows(spec)
+    with ResultStore(":memory:") as store:
+        store.ensure("j", rows)
+        drain.drain_campaign(store, "j", policy, spec.run_specs(0, None),
+                             {(r["point_id"], r["seed"]) for r in rows})
+    (jobs,) = seen
+    return jobs
+
+
+class TestResolveDispatch:
+    """Where a campaign drain runs its simulations: the job count alone
+    decides (one job: serially in this process; more: a process pool).
+    ``dispatch`` picks nothing; it accepts only ``None`` and the
+    ``"local"`` pin some callers still carry."""
+
+    def test_unset_without_env_is_auto(self, monkeypatch):
+        """Unset, the drain follows the job count, ``REPRO_JOBS`` included
+        (what ``dispatch="auto"`` used to mean)."""
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert _drain_jobs(monkeypatch, ExecutionPolicy()) == 1
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        assert _drain_jobs(monkeypatch, ExecutionPolicy()) == 2
 
     def test_only_mode_names_are_accepted(self):
         class Fake:
             def run(self, *a, **k):
                 return {}
 
-        with pytest.raises(ValueError, match=r"auto\|local\|pool"):
-            resolve_dispatch(Fake())
+        with pytest.raises(ValueError, match=r"^dispatch must be None or 'local'"):
+            ExecutionPolicy(dispatch=Fake())
+        assert ExecutionPolicy(dispatch="local").dispatch == "local"
 
     def test_garbage_lists_the_modes(self):
-        with pytest.raises(ValueError, match=r"auto\|local\|pool, got 'cloud'"):
-            resolve_dispatch("cloud")
+        for mode in ("cloud", "auto", "pool", " local "):
+            with pytest.raises(
+                ValueError,
+                match=rf"^dispatch must be None or 'local' .*, got {mode!r}$",
+            ):
+                ExecutionPolicy(dispatch=mode)
 
-    def test_workers_mode_is_gone(self, monkeypatch, capsys):
-        """The removed standalone-worker mode is an unknown name on both
-        surfaces, the policy field and the CLI flag; the environment
-        names no dispatch mode at all (``REPRO_DISPATCH`` is not read)."""
-        from repro.__main__ import main
+    def test_workers_mode_is_gone(self, monkeypatch):
+        """The removed modes are gone from both surfaces: the policy field
+        refuses them and no subcommand has a dispatch option.  The
+        environment names no dispatch mode at all (``REPRO_DISPATCH`` is
+        not read)."""
+        from repro.__main__ import build_parser
+        from tests.test_io_cli_export import _subparsers
 
-        with pytest.raises(ValueError, match=r"auto\|local\|pool, got 'workers'"):
+        with pytest.raises(ValueError, match=r"got 'workers'"):
             ExecutionPolicy(dispatch="workers")
+        for path, parser in _subparsers(build_parser()):
+            for action in parser._actions:
+                assert "dispatch" not in action.dest, path
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         for mode in ("workers", "pool"):
             monkeypatch.setenv("REPRO_DISPATCH", mode)
-            assert ExecutionPolicy().resolved_dispatch() == "local"
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "run", "sweeps/store_buffer.toml",
-                  "--dispatch", "workers"])
-        assert exc.value.code == 2
-        assert "choose from 'auto', 'local', 'pool'" in capsys.readouterr().err
+            assert _drain_jobs(monkeypatch, ExecutionPolicy()) == 1
         assert not hasattr(ExecutionPolicy(), "workers")
 
 
@@ -98,12 +126,15 @@ class TestExecutionPolicy:
             monkeypatch.delenv(var, raising=False)
         policy = ExecutionPolicy()
         assert policy.resolved_jobs() == 1
-        assert policy.resolved_dispatch() == "local"
         assert policy.resolved_cache() is None
 
-    def test_auto_dispatch_follows_job_count(self):
-        assert ExecutionPolicy(jobs=1).resolved_dispatch() == "local"
-        assert ExecutionPolicy(jobs=4).resolved_dispatch() == "pool"
+    def test_auto_dispatch_follows_job_count(self, monkeypatch):
+        """The drain's executor follows ``jobs``; a ``dispatch="local"``
+        pin changes nothing."""
+        for jobs in (1, 2, 4):
+            assert _drain_jobs(monkeypatch, ExecutionPolicy(jobs=jobs)) == jobs
+            pinned = ExecutionPolicy(jobs=jobs, dispatch="local")
+            assert _drain_jobs(monkeypatch, pinned) == jobs
 
     def test_merged_ignores_none_and_overrides_rest(self):
         base = ExecutionPolicy(jobs=2, retries=1)

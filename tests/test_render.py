@@ -229,7 +229,7 @@ def test_store_columns_equal_the_asdict_rendering(tmp_path):
     )
     store = ResultStore(tmp_path / "s.db")
     cache = ResultCache(tmp_path / "cache")
-    summary = run_sweep(spec, store, policy=ExecutionPolicy(cache=cache, dispatch="local"))
+    summary = run_sweep(spec, store, policy=ExecutionPolicy(jobs=1, cache=cache))
     assert summary.complete
     rows = [row for row in store.rows("render") if row["status"] == "done"]
     assert len(rows) == summary.total >= 2
@@ -267,7 +267,7 @@ class TestCachedRowsMoveText:
         spec = SweepSpec(**self.SPEC)
         store = ResultStore(root / "cold.db")
         summary = run_sweep(
-            spec, store, policy=ExecutionPolicy(cache=root / "cache", dispatch="local")
+            spec, store, policy=ExecutionPolicy(jobs=1, cache=root / "cache")
         )
         assert summary.complete
         rows = {(r["point_id"], r["seed"]): dict(r) for r in store.rows("bytes")}
@@ -279,7 +279,7 @@ class TestCachedRowsMoveText:
         store = ResultStore(tmp_path / "cached.db")
         summary = run_sweep(
             SweepSpec(**self.SPEC), store,
-            policy=ExecutionPolicy(cache=cache, dispatch="local"),
+            policy=ExecutionPolicy(jobs=1, cache=cache),
         )
         rows = {(r["point_id"], r["seed"]): dict(r) for r in store.rows("bytes")}
         store.close()

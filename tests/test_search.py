@@ -26,6 +26,7 @@ from repro.search import (
 )
 from repro.sweep import ResultStore, SweepSpec
 from repro.sweep.stats import PointAggregate
+from tests.conftest import fail_runs_of
 
 NO_CACHE = ExecutionPolicy(cache=False)
 
@@ -322,15 +323,21 @@ class TestController:
         summary = run_search(spec, store, policy=NO_CACHE, max_points=1)
         assert summary.grid_points == 1 and summary.complete
 
-    def test_failing_point_degrades_gracefully(self, tmp_path):
+    def test_failing_point_degrades_gracefully(self, tmp_path, monkeypatch):
         spec = mini_search(
             sweep=mini_sweep(
-                axes={"predictor": ["oracle", "no-such-predictor"]}, retries=0,
+                axes={"predictor": ["oracle", "wang-franklin"]}, retries=0,
             ),
         )
+        bad = spec.sweep.expand()[1]
+        assert bad.params["predictor"] == "wang-franklin"
+        fail_runs_of(monkeypatch, bad.point_id[:8])
         store = ResultStore(tmp_path / "s.db")
-        summary = run_search(spec, store, policy=NO_CACHE)
+        summary = run_search(spec, store, policy=NO_CACHE.merged(jobs=1))
         assert summary.failed > 0
+        failed = [r for r in store.rows(spec.rung_sweep(0)) if r["status"] == "failed"]
+        assert {r["point_id"] for r in failed} == {bad.point_id}
+        assert all(r["attempts"] == 1 for r in failed)
         assert summary.winner is not None  # the healthy point still wins
         assert summary.winner["params"]["predictor"] == "oracle"
 

@@ -24,6 +24,7 @@ from repro.sweep import (
     sweep_result,
 )
 from repro.sweep.report import axis_marginals, export_jsonl, format_markdown
+from tests.conftest import fail_runs_of
 
 LENGTH = 500
 
@@ -351,30 +352,32 @@ class TestRunSweep:
         assert resumed.complete and resumed.simulated == 0
         assert resumed.skipped == 6
 
-    def test_failing_point_is_retried_then_reported(self, tmp_path):
-        spec = mini_spec(
-            # the recipe of the unknown predictor fails when its rows run
-            axes={"predictor": ["oracle", "no-such-predictor"]},
-            retries=1,
-        )
+    def test_failing_point_is_retried_then_reported(self, tmp_path, monkeypatch):
+        spec = mini_spec(axes={"predictor": ["oracle", "wang-franklin"]}, retries=1)
+        bad = spec.expand()[1]
+        assert bad.params["predictor"] == "wang-franklin"
+        fail_runs_of(monkeypatch, bad.point_id[:8])
         store = ResultStore(tmp_path / "s.db")
-        summary = run_sweep(spec, store, policy=ExecutionPolicy(cache=False))
+        summary = run_sweep(spec, store, policy=ExecutionPolicy(jobs=1, cache=False))
         assert summary.failed == 2  # the bad point's two seeds
         assert summary.done == summary.total - 2
         failed = [r for r in store.rows(spec.name) if r["status"] == "failed"]
+        assert {r["point_id"] for r in failed} == {bad.point_id}
         assert all(r["attempts"] == 2 for r in failed)  # first try + 1 retry
-        assert all("no-such-predictor" in (r["error"] or "") for r in failed)
+        assert all("injected failure" in (r["error"] or "") for r in failed)
         # the report degrades gracefully instead of aborting
         aggs = aggregate(store.rows(spec.name))
         result = sweep_result(spec.name, aggs)
         assert result.summary["points failed"] == 1
         assert full_report(spec.name, aggs)  # renders
 
-    def test_bad_predictor_name_marks_point_failed(self, tmp_path):
-        spec = mini_spec(axes={}, base={"machine": "mtvp", "threads": 2,
-                                        "predictor": "no-such-predictor"})
+    def test_run_time_failure_marks_point_failed(self, tmp_path, monkeypatch):
+        spec = mini_spec(axes={})
+        fail_runs_of(monkeypatch, spec.expand()[0].point_id[:8])
         store = ResultStore(tmp_path / "s.db")
-        summary = run_sweep(spec, store, policy=ExecutionPolicy(cache=False, retries=0))
+        summary = run_sweep(
+            spec, store, policy=ExecutionPolicy(jobs=1, cache=False, retries=0)
+        )
         assert summary.failed == 2  # both seeds of the single point
         assert summary.done == 2  # baselines still ran
 
@@ -733,6 +736,44 @@ class TestMalformedSpec:
     ):
         with pytest.raises(SweepSpecError, match=f"^{re.escape(shown)}$"):
             mini_spec(**{field: value})
+
+    @pytest.mark.parametrize("fields, shown", [
+        ({"base": {"machine": "mtvp", "predictor": "no-such"}, "axes": {}},
+         "point {'machine': 'mtvp', 'predictor': 'no-such'}: unknown value predictor"),
+        ({"base": {"machine": "mtvp", "selector": "no-such"}, "axes": {}},
+         "point {'machine': 'mtvp', 'selector': 'no-such'}: unknown load selector"),
+        ({"axes": {"predictor": ["oracle", "no-such"]}},
+         "point {'machine': 'mtvp', 'threads': 2, 'predictor': 'no-such'}: "
+         "unknown value predictor"),
+        ({"baseline": {"machine": "baseline", "selector": "no-such"}},
+         "baseline {'machine': 'baseline', 'selector': 'no-such'}: unknown load selector"),
+    ], ids=["base-predictor", "base-selector", "axis-predictor", "baseline-selector"])
+    def test_unknown_component_fails_the_load(self, fields, shown):
+        """Building a point's RunSpec resolves its predictor and selector
+        names, so an unknown one is a bad recipe like a bad field value."""
+        with pytest.raises(SweepSpecError, match=f"^{re.escape(shown)} 'no-such'"):
+            mini_spec(**fields)
+
+    @pytest.mark.parametrize("component", ["predictor", "selector"])
+    @pytest.mark.parametrize("command", ["sweep", "search"])
+    def test_unknown_component_exits_2_before_the_db_opens(
+        self, tmp_path, capsys, command, component
+    ):
+        from repro.__main__ import main
+
+        text = TOML.replace('predictor = "oracle"', f'{component} = "nosuch"')
+        if command == "search":
+            text = '[search]\nname = "s"\n\n[[search.rungs]]\nseeds = 1\n' + text
+        path = tmp_path / "spec.toml"
+        path.write_text(text)
+        db = tmp_path / "x.db"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "run", str(path), "--db", str(db), "--no-cache"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: {path}: ")
+        assert "'nosuch'" in err and err.count("\n") == 1
+        assert not db.exists()
 
     @pytest.mark.parametrize("name", ["bad.toml", "list.json", "search-field.toml"])
     def test_load_search_spec_names_the_file(self, tmp_path, name):
