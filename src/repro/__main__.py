@@ -200,8 +200,7 @@ def _cmd_run_traces(args: argparse.Namespace) -> int:
     try:
         trace_set = load_trace_set(args.traces)
     except (OSError, TraceFormatError) as exc:
-        print(f"cannot ingest traces: {exc}")
-        return 1
+        args.parser.error(f"cannot ingest traces: {exc}")
     spec, config = _run_recipe(args)
     try:
         stats = simulate(

@@ -49,12 +49,30 @@ class SnapshotMixin:
             "predictor": self.predictor.snapshot(),
         }
 
+    def share(self, payload: dict) -> dict:
+        """``payload`` as a warm template that shares this engine's cache sets.
+
+        ``payload`` is this engine's :meth:`snapshot`, or the payload it
+        restored, and the engine must not have run since.  The template
+        is the payload with each cache's flat tags replaced by the cache's
+        own sets (:meth:`Cache.share <repro.memory.Cache.share>`), which
+        this engine and every engine that restores the template copy
+        before their first write to a set.  Its branch, value-predictor
+        and prefetcher entries are the payload's, which their restores
+        copy.  It is never pickled.
+        """
+        if self._started:
+            raise RuntimeError("share() requires an engine whose timed run has not started")
+        return {**payload, "hierarchy": self.hierarchy.share(payload["hierarchy"])}
+
     def restore(self, data: dict) -> None:
-        """Load a :meth:`snapshot` payload into this (freshly built) engine.
+        """Load a :meth:`snapshot` payload, or a :meth:`share` template,
+        into this (freshly built) engine.
 
         The engine must have been constructed with the same trace and
         component classes as the one that produced the snapshot (timing
-        axes may differ), and must not have run yet.  A malformed payload
+        axes may differ), and must not have run yet.  A template's cache
+        sets are adopted in O(sets), copy-on-write.  A malformed payload
         raises :class:`ValueError`.
         """
         if self._started:

@@ -309,33 +309,49 @@ class KeyedStore:
 
     def _lookup(self, key: str, decode):
         """:meth:`get` with ``decode`` in place of :meth:`_decode`."""
-        framed = self._read(key)
-        value = None
-        if framed is not None:
-            view = memoryview(framed)  # slices without copying the body
-            body = view[self._DIGEST_SIZE:]
-            if hashlib.blake2b(body).digest() == view[: self._DIGEST_SIZE]:
-                value = decode(body)
-            if value is None:
-                self._discard(key)
-        with self._lock:
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
+        found = self._verified(key)
+        value = None if found is None else decode(found[1])
+        if found is not None and value is None:
+            self._discard(key)
+        self._tally(value is not None)
         return value
 
-    def put(self, key: str, value) -> None:
-        """Store ``value`` under ``key`` (atomic rename, last writer wins).
+    def _verified(self, key: str) -> tuple[bytes, memoryview] | None:
+        """``(digest, body)`` of the entry under ``key``; None when there
+        is none, or when it is short or fails its digest (then it is
+        discarded)."""
+        framed = self._read(key)
+        if framed is None:
+            return None
+        view = memoryview(framed)  # slices without copying the body
+        body = view[self._DIGEST_SIZE:]
+        digest = hashlib.blake2b(body).digest()
+        if digest != view[: self._DIGEST_SIZE]:
+            self._discard(key)
+            return None
+        return digest, body
+
+    def _tally(self, hit: bool) -> None:
+        with self._lock:
+            if hit:
+                self.hits += 1
+            else:
+                self.misses += 1
+
+    def put(self, key: str, value) -> bytes:
+        """Store ``value`` under ``key`` (atomic rename, last writer wins);
+        returns the entry's digest.
 
         Tolerates the store directory itself disappearing underneath us
         (an aggressive concurrent pruner): it is recreated and the write
         retried once.
         """
         body = self._encode(value)
-        self._write(key, hashlib.blake2b(body).digest() + body)
+        digest = hashlib.blake2b(body).digest()
+        self._write(key, digest + body)
         with self._lock:
             self.stores += 1
+        return digest
 
     def absorb(self, hits: int, misses: int, stores: int) -> None:
         """Add traffic another handle on this directory saw (a pool

@@ -31,6 +31,13 @@ This is the one on-disk format for warmed state: ``repro run`` keeps
 it across invocations under ``$REPRO_CHECKPOINT_DIR`` exactly as
 campaigns do under ``--checkpoint-dir``, so a damaged checkpoint is a
 miss that re-warms, never a crash.
+
+Every store, in memory or on disk, also keeps one warm template: the
+entry it last stored or restored, held live so that the next restores
+of that entry neither unpickle it nor rebuild its cache sets (they
+adopt the template's sets copy-on-write).  A restore still reads the
+entry and checks its digest, and gets the template only when the digest
+is the template's; see :class:`CheckpointStore`.
 """
 
 from __future__ import annotations
@@ -128,7 +135,22 @@ def arch_key(
 
 
 class CheckpointStore(KeyedStore):
-    """Directory of ``<key>.ckpt`` entries, one pickled arch snapshot each.
+    """Directory of ``<key>.ckpt`` entries, one pickled arch snapshot each,
+    plus one warm template in memory.
+
+    The template is the warmed state of the last entry this store stored
+    or restored.  After :meth:`put` it is the stored payload itself, so
+    the first restore from it skips the unpickling; that restore's engine
+    is handed over with :meth:`keep` before its timed run, and from then
+    on the template holds the payload with the caches' sets shared
+    copy-on-write (:meth:`Engine.share <repro.core.engine.Engine.share>`),
+    which the next restores adopt in O(sets).  A run that only warms and
+    stores never shares its sets, so it never copies one.  :meth:`get`
+    still reads the entry and verifies its digest, and returns the
+    template only when that digest is the one the template was built
+    from, so a damaged entry is a miss either way.  Any other lookup
+    drops the template first, so at most one architecture beyond the
+    running one is resident.
 
     The sweep runner reports the ``hits``/``misses``/``stores`` counters,
     so a campaign shows how many points reused a warmup instead of
@@ -137,6 +159,69 @@ class CheckpointStore(KeyedStore):
 
     suffix = ".ckpt"
     default_directory = staticmethod(default_checkpoint_dir)
+
+    #: ``(digest, template, shared)``: the warm template of the entry with
+    #: that verified digest; ``shared`` once it holds an engine's sets
+    _template: tuple[bytes, dict, bool] | None = None
+    #: ``(key, digest, payload)`` of the payload a restore is being built
+    #: from, until :meth:`keep` shares that engine's sets
+    _latest: tuple[str, bytes, dict] | None = None
+
+    def get(self, key: str) -> dict | None:
+        """The payload stored under ``key``, or None (see
+        :meth:`KeyedStore.get <repro.harness.cache.KeyedStore.get>`).
+
+        A hit whose verified digest is the template's is the template
+        itself: callers share it and must only restore from it.  Any other
+        lookup drops the template first.
+        """
+        found = self._verified(key)
+        with self._lock:
+            held, self._template, self._latest = self._template, None, None
+        value = None
+        if found is not None:
+            digest, body = found
+            if held is not None and held[0] == digest:
+                value = held[1]
+                with self._lock:
+                    self._template = held
+                    if not held[2]:
+                        self._latest = (key, digest, value)
+            else:
+                held = None  # freed before the restore builds another
+                value = self._decode(body)
+                if value is None:
+                    self._discard(key)
+                else:
+                    with self._lock:
+                        self._latest = (key, digest, value)
+        self._tally(value is not None)
+        return value
+
+    def put(self, key: str, value: dict) -> bytes:
+        """:meth:`KeyedStore.put <repro.harness.cache.KeyedStore.put>`;
+        ``value`` becomes the template."""
+        digest = super().put(key, value)
+        with self._lock:
+            self._template = (digest, value, False)
+        return digest
+
+    def keep(self, key: str, engine) -> None:
+        """Make the template share ``engine``'s cache sets.
+
+        ``engine`` must not have run, and must have restored the payload
+        that the last :meth:`get` on this store returned for ``key``.
+        When that call missed, was for another key or returned a shared
+        template, nothing changes.
+        """
+        with self._lock:
+            latest, self._latest = self._latest, None
+        if latest is None or latest[0] != key:
+            return
+        _, digest, payload = latest
+        template = engine.share(payload)
+        with self._lock:
+            self._template = (digest, template, True)
 
     @staticmethod
     def _encode(payload: dict) -> bytes:
@@ -154,12 +239,13 @@ class _MemoryCheckpoints(CheckpointStore):
     """A :class:`CheckpointStore` whose frames live in an in-process LRU.
 
     The frames are the same digest-plus-pickle bytes a file holds, so a
-    hit is verified and unpickled exactly like a file hit, and a damaged
-    frame is a discarded miss.  Keeping bytes rather than payload dicts
-    keeps an entry at its pickled size (0.2-0.6 MB on the suite, several
-    times smaller than the unpickled dict) and makes sharing a mutable
-    object between two restores impossible.  Only ``capacity``
-    frames are kept; the least recently used one is dropped first.
+    hit is verified exactly like a file hit, and a damaged frame is a
+    discarded miss.  Frames keep an entry at its pickled size (0.2-0.6 MB
+    on the suite, several times smaller than the unpickled dict); only
+    the store's one warm template is held live.  Only ``capacity``
+    frames are kept; the least recently used one is dropped first, and a
+    restore of an evicted entry is a miss even while its template is
+    held.
     """
 
     def __init__(self, capacity: int) -> None:

@@ -29,6 +29,13 @@ class Cache:
     iteration order *is* the LRU order (oldest first); a hit re-inserts the
     tag to move it to the MRU position.
 
+    Sets are copy-on-write.  ``_sets[i]`` is the set this cache owns, or
+    ``None`` while it reads ``_base[i]``, a set it may share with other
+    caches and must not change: the mutators copy it into ``_sets`` on
+    their first write.  A new cache owns every set; :meth:`share` and a
+    :meth:`restore` from its payload hand one tuple of warmed sets to
+    many caches in O(sets).
+
     Args:
         size_bytes: Total capacity in bytes.
         assoc: Associativity (ways per set).
@@ -62,7 +69,10 @@ class Cache:
         power_of_two(f"{name}: number of sets", self.num_sets)
         self._set_mask = self.num_sets - 1
         self._line_shift = line_size.bit_length() - 1
-        self._sets: list[dict[int, None]] = [{} for _ in range(self.num_sets)]
+        self._sets: list[dict[int, None] | None] = [{} for _ in range(self.num_sets)]
+        #: the shared sets this cache reads where ``_sets`` holds None;
+        #: None while it owns every set
+        self._base: tuple[dict[int, None], ...] | None = None
         #: running count of valid lines, maintained by insert/invalidate so
         #: occupancy is O(1) instead of a sum over every set
         self._lines = 0
@@ -86,6 +96,8 @@ class Cache:
         """
         line = addr >> self._line_shift
         cset = self._sets[line & self._set_mask]
+        if cset is None:
+            cset = self._own(line & self._set_mask)
         if cset.pop(line, _MISS) is _MISS:
             self.misses += 1
             return False
@@ -103,6 +115,8 @@ class Cache:
         """
         line = addr >> self._line_shift
         cset = self._sets[line & self._set_mask]
+        if cset is None:
+            cset = self._own(line & self._set_mask)
         if cset.pop(line, _MISS) is _MISS:
             self.misses += 1
             if len(cset) >= self.assoc:
@@ -135,7 +149,7 @@ class Cache:
         self.misses += len(lines)
         num_sets, assoc = self.num_sets, self.assoc
         lines = lines[-num_sets * assoc:]
-        sets = self._sets
+        sets, base = self._sets, self._base
         mask = self._set_mask
         first = lines.start
         added = 0
@@ -145,11 +159,13 @@ class Cache:
             new = lines[j::num_sets]
             index = (first + j) & mask
             cset = sets[index]
-            held = len(cset)
+            held = len(base[index] if cset is None else cset)
             if not held or len(new) == assoc:
                 sets[index] = dict.fromkeys(new)
                 added += len(new) - held
                 continue
+            if cset is None:
+                cset = self._own(index)
             overflow = held + len(new) - assoc
             if overflow > 0:
                 # the oldest lines go first, as one fill at a time evicts them
@@ -162,8 +178,10 @@ class Cache:
 
     def probe(self, addr: int) -> bool:
         """Non-destructive presence check (no LRU update, no stats)."""
-        line = self.line_of(addr)
-        return line in self._sets[line & self._set_mask]
+        line = addr >> self._line_shift
+        index = line & self._set_mask
+        cset = self._sets[index]
+        return line in (self._base[index] if cset is None else cset)
 
     def insert(self, addr: int) -> int | None:
         """Fill the line containing ``addr``; return the evicted line or None.
@@ -172,8 +190,10 @@ class Cache:
         inclusive hierarchies can use for back-invalidation (we do not need
         it but expose it for completeness and tests).
         """
-        line = self.line_of(addr)
+        line = addr >> self._line_shift
         cset = self._sets[line & self._set_mask]
+        if cset is None:
+            cset = self._own(line & self._set_mask)
         victim = None
         if line in cset:
             del cset[line]
@@ -187,13 +207,34 @@ class Cache:
 
     def invalidate(self, addr: int) -> bool:
         """Remove the line containing ``addr``; return True if it was present."""
-        line = self.line_of(addr)
-        cset = self._sets[line & self._set_mask]
-        if line in cset:
-            del cset[line]
-            self._lines -= 1
-            return True
-        return False
+        line = addr >> self._line_shift
+        index = line & self._set_mask
+        cset = self._sets[index]
+        if line not in (self._base[index] if cset is None else cset):
+            return False
+        if cset is None:
+            cset = self._own(index)
+        del cset[line]
+        self._lines -= 1
+        return True
+
+    def _own(self, index: int) -> dict[int, None]:
+        """Set ``index`` copied out of the shared base, for a first write.
+
+        ``dict.copy`` keeps insertion order, so the copy keeps the LRU
+        order.
+        """
+        cset = self._sets[index] = self._base[index].copy()
+        return cset
+
+    def _view(self) -> list[dict[int, None]]:
+        """Every set as this cache reads it: its own where it has one."""
+        if self._base is None:
+            return self._sets
+        return [
+            base if own is None else own
+            for own, base in zip(self._sets, self._base)
+        ]
 
     @property
     def occupancy(self) -> int:
@@ -213,11 +254,33 @@ class Cache:
         one count per set (a byte each, wider past 255 ways); restoring
         re-inserts in that order and recovers the exact replacement state.
         """
+        sets = self._view()
         return {
             "version": SNAPSHOT_VERSION,
             "geometry": [self.size_bytes, self.assoc, self.line_size],
-            "counts": array(self._count_code, map(len, self._sets)).tobytes(),
-            "tags": list(chain.from_iterable(self._sets)),
+            "counts": array(self._count_code, map(len, sets)).tobytes(),
+            "tags": list(chain.from_iterable(sets)),
+            "hits": self.hits,
+            "misses": self.misses,
+        }
+
+    def share(self) -> dict:
+        """A :meth:`restore` payload holding this cache's sets themselves.
+
+        The payload's ``sets`` tuple becomes this cache's base as well, so
+        this cache and every cache restored from the payload copy a set
+        before their first write to it, and the tuple's sets never change.
+        It costs O(sets), not O(lines).  The payload lives in this process
+        only: checkpoint frames hold :meth:`snapshot`.
+        """
+        sets = tuple(self._view())
+        self._base = sets
+        self._sets = [None] * self.num_sets
+        return {
+            "version": SNAPSHOT_VERSION,
+            "geometry": [self.size_bytes, self.assoc, self.line_size],
+            "sets": sets,
+            "lines": self._lines,
             "hits": self.hits,
             "misses": self.misses,
         }
@@ -228,38 +291,50 @@ class Cache:
         return "B" if self.assoc <= 0xFF else "I"
 
     def restore(self, data: dict) -> None:
-        """Restore from a :meth:`snapshot` payload (geometry must match).
+        """Restore from a :meth:`snapshot` or :meth:`share` payload
+        (geometry must match).
 
-        Only the occupied sets are rebuilt, each replacing the empty set
-        it lands on as soon as it is built, so the collector sees no net
-        allocations.  A malformed payload raises :class:`ValueError`
-        naming this cache.
+        A :meth:`share` payload's sets become this cache's base, in
+        O(sets).  From a snapshot only the occupied sets are built, each
+        from its run of the flat tags.  A malformed payload raises
+        :class:`ValueError` naming this cache and leaves it unchanged.
         """
         try:
-            counts, tags = self._validate(data)
+            self._check_header(data)
             hits, misses = data["hits"], data["misses"]
-            if self._lines:
-                self._sets = [{} for _ in range(self.num_sets)]
-            sets = self._sets
-            # one set per nonzero count, each taking the next ``count`` tags
-            tag_stream = iter(tags)
-            occupied = zip(
-                compress(range(self.num_sets), counts),
-                map(dict.fromkeys, map(islice, repeat(tag_stream), compress(counts, counts))),
-            )
-            for index, cset in occupied:
-                sets[index] = cset
+            if "sets" in data:
+                base, lines = data["sets"], data["lines"]
+                if type(base) is not tuple or len(base) != self.num_sets:
+                    raise ValueError(
+                        f"{self.name}: shared sets do not cover {self.num_sets} sets"
+                    )
+                self._sets = [None] * self.num_sets
+                self._base = base
+            else:
+                counts, tags = self._validate(data)
+                lines = len(tags)
+                if self._lines or self._base is not None:
+                    self._sets = [{} for _ in range(self.num_sets)]
+                    self._base = None
+                sets = self._sets
+                # one set per nonzero count, each taking the next ``count`` tags
+                tag_stream = iter(tags)
+                occupied = zip(
+                    compress(range(self.num_sets), counts),
+                    map(dict.fromkeys, map(islice, repeat(tag_stream), compress(counts, counts))),
+                )
+                for index, cset in occupied:
+                    sets[index] = cset
         except (KeyError, TypeError, AttributeError, IndexError) as exc:
             raise ValueError(
                 f"malformed Cache snapshot for {self.name}: {exc!r}"
             ) from None
-        self._lines = len(tags)
+        self._lines = lines
         self.hits = hits
         self.misses = misses
 
-    def _validate(self, data: dict) -> tuple[array, list[int]]:
-        """A snapshot's per-set counts and flat tags, checked against
-        this cache's geometry and each other."""
+    def _check_header(self, data: dict) -> None:
+        """A payload's version and geometry, checked against this cache."""
         if data.get("version") != SNAPSHOT_VERSION:
             raise ValueError(
                 f"unsupported Cache snapshot version: {data.get('version')!r}"
@@ -270,6 +345,10 @@ class Cache:
                 f"{self.name} ({self.size_bytes}B {self.assoc}-way "
                 f"{self.line_size}B lines)"
             )
+
+    def _validate(self, data: dict) -> tuple[array, list[int]]:
+        """A snapshot's per-set counts and flat tags, checked against
+        this cache's geometry and each other."""
         blob, tags = data["counts"], data["tags"]
         counts = array(self._count_code)
         if not isinstance(blob, bytes) or len(blob) != self.num_sets * counts.itemsize:

@@ -313,8 +313,20 @@ class MemoryHierarchy:
             "level_counts": {int(lv): n for lv, n in self.level_counts.items()},
         }
 
+    def share(self, data: dict) -> dict:
+        """``data``, this hierarchy's :meth:`snapshot`, with each cache's
+        entry replaced by :meth:`Cache.share <repro.memory.Cache.share>`:
+        a payload :meth:`restore` takes in O(sets) per cache."""
+        return {
+            **data,
+            "l1": self.l1.share(),
+            "l2": self.l2.share(),
+            "l3": self.l3.share(),
+        }
+
     def restore(self, data: dict) -> None:
-        """Restore from a :meth:`snapshot` payload (same shape hierarchy)."""
+        """Restore from a :meth:`snapshot` or :meth:`share` payload (same
+        shape hierarchy)."""
         if data.get("version") != 1:
             raise ValueError(
                 f"unsupported MemoryHierarchy snapshot version: "

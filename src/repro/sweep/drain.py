@@ -131,8 +131,9 @@ def drain_campaign(
             :func:`~repro.harness.parallel.run_simulations`).
 
     Returns:
-        Counter dict: ``simulated`` (tasks dispatched), ``retried``
-        (dispatches of previously-failed rows), ``lost`` (results whose
+        Counter dict: ``simulated`` (tasks the result cache did not
+        serve, failed ones included), ``cached`` (tasks it served),
+        ``retried`` (dispatches of previously-failed rows), ``lost`` (results whose
         lease was reclaimed before the commit landed),
         ``ckpt_enabled``/``ckpt_hits``/``ckpt_stores`` (warmup checkpoint
         traffic).
@@ -156,7 +157,7 @@ def drain_campaign(
         checkpoints=ckpt_store if ckpt_store is not None else False,
     )
     counters = {
-        "simulated": 0, "retried": 0, "lost": 0,
+        "simulated": 0, "cached": 0, "retried": 0, "lost": 0,
         "ckpt_enabled": int(ckpt_store is not None),
         "ckpt_hits": 0, "ckpt_stores": 0,
     }
@@ -179,6 +180,7 @@ def drain_campaign(
         version = code_version()
         for (key, _), outcome in zip(held, outcomes):
             if isinstance(outcome, SimulationError):
+                counters["simulated"] += 1
                 if store.mark_failed(sweep, key, str(outcome), owner=owner):
                     say(f"{sweep}: FAILED {key[0]} seed {key[1]}: {outcome}")
                 else:
@@ -186,8 +188,10 @@ def drain_campaign(
                 continue
             if isinstance(outcome, str):  # a cache hit's stats text
                 stats, wall_seconds = outcome, 0.0
+                counters["cached"] += 1
             else:
                 stats, wall_seconds = stats_text(outcome), outcome.wall_seconds
+                counters["simulated"] += 1
             landed = store.mark_done(
                 sweep,
                 key,
@@ -243,7 +247,6 @@ def drain_campaign(
                 (row["workload"], specs[key[0]], row["length"], key[1])
                 for key, row in held
             ]
-            counters["simulated"] += len(tasks)
             counters["retried"] += sum(1 for _, row in held if row["attempts"] > 0)
             try:
                 commit(held, run_simulations(

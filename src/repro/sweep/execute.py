@@ -60,9 +60,10 @@ class CampaignSummary:
     total: int        #: rows this campaign covers (points × seeds + baselines)
     done: int         #: rows done after this invocation
     failed: int       #: rows failed with their retry budget exhausted
-    simulated: int    #: tasks dispatched this invocation (0 on a no-op resume)
+    simulated: int    #: tasks simulated this invocation (0 on a no-op resume)
     skipped: int      #: rows already done when this invocation started
     retried: int      #: failed-row retry dispatches among ``simulated``
+    cached: int = 0   #: tasks the result cache served this invocation
 
     @property
     def complete(self) -> bool:
@@ -74,7 +75,8 @@ class CampaignSummary:
         )
         return (
             f"sweep {self.sweep}: {self.done}/{self.total} rows done, "
-            f"{self.simulated} simulated ({self.retried} retries), "
+            f"{self.simulated} simulated, {self.cached} cached "
+            f"({self.retried} retries), "
             f"{self.skipped} already done — {status}"
         )
 
@@ -216,6 +218,7 @@ def run_sweep(
         simulated=counters.get("simulated", 0),
         skipped=initially_done,
         retried=counters.get("retried", 0),
+        cached=counters.get("cached", 0),
     )
     if counters.get("ckpt_enabled"):
         # a pooled campaign's counts include what its pool children did

@@ -1,6 +1,8 @@
 """Unit tests for the set-associative cache."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.memory import Cache
 
@@ -140,3 +142,89 @@ class TestConflicts:
         c.insert(64)
         c.insert(128)
         assert all(c.probe(a) for a in (0, 64, 128))
+
+
+class TestCopyOnWrite:
+    """A cache adopting a shared template matches one restored from flat tags.
+
+    :meth:`Cache.share` hands a cache's sets out as a template; caches that
+    restore it read those sets until their first write to one, which
+    copies it.  Whatever a run of lookups, fills, inserts, invalidations
+    and installs does, the adopting cache must behave exactly like a cache
+    restored from the same state's flat :meth:`Cache.snapshot`, and the
+    template's sets must not change.
+    """
+
+    SIZE, ASSOC = 8 * 2 * 64, 2  # 8 sets of 2 ways: frequent conflicts
+    MUTATORS = ("lookup", "fill", "insert", "invalidate", "install")
+
+    @staticmethod
+    def contents(sets) -> list[list[int]]:
+        return [list(cset) for cset in sets]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        warm=st.lists(st.integers(0, 31), max_size=40),
+        ops=st.lists(
+            st.tuples(st.sampled_from(MUTATORS), st.integers(0, 31)),
+            max_size=60,
+        ),
+    )
+    # one write to a shared set per mutator: line 0 is its set's LRU line,
+    # and the one installed line (1000) lands in that set too
+    @example(warm=[0, 8], ops=[("lookup", 0)])
+    @example(warm=[0, 8], ops=[("fill", 16)])
+    @example(warm=[0, 8], ops=[("insert", 0)])
+    @example(warm=[0, 8], ops=[("invalidate", 0)])
+    @example(warm=[0, 8], ops=[("install", 1)])
+    def test_adopted_and_flat_restored_caches_stay_identical(self, warm, ops):
+        source = make_cache(self.SIZE, self.ASSOC)
+        for line in warm:
+            source.fill(line * 64)
+        flat = source.snapshot()
+        shared = source.share()
+        before = self.contents(shared["sets"])
+        adopted = make_cache(self.SIZE, self.ASSOC)
+        adopted.restore(shared)
+        restored = make_cache(self.SIZE, self.ASSOC)
+        restored.restore(flat)
+        assert adopted.snapshot() == restored.snapshot() == source.snapshot()
+        fresh = 1000  # install takes lines no cache holds yet
+        for op, line in ops:
+            results = []
+            for cache in (adopted, restored, source):
+                if op == "install":
+                    cache.install(range(fresh, fresh + line))
+                    results.append(None)
+                else:
+                    results.append(getattr(cache, op)(line * 64))
+            if op == "install":
+                fresh += line
+            assert results[0] == results[1] == results[2], (op, line)
+            assert adopted.snapshot() == restored.snapshot() == source.snapshot()
+            assert adopted.occupancy == restored.occupancy == source.occupancy
+            assert (adopted.hits, adopted.misses) == (restored.hits, restored.misses)
+            assert self.contents(shared["sets"]) == before, (op, line)
+
+    def test_a_second_share_keeps_the_first_template_intact(self):
+        source = make_cache()
+        for line in range(40):
+            source.insert(line * 64)
+        first = source.share()
+        before = self.contents(first["sets"])
+        source.insert(40 * 64)
+        source.invalidate(0)
+        second = source.share()
+        assert self.contents(first["sets"]) == before
+        adopted = make_cache()
+        adopted.restore(second)
+        assert adopted.snapshot() == source.snapshot()
+        assert not adopted.probe(0) and adopted.probe(40 * 64)
+
+    def test_shared_payload_must_cover_every_set(self):
+        source = make_cache()
+        shared = source.share()
+        with pytest.raises(ValueError, match="shared sets do not cover"):
+            make_cache().restore({**shared, "sets": shared["sets"][1:]})
+        with pytest.raises(ValueError, match="geometry"):
+            make_cache(size=8192).restore(shared)

@@ -382,11 +382,12 @@ class TestCli:
     def test_run_traces_reject_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"
         bad.write_bytes(b"NOPE" + b"\x00" * 60)
-        code, out = self.run_cli(
-            ["run", "--traces", str(bad), "--machine", "baseline"], capsys
-        )
-        assert code == 1
-        assert "cannot ingest traces" in out
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(["run", "--traces", str(bad), "--machine", "baseline"], capsys)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: cannot ingest traces" in captured.err
 
     def test_run_traces_and_workload_conflict(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -504,6 +505,23 @@ class TestCliCountValidation:
         assert "usage: repro" in captured.err
         assert len([ln for ln in captured.err.splitlines() if "error:" in ln]) == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("content", [b"RVPT\x01\x00\x00", None], ids=["7-byte", "missing"])
+    def test_unreadable_trace_file_is_one_line(self, content, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "short.rvpt"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--traces", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and "cannot ingest traces" in errors[0]
+        assert str(path) in errors[0]
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["run", "nosuch", "--length", "100"],

@@ -293,7 +293,8 @@ class TestCachedRowsMoveText:
     def test_cached_columns_equal_the_cold_pass_byte_for_byte(self, cold, tmp_path):
         cache_dir, cold_rows = cold
         summary, cache, rows = self.cached_pass(cache_dir, tmp_path)
-        assert summary.complete and summary.simulated == len(rows) == 6
+        assert summary.complete and summary.cached == len(rows) == 6
+        assert summary.simulated == 0
         assert (cache.hits, cache.misses, cache.stores) == (6, 0, 0)
         assert rows.keys() == cold_rows.keys()
         for key, row in rows.items():

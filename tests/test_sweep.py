@@ -521,6 +521,23 @@ class TestSweepCLI:
         assert "bootstrap CI" in out and "best point" in out
         assert csv_path.exists()
 
+    def test_fresh_db_over_a_warm_cache_simulates_nothing(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        spec_path = tmp_path / "mini.toml"
+        spec_path.write_text(TOML)
+        cache = ["--cache-dir", str(tmp_path / "cache"), "--seeds", "2",
+                 "--length", "500"]
+        assert main(["sweep", "run", str(spec_path),
+                     "--db", str(tmp_path / "a.db"), *cache]) == 0
+        cold = capsys.readouterr().out
+        rows = 6  # two points and their baseline, two seeds each
+        assert f"{rows}/{rows} rows done, {rows} simulated, 0 cached" in cold
+        assert main(["sweep", "run", str(spec_path),
+                     "--db", str(tmp_path / "b.db"), *cache]) == 0
+        warm = capsys.readouterr().out
+        assert f"{rows}/{rows} rows done, 0 simulated, {rows} cached" in warm
+
     def test_status_shows_axis_progress_and_json_ledger(
         self, tmp_path, capsys
     ):

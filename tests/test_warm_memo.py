@@ -6,7 +6,8 @@ same trace shares, so :data:`~repro.harness.checkpoint.MEMORY_CHECKPOINTS`
 keeps it as digest-framed bytes in a small LRU.  Contracts:
 
 * a restored run is byte-identical to a fresh ``checkpoints=False`` run,
-  and a restore never changes the entry it came from;
+  and a restore never changes the entry or the warm template it came
+  from;
 * instrumented, multi-program, explicit-trace and lambda-factory runs,
   and ``checkpoints=False``, never touch the memo;
 * a damaged frame is a discarded miss, and the LRU stays within capacity;
@@ -60,13 +61,17 @@ class TestRestoredRunsMatchFreshOnes:
         assert traffic(store) == (3, 2, 2)
 
     def test_restores_leave_the_entry_unchanged(self):
+        import pickle
+
         store = _MemoryCheckpoints(capacity=2)
         STVP.run("mcf", LENGTH, checkpoints=store)
         (key,) = store._frames
         frame = bytes(store._frames[key])
+        # a hit is the store's warm template: the payload it stored,
+        # shared by every restore, equal to the decoded frame
         first, second = store.get(key), store.get(key)
-        assert first == second and first is not second
-        assert first["predictor"] is not second["predictor"]
+        assert first is second
+        assert first == pickle.loads(frame[store._DIGEST_SIZE:])
         a = MTVP8.run("mcf", LENGTH, checkpoints=store)
         b = MTVP8.run("mcf", LENGTH, checkpoints=store)
         assert stats_digest(a) == stats_digest(b)
@@ -235,3 +240,92 @@ class TestFamilies:
         assert _pool_batches(families, 3) == [[1], [2, 3], [4]]
         assert _pool_batches([[1], [2]], 8) == [[1], [2]]
         assert _pool_batches([], 4) == []
+
+
+class TestWarmTemplate:
+    """A store's warm template: restores share one architecture's sets.
+
+    After ``put`` the template is the stored payload; the first restore
+    hands its engine to ``keep``, and later restores adopt that engine's
+    cache sets copy-on-write.  Every restore must still give the fresh
+    digest, the shared sets must not change, and a damaged entry must
+    stay a discarded miss while its template is held.
+    """
+
+    SAMPLED = RunSpec(
+        "mtvp8-sampled", functools.partial(MachineConfig.mtvp, 8),
+        predictor_factory="wang-franklin", warmup=1000, sample=1000,
+    )
+
+    @staticmethod
+    def fingerprint(store) -> bytes:
+        """The held template's state, LRU order included."""
+        import pickle
+
+        digest, template, shared = store._template
+        assert shared
+        return digest + pickle.dumps(template)
+
+    @pytest.mark.parametrize(
+        "spec", [BASELINE, STVP, MTVP8, SAMPLED], ids=lambda s: s.name
+    )
+    def test_two_restores_from_one_template_match_a_fresh_run(self, spec):
+        fresh = stats_digest(spec.run("mcf", LENGTH, checkpoints=False))
+        store = _MemoryCheckpoints(capacity=2)
+        # warm and store; restore from the stored payload, which shares
+        # that restore's sets as the template
+        assert stats_digest(spec.run("mcf", LENGTH, checkpoints=store)) == fresh
+        assert stats_digest(spec.run("mcf", LENGTH, checkpoints=store)) == fresh
+        held = self.fingerprint(store)
+        for _ in range(2):
+            assert stats_digest(spec.run("mcf", LENGTH, checkpoints=store)) == fresh
+        assert self.fingerprint(store) == held
+        assert traffic(store) == (3, 1, 1)
+
+    def test_a_restore_shares_the_first_restores_sets(self):
+        store = _MemoryCheckpoints(capacity=2)
+        STVP.run("mcf", LENGTH, checkpoints=store)
+        (key,) = store._frames
+        stored = store.get(key)
+        assert "tags" in stored["hierarchy"]["l3"]  # the payload put() stored
+        STVP.run("mcf", LENGTH, checkpoints=store)
+        template = store.get(key)
+        assert template is store._template[1] and template is not stored
+        assert type(template["hierarchy"]["l3"]["sets"]) is tuple
+        assert template["predictor"] is stored["predictor"]
+
+    @pytest.mark.parametrize("kind", ["memory", "directory"])
+    def test_damaged_entry_is_a_discarded_miss_while_its_template_is_held(
+        self, kind, tmp_path
+    ):
+        from repro.harness import CheckpointStore
+
+        store = (
+            _MemoryCheckpoints(capacity=2) if kind == "memory"
+            else CheckpointStore(tmp_path)
+        )
+        fresh = stats_digest(MTVP8.run("mcf", LENGTH, checkpoints=False))
+        for _ in range(2):
+            MTVP8.run("mcf", LENGTH, checkpoints=store)
+        (key,) = store._frames if kind == "memory" else [
+            p.stem for p in tmp_path.glob("*.ckpt")
+        ]
+        assert store._template is not None
+        if kind == "memory":
+            frame = bytearray(store._frames[key])
+            frame[-1] ^= 1
+            store._frames[key] = bytes(frame)
+        else:
+            path = store._path(key)
+            blob = bytearray(path.read_bytes())
+            blob[-1] ^= 1
+            path.write_bytes(bytes(blob))
+        misses = store.misses
+        assert store.get(key) is None
+        assert store.misses == misses + 1
+        assert store._template is None
+        present = key in store._frames if kind == "memory" else store._path(key).exists()
+        assert not present, "a damaged entry must be discarded"
+        # the next run re-warms and stores a sound entry
+        assert stats_digest(MTVP8.run("mcf", LENGTH, checkpoints=store)) == fresh
+        assert store.stores == 2
