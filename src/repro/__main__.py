@@ -171,8 +171,8 @@ def _run_recipe(args: argparse.Namespace, *, observe: bool = False):
         name=args.machine,
         warmup=getattr(args, "warmup", None) or 0,
         sample=getattr(args, "sample", None),
+        observe=observe,
     )
-    spec.observe = observe
     return spec, spec.config_factory()
 
 

@@ -139,22 +139,38 @@ def describe_factory(factory) -> object | None:
     return f"{module}.{qualname}"
 
 
+#: canonical JSON: sorted keys, no whitespace, ASCII only
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: a string's canonical JSON rendering (what ``_canonical`` emits for one)
+_string = json.encoder.encode_basestring_ascii
+
+
 def canonical_hash(payload: dict) -> str:
     """SHA-256 hex digest of ``payload`` rendered as canonical JSON.
 
     The one hashing rule behind every store key (:func:`task_key`,
     :func:`~repro.harness.checkpoint.arch_key`).
     """
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
-def task_key(workload_name: str, spec, length: int, seed: int) -> str | None:
-    """Cache key for one ``(workload, RunSpec, length, seed)`` simulation.
+def _number(value) -> str:
+    """``value``'s canonical JSON rendering, without an encoder for an int."""
+    return int.__repr__(value) if type(value) is int else _canonical(value)
 
-    The config enters as the spec's :attr:`~repro.harness.runner.RunSpec.rendered_config`,
-    built and rendered once per spec however many tasks share it.
-    Returns ``None`` when any ingredient cannot be described stably.
+
+def key_template(spec) -> tuple[str, str, str] | None:
+    """The constant text of every :func:`task_key` payload ``spec`` takes part in.
+
+    A task key hashes the canonical JSON of one payload (see
+    :func:`canonical_hash`) whose keys sort as ``code``, ``config``,
+    ``length``, [``observe``], ``predictor``, [``sample``], ``seed``,
+    ``selector``, [``warmup``], ``workload``.  Only the code version,
+    length, seed and workload vary between a spec's tasks; the three
+    strings returned are the rendered text between them — after the
+    code version, after the length and after the seed — so
+    :func:`task_key` splices the four rendered values in.  ``None``
+    when the predictor, selector or config cannot be described stably.
     """
     predictor = describe_factory(spec.predictor_factory)
     selector = describe_factory(spec.selector_factory)
@@ -164,28 +180,40 @@ def task_key(workload_name: str, spec, length: int, seed: int) -> str | None:
         config = spec.rendered_config
     except TypeError:
         return None
-    payload = {
-        "workload": workload_name,
-        "config": config,
-        "predictor": predictor,
-        "selector": selector,
-        "length": length,
-        "code": code_version(),
-    }
-    if getattr(spec, "observe", False):
-        # observed runs carry extended metrics in their stats; keying them
-        # separately keeps plain runs serving plain (smaller) entries
-        payload["observe"] = True
+    # observed runs carry extended metrics in their stats; keying them
+    # separately keeps plain runs serving plain (smaller) entries
+    observe = ',"observe":true' if spec.observe else ""
     # interval-protocol axes enter the key only when active, so every key
     # minted before warmup/sampling existed still resolves unchanged
-    warmup = getattr(spec, "warmup", 0)
-    if warmup:
-        payload["warmup"] = warmup
-    sample = getattr(spec, "sample", None)
-    if sample is not None:
-        payload["sample"] = sample
-    payload["seed"] = seed
-    return canonical_hash(payload)
+    sample = "" if spec.sample is None else ',"sample":' + _number(spec.sample)
+    warmup = ',"warmup":' + _number(spec.warmup) if spec.warmup else ""
+    return (
+        ',"config":' + _canonical(config) + ',"length":',
+        observe + ',"predictor":' + _canonical(predictor) + sample + ',"seed":',
+        ',"selector":' + _canonical(selector) + warmup + ',"workload":',
+    )
+
+
+def task_key(workload_name: str, spec, length: int, seed: int) -> str | None:
+    """Cache key for one ``(workload, RunSpec, length, seed)`` simulation.
+
+    :func:`canonical_hash` of the payload naming the workload, the
+    spec's rendered config, predictor, selector and protocol, the
+    length, the seed and :func:`code_version`.  The spec's constant part
+    is its :attr:`~repro.harness.runner.RunSpec.key_template`, rendered
+    once per spec; each call renders only the four values that vary and
+    hashes the joined text.  Returns ``None`` when any ingredient cannot
+    be described stably.
+    """
+    template = spec.key_template
+    if template is None:
+        return None
+    after_code, after_length, after_seed = template
+    blob = "".join((
+        '{"code":', _string(code_version()), after_code, _number(length),
+        after_length, _number(seed), after_seed, _string(workload_name), "}",
+    ))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def atomic_write(path: Path, data: bytes) -> None:
@@ -282,8 +310,10 @@ class KeyedStore:
         return self.directory / f"{key}{self.suffix}"
 
     def _read(self, key: str) -> bytes | None:
+        # a plain path string: a hit builds no Path object
         try:
-            return self._path(key).read_bytes()
+            with open(os.path.join(self.directory, key + self.suffix), "rb") as handle:
+                return handle.read()
         except OSError:
             return None
 

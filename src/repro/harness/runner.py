@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import os
 from typing import Callable
 
 from repro import select, simulate, vp
 from repro.core import MachineConfig, SimStats
-from repro.harness.cache import render_config
+from repro.harness.cache import key_template, render_config
 from repro.harness.checkpoint import MEMORY_CHECKPOINTS, arch_key
 from repro.harness.metrics import percent_speedup
 from repro.select import LoadSelector
@@ -42,7 +43,7 @@ def default_length() -> int:
     return length
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class RunSpec:
     """One named machine configuration plus its predictor/selector recipe.
 
@@ -63,6 +64,11 @@ class RunSpec:
     measured-interval length — so one spec pins "warm 50k, measure 10k"
     regardless of the length it is run with.  Both are part of the cache
     identity; both default to the historical full-trace behaviour.
+
+    A spec is frozen: its renderings (:attr:`rendered_config`,
+    :attr:`config_text`, :attr:`key_template`) are computed once and
+    kept, so a field assigned later would leave them describing another
+    run.  Derive a variant with :func:`dataclasses.replace`.
     """
 
     name: str
@@ -74,8 +80,8 @@ class RunSpec:
     sample: int | None = None
 
     def __post_init__(self) -> None:
-        self.predictor_factory = vp.resolve(self.predictor_factory)
-        self.selector_factory = select.resolve(self.selector_factory)
+        object.__setattr__(self, "predictor_factory", vp.resolve(self.predictor_factory))
+        object.__setattr__(self, "selector_factory", select.resolve(self.selector_factory))
         if self.warmup < 0:
             raise ValueError("warmup must be non-negative")
         if self.sample is not None and self.sample < 1:
@@ -85,10 +91,22 @@ class RunSpec:
     def rendered_config(self) -> dict:
         """:func:`~repro.harness.cache.render_config` of this spec's config.
 
-        Built once per spec: every task key the spec takes part in, and
-        the sweep store's ``config`` column, share this one rendering.
+        Built once per spec: the spec's :attr:`key_template` and
+        :attr:`config_text` share this one rendering.
         """
         return render_config(self.config_factory())
+
+    @functools.cached_property
+    def config_text(self) -> str:
+        """The sweep store's ``config`` column for this spec: the sorted
+        JSON of :attr:`rendered_config`, encoded once per spec."""
+        return json.dumps(self.rendered_config, sort_keys=True, default=str)
+
+    @functools.cached_property
+    def key_template(self) -> tuple[str, str, str] | None:
+        """:func:`~repro.harness.cache.key_template` of this spec: the
+        constant text of its cache keys, rendered once per spec."""
+        return key_template(self)
 
     def run(
         self,

@@ -21,8 +21,9 @@ processes sharing it:
    as the entry's stats text);
 3. commit each outcome owner-conditionally, as column text — a cache
    hit's text as it is, a fresh result through
-   :func:`~repro.harness.cache.stats_text`, the point's config text
-   rendered once per drain — a commit that misses
+   :func:`~repro.harness.cache.stats_text`, the point's config as its
+   spec's :attr:`~repro.harness.runner.RunSpec.config_text` — a commit
+   that misses
    (``mark_done`` returns ``False``) means the lease was reclaimed and
    somebody else owns the row now, so the result is dropped, not
    double-committed;
@@ -37,7 +38,6 @@ lost chunk's simulations, so the retry is a cache hit.
 
 from __future__ import annotations
 
-import json
 import os
 import sqlite3
 import threading
@@ -165,17 +165,6 @@ def drain_campaign(
     def claimable(rows) -> list:
         return [r for r in rows if (r["point_id"], r["seed"]) in keys]
 
-    #: the config-column text of each point, rendered once per drain
-    configs: dict[str, str] = {}
-
-    def config_text(pid: str) -> str:
-        text = configs.get(pid)
-        if text is None:
-            text = configs[pid] = json.dumps(
-                specs[pid].rendered_config, sort_keys=True, default=str
-            )
-        return text
-
     def commit(held, outcomes) -> None:
         version = code_version()
         for (key, _), outcome in zip(held, outcomes):
@@ -196,7 +185,7 @@ def drain_campaign(
                 sweep,
                 key,
                 stats,
-                config=config_text(key[0]),
+                config=specs[key[0]].config_text,
                 wall_seconds=wall_seconds,
                 code_version=version,
                 owner=owner,
@@ -218,7 +207,7 @@ def drain_campaign(
                 time.sleep(min(0.2, stale_after / 4))
                 continue
             break
-        say(f"{sweep}: {len(todo)} rows to simulate")
+        say(f"{sweep}: {len(todo)} rows to run")
         for start in range(0, len(todo), chunk):
             batch = [
                 ((row["point_id"], row["seed"]), row)

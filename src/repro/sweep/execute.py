@@ -39,6 +39,7 @@ claim → simulate → commit loop and runs the
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from pathlib import Path
 
 from repro.harness.policy import ExecutionPolicy
@@ -91,7 +92,8 @@ def store_rows(
 
     A point row's ``idx`` is ``index_of[point_id]`` when given (a search
     rung keeps each point's original grid index), else the point's
-    position in ``points``.
+    position in ``points``.  Each row carries its point's recipe as
+    ``params`` and its encoded column text as ``params_text``.
     """
     rows: list[dict] = []
     for pos, point in enumerate(points):
@@ -105,6 +107,7 @@ def store_rows(
                 "workload": point.workload,
                 "length": point.length,
                 "params": point.params,
+                "params_text": point.params_text,
             })
     for workload, length in dict.fromkeys((p.workload, p.length) for p in points):
         base = spec.baseline_point(workload, length)
@@ -117,6 +120,7 @@ def store_rows(
                 "workload": workload,
                 "length": length,
                 "params": base.params,
+                "params_text": base.params_text,
             })
     return rows
 
@@ -185,11 +189,15 @@ def run_sweep(
     mine = {(r["point_id"], r["seed"]) for r in rows}
     say(f"{spec.name}: {len(rows)} rows ({inserted} new)")
 
-    initially_done = sum(
-        1
-        for r in store.rows(spec.name)
-        if (r["point_id"], r["seed"]) in mine and r["status"] == "done"
-    )
+    def tally() -> Counter:
+        """This campaign's rows per status."""
+        return Counter(
+            status
+            for pid, seed, status in store.statuses(spec.name)
+            if (pid, seed) in mine
+        )
+
+    initially_done = tally()["done"]
 
     counters = drain_campaign(
         store,
@@ -201,20 +209,12 @@ def run_sweep(
         progress=progress,
     )
 
-    final = store.rows(spec.name)
-    done = sum(
-        1 for r in final if (r["point_id"], r["seed"]) in mine and r["status"] == "done"
-    )
-    failed = sum(
-        1
-        for r in final
-        if (r["point_id"], r["seed"]) in mine and r["status"] == "failed"
-    )
+    final = tally()
     summary = CampaignSummary(
         sweep=spec.name,
         total=len(mine),
-        done=done,
-        failed=failed,
+        done=final["done"],
+        failed=final["failed"],
         simulated=counters.get("simulated", 0),
         skipped=initially_done,
         retried=counters.get("retried", 0),

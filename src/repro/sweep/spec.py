@@ -167,6 +167,12 @@ class SweepPoint:
     length: int
     params: dict
 
+    @functools.cached_property
+    def params_text(self) -> str:
+        """The store's ``params`` column for this point: its recipe as
+        sorted JSON, encoded once per point."""
+        return json.dumps(self.params, sort_keys=True, default=str)
+
     def label(self) -> str:
         """Compact human-readable tag used in tables and logs."""
         parts = [f"{k}={v}" for k, v in self.params.items()]
@@ -211,19 +217,22 @@ def run_spec_for(
     name: str = "sweep",
     warmup: int = 0,
     sample: int | None = None,
+    observe: bool = False,
 ) -> RunSpec:
     """Build the :class:`RunSpec` a recipe dict describes.
 
     The config factory is :func:`_config_factory`'s; predictor and
     selector stay registry names.  ``warmup``/``sample`` are
     campaign-level interval-protocol settings (see :class:`SweepSpec`),
-    applied uniformly to every point.
+    applied uniformly to every point; ``observe`` is the spec's own
+    (see :class:`RunSpec`).
     """
     return RunSpec(
         name,
         _config_factory(params),
         predictor_factory=params.get("predictor", "wang-franklin"),
         selector_factory=params.get("selector", "ilp-pred"),
+        observe=observe,
         warmup=warmup,
         sample=sample,
     )

@@ -55,8 +55,6 @@ import sqlite3
 import threading
 from pathlib import Path
 
-import json
-
 #: the legal row states, in lifecycle order
 STATUSES = ("pending", "running", "done", "failed")
 
@@ -161,7 +159,9 @@ class ResultStore:
         """Insert missing rows as ``pending``; existing rows are untouched.
 
         Each row dict needs ``point_id``, ``seed``, ``workload``,
-        ``length``, ``params`` (a JSON-serializable recipe) and optionally
+        ``length``, ``params_text`` (the ``params`` column's JSON text,
+        stored as given: campaign rows carry their point's
+        :attr:`~repro.sweep.spec.SweepPoint.params_text`) and optionally
         ``role``/``idx``.  Returns how many rows were newly inserted.
         """
         with self._lock:
@@ -181,7 +181,7 @@ class ResultStore:
                             row.get("idx", 0),
                             row["workload"],
                             row["length"],
-                            json.dumps(row["params"], sort_keys=True, default=str),
+                            row["params_text"],
                         )
                         for row in rows
                     ],
@@ -366,6 +366,17 @@ class ResultStore:
                 "SELECT * FROM results WHERE sweep = ? AND role = ? "
                 "ORDER BY idx, point_id, seed",
                 (sweep, role),
+            ).fetchall()
+
+    def statuses(self, sweep: str) -> list[tuple[str, int, str]]:
+        """``(point_id, seed, status)`` of every row of a sweep, unordered:
+        the three columns a campaign's done/failed tally reads."""
+        with self._lock:
+            cursor = self._db.cursor()
+            cursor.row_factory = None
+            return cursor.execute(
+                "SELECT point_id, seed, status FROM results WHERE sweep = ?",
+                (sweep,),
             ).fetchall()
 
     def counts(self, sweep: str) -> dict[str, int]:

@@ -38,7 +38,7 @@ def seed_rows(n_points: int = 4, n_seeds: int = 4) -> list[dict]:
             "seed": s,
             "workload": "mcf",
             "length": 500,
-            "params": {"p": p},
+            "params_text": f'{{"p": {p}}}',
             "idx": p,
         }
         for p in range(n_points)

@@ -14,8 +14,9 @@ Covers the one drain entry point end to end:
 * a SIGKILLed pool child breaks the pool; its chunk's rows are marked
   failed and the same invocation retries them, again exactly once;
 * a ``sqlite3.OperationalError`` at one ``claim``, ``touch`` or
-  ``mark_done`` (before or after its statement lands), then a resume:
-  every row done, committed once, and the report byte-identical.
+  ``mark_done`` (before or after its statement lands), or the process
+  exiting there, then a resume: every row done, committed once, and the
+  report byte-identical.
 """
 
 from __future__ import annotations
@@ -234,7 +235,8 @@ class TestWorkerChaos:
 
 
 class TestStoreFaults:
-    """One ``sqlite3.OperationalError`` at a store write, then a resume.
+    """One ``sqlite3.OperationalError`` or process exit at a store write,
+    then a resume.
 
     ``before`` raises instead of running the statement (a rolled-back
     write); ``after`` raises once it has landed (a lost acknowledgement).
@@ -242,7 +244,8 @@ class TestStoreFaults:
     ``running``; the resume reclaims them.  A ``touch`` fault costs one
     heartbeat: the next one still runs and the run completes.  Either way
     every row ends done with one commit and the report is byte-identical
-    to an unfaulted run's.
+    to an unfaulted run's.  The process-exit drill ends a child process
+    at the same six points instead.
     """
 
     @pytest.mark.parametrize("when", ["before", "after"])
@@ -295,3 +298,72 @@ class TestStoreFaults:
             assert run_sweep(spec, store, policy=policy).complete
         assert calls[0] == method
         assert _assert_exactly_once(path, "fault") == reference
+
+    #: the child of the process-exit drill: ``run_sweep`` on a file store
+    #: whose first call of one write method ends the process with
+    #: ``os._exit(1)`` before or after the statement lands
+    EXIT_CHILD = """
+import os, sys, time
+from repro.harness.policy import ExecutionPolicy
+from repro.sweep import ResultStore, drain, load_spec, run_sweep
+
+spec_path, db, method, when = sys.argv[1:]
+real = getattr(ResultStore, method)
+
+def dying(self, *args, **kwargs):
+    if when == "before":
+        os._exit(1)
+    real(self, *args, **kwargs)
+    os._exit(1)
+
+setattr(ResultStore, method, dying)
+if method == "touch":
+    def until_the_heartbeat_exits(tasks, **kwargs):
+        time.sleep(60)
+        os._exit(3)
+
+    drain.run_simulations = until_the_heartbeat_exits
+with ResultStore(db) as store:
+    run_sweep(load_spec(spec_path), store,
+              policy=ExecutionPolicy(jobs=1, cache=False, heartbeat=0.01))
+os._exit(2)
+"""
+
+    @pytest.mark.parametrize("when", ["before", "after"])
+    @pytest.mark.parametrize("method", ["claim", "touch", "mark_done"])
+    def test_a_process_exit_at_a_store_write_then_resume_commits_every_row_once(
+        self, tmp_path, method, when
+    ):
+        """The process dies (``os._exit``, no clean-up) at its first
+        ``claim``, ``touch`` or ``mark_done``, before or after the
+        statement lands; a resume in another process finishes the
+        campaign exactly once, with the unfaulted report."""
+        spec = _spec("exit", axis=(1, 8))
+        with ResultStore(tmp_path / "ref.db") as store:
+            assert run_sweep(
+                spec, store, policy=ExecutionPolicy(jobs=1, cache=False)
+            ).complete
+            reference = _report(store, "exit")
+
+        spec_path = tmp_path / "exit.json"
+        spec.to_json(spec_path)
+        path = tmp_path / "exit.db"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", self.EXIT_CHILD, str(spec_path), str(path),
+             method, when],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 1, child.stderr
+        with ResultStore(path) as store:
+            counts = store.counts("exit")
+            assert counts["done"] == int((method, when) == ("mark_done", "after"))
+            if (method, when) != ("claim", "before"):  # no claim landed
+                assert counts["running"] > 0
+            assert run_sweep(
+                spec, store, policy=ExecutionPolicy(jobs=1, cache=False)
+            ).complete
+        assert _assert_exactly_once(path, "exit") == reference

@@ -12,15 +12,17 @@ import dataclasses
 import hashlib
 import json
 import shutil
+import sys
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import FetchPolicy, MachineConfig, SimStats
 from repro.core.config import DOMAIN
 from repro.core.modes import resolve_model
-from repro.harness import RunSpec
+from repro.harness import RunSpec, cache as cache_module
 from repro.harness.bench import stats_digest
 from repro.harness.cache import (
     ResultCache,
@@ -38,6 +40,7 @@ from repro.select import names as selector_names
 from repro.sweep import ResultStore, SweepSpec, run_spec_for, run_sweep
 from repro.sweep.spec import PRESETS, _THREADED_PRESETS
 from repro.vp import names as predictor_names
+from repro.workloads import workload_names
 
 LENGTH = 1500
 
@@ -150,12 +153,57 @@ def run_specs(draw):
 
 class TestConfigKeys:
     @settings(max_examples=150, deadline=None)
-    @given(spec=run_specs(), seed=st.integers(0, 3))
-    def test_keys_equal_the_asdict_payload_hashes(self, spec, seed):
-        assert task_key("mcf", spec, 2000, seed) == old_task_key("mcf", spec, 2000, seed)
-        assert arch_key("mcf", seed, spec.warmup, spec, 2000) == old_arch_key(
-            "mcf", seed, spec.warmup, spec, 2000
+    @given(
+        spec=run_specs(),
+        # workload names and code versions are spliced into the key text:
+        # arbitrary strings check that the splice escapes like json.dumps
+        workload=st.sampled_from(workload_names()) | st.text(max_size=8),
+        length=st.integers(1, 2**63),
+        seed=st.integers(0, 2**63),
+        versions=st.lists(
+            st.sampled_from(["0123456789abcdef"]) | st.text(max_size=8),
+            min_size=2, max_size=2, unique=True,
+        ),
+    )
+    @example(spec=RunSpec("p", MachineConfig.mtvp, "wang-franklin", observe=True,
+                          warmup=1000, sample=500),
+             workload="gzip g", length=16000, seed=7,
+             versions=["0123456789abcdef", 'a"\\\u00e9\n'])
+    def test_keys_equal_the_asdict_payload_hashes(
+        self, spec, workload, length, seed, versions
+    ):
+        keys = []
+        # one spec, two code versions: its key template follows the version
+        for version in versions:
+            with mock.patch.object(cache_module, "_CODE_VERSION", version):
+                key = task_key(workload, spec, length, seed)
+                assert key == old_task_key(workload, spec, length, seed)
+                assert arch_key(workload, seed, spec.warmup, spec, length) == (
+                    old_arch_key(workload, seed, spec.warmup, spec, length)
+                )
+            keys.append(key)
+        assert keys[0] != keys[1]
+
+    def test_a_spec_is_frozen_and_an_observed_report_keys_apart(self):
+        from repro.__main__ import _run_recipe, build_parser
+
+        args = build_parser().parse_args(
+            ["report", "mcf", "--machine", "mtvp", "--length", "500"]
         )
+        plain, _ = _run_recipe(args)
+        observed, _ = _run_recipe(args, observe=True)
+        assert observed.observe and not plain.observe
+        assert task_key("mcf", plain, 500, 0) is not None
+        assert task_key("mcf", observed, 500, 0) != task_key("mcf", plain, 500, 0)
+        assert task_key("mcf", observed, 500, 0) == old_task_key("mcf", observed, 500, 0)
+        # a cached rendering can never go stale behind a field assignment
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plain.observe = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plain.warmup = 1000
+        assert task_key("mcf", plain, 500, 0) == old_task_key("mcf", plain, 500, 0)
+        variant = dataclasses.replace(plain, observe=True)
+        assert task_key("mcf", variant, 500, 0) == task_key("mcf", observed, 500, 0)
 
     @settings(max_examples=150, deadline=None)
     @given(config=configs())
@@ -324,6 +372,67 @@ class TestCachedRowsMoveText:
         assert summary.complete and cache.hits == len(rows) == 6
         # two timing points and the baseline, each with two seed rows
         assert len(rendered) == len({pid for pid, _ in rows}) == 3
+
+    def test_a_second_pass_of_one_spec_derives_nothing(
+        self, cold, tmp_path, monkeypatch
+    ):
+        """Keys, config and params texts are rendered once per spec: a
+        second pass of the same spec renders no config, calls
+        ``json.dumps`` nowhere on the campaign path and encodes no JSON
+        (the key templates' encoder included)."""
+        import repro.harness.runner as runner
+
+        spec = SweepSpec(**self.SPEC)
+
+        def one_pass(name: str) -> dict:
+            store = ResultStore(tmp_path / f"{name}.db")
+            summary = run_sweep(spec, store, policy=ExecutionPolicy(
+                jobs=1, cache=ResultCache(cold[0])))
+            assert summary.complete and summary.cached == 6
+            rows = {(r["point_id"], r["seed"]): dict(r) for r in store.rows("bytes")}
+            store.close()
+            return rows
+
+        first = one_pass("first")
+        rendered = []
+        for module in (runner, cache_module):
+            real = module.render_config
+            monkeypatch.setattr(
+                module, "render_config",
+                lambda config, real=real: rendered.append(config) or real(config),
+            )
+        watched = {
+            "repro.sweep.store", "repro.sweep.drain", "repro.harness.cache",
+            "repro.sweep.execute", "repro.sweep.spec", "repro.harness.runner",
+        }
+        dumped = []
+        dumps = json.dumps
+
+        def spy(*args, **kwargs):
+            caller = sys._getframe(1).f_globals.get("__name__")
+            if caller in watched:
+                dumped.append(caller)
+            return dumps(*args, **kwargs)
+
+        encoded = []
+        iterencode = json.JSONEncoder.iterencode
+
+        def counting_iterencode(self, o, *args, **kwargs):
+            encoded.append(type(o).__name__)
+            return iterencode(self, o, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", spy)
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", counting_iterencode)
+        second = one_pass("second")
+        monkeypatch.undo()
+        assert rendered == []
+        assert dumped == []
+        assert encoded == []
+        assert second.keys() == first.keys() == cold[1].keys()
+        for key, row in second.items():
+            for column in ("params", "config", "stats"):
+                assert row[column] == first[key][column] == cold[1][key][column], (
+                    key, column)
 
     def test_a_cache_entry_body_is_the_stats_column_text(self, cold):
         cache_dir, cold_rows = cold

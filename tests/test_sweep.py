@@ -161,9 +161,9 @@ class TestResultStore:
     def rows(self):
         return [
             {"point_id": "p1", "seed": 0, "workload": "crafty", "length": 500,
-             "params": {"x": 1}, "idx": 0},
+             "params_text": '{"x": 1}', "idx": 0},
             {"point_id": "p1", "seed": 1, "workload": "crafty", "length": 500,
-             "params": {"x": 1}, "idx": 0},
+             "params_text": '{"x": 1}', "idx": 0},
         ]
 
     def test_ensure_is_idempotent(self, tmp_path):
@@ -260,11 +260,11 @@ class TestStats:
         store = ResultStore(tmp_path / "s.db")
         rows = [
             {"point_id": "pt", "seed": s, "workload": "w", "length": 100,
-             "params": {"threads": 2}, "idx": 0}
+             "params_text": '{"threads": 2}', "idx": 0}
             for s in (0, 1)
         ] + [
             {"point_id": "base", "seed": s, "role": "baseline", "workload": "w",
-             "length": 100, "params": {}, "idx": -1}
+             "length": 100, "params_text": "{}", "idx": -1}
             for s in (0, 1)
         ]
         store.ensure("s", rows)
@@ -537,6 +537,10 @@ class TestSweepCLI:
                      "--db", str(tmp_path / "b.db"), *cache]) == 0
         warm = capsys.readouterr().out
         assert f"{rows}/{rows} rows done, 0 simulated, {rows} cached" in warm
+        # the drain announces rows to run before the cache is consulted:
+        # no line but the summary's count speaks of simulating
+        assert f"mini: {rows} rows to run" in warm
+        assert "simulat" not in warm.replace(" 0 simulated,", "")
 
     def test_status_shows_axis_progress_and_json_ledger(
         self, tmp_path, capsys
