@@ -13,8 +13,10 @@ own the booking state and its pruning.
 
 from __future__ import annotations
 
-#: a booking dict holding more cycles than this is pruned on the next
-#: booking
+#: once every PRUNE_AT fetched instructions, the step kernel prunes each of
+#: the running group's booking dicts that holds more cycles than this.  An
+#: instruction books at most one cycle per dict and a prune keeps only the
+#: last 2^14 cycles, so no dict grows past 2 x PRUNE_AT.
 PRUNE_AT = 1 << 16
 
 

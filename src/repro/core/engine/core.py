@@ -19,7 +19,7 @@ from repro.core.config import FetchPolicy, MachineConfig
 from repro.core.context import ThreadContext
 from repro.core.engine.lifecycle import LifecycleMixin
 from repro.core.engine.measures import MeasureMixin
-from repro.core.engine.records import SpawnRecord
+from repro.core.engine.records import _EXEC_LAT, _QUEUE_OF, SpawnRecord
 from repro.core.engine.scheduler import NO_LIMIT, SchedulerMixin
 from repro.core.engine.snapshot import SnapshotMixin
 from repro.core.engine.step import StepMixin
@@ -150,15 +150,27 @@ class Engine(
         self._fetch_groups = [
             SlotAllocator(config.fetch_width, "fetch") for _ in range(n_groups)
         ]
-        # instruction queues (IQ / FQ / MQ): min-heaps of issue times of
-        # occupant entries — a slot frees when its entry issues, in any
-        # order (real IQs are not FIFOs)
-        self._iq_groups = [
-            {"int": [], "fp": [], "mem": []} for _ in range(n_groups)
-        ]
         # rename-register pool: min-heap of commit times of in-flight
         # writers (registers free at commit)
         self._rename_groups: list[list[int]] = [[] for _ in range(n_groups)]
+        # the step kernel's op-class plan, one per group: a tuple indexed
+        # by op value of (IQ heap, issue-port allocator, its booking dict,
+        # its capacity, execute latency).  The instruction queues (IQ /
+        # FQ / MQ) are min-heaps of issue times of occupant entries — a
+        # slot frees when its entry issues, in any order (real IQs are not
+        # FIFOs).  Issue port class == queue class (Table 1), so one
+        # {int, fp, mem} key picks both.
+        self._op_plans = []
+        for issue in self._issue_groups:
+            iq_heaps = {"int": [], "fp": [], "mem": []}
+            ports = issue._classes
+            self._op_plans.append(tuple(
+                (iq_heaps[q], ports[q], ports[q]._booked, ports[q].capacity, lat)
+                for q, lat in zip(_QUEUE_OF, _EXEC_LAT)
+            ))
+        #: per group, the processor-wide fetched count at which the kernel
+        #: next checks the group's booking dicts for pruning
+        self._prune_due = [0] * n_groups
 
         self._contexts: list[ThreadContext | None] = [None] * config.num_contexts
         self._next_order = 0

@@ -5,7 +5,8 @@ property lookups (``op.is_memory``, ``EXEC_LATENCY[op]`` hashing) are
 measurable there, so the per-op decisions are flattened into tuples indexed
 by the OpClass value (see DESIGN.md §5c).  Issue *port* and instruction
 *queue* use the same {int, fp, mem} partition (Table 1), so one table
-serves both.  Every staged engine module imports these names so the split
+serves both; the engine folds it and the latencies into each group's
+op-class plan.  Every staged engine module imports these names so the split
 keeps the exact globals the monolithic engine resolved.
 """
 
@@ -26,9 +27,7 @@ _QUEUE_OF = tuple(
 _EXEC_LAT = tuple(EXEC_LATENCY[op] for op in OpClass)
 _OP_NAMES = tuple(op.name.lower() for op in OpClass)
 _KIND = (PredictionKind.NONE, PredictionKind.STVP, PredictionKind.MTVP)
-_KIND_NONE = PredictionKind.NONE
 _ML_L1 = MemLevel.L1
-_ML_L2 = MemLevel.L2
 _NO_MEASURES = 1 << 62  # pending-measures min-end sentinel: "nothing can fire"
 
 

@@ -17,13 +17,9 @@ from repro.core.allocators import PRUNE_AT
 from repro.core.context import ThreadContext
 from repro.core.engine.records import (
     _BRANCH,
-    _EXEC_LAT,
-    _KIND_NONE,
     _LOAD,
     _ML_L1,
-    _ML_L2,
     _OP_NAMES,
-    _QUEUE_OF,
     _STORE,
     SpawnRecord,
 )
@@ -31,6 +27,16 @@ from repro.core.engine.records import (
 
 class StepMixin:
     """Fetch/queue/issue/complete/commit instructions of one context."""
+
+    def _prune_bookings(self, group: int, now: int) -> None:
+        """Prune each booking dict of ``group`` that holds over PRUNE_AT
+        cycles (see :meth:`~repro.core.allocators.SlotAllocator._prune`)."""
+        issue = self._issue_groups[group]
+        for alloc in (
+            self._fetch_groups[group], *issue._classes.values(), issue._total
+        ):
+            if len(alloc._booked) > PRUNE_AT:
+                alloc._prune(now)
 
     def _steps(
         self,
@@ -57,8 +63,9 @@ class StepMixin:
         components and config fields) is a local, the fetch and issue
         bookings work on the allocators' dicts directly (this is the only
         code that books them), and the commit-bandwidth fields live in
-        locals until the burst ends.  Per-op decisions come from flat
-        tuples indexed by the op class (see DESIGN.md §5c).
+        locals until the burst ends.  Per-op state comes from the group's
+        op-class plan, one tuple lookup per instruction, and work whose
+        result nothing reads is skipped (see DESIGN.md §5c).
         """
         trace = ctx.trace
         trace_len = ctx.trace_len
@@ -69,13 +76,11 @@ class StepMixin:
         group = 0 if self._smt_shared else ctx.slot
         rename_heap = self._rename_groups[group]
         rename_len = len(rename_heap)
-        iq_heaps = self._iq_groups[group]
+        op_plan = self._op_plans[group]
         fetch_alloc = self._fetch_groups[group]
         fetch_booked = fetch_alloc._booked
         fetch_cap = fetch_alloc.capacity
-        issue = self._issue_groups[group]
-        port_allocs = issue._classes
-        total_alloc = issue._total
+        total_alloc = self._issue_groups[group]._total
         total_booked = total_alloc._booked
         total_cap = total_alloc.capacity
         stats = self.stats
@@ -91,11 +96,15 @@ class StepMixin:
         commit_width = self._commit_width
         l1_latency = self._l1_latency
         vp_on = self._vp_on
+        # the level probe feeds only the selector: skip it unless the
+        # selector reads the level
+        reads_level = vp_on and self.selector.reads_level
         predict_load = self.model.handle_load_prediction
         branch_spawn = self._branch_spawn
         block_on_spawn = self._fetch_single
         order_snap = self._next_order
         fetched = start_fetched = self._global_fetched
+        prune_due = self._prune_due[group]
         pos = ctx.pos
         t_fetch = ctx.last_fetch
         last_commit = ctx.last_commit
@@ -130,8 +139,7 @@ class StepMixin:
                 rename_len -= 1
                 if rename_free > t:
                     t = rename_free
-            queue = _QUEUE_OF[op]
-            iq_heap = iq_heaps[queue]
+            iq_heap, port_alloc, port_booked, port_cap, exec_lat = op_plan[op]
             if len(iq_heap) >= iq_size:
                 iq_free = heappop(iq_heap)
                 if iq_free > t:
@@ -142,8 +150,6 @@ class StepMixin:
                 t += 1
                 n = fetch_booked.get(t, 0)
             fetch_booked[t] = n + 1
-            if len(fetch_booked) > PRUNE_AT:
-                fetch_alloc._prune(t)
             t_fetch = t
             if obs is not None:
                 # refresh the clock-free components' stamp before any of
@@ -161,9 +167,6 @@ class StepMixin:
 
             # --- issue (issue-port class == queue class, Table 1): book a
             # common cycle free in both the class and the total allocator
-            port_alloc = port_allocs[queue]
-            port_booked = port_alloc._booked
-            port_cap = port_alloc.capacity
             t = t_ready
             while True:
                 n = port_booked.get(t, 0)
@@ -180,11 +183,7 @@ class StepMixin:
                 t = t_total
             port_booked[t] = n + 1
             port_alloc.acquired += 1
-            if len(port_booked) > PRUNE_AT:
-                port_alloc._prune(t)
             total_booked[t] = n_total + 1
-            if len(total_booked) > PRUNE_AT:
-                total_alloc._prune(t)
             t_issue = t
             heappush(iq_heap, t_issue)
 
@@ -193,26 +192,32 @@ class StepMixin:
             if op is _LOAD:
                 stats.loads += 1
                 addr = inst.addr
-                if store_buffer.search(addr, visible, pos) is not None:
+                if (
+                    store_buffer.total
+                    and store_buffer.search(addr, visible, pos) is not None
+                ):
                     t_complete = t_issue + l1_latency
                     expected_level = _ML_L1
                 else:
-                    expected_level = hierarchy.probe_level(addr)
+                    expected_level = (
+                        hierarchy.probe_level(addr) if reads_level else None
+                    )
                     t_complete, _level = hierarchy.load(addr, inst.pc, t_issue)
                 if vp_on:
                     dst_ready, spawn_record = predict_load(
                         self, ctx, inst, t_queue, t_complete, expected_level
                     )
+                    # predictor training at commit, in program order: the
+                    # load commits below and nothing in between reads the
+                    # predictor
+                    if inst.value is not None:
+                        predictor.train(inst, inst.value)
                 else:
                     dst_ready = t_complete
-                    if expected_level >= _ML_L2:
-                        self._defer_measure(
-                            ctx, inst.pc, _KIND_NONE, t_queue, t_complete
-                        )
             elif op is _STORE:
                 dst_ready = t_complete = t_issue + 1
             else:
-                dst_ready = t_complete = t_issue + _EXEC_LAT[op]
+                dst_ready = t_complete = t_issue + exec_lat
                 if op is _BRANCH:
                     stats.branches += 1
                     taken = inst.taken
@@ -283,12 +288,13 @@ class StepMixin:
             else:
                 ctx.beyond_commits += 1
 
-            # --- predictor training at commit, in program order
-            if op is _LOAD and inst.value is not None:
-                predictor.train(inst, inst.value)
-
             fetched += 1
             self._global_fetched = fetched
+            if fetched >= prune_due:
+                # every instruction adds at most one cycle to each booking
+                # dict, so checking each PRUNE_AT instructions bounds them
+                prune_due = self._prune_due[group] = fetched + PRUNE_AT
+                self._prune_bookings(group, t_fetch)
             if obs is not None:
                 obs.step(
                     ctx.order, inst.pc, _OP_NAMES[op], t_fetch, t_issue,

@@ -24,7 +24,17 @@ class LoadSelector:
     load prediction, passing what the machine knows at that point, and
     reports measured forward progress back through :meth:`record` when the
     prediction (or an unpredicted long-latency load) resolves.
+
+    ``reads_level`` is a capability flag: True when :meth:`choose` reads
+    its ``expected_level`` argument.  Finding a load's cache level costs
+    the engine up to three cache probes per load, so it probes only for
+    selectors that set the flag and passes ``None`` (or ``MemLevel.L1``
+    for a store-buffer forward) to the rest.  It defaults to True, so a
+    custom selector always gets the level; selectors that ignore it set
+    it False.
     """
+
+    reads_level: bool = True
 
     def choose(
         self,
@@ -70,6 +80,8 @@ class LoadSelector:
 
 class AlwaysSelector(LoadSelector):
     """Predict every confident load; prefer MTVP whenever a context is free."""
+
+    reads_level = False
 
     def choose(
         self,
@@ -155,8 +167,11 @@ class IlpPredSelector(LoadSelector):
     Every ``explore_period``-th episode per PC deliberately makes no
     prediction so the no-prediction baseline keeps fresh samples — without
     that, a PC whose loads always predict confidently would never measure
-    what "no value prediction" is worth.
+    what "no value prediction" is worth.  It learns latency from measured
+    episodes, never from the cache level (``reads_level`` is False).
     """
+
+    reads_level = False
 
     def __init__(
         self,

@@ -116,6 +116,32 @@ class TestSlotAllocator:
             assert run(*point) == default, point
             assert prunes, point
 
+    def test_pruning_bounds_every_booking_dict(self, monkeypatch):
+        # the kernel checks a group's booking dicts every PRUNE_AT
+        # instructions, and an instruction adds at most one cycle to each
+        # dict, so none holds more than 2 x PRUNE_AT cycles, however short
+        # the bursts are (MTVP-8 switches contexts every few instructions).
+        # Without pruning, this run's dicts outgrow that bound.
+        bound = 2048
+        trace = get_workload("mcf").trace(length=20000, seed=0)
+
+        def run():
+            engine = Engine(trace, MachineConfig.mtvp(8))
+            stats = engine.run()
+            booked = [
+                alloc._booked
+                for fetch, issue in zip(engine._fetch_groups, engine._issue_groups)
+                for alloc in (fetch, issue._total, *issue._classes.values())
+            ]
+            return stats.to_dict(), [len(b) for b in booked]
+
+        unpruned_stats, unpruned = run()
+        assert max(unpruned) > 2 * bound
+        monkeypatch.setattr(step_module, "PRUNE_AT", bound)
+        stats, sizes = run()
+        assert stats == unpruned_stats
+        assert max(sizes) <= 2 * bound, sizes
+
 
 class TestPortedIssue:
     """Issue bookings: per-class ports under the global issue width."""
