@@ -110,12 +110,12 @@ def simulate(
             :class:`~repro.harness.checkpoint.CheckpointStore`; the warmed
             architectural state (warm start plus fast-forward) is
             restored from (or stored into) it under ``checkpoint_key``,
-            so repeated warmups are paid once; restores of the entry the
-            store last stored or restored come from its warm template
-            without unpickling.  Instrumented runs
-            (``tracer``/``metrics``) and multi-program co-schedules never
-            touch the store — snapshots exclude probe state, and a
-            co-schedule has no single warmup stream — but still warm.
+            so repeated warmups are paid once; a restore adopts the
+            store's warm template of the entry, built on its first hit.
+            Instrumented runs (``tracer``/``metrics``) and multi-program
+            co-schedules never touch the store — snapshots exclude probe
+            state, and a co-schedule has no single warmup stream — but
+            still warm.
         checkpoint_key: Store key identifying the warmed state (see
             :func:`~repro.harness.checkpoint.arch_key`); required with a
             store (a :class:`ValueError` otherwise), ignored without one.
@@ -199,8 +199,6 @@ def simulate(
             engine.fast_forward(warmup)
         if store is not None:
             store.put(checkpoint_key, engine.snapshot())
-    else:
-        store.keep(checkpoint_key, engine)
     return engine.run()
 
 

@@ -88,9 +88,8 @@ def _experiment(name: str) -> str:
     return name
 
 
-def _on_machine(args: argparse.Namespace, config: MachineConfig) -> str:
-    """``on <machine> (<n> contexts)``, counted on the built config."""
-    n = config.num_contexts
+def _on_machine(args: argparse.Namespace, n: int) -> str:
+    """``on <machine> (<n> contexts)``."""
     return f"on {args.machine} ({n} context{'' if n == 1 else 's'})"
 
 
@@ -211,10 +210,11 @@ def _cmd_run_traces(args: argparse.Namespace) -> int:
             warmup=spec.warmup,
         )
     except (TypeError, ValueError) as exc:
-        print(f"cannot run ingested traces: {exc}")
-        return 1
+        args.parser.error(f"cannot run ingested traces: {exc}")
     programs = ", ".join(trace_set.labels)
-    print(f"{programs} {_on_machine(args, config)}")
+    # a co-schedule runs one context per file, whatever --threads asked for
+    contexts = len(stats.per_context) or config.num_contexts
+    print(f"{programs} {_on_machine(args, contexts)}")
     print(stats.summary())
     for row in stats.per_context:
         print(f"  ctx {row['stream']} [{trace_set.labels[row['stream']]}]: "
@@ -252,7 +252,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         profiler.dump_stats(args.profile)
     else:
         stats = run()
-    print(f"{args.workload} {_on_machine(args, config)}")
+    print(f"{args.workload} {_on_machine(args, config.num_contexts)}")
     print(stats.summary())
     if tracer is not None:
         if args.trace_format == "jsonl":
@@ -279,7 +279,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     spec, config = _run_recipe(args, observe=True)
     length = _length(args)
     stats = run_simulations([(args.workload, spec, length, args.seed)], policy=policy)[0]
-    print(f"{args.workload} {_on_machine(args, config)}, "
+    print(f"{args.workload} {_on_machine(args, config.num_contexts)}, "
           f"{length} instructions")
     print()
     print(format_metrics(stats.extended))

@@ -21,7 +21,7 @@ timing* state (in-flight timestamps, port reservations, pending measures):
 * :mod:`~repro.core.engine.warmup` — warm start and functional
   fast-forward (architectural state only);
 * :mod:`~repro.core.engine.snapshot` — the architectural warmup
-  checkpoint;
+  checkpoint and its warm-template form;
 * :mod:`~repro.core.engine.core` — the :class:`Engine` facade composing
   them.
 

@@ -205,8 +205,6 @@ class Engine(
         # reading plain attributes
         self._vp_on = model.uses_value_prediction
         self._fetch_single = config.fetch_policy is FetchPolicy.SINGLE_FETCH_PATH
-        self._mode = config.mode
-        self._spawn_capable = model.spawn_capable
         self._branch_spawn = model.spawn_on_branches
         self._priority_fn = model.context_priority
         self._multi_value = config.multi_value

@@ -16,8 +16,23 @@ running the engine it was taken from.
 
 from __future__ import annotations
 
+from repro.memory import MemoryHierarchy
+
 #: schema version for engine-level snapshot payloads
 SNAPSHOT_VERSION = 1
+
+
+def shared(payload: dict) -> dict:
+    """An engine :meth:`~SnapshotMixin.snapshot` payload as a warm template.
+
+    Its caches are in the :meth:`Cache.shared <repro.memory.Cache.shared>`
+    form: one tuple of sets per cache, which every engine restoring the
+    template adopts and copies a set of before its first write to it, so
+    one template serves any number of restores.  Its branch,
+    value-predictor and prefetcher entries are the payload's, which their
+    restores copy.  It is never pickled.
+    """
+    return {**payload, "hierarchy": MemoryHierarchy.shared(payload["hierarchy"])}
 
 
 class SnapshotMixin:
@@ -49,31 +64,15 @@ class SnapshotMixin:
             "predictor": self.predictor.snapshot(),
         }
 
-    def share(self, payload: dict) -> dict:
-        """``payload`` as a warm template that shares this engine's cache sets.
-
-        ``payload`` is this engine's :meth:`snapshot`, or the payload it
-        restored, and the engine must not have run since.  The template
-        is the payload with each cache's flat tags replaced by the cache's
-        own sets (:meth:`Cache.share <repro.memory.Cache.share>`), which
-        this engine and every engine that restores the template copy
-        before their first write to a set.  Its branch, value-predictor
-        and prefetcher entries are the payload's, which their restores
-        copy.  It is never pickled.
-        """
-        if self._started:
-            raise RuntimeError("share() requires an engine whose timed run has not started")
-        return {**payload, "hierarchy": self.hierarchy.share(payload["hierarchy"])}
-
     def restore(self, data: dict) -> None:
-        """Load a :meth:`snapshot` payload, or a :meth:`share` template,
+        """Load a :meth:`snapshot` payload, or its :func:`shared` form,
         into this (freshly built) engine.
 
         The engine must have been constructed with the same trace and
         component classes as the one that produced the snapshot (timing
-        axes may differ), and must not have run yet.  A template's cache
-        sets are adopted in O(sets), copy-on-write.  A malformed payload
-        raises :class:`ValueError`.
+        axes may differ), and must not have run yet.  The cache sets are
+        adopted in O(sets), copy-on-write.  A malformed payload raises
+        :class:`ValueError`.
         """
         if self._started:
             raise RuntimeError("restore() requires a freshly built engine")

@@ -368,20 +368,17 @@ class KeyedStore:
             else:
                 self.misses += 1
 
-    def put(self, key: str, value) -> bytes:
-        """Store ``value`` under ``key`` (atomic rename, last writer wins);
-        returns the entry's digest.
+    def put(self, key: str, value) -> None:
+        """Store ``value`` under ``key`` (atomic rename, last writer wins).
 
         Tolerates the store directory itself disappearing underneath us
         (an aggressive concurrent pruner): it is recreated and the write
         retried once.
         """
         body = self._encode(value)
-        digest = hashlib.blake2b(body).digest()
-        self._write(key, digest + body)
+        self._write(key, hashlib.blake2b(body).digest() + body)
         with self._lock:
             self.stores += 1
-        return digest
 
     def absorb(self, hits: int, misses: int, stores: int) -> None:
         """Add traffic another handle on this directory saw (a pool

@@ -32,12 +32,13 @@ it across invocations under ``$REPRO_CHECKPOINT_DIR`` exactly as
 campaigns do under ``--checkpoint-dir``, so a damaged checkpoint is a
 miss that re-warms, never a crash.
 
-Every store, in memory or on disk, also keeps one warm template: the
-entry it last stored or restored, held live so that the next restores
-of that entry neither unpickle it nor rebuild its cache sets (they
-adopt the template's sets copy-on-write).  A restore still reads the
-entry and checks its digest, and gets the template only when the digest
-is the template's; see :class:`CheckpointStore`.
+A hit is a warm template: the entry's payload with its cache sets
+built once and shared copy-on-write by every restore of that entry.
+Every store, in memory or on disk, holds the template of the entry it
+last returned, so the next hits of that entry neither unpickle it nor
+rebuild its sets.  A hit still reads the entry and checks its digest,
+and gets the held template only when the digest is the template's; see
+:class:`CheckpointStore`.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import pickle
 from collections import OrderedDict
 from pathlib import Path
 
+from repro.core.engine.snapshot import shared
 from repro.harness.cache import (
     KeyedStore,
     canonical_hash,
@@ -138,19 +140,16 @@ class CheckpointStore(KeyedStore):
     """Directory of ``<key>.ckpt`` entries, one pickled arch snapshot each,
     plus one warm template in memory.
 
-    The template is the warmed state of the last entry this store stored
-    or restored.  After :meth:`put` it is the stored payload itself, so
-    the first restore from it skips the unpickling; that restore's engine
-    is handed over with :meth:`keep` before its timed run, and from then
-    on the template holds the payload with the caches' sets shared
-    copy-on-write (:meth:`Engine.share <repro.core.engine.Engine.share>`),
-    which the next restores adopt in O(sets).  A run that only warms and
-    stores never shares its sets, so it never copies one.  :meth:`get`
-    still reads the entry and verifies its digest, and returns the
-    template only when that digest is the one the template was built
-    from, so a damaged entry is a miss either way.  Any other lookup
-    drops the template first, so at most one architecture beyond the
-    running one is resident.
+    :meth:`get` returns a warm template: the entry's payload with its
+    caches' flat tags built into sets (:func:`~repro.core.engine.snapshot.shared`),
+    which a restore adopts in O(sets) and copies set by set only where
+    its run writes.  The store holds the template of the last entry it
+    returned, keyed by that entry's verified digest, so later hits of the
+    entry neither unpickle it nor build its sets.  :meth:`get` still
+    reads the entry and verifies its digest first, so a damaged entry is
+    a miss either way; any other lookup drops the held template before
+    building another, so at most one architecture beyond the running one
+    is resident.  :meth:`put` stores the flat payload and holds nothing.
 
     The sweep runner reports the ``hits``/``misses``/``stores`` counters,
     so a campaign shows how many points reused a warmup instead of
@@ -160,68 +159,36 @@ class CheckpointStore(KeyedStore):
     suffix = ".ckpt"
     default_directory = staticmethod(default_checkpoint_dir)
 
-    #: ``(digest, template, shared)``: the warm template of the entry with
-    #: that verified digest; ``shared`` once it holds an engine's sets
-    _template: tuple[bytes, dict, bool] | None = None
-    #: ``(key, digest, payload)`` of the payload a restore is being built
-    #: from, until :meth:`keep` shares that engine's sets
-    _latest: tuple[str, bytes, dict] | None = None
+    #: ``(digest, template)``: the warm template built from the entry
+    #: with that verified digest
+    _template: tuple[bytes, dict] | None = None
 
     def get(self, key: str) -> dict | None:
-        """The payload stored under ``key``, or None (see
+        """The warm template of the entry under ``key``, or None (see
         :meth:`KeyedStore.get <repro.harness.cache.KeyedStore.get>`).
 
-        A hit whose verified digest is the template's is the template
-        itself: callers share it and must only restore from it.  Any other
-        lookup drops the template first.
+        Hits of one entry return one template: callers share it and must
+        only restore from it.  A payload that does not convert is a
+        discarded miss, like one that does not unpickle.
         """
         found = self._verified(key)
         with self._lock:
-            held, self._template, self._latest = self._template, None, None
-        value = None
+            held, self._template = self._template, None
+        template = None
         if found is not None:
             digest, body = found
             if held is not None and held[0] == digest:
-                value = held[1]
-                with self._lock:
-                    self._template = held
-                    if not held[2]:
-                        self._latest = (key, digest, value)
+                template = held[1]
             else:
-                held = None  # freed before the restore builds another
-                value = self._decode(body)
-                if value is None:
+                held = None  # freed before the next template is built
+                template = self._decode(body)
+                if template is None:
                     self._discard(key)
-                else:
-                    with self._lock:
-                        self._latest = (key, digest, value)
-        self._tally(value is not None)
-        return value
-
-    def put(self, key: str, value: dict) -> bytes:
-        """:meth:`KeyedStore.put <repro.harness.cache.KeyedStore.put>`;
-        ``value`` becomes the template."""
-        digest = super().put(key, value)
-        with self._lock:
-            self._template = (digest, value, False)
-        return digest
-
-    def keep(self, key: str, engine) -> None:
-        """Make the template share ``engine``'s cache sets.
-
-        ``engine`` must not have run, and must have restored the payload
-        that the last :meth:`get` on this store returned for ``key``.
-        When that call missed, was for another key or returned a shared
-        template, nothing changes.
-        """
-        with self._lock:
-            latest, self._latest = self._latest, None
-        if latest is None or latest[0] != key:
-            return
-        _, digest, payload = latest
-        template = engine.share(payload)
-        with self._lock:
-            self._template = (digest, template, True)
+            if template is not None:
+                with self._lock:
+                    self._template = (digest, template)
+        self._tally(template is not None)
+        return template
 
     @staticmethod
     def _encode(payload: dict) -> bytes:
@@ -229,8 +196,9 @@ class CheckpointStore(KeyedStore):
 
     @staticmethod
     def _decode(body: memoryview) -> dict | None:
+        """The warm template of a verified body, or None."""
         try:
-            return pickle.loads(body)
+            return shared(pickle.loads(body))
         except _UNPICKLING_ERRORS:  # a verified blob from another code version
             return None
 

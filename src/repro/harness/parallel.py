@@ -21,10 +21,8 @@ family's runs warm each architecture once and restore it for the rest
 (see :mod:`repro.harness.checkpoint`).
 
 Execution settings (jobs/cache/checkpoints) are one
-:class:`~repro.harness.policy.ExecutionPolicy` value; the resolvers
-(:func:`resolve_jobs`, :func:`resolve_cache`) are
-re-exported from :mod:`repro.harness.policy`, where the ``REPRO_*``
-environment defaults are documented in one place.
+:class:`~repro.harness.policy.ExecutionPolicy` value; the ``REPRO_*``
+environment defaults are documented in :mod:`repro.harness.policy`.
 """
 
 from __future__ import annotations
@@ -37,13 +35,11 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from repro.core import ConservationError, SimStats, check_conservation
 from repro.harness.cache import task_key
 from repro.harness.checkpoint import CheckpointStore
-from repro.harness.policy import ExecutionPolicy, resolve_cache, resolve_jobs
+from repro.harness.policy import ExecutionPolicy
 
 __all__ = [
     "ExecutionPolicy",
     "SimulationError",
-    "resolve_cache",
-    "resolve_jobs",
     "run_simulations",
 ]
 

@@ -22,6 +22,12 @@ SNAPSHOT_VERSION = 2
 _MISS = object()
 
 
+def _count_code(assoc: int) -> str:
+    """``array`` typecode of a snapshot's per-set counts: a byte each,
+    wider past 255 ways."""
+    return "B" if assoc <= 0xFF else "I"
+
+
 class Cache:
     """Set-associative cache storing line tags with LRU replacement.
 
@@ -32,9 +38,9 @@ class Cache:
     Sets are copy-on-write.  ``_sets[i]`` is the set this cache owns, or
     ``None`` while it reads ``_base[i]``, a set it may share with other
     caches and must not change: the mutators copy it into ``_sets`` on
-    their first write.  A new cache owns every set; :meth:`share` and a
-    :meth:`restore` from its payload hand one tuple of warmed sets to
-    many caches in O(sets).
+    their first write.  A new cache owns every set; a restored cache owns
+    none, so one tuple of warmed sets (:meth:`shared`) serves many caches
+    in O(sets) each.
 
     Args:
         size_bytes: Total capacity in bytes.
@@ -258,77 +264,87 @@ class Cache:
         return {
             "version": SNAPSHOT_VERSION,
             "geometry": [self.size_bytes, self.assoc, self.line_size],
-            "counts": array(self._count_code, map(len, sets)).tobytes(),
+            "counts": array(_count_code(self.assoc), map(len, sets)).tobytes(),
             "tags": list(chain.from_iterable(sets)),
             "hits": self.hits,
             "misses": self.misses,
         }
 
-    def share(self) -> dict:
-        """A :meth:`restore` payload holding this cache's sets themselves.
+    @staticmethod
+    def shared(data: dict, name: str = "cache") -> dict:
+        """A :meth:`snapshot` payload as the shared form caches adopt.
 
-        The payload's ``sets`` tuple becomes this cache's base as well, so
-        this cache and every cache restored from the payload copy a set
-        before their first write to it, and the tuple's sets never change.
-        It costs O(sets), not O(lines).  The payload lives in this process
-        only: checkpoint frames hold :meth:`snapshot`.
+        The flat tags become ``sets``, a tuple of one dict per set in LRU
+        order, plus the ``lines`` they hold; the version, geometry and
+        counters stay the payload's.  A cache that restores it reads the
+        tuple's sets and copies each before its first write to it, so
+        they never change and every unoccupied set is one shared empty
+        dict.  The counts and tags are checked against the payload's own
+        geometry; a malformed payload raises :class:`ValueError` (named
+        ``name``) or the ``KeyError``/``TypeError`` of a missing or
+        mistyped field.
         """
-        sets = tuple(self._view())
-        self._base = sets
-        self._sets = [None] * self.num_sets
+        size_bytes, assoc, line_size = data["geometry"]
+        num_sets = size_bytes // (assoc * line_size)
+        blob, tags = data["counts"], data["tags"]
+        counts = array(_count_code(assoc))
+        if not isinstance(blob, bytes) or len(blob) != num_sets * counts.itemsize:
+            raise ValueError(
+                f"{name}: snapshot set counts do not cover {num_sets} sets"
+            )
+        if not isinstance(tags, list):
+            raise ValueError(f"{name}: snapshot tags are not a list")
+        counts.frombytes(blob)
+        if max(counts) > assoc:
+            raise ValueError(f"{name}: snapshot set holds more than {assoc} lines")
+        if sum(counts) != len(tags):
+            raise ValueError(
+                f"{name}: snapshot set counts sum to {sum(counts)}, "
+                f"not the {len(tags)} tags"
+            )
+        sets = [{}] * num_sets
+        # one set per nonzero count, each taking the next ``count`` tags
+        tag_stream = iter(tags)
+        occupied = zip(
+            compress(range(num_sets), counts),
+            map(dict.fromkeys, map(islice, repeat(tag_stream), compress(counts, counts))),
+        )
+        for index, cset in occupied:
+            sets[index] = cset
         return {
-            "version": SNAPSHOT_VERSION,
-            "geometry": [self.size_bytes, self.assoc, self.line_size],
-            "sets": sets,
-            "lines": self._lines,
-            "hits": self.hits,
-            "misses": self.misses,
+            "version": data["version"],
+            "geometry": data["geometry"],
+            "sets": tuple(sets),
+            "lines": len(tags),
+            "hits": data["hits"],
+            "misses": data["misses"],
         }
 
-    @property
-    def _count_code(self) -> str:
-        """``array`` typecode of the per-set counts in a snapshot."""
-        return "B" if self.assoc <= 0xFF else "I"
-
     def restore(self, data: dict) -> None:
-        """Restore from a :meth:`snapshot` or :meth:`share` payload
-        (geometry must match).
+        """Restore from a :meth:`snapshot` payload or its :meth:`shared`
+        form (geometry must match).
 
-        A :meth:`share` payload's sets become this cache's base, in
-        O(sets).  From a snapshot only the occupied sets are built, each
-        from its run of the flat tags.  A malformed payload raises
-        :class:`ValueError` naming this cache and leaves it unchanged.
+        A snapshot is converted with :meth:`shared` first; then the cache
+        adopts the sets as its base in O(sets), copy-on-write.  A
+        malformed payload raises :class:`ValueError` naming this cache and
+        leaves it unchanged.
         """
         try:
             self._check_header(data)
+            if "sets" not in data:
+                data = Cache.shared(data, self.name)
+            base, lines = data["sets"], data["lines"]
             hits, misses = data["hits"], data["misses"]
-            if "sets" in data:
-                base, lines = data["sets"], data["lines"]
-                if type(base) is not tuple or len(base) != self.num_sets:
-                    raise ValueError(
-                        f"{self.name}: shared sets do not cover {self.num_sets} sets"
-                    )
-                self._sets = [None] * self.num_sets
-                self._base = base
-            else:
-                counts, tags = self._validate(data)
-                lines = len(tags)
-                if self._lines or self._base is not None:
-                    self._sets = [{} for _ in range(self.num_sets)]
-                    self._base = None
-                sets = self._sets
-                # one set per nonzero count, each taking the next ``count`` tags
-                tag_stream = iter(tags)
-                occupied = zip(
-                    compress(range(self.num_sets), counts),
-                    map(dict.fromkeys, map(islice, repeat(tag_stream), compress(counts, counts))),
+            if type(base) is not tuple or len(base) != self.num_sets:
+                raise ValueError(
+                    f"{self.name}: shared sets do not cover {self.num_sets} sets"
                 )
-                for index, cset in occupied:
-                    sets[index] = cset
         except (KeyError, TypeError, AttributeError, IndexError) as exc:
             raise ValueError(
                 f"malformed Cache snapshot for {self.name}: {exc!r}"
             ) from None
+        self._sets = [None] * self.num_sets
+        self._base = base
         self._lines = lines
         self.hits = hits
         self.misses = misses
@@ -345,30 +361,6 @@ class Cache:
                 f"{self.name} ({self.size_bytes}B {self.assoc}-way "
                 f"{self.line_size}B lines)"
             )
-
-    def _validate(self, data: dict) -> tuple[array, list[int]]:
-        """A snapshot's per-set counts and flat tags, checked against
-        this cache's geometry and each other."""
-        blob, tags = data["counts"], data["tags"]
-        counts = array(self._count_code)
-        if not isinstance(blob, bytes) or len(blob) != self.num_sets * counts.itemsize:
-            raise ValueError(
-                f"{self.name}: snapshot set counts do not cover "
-                f"{self.num_sets} sets"
-            )
-        if not isinstance(tags, list):
-            raise ValueError(f"{self.name}: snapshot tags are not a list")
-        counts.frombytes(blob)
-        if max(counts) > self.assoc:
-            raise ValueError(
-                f"{self.name}: snapshot set holds more than {self.assoc} lines"
-            )
-        if sum(counts) != len(tags):
-            raise ValueError(
-                f"{self.name}: snapshot set counts sum to {sum(counts)}, "
-                f"not the {len(tags)} tags"
-            )
-        return counts, tags
 
     def __repr__(self) -> str:
         return (

@@ -313,20 +313,21 @@ class MemoryHierarchy:
             "level_counts": {int(lv): n for lv, n in self.level_counts.items()},
         }
 
-    def share(self, data: dict) -> dict:
-        """``data``, this hierarchy's :meth:`snapshot`, with each cache's
-        entry replaced by :meth:`Cache.share <repro.memory.Cache.share>`:
-        a payload :meth:`restore` takes in O(sets) per cache."""
+    @staticmethod
+    def shared(data: dict) -> dict:
+        """``data``, a :meth:`snapshot` payload, with each cache's entry in
+        the :meth:`Cache.shared <repro.memory.Cache.shared>` form that
+        :meth:`restore` adopts in O(sets) per cache."""
         return {
             **data,
-            "l1": self.l1.share(),
-            "l2": self.l2.share(),
-            "l3": self.l3.share(),
+            "l1": Cache.shared(data["l1"]),
+            "l2": Cache.shared(data["l2"]),
+            "l3": Cache.shared(data["l3"]),
         }
 
     def restore(self, data: dict) -> None:
-        """Restore from a :meth:`snapshot` or :meth:`share` payload (same
-        shape hierarchy)."""
+        """Restore from a :meth:`snapshot` payload or its :meth:`shared`
+        form (same shape hierarchy)."""
         if data.get("version") != 1:
             raise ValueError(
                 f"unsupported MemoryHierarchy snapshot version: "

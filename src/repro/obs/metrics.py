@@ -115,8 +115,6 @@ class MetricsRegistry:
     metrics, for example.
     """
 
-    enabled = True
-
     def __init__(self) -> None:
         self.counters: dict[str, int] = {}
         self.histograms: dict[str, CycleWeightedHistogram] = {}

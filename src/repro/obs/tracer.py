@@ -28,8 +28,6 @@ class Tracer:
     after the run, from the surviving window.
     """
 
-    enabled = True
-
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")

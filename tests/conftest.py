@@ -107,6 +107,16 @@ def run_engine(trace, config, predictor=None, selector=None):
     return engine, stats
 
 
+def arch_payload(**fields) -> dict:
+    """A minimal checkpoint payload holding ``fields`` and a cold cache
+    hierarchy: what a ``CheckpointStore`` needs to build the warm template
+    its ``get`` returns (``repro.core.engine.snapshot.shared``)."""
+    from repro.memory import Cache, MemoryHierarchy
+
+    hierarchy = MemoryHierarchy(Cache(1024, 2), Cache(2048, 2), Cache(4096, 4))
+    return {**fields, "hierarchy": hierarchy.snapshot()}
+
+
 def fail_runs_of(monkeypatch, spec_name: str) -> None:
     """Make every serial run of the RunSpec named ``spec_name`` raise.
 

@@ -24,6 +24,7 @@ from hypothesis import given, seed, settings
 from repro import _steady_state_footprint
 from repro.branch import TwoBcGskewPredictor
 from repro.core import Engine, MachineConfig
+from repro.core.engine.snapshot import shared
 from repro.harness.checkpoint import CheckpointStore
 from repro.isa import Instruction, OpClass
 from repro.memory import Cache
@@ -382,7 +383,7 @@ class TestCorruptCheckpointFiles:
         store.put("mcf", mcf_arch)
         path = tmp_path / "mcf.ckpt"
         good = path.read_bytes()
-        assert store.get("mcf") == mcf_arch
+        assert store.get("mcf") == shared(mcf_arch)
         for i, damaged in enumerate(mutations(good, 400, random.Random(14))):
             path.write_bytes(damaged)
             assert store.get("mcf") is None, i

@@ -145,14 +145,14 @@ class TestConflicts:
 
 
 class TestCopyOnWrite:
-    """A cache adopting a shared template matches one restored from flat tags.
+    """Caches adopting one shared snapshot behave like the cache it came from.
 
-    :meth:`Cache.share` hands a cache's sets out as a template; caches that
-    restore it read those sets until their first write to one, which
-    copies it.  Whatever a run of lookups, fills, inserts, invalidations
-    and installs does, the adopting cache must behave exactly like a cache
-    restored from the same state's flat :meth:`Cache.snapshot`, and the
-    template's sets must not change.
+    :meth:`Cache.shared` builds a snapshot's flat tags into a tuple of
+    sets; caches that restore it read those sets until their first write
+    to one, which copies it.  Whatever a run of lookups, fills, inserts,
+    invalidations and installs does, an adopting cache must behave
+    exactly like the owning cache the snapshot was taken from, and the
+    shared sets must not change.
     """
 
     SIZE, ASSOC = 8 * 2 * 64, 2  # 8 sets of 2 ways: frequent conflicts
@@ -178,21 +178,22 @@ class TestCopyOnWrite:
     @example(warm=[0, 8], ops=[("invalidate", 0)])
     @example(warm=[0, 8], ops=[("install", 1)])
     def test_adopted_and_flat_restored_caches_stay_identical(self, warm, ops):
-        source = make_cache(self.SIZE, self.ASSOC)
+        source = make_cache(self.SIZE, self.ASSOC)  # owns its sets: the oracle
         for line in warm:
             source.fill(line * 64)
         flat = source.snapshot()
-        shared = source.share()
-        before = self.contents(shared["sets"])
+        template = Cache.shared(flat)
+        before = self.contents(template["sets"])
         adopted = make_cache(self.SIZE, self.ASSOC)
-        adopted.restore(shared)
+        adopted.restore(template)
         restored = make_cache(self.SIZE, self.ASSOC)
         restored.restore(flat)
-        assert adopted.snapshot() == restored.snapshot() == source.snapshot()
+        caches = (adopted, restored, source)
+        assert adopted.snapshot() == restored.snapshot() == flat
         fresh = 1000  # install takes lines no cache holds yet
         for op, line in ops:
             results = []
-            for cache in (adopted, restored, source):
+            for cache in caches:
                 if op == "install":
                     cache.install(range(fresh, fresh + line))
                     results.append(None)
@@ -203,27 +204,22 @@ class TestCopyOnWrite:
             assert results[0] == results[1] == results[2], (op, line)
             assert adopted.snapshot() == restored.snapshot() == source.snapshot()
             assert adopted.occupancy == restored.occupancy == source.occupancy
-            assert (adopted.hits, adopted.misses) == (restored.hits, restored.misses)
-            assert self.contents(shared["sets"]) == before, (op, line)
+            assert self.contents(template["sets"]) == before, (op, line)
+        late = make_cache(self.SIZE, self.ASSOC)
+        late.restore(template)
+        assert late.snapshot() == flat
 
-    def test_a_second_share_keeps_the_first_template_intact(self):
+    def test_unoccupied_sets_share_one_empty_dict(self):
         source = make_cache()
-        for line in range(40):
-            source.insert(line * 64)
-        first = source.share()
-        before = self.contents(first["sets"])
-        source.insert(40 * 64)
-        source.invalidate(0)
-        second = source.share()
-        assert self.contents(first["sets"]) == before
-        adopted = make_cache()
-        adopted.restore(second)
-        assert adopted.snapshot() == source.snapshot()
-        assert not adopted.probe(0) and adopted.probe(40 * 64)
+        source.insert(0)
+        sets = Cache.shared(source.snapshot())["sets"]
+        assert list(sets[0]) == [0]
+        assert len({id(cset) for cset in sets[1:]}) == 1 and not sets[1]
 
     def test_shared_payload_must_cover_every_set(self):
         source = make_cache()
-        shared = source.share()
+        source.insert(0)
+        shared = Cache.shared(source.snapshot())
         with pytest.raises(ValueError, match="shared sets do not cover"):
             make_cache().restore({**shared, "sets": shared["sets"][1:]})
         with pytest.raises(ValueError, match="geometry"):

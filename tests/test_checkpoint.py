@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.core import MachineConfig
+from repro.core.engine.snapshot import shared
 from repro.harness import (
     CheckpointStore,
     ExecutionPolicy,
@@ -25,6 +26,7 @@ from repro.harness import (
     run_simulations,
     task_key,
 )
+from tests.conftest import arch_payload
 
 
 def digest(stats) -> str:
@@ -100,10 +102,18 @@ class TestCheckpointStore:
     def test_roundtrip_and_counters(self, tmp_path):
         store = CheckpointStore(tmp_path)
         assert store.get("k") is None
-        store.put("k", {"version": 1, "pos": 5})
-        assert store.get("k") == {"version": 1, "pos": 5}
+        payload = arch_payload(version=1, pos=5)
+        store.put("k", payload)
+        assert store.get("k") == shared(payload)
         assert (store.hits, store.misses, store.stores) == (1, 1, 1)
         assert len(store) == 1
+
+    def test_a_payload_that_does_not_convert_is_a_discarded_miss(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        store.put("k", {"pos": 5})  # no cache hierarchy to build sets from
+        assert store.get("k") is None
+        assert (store.hits, store.misses) == (0, 1)
+        assert not store._path("k").exists()
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = CheckpointStore(tmp_path)

@@ -29,6 +29,7 @@ from repro.core import SimStats
 from repro.harness.cache import ResultCache
 from repro.harness.checkpoint import CheckpointStore
 from repro.sweep.store import ResultStore
+from tests.conftest import arch_payload
 
 
 def seed_rows(n_points: int = 4, n_seeds: int = 4) -> list[dict]:
@@ -546,13 +547,13 @@ class TestCheckpointCorruption:
 
     def test_truncated_pickle_is_miss_and_deleted(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.put("k1", {"arch": {"pc": 7}, "warmup": 100})
+        store.put("k1", arch_payload(arch={"pc": 7}, warmup=100))
         path = store._path("k1")
         path.write_bytes(path.read_bytes()[:10])  # truncate mid-stream
         assert store.get("k1") is None
         assert store.misses == 1
         assert not path.exists(), "corrupt checkpoint must be deleted"
-        store.put("k1", {"arch": {"pc": 8}, "warmup": 100})
+        store.put("k1", arch_payload(arch={"pc": 8}, warmup=100))
         assert store.get("k1")["arch"]["pc"] == 8
 
     def test_garbage_bytes_are_miss_and_deleted(self, tmp_path):
@@ -582,7 +583,7 @@ class TestCheckpointCorruption:
         import shutil
 
         shutil.rmtree(store.directory)
-        store.put("k4", {"arch": {}, "warmup": 0})
+        store.put("k4", arch_payload(arch={}, warmup=0))
         assert store.get("k4") is not None
 
 

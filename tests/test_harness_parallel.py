@@ -22,8 +22,8 @@ from repro.harness import (
     task_key,
 )
 from repro.harness.cache import describe_factory
-from repro.harness.parallel import _exit_with_parent, resolve_cache, resolve_jobs
-from repro.harness.policy import ExecutionPolicy
+from repro.harness.parallel import _exit_with_parent
+from repro.harness.policy import ExecutionPolicy, resolve_cache, resolve_jobs
 from repro.vp import OraclePredictor, WangFranklinPredictor
 from tests.conftest import process_alive
 

@@ -359,13 +359,17 @@ class TestCli:
                 ["trace", "mcf", str(tmp_path / f"p{i}.trace"),
                  "--length", "400", "--seed", str(i)], capsys
             )
-        code, out = self.run_cli(
-            ["run", "--traces", str(tmp_path / "p0.trace"),
-             str(tmp_path / "p1.trace"), "--machine", "smt",
-             "--threads", "2"], capsys
-        )
-        assert code == 0
-        assert "ctx 0 [p0]" in out and "ctx 1 [p1]" in out
+        for threads in ("2", "8"):
+            # one context per file, whatever --threads asks for
+            code, out = self.run_cli(
+                ["run", "--traces", str(tmp_path / "p0.trace"),
+                 str(tmp_path / "p1.trace"), "--machine", "smt",
+                 "--threads", threads], capsys
+            )
+            assert code == 0
+            assert out.splitlines()[0] == "p0, p1 on smt (2 contexts)"
+            assert "ctx 0 [p0]" in out and "ctx 1 [p1]" in out
+            assert "ctx 2" not in out
 
     def test_run_ingested_single_trace(self, tmp_path, capsys):
         self.run_cli(
@@ -522,6 +526,26 @@ class TestCliCountValidation:
         assert len(errors) == 1 and "cannot ingest traces" in errors[0]
         assert str(path) in errors[0]
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("extra", [
+        ["--machine", "mtvp"],
+        ["--machine", "smt", "--warmup", "100"],
+    ], ids=" ".join)
+    def test_traces_the_mode_cannot_run_are_one_line(self, extra, tmp_path, capsys):
+        from repro.__main__ import main
+
+        paths = [str(tmp_path / f"{name}.rvpt") for name in ("a", "b")]
+        for seed, path in enumerate(paths):
+            main(["trace", "mcf", path, "--length", "200", "--seed", str(seed)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--traces", *paths, *extra])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        (line,) = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert "cannot run ingested traces" in line
 
     @pytest.mark.parametrize("argv", [
         ["run", "nosuch", "--length", "100"],

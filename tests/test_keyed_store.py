@@ -4,8 +4,8 @@
 ``MEMORY_CHECKPOINTS`` LRU (frames) share one entry format, a blake2b
 digest followed by the encoded body.  A byte-mutation property checks
 every store: whatever a flip, a truncation or appended bytes do to a
-stored entry, ``get`` returns what was stored or misses and discards the
-entry.  Also here: the one-digit edit that a result cache without a
+stored entry, ``get`` returns what was stored (for a checkpoint store,
+its warm template) or misses and discards the entry.  Also here: the one-digit edit that a result cache without a
 digest served as a hit, and ``cache prune`` bounding checkpoints too.
 """
 
@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import MachineConfig, SimStats
+from repro.core.engine.snapshot import shared
 from repro.harness import (
     CheckpointStore,
     ExecutionPolicy,
@@ -66,16 +67,22 @@ def entries(tmp_path_factory) -> dict[str, _Entry]:
     root = tmp_path_factory.mktemp("stores")
     files = CheckpointStore(root / "checkpoints")
     stats = BASELINE.run("mcf", LENGTH, 0, checkpoints=files)
-    ((key, payload),) = [(p.stem, files.get(p.stem)) for p in files.directory.glob("*.ckpt")]
+    ((key, template),) = [(p.stem, files.get(p.stem)) for p in files.directory.glob("*.ckpt")]
     cache = ResultCache(root / "cache")
     cache.put(key, stats)
     memory = _MemoryCheckpoints(capacity=2)  # the class of MEMORY_CHECKPOINTS
-    memory.put(key, payload)
+    memory.put(key, pickle.loads(files._read(key)[files._DIGEST_SIZE:]))
     return {
         "result": _Entry(cache, key, stats, lambda a, b: stats_digest(a) == stats_digest(b)),
-        "checkpoint": _Entry(files, key, payload, lambda a, b: a == b),
-        "memory": _Entry(memory, key, payload, lambda a, b: a == b),
+        "checkpoint": _Entry(files, key, template, lambda a, b: a == b),
+        "memory": _Entry(memory, key, template, lambda a, b: a == b),
     }
+
+
+def loads(body: bytes) -> dict:
+    """A checkpoint body as ``CheckpointStore.get`` returns it: its warm
+    template."""
+    return shared(pickle.loads(body))
 
 
 @st.composite
@@ -115,8 +122,8 @@ class TestDamagedEntries:
 
     @pytest.mark.parametrize("kind, decode", [
         ("result", lambda body: SimStats.from_dict(json.loads(body))),
-        ("checkpoint", pickle.loads),
-        ("memory", pickle.loads),
+        ("checkpoint", loads),
+        ("memory", loads),
     ])
     def test_an_entry_is_a_digest_then_the_body(self, entries, kind, decode):
         entry = entries[kind]

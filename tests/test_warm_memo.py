@@ -22,12 +22,14 @@ import pytest
 
 from repro import simulate
 from repro.core import MachineConfig
+from repro.core.engine.snapshot import shared
 from repro.harness import ExecutionPolicy, ResultCache, RunSpec, compare_modes
 from repro.harness.bench import stats_digest
 from repro.harness.checkpoint import MEMORY_CHECKPOINTS, _MemoryCheckpoints
 from repro.harness.parallel import _pool_batches
 from repro.obs import MetricsRegistry, Tracer
 from repro.workloads import get_workload
+from tests.conftest import arch_payload
 
 LENGTH = 2000
 BASELINE = RunSpec("baseline", MachineConfig.hpca05_baseline)
@@ -67,11 +69,11 @@ class TestRestoredRunsMatchFreshOnes:
         STVP.run("mcf", LENGTH, checkpoints=store)
         (key,) = store._frames
         frame = bytes(store._frames[key])
-        # a hit is the store's warm template: the payload it stored,
-        # shared by every restore, equal to the decoded frame
+        # a hit is the store's warm template of the decoded frame, shared
+        # by every restore
         first, second = store.get(key), store.get(key)
         assert first is second
-        assert first == pickle.loads(frame[store._DIGEST_SIZE:])
+        assert first == shared(pickle.loads(frame[store._DIGEST_SIZE:]))
         a = MTVP8.run("mcf", LENGTH, checkpoints=store)
         b = MTVP8.run("mcf", LENGTH, checkpoints=store)
         assert stats_digest(a) == stats_digest(b)
@@ -152,7 +154,7 @@ class TestMemoBypass:
 class TestMemoryFrames:
     def test_damaged_frame_is_a_discarded_miss(self):
         store = _MemoryCheckpoints(capacity=2)
-        store.put("k", {"pos": 3})
+        store.put("k", arch_payload(pos=3))
         frame = bytearray(store._frames["k"])
         for pos in (0, len(frame) - 1):
             damaged = bytearray(frame)
@@ -164,15 +166,17 @@ class TestMemoryFrames:
         store._frames["k"] = bytes(frame[:10])
         assert store.get("k") is None
         assert traffic(store) == (0, 3, 1)
+        store._frames["k"] = bytes(frame)
+        assert store.get("k")["pos"] == 3
 
     def test_lru_never_exceeds_its_capacity(self):
         store = _MemoryCheckpoints(capacity=2)
         for i in range(5):
-            store.put(f"k{i}", {"pos": i})
+            store.put(f"k{i}", arch_payload(pos=i))
             assert len(store) <= 2
         assert list(store._frames) == ["k3", "k4"]
-        assert store.get("k3") == {"pos": 3}  # now the most recent
-        store.put("k5", {"pos": 5})
+        assert store.get("k3")["pos"] == 3  # now the most recent
+        store.put("k5", arch_payload(pos=5))
         assert list(store._frames) == ["k3", "k5"]
         assert store.get("k4") is None
 
@@ -181,15 +185,16 @@ class TestMemoryFrames:
         import threading
 
         store = _MemoryCheckpoints(capacity=2)
+        payloads = {f"k{n}": arch_payload(key=f"k{n}") for n in range(5)}
         errors = []
 
         def worker(seed: int) -> None:
             try:
                 for i in range(300):
                     key = f"k{(seed + i) % 5}"
-                    store.put(key, {"key": key})
+                    store.put(key, payloads[key])
                     got = store.get(key)
-                    if got is not None and got != {"key": key}:
+                    if got is not None and got != shared(payloads[key]):
                         errors.append((key, got))
                     if len(store) > 2:
                         errors.append(("size", len(store)))
@@ -210,6 +215,7 @@ class TestMemoryFrames:
         assert not errors
         assert store.stores == 6 * 300
         assert store.hits + store.misses == 6 * 300
+        assert store.hits
 
     def test_default_store_is_bounded(self):
         assert MEMORY_CHECKPOINTS.capacity == 2
@@ -243,13 +249,13 @@ class TestFamilies:
 
 
 class TestWarmTemplate:
-    """A store's warm template: restores share one architecture's sets.
+    """A store's warm template: the first hit of an entry builds it.
 
-    After ``put`` the template is the stored payload; the first restore
-    hands its engine to ``keep``, and later restores adopt that engine's
-    cache sets copy-on-write.  Every restore must still give the fresh
-    digest, the shared sets must not change, and a damaged entry must
-    stay a discarded miss while its template is held.
+    A miss holds no template.  The first hit decodes the entry and builds
+    its cache sets once; later hits of that entry return the same object,
+    whose engines adopt the sets copy-on-write.  Every restore must still
+    give the fresh digest, the shared sets must not change, and a damaged
+    entry must stay a discarded miss while its template is held.
     """
 
     SAMPLED = RunSpec(
@@ -262,8 +268,7 @@ class TestWarmTemplate:
         """The held template's state, LRU order included."""
         import pickle
 
-        digest, template, shared = store._template
-        assert shared
+        digest, template = store._template
         return digest + pickle.dumps(template)
 
     @pytest.mark.parametrize(
@@ -272,27 +277,52 @@ class TestWarmTemplate:
     def test_two_restores_from_one_template_match_a_fresh_run(self, spec):
         fresh = stats_digest(spec.run("mcf", LENGTH, checkpoints=False))
         store = _MemoryCheckpoints(capacity=2)
-        # warm and store; restore from the stored payload, which shares
-        # that restore's sets as the template
+        # warm and store; the first restore builds the template
         assert stats_digest(spec.run("mcf", LENGTH, checkpoints=store)) == fresh
+        assert store._template is None
         assert stats_digest(spec.run("mcf", LENGTH, checkpoints=store)) == fresh
-        held = self.fingerprint(store)
+        template, held = store._template[1], self.fingerprint(store)
         for _ in range(2):
             assert stats_digest(spec.run("mcf", LENGTH, checkpoints=store)) == fresh
+        assert store._template[1] is template
         assert self.fingerprint(store) == held
         assert traffic(store) == (3, 1, 1)
 
     def test_a_restore_shares_the_first_restores_sets(self):
+        import pickle
+
         store = _MemoryCheckpoints(capacity=2)
         STVP.run("mcf", LENGTH, checkpoints=store)
         (key,) = store._frames
-        stored = store.get(key)
+        stored = pickle.loads(store._frames[key][store._DIGEST_SIZE:])
         assert "tags" in stored["hierarchy"]["l3"]  # the payload put() stored
-        STVP.run("mcf", LENGTH, checkpoints=store)
         template = store.get(key)
-        assert template is store._template[1] and template is not stored
-        assert type(template["hierarchy"]["l3"]["sets"]) is tuple
-        assert template["predictor"] is stored["predictor"]
+        assert template is store._template[1]
+        for level in ("l1", "l2", "l3"):
+            sets = template["hierarchy"][level]["sets"]
+            assert type(sets) is tuple and any(sets)
+        assert template == shared(stored)
+        STVP.run("mcf", LENGTH, checkpoints=store)
+        assert store.get(key) is template
+        assert traffic(store) == (3, 1, 1)
+
+    def test_a_miss_holds_no_template(self):
+        store = _MemoryCheckpoints(capacity=2)
+        store.put("k", arch_payload(pos=1))
+        assert store._template is None
+        assert store.get("k") is not None and store._template is not None
+        assert store.get("absent") is None
+        assert store._template is None
+
+    def test_each_entry_gets_its_own_template(self):
+        store = _MemoryCheckpoints(capacity=2)
+        store.put("a", arch_payload(pos=1))
+        store.put("b", arch_payload(pos=2))
+        first = store.get("a")
+        assert store.get("a") is first
+        assert store.get("b")["pos"] == 2
+        again = store.get("a")
+        assert again["pos"] == 1 and again is not first
 
     @pytest.mark.parametrize("kind", ["memory", "directory"])
     def test_damaged_entry_is_a_discarded_miss_while_its_template_is_held(
