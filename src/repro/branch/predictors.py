@@ -12,7 +12,6 @@ own history while sharing the prediction tables.
 
 from __future__ import annotations
 
-from repro.obs import NULL_PROBE
 from repro.tables import power_of_two
 
 #: Number of global-history bits threaded through the predictors.
@@ -20,8 +19,9 @@ HISTORY_BITS = 16
 _HISTORY_MASK = (1 << HISTORY_BITS) - 1
 
 #: schema of :meth:`BranchPredictor.snapshot` payloads; version 2 packs
-#: each counter table into one ``bytes`` blob
-SNAPSHOT_VERSION = 2
+#: each counter table into one ``bytes`` blob, and version 3 dropped the
+#: 2bcgskew lookup counter
+SNAPSHOT_VERSION = 3
 
 #: the valid 2-bit counter values, as ``bytes.translate`` deletes them
 _COUNTER_VALUES = bytes(range(4))
@@ -35,10 +35,10 @@ def update_history(history: int, taken: bool) -> int:
 class BranchPredictor:
     """Protocol base class; also usable as a static always-taken stub."""
 
-    #: observability hook (see :mod:`repro.obs.probe`): a class attribute
-    #: so every predictor inherits the null object for free; the engine
+    #: observability probe (see :mod:`repro.obs.probe`) or None: a class
+    #: attribute so every predictor inherits None for free; the engine
     #: sets an instance attribute when observability is requested
-    obs = NULL_PROBE
+    obs = None
 
     def predict(self, pc: int, history: int) -> bool:
         """Return the predicted direction for the branch at ``pc``."""
@@ -325,7 +325,7 @@ class TwoBcGskewPredictor(BranchPredictor):
         if majority != bim:
             self._meta.train(i0, majority == taken)
         if prediction != taken:
-            if self.obs.enabled:
+            if self.obs is not None:
                 self.obs.branch_mispredict(pc)
             self._bim.train(pc2, taken)
             self._g0.train(i1, taken)
@@ -345,7 +345,6 @@ class TwoBcGskewPredictor(BranchPredictor):
             "g0": self._g0.snapshot(),
             "g1": self._g1.snapshot(),
             "meta": self._meta.snapshot(),
-            "lookups": self.lookups,
         }
 
     def _restore_state(self, state: dict) -> None:
@@ -354,4 +353,3 @@ class TwoBcGskewPredictor(BranchPredictor):
         self._g0.restore(state["g0"], f"{kind} g0 table")
         self._g1.restore(state["g1"], f"{kind} g1 table")
         self._meta.restore(state["meta"], f"{kind} meta table")
-        self.lookups = state["lookups"]

@@ -224,9 +224,9 @@ class Engine(
         root = roots[0]
 
         #: live observability probe, or None.  The hot loop tests this one
-        #: attribute per instruction; components carry the NULL_PROBE when
-        #: no probe is attached, so the disabled path costs a single
-        #: attribute read at every hook site.
+        #: attribute per instruction; components hold the same probe or
+        #: None, so the disabled path costs one ``is not None`` test at
+        #: every hook site.
         self._obs: Probe | None = None
         if tracer is not None or metrics is not None:
             obs = self._obs = Probe(tracer=tracer, metrics=metrics)
@@ -241,13 +241,10 @@ class Engine(
 
         if arch is not None:
             # a warmup checkpoint overwrites every piece of state the warm
-            # start builds (caches, branch and value-predictor tables and
-            # counters, branch history), so it takes the warm start's place
-            if arch.get("scope") != "arch" or model.multi_program:
-                raise ValueError(
-                    "arch= takes a scope='arch' snapshot of a single-program "
-                    "engine"
-                )
+            # start builds (caches, branch and value-predictor tables,
+            # branch history), so it takes the warm start's place
+            if model.multi_program:
+                raise ValueError("arch= takes a snapshot of a single-program engine")
             self.restore(arch)
         elif config.warm_caches:
             self._warm_state(warm_addresses, roots)

@@ -2,11 +2,12 @@
 
 A snapshot captures only long-lived *architectural* state (DESIGN.md
 §5f): the root thread's trace position and branch history plus the cache
-hierarchy, branch predictor and value predictor tables.  It deliberately
-excludes all timing state — spawned threads, spawn records, store-buffer
-contents, slot bookings and the load selector, whose episodes are timing
-measurements — which the timed run creates, so one checkpoint is shared
-by every configuration that differs only in timing-state axes.
+contents and the prefetcher, branch predictor and value predictor
+tables.  It deliberately excludes all timing state — spawned threads,
+spawn records, store-buffer contents, slot bookings, MSHR and in-flight
+fills, component counters and the load selector, whose episodes are
+timing measurements — which the timed run creates, so one checkpoint is
+shared by every configuration that differs only in timing-state axes.
 
 Payloads are versioned dicts of plain picklable types.  A snapshot is
 taken before the timed run starts (after the warm start and any
@@ -18,8 +19,9 @@ from __future__ import annotations
 
 from repro.memory import MemoryHierarchy
 
-#: schema version for engine-level snapshot payloads
-SNAPSHOT_VERSION = 1
+#: schema version for engine-level snapshot payloads; version 2 dropped
+#: the ``scope`` tag and every component's counters and timing state
+SNAPSHOT_VERSION = 2
 
 
 def shared(payload: dict) -> dict:
@@ -39,7 +41,12 @@ class SnapshotMixin:
     """Serializes and restores the engine's architectural state."""
 
     def snapshot(self) -> dict:
-        """Serialize the architectural state to a versioned picklable dict."""
+        """Serialize the architectural state to a versioned picklable dict.
+
+        The payload holds ``version``, the root's ``pos`` and ``bhist``,
+        ``warmup_instructions`` and the ``hierarchy``, ``branch`` and
+        ``predictor`` snapshots: tables and contents only, no counters.
+        """
         if self._obs is not None:
             raise RuntimeError(
                 "snapshot() does not support instrumented runs: the "
@@ -55,7 +62,6 @@ class SnapshotMixin:
         root = self._contexts[0]
         return {
             "version": SNAPSHOT_VERSION,
-            "scope": "arch",
             "pos": root.pos,
             "bhist": root.bhist,
             "warmup_instructions": self.stats.warmup_instructions,
@@ -70,8 +76,9 @@ class SnapshotMixin:
 
         The engine must have been constructed with the same trace and
         component classes as the one that produced the snapshot (timing
-        axes may differ), and must not have run yet.  The cache sets are
-        adopted in O(sets), copy-on-write.  A malformed payload raises
+        axes may differ), and must not have run yet, so every component
+        counter keeps the value the constructor gave it.  The cache sets
+        are adopted in O(sets), copy-on-write.  A malformed payload raises
         :class:`ValueError`.
         """
         if self._started:
@@ -82,8 +89,6 @@ class SnapshotMixin:
             raise ValueError(
                 f"unsupported engine snapshot version: {data.get('version')!r}"
             )
-        if data.get("scope") != "arch":
-            raise ValueError(f"unknown snapshot scope: {data.get('scope')!r}")
         try:
             pos = data["pos"]
             if type(pos) is not int or not 0 <= pos < self._trace_len:

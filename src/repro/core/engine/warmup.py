@@ -83,10 +83,6 @@ class WarmupMixin:
                 per_pc = len(load_insts) / max(1, len({i.pc for i in load_insts}))
                 passes = min(40, max(1, round(800 / per_pc) - 1))
                 vp.train_many(load_insts, passes + 1)
-        vp.lookups = 0
-        vp.predictions = 0
-        vp.correct = 0
-        vp.incorrect = 0
 
     # ------------------------------------------------------------------
     def fast_forward(self, n: int) -> int:

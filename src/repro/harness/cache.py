@@ -250,19 +250,23 @@ class KeyedStore:
     """Directory of ``<key><suffix>`` entries, one stored value each.
 
     The one entry format every keyed store shares: a blake2b digest of
-    the encoded body, then the body.  A subclass supplies only the file
-    suffix, its default directory and a codec (``_encode`` to bytes,
-    ``_decode`` back, returning ``None`` for a body it cannot decode).  :meth:`get` verifies the
-    digest before decoding, so a damaged entry — truncated by a killed
-    writer, edited, or damaged on disk — is a miss, never a wrong value,
-    and it is discarded so the key re-fills cleanly.
+    the encoded body, then the body.  A subclass supplies the file
+    suffix, its default directory, an ``_encode`` to bytes for
+    :meth:`put`, and a ``get`` built on :meth:`_verified`,
+    :meth:`_discard` and :meth:`_tally`.  Every ``get`` keeps one
+    contract: the digest is verified before the body is decoded, so a
+    damaged entry — truncated by a killed writer, edited, or damaged on
+    disk — is a miss, never a wrong value; an entry that exists but is
+    short, fails its digest or does not decode is discarded so the key
+    re-fills cleanly; and a concurrent pruner removing the entry at any
+    point is an ordinary miss.
 
     Counters (``hits``/``misses``/``stores``) track this instance's
     traffic; tests and campaign summaries read them.  Safe to share
     between threads and between processes: entries land via atomic
     rename, a vanished entry is an ordinary miss, and the counters are
     updated under a lock.  ``_read``/``_write``/``_discard`` are the only
-    storage primitives :meth:`get` and :meth:`put` use, so a store can
+    storage primitives ``get`` and :meth:`put` use, so a store can
     keep its entries somewhere other than files.
     """
 
@@ -325,26 +329,6 @@ class KeyedStore:
             self._path(key).unlink()
         except OSError:
             pass
-
-    def get(self, key: str):
-        """The value stored under ``key``, or None (a damaged entry is a miss).
-
-        A concurrent pruner may remove the entry at any point here — that
-        is an ordinary miss.  An entry that exists but is short, fails its
-        digest or does not decode is a miss *and* is discarded; no damaged
-        byte ever reaches the decoder.  Every hit decodes a fresh value,
-        so no two callers share a mutable object.
-        """
-        return self._lookup(key, self._decode)
-
-    def _lookup(self, key: str, decode):
-        """:meth:`get` with ``decode`` in place of :meth:`_decode`."""
-        found = self._verified(key)
-        value = None if found is None else decode(found[1])
-        if found is not None and value is None:
-            self._discard(key)
-        self._tally(value is not None)
-        return value
 
     def _verified(self, key: str) -> tuple[bytes, memoryview] | None:
         """``(digest, body)`` of the entry under ``key``; None when there
@@ -511,13 +495,22 @@ class ResultCache(KeyedStore):
     default_directory = staticmethod(default_cache_dir)
 
     def get(self, key: str, *, text: bool = False):
-        """The :class:`SimStats` under ``key``, or None (see :meth:`KeyedStore.get`).
+        """The :class:`SimStats` under ``key``, or None (a damaged entry
+        is a discarded miss; see :class:`KeyedStore`).
 
-        With ``text=True`` a hit is the entry's body as a string — its
-        :func:`stats_text`, digest-verified but never parsed — which the
-        sweep drain commits to the store as it is.
+        Every hit decodes a fresh value, so no two callers share a
+        mutable object.  With ``text=True`` a hit is the entry's body as
+        a string — its :func:`stats_text`, digest-verified but never
+        parsed — which the sweep drain commits to the store as it is.
         """
-        return self._lookup(key, _utf8 if text else self._decode)
+        found = self._verified(key)
+        value = None
+        if found is not None:
+            value = (_utf8 if text else self._decode)(found[1])
+            if value is None:
+                self._discard(key)
+        self._tally(value is not None)
+        return value
 
     @staticmethod
     def _encode(stats: SimStats) -> bytes:

@@ -12,8 +12,8 @@ window sizes, selectors or simulation mode, none of which functional
 warmup can observe).
 
 So one warmup checkpoint serves every configuration in a sweep that
-varies only timing axes: the first run fast-forwards and stores an
-``scope="arch"`` engine snapshot under :func:`arch_key`; later runs
+varies only timing axes: the first run fast-forwards and stores its
+engine snapshot under :func:`arch_key`; later runs
 restore it and go straight to the timed region.  The store is a
 :class:`~repro.harness.cache.KeyedStore` of pickles, inside the result
 cache by default (:func:`default_checkpoint_dir`): the same
@@ -164,8 +164,9 @@ class CheckpointStore(KeyedStore):
     _template: tuple[bytes, dict] | None = None
 
     def get(self, key: str) -> dict | None:
-        """The warm template of the entry under ``key``, or None (see
-        :meth:`KeyedStore.get <repro.harness.cache.KeyedStore.get>`).
+        """The warm template of the entry under ``key``, or None (a
+        damaged entry is a discarded miss; see
+        :class:`~repro.harness.cache.KeyedStore`).
 
         Hits of one entry return one template: callers share it and must
         only restore from it.  A payload that does not convert is a

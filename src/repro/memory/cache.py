@@ -14,8 +14,9 @@ from itertools import chain, compress, islice, repeat
 from repro.tables import power_of_two
 
 #: schema of :meth:`Cache.snapshot` payloads; version 2 stores only the
-#: occupied sets, as one per-set count blob plus one flat tag list
-SNAPSHOT_VERSION = 2
+#: occupied sets, as one per-set count blob plus one flat tag list, and
+#: version 3 dropped the hit/miss counters
+SNAPSHOT_VERSION = 3
 
 #: distinguishes "absent" from the stored value (always ``None``) so the
 #: hot lookup path can do one ``dict.pop`` instead of test + delete + insert
@@ -84,10 +85,6 @@ class Cache:
         self._lines = 0
         self.hits = 0
         self.misses = 0
-
-    def line_of(self, addr: int) -> int:
-        """Return the line-aligned address containing byte address ``addr``."""
-        return addr >> self._line_shift
 
     def lookup(self, addr: int) -> bool:
         """Probe-and-update access: returns True on hit, updates LRU state.
@@ -253,7 +250,7 @@ class Cache:
         self.misses = 0
 
     def snapshot(self) -> dict:
-        """Serialize contents and counters to a versioned picklable dict.
+        """Serialize contents to a versioned picklable dict.
 
         Dict insertion order *is* the LRU order, so the contents flatten
         to every set's tags oldest-first, concatenated in set order, plus
@@ -266,8 +263,6 @@ class Cache:
             "geometry": [self.size_bytes, self.assoc, self.line_size],
             "counts": array(_count_code(self.assoc), map(len, sets)).tobytes(),
             "tags": list(chain.from_iterable(sets)),
-            "hits": self.hits,
-            "misses": self.misses,
         }
 
     @staticmethod
@@ -275,8 +270,8 @@ class Cache:
         """A :meth:`snapshot` payload as the shared form caches adopt.
 
         The flat tags become ``sets``, a tuple of one dict per set in LRU
-        order, plus the ``lines`` they hold; the version, geometry and
-        counters stay the payload's.  A cache that restores it reads the
+        order, plus the ``lines`` they hold; the version and geometry
+        stay the payload's.  A cache that restores it reads the
         tuple's sets and copies each before its first write to it, so
         they never change and every unoccupied set is one shared empty
         dict.  The counts and tags are checked against the payload's own
@@ -316,8 +311,6 @@ class Cache:
             "geometry": data["geometry"],
             "sets": tuple(sets),
             "lines": len(tags),
-            "hits": data["hits"],
-            "misses": data["misses"],
         }
 
     def restore(self, data: dict) -> None:
@@ -325,16 +318,16 @@ class Cache:
         form (geometry must match).
 
         A snapshot is converted with :meth:`shared` first; then the cache
-        adopts the sets as its base in O(sets), copy-on-write.  A
-        malformed payload raises :class:`ValueError` naming this cache and
-        leaves it unchanged.
+        adopts the sets as its base in O(sets), copy-on-write.  The
+        hit/miss counters are left as they are.  A malformed payload
+        raises :class:`ValueError` naming this cache and leaves it
+        unchanged.
         """
         try:
             self._check_header(data)
             if "sets" not in data:
                 data = Cache.shared(data, self.name)
             base, lines = data["sets"], data["lines"]
-            hits, misses = data["hits"], data["misses"]
             if type(base) is not tuple or len(base) != self.num_sets:
                 raise ValueError(
                     f"{self.name}: shared sets do not cover {self.num_sets} sets"
@@ -346,8 +339,6 @@ class Cache:
         self._sets = [None] * self.num_sets
         self._base = base
         self._lines = lines
-        self.hits = hits
-        self.misses = misses
 
     def _check_header(self, data: dict) -> None:
         """A payload's version and geometry, checked against this cache."""

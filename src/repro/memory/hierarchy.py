@@ -20,7 +20,6 @@ from collections.abc import Iterable
 
 from repro.memory.cache import Cache
 from repro.memory.prefetcher import StridePrefetcher
-from repro.obs import NULL_PROBE
 
 
 class MemLevel(enum.IntEnum):
@@ -73,9 +72,10 @@ class MemoryHierarchy:
         self.accesses = 0
         self.mshr_stalls = 0
         self.level_counts: dict[MemLevel, int] = {level: 0 for level in MemLevel}
-        #: observability hook (see :mod:`repro.obs.probe`); only below-L1
-        #: outcomes report, so the hot L1-hit path carries zero overhead
-        self.obs = NULL_PROBE
+        #: observability probe (see :mod:`repro.obs.probe`) or None; only
+        #: below-L1 outcomes report, so the hot L1-hit path carries zero
+        #: overhead
+        self.obs = None
 
     # ------------------------------------------------------------------
     def _prune_inflight(self, now: int) -> None:
@@ -142,21 +142,21 @@ class MemoryHierarchy:
             if stream_time is not None:
                 l1.insert(addr)
                 level_counts[MemLevel.STREAM] += 1
-                if self.obs.enabled:
+                if self.obs is not None:
                     self._note(now, pc, addr, MemLevel.STREAM, stream_time)
                 return stream_time, MemLevel.STREAM
             self.prefetcher.train(pc, addr, now)
         if self.l2.lookup(addr):
             l1.insert(addr)
             level_counts[MemLevel.L2] += 1
-            if self.obs.enabled:
+            if self.obs is not None:
                 self._note(now, pc, addr, MemLevel.L2, now + self.l2.latency)
             return now + self.l2.latency, MemLevel.L2
         if self.l3.lookup(addr):
             l1.insert(addr)
             self.l2.insert(addr)
             level_counts[MemLevel.L3] += 1
-            if self.obs.enabled:
+            if self.obs is not None:
                 self._note(now, pc, addr, MemLevel.L3, now + self.l3.latency)
             return now + self.l3.latency, MemLevel.L3
         # full miss to memory, subject to MSHR availability
@@ -175,7 +175,7 @@ class MemoryHierarchy:
         self._inflight[line] = complete
         self._prune_inflight(now)
         level_counts[MemLevel.MEMORY] += 1
-        if self.obs.enabled:
+        if self.obs is not None:
             self._note(now, pc, addr, MemLevel.MEMORY, complete)
         return complete, MemLevel.MEMORY
 
@@ -296,21 +296,21 @@ class MemoryHierarchy:
             cache.reset_stats()
 
     def snapshot(self) -> dict:
-        """Serialize caches, prefetcher, MSHR/in-flight state and counters."""
+        """Serialize the caches' contents and the prefetcher's tables.
+
+        The MSHR and in-flight fill records are timing state, which only
+        :meth:`load` moves, and the counters are zero wherever an engine
+        snapshot is taken (warmup ends with :meth:`reset_stats`); neither
+        is part of the payload.
+        """
         return {
-            "version": 1,
+            "version": 2,
             "l1": self.l1.snapshot(),
             "l2": self.l2.snapshot(),
             "l3": self.l3.snapshot(),
             "prefetcher": (
                 None if self.prefetcher is None else self.prefetcher.snapshot()
             ),
-            "mshr_heap": list(self._mshr_heap),
-            "inflight": [[ln, t] for ln, t in self._inflight.items()],
-            "prune_threshold": self._prune_threshold,
-            "accesses": self.accesses,
-            "mshr_stalls": self.mshr_stalls,
-            "level_counts": {int(lv): n for lv, n in self.level_counts.items()},
         }
 
     @staticmethod
@@ -327,8 +327,9 @@ class MemoryHierarchy:
 
     def restore(self, data: dict) -> None:
         """Restore from a :meth:`snapshot` payload or its :meth:`shared`
-        form (same shape hierarchy)."""
-        if data.get("version") != 1:
+        form (same shape hierarchy) into a hierarchy that has not run:
+        the MSHR, in-flight and counter state stay as they are."""
+        if data.get("version") != 2:
             raise ValueError(
                 f"unsupported MemoryHierarchy snapshot version: "
                 f"{data.get('version')!r}"
@@ -342,11 +343,3 @@ class MemoryHierarchy:
         self.l3.restore(data["l3"])
         if self.prefetcher is not None:
             self.prefetcher.restore(data["prefetcher"])
-        self._mshr_heap = list(data["mshr_heap"])
-        self._inflight = {ln: t for ln, t in data["inflight"]}
-        self._prune_threshold = data["prune_threshold"]
-        self.accesses = data["accesses"]
-        self.mshr_stalls = data["mshr_stalls"]
-        self.level_counts = {
-            MemLevel(int(lv)): n for lv, n in data["level_counts"].items()
-        }

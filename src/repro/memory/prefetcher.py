@@ -25,8 +25,6 @@ one buffer instead of thrashing the pool.
 
 from __future__ import annotations
 
-from repro.obs import NULL_PROBE
-
 
 class StreamBuffer:
     """One stream buffer: prefetched lines with fill times.
@@ -95,8 +93,8 @@ class StridePrefetcher:
         self.allocations = 0
         self.stream_hits = 0
         self.mistrains = 0
-        #: observability hook (see :mod:`repro.obs.probe`)
-        self.obs = NULL_PROBE
+        #: observability probe (see :mod:`repro.obs.probe`) or None
+        self.obs = None
 
     # ------------------------------------------------------------------
     # demand lookup
@@ -116,7 +114,7 @@ class StridePrefetcher:
             sb.last_use = now
             self._extend(sb, now)
             self.stream_hits += 1
-            if self.obs.enabled:
+            if self.obs is not None:
                 self.obs.prefetch_hit(now, line)
             return max(now + self.hit_latency, fill_time)
         return None
@@ -149,7 +147,7 @@ class StridePrefetcher:
             if line not in sb.entries:
                 sb.entries[line] = now + self.fill_latency
                 issued += 1
-        if issued and self.obs.enabled:
+        if issued and self.obs is not None:
             self.obs.prefetch_issue(now, sb.tag, issued)
 
     def _covered(self, line: int) -> bool:
@@ -271,9 +269,10 @@ class StridePrefetcher:
         self.mistrains = 0
 
     def snapshot(self) -> dict:
-        """Serialize training tables, streams and counters (versioned)."""
+        """Serialize training tables and streams (versioned); the
+        counters are left out."""
         return {
-            "version": 1,
+            "version": 2,
             "table_entries": self.table_entries,
             "table": [None if e is None else list(e) for e in self._table],
             "regions": [[r, list(v)] for r, v in self._regions.items()],
@@ -287,15 +286,12 @@ class StridePrefetcher:
                 }
                 for sb in self._streams
             ],
-            "trains": self.trains,
-            "allocations": self.allocations,
-            "stream_hits": self.stream_hits,
-            "mistrains": self.mistrains,
         }
 
     def restore(self, data: dict) -> None:
-        """Restore from a :meth:`snapshot` payload (same table size)."""
-        if data.get("version") != 1:
+        """Restore from a :meth:`snapshot` payload (same table size),
+        leaving the counters as they are."""
+        if data.get("version") != 2:
             raise ValueError(
                 f"unsupported StridePrefetcher snapshot version: "
                 f"{data.get('version')!r}"
@@ -311,10 +307,6 @@ class StridePrefetcher:
             sb.last_use = s["last_use"]
             streams.append(sb)
         self._streams = streams
-        self.trains = data["trains"]
-        self.allocations = data["allocations"]
-        self.stream_hits = data["stream_hits"]
-        self.mistrains = data["mistrains"]
 
     @property
     def active_streams(self) -> int:

@@ -16,17 +16,16 @@ show.  This package is the measurement substrate for those questions:
   count, per-level cache residency) aggregated into
   ``SimStats.extended`` at the end of a run.
 * :class:`Probe` — the single object the engine threads through the
-  memory stack, branch predictor and value predictors.  Its disabled
-  stand-in, :data:`NULL_PROBE`, is a null object whose ``enabled``
-  attribute is ``False`` and whose hooks are no-ops, so every
-  instrumentation site costs one attribute test when observability is
-  off (the overhead contract in DESIGN.md §5d, guarded by the
-  golden-identity tests and the suite benchmark under ``bench/``).
+  memory stack, branch predictor and value predictors.  When
+  observability is off every ``obs`` attribute is ``None``, so every
+  instrumentation site costs one ``is not None`` test (the overhead
+  contract in DESIGN.md §5d, guarded by the golden-identity tests and
+  the suite benchmark under ``bench/``).
 """
 
 from repro.obs.events import EVENT_NAMES, EventKind
 from repro.obs.metrics import CycleWeightedHistogram, MetricsRegistry, format_metrics
-from repro.obs.probe import NULL_PROBE, NullProbe, Probe
+from repro.obs.probe import Probe
 from repro.obs.tracer import Tracer
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "EVENT_NAMES",
     "EventKind",
     "MetricsRegistry",
-    "NULL_PROBE",
-    "NullProbe",
     "Probe",
     "Tracer",
     "format_metrics",

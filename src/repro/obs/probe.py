@@ -3,12 +3,12 @@
 One :class:`Probe` instance per observed engine bundles the optional
 :class:`~repro.obs.tracer.Tracer` and
 :class:`~repro.obs.metrics.MetricsRegistry` and exposes one method per
-instrumentation site.  Components (memory hierarchy, prefetcher, branch
-predictor, value predictors) hold an ``obs`` attribute that defaults to
-:data:`NULL_PROBE` — the null object whose ``enabled`` is ``False`` —
-so every hook site compiles down to a single attribute test when
-observability is off.  That test is the entire disabled-path cost; the
-untraced suite benchmark under ``bench/`` measures it.
+instrumentation site.  The engine and its components (memory hierarchy,
+prefetcher, branch predictor, value predictors) hold the probe in an
+``obs`` attribute that is ``None`` when observability is off, so every
+hook site compiles down to a single ``is not None`` test.  That test is
+the entire disabled-path cost; the untraced suite benchmark under
+``bench/`` measures it.
 
 Timestamps: most hooks receive an explicit cycle because the caller has
 one in hand.  Sites buried inside predictors (which are deliberately
@@ -39,37 +39,8 @@ _BRANCH_MISPREDICT = int(EventKind.BRANCH_MISPREDICT)
 EXTENDED_SCHEMA = 1
 
 
-class NullProbe:
-    """Disabled observability: ``enabled`` is False, every hook a no-op.
-
-    Components may either guard with ``if self.obs.enabled:`` (the fast
-    path used on hot call sites) or call hooks unconditionally on cold
-    paths — both are safe against the null object.
-    """
-
-    enabled = False
-    now = 0
-    tid = 0
-
-    def __getattr__(self, name: str):
-        # any hook resolves to a shared no-op; keeps the null object in
-        # step with the Probe surface without listing every method
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return _noop
-
-
-def _noop(*_args, **_kwargs) -> None:
-    return None
-
-
-NULL_PROBE = NullProbe()
-
-
 class Probe:
     """Live observability: fans hook calls out to tracer and/or metrics."""
-
-    enabled = True
 
     def __init__(
         self,

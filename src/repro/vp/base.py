@@ -6,11 +6,11 @@ from array import array
 from itertools import compress
 
 from repro.isa import Instruction
-from repro.obs import NULL_PROBE
 
 #: schema of :meth:`ValuePredictor.snapshot` payloads; version 2 stores
-#: only a table's occupied slots, as flat index and field columns
-SNAPSHOT_VERSION = 2
+#: only a table's occupied slots, as flat index and field columns, and
+#: version 3 dropped the accuracy counters
+SNAPSHOT_VERSION = 3
 
 
 class ValuePrediction:
@@ -50,9 +50,9 @@ class ValuePredictor:
         self.predictions = 0
         self.correct = 0
         self.incorrect = 0
-        #: observability hook (see :mod:`repro.obs.probe`); the engine
-        #: replaces the null object when a tracer/metrics run is requested
-        self.obs = NULL_PROBE
+        #: observability probe (see :mod:`repro.obs.probe`) or None; the
+        #: engine sets it when a tracer/metrics run is requested
+        self.obs = None
 
     # ------------------------------------------------------------------
     def predict(self, inst: Instruction) -> ValuePrediction | None:
@@ -97,24 +97,22 @@ class ValuePredictor:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Serialize accuracy counters and table state to a versioned dict.
+        """Serialize table state to a versioned dict.
 
         Subclasses supply their table contents via :meth:`_snapshot_state`
         / :meth:`_restore_state`; stateless predictors (the oracle) get
-        counter-only snapshots for free.
+        an empty state for free.  The accuracy counters are left out:
+        training never moves them.
         """
         return {
             "version": SNAPSHOT_VERSION,
             "kind": type(self).__name__,
-            "lookups": self.lookups,
-            "predictions": self.predictions,
-            "correct": self.correct,
-            "incorrect": self.incorrect,
             "state": self._snapshot_state(),
         }
 
     def restore(self, data: dict) -> None:
-        """Restore from a :meth:`snapshot` payload of the same predictor kind.
+        """Restore from a :meth:`snapshot` payload of the same predictor
+        kind, leaving the accuracy counters as they are.
 
         A malformed payload raises :class:`ValueError` naming the
         predictor, whatever part of it is wrong.
@@ -131,10 +129,6 @@ class ValuePredictor:
             )
         try:
             self._restore_state(data["state"])
-            self.lookups = data["lookups"]
-            self.predictions = data["predictions"]
-            self.correct = data["correct"]
-            self.incorrect = data["incorrect"]
         except (KeyError, TypeError, AttributeError, IndexError) as exc:
             raise ValueError(
                 f"malformed {type(self).__name__} snapshot: {exc!r}"
@@ -155,7 +149,7 @@ class ValuePredictor:
             self.correct += 1
         else:
             self.incorrect += 1
-        if self.obs.enabled:
+        if self.obs is not None:
             self.obs.vp_outcome(was_correct)
 
     @property

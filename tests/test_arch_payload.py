@@ -28,6 +28,7 @@ from repro.core.engine.snapshot import shared
 from repro.harness.checkpoint import CheckpointStore
 from repro.isa import Instruction, OpClass
 from repro.memory import Cache
+from repro.memory.cache import SNAPSHOT_VERSION as CACHE_VERSION
 from repro.select import IlpPredSelector
 from repro.vp import (
     DfcmPredictor,
@@ -338,7 +339,7 @@ class TestValidation:
 
     def test_direct_component_restores_raise_value_error(self):
         with pytest.raises(ValueError, match="L1D"):
-            Cache(1024, 2, 64, name="L1D").restore({"version": 2})
+            Cache(1024, 2, 64, name="L1D").restore({"version": CACHE_VERSION})
         with pytest.raises(ValueError, match="DfcmPredictor level 2"):
             DfcmPredictor().restore(
                 mutated(DfcmPredictor().snapshot(), lambda p: p["state"]["l2"]["slots"].append(-1))

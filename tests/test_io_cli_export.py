@@ -1,6 +1,10 @@
 """Tests for trace I/O, result export, and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -404,6 +408,30 @@ class TestCli:
             self.run_cli(["run"], capsys)
         assert exc.value.code == 2
         assert "workload name is required" in capsys.readouterr().err
+
+
+class TestCliClosedStdout:
+    """A reader that closes stdout early ends the command quietly."""
+
+    @pytest.mark.parametrize("argv", [
+        ["workloads"],
+        ["run", "mcf", "--machine", "baseline", "--length", "500"],
+    ], ids=["workloads", "run"])
+    def test_a_closed_pipe_exits_1_with_nothing_on_stderr(self, argv, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env["REPRO_CACHE_DIR"] = str(tmp_path)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to stdout now fails with EPIPE
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
 
 
 _SPEC = "sweeps/store_buffer.toml"

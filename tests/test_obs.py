@@ -22,7 +22,6 @@ from repro.core.engine import Engine
 from repro.harness.bench import stats_digest
 from repro.obs import (
     EVENT_NAMES,
-    NULL_PROBE,
     CycleWeightedHistogram,
     EventKind,
     MetricsRegistry,
@@ -215,15 +214,7 @@ class TestMetricsRegistry:
         assert "no extended metrics" in format_metrics({})
 
 
-class TestNullProbe:
-    def test_disabled_and_noop(self):
-        assert NULL_PROBE.enabled is False
-        # every public hook resolves to a no-op accepting anything
-        assert NULL_PROBE.step(0, 0, "load", 0, 0, 0, 0, 0, 0) is None
-        assert NULL_PROBE.anything_at_all(1, 2, 3, key="value") is None
-        with pytest.raises(AttributeError):
-            NULL_PROBE._private
-
+class TestProbe:
     def test_enabled_probe_requires_a_sink(self):
         with pytest.raises(ValueError):
             Probe()

@@ -2,10 +2,14 @@
 
 ``fast_forward`` then run must equal restore-the-snapshot then run, and
 one snapshot must serve every machine that differs only in timing axes.
-Restores refuse a payload with a bad position, version or scope, and an
+Restores refuse a payload with a bad position or version, and an
 engine whose run has started; ``snapshot()`` refuses an engine whose
 timed run has started (paused or finished), since the payload would
 silently skip the instructions already stepped.
+
+A payload holds tables and contents only: wherever a snapshot may be
+taken, every counter and every piece of memory timing state still holds
+its constructor value, and a restore leaves them there.
 """
 
 from __future__ import annotations
@@ -16,7 +20,10 @@ import pickle
 
 import pytest
 
+from repro import _steady_state_footprint
+from repro import vp as vp_registry
 from repro.core import Engine, MachineConfig, SimMode
+from repro.core.engine.snapshot import shared
 from repro.select import AlwaysSelector, IlpPredSelector
 from repro.vp import WangFranklinPredictor
 from repro.workloads import get_workload
@@ -163,12 +170,6 @@ class TestArchSnapshot:
             with pytest.raises(ValueError, match="position"):
                 build(MODES["baseline"]()).restore(dict(payload, pos=pos))
 
-    def test_unknown_scope_rejected(self):
-        payload = build(MODES["baseline"]()).snapshot()
-        for scope in ("full", "partial", None):
-            with pytest.raises(ValueError, match="scope"):
-                build(MODES["baseline"]()).restore(dict(payload, scope=scope))
-
     def test_restore_requires_fresh_engine(self):
         payload = build(MODES["baseline"]()).snapshot()
         used = build(MODES["baseline"]())
@@ -181,3 +182,89 @@ class TestArchSnapshot:
         payload["version"] = 999
         with pytest.raises(ValueError, match="version"):
             build(MODES["baseline"]()).restore(payload)
+
+
+def unsnapshotted(engine: Engine) -> dict:
+    """Every field a snapshot leaves out: the components' counters and
+    the memory hierarchy's MSHR and in-flight fill records."""
+    h = engine.hierarchy
+    pf, vp = h.prefetcher, engine.predictor
+    return {
+        "mshr_heap": list(h._mshr_heap),
+        "inflight": dict(h._inflight),
+        "prune_threshold": h._prune_threshold,
+        "accesses": h.accesses,
+        "mshr_stalls": h.mshr_stalls,
+        "level_counts": dict(h.level_counts),
+        "caches": [(c.hits, c.misses) for c in (h.l1, h.l2, h.l3)],
+        "prefetcher": (pf.trains, pf.allocations, pf.stream_hits, pf.mistrains),
+        "predictor": (vp.lookups, vp.predictions, vp.correct, vp.incorrect),
+        "branch": engine.branch_predictor.lookups,
+    }
+
+
+#: the machines whose warm start and fast-forward are checked
+SNAPSHOT_MODES = {
+    "baseline": MachineConfig.hpca05_baseline,
+    "stvp": MachineConfig.stvp,
+    "mtvp8": lambda **kw: MachineConfig.mtvp(8, **kw),
+    "spawn_only": lambda **kw: MachineConfig.spawn_only(8, **kw),
+}
+
+
+class TestSnapshotsHoldNoCounters:
+    """Warmup moves no counter it does not reset, so a payload needs none."""
+
+    WORKLOAD = get_workload("mcf")
+    TRACE = WORKLOAD.trace(2000, seed=0)
+    WARMUP = 1000
+    KEYS = {"version", "pos", "bhist", "warmup_instructions", "hierarchy",
+            "branch", "predictor"}
+
+    def engine(self, mode, predictor, warm, arch=None) -> Engine:
+        config = SNAPSHOT_MODES[mode](warm_caches=warm)
+        return Engine(
+            self.TRACE,
+            config,
+            predictor=vp_registry.create(predictor),
+            selector=IlpPredSelector(),
+            arch=arch,
+            warm_addresses=(
+                _steady_state_footprint(self.WORKLOAD, config) if warm else None
+            ),
+        )
+
+    @pytest.mark.parametrize("predictor", ["oracle", "wang-franklin", "dfcm"])
+    @pytest.mark.parametrize("mode", sorted(SNAPSHOT_MODES))
+    def test_every_snapshot_point_leaves_them_at_their_constructor_values(
+        self, mode, predictor
+    ):
+        fresh = unsnapshotted(self.engine(mode, predictor, warm=False))
+        for warm in (False, True):
+            for warmup in (0, self.WARMUP):
+                donor = self.engine(mode, predictor, warm)
+                donor.fast_forward(warmup)
+                point = f"{mode}/{predictor} warm={warm} warmup={warmup}"
+                assert unsnapshotted(donor) == fresh, point
+                payload = donor.snapshot()
+                assert set(payload) == self.KEYS, point
+                for restored in (
+                    self.engine(mode, predictor, warm, arch=payload),
+                    self.engine(mode, predictor, warm=False, arch=shared(payload)),
+                ):
+                    assert unsnapshotted(restored) == unsnapshotted(donor), point
+                    assert restored.snapshot() == payload, point
+                plain = self.engine(mode, predictor, warm=False)
+                plain.restore(payload)
+                assert unsnapshotted(plain) == fresh, point
+
+    def test_no_component_payload_holds_a_counter_or_timing_state(self):
+        payload = self.engine("mtvp8", "wang-franklin", warm=True).snapshot()
+        hierarchy = payload["hierarchy"]
+        assert set(hierarchy) == {"version", "l1", "l2", "l3", "prefetcher"}
+        for level in ("l1", "l2", "l3"):
+            assert set(hierarchy[level]) == {"version", "geometry", "counts", "tags"}
+        assert set(hierarchy["prefetcher"]) == {
+            "version", "table_entries", "table", "regions", "streams"}
+        assert set(payload["predictor"]) == {"version", "kind", "state"}
+        assert set(payload["branch"]["state"]) == {"bim", "g0", "g1", "meta"}

@@ -676,11 +676,3 @@ class TestRestoreSkipsWarmStart:
         skipped = self._build(mode, arch=arch)
         assert skipped.snapshot() == warmed.snapshot() == arch
         assert stats_digest(skipped.run()) == stats_digest(warmed.run())
-
-    def test_rejects_a_full_snapshot(self):
-        # payloads of the retired full scope (and any other non-arch
-        # scope) are refused, never half-restored
-        arch = self._build("baseline").snapshot()
-        for scope in ("full", None):
-            with pytest.raises(ValueError, match="scope='arch'"):
-                self._build("baseline", arch=dict(arch, scope=scope))
