@@ -228,7 +228,6 @@ class TwoBcGskewPredictor(BranchPredictor):
         self._g1 = _CounterTable(skew_entries, name="skew_entries")
         # slight bias toward eskew
         self._meta = _CounterTable(meta_entries, init=2, name="meta_entries")
-        self.lookups = 0
 
     def _votes(self, pc: int, history: int) -> tuple[bool, bool, bool]:
         bim = self._bim.taken(pc >> 2)
@@ -237,7 +236,6 @@ class TwoBcGskewPredictor(BranchPredictor):
         return bim, g0, g1
 
     def predict(self, pc: int, history: int) -> bool:
-        self.lookups += 1
         bim, g0, g1 = self._votes(pc, history)
         majority = (bim + g0 + g1) >= 2
         use_eskew = self._meta.taken(_skew_index(pc, history, 0))
@@ -306,12 +304,11 @@ class TwoBcGskewPredictor(BranchPredictor):
         return history
 
     def predict_and_update(self, pc: int, history: int, taken: bool) -> bool:
-        """Fused predict+train: one lookup count, each skew index hashed
-        once instead of up to three times.  ``predict`` mutates nothing,
+        """Fused predict+train: each skew index hashed once instead of up
+        to three times.  ``predict`` mutates nothing,
         so predict-then-update over the same tables sees identical votes —
         this is bit-for-bit the two-call sequence.
         """
-        self.lookups += 1
         pc2 = pc >> 2
         i0 = _skew_index(pc, history, 0)
         i1 = _skew_index(pc, history, 1)

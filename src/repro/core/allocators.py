@@ -28,13 +28,11 @@ class SlotAllocator:
     simulations.
     """
 
-    def __init__(self, capacity: int, name: str = "slots") -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        self.name = name
         self._booked: dict[int, int] = {}
-        self.acquired = 0
 
     def _prune(self, now: int) -> None:
         horizon = now - (1 << 14)
@@ -52,9 +50,9 @@ class PortedIssue:
 
     def __init__(self, total: int = 8, int_ports: int = 6, fp_ports: int = 2,
                  mem_ports: int = 4) -> None:
-        self._total = SlotAllocator(total, "issue-total")
+        self._total = SlotAllocator(total)
         self._classes = {
-            "int": SlotAllocator(int_ports, "issue-int"),
-            "fp": SlotAllocator(fp_ports, "issue-fp"),
-            "mem": SlotAllocator(mem_ports, "issue-mem"),
+            "int": SlotAllocator(int_ports),
+            "fp": SlotAllocator(fp_ports),
+            "mem": SlotAllocator(mem_ports),
         }

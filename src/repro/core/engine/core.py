@@ -148,14 +148,14 @@ class Engine(
             for _ in range(n_groups)
         ]
         self._fetch_groups = [
-            SlotAllocator(config.fetch_width, "fetch") for _ in range(n_groups)
+            SlotAllocator(config.fetch_width) for _ in range(n_groups)
         ]
         # rename-register pool: min-heap of commit times of in-flight
         # writers (registers free at commit)
         self._rename_groups: list[list[int]] = [[] for _ in range(n_groups)]
         # the step kernel's op-class plan, one per group: a tuple indexed
-        # by op value of (IQ heap, issue-port allocator, its booking dict,
-        # its capacity, execute latency).  The instruction queues (IQ /
+        # by op value of (IQ heap, issue-port booking dict, its capacity,
+        # execute latency).  The instruction queues (IQ /
         # FQ / MQ) are min-heaps of issue times of occupant entries — a
         # slot frees when its entry issues, in any order (real IQs are not
         # FIFOs).  Issue port class == queue class (Table 1), so one
@@ -165,7 +165,7 @@ class Engine(
             iq_heaps = {"int": [], "fp": [], "mem": []}
             ports = issue._classes
             self._op_plans.append(tuple(
-                (iq_heaps[q], ports[q], ports[q]._booked, ports[q].capacity, lat)
+                (iq_heaps[q], ports[q]._booked, ports[q].capacity, lat)
                 for q, lat in zip(_QUEUE_OF, _EXEC_LAT)
             ))
         #: per group, the processor-wide fetched count at which the kernel
@@ -234,7 +234,6 @@ class Engine(
             if prefetcher is not None:
                 prefetcher.obs = obs
             self.branch_predictor.obs = obs
-            self.predictor.obs = obs
             for r in roots:
                 obs.register_thread(r.order, f"ctx{r.slot}")
             obs.context_count(0, len(roots))

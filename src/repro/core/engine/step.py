@@ -139,7 +139,7 @@ class StepMixin:
                 rename_len -= 1
                 if rename_free > t:
                     t = rename_free
-            iq_heap, port_alloc, port_booked, port_cap, exec_lat = op_plan[op]
+            iq_heap, port_booked, port_cap, exec_lat = op_plan[op]
             if len(iq_heap) >= iq_size:
                 iq_free = heappop(iq_heap)
                 if iq_free > t:
@@ -182,7 +182,6 @@ class StepMixin:
                     break
                 t = t_total
             port_booked[t] = n + 1
-            port_alloc.acquired += 1
             total_booked[t] = n_total + 1
             t_issue = t
             heappush(iq_heap, t_issue)
@@ -335,11 +334,8 @@ class StepMixin:
                 break
 
         # fields nothing reads mid-burst: written back once
-        stepped = fetched - start_fetched
         ctx.last_fetch = t_fetch
         ctx.last_commit = last_commit
         ctx.commit_cycle = commit_cycle
         ctx.commits_in_cycle = commits_in_cycle
-        ctx.fetched_count += stepped
-        fetch_alloc.acquired += stepped
-        total_alloc.acquired += stepped
+        ctx.fetched_count += fetched - start_fetched

@@ -11,9 +11,9 @@ only:
   the root context through the first N instructions with architectural
   effects only (cache contents, prefetcher streams, branch/value predictor
   tables, branch history, trace position) and zero timing bookkeeping.
-  The timed run then covers only the remaining instructions.  Component
-  counters accumulated during the pass are reset so stats describe the
-  measured interval alone.
+  The timed run then covers only the remaining instructions.  The
+  prefetcher's counters, the one component counter the pass moves, are
+  reset so stats describe the measured interval alone.
 """
 
 from __future__ import annotations
@@ -44,15 +44,13 @@ class WarmupMixin:
           the trace trains the tables exactly as the previous loop
           iterations of the real program would have.
 
-        Stats are reset afterwards so only the timed run is reported.
+        Neither step moves a counter that :class:`SimStats` reports.
 
         A restored warmup checkpoint overwrites everything built here, so
         an engine constructed with one skips this method altogether.
         """
-        hierarchy = self.hierarchy
         if addresses is not None:
-            hierarchy.install(addresses)
-            hierarchy.reset_stats()
+            self.hierarchy.install(addresses)
         bp = self.branch_predictor
         vp = self.predictor
         load, branch = _LOAD, _BRANCH
@@ -141,9 +139,8 @@ class WarmupMixin:
         root.bhist = hist
         root.pos = start + n
         root.start_pos = root.pos
-        # the pass is warmup, not measurement: drop the component counters
-        # it inflated so the timed interval reports only itself
-        hierarchy.reset_stats()
+        # the pass is warmup, not measurement: drop the prefetcher counters
+        # it moved so the timed interval reports only itself
         pf = hierarchy.prefetcher
         if pf is not None:
             pf.reset_stats()

@@ -143,8 +143,8 @@ class _PredictiveModel(_ResolvingModel):
         if kind is PredictionKind.STVP:
             stats.stvp_predictions += 1
             correct = prediction.value == inst.value
-            predictor.record_outcome(correct)
             if engine._obs is not None:
+                engine._obs.vp_outcome(correct)
                 engine._obs.predict(
                     t_queue, ctx.order, inst.pc, "stvp", prediction.value
                 )
@@ -197,10 +197,12 @@ class MtvpModel(_PredictiveModel):
 
     def on_mispredict(self, engine, record, resolve_time):
         engine.stats.mtvp_incorrect += 1
-        engine.predictor.record_outcome(False)
+        if engine._obs is not None:
+            engine._obs.vp_outcome(False)
         super().on_mispredict(engine, record, resolve_time)
 
     def on_confirm(self, engine, record, winner, resolve_time):
         engine.stats.mtvp_correct += 1
-        engine.predictor.record_outcome(True)
+        if engine._obs is not None:
+            engine._obs.vp_outcome(True)
         super().on_confirm(engine, record, winner, resolve_time)

@@ -48,7 +48,7 @@ class Cache:
         assoc: Associativity (ways per set).
         line_size: Cache line size in bytes (must be a power of two).
         latency: Hit latency in cycles, exposed for the hierarchy to use.
-        name: Label used in stats and repr.
+        name: Label used in error messages and repr.
     """
 
     def __init__(
@@ -80,11 +80,9 @@ class Cache:
         #: the shared sets this cache reads where ``_sets`` holds None;
         #: None while it owns every set
         self._base: tuple[dict[int, None], ...] | None = None
-        #: running count of valid lines, maintained by insert/invalidate so
+        #: running count of valid lines, maintained by the fills so
         #: occupancy is O(1) instead of a sum over every set
         self._lines = 0
-        self.hits = 0
-        self.misses = 0
 
     def lookup(self, addr: int) -> bool:
         """Probe-and-update access: returns True on hit, updates LRU state.
@@ -102,18 +100,16 @@ class Cache:
         if cset is None:
             cset = self._own(line & self._set_mask)
         if cset.pop(line, _MISS) is _MISS:
-            self.misses += 1
             return False
         cset[line] = None
-        self.hits += 1
         return True
 
     def fill(self, addr: int) -> bool:
         """:meth:`lookup`, then :meth:`insert` on a miss, in one step.
 
-        Returns True on a hit.  Contents, LRU order, hit/miss counters and
-        occupancy end up exactly as ``lookup(addr) or insert(addr)`` leaves
-        them — the write-allocate path of :meth:`MemoryHierarchy.store
+        Returns True on a hit.  Contents, LRU order and occupancy end up
+        exactly as ``lookup(addr) or insert(addr)`` leaves them — the
+        write-allocate path of :meth:`MemoryHierarchy.store
         <repro.memory.MemoryHierarchy.store>`.
         """
         line = addr >> self._line_shift
@@ -121,7 +117,6 @@ class Cache:
         if cset is None:
             cset = self._own(line & self._set_mask)
         if cset.pop(line, _MISS) is _MISS:
-            self.misses += 1
             if len(cset) >= self.assoc:
                 del cset[next(iter(cset))]
             else:
@@ -129,7 +124,6 @@ class Cache:
             cset[line] = None
             return False
         cset[line] = None
-        self.hits += 1
         return True
 
     def install(self, lines: range) -> None:
@@ -144,12 +138,11 @@ class Cache:
         followed by the run's lines that map to it, cut to the last
         ``assoc``.  Only the last ``num_sets * assoc`` lines of a longer
         run can survive, so the rest are never touched.  Contents, LRU
-        order, miss counter and occupancy end up exactly as the per-line
-        :meth:`fill` loop leaves them.
+        order and occupancy end up exactly as the per-line :meth:`fill`
+        loop leaves them.
         """
         if lines.step != 1:
             raise ValueError(f"{self.name}: install takes consecutive line numbers")
-        self.misses += len(lines)
         num_sets, assoc = self.num_sets, self.assoc
         lines = lines[-num_sets * assoc:]
         sets, base = self._sets, self._base
@@ -180,46 +173,26 @@ class Cache:
         self._lines += added
 
     def probe(self, addr: int) -> bool:
-        """Non-destructive presence check (no LRU update, no stats)."""
+        """Non-destructive presence check (no LRU update)."""
         line = addr >> self._line_shift
         index = line & self._set_mask
         cset = self._sets[index]
         return line in (self._base[index] if cset is None else cset)
 
-    def insert(self, addr: int) -> int | None:
-        """Fill the line containing ``addr``; return the evicted line or None.
-
-        The evicted value is the line-aligned address of the victim, which
-        inclusive hierarchies can use for back-invalidation (we do not need
-        it but expose it for completeness and tests).
-        """
+    def insert(self, addr: int) -> None:
+        """Fill the line containing ``addr`` at the MRU position, evicting
+        the set's LRU line when the set is full."""
         line = addr >> self._line_shift
         cset = self._sets[line & self._set_mask]
         if cset is None:
             cset = self._own(line & self._set_mask)
-        victim = None
         if line in cset:
             del cset[line]
         elif len(cset) >= self.assoc:
-            victim = next(iter(cset))
-            del cset[victim]
+            del cset[next(iter(cset))]
         else:
             self._lines += 1
         cset[line] = None
-        return victim
-
-    def invalidate(self, addr: int) -> bool:
-        """Remove the line containing ``addr``; return True if it was present."""
-        line = addr >> self._line_shift
-        index = line & self._set_mask
-        cset = self._sets[index]
-        if line not in (self._base[index] if cset is None else cset):
-            return False
-        if cset is None:
-            cset = self._own(index)
-        del cset[line]
-        self._lines -= 1
-        return True
 
     def _own(self, index: int) -> dict[int, None]:
         """Set ``index`` copied out of the shared base, for a first write.
@@ -243,11 +216,6 @@ class Cache:
     def occupancy(self) -> int:
         """Number of valid lines currently held (O(1): maintained count)."""
         return self._lines
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters without touching contents."""
-        self.hits = 0
-        self.misses = 0
 
     def snapshot(self) -> dict:
         """Serialize contents to a versioned picklable dict.
@@ -318,10 +286,9 @@ class Cache:
         form (geometry must match).
 
         A snapshot is converted with :meth:`shared` first; then the cache
-        adopts the sets as its base in O(sets), copy-on-write.  The
-        hit/miss counters are left as they are.  A malformed payload
-        raises :class:`ValueError` naming this cache and leaves it
-        unchanged.
+        adopts the sets as its base in O(sets), copy-on-write.  A
+        malformed payload raises :class:`ValueError` naming this cache
+        and leaves it unchanged.
         """
         try:
             self._check_header(data)

@@ -69,8 +69,8 @@ class MemoryHierarchy:
         #: next _inflight size at which a pruning sweep runs; doubles when
         #: a sweep frees little, so sweeps stay amortized O(1) per miss
         self._prune_threshold = 4096
-        self.accesses = 0
-        self.mshr_stalls = 0
+        #: demand loads satisfied at each level, reported as
+        #: ``SimStats.level_counts``
         self.level_counts: dict[MemLevel, int] = {level: 0 for level in MemLevel}
         #: observability probe (see :mod:`repro.obs.probe`) or None; only
         #: below-L1 outcomes report, so the hot L1-hit path carries zero
@@ -117,7 +117,6 @@ class MemoryHierarchy:
         update all levels immediately (contents-only model); the returned
         time carries the latency.
         """
-        self.accesses += 1
         level_counts = self.level_counts
         l1 = self.l1
         line = addr >> l1._line_shift
@@ -166,7 +165,6 @@ class MemoryHierarchy:
             heapq.heappop(heap)
         if len(heap) >= self.mshrs:
             start = heapq.heappop(heap)
-            self.mshr_stalls += 1
         complete = start + self.mem_latency
         heapq.heappush(heap, complete)
         l1.insert(addr)
@@ -197,7 +195,7 @@ class MemoryHierarchy:
         The warm start's steady-state footprint: one
         ``range(base, end, line_size)`` per resident region.  Every level
         ends up exactly as calling :meth:`store` once per address, range
-        after range, leaves it (contents, LRU order, counters), but each
+        after range, leaves it (contents and LRU order), but each
         level is built set by set with :meth:`Cache.install`.  That is
         exact because the addresses are distinct lines and the caches
         start empty: every store misses every level, so each level sees
@@ -245,34 +243,29 @@ class MemoryHierarchy:
         Moves contents, LRU state and the prefetcher exactly as a demand
         load would, but skips the MSHR and in-flight bookkeeping — those
         model *when* fills land, which is meaningless while no clock is
-        running.  All component times are taken at cycle 0, so any stream
+        running — and the level counts, which describe the timed run
+        alone.  All component times are taken at cycle 0, so any stream
         prefetches issued during warmup appear as (deterministically)
         in-flight fills when the timed region starts.
         """
-        self.accesses += 1
         l1 = self.l1
         if l1.lookup(addr):
-            self.level_counts[MemLevel.L1] += 1
             return
         if self.prefetcher is not None:
             if self.prefetcher.lookup(addr, 0) is not None:
                 l1.insert(addr)
-                self.level_counts[MemLevel.STREAM] += 1
                 return
             self.prefetcher.train(pc, addr, 0)
         if self.l2.lookup(addr):
             l1.insert(addr)
-            self.level_counts[MemLevel.L2] += 1
             return
         if self.l3.lookup(addr):
             l1.insert(addr)
             self.l2.insert(addr)
-            self.level_counts[MemLevel.L3] += 1
             return
         l1.insert(addr)
         self.l2.insert(addr)
         self.l3.insert(addr)
-        self.level_counts[MemLevel.MEMORY] += 1
 
     def probe_level(self, addr: int) -> MemLevel:
         """Non-destructive check of where ``addr`` would currently hit.
@@ -288,20 +281,12 @@ class MemoryHierarchy:
             return MemLevel.L3
         return MemLevel.MEMORY
 
-    def reset_stats(self) -> None:
-        """Zero all counters, keeping cache contents."""
-        self.accesses = 0
-        self.level_counts = {level: 0 for level in MemLevel}
-        for cache in (self.l1, self.l2, self.l3):
-            cache.reset_stats()
-
     def snapshot(self) -> dict:
         """Serialize the caches' contents and the prefetcher's tables.
 
-        The MSHR and in-flight fill records are timing state, which only
-        :meth:`load` moves, and the counters are zero wherever an engine
-        snapshot is taken (warmup ends with :meth:`reset_stats`); neither
-        is part of the payload.
+        The MSHR and in-flight fill records are timing state and the level
+        counts describe a timed run; only :meth:`load` moves either, so
+        neither is part of the payload.
         """
         return {
             "version": 2,
@@ -328,7 +313,7 @@ class MemoryHierarchy:
     def restore(self, data: dict) -> None:
         """Restore from a :meth:`snapshot` payload or its :meth:`shared`
         form (same shape hierarchy) into a hierarchy that has not run:
-        the MSHR, in-flight and counter state stay as they are."""
+        the MSHR, in-flight and level-count state stay as they are."""
         if data.get("version") != 2:
             raise ValueError(
                 f"unsupported MemoryHierarchy snapshot version: "

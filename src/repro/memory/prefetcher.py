@@ -89,8 +89,9 @@ class StridePrefetcher:
         # per-region: region -> [last_line, confidence]
         self._regions: dict[int, list[int]] = {}
         self._streams: list[StreamBuffer] = []
-        self.trains = 0
-        self.allocations = 0
+        #: demand hits in a stream buffer and confirmed per-PC strides
+        #: broken, reported as ``SimStats.prefetch_stream_hits``/
+        #: ``prefetch_mistrains``
         self.stream_hits = 0
         self.mistrains = 0
         #: observability probe (see :mod:`repro.obs.probe`) or None
@@ -181,7 +182,6 @@ class StridePrefetcher:
             victim = min(self._streams, key=lambda s: s.last_use)
             self._streams.remove(victim)
         self._streams.append(sb)
-        self.allocations += 1
         self._extend(sb, now)
 
     # ------------------------------------------------------------------
@@ -194,7 +194,6 @@ class StridePrefetcher:
         confirmed per-PC stride counts as a mistrain event — the effect
         Section 5.1 attributes to out-of-order / speculative training.
         """
-        self.trains += 1
         line = addr >> self._line_shift
 
         # per-PC stride table
@@ -262,9 +261,7 @@ class StridePrefetcher:
             self._allocate(tag, 1, reg[0] + 1, now)
 
     def reset_stats(self) -> None:
-        """Zero all counters, keeping streams and training state."""
-        self.trains = 0
-        self.allocations = 0
+        """Zero the counters, keeping streams and training state."""
         self.stream_hits = 0
         self.mistrains = 0
 

@@ -62,8 +62,8 @@ class StoreBuffer:
         self._by_addr: dict[int, list[StoreEntry]] = {}
         self._by_owner: dict[int, list[StoreEntry]] = {}
         self.total = 0
-        self.allocations = 0
-        self.rejections = 0
+        #: searches that found a visible store, reported as
+        #: ``SimStats.store_forwards``
         self.forward_hits = 0
 
     # ------------------------------------------------------------------
@@ -82,13 +82,11 @@ class StoreBuffer:
         resolves — the mechanism that bounds speculation distance.
         """
         if self.is_full:
-            self.rejections += 1
             return False
         entry = StoreEntry(owner, trace_pos, addr, value, time)
         self._by_addr.setdefault(self._key(addr), []).append(entry)
         self._by_owner.setdefault(owner, []).append(entry)
         self.total += 1
-        self.allocations += 1
         return True
 
     def search(

@@ -4,11 +4,11 @@ One :class:`Probe` instance per observed engine bundles the optional
 :class:`~repro.obs.tracer.Tracer` and
 :class:`~repro.obs.metrics.MetricsRegistry` and exposes one method per
 instrumentation site.  The engine and its components (memory hierarchy,
-prefetcher, branch predictor, value predictors) hold the probe in an
-``obs`` attribute that is ``None`` when observability is off, so every
-hook site compiles down to a single ``is not None`` test.  That test is
-the entire disabled-path cost; the untraced suite benchmark under
-``bench/`` measures it.
+prefetcher, branch predictor) hold the probe in an ``obs`` attribute
+that is ``None`` when observability is off, so every hook site compiles
+down to a single ``is not None`` test.  That test is the entire
+disabled-path cost; the untraced suite benchmark under ``bench/``
+measures it.
 
 Timestamps: most hooks receive an explicit cycle because the caller has
 one in hand.  Sites buried inside predictors (which are deliberately

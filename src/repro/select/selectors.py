@@ -199,7 +199,6 @@ class IlpPredSelector(LoadSelector):
         #: missing well past the L1 are worth a thread spawn
         self.stvp_min_latency = stvp_min_latency
         self.mtvp_min_latency = mtvp_min_latency
-        self.decisions = {kind: 0 for kind in PredictionKind}
 
     def _entry(self, pc: int) -> _IlpEntry:
         # direct-mapped aliasing like the hardware table would have
@@ -224,7 +223,6 @@ class IlpPredSelector(LoadSelector):
             # front-loaded so a baseline exists before the per-mode warmup
             # allowances run out — otherwise the "is NONE ever better?"
             # question stays unanswerable exactly while it matters most.
-            self.decisions[PredictionKind.NONE] += 1
             return PredictionKind.NONE
 
         latency_known = entry.latency >= 0
@@ -277,14 +275,11 @@ class IlpPredSelector(LoadSelector):
         if spawn_available and allowed(PredictionKind.MTVP):
             if optimism[PredictionKind.MTVP]:
                 entry.optimistic[PredictionKind.MTVP] += 1
-            self.decisions[PredictionKind.MTVP] += 1
             return PredictionKind.MTVP
         if allowed(PredictionKind.STVP):
             if optimism[PredictionKind.STVP]:
                 entry.optimistic[PredictionKind.STVP] += 1
-            self.decisions[PredictionKind.STVP] += 1
             return PredictionKind.STVP
-        self.decisions[PredictionKind.NONE] += 1
         return PredictionKind.NONE
 
     def record(

@@ -8,9 +8,10 @@ from itertools import compress
 from repro.isa import Instruction
 
 #: schema of :meth:`ValuePredictor.snapshot` payloads; version 2 stores
-#: only a table's occupied slots, as flat index and field columns, and
-#: version 3 dropped the accuracy counters
-SNAPSHOT_VERSION = 3
+#: only a table's occupied slots, as flat index and field columns,
+#: version 3 dropped the accuracy counters, and version 4 dropped the
+#: speculative stride heads (an entry keeps its committed last value)
+SNAPSHOT_VERSION = 4
 
 
 class ValuePrediction:
@@ -41,20 +42,11 @@ class ValuePredictor:
     it only acts on the result when the prediction is over the predictor's
     confidence threshold (a ``None`` return means "not confident").
     :meth:`train` is called with the architectural value when the load
-    retires.  Predictors count their own accuracy so experiments can report
-    predictor-level statistics independent of the pipeline.
+    retires, so every table, stride components included, trains at
+    commit.  A predictor holds its tables and nothing else: the pipeline
+    counts prediction outcomes in :class:`~repro.core.stats.SimStats`.
     """
 
-    def __init__(self) -> None:
-        self.lookups = 0
-        self.predictions = 0
-        self.correct = 0
-        self.incorrect = 0
-        #: observability probe (see :mod:`repro.obs.probe`) or None; the
-        #: engine sets it when a tracer/metrics run is requested
-        self.obs = None
-
-    # ------------------------------------------------------------------
     def predict(self, inst: Instruction) -> ValuePrediction | None:
         """Return a confident prediction for the load, or None."""
         raise NotImplementedError
@@ -87,22 +79,13 @@ class ValuePredictor:
             for inst in insts:
                 train(inst, inst.value)
 
-    def speculative_update(self, inst: Instruction, predicted: int) -> None:
-        """Optional speculative table update at the queue stage.
-
-        The paper updates the stride component speculatively where the
-        predictor is consulted; predictors without such a component ignore
-        this hook.
-        """
-
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Serialize table state to a versioned dict.
 
         Subclasses supply their table contents via :meth:`_snapshot_state`
         / :meth:`_restore_state`; stateless predictors (the oracle) get
-        an empty state for free.  The accuracy counters are left out:
-        training never moves them.
+        an empty state for free.
         """
         return {
             "version": SNAPSHOT_VERSION,
@@ -112,7 +95,7 @@ class ValuePredictor:
 
     def restore(self, data: dict) -> None:
         """Restore from a :meth:`snapshot` payload of the same predictor
-        kind, leaving the accuracy counters as they are.
+        kind.
 
         A malformed payload raises :class:`ValueError` naming the
         predictor, whatever part of it is wrong.
@@ -140,24 +123,6 @@ class ValuePredictor:
 
     def _restore_state(self, state: dict) -> None:
         """Restore table contents captured by :meth:`_snapshot_state`."""
-
-    # ------------------------------------------------------------------
-    def record_outcome(self, was_correct: bool) -> None:
-        """Book-keeping helper the engine calls when a used prediction resolves."""
-        self.predictions += 1
-        if was_correct:
-            self.correct += 1
-        else:
-            self.incorrect += 1
-        if self.obs is not None:
-            self.obs.vp_outcome(was_correct)
-
-    @property
-    def accuracy(self) -> float:
-        """Fraction of used predictions that were correct."""
-        if not self.predictions:
-            return 0.0
-        return self.correct / self.predictions
 
 
 # ----------------------------------------------------------------------

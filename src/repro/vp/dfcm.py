@@ -48,18 +48,14 @@ def _fold(value: int, bits: int) -> int:
 
 
 class _DfcmLevel1:
-    """Per-PC history: last value and an order-``k`` stride history.
+    """Per-PC history: the last committed value and an order-``k`` stride
+    history, both set at commit."""
 
-    ``last_value`` may be advanced speculatively at the queue stage;
-    ``last_committed`` anchors commit-time stride computation.
-    """
-
-    __slots__ = ("pc", "last_value", "last_committed", "strides")
+    __slots__ = ("pc", "last_value", "strides")
 
     def __init__(self, pc: int, order: int) -> None:
         self.pc = pc
         self.last_value = 0
-        self.last_committed = 0
         self.strides = [0] * order
 
 
@@ -92,7 +88,6 @@ class DfcmPredictor(ValuePredictor):
         penalty: int = 1,
         max_conf: int = 15,
     ) -> None:
-        super().__init__()
         power_of_two("l1_entries", l1_entries)
         power_of_two("l2_entries", l2_entries)
         if l2_entries < 2:
@@ -135,7 +130,6 @@ class DfcmPredictor(ValuePredictor):
     def predict(self, inst: Instruction) -> ValuePrediction | None:
         if inst.op is not _LOAD:
             return None
-        self.lookups += 1
         entry = self._l1_entry(inst.pc, allocate=False)
         if entry is None:
             return None
@@ -144,22 +138,10 @@ class DfcmPredictor(ValuePredictor):
             return None
         return ValuePrediction((entry.last_value + l2[0]) & _MASK64, l2[1])
 
-    def speculative_update(self, inst: Instruction, predicted: int) -> None:
-        """Advance the last value as if the prediction commits.
-
-        Only ``last_value`` moves speculatively; the stride history shifts
-        at commit time (in :meth:`train`), so a used prediction is not
-        double-counted in the history.
-        """
-        entry = self._l1_entry(inst.pc, allocate=False)
-        if entry is None:
-            return
-        entry.last_value = predicted & _MASK64
-
     def train(self, inst: Instruction, actual: int) -> None:
         actual &= _MASK64
         entry = self._l1_entry(inst.pc, allocate=True)
-        stride = (actual - entry.last_committed) & _MASK64
+        stride = (actual - entry.last_value) & _MASK64
         idx = self._l2_index(entry)
         l2 = self._l2[idx]
         if l2 is None:
@@ -172,7 +154,6 @@ class DfcmPredictor(ValuePredictor):
                 l2[0] = stride
                 l2[1] = 1
         entry.strides = entry.strides[1:] + [stride]
-        entry.last_committed = actual
         entry.last_value = actual
 
     def _snapshot_state(self) -> dict:
@@ -188,7 +169,6 @@ class DfcmPredictor(ValuePredictor):
                 "slots": l1_slots,
                 "pc": [e.pc for e in entries],
                 "last_value": [e.last_value for e in entries],
-                "last_committed": [e.last_committed for e in entries],
                 "strides": [s for e in entries for s in e.strides],
             },
             "l2": {
@@ -202,16 +182,15 @@ class DfcmPredictor(ValuePredictor):
 
     def _restore_state(self, state: dict) -> None:
         what = "DfcmPredictor level 1"
-        columns = ("pc", "last_value", "last_committed")
+        columns = ("pc", "last_value")
         slots, fields = slot_columns(state["l1"], columns, len(self._l1), what)
         strides, order = state["l1"]["strides"], self.order
         if not isinstance(strides, list) or len(strides) != order * len(slots):
             raise ValueError(f"{what}: stride history does not hold {order} per entry")
         l1: list[_DfcmLevel1 | None] = [None] * len(self._l1)
-        for k, (slot, pc, last, committed) in enumerate(zip(slots, *fields)):
+        for k, (slot, pc, last) in enumerate(zip(slots, *fields)):
             entry = l1[slot] = _DfcmLevel1(pc, order)
             entry.last_value = last
-            entry.last_committed = committed
             entry.strides = strides[order * k:order * (k + 1)]
 
         what = "DfcmPredictor level 2"

@@ -25,7 +25,6 @@ class OraclePredictor(ValuePredictor):
     def predict(self, inst: Instruction) -> ValuePrediction | None:
         if inst.op is not _LOAD or inst.value is None:
             return None
-        self.lookups += 1
         return ValuePrediction(inst.value, self.MAX_CONFIDENCE)
 
     def train(self, inst: Instruction, actual: int) -> None:

@@ -26,7 +26,7 @@ _MASK64 = (1 << 64) - 1
 
 #: entry fields other than the confidence (at 2 and 3, respectively)
 _LAST_VALUE_FIELDS = ("pc", "value")
-_STRIDE_FIELDS = ("pc", "last_value", "stride", "last_committed")
+_STRIDE_FIELDS = ("pc", "last_value", "stride")
 
 
 def _pack_table(table, fields, conf_at, max_conf) -> dict:
@@ -61,7 +61,6 @@ class LastValuePredictor(ValuePredictor):
     """
 
     def __init__(self, entries: int = 4096, threshold: int = 2, max_conf: int = 8) -> None:
-        super().__init__()
         power_of_two("entries", entries)
         self.entries = entries
         self.threshold = threshold
@@ -79,7 +78,6 @@ class LastValuePredictor(ValuePredictor):
     def predict(self, inst: Instruction) -> ValuePrediction | None:
         if inst.op is not _LOAD:
             return None
-        self.lookups += 1
         entry = self._entry(inst.pc)
         if entry is None or entry[2] < self.threshold:
             return None
@@ -111,55 +109,42 @@ class StridePredictor(ValuePredictor):
     """Predicts ``last_value + stride`` per static load.
 
     The stride must be observed twice in a row before the entry gains
-    confidence (the standard two-delta rule).  The speculative-update hook
-    advances ``last_value`` by the stride when a prediction is consumed, so
-    back-to-back in-flight predictions of the same PC chain correctly — the
-    behaviour the paper notes for the queue-stage stride update.
+    confidence (the standard two-delta rule).  ``last_value`` and the
+    stride move at commit only.
     """
 
     def __init__(self, entries: int = 4096, threshold: int = 2, max_conf: int = 8) -> None:
-        super().__init__()
         power_of_two("entries", entries)
         self.entries = entries
         self.threshold = threshold
         self.max_conf = max_conf
-        # pc tag -> [pc, last_value, stride, confidence, last_committed];
-        # last_value is the (possibly speculative) head used to predict,
-        # last_committed anchors commit-time stride computation
+        # pc tag -> [pc, last_value, stride, confidence]
         self._table: list[list[int] | None] = [None] * entries
         self._mask = entries - 1
 
     def predict(self, inst: Instruction) -> ValuePrediction | None:
         if inst.op is not _LOAD:
             return None
-        self.lookups += 1
         idx = (inst.pc >> 2) & self._mask
         entry = self._table[idx]
         if entry is None or entry[0] != inst.pc or entry[3] < self.threshold:
             return None
         return ValuePrediction((entry[1] + entry[2]) & _MASK64, entry[3])
 
-    def speculative_update(self, inst: Instruction, predicted: int) -> None:
-        idx = (inst.pc >> 2) & self._mask
-        entry = self._table[idx]
-        if entry is not None and entry[0] == inst.pc:
-            entry[1] = predicted & _MASK64
-
     def train(self, inst: Instruction, actual: int) -> None:
         actual &= _MASK64
         idx = (inst.pc >> 2) & self._mask
         entry = self._table[idx]
         if entry is None or entry[0] != inst.pc:
-            self._table[idx] = [inst.pc, actual, 0, 0, actual]
+            self._table[idx] = [inst.pc, actual, 0, 0]
             return
-        stride = (actual - entry[4]) & _MASK64
+        stride = (actual - entry[1]) & _MASK64
         if stride == entry[2]:
             entry[3] = min(entry[3] + 1, self.max_conf)
         else:
             entry[2] = stride
             entry[3] = 0
         entry[1] = actual
-        entry[4] = actual
 
     def _snapshot_state(self) -> dict:
         return _pack_table(self._table, _STRIDE_FIELDS, 3, self.max_conf)

@@ -68,21 +68,18 @@ _EVENTS = tuple(
 class _VhtEntry:
     """One value-history-table entry.
 
-    ``last_value`` is the speculative head of the stride component (it may
-    be advanced at the queue stage via :meth:`WangFranklinPredictor.
-    speculative_update`); ``last_committed`` tracks architecturally
-    committed values so training always computes the true inter-commit
-    stride even when speculative updates intervene.
+    ``last_value`` and ``stride`` are the stride component: the last
+    committed value and the difference between the last two, both set at
+    commit.
     """
 
-    __slots__ = ("pc", "values", "last_value", "last_committed", "stride", "pattern")
+    __slots__ = ("pc", "values", "last_value", "stride", "pattern")
 
     def __init__(self, pc: int) -> None:
         self.pc = pc
         #: learned values, most recently used last
         self.values: list[int] = []
         self.last_value = 0
-        self.last_committed = 0
         self.stride = 0
         #: shift register of recent matching slot indices (4 bits each)
         self.pattern = 0
@@ -111,7 +108,6 @@ class WangFranklinPredictor(ValuePredictor):
         max_conf: int = 32,
         pattern_depth: int = 2,
     ) -> None:
-        super().__init__()
         power_of_two("vht_entries", vht_entries)
         power_of_two("valpht_entries", valpht_entries)
         if pattern_depth < 0:
@@ -162,7 +158,6 @@ class WangFranklinPredictor(ValuePredictor):
     def predict(self, inst: Instruction) -> ValuePrediction | None:
         if inst.op is not _LOAD:
             return None
-        self.lookups += 1
         entry = self._vht_entry(inst.pc, allocate=False)
         if entry is None:
             return None
@@ -199,12 +194,6 @@ class WangFranklinPredictor(ValuePredictor):
             seen.add(value)
             out.append(ValuePrediction(value, confidences[slot], slot))
         return out
-
-    def speculative_update(self, inst: Instruction, predicted: int) -> None:
-        """Queue-stage speculative advance of the stride component."""
-        entry = self._vht_entry(inst.pc, allocate=False)
-        if entry is not None:
-            entry.last_value = predicted & _MASK64
 
     def train(self, inst: Instruction, actual: int) -> None:
         """Commit-time training: confidences, pattern, learned values, stride.
@@ -278,8 +267,7 @@ class WangFranklinPredictor(ValuePredictor):
         if len(values) > NUM_LEARNED:
             del values[0]
         # stride component ("training and replacement ... when instructions commit")
-        entry.stride = (actual - entry.last_committed) & _MASK64
-        entry.last_committed = actual
+        entry.stride = (actual - entry.last_value) & _MASK64
         entry.last_value = actual
 
     def train_many(self, insts: list[Instruction], passes: int) -> None:
@@ -312,7 +300,7 @@ class WangFranklinPredictor(ValuePredictor):
         vht = self._vht
         return [
             None if e is None else
-            (e.pc, tuple(e.values), e.last_value, e.last_committed, e.stride, e.pattern)
+            (e.pc, tuple(e.values), e.last_value, e.stride, e.pattern)
             for e in (vht[i] for i in slots)
         ]
 
@@ -356,8 +344,7 @@ class WangFranklinPredictor(ValuePredictor):
             values.append(actual)
             if len(values) > NUM_LEARNED:
                 del values[0]
-            entry.stride = (actual - entry.last_committed) & _MASK64
-            entry.last_committed = actual
+            entry.stride = (actual - entry.last_value) & _MASK64
             entry.last_value = actual
         return events
 
@@ -409,7 +396,6 @@ class WangFranklinPredictor(ValuePredictor):
                 "slots": vht_slots,
                 "pc": [e.pc for e in entries],
                 "last_value": [e.last_value for e in entries],
-                "last_committed": [e.last_committed for e in entries],
                 "stride": [e.stride for e in entries],
                 "pattern": [e.pattern for e in entries],
                 "counts": bytes(len(e.values) for e in entries),
@@ -426,7 +412,7 @@ class WangFranklinPredictor(ValuePredictor):
 
     def _restore_state(self, state: dict) -> None:
         what = "WangFranklinPredictor VHT"
-        columns = ("pc", "last_value", "last_committed", "stride", "pattern")
+        columns = ("pc", "last_value", "stride", "pattern")
         slots, fields = slot_columns(state["vht"], columns, len(self._vht), what)
         counts, values = state["vht"]["counts"], state["vht"]["values"]
         if not isinstance(counts, bytes) or len(counts) != len(slots):
@@ -437,14 +423,13 @@ class WangFranklinPredictor(ValuePredictor):
             raise ValueError(f"{what}: learned-value counts do not sum to the values")
         vht: list[_VhtEntry | None] = [None] * len(self._vht)
         end = 0
-        for slot, pc, last, committed, stride, pattern, n in zip(slots, *fields, counts):
+        for slot, pc, last, stride, pattern, n in zip(slots, *fields, counts):
             if (pc >> 2) & self._vht_mask != slot:
                 raise ValueError(f"{what}: entry pc {pc:#x} does not index slot {slot}")
             entry = vht[slot] = _VhtEntry(pc)
             start, end = end, end + n
             entry.values = values[start:end]
             entry.last_value = last
-            entry.last_committed = committed
             entry.stride = stride
             entry.pattern = pattern
 

@@ -20,14 +20,12 @@ class FixedPredictor(ValuePredictor):
     """
 
     def __init__(self, offset: int = 0, multi: tuple[int, ...] = ()) -> None:
-        super().__init__()
         self.offset = offset
         self.multi = multi
 
     def predict(self, inst: Instruction):
         if inst.op is not OpClass.LOAD or inst.value is None:
             return None
-        self.lookups += 1
         return ValuePrediction((inst.value + self.offset) & ((1 << 64) - 1), 32)
 
     def predict_all(self, inst: Instruction):

@@ -72,7 +72,7 @@ GEOMETRIES = {
 
 cache_ops = st.lists(
     st.tuples(
-        st.sampled_from(["lookup", "insert", "fill", "invalidate"]),
+        st.sampled_from(["lookup", "insert", "fill"]),
         # a few hundred lines, 1 MiB apart in strides of 4 KiB: enough
         # conflicts to fill and evict sets at every Table 1 level
         st.integers(0, 255).map(lambda i: (i % 16) * 4096 + (i // 16) * (1 << 20)),
@@ -150,7 +150,6 @@ vp_ops = st.lists(
     st.tuples(
         st.integers(0, 7),
         st.one_of(st.sampled_from([0, 1, 2, MASK64]), st.integers(0, 1 << 65)),
-        st.one_of(st.none(), st.sampled_from([0, 1, 5])),
     ),
     max_size=150,
 )
@@ -170,13 +169,11 @@ PREDICTORS = {
 def drive(predictor, ops) -> list:
     """Apply a load stream; what the predictor said along the way."""
     said = []
-    for pc, value, speculated in ops:
+    for pc, value in ops:
         inst = load(0x100 + 4 * pc, value)
         best = predictor.predict(inst)
         said.append(None if best is None else (best.value, best.confidence, best.slot))
         said.append([(p.value, p.confidence) for p in predictor.predict_all(inst)])
-        if speculated is not None:
-            predictor.speculative_update(inst, speculated)
         predictor.train(inst, value)
     return said
 
@@ -349,7 +346,7 @@ class TestValidation:
                 mutated(
                     StridePredictor().snapshot(),
                     lambda p: p["state"].update(slots=[0], pc=[0], last_value=[0],
-                                                stride=[0], last_committed=[0]),
+                                                stride=[0]),
                 )
             )
 

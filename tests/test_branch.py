@@ -110,9 +110,3 @@ class Test2bcgskew:
         skew = train_and_score(TwoBcGskewPredictor(), outcome, npc=1)
         bim = train_and_score(BimodalPredictor(), outcome, npc=1)
         assert skew > bim
-
-    def test_lookup_counter(self):
-        bp = TwoBcGskewPredictor()
-        bp.predict(0x100, 0)
-        bp.predict(0x104, 1)
-        assert bp.lookups == 2

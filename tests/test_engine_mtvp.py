@@ -1,6 +1,8 @@
 """Engine tests: multithreaded value prediction (the core contribution)."""
 
 from repro.core import MachineConfig
+from repro.core.engine import Engine
+from repro.memory import MemLevel
 from repro.select import AlwaysSelector
 from repro.vp import OraclePredictor
 
@@ -38,16 +40,23 @@ class TestSpawnAndConfirm:
 
     def test_speculative_stores_buffered_then_released(self, builder, mtvp_config):
         ib = builder
+        lines = [0xA000 + 64 * i for i in range(5)]
         trace = [ib.load(dst=1, addr=1 << 33, value=5)]
-        trace += [ib.store(addr=0xA000 + 8 * i, srcs=(), value=i) for i in range(5)]
+        trace += [ib.store(addr=addr, srcs=(), value=i) for i, addr in enumerate(lines)]
         trace += alu_block(ib, 10, dst_base=3)
-        engine, stats = run_engine(
+        engine = Engine(
             trace, mtvp_config, predictor=OraclePredictor(), selector=AlwaysSelector()
         )
+        # paused once the child has stepped the five stores: all buffered,
+        # none written to the hierarchy
+        assert engine.run(max_steps=6) is None
+        assert len(engine.store_buffer) == 5
+        assert [engine.hierarchy.probe_level(a) for a in lines] == [MemLevel.MEMORY] * 5
+        stats = engine.run()
         assert stats.confirms == 1
-        # after confirmation the buffer must be drained to the hierarchy
+        # after confirmation the buffer is drained to the hierarchy
         assert len(engine.store_buffer) == 0
-        assert engine.store_buffer.allocations == 5
+        assert [engine.hierarchy.probe_level(a) for a in lines] == [MemLevel.L1] * 5
 
 
 class TestMisprediction:

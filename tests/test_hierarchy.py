@@ -67,16 +67,17 @@ class TestMshrs:
         t1 = h.load(0x2000000, 0x104, 0)[0]
         t2 = h.load(0x3000000, 0x108, 0)[0]
         assert t0 == 1000 and t1 == 1000
-        # the third miss waits for the earliest fill to free an MSHR
+        # the third miss waits for the earliest fill to free an MSHR, and
+        # a fourth for the next one
         assert t2 == 2000
-        assert h.mshr_stalls == 1
+        assert h.load(0x4000000, 0x10C, 0)[0] == 2000
 
     def test_mshrs_recycle_over_time(self):
         h = make_hierarchy(mshrs=1)
         h.load(0x1000000, 0x100, 0)
         late, _ = h.load(0x2000000, 0x104, 5000)
+        # the first fill landed long ago: its MSHR is free, no wait
         assert late == 6000
-        assert h.mshr_stalls == 0
 
 
 class TestStores:
@@ -103,7 +104,7 @@ class TestProbeLevel:
     def test_probe_has_no_side_effects(self):
         h = make_hierarchy()
         h.probe_level(0x70000)
-        assert h.accesses == 0
+        assert set(h.level_counts.values()) == {0}
         assert not h.l3.probe(0x70000)
 
 
@@ -114,13 +115,4 @@ class TestStats:
         h.load(0x80000, 0x100, 2000)
         assert h.level_counts[MemLevel.MEMORY] == 1
         assert h.level_counts[MemLevel.L1] == 1
-        assert h.accesses == 2
-
-    def test_reset_stats(self):
-        h = make_hierarchy()
-        h.load(0x80000, 0x100, 0)
-        h.reset_stats()
-        assert h.accesses == 0
-        assert h.level_counts[MemLevel.MEMORY] == 0
-        # contents survive
-        assert h.l1.probe(0x80000)
+        assert sum(h.level_counts.values()) == 2

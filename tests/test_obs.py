@@ -234,6 +234,15 @@ class TestGoldenIdentity:
         assert observed.extended["trace"]["retained"] > 0
         assert not plain.extended
 
+    def test_value_prediction_outcomes_match_the_stats(self):
+        # the paper modes report each resolved prediction where they count
+        # it: STVP uses, and MTVP confirms and kills
+        stats = _mtvp_engine(metrics=MetricsRegistry()).run()
+        counters = stats.extended["metrics"]["counters"]
+        assert stats.stvp_correct and stats.mtvp_correct and stats.mtvp_incorrect
+        assert counters["vp_verified"] == stats.stvp_correct + stats.mtvp_correct
+        assert counters["vp_squashed"] == stats.stvp_incorrect + stats.mtvp_incorrect
+
     def test_extended_serialization_gated_on_content(self):
         plain = _mtvp_engine(length=1500).run()
         d = plain.to_dict()

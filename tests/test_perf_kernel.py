@@ -9,7 +9,8 @@ tests pin that contract down from four directions:
   engine on fixed (workload, config, seed) points, one per SimMode;
 * a scheduler A/B test — the incremental scheduler against the reference
   ``min()``-over-runnable scheduler on a spawn-heavy multi-context run,
-  the SMT co-schedule and the modes no golden fixture covers;
+  the SMT co-schedule, the modes no golden fixture covers and the
+  warm-started MTVP run that gets slower when memory gets faster;
 * segmented runs — ``run(max_steps=k)`` to completion equals the one-shot
   run in every registered mode;
 * unit guards for the O(1)/amortized bookkeeping (cache occupancy,
@@ -195,6 +196,33 @@ class TestSchedulerEquivalence:
         ]
         assert _canonical_stats(runs[1]) == _canonical_stats(runs[0])
 
+    def test_faster_memory_slowdown_matches_reference(self):
+        # warm-started MTVP-8 with the oracle predictor and the always
+        # selector: halving the memory latency turns most STVP fallbacks
+        # (spawns denied for want of a context) into spawns, and the run
+        # takes 3.5x the cycles.  Both schedulers measure the same, so the
+        # non-monotonicity is the model's, not the scheduler's (DESIGN.md
+        # §6)
+        measured = {}
+        for mem_latency in (1000, 500):
+            fx = {
+                "workload": "gcc 2",
+                "length": 2000,
+                "seed": 1,
+                "config": ["mtvp", {"threads": 8, "mem_latency": mem_latency}],
+                "predictor": "oracle",
+                "selector": "always",
+            }
+            _eng_ref, ref_stats = _run_fixture(fx, reference_scheduler=True)
+            _eng_fast, fast_stats = _run_fixture(fx, reference_scheduler=False)
+            assert _canonical_stats(fast_stats) == _canonical_stats(ref_stats)
+            measured[mem_latency] = (
+                fast_stats.cycles,
+                fast_stats.spawns,
+                fast_stats.spawn_denied_no_context,
+            )
+        assert measured == {1000: (1445, 37, 186), 500: (5053, 215, 8)}
+
 
 #: one config per registered execution model; spawning modes use an
 #: always-select Wang-Franklin predictor so spawns, kills and
@@ -254,20 +282,12 @@ class TestBookkeeping:
         cache = Cache(size_bytes=4096, assoc=2, line_size=64)
         assert cache.occupancy == 0
         # fill past capacity so insert exercises all three branches
-        # (new line, re-reference, eviction), then invalidate some
+        # (new line, re-reference, eviction)
         for i in range(200):
             cache.insert((i * 64) % (8192))
-        for i in range(0, 40, 2):
-            cache.invalidate(i * 64)
-        cache.insert(0)  # re-insert one invalidated line
+        cache.insert(0)  # re-reference a resident line
         assert cache.occupancy == sum(len(s) for s in cache._sets)
         assert 0 < cache.occupancy <= cache.num_sets * cache.assoc
-
-    def test_invalidate_miss_leaves_occupancy_alone(self):
-        cache = Cache(size_bytes=4096, assoc=2, line_size=64)
-        cache.insert(0)
-        assert not cache.invalidate(1 << 30)
-        assert cache.occupancy == 1
 
     def test_inflight_prune_is_amortized(self):
         h = MemoryHierarchy()

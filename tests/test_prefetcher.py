@@ -151,7 +151,6 @@ class TestDescendingStreams:
         pf = make_pf(depth=4)
         pf._allocate(0x1, -64, 1 << 24, now=0)
         sb = pf._streams[0]
-        allocs = pf.allocations
         # a second PC walks the same descending path; its successor line
         # lands one stride ahead of the stream frontier, so the cover
         # filter must suppress the duplicate allocation that would
@@ -161,8 +160,9 @@ class TestDescendingStreams:
         step = -64 << pf._line_shift
         for i in range(3, -1, -1):
             pf.train(0x904, addr - i * step, now=10)
-        assert pf.allocations == allocs
+        # no second buffer, and the first one is not redirected either
         assert pf.active_streams == 1
+        assert pf._streams[0] is sb and sb.tag == 0x1
 
     def test_descending_aging_evicts_stale_lines_not_fresh_ones(self):
         pf = make_pf(depth=4)

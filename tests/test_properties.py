@@ -64,7 +64,7 @@ class TestHierarchyProperties:
         h = MemoryHierarchy()
         for i, a in enumerate(addrs):
             h.load(a, 0x100, i * 10)
-        assert sum(h.level_counts.values()) == h.accesses == len(addrs)
+        assert sum(h.level_counts.values()) == len(addrs)
 
 
 class TestStoreBufferProperties:

@@ -141,12 +141,6 @@ class TestIlpPredProgressComparison:
         s.record(pc, PredictionKind.NONE, 10, 500)
         assert 100 < entry.latency <= 500
 
-    def test_decision_counters(self):
-        s = IlpPredSelector()
-        s.choose(a_load(), True)
-        total = sum(s.decisions.values())
-        assert total == 1
-
 
 class TestBoundedOptimism:
     """Regression: pre-evidence ("warmup") grants must be clamped.

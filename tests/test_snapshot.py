@@ -185,21 +185,17 @@ class TestArchSnapshot:
 
 
 def unsnapshotted(engine: Engine) -> dict:
-    """Every field a snapshot leaves out: the components' counters and
-    the memory hierarchy's MSHR and in-flight fill records."""
+    """Every field a snapshot leaves out: the memory hierarchy's MSHR and
+    in-flight fill records and level counts, and the prefetcher's
+    counters."""
     h = engine.hierarchy
-    pf, vp = h.prefetcher, engine.predictor
+    pf = h.prefetcher
     return {
         "mshr_heap": list(h._mshr_heap),
         "inflight": dict(h._inflight),
         "prune_threshold": h._prune_threshold,
-        "accesses": h.accesses,
-        "mshr_stalls": h.mshr_stalls,
         "level_counts": dict(h.level_counts),
-        "caches": [(c.hits, c.misses) for c in (h.l1, h.l2, h.l3)],
-        "prefetcher": (pf.trains, pf.allocations, pf.stream_hits, pf.mistrains),
-        "predictor": (vp.lookups, vp.predictions, vp.correct, vp.incorrect),
-        "branch": engine.branch_predictor.lookups,
+        "prefetcher": (pf.stream_hits, pf.mistrains),
     }
 
 

@@ -11,7 +11,9 @@ class TestCapacity:
         assert sb.allocate(1, 10, 0x100, 7, time=0)
         assert sb.allocate(1, 11, 0x200, 8, time=1)
         assert not sb.allocate(1, 12, 0x300, 9, time=2)
-        assert sb.rejections == 1
+        # the refused store is not buffered
+        assert len(sb) == 2
+        assert sb.search(0x300, visible=(1,), trace_pos=20) is None
 
     def test_unlimited_never_rejects(self):
         sb = StoreBuffer(capacity=None)
@@ -126,4 +128,3 @@ class TestStats:
         sb.search(0x100, visible=(1,), trace_pos=9)
         sb.search(0x900, visible=(1,), trace_pos=9)
         assert sb.forward_hits == 1
-        assert sb.allocations == 1

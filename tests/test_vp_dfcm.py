@@ -91,28 +91,6 @@ class TestConfidence:
         assert pred is not None and pred.value == 1021
 
 
-class TestSpeculativeUpdate:
-    def test_speculative_update_moves_last_value_only(self):
-        p = DfcmPredictor()
-        train_seq(p, list(range(0, 100, 10)))
-        entry = p._l1_entry(0x1000, allocate=False)
-        strides_before = list(entry.strides)
-        probe = loads([100])[0]
-        p.speculative_update(probe, 100)
-        assert entry.last_value == 100
-        assert entry.strides == strides_before
-
-    def test_commit_resync(self):
-        p = DfcmPredictor()
-        train_seq(p, list(range(0, 100, 10)))
-        probe = loads([100])[0]
-        p.speculative_update(probe, 100)
-        p.train(probe, 100)
-        entry = p._l1_entry(0x1000, allocate=False)
-        assert entry.last_committed == 100
-        assert entry.strides[-1] == 10
-
-
 class TestIndexFunction:
     def test_fold_covers_full_width(self):
         from repro.vp.dfcm import _fold

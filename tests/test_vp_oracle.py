@@ -30,13 +30,6 @@ class TestOracle:
         p.train(inst, 9)
         assert p.predict(inst).value == 9
 
-    def test_lookup_counter(self):
-        ib = InstructionBuilder()
-        p = OraclePredictor()
-        p.predict(ib.load(dst=1, addr=0x8000, value=1))
-        p.predict(ib.load(dst=1, addr=0x8008, value=2))
-        assert p.lookups == 2
-
 
 class TestBaseClass:
     def test_predict_all_defaults_to_single_best(self):
@@ -55,11 +48,6 @@ class TestBaseClass:
 
         ib = InstructionBuilder()
         assert Never().predict_all(ib.load(dst=1, addr=0x8000, value=5)) == []
-
-    def test_speculative_update_default_is_noop(self):
-        ib = InstructionBuilder()
-        p = OraclePredictor()
-        p.speculative_update(ib.load(dst=1, addr=0x8000, value=5), 5)
 
     def test_value_prediction_repr(self):
         pred = ValuePrediction(42, 12, slot=3)

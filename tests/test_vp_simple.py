@@ -77,27 +77,6 @@ class TestStride:
             p.train(inst, inst.value)
         assert p.predict(load_seq([7])[0]).value == 7
 
-    def test_speculative_update_chains_predictions(self):
-        p = StridePredictor(threshold=2)
-        for inst in load_seq([10, 20, 30, 40]):
-            p.train(inst, inst.value)
-        nxt = load_seq([50])[0]
-        pred = p.predict(nxt)
-        assert pred.value == 50
-        p.speculative_update(nxt, pred.value)
-        pred2 = p.predict(load_seq([60])[0])
-        assert pred2.value == 60
-
-    def test_train_after_speculative_update_keeps_stride(self):
-        p = StridePredictor(threshold=2)
-        seq = load_seq([10, 20, 30, 40, 50, 60])
-        for inst in seq[:4]:
-            p.train(inst, inst.value)
-        pred = p.predict(seq[4])
-        p.speculative_update(seq[4], pred.value)
-        p.train(seq[4], 50)
-        assert p.predict(seq[5]).value == 60
-
     def test_wraparound_arithmetic(self):
         top = (1 << 64) - 4
         mask = (1 << 64) - 1
@@ -107,17 +86,3 @@ class TestStride:
             p.train(inst, inst.value)
         pred = p.predict(load_seq([0])[0])
         assert pred.value == (top + 8) & mask
-
-
-class TestAccuracyBookkeeping:
-    def test_record_outcome(self):
-        p = LastValuePredictor()
-        p.record_outcome(True)
-        p.record_outcome(False)
-        p.record_outcome(True)
-        assert p.predictions == 3
-        assert p.correct == 2
-        assert abs(p.accuracy - 2 / 3) < 1e-9
-
-    def test_accuracy_zero_when_unused(self):
-        assert LastValuePredictor().accuracy == 0.0

@@ -121,28 +121,6 @@ class TestLearnedValueLru:
         assert entry.values[-1] == 1000
 
 
-class TestSpeculativeUpdate:
-    def test_speculative_update_advances_stride_head(self):
-        p = WangFranklinPredictor(threshold=1)
-        train_seq(p, list(range(0, 200, 10)))
-        probe = loads([200])[0]
-        pred = p.predict(probe)
-        assert pred.value == 200
-        p.speculative_update(probe, 200)
-        pred2 = p.predict(loads([210])[0])
-        assert pred2.value == 210
-
-    def test_commit_training_resyncs_after_speculation(self):
-        p = WangFranklinPredictor(threshold=1)
-        train_seq(p, list(range(0, 200, 10)))
-        probe = loads([200])[0]
-        p.speculative_update(probe, 200)
-        p.train(probe, 200)
-        entry = p._vht_entry(0x1000, allocate=False)
-        assert entry.stride == 10
-        assert entry.last_committed == 200
-
-
 class TestAliasing:
     def test_distinct_pcs_do_not_interfere(self):
         p = WangFranklinPredictor()

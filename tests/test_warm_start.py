@@ -145,8 +145,7 @@ class ReferenceWangFranklin(WangFranklinPredictor):
         entry.values.append(actual)
         if len(entry.values) > NUM_LEARNED:
             entry.values.pop(0)
-        entry.stride = (actual - entry.last_committed) & MASK64
-        entry.last_committed = actual
+        entry.stride = (actual - entry.last_value) & MASK64
         entry.last_value = actual
 
 
@@ -207,21 +206,17 @@ class TestTrainMany:
             min_size=1,
             max_size=60,
         ),
-        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 48)), max_size=4),
         st.integers(1, 41),
     )
-    def test_property(self, steps, speculated, passes):
+    def test_property(self, steps, passes):
         # six PCs over a four-entry VHT and an eight-vector ValPHT; values
         # 0/1 and multiples of 4, so the hardwired and stride slots match.
-        # queue-stage updates on a VHT that has settled leave last_value as
-        # the only field that differs from the end of a pass
+        # train_many starts from tables three passes have trained
         insts = [load(0x100 + 4 * pc, value) for pc, value in steps]
         replayed = WangFranklinPredictor(vht_entries=4, valpht_entries=8)
         reference = WangFranklinPredictor(vht_entries=4, valpht_entries=8)
         for predictor in (replayed, reference):
             looped(predictor, insts, 3)
-            for pc, value in speculated:
-                predictor.speculative_update(load(0x100 + 4 * pc, 0), value)
         replayed.train_many(insts, passes)
         looped(reference, insts, passes)
         assert replayed.snapshot() == reference.snapshot()
@@ -301,7 +296,6 @@ class TestWangFranklinTrain:
                     st.sampled_from([0, 1, 2, MASK64]),
                     st.integers(-(1 << 64), 1 << 65),
                 ),
-                st.one_of(st.none(), st.sampled_from([0, 1, 5])),
             ),
             min_size=1,
             max_size=120,
@@ -309,16 +303,13 @@ class TestWangFranklinTrain:
         st.integers(1, 4),
     )
     def test_property(self, steps, passes):
-        # eight PCs over a four-entry VHT: constant aliasing and eviction;
-        # queue-stage speculative updates move the stride candidate
+        # eight PCs over a four-entry VHT: constant aliasing and eviction
         fast = WangFranklinPredictor(vht_entries=4, valpht_entries=8)
         reference = ReferenceWangFranklin(vht_entries=4, valpht_entries=8)
         for _ in range(passes):
-            for pc, value, speculated in steps:
+            for pc, value in steps:
                 inst = load(0x100 + 4 * pc, value)
                 for predictor in (fast, reference):
-                    if speculated is not None:
-                        predictor.speculative_update(inst, speculated)
                     predictor.train(inst, value)
         assert tables(fast) == tables(reference)
 
@@ -369,7 +360,7 @@ def footprint_addresses(name: str) -> list[int]:
 def same_caches(fast: MemoryHierarchy, reference: MemoryHierarchy) -> None:
     for level in ("l1", "l2", "l3"):
         a, b = getattr(fast, level), getattr(reference, level)
-        assert a.snapshot() == b.snapshot(), level  # contents + counters
+        assert a.snapshot() == b.snapshot(), level
         assert a.occupancy == b.occupancy, level
     assert fast.snapshot() == reference.snapshot()
 
@@ -388,7 +379,7 @@ class TestStore:
     def test_matches_the_reference_store(self, build, addresses):
         addrs = addresses()
         fast, reference = build(), build()
-        # start from non-empty contents with nonzero counters
+        # start from non-empty contents
         for h in (fast, reference):
             for i, addr in enumerate(eviction_heavy(9, 300)):
                 h.load(addr, 0x40, now=i)
@@ -604,7 +595,6 @@ def reference_warm_state(engine: Engine, addresses) -> None:
         for r in addresses:
             for addr in r:
                 reference_store(hierarchy, addr)
-        hierarchy.reset_stats()
     bp, vp = engine.branch_predictor, engine.predictor
     root = engine._contexts[0]
     hist = 0
@@ -620,7 +610,6 @@ def reference_warm_state(engine: Engine, addresses) -> None:
         for inst in loads:
             vp.train(inst, inst.value)
     root.bhist = hist
-    vp.lookups = vp.predictions = vp.correct = vp.incorrect = 0
 
 
 @pytest.mark.parametrize("name", vp_registry.names())
