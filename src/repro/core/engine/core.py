@@ -150,8 +150,8 @@ class Engine(
         self._fetch_groups = [
             SlotAllocator(config.fetch_width) for _ in range(n_groups)
         ]
-        # rename-register pool: min-heap of commit times of in-flight
-        # writers (registers free at commit)
+        # rename-register pool: ascending list of commit times of in-flight
+        # writers (registers free at commit; the kernel pops the minimum)
         self._rename_groups: list[list[int]] = [[] for _ in range(n_groups)]
         # the step kernel's op-class plan, one per group: a tuple indexed
         # by op value of (IQ heap, issue-port booking dict, its capacity,

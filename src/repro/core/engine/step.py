@@ -4,13 +4,14 @@ One call advances one context by one or more instructions: fetch/queue/
 issue/complete/commit timestamps under window, rename, queue and
 issue-port constraints.  Architectural state it touches: the register ready
 map, cache/store-buffer contents, predictor tables, branch history and the
-trace position.  Everything else it manipulates — heaps of in-flight
+trace position.  Everything else it manipulates — pools of in-flight
 entries, port reservations, deferred measures — is timing state.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from bisect import insort
+from heapq import heappush, heapreplace
 
 from repro.branch import update_history
 from repro.core.allocators import PRUNE_AT
@@ -59,13 +60,20 @@ class StepMixin:
 
         This is the simulator's innermost loop, so it trades repetition
         for speed: everything fixed for the burst (the context's trace,
-        ROB and register map, its group's heaps and booking dicts, engine
+        ROB and register map, its group's pools and booking dicts, engine
         components and config fields) is a local, the fetch and issue
         bookings work on the allocators' dicts directly (this is the only
         code that books them), and the commit-bandwidth fields live in
-        locals until the burst ends.  Per-op state comes from the group's
-        op-class plan, one tuple lookup per instruction, and work whose
-        result nothing reads is skipped (see DESIGN.md §5c).
+        locals until the burst ends.  So do ``ctx.pos`` and the
+        processor-wide fetched count, which are also written back just
+        before each call that reads them (the model's load and branch
+        hooks, measure finalization, SpMT resolution).  The window pools
+        cost one cheap update each: the rename pool is an ascending list
+        (pop the head, append the commit time, insort only when it lands
+        below the tail), and a full IQ heap is peeked at fetch and
+        updated by one ``heapreplace`` at issue.  Per-op state comes from
+        the group's op-class plan, one tuple lookup per instruction, and
+        work whose result nothing reads is skipped (see DESIGN.md §5c).
         """
         trace = ctx.trace
         trace_len = ctx.trace_len
@@ -74,8 +82,8 @@ class StepMixin:
         reg_ready = ctx.reg_ready
         visible = ctx.visible
         group = 0 if self._smt_shared else ctx.slot
-        rename_heap = self._rename_groups[group]
-        rename_len = len(rename_heap)
+        rename_pool = self._rename_groups[group]
+        rename_len = len(rename_pool)
         op_plan = self._op_plans[group]
         fetch_alloc = self._fetch_groups[group]
         fetch_booked = fetch_alloc._booked
@@ -125,9 +133,10 @@ class StepMixin:
                 break
 
             # --- fetch: gated on stream position, redirects, a ROB slot, a
-            # rename register and an IQ slot, then fetch bandwidth.  The
-            # constraint heaps release their earliest occupant when full —
-            # popping models the slot freeing and keeps each heap bounded.
+            # rename register and an IQ slot, then fetch bandwidth.  A full
+            # pool releases its earliest occupant: the rename list pops its
+            # head here; a full IQ's head is read here and replaced by this
+            # entry at issue (nothing touches the heap in between).
             t = t_fetch
             if ctx.resume_at > t:
                 t = ctx.resume_at
@@ -135,15 +144,14 @@ class StepMixin:
                 t = rob[0]
             dst = inst.dst
             if dst is not None and rename_len >= rename_regs:
-                rename_free = heappop(rename_heap)
+                rename_free = rename_pool.pop(0)
                 rename_len -= 1
                 if rename_free > t:
                     t = rename_free
             iq_heap, port_booked, port_cap, exec_lat = op_plan[op]
-            if len(iq_heap) >= iq_size:
-                iq_free = heappop(iq_heap)
-                if iq_free > t:
-                    t = iq_free
+            iq_full = len(iq_heap) >= iq_size
+            if iq_full and iq_heap[0] > t:
+                t = iq_heap[0]
             # fetch booking: the earliest cycle >= t with a free slot
             n = fetch_booked.get(t, 0)
             while n >= fetch_cap:
@@ -184,7 +192,10 @@ class StepMixin:
             port_booked[t] = n + 1
             total_booked[t] = n_total + 1
             t_issue = t
-            heappush(iq_heap, t_issue)
+            if iq_full:
+                heapreplace(iq_heap, t_issue)
+            else:
+                heappush(iq_heap, t_issue)
 
             # --- execute / memory access / value prediction / branches
             spawn_record: SpawnRecord | None = None
@@ -203,6 +214,8 @@ class StepMixin:
                     )
                     t_complete, _level = hierarchy.load(addr, inst.pc, t_issue)
                 if vp_on:
+                    ctx.pos = pos
+                    self._global_fetched = fetched
                     dst_ready, spawn_record = predict_load(
                         self, ctx, inst, t_queue, t_complete, expected_level
                     )
@@ -232,6 +245,8 @@ class StepMixin:
                     if branch_spawn:
                         # SPMT family: offer this control-flow boundary to
                         # the execution model as a spawn point
+                        ctx.pos = pos
+                        self._global_fetched = fetched
                         self.model.on_branch(
                             self, ctx, inst, t_queue, t_complete,
                             predicted == taken,
@@ -276,7 +291,13 @@ class StepMixin:
             else:
                 rob_len += 1
             if dst is not None:
-                heappush(rename_heap, t_commit)
+                # the list stays ascending: in-order commit appends, and
+                # only a context committing below its group's leftovers
+                # (a new context in a slot, SMT interleaving) inserts
+                if rename_len and t_commit < rename_pool[-1]:
+                    insort(rename_pool, t_commit)
+                else:
+                    rename_pool.append(t_commit)
                 rename_len += 1
 
             # --- commit accounting (closure-based; see DESIGN.md)
@@ -288,7 +309,6 @@ class StepMixin:
                 ctx.beyond_commits += 1
 
             fetched += 1
-            self._global_fetched = fetched
             if fetched >= prune_due:
                 # every instruction adds at most one cycle to each booking
                 # dict, so checking each PRUNE_AT instructions bounds them
@@ -300,9 +320,10 @@ class StepMixin:
                     t_commit, rob_len, len(iq_heap), store_buffer.total,
                 )
             if t_fetch >= ctx.measures_min_end:
+                ctx.pos = pos
+                self._global_fetched = fetched
                 self._finalize_measures(ctx, t_fetch)
             pos += 1
-            ctx.pos = pos
             if pos >= trace_len:
                 ctx.done = True
             if spawn_record is not None and block_on_spawn:
@@ -312,6 +333,8 @@ class StepMixin:
                 # the moment the parent has executed the whole skipped region
                 record = ctx.spawn_record_as_parent
                 if record is not None and pos >= record.resolve_pos:
+                    ctx.pos = pos
+                    self._global_fetched = fetched
                     self._resolve_record(record, t_commit)
 
             # --- burst exit: the events after which a rescan could choose
@@ -333,7 +356,10 @@ class StepMixin:
             if pending and pending[0][0] <= hint:
                 break
 
-        # fields nothing reads mid-burst: written back once
+        # burst state kept in locals, written back once (the position and
+        # fetched count also before each call above that reads them)
+        ctx.pos = pos
+        self._global_fetched = fetched
         ctx.last_fetch = t_fetch
         ctx.last_commit = last_commit
         ctx.commit_cycle = commit_cycle

@@ -71,9 +71,10 @@ class SpawnOnlyModel(_ResolvingModel):
         if kind is not PredictionKind.MTVP or not spawn_possible:
             if kind is PredictionKind.MTVP:
                 stats.spawn_denied_no_context += 1
-            engine._defer_measure(
-                ctx, inst.pc, PredictionKind.NONE, t_queue, t_complete
-            )
+            if engine.selector.learns:
+                engine._defer_measure(
+                    ctx, inst.pc, PredictionKind.NONE, t_queue, t_complete
+                )
             return t_complete, None
         # spawn-only: the child waits for the real value (no VP)
         if engine._obs is not None:
@@ -108,9 +109,10 @@ class _PredictiveModel(_ResolvingModel):
 
         prediction = predictor.predict(inst)
         if prediction is None:
-            engine._defer_measure(
-                ctx, inst.pc, PredictionKind.NONE, t_queue, t_complete
-            )
+            if engine.selector.learns:
+                engine._defer_measure(
+                    ctx, inst.pc, PredictionKind.NONE, t_queue, t_complete
+                )
             return t_complete, None
 
         if self.count_denied_spawns and not spawn_possible:
@@ -123,9 +125,10 @@ class _PredictiveModel(_ResolvingModel):
             kind = PredictionKind.STVP
         if kind is PredictionKind.NONE:
             stats.declined_predictions += 1
-            engine._defer_measure(
-                ctx, inst.pc, PredictionKind.NONE, t_queue, t_complete
-            )
+            if engine.selector.learns:
+                engine._defer_measure(
+                    ctx, inst.pc, PredictionKind.NONE, t_queue, t_complete
+                )
             return t_complete, None
 
         # Figure 5 instrumentation: was the right value available even when
@@ -149,9 +152,10 @@ class _PredictiveModel(_ResolvingModel):
                     t_queue, ctx.order, inst.pc, "stvp", prediction.value
                 )
                 engine._obs.stvp_outcome(t_complete, ctx.order, inst.pc, correct)
-            engine._defer_measure(
-                ctx, inst.pc, PredictionKind.STVP, t_queue, t_complete
-            )
+            if engine.selector.learns:
+                engine._defer_measure(
+                    ctx, inst.pc, PredictionKind.STVP, t_queue, t_complete
+                )
             if correct:
                 stats.stvp_correct += 1
                 return t_queue, None

@@ -32,9 +32,18 @@ class LoadSelector:
     for a store-buffer forward) to the rest.  It defaults to True, so a
     custom selector always gets the level; selectors that ignore it set
     it False.
+
+    ``learns`` is a capability flag too: True when :meth:`record` uses
+    what it is told.  The engine measures unpredicted and STVP load
+    episodes only to report them to :meth:`record`, so for selectors that
+    set it False it defers no measures and makes no such call.  It
+    defaults to True, so a custom selector always learns; the selectors
+    whose :meth:`record` is this no-op set it False (a subclass of them
+    that overrides :meth:`record` sets it back to True).
     """
 
     reads_level: bool = True
+    learns: bool = True
 
     def choose(
         self,
@@ -82,6 +91,7 @@ class AlwaysSelector(LoadSelector):
     """Predict every confident load; prefer MTVP whenever a context is free."""
 
     reads_level = False
+    learns = False
 
     def choose(
         self,
@@ -100,6 +110,8 @@ class MissOracleSelector(LoadSelector):
     for single threaded value prediction."  Loads that hit in the L1 are
     not predicted at all.
     """
+
+    learns = False
 
     def __init__(self, mtvp_level: MemLevel = MemLevel.MEMORY) -> None:
         #: minimum miss depth that justifies spawning a thread

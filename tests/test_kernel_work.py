@@ -1,12 +1,14 @@
 """The step kernel does only the per-instruction work something reads.
 
-``StepMixin._steps`` skips four kinds of per-load work when nothing
-consumes their result:
+``StepMixin._steps`` and the execution models skip five kinds of
+per-load work when nothing consumes their result:
 
 * the cache-level probe (``MemoryHierarchy.probe_level``) feeds only the
   load selector, so it runs only for selectors with ``reads_level``;
 * deferred ILP-pred measures and predictor training feed only value
   prediction, so modes without it (baseline, SMT, SpMT) do neither;
+* deferred measures feed only the selector's ``record``, so selectors
+  without ``learns`` (always, miss-oracle) get none;
 * the store-buffer search runs only while the buffer holds a store, which
   baseline and STVP never do.
 
@@ -187,3 +189,35 @@ class TestPredictingModes:
         _stats, calls = _counted_run(monkeypatch, engine)
         assert seen and None not in seen
         assert calls["MemoryHierarchy.probe_level"] > 0
+
+
+class TestMeasures:
+    @pytest.mark.parametrize(
+        "selector",
+        [AlwaysSelector, MissOracleSelector],
+        ids=["always", "miss-oracle"],
+    )
+    def test_selectors_that_learn_nothing_get_no_measures(
+        self, monkeypatch, selector
+    ):
+        engine = _engine(MachineConfig.mtvp(8), selector())
+        stats, calls = _counted_run(monkeypatch, engine)
+        # the run spawns, and has non-MTVP loads (STVP or unpredicted):
+        # the episodes a learning selector is measured on
+        assert stats.mtvp_predictions > 0
+        assert stats.loads > stats.mtvp_predictions
+        assert calls["Engine._defer_measure"] == 0
+
+    def test_a_learning_selector_gets_measures(self, monkeypatch):
+        engine = _engine(MachineConfig.mtvp(8), IlpPredSelector())
+        _stats, calls = _counted_run(monkeypatch, engine)
+        assert calls["Engine._defer_measure"] > 0
+        assert calls["IlpPredSelector.record"] > 0
+
+    def test_learns_flags(self):
+        # True on the base class, so a custom selector's record is called
+        assert LoadSelector.learns
+        for cls in (IlpPredSelector, IlpCommitSelector):
+            assert cls.learns, cls
+        for cls in (AlwaysSelector, MissOracleSelector):
+            assert not cls.learns, cls

@@ -1,0 +1,112 @@
+"""The step kernel's window pools and burst-local position stay consistent.
+
+``StepMixin._steps`` keeps each group's rename pool as an ascending list
+(the minimum at index 0) and each IQ/FQ/MQ as a min-heap, and it keeps
+the context's trace position and the processor-wide fetched count in
+locals for a whole burst, writing them back before each call that reads
+them and once at burst end.  A run paused every ``STEP`` instructions
+exposes the state between bursts; at every pause:
+
+* each rename list is ascending and holds at most ``rename_regs`` entries;
+* each IQ heap satisfies the heap invariant and holds at most ``iq_size``;
+* every context's position has advanced by exactly the instructions it
+  fetched (``pos - start_pos == fetched_count``);
+* the processor-wide fetched count is the instructions stepped so far.
+
+The golden digests pin the results these pools produce; this test pins
+the pools' shape, so a pool that loses its order or a position that is
+not written back fails here at the first pause that shows it.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import _steady_state_footprint
+from repro.core import MachineConfig
+from repro.core.engine import Engine
+from repro.core.modes import resolve_model
+from repro.select import AlwaysSelector
+from repro.vp import OraclePredictor
+from repro.workloads import get_workload
+
+#: instructions per ``run(max_steps=...)`` segment
+STEP = 137
+LENGTH = 3000
+
+MACHINES = {
+    "baseline": MachineConfig.hpca05_baseline,
+    "stvp": MachineConfig.stvp,
+    "mtvp8": lambda: MachineConfig.mtvp(8),
+    "smt2": lambda: MachineConfig.smt(2),
+    "spmt": lambda: MachineConfig.spmt(8),
+}
+
+WORKLOADS = ("mcf", "twolf", "gcc 2")
+
+
+def _engine(config: MachineConfig, workload: str) -> Engine:
+    programs = (
+        config.num_contexts if resolve_model(config.mode).multi_program else 1
+    )
+    wl = get_workload(workload)
+    traces = [wl.trace(length=LENGTH, seed=seed) for seed in range(programs)]
+    warm = None
+    if config.warm_caches and programs == 1:
+        warm = _steady_state_footprint(wl, config)
+    return Engine(
+        traces[0],
+        config,
+        predictor=OraclePredictor(),
+        selector=AlwaysSelector(),
+        warm_addresses=warm,
+        traces=traces if programs > 1 else None,
+    )
+
+
+def _check_pools(engine: Engine, config: MachineConfig) -> None:
+    for group, pool in enumerate(engine._rename_groups):
+        assert len(pool) <= config.rename_regs, group
+        assert all(a <= b for a, b in zip(pool, pool[1:])), (group, pool)
+    heaps = {id(plan[0]): plan[0] for plans in engine._op_plans for plan in plans}
+    for heap in heaps.values():
+        assert len(heap) <= config.iq_size
+        for i in range(1, len(heap)):
+            assert heap[(i - 1) // 2] <= heap[i], heap
+
+
+def _check_positions(engine: Engine) -> int:
+    checked = 0
+    for ctx in engine._contexts:
+        if ctx is not None:
+            assert ctx.pos - ctx.start_pos == ctx.fetched_count, ctx
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+def test_pools_and_positions_hold_at_every_pause(machine, workload):
+    config = MACHINES[machine]()
+    engine = _engine(config, workload)
+    # no run here steps more than num_contexts × LENGTH instructions (the
+    # most is SMT(2) at 2 × LENGTH), so a run that stops advancing, as
+    # with a position never written back, fails instead of hanging
+    most_pauses = config.num_contexts * LENGTH // STEP + 1
+    pauses = checked = 0
+    stats = engine.run(max_steps=STEP)
+    while stats is None:
+        pauses += 1
+        assert pauses <= most_pauses
+        assert engine._global_fetched == STEP * pauses
+        _check_pools(engine, config)
+        checked += _check_positions(engine)
+        stats = engine.run(max_steps=STEP)
+    _check_pools(engine, config)
+    _check_positions(engine)
+    assert pauses and checked >= pauses
+    assert engine._global_fetched == stats.instructions_stepped
+    assert STEP * pauses < stats.instructions_stepped <= STEP * (pauses + 1)
+    if resolve_model(config.mode).single_context:
+        # one context steps each instruction once
+        assert stats.instructions_stepped == LENGTH
