@@ -1,6 +1,5 @@
 """Core simulation: machine config, thread contexts, the MTVP engine."""
 
-from repro.core.allocators import PortedIssue, SlotAllocator
 from repro.core.config import FetchPolicy, MachineConfig, SimMode
 from repro.core.context import ThreadContext
 from repro.core.engine import Engine, SpawnRecord
@@ -11,10 +10,8 @@ __all__ = [
     "Engine",
     "FetchPolicy",
     "MachineConfig",
-    "PortedIssue",
     "SimMode",
     "SimStats",
-    "SlotAllocator",
     "SpawnRecord",
     "ThreadContext",
     "check_conservation",

@@ -10,7 +10,8 @@ organized around the boundary between *architectural* state (registers,
 trace position, memory image, predictor tables) and *microarchitectural
 timing* state (in-flight timestamps, port reservations, pending measures):
 
-* :mod:`~repro.core.engine.records` — shared hot-loop tables and
+* :mod:`~repro.core.engine.records` — shared hot-loop tables, the
+  :class:`BookingGroup` of window and bandwidth state, and
   :class:`SpawnRecord`;
 * :mod:`~repro.core.engine.scheduler` — which context steps next;
 * :mod:`~repro.core.engine.step` — the timing kernel, which steps one

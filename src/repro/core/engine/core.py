@@ -14,12 +14,11 @@ from __future__ import annotations
 import time
 
 from repro.branch import TwoBcGskewPredictor
-from repro.core.allocators import PortedIssue, SlotAllocator
-from repro.core.config import FetchPolicy, MachineConfig
+from repro.core.config import MachineConfig
 from repro.core.context import ThreadContext
 from repro.core.engine.lifecycle import LifecycleMixin
 from repro.core.engine.measures import MeasureMixin
-from repro.core.engine.records import _EXEC_LAT, _QUEUE_OF, SpawnRecord
+from repro.core.engine.records import _NO_MEASURES, BookingGroup, SpawnRecord
 from repro.core.engine.scheduler import NO_LIMIT, SchedulerMixin
 from repro.core.engine.snapshot import SnapshotMixin
 from repro.core.engine.step import StepMixin
@@ -139,38 +138,10 @@ class Engine(
         self.store_buffer = StoreBuffer(capacity=config.store_buffer_entries)
         # SMT: one shared set of queues/rename/issue/fetch (slot index 0);
         # CMP: private per-core copies (indexed by hardware context slot)
-        n_groups = 1 if config.smt_shared else config.num_contexts
-        self._issue_groups = [
-            PortedIssue(
-                config.issue_width, config.int_issue, config.fp_issue,
-                config.mem_issue,
-            )
-            for _ in range(n_groups)
+        self._groups = [
+            BookingGroup(config)
+            for _ in range(1 if config.smt_shared else config.num_contexts)
         ]
-        self._fetch_groups = [
-            SlotAllocator(config.fetch_width) for _ in range(n_groups)
-        ]
-        # rename-register pool: ascending list of commit times of in-flight
-        # writers (registers free at commit; the kernel pops the minimum)
-        self._rename_groups: list[list[int]] = [[] for _ in range(n_groups)]
-        # the step kernel's op-class plan, one per group: a tuple indexed
-        # by op value of (IQ heap, issue-port booking dict, its capacity,
-        # execute latency).  The instruction queues (IQ /
-        # FQ / MQ) are min-heaps of issue times of occupant entries — a
-        # slot frees when its entry issues, in any order (real IQs are not
-        # FIFOs).  Issue port class == queue class (Table 1), so one
-        # {int, fp, mem} key picks both.
-        self._op_plans = []
-        for issue in self._issue_groups:
-            iq_heaps = {"int": [], "fp": [], "mem": []}
-            ports = issue._classes
-            self._op_plans.append(tuple(
-                (iq_heaps[q], ports[q]._booked, ports[q].capacity, lat)
-                for q, lat in zip(_QUEUE_OF, _EXEC_LAT)
-            ))
-        #: per group, the processor-wide fetched count at which the kernel
-        #: next checks the group's booking dicts for pruning
-        self._prune_due = [0] * n_groups
 
         self._contexts: list[ThreadContext | None] = [None] * config.num_contexts
         self._next_order = 0
@@ -188,30 +159,6 @@ class Engine(
         #: processor-wide fetched-instruction counter; ILP-pred episodes are
         #: measured in total forward progress, as in the paper
         self._global_fetched = 0
-
-        # hot-loop bindings: config fields the step kernel reads are hoisted
-        # onto the engine, so each burst loads them from plain attributes
-        # instead of chasing self.config.<field>
-        self._trace_len = len(trace)
-        self._rob_size = config.rob_size
-        self._iq_size = config.iq_size
-        self._rename_regs = config.rename_regs
-        self._front_latency = config.front_latency
-        self._commit_width = config.commit_width
-        self._l1_latency = config.l1_latency
-        self._smt_shared = config.smt_shared
-        # mode policy is a strategy object (repro.core.modes); its
-        # capability flags are hoisted here so the step kernel keeps
-        # reading plain attributes
-        self._vp_on = model.uses_value_prediction
-        self._fetch_single = config.fetch_policy is FetchPolicy.SINGLE_FETCH_PATH
-        self._branch_spawn = model.spawn_on_branches
-        self._priority_fn = model.context_priority
-        self._multi_value = config.multi_value
-        self._spawn_latency = config.spawn_latency
-        self._spmt_skip = config.spmt_skip
-        self._reissue_penalty = config.reissue_penalty
-        self._collect_multivalue = config.collect_multivalue
 
         roots = []
         for i, tr in enumerate(traces):
@@ -323,7 +270,7 @@ class Engine(
             self.stats.wasted_instructions += ctx.beyond_commits
             if ctx.last_within_commit > self._finish_time:
                 self._finish_time = ctx.last_within_commit
-            self._flush_measures(ctx)
+            self._finalize_measures(ctx, _NO_MEASURES)
         self.stats.cycles = self._finish_time
         self.model.finalize_stats(self)
 

@@ -13,7 +13,7 @@ from heapq import heappop, heappush
 
 from repro.core.config import SimMode
 from repro.core.context import ThreadContext
-from repro.core.engine.records import SpawnRecord
+from repro.core.engine.records import _NO_MEASURES, SpawnRecord
 from repro.isa import Instruction
 
 
@@ -175,7 +175,7 @@ class LifecycleMixin:
         # progress past the load (no-stall policy) duplicated work the
         # winner already performed — wasted either way
         self.stats.wasted_instructions += parent.beyond_commits
-        self._flush_measures(parent)
+        self._finalize_measures(parent, _NO_MEASURES)
         parent.alive = False
         self._contexts[parent.slot] = None
         # splice the chain: the winner replaces the parent everywhere
@@ -224,7 +224,8 @@ class LifecycleMixin:
         if self._obs is not None:
             self._obs.kill(now, ctx.order, ctx.within_commits + ctx.beyond_commits)
         self.store_buffer.squash_thread(ctx.order)
-        self._flush_measures(ctx, drop=True)
+        # a killed context's pending measures are dropped unrecorded
+        ctx.pending_measures.clear()
         ctx.alive = False
         if self._contexts[ctx.slot] is ctx:
             self._contexts[ctx.slot] = None

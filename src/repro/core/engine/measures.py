@@ -50,7 +50,10 @@ class MeasureMixin:
 
         ``ctx.measures_min_end`` caches the earliest close time so the
         per-instruction caller can skip this scan entirely (the common
-        case); it is refreshed whenever the pending set changes.
+        case); it is refreshed whenever the pending set changes.  With
+        ``now = _NO_MEASURES`` every episode is recorded: a retiring
+        parent and the run's survivors close their books this way, while
+        a killed context drops its pending measures unrecorded.
         """
         if not ctx.pending_measures:
             return
@@ -72,15 +75,3 @@ class MeasureMixin:
         ctx.measures_min_end = (
             min(e[3] for e in remaining) if remaining else _NO_MEASURES
         )
-
-    def _flush_measures(self, ctx: ThreadContext, drop: bool = False) -> None:
-        if not drop:
-            for pc, kind, start_t, end_t, start_count in ctx.pending_measures:
-                self.selector.record(
-                    pc,
-                    _KIND[kind],
-                    max(0, self._global_fetched - start_count),
-                    max(1, end_t - start_t),
-                )
-        ctx.pending_measures.clear()
-        ctx.measures_min_end = _NO_MEASURES

@@ -49,7 +49,7 @@ class SchedulerMixin:
           single-context modes and the dominant MTVP state (parent blocked
           on its spawn, one child running).
         """
-        prio = self._priority_fn
+        prio = self.model.context_priority
         contexts = self._contexts
         pending = self._pending
         while self._global_fetched < stop_at:
@@ -116,7 +116,7 @@ class SchedulerMixin:
         of simultaneously runnable contexts so tests can prove a trace
         exercised true multi-context scheduling.
         """
-        prio = self._priority_fn
+        prio = self.model.context_priority
 
         def key(c):
             hint = c.next_time_hint

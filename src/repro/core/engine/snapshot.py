@@ -91,10 +91,10 @@ class SnapshotMixin:
             )
         try:
             pos = data["pos"]
-            if type(pos) is not int or not 0 <= pos < self._trace_len:
+            if type(pos) is not int or not 0 <= pos < len(self.trace):
                 raise ValueError(
                     f"snapshot position {pos!r} lies outside this engine's "
-                    f"{self._trace_len}-instruction trace"
+                    f"{len(self.trace)}-instruction trace"
                 )
             root = self._contexts[0]
             root.pos = pos

@@ -14,8 +14,9 @@ from bisect import insort
 from heapq import heappush, heapreplace
 
 from repro.branch import update_history
-from repro.core.allocators import PRUNE_AT
+from repro.core.config import FetchPolicy
 from repro.core.context import ThreadContext
+from repro.core.engine import records
 from repro.core.engine.records import (
     _BRANCH,
     _LOAD,
@@ -28,16 +29,6 @@ from repro.core.engine.records import (
 
 class StepMixin:
     """Fetch/queue/issue/complete/commit instructions of one context."""
-
-    def _prune_bookings(self, group: int, now: int) -> None:
-        """Prune each booking dict of ``group`` that holds over PRUNE_AT
-        cycles (see :meth:`~repro.core.allocators.SlotAllocator._prune`)."""
-        issue = self._issue_groups[group]
-        for alloc in (
-            self._fetch_groups[group], *issue._classes.values(), issue._total
-        ):
-            if len(alloc._booked) > PRUNE_AT:
-                alloc._prune(now)
 
     def _steps(
         self,
@@ -61,16 +52,16 @@ class StepMixin:
         This is the simulator's innermost loop, so it trades repetition
         for speed: everything fixed for the burst (the context's trace,
         ROB and register map, its group's pools and booking dicts, engine
-        components and config fields) is a local, the fetch and issue
-        bookings work on the allocators' dicts directly (this is the only
-        code that books them), and the commit-bandwidth fields live in
-        locals until the burst ends.  So do ``ctx.pos`` and the
-        processor-wide fetched count, which are also written back just
-        before each call that reads them (the model's load and branch
-        hooks, measure finalization, SpMT resolution).  The window pools
-        cost one cheap update each: the rename pool is an ascending list
-        (pop the head, append the commit time, insort only when it lands
-        below the tail), and a full IQ heap is peeked at fetch and
+        components and the config and model fields it reads) is a local,
+        the fetch and issue bookings work on the group's dicts directly
+        (this is the only code that books them), and the commit-bandwidth
+        fields live in locals until the burst ends.  So do ``ctx.pos`` and
+        the processor-wide fetched count, which are also written back
+        just before each call that reads them (the model's load and
+        branch hooks, measure finalization, SpMT resolution).  The window
+        pools cost one cheap update each: the rename pool is an ascending
+        list (pop the head, append the commit time, insort only when it
+        lands below the tail), and a full IQ heap is peeked at fetch and
         updated by one ``heapreplace`` at issue.  Per-op state comes from
         the group's op-class plan, one tuple lookup per instruction, and
         work whose result nothing reads is skipped (see DESIGN.md §5c).
@@ -81,38 +72,38 @@ class StepMixin:
         rob_len = len(rob)
         reg_ready = ctx.reg_ready
         visible = ctx.visible
-        group = 0 if self._smt_shared else ctx.slot
-        rename_pool = self._rename_groups[group]
+        config = self.config
+        model = self.model
+        group = self._groups[0 if config.smt_shared else ctx.slot]
+        rename_pool = group.rename
         rename_len = len(rename_pool)
-        op_plan = self._op_plans[group]
-        fetch_alloc = self._fetch_groups[group]
-        fetch_booked = fetch_alloc._booked
-        fetch_cap = fetch_alloc.capacity
-        total_alloc = self._issue_groups[group]._total
-        total_booked = total_alloc._booked
-        total_cap = total_alloc.capacity
+        op_plan = group.op_plan
+        fetch_booked = group.fetch
+        fetch_cap = config.fetch_width
+        total_booked = group.total
+        total_cap = config.issue_width
         stats = self.stats
         hierarchy = self.hierarchy
         store_buffer = self.store_buffer
         predictor = self.predictor
         obs = self._obs
         pending = self._pending
-        rob_size = self._rob_size
-        rename_regs = self._rename_regs
-        iq_size = self._iq_size
-        front_latency = self._front_latency
-        commit_width = self._commit_width
-        l1_latency = self._l1_latency
-        vp_on = self._vp_on
+        rob_size = config.rob_size
+        rename_regs = config.rename_regs
+        iq_size = config.iq_size
+        front_latency = config.front_latency
+        commit_width = config.commit_width
+        l1_latency = config.l1_latency
+        vp_on = model.uses_value_prediction
         # the level probe feeds only the selector: skip it unless the
         # selector reads the level
         reads_level = vp_on and self.selector.reads_level
-        predict_load = self.model.handle_load_prediction
-        branch_spawn = self._branch_spawn
-        block_on_spawn = self._fetch_single
+        predict_load = model.handle_load_prediction
+        branch_spawn = model.spawn_on_branches
+        block_on_spawn = config.fetch_policy is FetchPolicy.SINGLE_FETCH_PATH
         order_snap = self._next_order
         fetched = start_fetched = self._global_fetched
-        prune_due = self._prune_due[group]
+        prune_due = group.prune_due
         pos = ctx.pos
         t_fetch = ctx.last_fetch
         last_commit = ctx.last_commit
@@ -174,7 +165,7 @@ class StepMixin:
                         t_ready = rt
 
             # --- issue (issue-port class == queue class, Table 1): book a
-            # common cycle free in both the class and the total allocator
+            # common cycle free in both the class and the total issue dict
             t = t_ready
             while True:
                 n = port_booked.get(t, 0)
@@ -247,7 +238,7 @@ class StepMixin:
                         # the execution model as a spawn point
                         ctx.pos = pos
                         self._global_fetched = fetched
-                        self.model.on_branch(
+                        model.on_branch(
                             self, ctx, inst, t_queue, t_complete,
                             predicted == taken,
                         )
@@ -312,12 +303,12 @@ class StepMixin:
             if fetched >= prune_due:
                 # every instruction adds at most one cycle to each booking
                 # dict, so checking each PRUNE_AT instructions bounds them
-                prune_due = self._prune_due[group] = fetched + PRUNE_AT
-                self._prune_bookings(group, t_fetch)
+                prune_due = group.prune_due = fetched + records.PRUNE_AT
+                group.prune(t_fetch)
             if obs is not None:
                 obs.step(
                     ctx.order, inst.pc, _OP_NAMES[op], t_fetch, t_issue,
-                    t_commit, rob_len, len(iq_heap), store_buffer.total,
+                    t_commit, rob, rename_pool, iq_heap, store_buffer.total,
                 )
             if t_fetch >= ctx.measures_min_end:
                 ctx.pos = pos

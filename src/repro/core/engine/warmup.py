@@ -112,10 +112,10 @@ class WarmupMixin:
         if n < 0:
             raise ValueError("fast-forward distance must be non-negative")
         root = self._contexts[0]
-        if n >= self._trace_len - root.pos:
+        if n >= len(self.trace) - root.pos:
             raise ValueError(
                 f"fast-forward of {n} leaves no instructions to simulate "
-                f"(trace has {self._trace_len - root.pos} left)"
+                f"(trace has {len(self.trace) - root.pos} left)"
             )
         if n == 0:
             return 0

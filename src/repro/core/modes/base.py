@@ -7,8 +7,8 @@ prediction kind is routed, how an outstanding spawn is verified or
 squashed, how resolutions attribute statistics, and how contexts are
 prioritized by the scheduler.  The engine binds one (stateless, shared)
 model instance at construction and consults it only at mode-policy
-decision points — the per-instruction hot path still reads plain engine
-attributes that the model populated once.
+decision points — the step kernel reads the model's flags once per burst,
+into locals.
 
 Models hold **no per-run state**; every method receives the engine.  That
 keeps one module-level instance per mode shareable across engines and
@@ -29,8 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ExecutionModel:
     """Base strategy object; subclasses override flags and policy hooks.
 
-    Class attributes (the *capability flags* the engine hoists into its
-    hot-loop bindings at construction):
+    Class attributes (the *capability flags* the engine's step kernel and
+    scheduler read):
 
     ``uses_value_prediction``
         Loads enter :meth:`handle_load_prediction`; False routes every

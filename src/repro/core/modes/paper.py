@@ -27,10 +27,13 @@ class _ResolvingModel(ExecutionModel):
 
     Resolution always charges the selector an MTVP-kind episode — for
     spawn-only records too, exactly as the inline code did (the selector
-    learns spawn worth, not prediction kind).
+    learns spawn worth, not prediction kind).  A selector whose ``learns``
+    is False is not called: its ``record`` is the no-op.
     """
 
     def on_mispredict(self, engine, record, resolve_time):
+        if not engine.selector.learns:
+            return
         engine.selector.record(
             record.pc,
             PredictionKind.MTVP,
@@ -39,6 +42,8 @@ class _ResolvingModel(ExecutionModel):
         )
 
     def on_confirm(self, engine, record, winner, resolve_time):
+        if not engine.selector.learns:
+            return
         engine.selector.record(
             record.pc,
             PredictionKind.MTVP,
@@ -133,7 +138,7 @@ class _PredictiveModel(_ResolvingModel):
 
         # Figure 5 instrumentation: was the right value available even when
         # the primary prediction is wrong?
-        if engine._collect_multivalue:
+        if engine.config.collect_multivalue:
             stats.followed_predictions += 1
             if prediction.value != inst.value:
                 candidates = predictor.predict_all(inst)
@@ -162,13 +167,14 @@ class _PredictiveModel(_ResolvingModel):
             stats.stvp_incorrect += 1
             # selective re-issue: dependents re-execute once the true value
             # arrives; commit was never early, so only the dependents pay
-            return t_complete + engine._reissue_penalty, None
+            return t_complete + engine.config.reissue_penalty, None
 
         # MTVP: spawn one thread per followed value (multi-value capable)
         values: list[tuple[int, int]] = []
-        spawn_ready = t_queue + engine._spawn_latency
-        if engine._multi_value > 1:
-            for cand in predictor.predict_all(inst)[: engine._multi_value]:
+        config = engine.config
+        spawn_ready = t_queue + config.spawn_latency
+        if config.multi_value > 1:
+            for cand in predictor.predict_all(inst)[: config.multi_value]:
                 values.append((cand.value, spawn_ready))
         else:
             values.append((prediction.value, spawn_ready))

@@ -42,7 +42,7 @@ class SpmtModel(ExecutionModel):
     def on_branch(self, engine, ctx, inst, t_queue, t_complete, predicted_ok):
         if ctx.pending_spawn:
             return
-        start = ctx.pos + 1 + engine._spmt_skip
+        start = ctx.pos + 1 + engine.config.spmt_skip
         if start >= ctx.trace_len:
             # too close to the end: the skipped region must leave the
             # child at least one instruction to run
@@ -61,7 +61,7 @@ class SpmtModel(ExecutionModel):
         )
         record.start_global = engine._global_fetched
         record.resolve_pos = start
-        spawn_ready = t_queue + engine._spawn_latency
+        spawn_ready = t_queue + engine.config.spawn_latency
         child = ThreadContext(
             slot=slot,
             order=engine._alloc_order(),

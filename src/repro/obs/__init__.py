@@ -12,9 +12,9 @@ show.  This package is the measurement substrate for those questions:
   render as separate thread lanes, so an MTVP spawn chain is visually
   inspectable.
 * :class:`MetricsRegistry` — counters and cycle-weighted histograms
-  (ROB/IQ/store-buffer occupancy, speculation distance, live context
-  count, per-level cache residency) aggregated into
-  ``SimStats.extended`` at the end of a run.
+  (in-flight ROB/rename/IQ and store-buffer occupancy, speculation
+  distance, live context count, per-level cache residency) aggregated
+  into ``SimStats.extended`` at the end of a run.
 * :class:`Probe` — the single object the engine threads through the
   memory stack, branch predictor and value predictors.  When
   observability is off every ``obs`` attribute is ``None``, so every

@@ -18,6 +18,9 @@ refreshes per step while a probe is attached.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import deque
+
 from repro.obs.events import EventKind
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
@@ -73,15 +76,32 @@ class Probe:
         t_fetch: int,
         t_issue: int,
         t_commit: int,
-        rob_len: int,
-        iq_len: int,
+        rob: deque[int],
+        rename: list[int],
+        iq: list[int],
         sb_total: int,
     ) -> None:
-        """Per-instruction hook: pipeline transit event + occupancies."""
+        """Per-instruction hook: pipeline transit event + occupancies.
+
+        ``rob`` is the context's ascending deque of commit times, ``rename``
+        its group's ascending rename pool and ``iq`` the min-heap of issue
+        times of the instruction's queue, each already holding this
+        instruction.  An entry is in flight at fetch when its time is
+        after ``t_fetch``; the pools also keep entries that have left
+        (they free one only when a fetch needs the room), so each
+        occupancy counts only the in-flight ones.
+        """
         metrics = self.metrics
         if metrics is not None:
-            metrics.histogram("rob_occupancy").observe(t_fetch, rob_len)
-            metrics.histogram("iq_occupancy").observe(t_fetch, iq_len)
+            metrics.histogram("rob_occupancy").observe(
+                t_fetch, len(rob) - bisect_right(rob, t_fetch)
+            )
+            metrics.histogram("rename_occupancy").observe(
+                t_fetch, len(rename) - bisect_right(rename, t_fetch)
+            )
+            metrics.histogram("iq_occupancy").observe(
+                t_fetch, sum(1 for t in iq if t > t_fetch)
+            )
             metrics.histogram("store_buffer_occupancy").observe(t_fetch, sb_total)
         if self.tracer is not None:
             self.tracer.emit(

@@ -1,27 +1,25 @@
 """The step kernel's fetch and issue bookings.
 
-The burst kernel (``StepMixin._steps``) is the only code that books the
-cycle-slot allocators, so these tests inspect the allocators a real run
-leaves behind: every booking within its capacity, the per-class issue
-counts summing to the total in every cycle, the bookings of an unpruned
-run summing to the instructions stepped, and pruning that never changes
-a result.
+The burst kernel (``StepMixin._steps``) is the only code that books a
+:class:`~repro.core.engine.records.BookingGroup`'s per-cycle dicts, so
+these tests inspect the groups a real run leaves behind: every booking
+within its capacity, the per-class issue counts summing to the total in
+every cycle, the bookings of an unpruned run summing to the instructions
+stepped, and pruning that never changes a result.
 """
 
 from functools import lru_cache
 
-import pytest
-
-import repro.core.engine.step as step_module
+import repro.core.engine.records as records
 from repro import simulate
-from repro.core import FetchPolicy, MachineConfig, SlotAllocator
-from repro.core.allocators import PRUNE_AT
+from repro.core import FetchPolicy, MachineConfig
 from repro.core.engine import Engine
+from repro.core.engine.records import PRUNE_AT, BookingGroup
 from repro.obs import Tracer
 from repro.obs.events import EventKind
 from repro.workloads import get_workload
 
-#: one run per allocator layout: the single-context baseline, no-stall
+#: one run per group layout: the single-context baseline, no-stall
 #: MTVP and SpMT (many contexts over one shared group), a two-program SMT
 #: co-schedule, and CMP's private per-core groups
 RUNS = {
@@ -55,14 +53,19 @@ def _all_runs():
     return [_ran(name) for name in RUNS]
 
 
+def _booking_dicts(group):
+    return [group.fetch, group.total, *group.ports.values()]
+
+
 class TestSlotAllocator:
-    """Fetch bookings, one allocator per fetch group."""
+    """Fetch bookings, one dict per booking group (the class is named for
+    the allocator class that held them before the group record did)."""
 
     def test_capacity_per_cycle(self):
         for engine, _stats in _all_runs():
-            for fetch in engine._fetch_groups:
-                assert fetch._booked
-                assert max(fetch._booked.values()) <= fetch.capacity
+            for group in engine._groups:
+                assert group.fetch
+                assert max(group.fetch.values()) <= engine.config.fetch_width
 
     def test_past_cycles_keep_capacity(self):
         # co-scheduled programs step in approximate time order, so a
@@ -79,17 +82,13 @@ class TestSlotAllocator:
                 newest = max(newest, args["fetch"])
         assert behind > 0
 
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            SlotAllocator(0)
-
     def test_counter(self):
         for engine, stats in _all_runs():
             # a dict is pruned only once it holds over PRUNE_AT cycles and
             # an instruction books one cycle per dict, so these runs never
             # prune: every fetch booking is still there
             assert stats.instructions_stepped <= PRUNE_AT
-            booked = sum(sum(f._booked.values()) for f in engine._fetch_groups)
+            booked = sum(sum(g.fetch.values()) for g in engine._groups)
             assert booked == stats.instructions_stepped
 
     def test_pruning_keeps_recent_state(self, monkeypatch):
@@ -106,14 +105,16 @@ class TestSlotAllocator:
 
         defaults = [run(*point) for point in points]
         prunes = []
-        prune = SlotAllocator._prune
+        prune = BookingGroup.prune
 
         def counting_prune(self, now):
-            prunes.append(now)
+            # count the checks that find a dict to prune
+            if any(len(b) > records.PRUNE_AT for b in _booking_dicts(self)):
+                prunes.append(now)
             prune(self, now)
 
-        monkeypatch.setattr(step_module, "PRUNE_AT", 512)
-        monkeypatch.setattr(SlotAllocator, "_prune", counting_prune)
+        monkeypatch.setattr(records, "PRUNE_AT", 512)
+        monkeypatch.setattr(BookingGroup, "prune", counting_prune)
         for point, default in zip(points, defaults):
             del prunes[:]
             assert run(*point) == default, point
@@ -131,16 +132,16 @@ class TestSlotAllocator:
         def run():
             engine = Engine(trace, MachineConfig.mtvp(8))
             stats = engine.run()
-            booked = [
-                alloc._booked
-                for fetch, issue in zip(engine._fetch_groups, engine._issue_groups)
-                for alloc in (fetch, issue._total, *issue._classes.values())
+            sizes = [
+                len(booked)
+                for group in engine._groups
+                for booked in _booking_dicts(group)
             ]
-            return stats.to_dict(), [len(b) for b in booked]
+            return stats.to_dict(), sizes
 
         unpruned_stats, unpruned = run()
         assert max(unpruned) > 2 * bound
-        monkeypatch.setattr(step_module, "PRUNE_AT", bound)
+        monkeypatch.setattr(records, "PRUNE_AT", bound)
         stats, sizes = run()
         assert stats == unpruned_stats
         assert max(sizes) <= 2 * bound, sizes
@@ -151,20 +152,21 @@ class TestPortedIssue:
 
     def test_class_limit(self):
         for engine, _stats in _all_runs():
-            for issue in engine._issue_groups:
-                for alloc in issue._classes.values():
-                    assert max(alloc._booked.values(), default=0) <= alloc.capacity
+            config = engine.config
+            caps = {"int": config.int_issue, "fp": config.fp_issue, "mem": config.mem_issue}
+            for group in engine._groups:
+                for q, booked in group.ports.items():
+                    assert max(booked.values(), default=0) <= caps[q]
 
     def test_global_limit_binds_across_classes(self):
         for engine, _stats in _all_runs():
-            for issue in engine._issue_groups:
-                total = issue._total
-                assert max(total._booked.values()) <= total.capacity
+            for group in engine._groups:
+                assert max(group.total.values()) <= engine.config.issue_width
                 per_cycle: dict[int, int] = {}
-                for alloc in issue._classes.values():
-                    for cycle, n in alloc._booked.items():
+                for booked in group.ports.values():
+                    for cycle, n in booked.items():
                         per_cycle[cycle] = per_cycle.get(cycle, 0) + n
-                assert per_cycle == total._booked
+                assert per_cycle == group.total
 
     def test_paper_configuration(self):
         # Table 1: 8 issues per cycle, up to 6 int, 2 FP, 4 load/store;
@@ -173,10 +175,9 @@ class TestPortedIssue:
         for workload in ("mcf", "art 1"):
             engine = _engine(MachineConfig.hpca05_baseline(), (workload,))
             engine.run()
-            (issue,) = engine._issue_groups
-            allocs = dict(issue._classes, total=issue._total)
-            for name, alloc in allocs.items():
-                peak = max(alloc._booked.values(), default=0)
+            (group,) = engine._groups
+            for name, booked in dict(group.ports, total=group.total).items():
+                peak = max(booked.values(), default=0)
                 peaks[name] = max(peaks[name], peak)
         assert peaks == {"total": 8, "int": 6, "fp": 2, "mem": 4}
 
@@ -185,10 +186,10 @@ class TestPortedIssue:
             # unpruned, as in TestSlotAllocator.test_counter
             assert stats.instructions_stepped <= PRUNE_AT
             issued = 0
-            for issue in engine._issue_groups:
-                total = sum(issue._total._booked.values())
+            for group in engine._groups:
+                total = sum(group.total.values())
                 assert total == sum(
-                    sum(a._booked.values()) for a in issue._classes.values()
+                    sum(booked.values()) for booked in group.ports.values()
                 )
                 issued += total
             assert issued == stats.instructions_stepped

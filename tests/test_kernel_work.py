@@ -7,8 +7,9 @@ per-load work when nothing consumes their result:
   load selector, so it runs only for selectors with ``reads_level``;
 * deferred ILP-pred measures and predictor training feed only value
   prediction, so modes without it (baseline, SMT, SpMT) do neither;
-* deferred measures feed only the selector's ``record``, so selectors
-  without ``learns`` (always, miss-oracle) get none;
+* deferred measures and spawn resolutions feed only the selector's
+  ``record``, so selectors without ``learns`` (always, miss-oracle) get
+  no measures and no ``record`` calls;
 * the store-buffer search runs only while the buffer holds a store, which
   baseline and STVP never do.
 
@@ -45,6 +46,7 @@ COUNTED = (
     (StoreBuffer, "search"),
     (Engine, "_defer_measure"),
     (IlpPredSelector, "record"),
+    (LoadSelector, "record"),
     (IlpPredSelector, "choose"),
     (OraclePredictor, "train"),
     (OraclePredictor, "predict"),
@@ -207,6 +209,21 @@ class TestMeasures:
         assert stats.mtvp_predictions > 0
         assert stats.loads > stats.mtvp_predictions
         assert calls["Engine._defer_measure"] == 0
+
+    @pytest.mark.parametrize(
+        "selector",
+        [AlwaysSelector, MissOracleSelector],
+        ids=["always", "miss-oracle"],
+    )
+    def test_resolutions_do_not_record_for_selectors_that_learn_nothing(
+        self, monkeypatch, selector
+    ):
+        # both selectors inherit the base class's no-op ``record``
+        assert "record" not in vars(selector)
+        engine = _engine(MachineConfig.mtvp(8), selector())
+        stats, calls = _counted_run(monkeypatch, engine)
+        assert stats.mtvp_correct + stats.mtvp_incorrect > 0
+        assert calls["LoadSelector.record"] == 0
 
     def test_a_learning_selector_gets_measures(self, monkeypatch):
         engine = _engine(MachineConfig.mtvp(8), IlpPredSelector())

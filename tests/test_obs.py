@@ -220,6 +220,47 @@ class TestProbe:
             Probe()
 
 
+class TestOccupancy:
+    """The ROB, rename and IQ occupancies count what is in flight at fetch."""
+
+    @pytest.mark.parametrize("workload", ["gzip g", "mcf"])
+    def test_counts_match_the_traced_schedule(self, workload):
+        trace = get_workload(workload).trace(length=1500, seed=0)
+        tracer = Tracer()
+        stats = Engine(
+            trace, MachineConfig.hpca05_baseline(), tracer=tracer,
+            metrics=MetricsRegistry(),
+        ).run()
+        steps = [
+            args for _c, kind, _t, args in tracer.events
+            if kind == EventKind.INSTRUCTION
+        ]
+        # one context, so the i-th event is trace[i]
+        assert tracer.dropped == 0 and len(steps) == len(trace)
+        names = ("rob_occupancy", "rename_occupancy", "iq_occupancy")
+        expected = {name: CycleWeightedHistogram() for name in names}
+        commits: list[int] = []
+        writers: list[int] = []
+        issues: dict[str, list[int]] = {"int": [], "fp": [], "mem": []}
+        for inst, step in zip(trace, steps):
+            # each count covers the instructions up to this one whose
+            # commit (or, for its queue, issue) comes after this fetch
+            fetch = step["fetch"]
+            commits.append(step["commit"])
+            if inst.dst is not None:
+                writers.append(step["commit"])
+            op = inst.op
+            queue = issues["mem" if op.is_memory else "fp" if op.is_fp else "int"]
+            queue.append(step["issue"])
+            counts = (commits, writers, queue)
+            for name, times in zip(names, counts):
+                expected[name].observe(fetch, sum(1 for t in times if t > fetch))
+        histograms = stats.extended["metrics"]["histograms"]
+        for name, hist in expected.items():
+            hist.close(stats.cycles)
+            assert histograms[name] == hist.to_dict(), name
+
+
 class TestGoldenIdentity:
     """Instrumentation is read-only: traced stats == untraced stats."""
 

@@ -136,11 +136,14 @@ class TestAllocatorProperties:
             tracer=tracer,
         )
         stats = engine.run()
-        allocs = list(engine._fetch_groups)
-        for issue in engine._issue_groups:
-            allocs += [issue._total, *issue._classes.values()]
-        for alloc in allocs:
-            assert max(alloc._booked.values(), default=0) <= alloc.capacity
+        caps = {
+            "int": config.int_issue, "fp": config.fp_issue, "mem": config.mem_issue,
+        }
+        for group in engine._groups:
+            assert max(group.fetch.values(), default=0) <= config.fetch_width
+            assert max(group.total.values(), default=0) <= config.issue_width
+            for q, booked in group.ports.items():
+                assert max(booked.values(), default=0) <= caps[q]
         # every instruction's fetch is booked at or after the previous
         # fetch of its context, and its issue at or after its operands
         # could first be queued

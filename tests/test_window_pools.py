@@ -65,10 +65,12 @@ def _engine(config: MachineConfig, workload: str) -> Engine:
 
 
 def _check_pools(engine: Engine, config: MachineConfig) -> None:
-    for group, pool in enumerate(engine._rename_groups):
-        assert len(pool) <= config.rename_regs, group
-        assert all(a <= b for a, b in zip(pool, pool[1:])), (group, pool)
-    heaps = {id(plan[0]): plan[0] for plans in engine._op_plans for plan in plans}
+    for i, group in enumerate(engine._groups):
+        pool = group.rename
+        assert len(pool) <= config.rename_regs, i
+        assert all(a <= b for a, b in zip(pool, pool[1:])), (i, pool)
+    heaps = {id(plan[0]): plan[0] for g in engine._groups for plan in g.op_plan}
+    assert len(heaps) == 3 * len(engine._groups)
     for heap in heaps.values():
         assert len(heap) <= config.iq_size
         for i in range(1, len(heap)):
