@@ -104,7 +104,6 @@ class Engine(
                 f"{len(traces)} traces"
             )
         self.trace = trace
-        self._traces = traces
         self.config = config
         self.reference_scheduler = reference_scheduler
         #: peak simultaneously-runnable contexts (reference scheduler only)
@@ -164,7 +163,6 @@ class Engine(
         for i, tr in enumerate(traces):
             root = ThreadContext(slot=i, order=self._alloc_order(), pos=0)
             root.trace = tr
-            root.trace_len = len(tr)
             root.stream = i
             self._contexts[i] = root
             roots.append(root)

@@ -75,7 +75,7 @@ class ExecutionModel:
         """
         return (
             self.spawn_capable
-            and not ctx.pending_spawn
+            and ctx.spawn_record_as_parent is None
             and engine._free_slot() is not None
         )
 

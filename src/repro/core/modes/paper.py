@@ -10,7 +10,6 @@ the golden tests.
 
 from __future__ import annotations
 
-from repro.core.config import SimMode
 from repro.core.modes.base import ExecutionModel
 from repro.select import PredictionKind
 
@@ -86,9 +85,8 @@ class SpawnOnlyModel(_ResolvingModel):
             engine._obs.predict(
                 t_queue, ctx.order, inst.pc, "spawn", inst.value or 0
             )
-        record = engine._spawn(
-            ctx, inst, [(inst.value or 0, t_complete)], t_queue, t_complete,
-            SimMode.SPAWN_ONLY,
+        record = engine._spawn_load(
+            ctx, inst, [(inst.value or 0, t_complete)], t_queue, t_complete
         )
         return t_complete, record
 
@@ -183,7 +181,7 @@ class _PredictiveModel(_ResolvingModel):
             engine._obs.predict(
                 t_queue, ctx.order, inst.pc, "mtvp", prediction.value
             )
-        record = engine._spawn(ctx, inst, values, t_queue, t_complete, SimMode.MTVP)
+        record = engine._spawn_load(ctx, inst, values, t_queue, t_complete)
         return t_complete, record
 
 

@@ -25,9 +25,6 @@ work rather than executing wrong instructions.
 
 from __future__ import annotations
 
-from repro.core.config import SimMode
-from repro.core.context import ThreadContext
-from repro.core.engine.records import SpawnRecord
 from repro.core.modes.base import ExecutionModel
 from repro.isa import NUM_LOGICAL_REGS
 
@@ -40,53 +37,33 @@ class SpmtModel(ExecutionModel):
     spawn_on_branches = True
 
     def on_branch(self, engine, ctx, inst, t_queue, t_complete, predicted_ok):
-        if ctx.pending_spawn:
+        if ctx.spawn_record_as_parent is not None:
             return
         start = ctx.pos + 1 + engine.config.spmt_skip
-        if start >= ctx.trace_len:
+        if start >= len(ctx.trace):
             # too close to the end: the skipped region must leave the
             # child at least one instruction to run
             return
-        slot = engine._free_slot()
-        if slot is None:
+        if engine._free_slot() is None:
             engine.stats.spawn_denied_no_context += 1
             return
-        record = SpawnRecord(
-            resolve_time=0,
-            parent=ctx,
-            actual=1,
-            pc=inst.pc,
-            start_time=t_queue,
-            kind=SimMode.SPMT,
-        )
-        record.start_global = engine._global_fetched
-        record.resolve_pos = start
         spawn_ready = t_queue + engine.config.spawn_latency
-        child = ThreadContext(
-            slot=slot,
-            order=engine._alloc_order(),
-            pos=start,
-            start_time=spawn_ready,
-            parent=ctx,
-            speculative=True,
+        # the child's "value" is the control-speculation validity bit; the
+        # parent's remaining work is exactly the skipped region, so its
+        # commits there are architectural and the child owns the rest
+        record = engine._spawn(
+            ctx, inst.pc, 1, start, t_queue,
+            [(1 if predicted_ok else 0, spawn_ready)],
         )
+        child = record.children[0][0]
         # pre-computed live-ins: the spawn slice delivers the whole live-in
         # set with the spawn, so the child never waits on parent in-flight
         # values (Prophet's latency-tolerance mechanism)
         child.reg_ready = [spawn_ready] * NUM_LOGICAL_REGS
-        child.spawn_record_as_child = record
-        ctx.children.append(child)
-        engine._contexts[slot] = child
-        record.children.append((child, 1 if predicted_ok else 0))
-        engine.stats.spawns += 1
         engine.stats.spmt_spawns += 1
-        # the parent's remaining work is exactly the skipped region; its
-        # commits there are architectural, the child owns everything after
-        ctx.arch_limit = start - 1
-        ctx.pending_spawn = True
-        ctx.spawn_record_as_parent = record
         # NOT pushed onto the time-ordered pending heap: the step kernel
         # resolves this record when the parent's position reaches `start`
+        record.resolve_pos = start
         obs = engine._obs
         if obs is not None:
             obs.predict(t_queue, ctx.order, inst.pc, "spmt", start)

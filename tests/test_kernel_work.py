@@ -95,12 +95,9 @@ def _counted_run(monkeypatch, engine):
     return stats, calls
 
 
-def _loads_with_values(engine) -> int:
+def _loads_with_values(trace) -> int:
     return sum(
-        1
-        for trace in engine._traces
-        for inst in trace
-        if inst.op is OpClass.LOAD and inst.value is not None
+        1 for inst in trace if inst.op is OpClass.LOAD and inst.value is not None
     )
 
 
@@ -153,7 +150,7 @@ class TestPredictingModes:
         assert calls["StoreBuffer.search"] == 0
         # the work that is read still runs: every load trains at commit,
         # and the selector is consulted and learns
-        assert calls["OraclePredictor.train"] == _loads_with_values(engine)
+        assert calls["OraclePredictor.train"] == _loads_with_values(engine.trace)
         assert calls["IlpPredSelector.choose"] > 0
         assert calls["IlpPredSelector.record"] > 0
         assert stats.stvp_predictions > 0
