@@ -54,17 +54,28 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _positive_seconds(text: str) -> float:
-    """argparse ``type`` of ``--stale-after`` and ``--heartbeat``."""
+def _finite(text: str, unit: str, positive: bool) -> float:
+    """A finite number of ``unit`` that is > 0 (``positive``) or >= 0."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0 < value < math.inf:
+    if not (0 < value if positive else 0 <= value) or value == math.inf:
         raise argparse.ArgumentTypeError(
-            f"must be a finite number of seconds > 0, got {text}"
+            f"must be a finite number of {unit} {'>' if positive else '>='} 0, "
+            f"got {text}"
         )
     return value
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse ``type`` of ``--stale-after`` and ``--heartbeat``."""
+    return _finite(text, "seconds", positive=True)
+
+
+def _days(text: str) -> float:
+    """argparse ``type`` of ``--max-age-days``."""
+    return _finite(text, "days", positive=False)
 
 
 def _workload(name: str) -> str:
@@ -542,7 +553,7 @@ def _cmd_cache_prune(args: argparse.Namespace) -> int:
     others = [CheckpointStore(checkpoints)] if checkpoints.is_dir() else []
     removed = cache.prune(
         *others,
-        max_bytes=_parse_size(args.max_bytes) if args.max_bytes else None,
+        max_bytes=args.max_bytes,
         max_age_days=args.max_age_days,
         dry_run=args.dry_run,
     )
@@ -557,15 +568,21 @@ def _cmd_cache_prune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_size(text: str) -> int:
-    """``500``, ``500K``, ``64M``, ``2G`` -> bytes."""
-    text = text.strip().upper()
-    factor = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}.get(text[-1:], 1)
-    digits = text[:-1] if factor != 1 else text
+def _size(text: str) -> int:
+    """argparse ``type`` of ``--max-bytes``: ``500``, ``500K``, ``64M``,
+    ``2G`` -> bytes, never negative."""
+    upper = text.strip().upper()
+    factor = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}.get(upper[-1:], 1)
+    digits = upper[:-1] if factor != 1 else upper
     try:
-        return int(digits) * factor
+        value = int(digits) * factor
     except ValueError:
-        raise SystemExit(f"invalid size {text!r} (use e.g. 500K, 64M, 2G)")
+        raise argparse.ArgumentTypeError(
+            f"invalid size {text!r} (use e.g. 500K, 64M, 2G)"
+        ) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -837,11 +854,11 @@ def build_parser() -> argparse.ArgumentParser:
         "prune", help="evict old cache entries (LRU by mtime)"
     )
     sp.add_argument(
-        "--max-bytes", default=None, metavar="SIZE",
+        "--max-bytes", type=_size, default=None, metavar="SIZE",
         help="shrink the cache to at most SIZE (suffixes K/M/G)",
     )
     sp.add_argument(
-        "--max-age-days", type=float, default=None, metavar="DAYS",
+        "--max-age-days", type=_days, default=None, metavar="DAYS",
         help="drop entries older than DAYS",
     )
     sp.add_argument(

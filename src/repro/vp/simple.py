@@ -65,7 +65,7 @@ class LastValuePredictor(ValuePredictor):
         self.entries = entries
         self.threshold = threshold
         self.max_conf = max_conf
-        # pc tag -> [last_value, confidence]
+        # indexed by pc bits: [pc (the tag), last value, confidence]
         self._table: list[list[int] | None] = [None] * entries
         self._mask = entries - 1
 

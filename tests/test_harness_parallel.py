@@ -356,6 +356,46 @@ class TestCachePrune:
         assert exc.value.code == 2
         assert "nothing to do" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "limit",
+        [
+            ["--max-age-days", "-1"],
+            ["--max-age-days", "nan"],
+            ["--max-age-days", "inf"],
+            ["--max-age-days", "old"],
+            ["--max-bytes", "-5"],
+            ["--max-bytes=-1K"],
+            ["--max-bytes", "12X"],
+            ["--max-bytes", "M"],
+        ],
+    )
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_prune_cli_rejects_a_bad_limit(self, tmp_path, capsys, limit, dry_run):
+        # a negative limit would prune every entry and a NaN age none;
+        # each is a usage error that leaves the cache alone
+        from repro.__main__ import main
+
+        self.fill(tmp_path, [0, 90])
+        argv = ["cache", "prune", *limit, "--cache-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--dry-run"] if dry_run else []))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert limit[0].split("=")[0] in err and "would prune" not in err
+        assert len(ResultCache(tmp_path)) == 2
+
+    def test_prune_cli_accepts_zero_and_suffixed_limits(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        self.fill(tmp_path, [0, 90])
+        # two entries of under 1K each: a 1K budget keeps the newer one
+        assert main(["cache", "prune", "--max-bytes", "1k", "--dry-run",
+                     "--cache-dir", str(tmp_path)]) == 0
+        assert "would prune 1 entries" in capsys.readouterr().out
+        assert main(["cache", "prune", "--max-age-days", "0",
+                     "--cache-dir", str(tmp_path)]) == 0
+        assert "pruned 2 entries" in capsys.readouterr().out
+
 
 class TestLazyEnvResolution:
     def test_default_length_reads_env_at_call_time(self, monkeypatch):

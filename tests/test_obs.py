@@ -221,9 +221,12 @@ class TestProbe:
 
 
 class TestOccupancy:
-    """The ROB, rename and IQ occupancies count what is in flight at fetch."""
+    """The ROB, rename and IQ/FQ/MQ occupancies count what is in flight
+    at fetch, each queue from its own entries."""
 
-    @pytest.mark.parametrize("workload", ["gzip g", "mcf"])
+    QUEUES = {"int": "iq_occupancy", "fp": "fq_occupancy", "mem": "mq_occupancy"}
+
+    @pytest.mark.parametrize("workload", ["gzip g", "mcf", "swim"])
     def test_counts_match_the_traced_schedule(self, workload):
         trace = get_workload(workload).trace(length=1500, seed=0)
         tracer = Tracer()
@@ -237,28 +240,55 @@ class TestOccupancy:
         ]
         # one context, so the i-th event is trace[i]
         assert tracer.dropped == 0 and len(steps) == len(trace)
-        names = ("rob_occupancy", "rename_occupancy", "iq_occupancy")
+        names = ("rob_occupancy", "rename_occupancy", *self.QUEUES.values())
         expected = {name: CycleWeightedHistogram() for name in names}
         commits: list[int] = []
         writers: list[int] = []
-        issues: dict[str, list[int]] = {"int": [], "fp": [], "mem": []}
+        issues: dict[str, list[int]] = {queue: [] for queue in self.QUEUES}
         for inst, step in zip(trace, steps):
             # each count covers the instructions up to this one whose
-            # commit (or, for its queue, issue) comes after this fetch
+            # commit (or, for a queue, issue) comes after this fetch
             fetch = step["fetch"]
             commits.append(step["commit"])
             if inst.dst is not None:
                 writers.append(step["commit"])
             op = inst.op
-            queue = issues["mem" if op.is_memory else "fp" if op.is_fp else "int"]
-            queue.append(step["issue"])
-            counts = (commits, writers, queue)
+            issues["mem" if op.is_memory else "fp" if op.is_fp else "int"].append(
+                step["issue"]
+            )
+            counts = (commits, writers, *issues.values())
             for name, times in zip(names, counts):
                 expected[name].observe(fetch, sum(1 for t in times if t > fetch))
         histograms = stats.extended["metrics"]["histograms"]
         for name, hist in expected.items():
             hist.close(stats.cycles)
             assert histograms[name] == hist.to_dict(), name
+        # an empty FQ would match trivially; swim's FP code fills it
+        if workload == "swim":
+            assert histograms["fq_occupancy"]["max"] > 0
+
+
+    @pytest.mark.parametrize(
+        "config", [MachineConfig.mtvp(8), MachineConfig.cmp(4)], ids=["mtvp8", "cmp4"]
+    )
+    def test_sorted_queue_copies_track_the_heaps(self, config):
+        # several contexts push into shared (SMT) or per-core (CMP)
+        # queues; the probe's sorted copies must hold each heap's entries
+        from repro.select import AlwaysSelector
+        from repro.vp import WangFranklinPredictor
+
+        trace = get_workload("mcf").trace(length=3000, seed=1)
+        engine = Engine(
+            trace, config, predictor=WangFranklinPredictor(),
+            selector=AlwaysSelector(), metrics=MetricsRegistry(),
+        )
+        stats = engine.run()
+        assert stats.spawns > 0
+        copies = engine._obs._sorted_queues
+        heaps = [heap for group in engine._groups for heap in group.queues.values()]
+        assert len(copies) == sum(1 for heap in heaps if heap)
+        for heap in heaps:
+            assert copies.get(id(heap), []) == sorted(heap)
 
 
 class TestGoldenIdentity:
