@@ -1,8 +1,8 @@
-"""Branch predictors.
+"""The branch predictor.
 
 Table 1 of the paper specifies a 2bcgskew predictor with 64K-entry meta and
-gshare tables and a 16K-entry bimodal table.  We implement the component
-predictors (bimodal, gshare) and the 2bcgskew hybrid built from them.
+gshare tables and a 16K-entry bimodal table: one bimodal bank, two skewed
+gshare-style banks and a meta chooser, trained by one rule.
 
 Tables are shared between hardware contexts (as on a real SMT); global
 history is per-context state owned by the pipeline, threaded through the
@@ -10,18 +10,6 @@ history is per-context state owned by the pipeline, threaded through the
 with a simple copy.
 """
 
-from repro.branch.predictors import (
-    BimodalPredictor,
-    BranchPredictor,
-    GsharePredictor,
-    TwoBcGskewPredictor,
-    update_history,
-)
+from repro.branch.predictors import TwoBcGskewPredictor, update_history
 
-__all__ = [
-    "BimodalPredictor",
-    "BranchPredictor",
-    "GsharePredictor",
-    "TwoBcGskewPredictor",
-    "update_history",
-]
+__all__ = ["TwoBcGskewPredictor", "update_history"]

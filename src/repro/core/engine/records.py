@@ -46,14 +46,14 @@ class BookingGroup:
     width) map a cycle to its bookings, ``ports`` holds one such dict per
     issue class (Table 1: 6 int, 2 FP, 4 load/store under an 8-wide
     total).  ``rename`` is the rename-register pool, an ascending list of
-    the commit times of in-flight writers (registers free at commit; the
-    kernel pops the minimum).  ``queues`` holds the instruction queues
-    (IQ / FQ / MQ, keyed like ``ports``), min-heaps of the issue times of
-    their entries, since a slot frees when its entry issues, in any
-    order.  ``op_plan`` is a tuple indexed by op value of (queue heap,
-    issue-port booking dict, its capacity, execute latency).  The step
-    kernel is the only code that books; capacities come from the config
-    it reads once per burst.
+    the commit times of in-flight writers (registers free at commit).
+    ``queues`` holds the instruction queues (IQ / FQ / MQ, keyed like
+    ``ports``), ascending lists of the issue times of their entries (a
+    slot frees when its entry issues, in any order).  A full pool frees
+    its head, the minimum.  ``op_plan`` is a tuple indexed by op value of
+    (queue, issue-port booking dict, its capacity, execute latency).  The
+    step kernel is the only code that books; capacities come from the
+    config it reads once per burst.
     """
 
     __slots__ = (

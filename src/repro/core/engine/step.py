@@ -11,7 +11,6 @@ entries, port reservations, deferred measures — is timing state.
 from __future__ import annotations
 
 from bisect import insort
-from heapq import heappush, heapreplace
 
 from repro.branch import update_history
 from repro.core.config import FetchPolicy
@@ -59,12 +58,13 @@ class StepMixin:
         the processor-wide fetched count, which are also written back
         just before each call that reads them (the model's load and
         branch hooks, measure finalization, SpMT resolution).  The window
-        pools cost one cheap update each: the rename pool is an ascending
-        list (pop the head, append the commit time, insort only when it
-        lands below the tail), and a full IQ heap is peeked at fetch and
-        updated by one ``heapreplace`` at issue.  Per-op state comes from
-        the group's op-class plan, one tuple lookup per instruction, and
-        work whose result nothing reads is skipped (see DESIGN.md §5c).
+        pools are ascending lists, each with its minimum at the head: the
+        rename pool pops the head and appends the commit time (insort only
+        when it lands below the tail), and a full IQ's head is peeked at
+        fetch and deleted at issue, where the issue time is insorted.
+        Per-op state comes from the group's op-class plan, one tuple lookup
+        per instruction, and work whose result nothing reads is skipped
+        (see DESIGN.md §5c).
         """
         trace = ctx.trace
         trace_end = len(trace)
@@ -126,8 +126,8 @@ class StepMixin:
             # --- fetch: gated on stream position, redirects, a ROB slot, a
             # rename register and an IQ slot, then fetch bandwidth.  A full
             # pool releases its earliest occupant: the rename list pops its
-            # head here; a full IQ's head is read here and replaced by this
-            # entry at issue (nothing touches the heap in between).
+            # head here; a full IQ's head is read here and deleted at issue
+            # (nothing touches the queue in between).
             t = t_fetch
             if ctx.resume_at > t:
                 t = ctx.resume_at
@@ -139,10 +139,10 @@ class StepMixin:
                 rename_len -= 1
                 if rename_free > t:
                     t = rename_free
-            iq_heap, port_booked, port_cap, exec_lat = op_plan[op]
-            iq_full = len(iq_heap) >= iq_size
-            if iq_full and iq_heap[0] > t:
-                t = iq_heap[0]
+            iq, port_booked, port_cap, exec_lat = op_plan[op]
+            iq_full = len(iq) >= iq_size
+            if iq_full and iq[0] > t:
+                t = iq[0]
             # fetch booking: the earliest cycle >= t with a free slot
             n = fetch_booked.get(t, 0)
             while n >= fetch_cap:
@@ -184,9 +184,8 @@ class StepMixin:
             total_booked[t] = n_total + 1
             t_issue = t
             if iq_full:
-                heapreplace(iq_heap, t_issue)
-            else:
-                heappush(iq_heap, t_issue)
+                del iq[0]
+            insort(iq, t_issue)
 
             # --- execute / memory access / value prediction / branches
             spawn_record: SpawnRecord | None = None
@@ -308,7 +307,7 @@ class StepMixin:
             if obs is not None:
                 obs.step(
                     ctx.order, inst.pc, _OP_NAMES[op], t_fetch, t_issue,
-                    t_commit, rob, rename_pool, iq_heap, group.queues,
+                    t_commit, rob, rename_pool, group.queues,
                     store_buffer.total,
                 )
             if t_fetch >= ctx.measures_min_end:

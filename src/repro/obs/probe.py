@@ -18,7 +18,7 @@ refreshes per step while a probe is attached.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from collections import deque
 
 from repro.obs.events import EventKind
@@ -60,10 +60,6 @@ class Probe:
         #: step; clock-free components stamp their events with these
         self.now = 0
         self.tid = 0
-        #: a sorted copy of each instruction queue the engine steps
-        #: through, keyed by the id of its heap: a bisect counts what is
-        #: in flight, where the heap itself would need a scan
-        self._sorted_queues: dict[int, list[int]] = {}
 
     # ------------------------------------------------------------------
     # engine hooks
@@ -84,7 +80,6 @@ class Probe:
         t_commit: int,
         rob: deque[int],
         rename: list[int],
-        queue: list[int],
         queues: dict[str, list[int]],
         sb_total: int,
     ) -> None:
@@ -93,12 +88,12 @@ class Probe:
         ``rob`` is the context's ascending deque of commit times, ``rename``
         its group's ascending rename pool and ``queues`` its group's
         instruction queues (``int``, ``fp`` and ``mem``: the IQ, FQ and
-        MQ), min-heaps of issue times.  The instruction is already in its
-        pools: ``queue`` is the one its issue time ``t_issue`` went into,
-        pushed or, when full, in place of the minimum.  An entry is in
-        flight at fetch when its time is after ``t_fetch``; the pools
-        also keep entries that have left (they free one only when a fetch
-        needs the room), so each occupancy counts only the in-flight ones.
+        MQ), ascending lists of issue times.  The instruction is already
+        in its pools.  An entry is in flight at fetch when its time is
+        after ``t_fetch``; the pools also keep entries that have left
+        (they free one only when a fetch needs the room), so each
+        occupancy, one bisect of its ascending pool, counts only the
+        in-flight ones.
         """
         metrics = self.metrics
         if metrics is not None:
@@ -108,15 +103,10 @@ class Probe:
             metrics.histogram("rename_occupancy").observe(
                 t_fetch, len(rename) - bisect_right(rename, t_fetch)
             )
-            sorted_queues = self._sorted_queues
-            ordered = sorted_queues.setdefault(id(queue), [])
-            if len(ordered) == len(queue):
-                del ordered[0]
-            insort(ordered, t_issue)
             for key, name in _QUEUES:
-                ordered = sorted_queues.get(id(queues[key]), ())
+                queue = queues[key]
                 metrics.histogram(name).observe(
-                    t_fetch, len(ordered) - bisect_right(ordered, t_fetch)
+                    t_fetch, len(queue) - bisect_right(queue, t_fetch)
                 )
             metrics.histogram("store_buffer_occupancy").observe(t_fetch, sb_total)
         if self.tracer is not None:

@@ -131,9 +131,9 @@ class TestTwoBcGskewRoundTrip:
         restored = round_trip(original, build)
         for pc, hist, taken in after:
             pc = 0x400 + 4 * pc
-            assert restored.predict(pc, hist) == original.predict(pc, hist)
-            restored.update(pc, hist, taken)
-            original.update(pc, hist, taken)
+            assert restored.predict_and_update(pc, hist, taken) == (
+                original.predict_and_update(pc, hist, taken)
+            )
         assert restored.snapshot() == original.snapshot()
 
     def test_restore_into_a_trained_predictor(self):

@@ -268,29 +268,6 @@ class TestOccupancy:
             assert histograms["fq_occupancy"]["max"] > 0
 
 
-    @pytest.mark.parametrize(
-        "config", [MachineConfig.mtvp(8), MachineConfig.cmp(4)], ids=["mtvp8", "cmp4"]
-    )
-    def test_sorted_queue_copies_track_the_heaps(self, config):
-        # several contexts push into shared (SMT) or per-core (CMP)
-        # queues; the probe's sorted copies must hold each heap's entries
-        from repro.select import AlwaysSelector
-        from repro.vp import WangFranklinPredictor
-
-        trace = get_workload("mcf").trace(length=3000, seed=1)
-        engine = Engine(
-            trace, config, predictor=WangFranklinPredictor(),
-            selector=AlwaysSelector(), metrics=MetricsRegistry(),
-        )
-        stats = engine.run()
-        assert stats.spawns > 0
-        copies = engine._obs._sorted_queues
-        heaps = [heap for group in engine._groups for heap in group.queues.values()]
-        assert len(copies) == sum(1 for heap in heaps if heap)
-        for heap in heaps:
-            assert copies.get(id(heap), []) == sorted(heap)
-
-
 class TestGoldenIdentity:
     """Instrumentation is read-only: traced stats == untraced stats."""
 

@@ -8,7 +8,7 @@ with an ``IndexError`` or a negative shift count.
 
 import pytest
 
-from repro.branch import BimodalPredictor, GsharePredictor, TwoBcGskewPredictor
+from repro.branch import TwoBcGskewPredictor
 from repro.isa import InstructionBuilder
 from repro.select import IlpPredSelector
 from repro.vp import DfcmPredictor, LastValuePredictor, StridePredictor, WangFranklinPredictor
@@ -20,8 +20,6 @@ CASES = [
     (DfcmPredictor, "l2_entries", (0, 24)),
     (LastValuePredictor, "entries", (0, 5)),
     (StridePredictor, "entries", (0, 5)),
-    (BimodalPredictor, "entries", (0, 10)),
-    (GsharePredictor, "entries", (0, 10)),
     (TwoBcGskewPredictor, "bimodal_entries", (0, 10)),
     (TwoBcGskewPredictor, "skew_entries", (0, 10)),
     (TwoBcGskewPredictor, "meta_entries", (0, 10)),
@@ -64,5 +62,7 @@ def test_smallest_tables_train():
     ):
         for _ in range(3):
             predictor.train(load, 7)
-    for predictor in (BimodalPredictor(entries=1), GsharePredictor(entries=1)):
-        predictor.update(0x1004, 0b101, True)
+    bp = TwoBcGskewPredictor(bimodal_entries=1, skew_entries=1, meta_entries=1)
+    for _ in range(3):
+        bp.predict_and_update(0x1004, 0b101, True)
+    assert bp.predict_and_update(0x1004, 0b101, True)

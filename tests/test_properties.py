@@ -210,8 +210,7 @@ class TestBranchHistoryProperties:
         bp = TwoBcGskewPredictor()
         hist = 0
         for taken in outcomes:
-            bp.predict(0x4000, hist)
-            bp.update(0x4000, hist, taken)
+            bp.predict_and_update(0x4000, hist, taken)
             hist = update_history(hist, taken)
 
 

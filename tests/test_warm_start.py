@@ -16,9 +16,11 @@ Bit-identity contracts (DESIGN.md §5c, §5f):
 * ``MemoryHierarchy.install`` (the steady-state footprint, set by set)
   leaves every cache exactly as one original store per address does, and
   refuses the inputs for which that would not hold;
-* ``TwoBcGskewPredictor.train_many`` leaves exactly the tables and history
-  of the original ``_votes``-based ``update`` loop, kept here as
-  :func:`reference_update`;
+* ``TwoBcGskewPredictor.train_many``, ``update`` and ``predict_and_update``
+  leave exactly the tables and history of the 2bcgskew rule as first
+  written, kept here with its own index hash and counters as
+  :func:`reference_update`, and ``predict_and_update`` returns its
+  prediction on every call;
 * an engine built with ``arch=`` (the restore in the warm start's place)
   is identical to one that warmed and then restored the same payload.
 
@@ -29,6 +31,7 @@ for every predictor.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 
 import hypothesis.strategies as st
@@ -38,7 +41,6 @@ from hypothesis import given, settings
 from repro import _steady_state_footprint
 from repro import vp as vp_registry
 from repro.branch import TwoBcGskewPredictor, update_history
-from repro.branch.predictors import _skew_index
 from repro.core import Engine, MachineConfig
 from repro.harness.bench import stats_digest
 from repro.isa import Instruction, OpClass
@@ -509,28 +511,48 @@ class TestInstall:
 
 
 # ----------------------------------------------------------------------
-# 2bcgskew: train_many against the original update rule
+# 2bcgskew: every entry point against the update rule as first written
 # ----------------------------------------------------------------------
-def reference_update(bp: TwoBcGskewPredictor, pc: int, history: int, taken: bool) -> None:
-    """``TwoBcGskewPredictor.update`` as first written, over ``_votes``."""
-    bim, g0, g1 = bp._votes(pc, history)
+#: (history bits, odd multiplier) of the meta, G0 and G1 index hashes
+SKEW_BANKS = ((0, 0x9E3779B1), (6, 0x85EBCA77), (12, 0xC2B2AE3D))
+
+
+def skew_index(pc: int, history: int, bank: int) -> int:
+    """The skew hash of ``bank`` (0 meta, 1 G0, 2 G1), before masking."""
+    bits, multiplier = SKEW_BANKS[bank]
+    key = ((pc >> 2) << 16) | (history & ((1 << bits) - 1))
+    return (key * multiplier) >> 13
+
+
+def counter_taken(table: bytearray, index: int) -> bool:
+    return table[index % len(table)] >= 2
+
+
+def counter_train(table: bytearray, index: int, taken: bool) -> None:
+    """Step a 2-bit saturating counter toward ``taken``."""
+    i = index % len(table)
+    table[i] = min(3, table[i] + 1) if taken else max(0, table[i] - 1)
+
+
+def reference_update(bp: TwoBcGskewPredictor, pc: int, history: int, taken: bool) -> bool:
+    """The 2bcgskew rule as first written, over ``bp``'s tables; returns
+    the prediction."""
+    banks = (
+        (bp._bim, pc >> 2),
+        (bp._g0, skew_index(pc, history, 1)),
+        (bp._g1, skew_index(pc, history, 2)),
+    )
+    bim, g0, g1 = votes = [counter_taken(table, i) for table, i in banks]
     majority = (bim + g0 + g1) >= 2
-    meta_index = _skew_index(pc, history, 0)
-    use_eskew = bp._meta.taken(meta_index)
-    prediction = majority if use_eskew else bim
+    meta_index = skew_index(pc, history, 0)
+    prediction = majority if counter_taken(bp._meta, meta_index) else bim
     if majority != bim:
-        bp._meta.train(meta_index, majority == taken)
-    if prediction != taken:
-        bp._bim.train(pc >> 2, taken)
-        bp._g0.train(_skew_index(pc, history, 1), taken)
-        bp._g1.train(_skew_index(pc, history, 2), taken)
-    else:
-        if bim == taken:
-            bp._bim.train(pc >> 2, taken)
-        if g0 == taken:
-            bp._g0.train(_skew_index(pc, history, 1), taken)
-        if g1 == taken:
-            bp._g1.train(_skew_index(pc, history, 2), taken)
+        counter_train(bp._meta, meta_index, majority == taken)
+    for (table, i), vote in zip(banks, votes):
+        # total misprediction: every bank; otherwise the ones that agreed
+        if prediction != taken or vote == taken:
+            counter_train(table, i, taken)
+    return prediction
 
 
 def reference_train(bp: TwoBcGskewPredictor, branches, history: int) -> int:
@@ -549,22 +571,41 @@ def random_branches(seed: int, n: int = 5000) -> list[tuple[int, bool]]:
     return [(pc, rng.random() < bias[pc]) for pc in (rng.choice(pcs) for _ in range(n))]
 
 
+@functools.cache
+def branch_stream(name: str) -> list[tuple[int, bool]]:
+    """The ``(pc, taken)`` of each branch of ``name``'s length-16000 trace."""
+    return [
+        (inst.pc, inst.taken)
+        for inst in get_workload(name).trace(length=16000, seed=3)
+        if inst.op is OpClass.BRANCH
+    ]
+
+
+#: tables small enough that the random streams' PCs alias in every bank
+TINY = dict(bimodal_entries=8, skew_entries=16, meta_entries=8)
+
+
+def assert_predicts_like_the_reference(branches, sizes, history=0):
+    fast, reference = TwoBcGskewPredictor(**sizes), TwoBcGskewPredictor(**sizes)
+    for pc, taken in branches:
+        assert fast.predict_and_update(pc, history, taken) == (
+            reference_update(reference, pc, history, taken)
+        )
+        history = update_history(history, taken)
+    assert fast.snapshot() == reference.snapshot()
+
+
 class TestBranchTrainMany:
     @pytest.mark.parametrize("name", workload_names())
     def test_every_workload(self, name):
-        branches = [
-            (inst.pc, inst.taken)
-            for inst in get_workload(name).trace(length=16000, seed=3)
-            if inst.op is OpClass.BRANCH
-        ]
+        branches = branch_stream(name)
         fast, reference = TwoBcGskewPredictor(), TwoBcGskewPredictor()
         assert fast.train_many(branches, 0) == reference_train(reference, branches, 0)
         assert fast.snapshot() == reference.snapshot()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_stream_over_small_aliasing_tables(self, seed):
-        sizes = dict(bimodal_entries=8, skew_entries=16, meta_entries=8)
-        fast, reference = TwoBcGskewPredictor(**sizes), TwoBcGskewPredictor(**sizes)
+        fast, reference = TwoBcGskewPredictor(**TINY), TwoBcGskewPredictor(**TINY)
         branches = random_branches(seed)
         history = random.Random(seed).randrange(1 << 16)
         for chunk in (branches[:1], branches[1:700], branches[700:]):
@@ -581,6 +622,20 @@ class TestBranchTrainMany:
             reference_update(reference, pc, history, taken)
             history = update_history(history, taken)
         assert fast.snapshot() == reference.snapshot()
+
+
+class TestBranchPredictAndUpdate:
+    """The step kernel's entry point returns the reference rule's
+    prediction on every call and leaves its tables."""
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_every_workload(self, name):
+        assert_predicts_like_the_reference(branch_stream(name), {})
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_stream_over_small_aliasing_tables(self, seed):
+        history = random.Random(seed).randrange(1 << 16)
+        assert_predicts_like_the_reference(random_branches(seed), TINY, history)
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """The step kernel's window pools and burst-local position stay consistent.
 
-``StepMixin._steps`` keeps each group's rename pool as an ascending list
-(the minimum at index 0) and each IQ/FQ/MQ as a min-heap, and it keeps
-the context's trace position and the processor-wide fetched count in
+``StepMixin._steps`` keeps each group's rename pool and each IQ/FQ/MQ
+as an ascending list (the minimum at index 0), and it keeps the
+context's trace position and the processor-wide fetched count in
 locals for a whole burst, writing them back before each call that reads
 them and once at burst end.  A run paused every ``STEP`` instructions
 exposes the state between bursts; at every pause:
 
 * each rename list is ascending and holds at most ``rename_regs`` entries;
-* each IQ heap satisfies the heap invariant and holds at most ``iq_size``;
+* each IQ list is ascending and holds at most ``iq_size`` entries;
 * every context's position has advanced by exactly the instructions it
   fetched (``pos - start_pos == fetched_count``);
 * the processor-wide fetched count is the instructions stepped so far.
@@ -69,12 +69,11 @@ def _check_pools(engine: Engine, config: MachineConfig) -> None:
         pool = group.rename
         assert len(pool) <= config.rename_regs, i
         assert all(a <= b for a, b in zip(pool, pool[1:])), (i, pool)
-    heaps = {id(plan[0]): plan[0] for g in engine._groups for plan in g.op_plan}
-    assert len(heaps) == 3 * len(engine._groups)
-    for heap in heaps.values():
-        assert len(heap) <= config.iq_size
-        for i in range(1, len(heap)):
-            assert heap[(i - 1) // 2] <= heap[i], heap
+    queues = {id(plan[0]): plan[0] for g in engine._groups for plan in g.op_plan}
+    assert len(queues) == 3 * len(engine._groups)
+    for queue in queues.values():
+        assert len(queue) <= config.iq_size
+        assert all(a <= b for a, b in zip(queue, queue[1:])), queue
 
 
 def _check_positions(engine: Engine) -> int:
