@@ -105,6 +105,10 @@ MODE_PIN_CONFIGS = {
     "mtvp8_no_stall_mv2": ["mtvp", {"threads": 8,
                                     "fetch_policy": FetchPolicy.NO_STALL,
                                     "multi_value": 2}],
+    # 448 rename registers outlast the 256-entry ROB, so the ROB gates
+    # fetch: the Table 1 machine's 256 registers fill first
+    "baseline_rename448": ["hpca05_baseline", {"rename_regs": 448}],
+    "stvp_rename448": ["stvp", {"rename_regs": 448}],
 }
 MODE_PIN_WORKLOADS = ("mcf", "gcc 1", "twolf")
 #: the configs whose exported JSONL event stream is pinned as well
