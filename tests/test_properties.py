@@ -140,10 +140,10 @@ class TestAllocatorProperties:
             "int": config.int_issue, "fp": config.fp_issue, "mem": config.mem_issue,
         }
         for group in engine._groups:
-            assert max(group.fetch.values(), default=0) <= config.fetch_width
-            assert max(group.total.values(), default=0) <= config.issue_width
+            assert max(group.fetch) <= config.fetch_width
+            assert max(group.total) <= config.issue_width
             for q, booked in group.ports.items():
-                assert max(booked.values(), default=0) <= caps[q]
+                assert max(booked) <= caps[q]
         # every instruction's fetch is booked at or after the previous
         # fetch of its context, and its issue at or after its operands
         # could first be queued
