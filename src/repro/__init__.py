@@ -112,10 +112,11 @@ def simulate(
             restored from (or stored into) it under ``checkpoint_key``,
             so repeated warmups are paid once; a restore adopts the
             store's warm template of the entry, built on its first hit.
-            Instrumented runs (``tracer``/``metrics``) and multi-program
-            co-schedules never touch the store — snapshots exclude probe
-            state, and a co-schedule has no single warmup stream — but
-            still warm.
+            Observed runs (``tracer``/``metrics``) use it like any other:
+            only the timed run reports, so a restored observed run equals
+            a fresh one, events included.  Multi-program co-schedules
+            never touch the store (a co-schedule has no single warmup
+            stream) but still warm.
         checkpoint_key: Store key identifying the warmed state (see
             :func:`~repro.harness.checkpoint.arch_key`); required with a
             store (a :class:`ValueError` otherwise), ignored without one.
@@ -183,8 +184,7 @@ def simulate(
     # the warmed state is looked up before the engine is built, so that on
     # a hit the restore takes the warm start's place: the footprint is
     # never computed and the warm start never runs
-    instrumented = tracer is not None or metrics is not None
-    store = None if instrumented or traces is not None else checkpoints
+    store = None if traces is not None else checkpoints
     arch = store.get(checkpoint_key) if store is not None else None
     warm_addresses = None
     if arch is None and config.warm_caches and isinstance(workload_or_trace, Workload):

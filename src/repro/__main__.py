@@ -250,11 +250,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec, config = _run_recipe(args, observe=tracer is not None)
     length = _length(args)
 
+    policy = ExecutionPolicy(cache=False)
+
     def run():
-        if tracer is not None:  # events are not cacheable: straight to the engine
-            return spec.run(args.workload, length, args.seed, tracer=tracer)
+        if tracer is not None:
+            # events are not cacheable: straight to the engine, which
+            # still restores its warmed state from the checkpoint store
+            return spec.run(
+                args.workload, length, args.seed, tracer=tracer,
+                checkpoints=policy.resolved_checkpoints(),
+            )
         task = (args.workload, spec, length, args.seed)
-        return run_simulations([task], policy=ExecutionPolicy(cache=False))[0]
+        return run_simulations([task], policy=policy)[0]
 
     if args.profile:
         import cProfile

@@ -51,10 +51,6 @@ class TwoBcGskewPredictor:
     voted for the outcome.
     """
 
-    #: observability probe (see :mod:`repro.obs.probe`) or None; the
-    #: engine sets an instance attribute when observability is requested
-    obs = None
-
     def __init__(
         self,
         bimodal_entries: int = 16 * 1024,
@@ -123,15 +119,13 @@ class TwoBcGskewPredictor:
 
     def predict_and_update(self, pc: int, history: int, taken: bool) -> bool:
         """Predict and train on one branch of a timed run; return the
-        prediction.  The only entry point that reports a misprediction to
-        :attr:`obs`."""
-        prediction = self._train(pc, history, taken)
-        if prediction != taken and self.obs is not None:
-            self.obs.branch_mispredict(pc)
-        return prediction
+        prediction.  The step kernel compares it with ``taken`` and
+        reports a misprediction to the run's probe."""
+        return self._train(pc, history, taken)
 
     def update(self, pc: int, history: int, taken: bool) -> None:
-        """Train on one branch, unobserved (the fast-forward)."""
+        """Train on one branch of the fast-forward; nothing reads the
+        prediction."""
         self._train(pc, history, taken)
 
     def train_many(self, branches, history: int) -> int:

@@ -62,7 +62,10 @@ class Engine(
         metrics: Optional :class:`~repro.obs.MetricsRegistry`; when given,
             occupancy/speculation metrics land in ``stats.extended``.
             Instrumentation is strictly read-only: an instrumented run
-            produces bit-identical :class:`SimStats` counters.
+            produces bit-identical :class:`SimStats` counters.  Only the
+            timed run reports (the warm start and :meth:`fast_forward`
+            never do), so an observed engine snapshots and restores like
+            any other.
         arch: Optional :meth:`snapshot` payload (a warmup checkpoint).
             The engine restores it *instead of* running the warm start;
             the result is identical to warming and then restoring.
@@ -168,17 +171,13 @@ class Engine(
             roots.append(root)
         root = roots[0]
 
-        #: live observability probe, or None.  The hot loop tests this one
-        #: attribute per instruction; components hold the same probe or
-        #: None, so the disabled path costs one ``is not None`` test at
-        #: every hook site.
+        #: live observability probe, or None.  The engine's hook sites (the
+        #: step kernel's loads and branches among them) each test this one
+        #: attribute; the prefetcher, whose events the kernel cannot see,
+        #: is handed the probe when the timed run starts (:meth:`run`).
         self._obs: Probe | None = None
         if tracer is not None or metrics is not None:
             obs = self._obs = Probe(tracer=tracer, metrics=metrics)
-            self.hierarchy.obs = obs
-            if prefetcher is not None:
-                prefetcher.obs = obs
-            self.branch_predictor.obs = obs
             for r in roots:
                 obs.register_thread(r.order, f"ctx{r.slot}")
             obs.context_count(0, len(roots))
@@ -235,6 +234,10 @@ class Engine(
         if self._finished:
             raise RuntimeError("Engine.run() may only be called once")
         self._started = True
+        if self._obs is not None and self.hierarchy.prefetcher is not None:
+            # from here on, not before: the warm start and fast-forward
+            # train the prefetcher unobserved
+            self.hierarchy.prefetcher.obs = self._obs
         t0 = time.perf_counter()
         stop_at = (
             NO_LIMIT if max_steps is None else self._global_fetched + max_steps

@@ -111,9 +111,6 @@ class LifecycleMixin:
         stats = self.stats
         model = self.model
         obs = self._obs
-        if obs is not None:
-            obs.now = resolve_time
-            obs.tid = parent.order
 
         winner: ThreadContext | None = None
         for child, value in record.children:

@@ -47,11 +47,6 @@ class SnapshotMixin:
         ``warmup_instructions`` and the ``hierarchy``, ``branch`` and
         ``predictor`` snapshots: tables and contents only, no counters.
         """
-        if self._obs is not None:
-            raise RuntimeError(
-                "snapshot() does not support instrumented runs: the "
-                "observability probe holds unserializable stream state"
-            )
         if self._started:
             raise RuntimeError(
                 "snapshot() requires an engine whose timed run has not "
@@ -83,8 +78,6 @@ class SnapshotMixin:
         """
         if self._started:
             raise RuntimeError("restore() requires a freshly built engine")
-        if self._obs is not None:
-            raise RuntimeError("restore() does not support instrumented runs")
         if data.get("version") != SNAPSHOT_VERSION:
             raise ValueError(
                 f"unsupported engine snapshot version: {data.get('version')!r}"

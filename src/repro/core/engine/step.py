@@ -91,6 +91,9 @@ class StepMixin:
         store_buffer = self.store_buffer
         predictor = self.predictor
         obs = self._obs
+        if obs is not None:
+            # the prefetcher's events, fired inside the hierarchy, carry it
+            obs.tid = ctx.order
         pending = self._pending
         rob_size = config.rob_size
         rename_regs = config.rename_regs
@@ -162,11 +165,6 @@ class StepMixin:
                     base = self._slide(group, t)
             fetch_booked[i] = n + 1
             t_fetch = i + base
-            if obs is not None:
-                # refresh the clock-free components' stamp before any of
-                # them can fire below (hierarchy, branch and value predictor)
-                obs.now = t_fetch
-                obs.tid = ctx.order
 
             # --- rename/queue, operand ready
             t_ready = t_queue = t_fetch + front_latency
@@ -215,7 +213,13 @@ class StepMixin:
                     expected_level = (
                         hierarchy.probe_level(addr) if reads_level else None
                     )
-                    t_complete, _level = hierarchy.load(addr, inst.pc, t_issue)
+                    t_complete, level = hierarchy.load(addr, inst.pc, t_issue)
+                    if obs is not None and level:
+                        # served below the L1 (``MemLevel.L1`` is 0)
+                        obs.load_level(
+                            t_issue, ctx.order, inst.pc, addr, level,
+                            t_complete, hierarchy,
+                        )
                 if vp_on:
                     ctx.pos = pos
                     self._global_fetched = fetched
@@ -242,6 +246,8 @@ class StepMixin:
                     ctx.bhist = update_history(ctx.bhist, taken)
                     if predicted != taken:
                         stats.branch_mispredicts += 1
+                        if obs is not None:
+                            obs.branch_mispredict(t_fetch, ctx.order, inst.pc)
                         redirect = t_complete + 1
                         if redirect > ctx.resume_at:
                             ctx.resume_at = redirect

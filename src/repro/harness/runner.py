@@ -124,9 +124,10 @@ class RunSpec:
         restore its warmed architectural state — the warm start, plus the
         fast-forward when ``warmup`` is set — instead of re-deriving it;
         the key covers only architectural ingredients, so specs differing
-        in timing axes share checkpoints.  ``None`` means the in-process
+        in timing axes, observed or not, share checkpoints.  ``None``
+        means the in-process
         :data:`~repro.harness.checkpoint.MEMORY_CHECKPOINTS`; ``False``
-        re-derives the state.  Instrumented runs never use a store.
+        re-derives the state.
         """
         if metrics is None and self.observe:
             from repro.obs import MetricsRegistry
@@ -134,7 +135,7 @@ class RunSpec:
             metrics = MetricsRegistry()
         measured = self.sample if self.sample is not None else length
         checkpoint_key = None
-        if checkpoints is not False and tracer is None and metrics is None:
+        if checkpoints is not False:
             checkpoint_key = arch_key(
                 workload_name, seed, self.warmup, self, measured
             )

@@ -72,10 +72,6 @@ class MemoryHierarchy:
         #: demand loads satisfied at each level, reported as
         #: ``SimStats.level_counts``
         self.level_counts: dict[MemLevel, int] = {level: 0 for level in MemLevel}
-        #: observability probe (see :mod:`repro.obs.probe`) or None; only
-        #: below-L1 outcomes report, so the hot L1-hit path carries zero
-        #: overhead
-        self.obs = None
 
     # ------------------------------------------------------------------
     def _prune_inflight(self, now: int) -> None:
@@ -95,18 +91,6 @@ class MemoryHierarchy:
         for line in [ln for ln, t in inflight.items() if t < horizon]:
             del inflight[line]
         self._prune_threshold = max(4096, 2 * len(inflight))
-
-    def _note(self, now: int, pc: int, addr: int, level: MemLevel, complete: int) -> None:
-        """Report a below-L1 access to the attached observability probe.
-
-        Cache residency is sampled here — at miss times — because that is
-        when occupancy changes; between misses the contents are static, so
-        the cycle-weighted histograms lose nothing.
-        """
-        self.obs.load_level(
-            now, pc, addr, level.name.lower(), complete,
-            self.l1.occupancy, self.l2.occupancy, self.l3.occupancy,
-        )
 
     def load(self, addr: int, pc: int, now: int) -> tuple[int, MemLevel]:
         """Perform a demand load access at time ``now``.
@@ -141,22 +125,16 @@ class MemoryHierarchy:
             if stream_time is not None:
                 l1.insert(addr)
                 level_counts[MemLevel.STREAM] += 1
-                if self.obs is not None:
-                    self._note(now, pc, addr, MemLevel.STREAM, stream_time)
                 return stream_time, MemLevel.STREAM
             self.prefetcher.train(pc, addr, now)
         if self.l2.lookup(addr):
             l1.insert(addr)
             level_counts[MemLevel.L2] += 1
-            if self.obs is not None:
-                self._note(now, pc, addr, MemLevel.L2, now + self.l2.latency)
             return now + self.l2.latency, MemLevel.L2
         if self.l3.lookup(addr):
             l1.insert(addr)
             self.l2.insert(addr)
             level_counts[MemLevel.L3] += 1
-            if self.obs is not None:
-                self._note(now, pc, addr, MemLevel.L3, now + self.l3.latency)
             return now + self.l3.latency, MemLevel.L3
         # full miss to memory, subject to MSHR availability
         start = now
@@ -173,8 +151,6 @@ class MemoryHierarchy:
         self._inflight[line] = complete
         self._prune_inflight(now)
         level_counts[MemLevel.MEMORY] += 1
-        if self.obs is not None:
-            self._note(now, pc, addr, MemLevel.MEMORY, complete)
         return complete, MemLevel.MEMORY
 
     def store(self, addr: int, now: int) -> None:

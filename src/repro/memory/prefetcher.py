@@ -25,6 +25,8 @@ one buffer instead of thrashing the pool.
 
 from __future__ import annotations
 
+from repro.tables import power_of_two
+
 
 class StreamBuffer:
     """One stream buffer: prefetched lines with fill times.
@@ -73,10 +75,7 @@ class StridePrefetcher:
         fill_latency: int = 250,
         hit_latency: int = 4,
     ) -> None:
-        if line_size <= 0 or line_size & (line_size - 1):
-            raise ValueError(
-                f"line_size must be a power of two, got {line_size}"
-            )
+        power_of_two("line_size", line_size)
         self.table_entries = table_entries
         self.num_streams = num_streams
         self.depth = depth

@@ -18,6 +18,8 @@ below entries").
 
 from __future__ import annotations
 
+from repro.tables import power_of_two
+
 
 class StoreEntry:
     """One buffered speculative store."""
@@ -52,10 +54,7 @@ class StoreBuffer:
     def __init__(self, capacity: int | None = 128, granularity: int = 8) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError("capacity must be positive or None")
-        if granularity <= 0 or granularity & (granularity - 1):
-            raise ValueError(
-                f"granularity must be a power of two, got {granularity}"
-            )
+        power_of_two("granularity", granularity)
         self.capacity = capacity
         self.granularity = granularity
         self._shift = granularity.bit_length() - 1

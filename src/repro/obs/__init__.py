@@ -15,12 +15,16 @@ show.  This package is the measurement substrate for those questions:
   (in-flight ROB/rename/IQ and store-buffer occupancy, speculation
   distance, live context count, per-level cache residency) aggregated
   into ``SimStats.extended`` at the end of a run.
-* :class:`Probe` — the single object the engine threads through the
-  memory stack, branch predictor and value predictors.  When
-  observability is off every ``obs`` attribute is ``None``, so every
-  instrumentation site costs one ``is not None`` test (the overhead
-  contract in DESIGN.md §5d, guarded by the golden-identity tests and
-  the suite benchmark under ``bench/``).
+* :class:`Probe` — the single object every hook site calls.  The engine
+  holds it and reports what its components decide (loads served below
+  the L1, mispredicted branches, value-prediction outcomes) with the
+  cycle and context in hand; the stride prefetcher alone holds it too,
+  from the start of the timed run, so only the timed run reports and an
+  observed engine warms and restores like any other.  When
+  observability is off the probe is ``None``, so every instrumentation
+  site costs one ``is not None`` test (the overhead contract in
+  DESIGN.md §5d, guarded by the golden-identity tests and the suite
+  benchmark under ``bench/``).
 """
 
 from repro.obs.events import EVENT_NAMES, EventKind

@@ -3,27 +3,35 @@
 One :class:`Probe` instance per observed engine bundles the optional
 :class:`~repro.obs.tracer.Tracer` and
 :class:`~repro.obs.metrics.MetricsRegistry` and exposes one method per
-instrumentation site.  The engine and its components (memory hierarchy,
-prefetcher, branch predictor) hold the probe in an ``obs`` attribute
-that is ``None`` when observability is off, so every hook site compiles
+instrumentation site.  The engine holds the probe in ``Engine._obs``,
+which is ``None`` when observability is off, so every hook site compiles
 down to a single ``is not None`` test.  That test is the entire
 disabled-path cost; the untraced suite benchmark under ``bench/``
 measures it.
 
-Timestamps: most hooks receive an explicit cycle because the caller has
-one in hand.  Sites buried inside predictors (which are deliberately
-clock-free) use :attr:`Probe.now`/:attr:`Probe.tid`, which the engine
-refreshes per step while a probe is attached.
+The engine calls every hook but the prefetcher's, with the cycle and the
+context in hand: the step kernel reports each load served below the L1
+right after the hierarchy returns it, and each mispredicted branch right
+after the branch predictor.  The stride prefetcher is the one component
+that holds the probe, because its stream-buffer events happen inside a
+load; the engine hands it the probe when the timed run starts, so the
+warm start and the fast-forward never report.  The probe keeps no clock:
+the prefetcher passes its own cycle, and :attr:`Probe.tid`, which the
+kernel sets at each burst, names the context whose load it serves.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
+from typing import TYPE_CHECKING
 
 from repro.obs.events import EventKind
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
+
+if TYPE_CHECKING:
+    from repro.memory import MemLevel, MemoryHierarchy
 
 _INSTRUCTION = int(EventKind.INSTRUCTION)
 _LOAD_MISS = int(EventKind.LOAD_MISS)
@@ -56,9 +64,8 @@ class Probe:
             raise ValueError("an enabled Probe needs a tracer or a metrics registry")
         self.tracer = tracer
         self.metrics = metrics
-        #: current simulated cycle / context order, engine-refreshed each
-        #: step; clock-free components stamp their events with these
-        self.now = 0
+        #: order of the context the step kernel is running, set at each
+        #: burst; the prefetcher's events carry it
         self.tid = 0
 
     # ------------------------------------------------------------------
@@ -192,33 +199,53 @@ class Probe:
         if self.metrics is not None:
             self.metrics.histogram("context_count").observe(cycle, alive)
 
+    def vp_outcome(self, correct: bool) -> None:
+        if self.metrics is not None:
+            self.metrics.count("vp_verified" if correct else "vp_squashed")
+
     # ------------------------------------------------------------------
-    # memory-stack hooks (called from hierarchy.py / prefetcher.py)
+    # step-kernel hooks for what the hierarchy and branch predictor decide
     # ------------------------------------------------------------------
     def load_level(
         self,
-        now: int,
+        cycle: int,
+        tid: int,
         pc: int,
         addr: int,
-        level_name: str,
+        level: MemLevel,
         complete: int,
-        l1_occupancy: int,
-        l2_occupancy: int,
-        l3_occupancy: int,
+        hierarchy: MemoryHierarchy,
     ) -> None:
-        """A demand load satisfied below the L1 (the misses that matter)."""
+        """A demand load served below the L1 (the misses that matter).
+
+        ``level`` is the :class:`~repro.memory.MemLevel` that served it
+        and ``hierarchy`` the :class:`~repro.memory.MemoryHierarchy`, just
+        after the access.  Cache residency is sampled here, at miss times,
+        and only here: a store that fills a line between two misses
+        moves an occupancy no histogram sees until the next miss.
+        """
+        level_name = level.name.lower()
         metrics = self.metrics
         if metrics is not None:
             metrics.count(f"load_{level_name}")
-            metrics.histogram("l1_residency").observe(now, l1_occupancy)
-            metrics.histogram("l2_residency").observe(now, l2_occupancy)
-            metrics.histogram("l3_residency").observe(now, l3_occupancy)
+            metrics.histogram("l1_residency").observe(cycle, hierarchy.l1.occupancy)
+            metrics.histogram("l2_residency").observe(cycle, hierarchy.l2.occupancy)
+            metrics.histogram("l3_residency").observe(cycle, hierarchy.l3.occupancy)
         if self.tracer is not None:
             self.tracer.emit(
-                now, _LOAD_MISS, self.tid,
+                cycle, _LOAD_MISS, tid,
                 {"pc": pc, "addr": addr, "level": level_name, "complete": complete},
             )
 
+    def branch_mispredict(self, cycle: int, tid: int, pc: int) -> None:
+        if self.metrics is not None:
+            self.metrics.count("branch_mispredicts_observed")
+        if self.tracer is not None:
+            self.tracer.emit(cycle, _BRANCH_MISPREDICT, tid, {"pc": pc})
+
+    # ------------------------------------------------------------------
+    # prefetcher hooks (timed run only; see the module docstring)
+    # ------------------------------------------------------------------
     def prefetch_issue(self, now: int, tag: int, lines: int) -> None:
         if self.metrics is not None:
             self.metrics.count("prefetch_lines_issued", lines)
@@ -232,19 +259,6 @@ class Probe:
             self.metrics.count("prefetch_hits_observed")
         if self.tracer is not None:
             self.tracer.emit(now, _PREFETCH_HIT, self.tid, {"line": line})
-
-    # ------------------------------------------------------------------
-    # predictor hooks (clock-free callers; stamped with Probe.now)
-    # ------------------------------------------------------------------
-    def branch_mispredict(self, pc: int) -> None:
-        if self.metrics is not None:
-            self.metrics.count("branch_mispredicts_observed")
-        if self.tracer is not None:
-            self.tracer.emit(self.now, _BRANCH_MISPREDICT, self.tid, {"pc": pc})
-
-    def vp_outcome(self, correct: bool) -> None:
-        if self.metrics is not None:
-            self.metrics.count("vp_verified" if correct else "vp_squashed")
 
     # ------------------------------------------------------------------
     def finalize(self, finish_time: int) -> dict:

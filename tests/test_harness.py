@@ -13,7 +13,6 @@ import pytest
 from repro import vp
 from repro.core import MachineConfig
 from repro.harness import (
-    CheckpointStore,
     ExecutionPolicy,
     ExperimentResult,
     ModeResult,
@@ -77,21 +76,6 @@ class TestRunner:
         [again] = run_simulations([("mcf", observed_spec, 1200, 0)], policy=policy)
         assert cache.hits == 1
         assert again.extended == observed.extended
-
-    def test_tracer_runs_bypass_cache(self, tmp_path):
-        from repro.obs import Tracer
-
-        spec = RunSpec(
-            "mtvp8", functools.partial(MachineConfig.mtvp, 8),
-            predictor_factory="wang-franklin", selector_factory="always",
-        )
-        store = CheckpointStore(tmp_path)
-        tracer = Tracer()
-        stats = spec.run("mcf", 1500, 0, tracer=tracer, checkpoints=store)
-        assert len(tracer) > 0
-        # instrumented runs never read or write a checkpoint store
-        assert store.stores == 0 and store.hits == 0
-        assert stats == spec.run("mcf", 1500, 0, checkpoints=False)
 
     def test_string_recipes_are_cacheable(self):
         spec = RunSpec(

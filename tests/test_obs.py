@@ -17,9 +17,11 @@ import json
 
 import pytest
 
+from repro import simulate
 from repro.core import MachineConfig
 from repro.core.engine import Engine
 from repro.harness.bench import stats_digest
+from repro.memory import MemLevel
 from repro.obs import (
     EVENT_NAMES,
     CycleWeightedHistogram,
@@ -266,6 +268,43 @@ class TestOccupancy:
         # an empty FQ would match trivially; swim's FP code fills it
         if workload == "swim":
             assert histograms["fq_occupancy"]["max"] > 0
+
+
+class TestOnlyTheTimedRunReports:
+    """The warm start and the fast-forward train the prefetcher, but only
+    the timed run reports: the observed stream hits are the run's own, and
+    no prefetcher event predates the first timed load."""
+
+    @pytest.mark.parametrize("machine", ["baseline", "mtvp8"])
+    @pytest.mark.parametrize("workload", ["swim", "mcf"])
+    def test_observed_prefetcher_events_are_the_timed_runs(self, workload, machine):
+        config = (
+            MachineConfig.hpca05_baseline() if machine == "baseline"
+            else MachineConfig.mtvp(8)
+        )
+        tracer = Tracer()
+        stats = simulate(
+            workload, config, length=4000, warmup=4000, tracer=tracer,
+            metrics=MetricsRegistry(),
+        )
+        counters = stats.extended["metrics"]["counters"]
+        assert stats.prefetch_stream_hits > 0
+        assert (
+            counters["prefetch_hits_observed"]
+            == stats.prefetch_stream_hits
+            == stats.level_counts[MemLevel.STREAM]
+        )
+        for level in (MemLevel.STREAM, MemLevel.L2, MemLevel.L3, MemLevel.MEMORY):
+            name = f"load_{level.name.lower()}"
+            assert counters.get(name, 0) == stats.level_counts[level], name
+        # a timed load issues no earlier than the end of the front end
+        assert tracer.dropped == 0
+        early = [
+            (cycle, EVENT_NAMES[kind]) for cycle, kind, _tid, _args in tracer.events
+            if kind in (EventKind.PREFETCH_ISSUE, EventKind.PREFETCH_HIT)
+            and cycle < config.front_latency
+        ]
+        assert not early
 
 
 class TestGoldenIdentity:

@@ -8,14 +8,18 @@ keeps it as digest-framed bytes in a small LRU.  Contracts:
 * a restored run is byte-identical to a fresh ``checkpoints=False`` run,
   and a restore never changes the entry or the warm template it came
   from;
-* instrumented, multi-program, explicit-trace and lambda-factory runs,
-  and ``checkpoints=False``, never touch the memo;
+* an observed run (tracer, metrics) warms and restores like any other:
+  restored, its stats, ``extended`` and exported events equal a fresh
+  run's;
+* multi-program, explicit-trace and lambda-factory runs, and
+  ``checkpoints=False``, never touch the memo;
 * a damaged frame is a discarded miss, and the LRU stays within capacity;
 * serial, pooled and cached ``run_simulations`` agree byte for byte.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import pytest
@@ -23,7 +27,13 @@ import pytest
 from repro import simulate
 from repro.core import MachineConfig
 from repro.core.engine.snapshot import shared
-from repro.harness import ExecutionPolicy, ResultCache, RunSpec, compare_modes
+from repro.harness import (
+    CheckpointStore,
+    ExecutionPolicy,
+    ResultCache,
+    RunSpec,
+    compare_modes,
+)
 from repro.harness.bench import stats_digest
 from repro.harness.checkpoint import MEMORY_CHECKPOINTS, _MemoryCheckpoints
 from repro.harness.parallel import _pool_batches
@@ -96,18 +106,61 @@ class TestRestoredRunsMatchFreshOnes:
         assert hits + misses == 3 * len(names)
 
 
+class TestObservedRunsRestore:
+    """An observed run restored from a :class:`CheckpointStore` or from
+    the in-process memo equals a fresh one: no component reports before
+    the timed run, so the warmed state carries no probe state."""
+
+    MTVP8_WARMED = dataclasses.replace(MTVP8, name="mtvp8-warmed", warmup=2000)
+    SPMT8 = RunSpec("spmt8", functools.partial(MachineConfig.spmt, 8))
+    CASES = [
+        pytest.param(BASELINE, "mcf", 0, id="baseline-mcf"),
+        pytest.param(STVP, "gcc 1", 1, id="stvp-gcc1"),
+        pytest.param(MTVP8_WARMED, "mcf", 1, id="mtvp8-warmup-mcf"),
+        pytest.param(SPMT8, "gcc 1", 1, id="spmt8-gcc1"),
+    ]
+
+    @staticmethod
+    def observed(spec, workload, seed, checkpoints, path):
+        """Digest, ``extended`` and JSONL bytes of one observed run."""
+        tracer = Tracer()
+        stats = spec.run(
+            workload, LENGTH, seed, tracer=tracer, metrics=MetricsRegistry(),
+            checkpoints=checkpoints,
+        )
+        assert tracer.dropped == 0
+        return stats_digest(stats), stats.extended, tracer.export_jsonl(path).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["directory", "memory"])
+    @pytest.mark.parametrize("spec, workload, seed", CASES)
+    def test_a_restored_observed_run_equals_a_fresh_one(
+        self, spec, workload, seed, kind, tmp_path
+    ):
+        fresh = self.observed(spec, workload, seed, False, tmp_path / "fresh.jsonl")
+        store = (
+            CheckpointStore(tmp_path / "ckpt") if kind == "directory"
+            else _MemoryCheckpoints(capacity=2)
+        )
+        for i in range(2):
+            got = self.observed(spec, workload, seed, store, tmp_path / f"{i}.jsonl")
+            assert got == fresh
+        # the first run warmed and stored, the second restored
+        assert traffic(store) == (1, 1, 1)
+        assert fresh[1]["metrics"]["counters"] and fresh[2]
+
+    def test_observed_runs_use_the_memo(self):
+        before = traffic()
+        dataclasses.replace(STVP, name="o", observe=True).run("mcf", LENGTH)
+        STVP.run("mcf", LENGTH, tracer=Tracer())
+        hits, misses, _stores = (now - then for now, then in zip(traffic(), before))
+        # both consult the memo, and the second restores at the latest
+        assert hits >= 1 and hits + misses == 2
+
+
 class TestMemoBypass:
     @pytest.mark.parametrize(
         "run",
         [
-            pytest.param(lambda: STVP.run("mcf", LENGTH, tracer=Tracer()), id="tracer"),
-            pytest.param(
-                lambda: STVP.run("mcf", LENGTH, metrics=MetricsRegistry()), id="metrics"
-            ),
-            pytest.param(
-                lambda: RunSpec("o", MachineConfig.stvp, observe=True).run("mcf", LENGTH),
-                id="observe",
-            ),
             pytest.param(
                 lambda: RunSpec("smt", MachineConfig.smt).run("mcf", LENGTH), id="smt"
             ),
