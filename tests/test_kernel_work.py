@@ -16,6 +16,11 @@ per-load work when nothing consumes their result:
 These tests count calls by wrapping the methods on their classes, so a
 regression that brings the dead work back fails here even though results
 (which the golden digests pin) would not change.
+
+The kernel does not count loads either: every timed load is a
+store-buffer forward or one ``MemoryHierarchy.load``, so ``loads`` is
+their sum.  ``TestLoadCount`` checks that sum against the loads of the
+measured trace, a count that does not come from the formula.
 """
 
 from __future__ import annotations
@@ -55,6 +60,17 @@ COUNTED = (
 #: the models without value prediction, one preset each
 NON_PREDICTING = {
     "baseline": MachineConfig.hpca05_baseline,
+    "smt": lambda: MachineConfig.smt(2),
+    "spmt": lambda: MachineConfig.spmt(8),
+}
+
+
+#: one preset per registered execution model
+EVERY_MODE = {
+    "baseline": MachineConfig.hpca05_baseline,
+    "stvp": MachineConfig.stvp,
+    "spawn_only": lambda: MachineConfig.spawn_only(8),
+    "mtvp": lambda: MachineConfig.mtvp(8),
     "smt": lambda: MachineConfig.smt(2),
     "spmt": lambda: MachineConfig.spmt(8),
 }
@@ -235,3 +251,29 @@ class TestMeasures:
             assert cls.learns, cls
         for cls in (AlwaysSelector, MissOracleSelector):
             assert not cls.learns, cls
+
+
+class TestLoadCount:
+    @pytest.mark.parametrize("warmup", [0, 1500])
+    @pytest.mark.parametrize("machine", ["baseline", "stvp"])
+    def test_loads_are_the_measured_trace_loads(self, machine, warmup):
+        engine = _engine(EVERY_MODE[machine](), IlpPredSelector())
+        engine.fast_forward(warmup)
+        start = engine._contexts[0].pos
+        assert start == warmup
+        stats = engine.run()
+        measured = engine.trace[start:]
+        assert stats.loads == sum(1 for inst in measured if inst.op is OpClass.LOAD)
+        assert stats.loads > 0
+
+    def test_every_mode_is_covered(self):
+        assert {resolve_model(EVERY_MODE[m]().mode).key for m in EVERY_MODE} == set(
+            names()
+        )
+
+    @pytest.mark.parametrize("machine", sorted(EVERY_MODE))
+    def test_loads_are_forwards_plus_hierarchy_loads(self, machine):
+        engine = _engine(EVERY_MODE[machine](), AlwaysSelector())
+        stats = engine.run()
+        assert stats.loads > 0
+        assert stats.loads == stats.store_forwards + sum(stats.level_counts.values())

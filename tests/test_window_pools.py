@@ -9,13 +9,17 @@ exposes the state between bursts; at every pause:
 
 * each rename list is ascending and holds at most ``rename_regs`` entries;
 * each IQ list is ascending and holds at most ``iq_size`` entries;
-* every context's position has advanced by exactly the instructions it
-  fetched (``pos - start_pos == fetched_count``);
 * the processor-wide fetched count is the instructions stepped so far.
 
-The golden digests pin the results these pools produce; this test pins
-the pools' shape, so a pool that loses its order or a position that is
-not written back fails here at the first pause that shows it.
+Across every burst of a whole run, the stepped context's position
+advances by exactly the rise in the processor-wide fetched count: a
+burst steps one context, so every instruction it fetched is one position
+of that context.
+
+The golden digests pin the results these pools produce; these tests pin
+the pools' shape and the written-back position, so a pool that loses its
+order or a position that is not written back fails here at the first
+pause or burst that shows it.
 """
 
 from __future__ import annotations
@@ -76,15 +80,6 @@ def _check_pools(engine: Engine, config: MachineConfig) -> None:
         assert all(a <= b for a, b in zip(queue, queue[1:])), queue
 
 
-def _check_positions(engine: Engine) -> int:
-    checked = 0
-    for ctx in engine._contexts:
-        if ctx is not None:
-            assert ctx.pos - ctx.start_pos == ctx.fetched_count, ctx
-            checked += 1
-    return checked
-
-
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("machine", sorted(MACHINES))
 def test_pools_and_positions_hold_at_every_pause(machine, workload):
@@ -94,20 +89,40 @@ def test_pools_and_positions_hold_at_every_pause(machine, workload):
     # most is SMT(2) at 2 × LENGTH), so a run that stops advancing, as
     # with a position never written back, fails instead of hanging
     most_pauses = config.num_contexts * LENGTH // STEP + 1
-    pauses = checked = 0
+    pauses = 0
     stats = engine.run(max_steps=STEP)
     while stats is None:
         pauses += 1
         assert pauses <= most_pauses
         assert engine._global_fetched == STEP * pauses
         _check_pools(engine, config)
-        checked += _check_positions(engine)
         stats = engine.run(max_steps=STEP)
     _check_pools(engine, config)
-    _check_positions(engine)
-    assert pauses and checked >= pauses
+    assert pauses
     assert engine._global_fetched == stats.instructions_stepped
     assert STEP * pauses < stats.instructions_stepped <= STEP * (pauses + 1)
     if resolve_model(config.mode).single_context:
         # one context steps each instruction once
         assert stats.instructions_stepped == LENGTH
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+def test_every_burst_advances_pos_by_the_instructions_it_fetched(
+    monkeypatch, machine, workload
+):
+    config = MACHINES[machine]()
+    engine = _engine(config, workload)
+    steps = Engine._steps
+    bursts = []
+
+    def checked(self, ctx, second_hint, stop_at):
+        pos, fetched = ctx.pos, self._global_fetched
+        steps(self, ctx, second_hint, stop_at)
+        assert ctx.pos - pos == self._global_fetched - fetched, ctx
+        bursts.append(ctx.pos - pos)
+
+    monkeypatch.setattr(Engine, "_steps", checked)
+    stats = engine.run()
+    # a single-context run is one burst; the others are many
+    assert bursts and sum(bursts) == stats.instructions_stepped
