@@ -44,7 +44,6 @@ class ThreadContext:
         "commit_cycle",
         "commits_in_cycle",
         "bhist",
-        "fetched_count",
         "within_commits",
         "beyond_commits",
         "last_within_commit",
@@ -98,7 +97,6 @@ class ThreadContext:
         self.last_commit = start_time
         self.commit_cycle = -1
         self.commits_in_cycle = 0
-        self.fetched_count = 0
         self.within_commits = 0
         self.beyond_commits = 0
         self.last_within_commit = start_time

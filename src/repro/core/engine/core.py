@@ -278,6 +278,10 @@ class Engine(
     def _collect_component_stats(self) -> None:
         self.stats.level_counts = dict(self.hierarchy.level_counts)
         self.stats.store_forwards = self.store_buffer.forward_hits
+        # every timed load is a store-buffer forward or one hierarchy load
+        self.stats.loads = self.stats.store_forwards + sum(
+            self.stats.level_counts.values()
+        )
         pf = self.hierarchy.prefetcher
         if pf is not None:
             self.stats.prefetch_stream_hits = pf.stream_hits

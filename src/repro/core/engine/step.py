@@ -13,7 +13,6 @@ from __future__ import annotations
 from bisect import insort
 
 from repro.branch import update_history
-from repro.core.config import FetchPolicy
 from repro.core.context import ThreadContext
 from repro.core.engine.records import (
     _BRANCH,
@@ -46,28 +45,9 @@ class StepMixin:
         runner-up); or the head of the pending spawn heap is due.  Those
         are exactly the events after which the scheduler's scan could
         choose differently, so a burst makes the same decisions as one
-        scan per instruction.
-
-        This is the simulator's innermost loop, so it trades repetition
-        for speed: everything fixed for the burst (the context's trace,
-        ROB and register map, its group's pools, calendars and their base,
-        engine components and the config and model fields it reads) is a
-        local, and the commit-bandwidth fields live in locals until the
-        burst ends.  So do ``ctx.pos`` and the processor-wide fetched
-        count, which are also written back just before each call that
-        reads them (the model's load and branch hooks, measure
-        finalization, SpMT resolution).  The fetch and issue bookings
-        index the group's calendars directly (this is the only code that
-        books them) with no bounds check: a read past the end raises
-        ``IndexError``, and the handler slides the calendars
-        (:meth:`_slide`) and redoes the booking.  The window
-        pools are ascending lists, each with its minimum at the head: the
-        rename pool pops the head and appends the commit time (insort only
-        when it lands below the tail), and a full IQ's head is peeked at
-        fetch and deleted at issue, where the issue time is insorted.
-        Per-op state comes from the group's op-class plan, one tuple lookup
-        per instruction, and work whose result nothing reads is skipped
-        (see DESIGN.md §5c).
+        scan per instruction.  DESIGN.md §5c has the rest: the burst
+        locals and their write-backs, the booking calendars and their
+        slide, the window pools and the work the kernel skips.
         """
         trace = ctx.trace
         trace_end = len(trace)
@@ -107,9 +87,8 @@ class StepMixin:
         reads_level = vp_on and self.selector.reads_level
         predict_load = model.handle_load_prediction
         branch_spawn = model.spawn_on_branches
-        block_on_spawn = config.fetch_policy is FetchPolicy.SINGLE_FETCH_PATH
         order_snap = self._next_order
-        fetched = start_fetched = self._global_fetched
+        fetched = self._global_fetched
         pos = ctx.pos
         t_fetch = ctx.last_fetch
         last_commit = ctx.last_commit
@@ -122,11 +101,7 @@ class StepMixin:
             # --- speculative store gating: never start a store the buffer
             # cannot hold; the thread stalls until a resolution frees space
             if op is _STORE and ctx.speculative and store_buffer.is_full:
-                ctx.sb_paused = True
-                stats.store_buffer_stalls += 1
-                self._sb_waiters.append(ctx)
-                if obs is not None:
-                    obs.sb_stall(max(t_fetch, ctx.resume_at), ctx.order, inst.pc)
+                self._sb_pause(ctx, t_fetch, inst.pc)
                 break
 
             # --- fetch: gated on stream position, redirects, a ROB slot, a
@@ -201,7 +176,6 @@ class StepMixin:
             # --- execute / memory access / value prediction / branches
             spawn_record: SpawnRecord | None = None
             if op is _LOAD:
-                stats.loads += 1
                 addr = inst.addr
                 if (
                     store_buffer.total
@@ -331,8 +305,6 @@ class StepMixin:
             pos += 1
             if pos >= trace_end:
                 ctx.done = True
-            if spawn_record is not None and block_on_spawn:
-                ctx.blocked = True
             if branch_spawn:
                 # SPMT resolution is position-triggered: the spawn resolves
                 # the moment the parent has executed the whole skipped region
@@ -369,7 +341,6 @@ class StepMixin:
         ctx.last_commit = last_commit
         ctx.commit_cycle = commit_cycle
         ctx.commits_in_cycle = commits_in_cycle
-        ctx.fetched_count += fetched - start_fetched
 
     def _slide(self, group: BookingGroup, need: int) -> int:
         """Slide ``group``'s calendars to cover cycle ``need``; return the

@@ -29,7 +29,7 @@ class SmtModel(ExecutionModel):
     def context_priority(self, ctx) -> int:
         # ICOUNT fairness: among contexts ready at the same cycle, favor
         # the one that has made the least forward progress
-        return ctx.fetched_count
+        return ctx.pos - ctx.start_pos
 
     def finalize_stats(self, engine) -> None:
         rows = []
