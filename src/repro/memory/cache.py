@@ -22,6 +22,11 @@ SNAPSHOT_VERSION = 3
 #: hot lookup path can do one ``dict.pop`` instead of test + delete + insert
 _MISS = object()
 
+#: the one empty set every new cache, and every unoccupied set of a
+#: :meth:`Cache.shared` payload, reads; never written (a first write
+#: copies it)
+_EMPTY: dict[int, None] = {}
+
 
 def _count_code(assoc: int) -> str:
     """``array`` typecode of a snapshot's per-set counts: a byte each,
@@ -39,9 +44,9 @@ class Cache:
     Sets are copy-on-write.  ``_sets[i]`` is the set this cache owns, or
     ``None`` while it reads ``_base[i]``, a set it may share with other
     caches and must not change: the mutators copy it into ``_sets`` on
-    their first write.  A new cache owns every set; a restored cache owns
-    none, so one tuple of warmed sets (:meth:`shared`) serves many caches
-    in O(sets) each.
+    their first write.  A new cache owns no set and reads one shared
+    empty set everywhere; a restored cache reads a tuple of warmed sets
+    (:meth:`shared`), so one tuple serves many caches in O(sets) each.
 
     Args:
         size_bytes: Total capacity in bytes.
@@ -76,10 +81,9 @@ class Cache:
         power_of_two(f"{name}: number of sets", self.num_sets)
         self._set_mask = self.num_sets - 1
         self._line_shift = line_size.bit_length() - 1
-        self._sets: list[dict[int, None] | None] = [{} for _ in range(self.num_sets)]
-        #: the shared sets this cache reads where ``_sets`` holds None;
-        #: None while it owns every set
-        self._base: tuple[dict[int, None], ...] | None = None
+        self._sets: list[dict[int, None] | None] = [None] * self.num_sets
+        #: the shared sets this cache reads where ``_sets`` holds None
+        self._base: tuple[dict[int, None], ...] = (_EMPTY,) * self.num_sets
         #: running count of valid lines, maintained by the fills so
         #: occupancy is O(1) instead of a sum over every set
         self._lines = 0
@@ -205,8 +209,6 @@ class Cache:
 
     def _view(self) -> list[dict[int, None]]:
         """Every set as this cache reads it: its own where it has one."""
-        if self._base is None:
-            return self._sets
         return [
             base if own is None else own
             for own, base in zip(self._sets, self._base)
@@ -241,11 +243,11 @@ class Cache:
         order, plus the ``lines`` they hold; the version and geometry
         stay the payload's.  A cache that restores it reads the
         tuple's sets and copies each before its first write to it, so
-        they never change and every unoccupied set is one shared empty
-        dict.  The counts and tags are checked against the payload's own
-        geometry; a malformed payload raises :class:`ValueError` (named
-        ``name``) or the ``KeyError``/``TypeError`` of a missing or
-        mistyped field.
+        they never change and every unoccupied set is the module's one
+        empty set, as in a new cache.  The counts and tags are checked
+        against the payload's own geometry; a malformed payload raises
+        :class:`ValueError` (named ``name``) or the
+        ``KeyError``/``TypeError`` of a missing or mistyped field.
         """
         size_bytes, assoc, line_size = data["geometry"]
         num_sets = size_bytes // (assoc * line_size)
@@ -265,7 +267,7 @@ class Cache:
                 f"{name}: snapshot set counts sum to {sum(counts)}, "
                 f"not the {len(tags)} tags"
             )
-        sets = [{}] * num_sets
+        sets = [_EMPTY] * num_sets
         # one set per nonzero count, each taking the next ``count`` tags
         tag_stream = iter(tags)
         occupied = zip(

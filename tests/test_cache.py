@@ -165,7 +165,7 @@ class TestCopyOnWrite:
     @example(warm=[0, 8], ops=[("insert", 0)])
     @example(warm=[0, 8], ops=[("install", 1)])
     def test_adopted_and_flat_restored_caches_stay_identical(self, warm, ops):
-        source = make_cache(self.SIZE, self.ASSOC)  # owns its sets: the oracle
+        source = make_cache(self.SIZE, self.ASSOC)  # never restored: the oracle
         for line in warm:
             source.fill(line * 64)
         flat = source.snapshot()
@@ -202,6 +202,17 @@ class TestCopyOnWrite:
         sets = Cache.shared(source.snapshot())["sets"]
         assert list(sets[0]) == [0]
         assert len({id(cset) for cset in sets[1:]}) == 1 and not sets[1]
+
+    def test_new_caches_read_one_empty_set_they_never_write(self):
+        first, second = make_cache(), make_cache()
+        assert first._sets == [None] * first.num_sets
+        empty = first._base[0]
+        assert all(cset is empty for cset in first._base + second._base)
+        for op in ("lookup", "fill", "insert"):
+            getattr(first, op)(64)
+        first.install(range(2, 4))
+        assert not empty and first.occupancy == 3
+        assert not second.probe(64) and second.snapshot()["tags"] == []
 
     def test_shared_payload_must_cover_every_set(self):
         source = make_cache()

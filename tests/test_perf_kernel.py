@@ -386,7 +386,7 @@ class TestBookkeeping:
         for i in range(200):
             cache.insert((i * 64) % (8192))
         cache.insert(0)  # re-reference a resident line
-        assert cache.occupancy == sum(len(s) for s in cache._sets)
+        assert cache.occupancy == sum(len(s) for s in cache._view())
         assert 0 < cache.occupancy <= cache.num_sets * cache.assoc
 
     def test_inflight_prune_is_amortized(self):
