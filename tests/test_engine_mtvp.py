@@ -1,10 +1,17 @@
 """Engine tests: multithreaded value prediction (the core contribution)."""
 
-from repro.core import MachineConfig
-from repro.core.engine import Engine
+import dataclasses
+import gc
+
+import pytest
+
+from repro.core import FetchPolicy, MachineConfig
+from repro.core.context import ThreadContext
+from repro.core.engine import Engine, SpawnRecord
 from repro.memory import MemLevel
 from repro.select import AlwaysSelector
-from repro.vp import OraclePredictor
+from repro.vp import OraclePredictor, WangFranklinPredictor
+from repro.workloads import get_workload
 
 from tests.conftest import FixedPredictor, alu_block, run_engine
 
@@ -250,3 +257,46 @@ class TestMultiValue:
         assert stats.kills == 3
         assert stats.confirms == 0
         assert stats.useful_instructions == len(trace)
+
+
+class TestDeadContextsFree:
+    """A retired or killed context links to no spawn record, so dead
+    contexts (and their ROBs and register maps) are freed as they die,
+    not left in reference cycles for the cycle collector."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            MachineConfig.mtvp(8),
+            dataclasses.replace(MachineConfig.mtvp(8), fetch_policy=FetchPolicy.NO_STALL),
+            MachineConfig.spawn_only(8),
+            MachineConfig.spmt(8),
+        ],
+        ids=["mtvp8", "no-stall", "spawn-only", "spmt8"],
+    )
+    def test_a_run_leaves_no_context_in_a_cycle(self, config):
+        wl = get_workload("mcf")
+        engine = Engine(
+            wl.trace(length=3000, seed=0),
+            config,
+            predictor=WangFranklinPredictor(),
+            selector=AlwaysSelector(),
+        )
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            stats = engine.run()
+            del engine
+            gc.collect()
+            leaked = [
+                o for o in gc.garbage if isinstance(o, (ThreadContext, SpawnRecord))
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert stats.spawns > 0 and (stats.kills > 0 or stats.confirms > 0)
+        assert leaked == []
