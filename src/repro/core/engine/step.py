@@ -202,7 +202,8 @@ class StepMixin:
                     )
                     # predictor training at commit, in program order: the
                     # load commits below and nothing in between reads the
-                    # predictor
+                    # predictor (Wang-Franklin's train relies on this to
+                    # settle the prediction predict just made)
                     if inst.value is not None:
                         predictor.train(inst, inst.value)
                 else:

@@ -108,8 +108,6 @@ class _PredictiveModel(_ResolvingModel):
     ):
         stats = engine.stats
         predictor = engine.predictor
-        spawn_possible = self.spawn_possible(engine, ctx)
-
         prediction = predictor.predict(inst)
         if prediction is None:
             if engine.selector.learns:
@@ -118,6 +116,8 @@ class _PredictiveModel(_ResolvingModel):
                 )
             return t_complete, None
 
+        # a pure slot scan, so only a confident prediction pays for it
+        spawn_possible = self.spawn_possible(engine, ctx)
         if self.count_denied_spawns and not spawn_possible:
             # a confident prediction arrived while every context was busy —
             # the lost-opportunity statistic behind the thread-count studies

@@ -43,8 +43,11 @@ class ValuePredictor:
     confidence threshold (a ``None`` return means "not confident").
     :meth:`train` is called with the architectural value when the load
     retires, so every table, stride components included, trains at
-    commit.  A predictor holds its tables and nothing else: the pipeline
-    counts prediction outcomes in :class:`~repro.core.stats.SimStats`.
+    commit.  A predictor holds its tables and nothing else, apart from
+    the acting prediction of the one load in flight between its
+    :meth:`predict` and its :meth:`train` (Wang–Franklin keeps it so the
+    train need not walk the tables again): the pipeline counts prediction
+    outcomes in :class:`~repro.core.stats.SimStats`.
     """
 
     def predict(self, inst: Instruction) -> ValuePrediction | None:

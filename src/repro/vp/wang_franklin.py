@@ -85,6 +85,15 @@ class _VhtEntry:
         self.pattern = 0
 
 
+def _slot_value(entry: _VhtEntry, slot: int) -> int:
+    """The candidate value of one of ``entry``'s live slots."""
+    if slot < NUM_LEARNED:
+        return entry.values[slot]
+    if slot == SLOT_STRIDE:
+        return (entry.last_value + entry.stride) & _MASK64
+    return slot - SLOT_ZERO
+
+
 class WangFranklinPredictor(ValuePredictor):
     """Hybrid multi-source value predictor with pattern-indexed confidence.
 
@@ -124,75 +133,82 @@ class WangFranklinPredictor(ValuePredictor):
         self._vht_mask = vht_entries - 1
         self._valpht: list[list[int] | None] = [None] * valpht_entries
         self._valpht_mask = valpht_entries - 1
+        #: the last predicted load's :meth:`_walk`, until a train
+        self._acting: tuple | None = None
 
     # ------------------------------------------------------------------
-    def _vht_entry(self, pc: int, allocate: bool) -> _VhtEntry | None:
+    def _walk(self, inst: Instruction, allocate: bool) -> tuple | None:
+        """The table walk for one load: ``(inst, entry, conf, slot, value)``.
+
+        ``entry`` is the load's VHT entry, ``conf`` the ValPHT vector its
+        pattern selects (allocated zeroed when empty) and ``slot`` the
+        acting prediction: the live slot of highest confidence over
+        threshold, the lowest such slot on ties, or -1 when there is none.
+        ``value`` is that slot's candidate (None for -1).  A PC with no
+        VHT entry gets a new one when ``allocate``, and returns None
+        otherwise.  The tuple is also the acting-prediction record that
+        :meth:`predict` leaves for :meth:`train`.
+        """
+        pc = inst.pc
         idx = (pc >> 2) & self._vht_mask
         entry = self._vht[idx]
         if entry is None or entry.pc != pc:
             if not allocate:
                 return None
-            entry = _VhtEntry(pc)
-            self._vht[idx] = entry
-        return entry
-
-    def _confidences(self, entry: _VhtEntry) -> list[int]:
-        idx = ((entry.pc >> 2) ^ (entry.pattern * 0x65D)) & self._valpht_mask
-        vec = self._valpht[idx]
-        if vec is None:
-            vec = [0] * NUM_SLOTS
-            self._valpht[idx] = vec
-        return vec
-
-    def _candidates(self, entry: _VhtEntry) -> list[int | None]:
-        """Candidate value for each slot; None when the slot is empty."""
-        values: list[int | None] = [None] * NUM_SLOTS
-        for i, v in enumerate(entry.values[:NUM_LEARNED]):
-            values[i] = v
-        values[SLOT_ZERO] = 0
-        values[SLOT_ONE] = 1
-        values[SLOT_STRIDE] = (entry.last_value + entry.stride) & _MASK64
-        return values
+            entry = self._vht[idx] = _VhtEntry(pc)
+        cidx = ((pc >> 2) ^ (entry.pattern * 0x65D)) & self._valpht_mask
+        conf = self._valpht[cidx]
+        if conf is None:
+            conf = self._valpht[cidx] = [0] * NUM_SLOTS
+        best = self.threshold - 1
+        slot = -1
+        for live in _LIVE_SLOTS[len(entry.values)]:
+            if conf[live] > best:
+                best = conf[live]
+                slot = live
+        if slot < 0:
+            return inst, entry, conf, -1, None
+        return inst, entry, conf, slot, _slot_value(entry, slot)
 
     # ------------------------------------------------------------------
     def predict(self, inst: Instruction) -> ValuePrediction | None:
+        """The acting prediction of a load, when it is over threshold.
+
+        The walk is kept as the load's acting-prediction record, which a
+        :meth:`train` of the same instruction object settles without
+        walking the tables again.  Predicting anything else (a non-load
+        included) replaces the record.
+        """
         if inst.op is not _LOAD:
+            self._acting = None
             return None
-        entry = self._vht_entry(inst.pc, allocate=False)
-        if entry is None:
+        act = self._acting = self._walk(inst, False)
+        if act is None or act[3] < 0:
             return None
-        confidences = self._confidences(entry)
-        candidates = self._candidates(entry)
-        best_slot = -1
-        best_conf = self.threshold - 1
-        for slot in range(NUM_SLOTS):
-            if candidates[slot] is None:
-                continue
-            if confidences[slot] > best_conf:
-                best_conf = confidences[slot]
-                best_slot = slot
-        if best_slot < 0:
-            return None
-        return ValuePrediction(candidates[best_slot], best_conf, best_slot)
+        _, _, conf, slot, value = act
+        return ValuePrediction(value, conf[slot], slot)
 
     def predict_all(self, inst: Instruction) -> list[ValuePrediction]:
-        """All distinct over-threshold candidates, highest confidence first."""
+        """All distinct over-threshold candidates, highest confidence first.
+
+        Leaves the acting-prediction record as it is.
+        """
         if inst.op is not _LOAD:
             return []
-        entry = self._vht_entry(inst.pc, allocate=False)
-        if entry is None:
+        act = self._walk(inst, False)
+        if act is None:
             return []
-        confidences = self._confidences(entry)
-        candidates = self._candidates(entry)
+        entry, conf = act[1], act[2]
+        threshold = self.threshold
         seen: set[int] = set()
         out: list[ValuePrediction] = []
-        order = sorted(range(NUM_SLOTS), key=lambda s: -confidences[s])
-        for slot in order:
-            value = candidates[slot]
-            if value is None or confidences[slot] < self.threshold or value in seen:
-                continue
-            seen.add(value)
-            out.append(ValuePrediction(value, confidences[slot], slot))
+        for slot in sorted(_LIVE_SLOTS[len(entry.values)], key=lambda s: -conf[s]):
+            if conf[slot] < threshold:
+                break
+            value = _slot_value(entry, slot)
+            if value not in seen:
+                seen.add(value)
+                out.append(ValuePrediction(value, conf[slot], slot))
         return out
 
     def train(self, inst: Instruction, actual: int) -> None:
@@ -207,43 +223,27 @@ class WangFranklinPredictor(ValuePredictor):
         a minority value accumulate confidence in a bimodal stream, the
         effect Figure 5 measures.
 
-        The engine calls this once per committed load, so the VHT and
-        ValPHT lookups are inlined and the candidate list is never built:
-        learned values are distinct (the LRU update removes a repeat
-        before appending it), so at most one learned slot matches, and the
-        hardwired slots match by value.  The warm start's replay passes go
-        through :meth:`train_many` instead.
+        The step kernel trains each load right after predicting it, so
+        the acting prediction is the record :meth:`predict` left for this
+        instruction object; any other call order (a train with no
+        predict, another load predicted or trained in between) finds no
+        record for it and walks the tables.  Every train drops the
+        record.  Learned values are distinct (the LRU update removes a
+        repeat before appending it), so at most one learned slot matches,
+        and the hardwired slots match by value.  The warm start's replay
+        passes go through :meth:`train_many` instead.
         """
+        act = self._acting
+        self._acting = None
+        if act is None or act[0] is not inst:
+            act = self._walk(inst, True)
+        _, entry, conf, predicted, value = act
         actual &= _MASK64
-        pc = inst.pc
-        idx = (pc >> 2) & self._vht_mask
-        entry = self._vht[idx]
-        if entry is None or entry.pc != pc:
-            entry = self._vht[idx] = _VhtEntry(pc)
-        cidx = ((pc >> 2) ^ (entry.pattern * 0x65D)) & self._valpht_mask
-        conf = self._valpht[cidx]
-        if conf is None:
-            conf = self._valpht[cidx] = [0] * NUM_SLOTS
+        # penalize the acting prediction when its candidate is wrong
+        if predicted >= 0 and value != actual:
+            conf[predicted] = max(conf[predicted] - self.penalty, 0)
         values = entry.values
         stride_value = (entry.last_value + entry.stride) & _MASK64
-        # penalize the acting prediction (chosen exactly as predict()
-        # chooses it) when its candidate is wrong
-        best = self.threshold - 1
-        if max(conf) > best:
-            predicted = -1
-            for slot in _LIVE_SLOTS[len(values)]:
-                if conf[slot] > best:
-                    best = conf[slot]
-                    predicted = slot
-            if predicted >= 0:
-                if predicted < NUM_LEARNED:
-                    value = values[predicted]
-                elif predicted == SLOT_STRIDE:
-                    value = stride_value
-                else:
-                    value = predicted - SLOT_ZERO
-                if value != actual:
-                    conf[predicted] = max(conf[predicted] - self.penalty, 0)
         # reinforce every matching slot; the first one enters the pattern
         # (4 bits per outcome, NUM_SLOTS codes "no match")
         bonus, max_conf = self.bonus, self.max_conf
@@ -284,6 +284,7 @@ class WangFranklinPredictor(ValuePredictor):
         vectors commute, so each vector replays its own events pass after
         pass, skipping whole periods once its counters repeat.
         """
+        self._acting = None
         touched = sorted({(inst.pc >> 2) & self._vht_mask for inst in insts})
         done = 0
         while done < passes:
@@ -443,3 +444,4 @@ class WangFranklinPredictor(ValuePredictor):
             valpht[slot] = conf[NUM_SLOTS * k:NUM_SLOTS * (k + 1)]
         self._vht = vht
         self._valpht = valpht
+        self._acting = None

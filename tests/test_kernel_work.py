@@ -17,6 +17,13 @@ These tests count calls by wrapping the methods on their classes, so a
 regression that brings the dead work back fails here even though results
 (which the golden digests pin) would not change.
 
+Wang–Franklin's ``train`` settles the acting prediction its ``predict``
+recorded for the same load, so it walks its tables again only when
+another predictor call came in between.  The kernel trains each load
+right after predicting it, so ``TestActingRecord`` checks that no timed
+train walks the tables: a predictor call slipped in between would undo
+that saving without changing a result.
+
 The kernel does not count loads either: every timed load is a
 store-buffer forward or one ``MemoryHierarchy.load``, so ``loads`` is
 their sum.  ``TestLoadCount`` checks that sum against the loads of the
@@ -42,7 +49,7 @@ from repro.select import (
     LoadSelector,
     MissOracleSelector,
 )
-from repro.vp import OraclePredictor
+from repro.vp import OraclePredictor, WangFranklinPredictor
 from repro.workloads import get_workload
 
 #: ``(class, method)`` pairs whose calls the tests count
@@ -76,7 +83,7 @@ EVERY_MODE = {
 }
 
 
-def _engine(config, selector, workload="mcf", length=3000):
+def _engine(config, selector, workload="mcf", length=3000, predictor=None):
     programs = config.num_contexts if resolve_model(config.mode).multi_program else 1
     wl = get_workload(workload)
     traces = [wl.trace(length=length, seed=seed) for seed in range(programs)]
@@ -86,7 +93,7 @@ def _engine(config, selector, workload="mcf", length=3000):
     return Engine(
         traces[0],
         config,
-        predictor=OraclePredictor(),
+        predictor=predictor or OraclePredictor(),
         selector=selector,
         warm_addresses=warm,
         traces=traces if programs > 1 else None,
@@ -251,6 +258,38 @@ class TestMeasures:
             assert cls.learns, cls
         for cls in (AlwaysSelector, MissOracleSelector):
             assert not cls.learns, cls
+
+
+class TestActingRecord:
+    @pytest.mark.parametrize("machine", ["stvp", "mtvp"])
+    def test_timed_trains_settle_the_prediction(self, monkeypatch, machine):
+        engine = _engine(
+            EVERY_MODE[machine](), IlpPredSelector(), predictor=WangFranklinPredictor()
+        )
+        walks: Counter[str] = Counter()
+        walk, train = WangFranklinPredictor._walk, WangFranklinPredictor.train
+
+        def counting_walk(self, inst, allocate):
+            walks["train" if allocate else "predict"] += 1
+            return walk(self, inst, allocate)
+
+        def counting_train(self, inst, actual):
+            walks["trains"] += 1
+            return train(self, inst, actual)
+
+        monkeypatch.setattr(WangFranklinPredictor, "_walk", counting_walk)
+        monkeypatch.setattr(WangFranklinPredictor, "train", counting_train)
+        # the fast-forward trains with nothing predicted: every train walks
+        engine.fast_forward(1000)
+        assert walks["train"] == walks["trains"] == _loads_with_values(
+            engine.trace[:1000]
+        )
+        walks.clear()
+        stats = engine.run()
+        assert walks["trains"] >= _loads_with_values(engine.trace[1000:])
+        assert walks["predict"] >= walks["trains"]
+        assert walks["train"] == 0
+        assert stats.stvp_predictions + stats.mtvp_predictions > 0
 
 
 class TestLoadCount:
